@@ -39,8 +39,8 @@ from repro.boosting.model import GBDTModel
 from repro.datasets import rcv1_like
 from repro.datasets.sparse import CSRMatrix
 from repro.serving import ModelStore, ServingConfig, ServingMetrics, ServingRuntime
-from repro.serving import clock
 from repro.utils.rng import spawn_rng
+from repro.utils.timing import wall_clock
 
 from bench_ext_inference import full_random_tree
 from conftest import bench_scale
@@ -104,10 +104,10 @@ def calibrate_single_row_s(model: GBDTModel, X: CSRMatrix, n: int = 64) -> float
     rows = [X.slice_rows(i % X.n_rows, i % X.n_rows + 1) for i in range(n)]
     best = np.inf
     for _ in range(3):
-        t0 = clock.now()
+        t0 = wall_clock()
         for row in rows:
             flat.predict_raw(row, base_score=model.base_score)
-        best = min(best, (clock.now() - t0) / n)
+        best = min(best, (wall_clock() - t0) / n)
     return best
 
 
@@ -119,22 +119,22 @@ async def replay(
     """Drive the open-loop trace; returns (predictions, ms latencies, makespan)."""
 
     async def one(indices: np.ndarray, values: np.ndarray):
-        t0 = clock.now()
+        t0 = wall_clock()
         prediction = await runtime.submit(indices, values)
-        return prediction, (clock.now() - t0) * 1e3
+        return prediction, (wall_clock() - t0) * 1e3
 
-    started = clock.now()
+    started = wall_clock()
     tasks = []
     cursor = 0
     for offset, count in bursts:
-        delay = (started + offset) - clock.now()
+        delay = (started + offset) - wall_clock()
         if delay > 0:
             await asyncio.sleep(delay)
         for indices, values in rows[cursor : cursor + count]:
             tasks.append(asyncio.create_task(one(indices, values)))
         cursor += count
     outcomes = await asyncio.gather(*tasks)
-    makespan = clock.now() - started
+    makespan = wall_clock() - started
     predictions = [p for p, _ in outcomes]
     latencies = [lat for _, lat in outcomes]
     return predictions, latencies, makespan

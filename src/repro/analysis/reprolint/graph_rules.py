@@ -10,7 +10,7 @@ the evidence spans modules:
   passes the kernel as an argument, not a call, so the structural check
   admits it without a whitelist).
 * RP008 ``wall-clock-taint`` — a value originating at a wall-clock read
-  (``serving/clock.py`` / ``utils/timing.py`` or a raw ``time.*``)
+  (``utils/timing.py`` or a raw ``time.*``)
   must never flow into a model artifact, PS payload, or persisted
   file.  This is the repo's determinism contract stated as dataflow:
   latencies may be *reported* (wire responses, logs) but never
@@ -200,7 +200,7 @@ class WallClockTaint(ProjectRule):
     code = "RP008"
     name = "wall-clock-taint"
     summary = (
-        "values originating at serving/clock.py, utils/timing.py, or raw "
+        "values originating at utils/timing.py or raw "
         "time.* reads must not flow into model artifacts, PS payloads, "
         "or persisted files"
     )
@@ -213,8 +213,7 @@ class WallClockTaint(ProjectRule):
     _SOURCE_CALLS = frozenset(
         {
             "repro.utils.timing.wall_clock",
-            "repro.serving.clock.now",
-            "repro.serving.clock.now_ns",
+            "repro.utils.timing.wall_clock_ns",
             "time.time",
             "time.time_ns",
             "time.perf_counter",

@@ -50,11 +50,7 @@ __all__ = [
 
 #: The RP002 clock seam as declared in pyproject.toml (and mirrored in
 #: the rule's manual fallback whitelist — the patrol test pins both).
-DEFAULT_CLOCK_SEAM: tuple[str, ...] = (
-    "repro/runtime/phases.py",
-    "repro/runtime/build.py",
-    "repro/serving/clock.py",
-)
+DEFAULT_CLOCK_SEAM: tuple[str, ...] = ("repro/utils/timing.py",)
 
 #: The declared import DAG: package → packages/top-level modules it must
 #: never import.  Kernel packages stay importable without the

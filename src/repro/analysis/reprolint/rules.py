@@ -9,11 +9,12 @@ live in :mod:`repro.analysis.reprolint.graph_rules`):
   level RNG state, stdlib ``random``, and raw OS entropy
   (``uuid.uuid4``, ``os.urandom``, ``secrets.*``) would all break
   bit-identity across runs and backends.
-* RP002 ``wall-clock-outside-seam`` — real-time reads live in the phase
-  accounting seam (``runtime/phases.py`` / ``runtime/build.py``), the
-  serving runtime's timing seam (``serving/clock.py``), or go through
-  :func:`repro.utils.timing.wall_clock`; stray ``time.*`` pairs produce
-  unphased seconds no report can attribute.  Under a whole-program run
+* RP002 ``wall-clock-outside-seam`` — real-time reads live in the one
+  clock seam, ``utils/timing.py``; everything else (phase accounting,
+  build strategies, the serving runtime) goes through its
+  ``wall_clock`` / ``Stopwatch`` / ``Deadline``; stray ``time.*`` pairs
+  produce unphased seconds no report can attribute.  Under a
+  whole-program run
   the seam is *derived*: the seam modules come from the declared
   ``[tool.reprolint]`` contract and a clock read is also permitted in
   any function transitively called only from seam modules; the manual
@@ -174,13 +175,13 @@ class UnseededRandomness(Rule):
 
 @register
 class WallClockOutsideSeam(Rule):
-    """RP002: real-time reads only inside the phase accounting seam."""
+    """RP002: real-time reads only inside the clock seam."""
 
     code = "RP002"
     name = "wall-clock-outside-seam"
     summary = (
-        "no time.time/perf_counter/monotonic or datetime.now outside the "
-        "PhaseRunner/PhaseStage seam; use repro.utils.timing.wall_clock"
+        "no time.time/perf_counter/monotonic or datetime.now outside "
+        "utils/timing.py; use repro.utils.timing.wall_clock"
     )
     invariant = (
         "every measured second is attributable to a phase (PR 1 phase "
@@ -204,21 +205,14 @@ class WallClockOutsideSeam(Rule):
         }
     )
 
-    #: The accounting seam: the only modules allowed to read the clock
-    #: directly.  ``utils/timing.py`` is *not* listed — its primitives
-    #: carry audited inline suppressions instead, so the seam stays
-    #: the two runtime modules the phase accountant owns plus the
-    #: serving runtime's single timing seam (``serving/clock.py``):
-    #: every event-loop deadline, admission stamp, and stage latency of
-    #: the online runtime reads that module, never ``time.*`` directly.
+    #: The clock seam: the only module allowed to read the clock
+    #: directly.  Phase accounting, build strategies, and every
+    #: event-loop deadline, admission stamp, and stage latency of the
+    #: serving runtime read that module, never ``time.*`` directly.
     #: Single-module fallback only — whole-program runs derive the seam
     #: from ``[tool.reprolint].clock_seam``; the patrol test asserts the
     #: two stay equal.
-    _ALLOWED_SUFFIXES = (
-        "repro/runtime/phases.py",
-        "repro/runtime/build.py",
-        "repro/serving/clock.py",
-    )
+    _ALLOWED_SUFFIXES = ("repro/utils/timing.py",)
 
     @classmethod
     def seam_suffixes(cls, project: "Project | None") -> tuple[str, ...]:
@@ -246,7 +240,7 @@ class WallClockOutsideSeam(Rule):
                 yield self.finding(
                     ctx,
                     call,
-                    f"{qualname}() outside the phase accounting seam; "
+                    f"{qualname}() outside the clock seam; "
                     "use repro.utils.timing.wall_clock/Stopwatch so the "
                     "read stays auditable and phase-attributable",
                 )
@@ -298,8 +292,8 @@ class SharedMemoryLifecycle(Rule):
         "release method calling close()+unlink() and __exit__/__del__"
     )
     invariant = (
-        "no leaked /dev/shm segments (PR 2/4 lifecycle contract of "
-        "histogram/shared.py and inference/parallel.py)"
+        "no leaked /dev/shm segments (PR 2/4 lifecycle contract, now "
+        "utils/arena.py's SharedArena)"
     )
 
     def check(

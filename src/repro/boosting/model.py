@@ -26,6 +26,27 @@ from ..inference.flat import FlatEnsemble
 from .losses import get_loss
 from ..tree.tree import RegressionTree
 
+#: The ``"version"`` every model artifact is written with — and the only
+#: one the loaders read.
+ARTIFACT_VERSION = 1
+
+
+def read_artifact(path: str | os.PathLike[str]) -> dict[str, Any]:
+    """Parse a model JSON file, rejecting versions this build cannot read.
+
+    A file without a ``"version"`` key predates the check and reads as
+    version 1.  (The ``format`` tag is each model class's to check.)
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    version = payload.get("version", 1) if isinstance(payload, dict) else None
+    if version != ARTIFACT_VERSION:
+        raise DataError(
+            f"{os.fspath(path)}: unsupported model artifact version "
+            f"{version!r} (this build reads version {ARTIFACT_VERSION})"
+        )
+    return payload
+
 
 class GBDTModel:
     """An ensemble of regression trees plus prediction metadata.
@@ -154,7 +175,7 @@ class GBDTModel:
         """JSON-ready structure (the FINISH phase's model output)."""
         return {
             "format": "repro-dimboost-gbdt",
-            "version": 1,
+            "version": ARTIFACT_VERSION,
             "base_score": self.base_score,
             "loss": self.loss_name,
             "n_features": self.n_features,
@@ -180,9 +201,13 @@ class GBDTModel:
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "GBDTModel":
-        """Read a model written by :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """Read a model written by :meth:`save`.
+
+        Raises:
+            DataError: For an unrecognized ``format`` or a ``version``
+                this build does not read.
+        """
+        return cls.from_dict(read_artifact(path))
 
     def __repr__(self) -> str:
         return (

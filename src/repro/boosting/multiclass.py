@@ -26,6 +26,7 @@ from ..datasets.sparse import CSRMatrix
 from ..errors import DataError, NotFittedError, TrainingError
 from ..histogram.binned import BinnedShard
 from ..inference.flat import FlatEnsemble
+from .model import ARTIFACT_VERSION, read_artifact
 from ..ps.master import WorkerPhase
 from ..runtime.hooks import CallbackList, HistoryCollector, TrainerCallback
 from ..runtime.loop import BoostingLoop, TreeGrowthStrategy
@@ -181,7 +182,7 @@ class MulticlassModel:
         """JSON-ready structure."""
         return {
             "format": "repro-dimboost-gbdt-multiclass",
-            "version": 1,
+            "version": ARTIFACT_VERSION,
             "base_scores": self.base_scores.tolist(),
             "n_features": self.n_features,
             "rounds": [
@@ -210,9 +211,9 @@ class MulticlassModel:
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "MulticlassModel":
-        """Read a model written by :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """Read a model written by :meth:`save` (same ``DataError``
+        contract as :meth:`GBDTModel.load`)."""
+        return cls.from_dict(read_artifact(path))
 
     def __repr__(self) -> str:
         return (

@@ -36,6 +36,7 @@ from .backends import (
     MLlibBackend,
     TencentBoostBackend,
     XGBoostBackend,
+    check_backend,
     make_backend,
     BACKEND_NAMES,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "LightGBMBackend",
     "TencentBoostBackend",
     "DimBoostBackend",
+    "check_backend",
     "make_backend",
     "BACKEND_NAMES",
     "DistributedGBDT",

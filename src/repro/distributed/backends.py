@@ -28,12 +28,6 @@ from ..cluster.collectives import (
 )
 from ..cluster.costmodel import CostParams, log2_steps
 from ..cluster.simclock import SimClock
-from ..compression.lowprec import (
-    compress_blocked,
-    compress_flat,
-    decompress_blocked,
-    decompress_flat,
-)
 from ..config import ClusterConfig, TrainConfig
 from ..errors import ConfigError, TrainingError
 from ..ps.group import ParameterServerGroup
@@ -55,6 +49,9 @@ BACKEND_NAMES = ("mllib", "xgboost", "lightgbm", "tencentboost", "dimboost")
 
 #: Bytes of one split decision on the wire (Section 6.3: one int + floats).
 DECISION_BYTES = 28
+
+#: The PS parameter every histogram delta lands in.
+GRAD_HIST = "grad_hist"
 
 
 def general_ps_push_time(
@@ -101,6 +98,11 @@ class AggregationBackend(ABC):
     #: (``TrainConfig.agg_window > 1``).  PS backends only — collectives
     #: have no server-side seq-token seam to deduplicate a window on.
     supports_windowed_push: bool = False
+    #: Fixed-point width of pushed histograms (0 = no lossy codec) and
+    #: values per codec scale (None = the codec's default).  Only
+    #: DimBoost sets them; declared here so shared code reads them plainly.
+    compression_bits: int = 0
+    compression_block: int | None = None
 
     def __init__(
         self,
@@ -329,325 +331,285 @@ class LightGBMBackend(AggregationBackend):
         return decisions
 
 
-def _ps_aggregate_slabs(
-    backend: "AggregationBackend", node: int, slabs, clock: SimClock
-) -> None:
-    """Shared PS slab aggregation: push every block's slab, charge wires.
+class WindowedPusher:
+    """Delivers one PS backend's node deltas — at once, or a window at a time.
 
-    Pushes run in block (worker-id) order so the servers accumulate each
-    feature's histogram in the same addend order as the dense row-sharded
-    pushes — the bit-identity contract.  The batched scatter is charged
-    with the *actual* average slab bytes, so sparsity directly shrinks
-    the transfer term of the cost model.
+    The backend owns one and calls :meth:`push_flats` /
+    :meth:`push_slabs` per node and :meth:`flush` at layer ends; the
+    helper decides between immediate delivery (``agg_window == 1``: one
+    ``push_row`` / ``push_slab`` per worker under the ``(tree, worker)``
+    token, one batched scatter charged per node) and local aggregation
+    (``agg_window > 1``) — Horovod's ``LocalGradientAggregationHelper``
+    applied to histogram deltas: a counter, a buffer, and the
+    communication call they wrap.
 
-    Backends exposing ``compression_bits`` (DimBoost) also quantize each
-    slab's value payload: the rng is spawned per ``(tree, node, block)``
-    — the same spawn key a rollback-replay re-derives — and compression
-    happens once per slab before the partition fan-out, so retries,
-    duplicates, and replays all move the identical packed payload.
-    """
-    if not slabs:
-        raise TrainingError(f"node {node}: no slabs to aggregate")
-    bits = getattr(backend, "compression_bits", 0)
-    block_size = getattr(backend, "compression_block", None)
-    total_bytes = 0
-    for block_id, slab in slabs:
-        rng = (
-            spawn_rng(
-                backend.config.seed, "lowprec", backend._tree_index, node, block_id
-            )
-            if bits
-            else None
-        )
-        stats = backend.group.push_slab(
-            "grad_hist",
-            node,
-            slab,
-            compression_bits=bits,
-            rng=rng,
-            compression_block=block_size,
-            seq=(backend._tree_index, block_id),
-            worker=block_id,
-        )
-        total_bytes += stats.bytes_up
-    clock.advance_comm(
-        general_ps_push_time(
-            len(slabs),
-            backend.cluster.n_servers,
-            total_bytes / len(slabs),
-            backend.cost,
-            backend.cluster.colocated,
-        ),
-        phase="FIND_SPLIT",
-    )
-
-
-class _PieceWindowBuffer:
-    """Window buffer of pre-encoded dense row pieces for one worker.
-
-    The dense lossy codec is partition-scoped (``push_row`` quantizes
-    each partition slice in partition order), so compressed dense deltas
-    are encoded *at buffer time* with their canonical rng streams and
-    windowing only batches their delivery.  Mirrors the
-    :class:`~repro.ps.localagg.LocalAggregator` window accounting so the
-    ``(tree, window, worker)`` token sequence is deterministic.
-    """
-
-    def __init__(self, window: int) -> None:
-        self.window = window
-        self.pending = 0
-        self.windows_flushed = 0
-        self._pieces: list[tuple[int, int, np.ndarray, int]] = []
-
-    @property
-    def full(self) -> bool:
-        return self.pending >= self.window
-
-    def add(self, pieces: list[tuple[int, int, np.ndarray, int]]) -> bool:
-        """Buffer one delta's pieces; returns whether the window filled."""
-        self._pieces.extend(pieces)
-        self.pending += 1
-        return self.full
-
-    def drain(self) -> tuple[int, list[tuple[int, int, np.ndarray, int]]]:
-        if not self._pieces:
-            return self.windows_flushed, []
-        index = self.windows_flushed
-        self.windows_flushed += 1
-        pieces, self._pieces = self._pieces, []
-        self.pending = 0
-        return index, pieces
-
-    def reset(self) -> None:
-        self._pieces = []
-        self.pending = 0
-        self.windows_flushed = 0
-
-
-class _WindowedPushMixin:
-    """Local histogram aggregation for PS backends (``agg_window > 1``).
-
-    Instead of pushing every node delta as it is built, each worker
-    folds deltas into its :class:`~repro.ps.localagg.LocalAggregator`
-    and the cluster communicates once per aggregation window — the
-    Horovod ``LocalGradientAggregationHelper`` pattern applied to
-    histogram slabs.  Dense per-worker flats are wrapped in *fully
-    present* slabs (every feature carries its exact values) so the
-    closed-form header reconstruction never fires for them and the
+    With a window, each worker folds its deltas into a
+    :class:`~repro.ps.localagg.LocalAggregator` and the cluster
+    communicates once per window.  Dense per-worker flats are wrapped in
+    *fully present* slabs (every feature carries its exact values) so
+    the closed-form header reconstruction never fires for them and the
     stored bits match the dense push exactly; the 2-D grid path buffers
-    the engine's sparse slabs as-is.
+    the engine's sparse slabs as-is.  One windowed push per worker
+    carries that worker's folded entries, encoded once before the
+    partition fan-out, under the token ``(tree, window_index, worker)``.
+    All workers fill in lockstep (every node contributes one delta per
+    worker), so a full window flushes the whole cluster together and is
+    charged as one batched PS scatter — the latency term shrinks by the
+    window size while the volume terms keep the folded payload mass.
 
-    One windowed push per worker carries that worker's folded entries,
-    encoded once (PR 7 codec) before the partition fan-out, under the
-    sequence token ``(tree, window_index, worker)``.  All aggregators
-    fill in lockstep (every node contributes one delta per worker), so
-    a full window flushes the whole cluster together and is charged as
-    one batched PS scatter — the latency term shrinks by the window
-    size while the volume terms keep the folded payload mass.
+    The one delta that cannot fold-then-encode is the lossy *dense* row
+    (see :meth:`~repro.ps.group.ParameterServerGroup.encode_row`): it is
+    encoded at buffer time by the same call ``push_row`` makes, and the
+    window batches the pre-encoded pieces (``push_window_rows``) — the
+    S=0 bit-identity guarantee holds in every cell of the parity matrix.
 
-    The one path that cannot fold-then-encode is the compressed *dense*
-    push: its codec quantizes per partition slice with a rounding
-    stream consumed in partition order, so folding first would change
-    the stored bits.  There, each delta is encoded at buffer time
-    exactly as :meth:`~repro.ps.group.ParameterServerGroup.push_row`
-    would encode it and the window batches the pre-encoded pieces
-    (:meth:`~repro.ps.group.ParameterServerGroup.push_window_rows`) —
-    the S=0 bit-identity guarantee holds in every cell of the parity
-    matrix.
+    Every lossy encode draws its rounding stream from :meth:`_rng`,
+    keyed ``(tree, node, worker)`` — the key a rollback-replay
+    re-derives — so retries, duplicates and replays move identical
+    payloads however delivery is scheduled.
     """
 
-    # Provided by the concrete backend / base class.  Backends with a
-    # lossy dense codec (``compression_bits > 0``) additionally provide
-    # ``compression_block``, ``_node_sums``, and ``_unfold_zero_buckets``
-    # — the compressed-dense buffering path mirrors their per-delta
-    # push_row bookkeeping.
-    group: ParameterServerGroup
-    cluster: ClusterConfig
-    config: TrainConfig
-    cost: CostParams
-    n_bins: int
-    n_features: int
-    _tree_index: int
-    _node_sums: dict[int, tuple[float, float]]
+    def __init__(
+        self,
+        group: ParameterServerGroup,
+        cluster: ClusterConfig,
+        config: TrainConfig,
+        cost: CostParams,
+        layout: SlabLayout,
+        compression_bits: int = 0,
+        compression_block: int | None = None,
+    ) -> None:
+        self.group = group
+        self.cluster = cluster
+        self.config = config
+        self.cost = cost
+        self.layout = layout
+        self.bits = compression_bits
+        self.block = compression_block
+        self.window = config.agg_window
+        self._aggregators = [
+            LocalAggregator(self.window, layout)
+            for _ in range(cluster.n_workers if self.window > 1 else 0)
+        ]
+        self._all_features = np.arange(layout.n_features, dtype=np.int64)
+        self.begin_tree(-1)
 
-    supports_windowed_push: bool = True
-
-    def _init_windowing(self, layout: SlabLayout) -> None:
-        self._layout = layout
-        windowed = self.config.agg_window > 1
-        self._aggregators: list[LocalAggregator] = (
-            [
-                LocalAggregator(self.config.agg_window, layout)
-                for _ in range(self.cluster.n_workers)
-            ]
-            if windowed
-            else []
-        )
-        self._piece_buffers: list[_PieceWindowBuffer] = (
-            [
-                _PieceWindowBuffer(self.config.agg_window)
-                for _ in range(self.cluster.n_workers)
-            ]
-            if windowed
-            else []
-        )
-        self._all_features = np.arange(self.n_features, dtype=np.int64)
-
-    @property
-    def windowed(self) -> bool:
-        """Whether local aggregation is active (``agg_window > 1``)."""
-        return bool(self._aggregators)
+    def _reset_pieces(self) -> None:
+        #: Per worker, the current window's pre-encoded dense pieces
+        #: ``(node, partition_id, values, wire_bytes)``; workers fill in
+        #: lockstep, so one delta count serves them all.
+        self._pieces: list[list[tuple[int, int, np.ndarray, int]]] = [
+            [] for _ in range(self.cluster.n_workers)
+        ]
+        self._piece_deltas = 0
 
     def begin_tree(self, tree_index: int) -> None:
-        super().begin_tree(tree_index)  # type: ignore[misc]
-        # Rewind window counters so a chaos rollback-replay regenerates
-        # the identical (tree, window, worker) token sequence.
+        """Drop buffered deltas and rewind the window counters, so a chaos
+        rollback-replay regenerates the identical token sequence."""
+        self._tree_index = tree_index
         for aggregator in self._aggregators:
             aggregator.reset()
-        for buffer in self._piece_buffers:
-            buffer.reset()
+        self._reset_pieces()
+        self._piece_windows = 0
 
-    def _buffer_node_flats(
-        self, node: int, local_flats: list[np.ndarray], clock: SimClock
-    ) -> None:
-        if getattr(self, "compression_bits", 0):
-            self._buffer_compressed_flats(node, local_flats, clock)
-            return
-        for aggregator, flat in zip(self._aggregators, local_flats):
-            slab = slab_from_flat(
-                flat,
-                self._all_features,
-                0,
-                self.n_features,
-                self.n_bins,
-                float(flat[: self.n_bins].sum()),
-                float(flat[self.n_bins : 2 * self.n_bins].sum()),
-            )
-            aggregator.add(node, slab)
-        self._maybe_flush_windows(clock)
+    def _rng(self, node: int, worker: int) -> np.random.Generator | None:
+        """The codec's stochastic-rounding stream for one delta."""
+        if not self.bits:
+            return None
+        return spawn_rng(self.config.seed, "lowprec", self._tree_index, node, worker)
 
-    def _buffer_compressed_flats(
-        self, node: int, local_flats: list[np.ndarray], clock: SimClock
-    ) -> None:
-        """Buffer compressed dense deltas as pre-encoded pieces.
+    def _wire_slab(
+        self, node: int, worker: int, slab: SparseSlab
+    ) -> SparseSlab | CompressedSlab:
+        """``slab`` as it travels: value payload quantized once, before
+        the partition fan-out, when the codec is on."""
+        if not self.bits:
+            return slab
+        return compress_slab(
+            slab, self.layout, self.bits, self._rng(node, worker), self.block
+        )
 
-        Each delta is unfolded and quantized exactly as the per-node
-        ``push_row`` path does — same rng spawn key, same partition
-        slices, same rounding-stream consumption order — so the batched
-        window stores bit-identical floats.  The exact node sums are
-        recorded for the split-time refold, matching the unwindowed
-        bookkeeping.
+    def _charge(self, pushed: list[int], clock: SimClock) -> None:
+        """One batched PS scatter at the *actual* average wire bytes, so
+        compression and sparsity directly shrink the transfer term."""
+        clock.advance_comm(
+            general_ps_push_time(
+                len(pushed),
+                self.cluster.n_servers,
+                sum(pushed) / len(pushed),
+                self.cost,
+                self.cluster.colocated,
+            ),
+            phase="FIND_SPLIT",
+        )
+
+    def push_flats(
+        self, node: int, flats: list[np.ndarray], clock: SimClock
+    ) -> list[int]:
+        """One node's dense per-worker deltas, in worker-id order.
+
+        Returns the per-worker wire bytes delivered by this call (empty
+        while a window is still filling).  A lossy delta also ships its
+        two exact node sums: 8 bytes.
         """
-        bits = self.compression_bits
-        block = self.compression_block
-        partitioner = self.group.partitioner("grad_hist")
-        total_g = 0.0
-        total_h = 0.0
-        for worker_id, flat in enumerate(local_flats):
-            rng = spawn_rng(
-                self.config.seed, "lowprec", self._tree_index, node, worker_id
-            )
-            unfolded, sum_g, sum_h = self._unfold_zero_buckets(flat)
-            total_g += sum_g
-            total_h += sum_h
-            pieces: list[tuple[int, int, np.ndarray, int]] = []
-            for part in partitioner.partitions:
-                piece = unfolded[part.lo : part.hi]
-                if block:
-                    blocked = compress_blocked(piece, block, bits, rng)
-                    piece_bytes = blocked.wire_bytes
-                    piece = decompress_blocked(blocked)
-                else:
-                    compressed = compress_flat(piece, bits, rng)
-                    piece_bytes = compressed.wire_bytes
-                    piece = decompress_flat(compressed)
-                pieces.append((node, part.partition_id, piece, piece_bytes))
-            self._piece_buffers[worker_id].add(pieces)
-        self._node_sums[node] = (total_g, total_h)
-        self._maybe_flush_windows(clock)
+        if self.window == 1:
+            pushed = [
+                self.group.push_row(
+                    GRAD_HIST,
+                    node,
+                    flat,
+                    compression_bits=self.bits,
+                    rng=self._rng(node, worker),
+                    compression_block=self.block,
+                    seq=(self._tree_index, worker),
+                    worker=worker,
+                ).bytes_up
+                + (8 if self.bits else 0)
+                for worker, flat in enumerate(flats)
+            ]
+            self._charge(pushed, clock)
+            return pushed
+        if self.bits:
+            for worker, flat in enumerate(flats):
+                self._pieces[worker].extend(
+                    (node, part.partition_id, piece, piece_bytes)
+                    for part, piece, piece_bytes in self.group.encode_row(
+                        GRAD_HIST,
+                        flat,
+                        self.bits,
+                        self._rng(node, worker),
+                        self.block,
+                    )
+                )
+            self._piece_deltas += 1
+        else:
+            n_bins = self.layout.n_bins
+            for aggregator, flat in zip(self._aggregators, flats):
+                slab = slab_from_flat(
+                    flat,
+                    self._all_features,
+                    0,
+                    self.layout.n_features,
+                    n_bins,
+                    float(flat[:n_bins].sum()),
+                    float(flat[n_bins : 2 * n_bins].sum()),
+                )
+                aggregator.add(node, slab)
+        self._flush_if_full(clock)
+        return []
 
-    def _buffer_node_slabs(
+    def push_slabs(
         self, node: int, slabs: list[tuple[int, SparseSlab]], clock: SimClock
     ) -> None:
+        """One node's per-block sparse slabs, in block (worker-id) order —
+        the order that makes the servers accumulate each feature's
+        histogram with the same addends as the dense row-sharded pushes."""
+        if not slabs:
+            raise TrainingError(f"node {node}: no slabs to aggregate")
+        if self.window == 1:
+            self._charge(
+                [
+                    self.group.push_slab(
+                        GRAD_HIST,
+                        node,
+                        self._wire_slab(node, block_id, slab),
+                        seq=(self._tree_index, block_id),
+                        worker=block_id,
+                    ).bytes_up
+                    for block_id, slab in slabs
+                ],
+                clock,
+            )
+            return
         for block_id, slab in slabs:
             self._aggregators[block_id].add(node, slab)
-        self._maybe_flush_windows(clock)
+        self._flush_if_full(clock)
 
-    def _maybe_flush_windows(self, clock: SimClock) -> None:
-        if self._aggregators and (
-            self._aggregators[0].full or self._piece_buffers[0].full
-        ):
-            self._flush_windows(clock)
+    def _flush_if_full(self, clock: SimClock) -> None:
+        if self._aggregators[0].full or self._piece_deltas >= self.window:
+            self.flush(clock)
 
-    def _flush_windows(self, clock: SimClock) -> None:
+    def flush(self, clock: SimClock) -> None:
         """Push every worker's buffered window and charge one scatter.
 
-        Called when the lockstep windows fill, and with partial buffers
-        from :meth:`find_splits` — a layer boundary drains stragglers so
-        a window never spans layers (split finding needs every delta).
+        Called when the lockstep windows fill, and by ``find_splits``
+        with partial buffers — a layer boundary drains stragglers so a
+        window never spans layers (split finding needs every delta).
+        Nothing buffered (always so at ``agg_window == 1``) is a no-op.
         """
-        bits = getattr(self, "compression_bits", 0)
-        block_size = getattr(self, "compression_block", None)
         pushed: list[int] = []
-        for worker_id, buffer in enumerate(self._piece_buffers):
-            if buffer.pending == 0:
-                continue
-            n_deltas = buffer.pending
-            window_index, pieces = buffer.drain()
-            stats = self.group.push_window_rows(
-                "grad_hist",
-                pieces,
-                seq=(self._tree_index, window_index, worker_id),
-                worker=worker_id,
-            )
-            # The 8 bytes per delta ship the exact node sums, matching
-            # the per-delta compressed push accounting.
-            pushed.append(stats.bytes_up + 8 * n_deltas)
-        for worker_id, aggregator in enumerate(self._aggregators):
+        if self._piece_deltas:
+            for worker, pieces in enumerate(self._pieces):
+                stats = self.group.push_window_rows(
+                    GRAD_HIST,
+                    pieces,
+                    seq=(self._tree_index, self._piece_windows, worker),
+                    worker=worker,
+                )
+                pushed.append(stats.bytes_up + 8 * self._piece_deltas)
+            self._piece_windows += 1
+            self._reset_pieces()
+        for worker, aggregator in enumerate(self._aggregators):
             if aggregator.pending == 0:
                 continue
             window_index, entries = aggregator.drain()
-            wire_entries: list[tuple[int, SparseSlab | CompressedSlab]] = []
-            for node, slab in entries:
-                if bits:
-                    rng = spawn_rng(
-                        self.config.seed,
-                        "lowprec",
-                        self._tree_index,
-                        node,
-                        worker_id,
-                    )
-                    wire_entries.append(
-                        (
-                            node,
-                            compress_slab(
-                                slab, self._layout, bits, rng, block_size
-                            ),
-                        )
-                    )
-                else:
-                    wire_entries.append((node, slab))
             stats = self.group.push_window(
-                "grad_hist",
-                wire_entries,
-                seq=(self._tree_index, window_index, worker_id),
-                worker=worker_id,
+                GRAD_HIST,
+                [
+                    (node, self._wire_slab(node, worker, slab))
+                    for node, slab in entries
+                ],
+                seq=(self._tree_index, window_index, worker),
+                worker=worker,
             )
             pushed.append(stats.bytes_up)
         if pushed:
-            clock.advance_comm(
-                general_ps_push_time(
-                    len(pushed),
-                    self.cluster.n_servers,
-                    sum(pushed) / len(pushed),
-                    self.cost,
-                    self.cluster.colocated,
-                ),
-                phase="FIND_SPLIT",
-            )
+            self._charge(pushed, clock)
 
 
-class TencentBoostBackend(_WindowedPushMixin, AggregationBackend):
+class _PSBackend(AggregationBackend):
+    """What the two parameter-server backends share: a server group
+    holding the ``grad_hist`` parameter and the :class:`WindowedPusher`
+    that delivers node deltas to it.
+
+    ``fabric``: optional ``chaos.FaultyFabric`` the server group routes
+    every message through; pushes then carry a sequence token so retried
+    or duplicated deliveries never double-count a histogram.
+    """
+
+    supports_slab_push = True
+    supports_windowed_push = True
+
+    def __init__(self, cluster, config, candidates, fabric=None) -> None:
+        super().__init__(cluster, config, candidates)
+        self.group = ParameterServerGroup(cluster.n_servers, fabric=fabric)
+        layout = SlabLayout(self.n_features, self.n_bins, candidates.zero_bins)
+        self.group.register(
+            GRAD_HIST, self.flat_len, align=2 * self.n_bins, layout=layout
+        )
+        # A subclass with a lossy codec sets its knobs before calling up.
+        self.pusher = WindowedPusher(
+            self.group,
+            cluster,
+            config,
+            self.cost,
+            layout,
+            self.compression_bits,
+            self.compression_block,
+        )
+
+    def begin_tree(self, tree_index: int) -> None:
+        super().begin_tree(tree_index)
+        self.pusher.begin_tree(tree_index)
+
+    def aggregate_node_slabs(self, node, slabs, clock) -> None:
+        # The exact header sums reconstruct absent features with no
+        # quantization at all and the servers store the *folded*
+        # histogram directly, so slabs need no _node_sums refold entry.
+        self.pusher.push_slabs(node, slabs, clock)
+
+
+class TencentBoostBackend(_PSBackend):
     """Parameter server without DimBoost's FIND_SPLIT optimizations.
 
     TencentBoost "simply applies the parameter server architecture to
@@ -655,67 +617,23 @@ class TencentBoostBackend(_WindowedPushMixin, AggregationBackend):
     aggregation), but one leader worker pulls every node's *full* merged
     histogram back and finds all splits itself — no scheduler, no
     two-phase split, no compression.
-
-    ``fabric`` (both PS backends): optional ``chaos.FaultyFabric`` the
-    server group routes every message through; pushes then carry a
-    ``(tree_index, worker_id)`` sequence token so retried or duplicated
-    deliveries never double-count a histogram.
     """
 
     name = "tencentboost"
     build_mode = "dense"
-    supports_slab_push = True
-
-    def __init__(self, cluster, config, candidates, fabric=None) -> None:
-        super().__init__(cluster, config, candidates)
-        self.group = ParameterServerGroup(cluster.n_servers, fabric=fabric)
-        layout = SlabLayout(self.n_features, self.n_bins, candidates.zero_bins)
-        self.group.register(
-            "grad_hist",
-            self.flat_len,
-            align=2 * self.n_bins,
-            layout=layout,
-        )
-        self._init_windowing(layout)
 
     def aggregate_node(self, node, local_flats, clock) -> None:
-        if self.windowed:
-            self._buffer_node_flats(node, local_flats, clock)
-            return
-        for worker_id, flat in enumerate(local_flats):
-            self.group.push_row(
-                "grad_hist",
-                node,
-                flat,
-                seq=(self._tree_index, worker_id),
-                worker=worker_id,
-            )
-        clock.advance_comm(
-            general_ps_push_time(
-                len(local_flats),
-                self.cluster.n_servers,
-                self.flat_bytes,
-                self.cost,
-                self.cluster.colocated,
-            ),
-            phase="FIND_SPLIT",
-        )
-
-    def aggregate_node_slabs(self, node, slabs, clock) -> None:
-        if self.windowed:
-            self._buffer_node_slabs(node, slabs, clock)
-            return
-        _ps_aggregate_slabs(self, node, slabs, clock)
+        self.pusher.push_flats(node, local_flats, clock)
 
     def find_splits(self, nodes, feature_valid, clock):
-        if self.windowed:
-            self._flush_windows(clock)
+        # Drain partial windows: a layer boundary must see every delta.
+        self.pusher.flush(clock)
         decisions: dict[int, SplitDecision | None] = {}
         p = self.cluster.n_servers
         leader_seconds = 0.0
         leader = 0  # the paper's "leader worker" pulls and scans everything
         for node in nodes:
-            flat, _stats = self.group.pull_row("grad_hist", node, worker=leader)
+            flat, _stats = self.group.pull_row(GRAD_HIST, node, worker=leader)
             # Full-histogram pull serialized at the leader's NIC.
             clock.advance_comm(
                 p * self.cost.alpha + self.flat_bytes * self.cost.beta,
@@ -724,13 +642,13 @@ class TencentBoostBackend(_WindowedPushMixin, AggregationBackend):
             started = wall_clock()
             decisions[node] = self._scan_flat(flat, feature_valid)
             leader_seconds += wall_clock() - started
-            self.group.clear_row("grad_hist", node)
+            self.group.clear_row(GRAD_HIST, node)
         clock.advance_compute(leader_seconds, phase="FIND_SPLIT")
         self._charge_decision_broadcast(clock, len(nodes))
         return decisions
 
 
-class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
+class DimBoostBackend(_PSBackend):
     """The full DimBoost FIND_SPLIT pipeline (Sections 6.1-6.3).
 
     Compression detail: Algorithm 2 accumulates the exact gradient sums
@@ -756,7 +674,6 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
 
     name = "dimboost"
     build_mode = "sparse"  # sparsity-aware histogram construction (C3)
-    supports_slab_push = True
 
     def __init__(
         self,
@@ -769,32 +686,22 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
         speed_aware_scheduler: bool = False,
         fabric=None,
     ) -> None:
-        super().__init__(cluster, config, candidates)
-        self.group = ParameterServerGroup(cluster.n_servers, fabric=fabric)
-        layout = SlabLayout(self.n_features, self.n_bins, candidates.zero_bins)
-        self.group.register(
-            "grad_hist",
-            self.flat_len,
-            align=2 * self.n_bins,
-            layout=layout,
-        )
-        self._init_windowing(layout)
-        self.use_scheduler = use_scheduler
-        self.two_phase = two_phase
-        self.compression_bits = (
-            config.compression_bits if compression_bits is None else compression_bits
-        )
         # One scale per per-feature g/h histogram by default (Section
         # 6.1's "the maximal absolute value in the histogram");
         # config.compression_block overrides the granularity.
-        self.compression_block = (
-            config.compression_block if config.compression_block else self.n_bins
-        )
-        if (2 * self.n_bins) % self.compression_block != 0:
+        block = config.compression_block or candidates.max_bins
+        if (2 * candidates.max_bins) % block != 0:
             raise ConfigError(
-                f"compression_block {self.compression_block} must divide the "
-                f"per-feature histogram width {2 * self.n_bins}"
+                f"compression_block {block} must divide the "
+                f"per-feature histogram width {2 * candidates.max_bins}"
             )
+        self.compression_block = block
+        self.compression_bits = (
+            config.compression_bits if compression_bits is None else compression_bits
+        )
+        super().__init__(cluster, config, candidates, fabric=fabric)
+        self.use_scheduler = use_scheduler
+        self.two_phase = two_phase
         if not use_scheduler:
             self.scheduler = SingleAgentScheduler(cluster.n_workers)
         elif speed_aware_scheduler:
@@ -844,65 +751,17 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
         return folded
 
     def aggregate_node(self, node, local_flats, clock) -> None:
-        if self.windowed:
-            # Buffer the *folded* flats: the windowed wire path is slabs,
-            # where compress_slab itself unfolds the zero-bucket mass
-            # before encoding (and refolds it exactly on decode), so the
-            # servers store folded histograms and no _node_sums refold
-            # entry is needed at split time.
-            self._buffer_node_flats(node, local_flats, clock)
-            return
-        pushed: list[int] = []
-        total_g = 0.0
-        total_h = 0.0
-        for worker_id, flat in enumerate(local_flats):
-            if self.compression_bits:
-                rng = spawn_rng(
-                    self.config.seed, "lowprec", self._tree_index, node, worker_id
-                )
-                flat, sum_g, sum_h = self._unfold_zero_buckets(flat)
-                total_g += sum_g
-                total_h += sum_h
-            else:
-                rng = None
-            stats = self.group.push_row(
-                "grad_hist",
-                node,
-                flat,
-                compression_bits=self.compression_bits,
-                rng=rng,
-                compression_block=self.compression_block,
-                seq=(self._tree_index, worker_id),
-                worker=worker_id,
-            )
-            pushed.append(stats.bytes_up + (8 if self.compression_bits else 0))
         if self.compression_bits:
-            self._node_sums[node] = (total_g, total_h)
-        # Charge the batched PS scatter with the *actual* wire bytes, so
-        # compression directly shrinks the transfer term.
-        avg_bytes = sum(pushed) / len(pushed)
-        clock.advance_comm(
-            general_ps_push_time(
-                len(local_flats),
-                self.cluster.n_servers,
-                avg_bytes,
-                self.cost,
-                self.cluster.colocated,
-            ),
-            phase="FIND_SPLIT",
-        )
-        self._push_bytes[node] = pushed
-
-    def aggregate_node_slabs(self, node, slabs, clock) -> None:
-        # With compression on, each slab's value payload is quantized
-        # once before the partition fan-out (see _ps_aggregate_slabs);
-        # the exact header sums still reconstruct absent features with
-        # no quantization at all, and the servers store the *folded*
-        # histogram directly, so no _node_sums refold entry is needed.
-        if self.windowed:
-            self._buffer_node_slabs(node, slabs, clock)
-            return
-        _ps_aggregate_slabs(self, node, slabs, clock)
+            # Lossy pushes carry the pre-fold histogram plus two exact
+            # sums (class docstring); the refold happens at split time.
+            parts = [self._unfold_zero_buckets(flat) for flat in local_flats]
+            local_flats = [flat for flat, _, _ in parts]
+            # Worker-order left folds from 0.0: the refold's exact addends.
+            self._node_sums[node] = (
+                sum((sum_g for _, sum_g, _ in parts), 0.0),
+                sum((sum_h for _, _, sum_h in parts), 0.0),
+            )
+        self._push_bytes[node] = self.pusher.push_flats(node, local_flats, clock)
 
     def _make_udf(self, feature_valid: np.ndarray | None, node: int):
         """Server-side split UDF over one stored feature range of ``node``."""
@@ -930,10 +789,9 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
         return udf
 
     def find_splits(self, nodes, feature_valid, clock):
-        if self.windowed:
-            # Drain partial windows: a layer boundary must see every
-            # delta, so windows never span layers.
-            self._flush_windows(clock)
+        # Drain partial windows: a layer boundary must see every delta,
+        # so windows never span layers.
+        self.pusher.flush(clock)
         if (
             isinstance(self.scheduler, SpeedWeightedScheduler)
             and clock.jitter is not None
@@ -958,7 +816,7 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
                     udf = self._make_udf(feature_valid, node)
                     started = wall_clock()
                     results, _stats = self.group.pull_row_udf(
-                        "grad_hist",
+                        GRAD_HIST,
                         node,
                         udf,
                         result_bytes=DECISION_BYTES,
@@ -975,7 +833,7 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
                     comm_seconds += p * point_to_point_time(DECISION_BYTES, self.cost)
                 else:
                     flat, _stats = self.group.pull_row(
-                        "grad_hist", node, worker=worker_id
+                        GRAD_HIST, node, worker=worker_id
                     )
                     comm_seconds += p * self.cost.alpha + (
                         self.flat_bytes * self.cost.beta
@@ -988,7 +846,7 @@ class DimBoostBackend(_WindowedPushMixin, AggregationBackend):
                     started = wall_clock()
                     decisions[node] = self._scan_flat(flat, feature_valid)
                     per_worker_seconds[worker_id] += wall_clock() - started
-                self.group.clear_row("grad_hist", node)
+                self.group.clear_row(GRAD_HIST, node)
             # Each worker's pulls serialize at its own NIC but run in
             # parallel across workers — fold into its compute lane so the
             # barrier below models the round-robin balancing.
@@ -1038,19 +896,21 @@ def backend_options(system: str) -> tuple[str, ...]:
     )
 
 
-def make_backend(
-    system: str,
-    cluster: ClusterConfig,
-    config: TrainConfig,
-    candidates: CandidateSet,
-    **kwargs,
-) -> AggregationBackend:
-    """Instantiate a backend by system name (see ``BACKEND_NAMES``).
+def check_backend(
+    system: str, cluster: ClusterConfig, config: TrainConfig, kwargs: dict
+) -> None:
+    """Everything about a backend choice that is knowable before any data.
+
+    Trainers call this at construction so an unsupported combination
+    fails before CREATE_SKETCH, not after it.
 
     Raises:
         TrainingError: For an unknown system name.
         ConfigError: For a keyword the backend does not accept (e.g. a
-            typo'd ablation flag), naming the backend and its options.
+            typo'd ablation flag), naming the backend and its options;
+            for a feature-striped grid on a backend without slab
+            aggregation; for ``agg_window > 1`` on a backend without
+            windowed pushes.
     """
     accepted = backend_options(system)
     unknown = sorted(set(kwargs) - set(accepted))
@@ -1064,4 +924,32 @@ def make_backend(
             f"unknown option(s) {', '.join(map(repr, unknown))} for backend "
             f"{system!r}; {options}"
         )
+    backend_cls = _BACKENDS[system]
+    grid_rows, grid_cols = cluster.grid_shape
+    if grid_cols > 1 and not backend_cls.supports_slab_push:
+        raise ConfigError(
+            f"grid {grid_rows}x{grid_cols} needs a backend with "
+            f"sparse slab aggregation; {system!r} has none "
+            f"(use a PS backend: tencentboost, dimboost)"
+        )
+    if config.agg_window > 1 and not backend_cls.supports_windowed_push:
+        raise ConfigError(
+            f"agg_window {config.agg_window} needs a backend with "
+            f"windowed pushes; {system!r} has none "
+            f"(use a PS backend: tencentboost, dimboost)"
+        )
+
+
+def make_backend(
+    system: str,
+    cluster: ClusterConfig,
+    config: TrainConfig,
+    candidates: CandidateSet,
+    **kwargs,
+) -> AggregationBackend:
+    """Instantiate a backend by system name (see ``BACKEND_NAMES``).
+
+    Raises whatever :func:`check_backend` raises for this combination.
+    """
+    check_backend(system, cluster, config, kwargs)
     return _BACKENDS[system](cluster, config, candidates, **kwargs)

@@ -84,6 +84,7 @@ from ..utils.timing import Stopwatch, TimeBreakdown
 from .backends import (
     AggregationBackend,
     backend_options,
+    check_backend,
     general_ps_push_time,
     make_backend,
 )
@@ -576,6 +577,9 @@ class DistributedGBDT:
         self.callbacks = list(callbacks)
         self.fault_plan = fault_plan
         self._backend_kwargs = backend_kwargs
+        # Fail fast: unknown system / option, grid or window on a backend
+        # that cannot carry them — before fit does any work.
+        check_backend(system, self.cluster, self.config, backend_kwargs)
         self.cost = CostParams(
             self.cluster.network.alpha,
             self.cluster.network.beta,
@@ -676,21 +680,6 @@ class DistributedGBDT:
         backend = make_backend(
             self.system, cluster, config, candidates, **backend_kwargs
         )
-        if grid_cols > 1:
-            if not backend.supports_slab_push:
-                raise ConfigError(
-                    f"grid {grid_rows}x{grid_cols} needs a backend with "
-                    f"sparse slab aggregation; {self.system!r} has none "
-                    f"(use a PS backend: tencentboost, dimboost)"
-                )
-        if config.agg_window > 1 and not getattr(
-            backend, "supports_windowed_push", False
-        ):
-            raise ConfigError(
-                f"agg_window {config.agg_window} needs a backend with "
-                f"windowed pushes; {self.system!r} has none "
-                f"(use a PS backend: tencentboost, dimboost)"
-            )
         build_strategy = self._resolve_build_strategy(backend)
 
         # Pre-bucketize every block (part of loading/ETL; measured).  A

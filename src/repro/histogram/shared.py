@@ -1,30 +1,22 @@
 """Zero-copy shared-memory shards for process-parallel histogram builds.
 
-Python threads cannot speed up the bincount kernels much (the GIL), so
-real Section 5.2 parallelism needs worker *processes*.  Shipping a
-:class:`~repro.histogram.binned.BinnedShard` to workers by pickle would
-copy the whole shard per task; instead :class:`SharedShard` places the
-shard's arrays, the per-round gradient/hessian vectors, and a per-task
-output slab into :mod:`multiprocessing.shared_memory` blocks.  Worker
-processes attach the blocks once (cached by token) and build directly
-into their slab slot, so the only per-task pickling is the row-id chunk
-out and one float (the measured seconds) back.
-
-Lifecycle: the creating process owns the segments — :meth:`close`
-unlinks them (idempotent, also run by ``__del__``).  Workers attach
-without taking resource-tracker ownership, so a worker exiting never
-unlinks a segment the parent still uses (the CPython < 3.13
-``SharedMemory`` tracking wart); see :func:`_attach`.
+Shipping a :class:`~repro.histogram.binned.BinnedShard` to worker
+processes by pickle would copy the whole shard per task; instead
+:class:`SharedShard` places the shard's arrays, the per-round
+gradient/hessian vectors, and a per-task output slab into one
+:class:`~repro.utils.arena.SharedArena`.  Worker processes attach it
+once (cached by token) and build directly into their slab slot, so the
+only per-task pickling is the row-id chunk out and one float (the
+measured seconds) back.  Segment lifecycle, the worker attach cache and
+the pool are the arena module's; this module says which arrays go in,
+which kernel runs, and how the slots reduce.
 """
 
 from __future__ import annotations
 
-import uuid
-from dataclasses import dataclass, field
-from multiprocessing import shared_memory
-
 import numpy as np
 
+from ..utils.arena import SHM_PREFIX, SharedArena, attach
 from ..utils.timing import wall_clock
 from .binned import BinnedShard
 from .buffers import HistogramBufferPool
@@ -33,10 +25,6 @@ from .histogram import GradientHistogram
 
 __all__ = ["SHM_PREFIX", "SharedShard", "build_into_slot"]
 
-#: Prefix of every shared-memory segment this module creates; tests scan
-#: /dev/shm for it to prove segments are released.
-SHM_PREFIX = "repro_shm_"
-
 #: BinnedShard arrays mirrored into shared memory.  ``bins`` and
 #: ``zero_slots_of_nz`` are omitted: the build kernels never touch them
 #: (``slots`` already encodes the buckets), and ``split_mask`` runs only
@@ -44,26 +32,7 @@ SHM_PREFIX = "repro_shm_"
 _SHARD_FIELDS = ("indptr", "features", "slots", "row_of", "zero_bins", "zero_slots")
 
 
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without resource-tracker ownership.
-
-    On CPython < 3.13 attaching registers the segment with the resource
-    tracker even though the attaching process does not own it.  Use
-    ``track=False`` where available.  On older versions the plain attach
-    is safe *for fork-context workers* (the only kind this module
-    spawns): they share the parent's tracker, where the duplicate
-    registration dedups to a no-op and the parent's ``unlink`` sends the
-    single matching unregister.  (An extra ``unregister`` here would
-    steal that registration and make the shared tracker complain at
-    exit.)
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no ``track`` parameter
-        return shared_memory.SharedMemory(name=name)
-
-
-class SharedShard:
+class SharedShard(SharedArena):
     """A :class:`BinnedShard` plus per-round gradients in shared memory.
 
     Args:
@@ -72,72 +41,40 @@ class SharedShard:
         n_slots: Number of per-task output slots in the histogram slab —
             the maximum number of concurrent builder tasks.
 
-    Attributes:
-        token: Unique segment-name prefix (``repro_shm_...``).
-        manifest: Picklable description workers attach from.
-        grad, hess: Shared per-round gradient vectors; refresh with
-            :meth:`set_gradients` whenever the round's gradients change.
-        slab: ``(n_slots, 2, n_features, n_bins)`` float64 output slab;
-            task ``i`` writes its partial histogram into ``slab[i]``.
+    The arena's arrays are the shard fields plus ``grad`` / ``hess``
+    (the per-round gradient vectors; refresh with :meth:`set_gradients`
+    whenever the round's gradients change) and ``slab``, the ``(n_slots,
+    2, n_features, n_bins)`` float64 output: task ``i`` writes its
+    partial histogram into ``slab[i]``.
     """
 
     def __init__(self, shard: BinnedShard, n_slots: int) -> None:
         if n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {n_slots}")
-        self.token = SHM_PREFIX + uuid.uuid4().hex[:16]  # reprolint: disable=RP001 -- segment *names* must be unique per process, never replayed; no numeric state derives from them
         self.n_rows = shard.n_rows
         self.n_features = shard.n_features
         self.n_bins = shard.n_bins
         self.n_slots = n_slots
-        self._segments: list[shared_memory.SharedMemory] = []
-        self._arrays: dict[str, np.ndarray] = {}
-        self._closed = False
-        self.manifest: dict = {
-            "token": self.token,
-            "n_rows": self.n_rows,
-            "n_features": self.n_features,
-            "n_bins": self.n_bins,
-            "arrays": {},
-        }
-        try:
-            for name in _SHARD_FIELDS:
-                self._add(name, np.ascontiguousarray(getattr(shard, name)))
-            self._add("grad", np.zeros(self.n_rows, dtype=np.float64))
-            self._add("hess", np.zeros(self.n_rows, dtype=np.float64))
-            self._add(
-                "slab",
-                np.zeros(
-                    (n_slots, 2, self.n_features, self.n_bins), dtype=np.float64
-                ),
-            )
-        except BaseException:
-            self.close()
-            raise
-        self.grad = self._arrays["grad"]
-        self.hess = self._arrays["hess"]
-        self.slab = self._arrays["slab"]
-
-    def _add(self, name: str, source: np.ndarray) -> None:
-        """Create one segment holding a copy of ``source``."""
-        segment_name = f"{self.token}_{name}"
-        nbytes = max(1, source.nbytes)  # zero-byte segments are invalid
-        shm = shared_memory.SharedMemory(
-            name=segment_name, create=True, size=nbytes
+        #: The (grad, hess) objects last copied in; callers compare by
+        #: identity to skip a redundant copy.
+        self.gradient_source: tuple[np.ndarray, np.ndarray] | None = None
+        arrays = {name: getattr(shard, name) for name in _SHARD_FIELDS}
+        arrays["grad"] = arrays["hess"] = np.zeros(self.n_rows, dtype=np.float64)
+        arrays["slab"] = np.zeros(
+            (n_slots, 2, self.n_features, self.n_bins), dtype=np.float64
         )
-        self._segments.append(shm)
-        array = np.ndarray(source.shape, dtype=source.dtype, buffer=shm.buf)
-        np.copyto(array, source)
-        self._arrays[name] = array
-        self.manifest["arrays"][name] = (
-            segment_name,
-            source.shape,
-            source.dtype.str,
+        super().__init__(
+            arrays,
+            n_rows=self.n_rows,
+            n_features=self.n_features,
+            n_bins=self.n_bins,
         )
 
     def set_gradients(self, grad: np.ndarray, hess: np.ndarray) -> None:
         """Copy this round's gradient/hessian vectors into shared memory."""
-        np.copyto(self.grad, grad)
-        np.copyto(self.hess, hess)
+        np.copyto(self.arrays["grad"], grad)
+        np.copyto(self.arrays["hess"], hess)
+        self.gradient_source = (grad, hess)
 
     def reduce(
         self, n_tasks: int, pool: HistogramBufferPool | None = None
@@ -151,48 +88,10 @@ class SharedShard:
             out = pool.acquire(self.n_features, self.n_bins)
         else:
             out = GradientHistogram.zeros(self.n_features, self.n_bins)
-        np.sum(self.slab[:n_tasks, 0], axis=0, out=out.grad)
-        np.sum(self.slab[:n_tasks, 1], axis=0, out=out.hess)
+        slab = self.arrays["slab"]
+        np.sum(slab[:n_tasks, 0], axis=0, out=out.grad)
+        np.sum(slab[:n_tasks, 1], axis=0, out=out.hess)
         return out
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held in shared memory."""
-        return sum(seg.size for seg in self._segments)
-
-    def close(self) -> None:
-        """Release every segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._arrays.clear()
-        self.grad = self.hess = self.slab = None
-        for seg in self._segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments = []
-
-    def __enter__(self) -> "SharedShard":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedShard(token={self.token!r}, n_rows={self.n_rows}, "
-            f"n_features={self.n_features}, n_bins={self.n_bins}, "
-            f"n_slots={self.n_slots}, closed={self._closed})"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -200,37 +99,11 @@ class SharedShard:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _WorkerView:
-    """A worker process's attached view of one :class:`SharedShard`."""
-
-    shard: BinnedShard
-    grad: np.ndarray
-    hess: np.ndarray
-    slab: np.ndarray
-    segments: list = field(default_factory=list)
-
-
-#: Per-process cache of attached views, keyed by shard token.  Entries
-#: live until the worker process exits; segments a worker holds open
-#: keep their memory alive even after the parent unlinks them, so a
-#: stale entry is memory held, never a crash.
-# Fork-safe by design: only worker tasks populate it, so it is empty in
-# the parent at fork time and each child grows its own private copy.
-_WORKER_VIEWS: dict[str, _WorkerView] = {}  # reprolint: disable=RP004
-
-
-def _worker_view(manifest: dict) -> _WorkerView:
-    """Attach (once per process) the segments described by ``manifest``."""
-    view = _WORKER_VIEWS.get(manifest["token"])
-    if view is not None:
-        return view
-    segments = []
-    arrays: dict[str, np.ndarray] = {}
-    for name, (segment_name, shape, dtype) in manifest["arrays"].items():
-        shm = _attach(segment_name)
-        segments.append(shm)
-        arrays[name] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
+def _worker_view(
+    manifest: dict, arrays: dict[str, np.ndarray]
+) -> tuple[BinnedShard, np.ndarray, np.ndarray, np.ndarray]:
+    """``(shard, grad, hess, slab)`` over a worker's attached arrays; the
+    shard is a kernel-ready shell (no ``bins``, no ``split_mask``)."""
     shard = BinnedShard.__new__(BinnedShard)
     for name in _SHARD_FIELDS:
         setattr(shard, name, arrays[name])
@@ -238,15 +111,7 @@ def _worker_view(manifest: dict) -> _WorkerView:
     shard.n_features = manifest["n_features"]
     shard.n_bins = manifest["n_bins"]
     shard.feature_arange = np.arange(shard.n_features, dtype=np.int64)
-    view = _WorkerView(
-        shard=shard,
-        grad=arrays["grad"],
-        hess=arrays["hess"],
-        slab=arrays["slab"],
-        segments=segments,
-    )
-    _WORKER_VIEWS[manifest["token"]] = view
-    return view
+    return shard, arrays["grad"], arrays["hess"], arrays["slab"]
 
 
 def build_into_slot(
@@ -256,9 +121,9 @@ def build_into_slot(
 
     Returns the measured build seconds (the only payload pickled back).
     """
-    view = _worker_view(manifest)
+    shard, grad, hess, slab = attach(manifest, _worker_view)
     kernel = build_node_histogram_sparse if sparse else build_node_histogram_dense
     started = wall_clock()
-    out = GradientHistogram(view.slab[slot, 0], view.slab[slot, 1])
-    kernel(view.shard, rows, view.grad, view.hess, out=out)
+    out = GradientHistogram(slab[slot, 0], slab[slot, 1])
+    kernel(shard, rows, grad, hess, out=out)
     return wall_clock() - started

@@ -2,40 +2,26 @@
 
 The numpy kernels in :mod:`repro.inference.flat` hold the GIL, so real
 multicore prediction needs worker *processes* — the same conclusion
-PR 2 reached for histogram builds, and the same machinery: the compiled
-ensemble's struct-of-arrays, the input matrix's CSR arrays, and one
-float64 output vector are placed in :mod:`multiprocessing.shared_memory`
-segments (the ``repro_shm_*`` prefix the leak tests scan for).  Worker
-processes attach the segments once (cached by token), score a disjoint
-row span directly into the shared output, and pickle back only the
-measured seconds.
+PR 2 reached for histogram builds, and the same machinery
+(:mod:`repro.utils.arena`): the compiled ensemble's struct-of-arrays,
+the input matrix's CSR arrays, and one float64 output vector go into a
+shared arena; workers attach it once, score a disjoint row span directly
+into the shared output, and pickle back only the measured seconds.  The
+pool's fallback ladder (input too small, no ``fork``, no shared memory,
+broken pool → the serial path) is the arena module's too.
 
 Rows are scored independently, so any span chunking produces bit-
 identical output to the serial path — asserted by the tests and
 ``benchmarks/bench_ext_inference.py``.
-
-Like :class:`~repro.runtime.build.ProcessParallelBuildStrategy`, the
-scorer degrades gracefully to the serial path: per call when the input
-is too small to be worth the fan-out, and permanently (with a warning)
-when pools are unusable — no ``fork`` start method, shared memory
-unavailable, or a broken pool.
 """
 
 from __future__ import annotations
-
-import multiprocessing
-import uuid
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..datasets.sparse import CSRMatrix
 from ..errors import DataError
-from ..histogram.shared import SHM_PREFIX, _attach
+from ..utils.arena import ForkPoolHost, SharedArena, attach
 from ..utils.timing import wall_clock
 from .flat import FlatEnsemble
 
@@ -56,82 +42,27 @@ _ENSEMBLE_FIELDS = (
 _MATRIX_FIELDS = ("indptr", "indices", "data")
 
 
-class SharedScoreContext:
+class SharedScoreContext(SharedArena):
     """One (ensemble, matrix) pair plus the output vector in shared memory.
 
-    The creating process owns the segments — :meth:`close` unlinks them
-    (idempotent, also run by ``__del__``); workers attach without
-    resource-tracker ownership via the same :func:`_attach` the
-    histogram pool uses, so a worker exiting never unlinks a segment the
-    parent still needs.
+    The arena's arrays are the ensemble fields (``ens_*``), the matrix's
+    CSR arrays (``mat_*``) and ``out``, the float64 score vector workers
+    write their row spans into.
     """
 
     def __init__(self, ensemble: FlatEnsemble, X: CSRMatrix) -> None:
-        self.token = SHM_PREFIX + uuid.uuid4().hex[:16]  # reprolint: disable=RP001 -- segment *names* must be unique per process, never replayed; no numeric state derives from them
-        self._segments: list[shared_memory.SharedMemory] = []
-        self._closed = False
-        self.manifest: dict = {
-            "token": self.token,
-            "n_rows": X.n_rows,
-            "n_cols": X.n_cols,
-            "n_trees": ensemble.n_trees,
-            "n_features": ensemble.n_features,
-            "max_depth": ensemble.max_depth,
-            "n_used": ensemble.n_used,
-            "arrays": {},
-        }
-        try:
-            for name in _ENSEMBLE_FIELDS:
-                self._add(f"ens_{name}", getattr(ensemble, name))
-            for name in _MATRIX_FIELDS:
-                self._add(f"mat_{name}", getattr(X, name))
-            self._add("out", np.zeros(max(1, X.n_rows), dtype=np.float64))
-        except BaseException:
-            self.close()
-            raise
-        self.out = self._out_array
-
-    def _add(self, name: str, source: np.ndarray) -> None:
-        source = np.ascontiguousarray(source)
-        segment_name = f"{self.token}_{name}"
-        shm = shared_memory.SharedMemory(
-            name=segment_name, create=True, size=max(1, source.nbytes)
+        arrays = {f"ens_{name}": getattr(ensemble, name) for name in _ENSEMBLE_FIELDS}
+        arrays.update((f"mat_{name}", getattr(X, name)) for name in _MATRIX_FIELDS)
+        arrays["out"] = np.zeros(max(1, X.n_rows), dtype=np.float64)
+        super().__init__(
+            arrays,
+            n_rows=X.n_rows,
+            n_cols=X.n_cols,
+            n_trees=ensemble.n_trees,
+            n_features=ensemble.n_features,
+            max_depth=ensemble.max_depth,
+            n_used=ensemble.n_used,
         )
-        self._segments.append(shm)
-        array = np.ndarray(source.shape, dtype=source.dtype, buffer=shm.buf)
-        np.copyto(array, source)
-        if name == "out":
-            self._out_array = array
-        self.manifest["arrays"][name] = (
-            segment_name,
-            source.shape,
-            source.dtype.str,
-        )
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held in shared memory."""
-        return sum(seg.size for seg in self._segments)
-
-    def close(self) -> None:
-        """Release every segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self.out = self._out_array = None
-        for seg in self._segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-        self._segments = []
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -139,36 +70,11 @@ class SharedScoreContext:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _WorkerView:
-    """A worker process's attached view of one :class:`SharedScoreContext`."""
-
-    ensemble: FlatEnsemble
-    X: CSRMatrix
-    out: np.ndarray
-    segments: list = field(default_factory=list)
-
-
-#: Per-process cache of attached views, keyed by context token.  Entries
-#: live until the worker exits; a held-open segment keeps its memory
-#: alive even after the parent unlinks it, so a stale entry is memory
-#: held, never a crash.
-# Fork-safe by design: only worker tasks populate it, so it is empty in
-# the parent at fork time and each child grows its own private copy.
-_WORKER_VIEWS: dict[str, _WorkerView] = {}  # reprolint: disable=RP004
-
-
-def _worker_view(manifest: dict) -> _WorkerView:
-    """Attach (once per process) the segments described by ``manifest``."""
-    view = _WORKER_VIEWS.get(manifest["token"])
-    if view is not None:
-        return view
-    segments = []
-    arrays: dict[str, np.ndarray] = {}
-    for name, (segment_name, shape, dtype) in manifest["arrays"].items():
-        shm = _attach(segment_name)
-        segments.append(shm)
-        arrays[name] = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf)
+def _worker_view(
+    manifest: dict, arrays: dict[str, np.ndarray]
+) -> tuple[FlatEnsemble, CSRMatrix, np.ndarray]:
+    """``(ensemble, X, out)`` over a worker's attached arrays; the
+    ensemble is a scoring-only shell."""
     ensemble = FlatEnsemble.__new__(FlatEnsemble)
     ensemble.n_trees = manifest["n_trees"]
     ensemble.n_features = manifest["n_features"]
@@ -183,11 +89,7 @@ def _worker_view(manifest: dict) -> _WorkerView:
         arrays["mat_data"],
         (manifest["n_rows"], manifest["n_cols"]),
     )
-    view = _WorkerView(
-        ensemble=ensemble, X=X, out=arrays["out"], segments=segments
-    )
-    _WORKER_VIEWS[manifest["token"]] = view
-    return view
+    return ensemble, X, arrays["out"]
 
 
 def score_span(
@@ -202,11 +104,11 @@ def score_span(
 
     Returns the measured seconds (the only payload pickled back).
     """
-    view = _worker_view(manifest)
+    ensemble, X, out = attach(manifest, _worker_view)
     started = wall_clock()
-    view.ensemble.score_into(
-        view.X,
-        view.out,
+    ensemble.score_into(
+        X,
+        out,
         base_score=base_score,
         n_use=n_use,
         batch_rows=batch_rows,
@@ -221,7 +123,7 @@ def score_span(
 # ----------------------------------------------------------------------
 
 
-class ParallelScorer:
+class ParallelScorer(ForkPoolHost):
     """Scores row spans of a compiled ensemble on a persistent fork pool.
 
     Args:
@@ -237,6 +139,9 @@ class ParallelScorer:
             call (empty until one has run).
     """
 
+    _pool_runs = "scoring"
+    _pool_fallback = "serial flat scoring"
+
     def __init__(
         self,
         ensemble: FlatEnsemble,
@@ -245,14 +150,9 @@ class ParallelScorer:
     ) -> None:
         if n_processes < 1:
             raise DataError(f"n_processes must be >= 1, got {n_processes}")
+        super().__init__(n_processes)
         self.ensemble = ensemble
-        self.n_processes = n_processes
         self.batch_rows = batch_rows
-        self._executor: ProcessPoolExecutor | None = None
-        #: id(X) -> (X, SharedScoreContext).  The strong reference pins
-        #: the id so the cache can never alias a freed matrix.
-        self._contexts: dict[int, tuple[CSRMatrix, SharedScoreContext]] = {}
-        self.fallback_reason: str | None = None
         self.last_task_seconds: tuple[float, ...] = ()
 
     def predict_raw(
@@ -265,72 +165,28 @@ class ParallelScorer:
         n_use = self.ensemble._n_use(n_trees)
         batch = self.ensemble._resolve_batch(self.batch_rows, max(1, X.n_rows))
         n_tasks = min(self.n_processes, -(-X.n_rows // batch)) if X.n_rows else 0
-        if n_tasks < 2 or not self._ensure_executor():
-            return self._sequential(X, base_score, n_use)
-        try:
-            context = self._context(X)
-        except (OSError, ValueError) as exc:
-            self._disable(f"shared memory unavailable ({exc})")
-            return self._sequential(X, base_score, n_use)
-        bounds = [(i * X.n_rows) // n_tasks for i in range(n_tasks + 1)]
-        try:
-            futures = [
-                self._executor.submit(
-                    score_span,
-                    context.manifest,
-                    bounds[i],
-                    bounds[i + 1],
-                    n_use,
-                    base_score,
-                    self.batch_rows,
-                )
-                for i in range(n_tasks)
-            ]
-            self.last_task_seconds = tuple(f.result() for f in futures)
-        except BrokenProcessPool:
-            self._disable("process pool broke")
-            return self._sequential(X, base_score, n_use)
+        context = self._arena_for(X, self._share) if n_tasks >= 2 else None
+        seconds = None
+        if context is not None:
+            bounds = [(i * X.n_rows) // n_tasks for i in range(n_tasks + 1)]
+            seconds = self._run(
+                score_span,
+                [
+                    (context.manifest, lo, hi, n_use, base_score, self.batch_rows)
+                    for lo, hi in zip(bounds, bounds[1:])
+                ],
+            )
+        if seconds is None:
+            return self.ensemble.predict_raw(
+                X, base_score, n_trees=n_trees, batch_rows=self.batch_rows
+            )
+        self.last_task_seconds = tuple(seconds)
         # Copy out of the shared segment: the caller's array must outlive
         # close()/unlink.
-        return context.out[: X.n_rows].copy()
+        return context.arrays["out"][: X.n_rows].copy()
 
-    def _sequential(
-        self, X: CSRMatrix, base_score: float, n_use: int
-    ) -> np.ndarray:
-        out = np.empty(X.n_rows, dtype=np.float64)
-        self.ensemble.score_into(
-            X, out, base_score=base_score, n_use=n_use, batch_rows=self.batch_rows
-        )
-        return out
-
-    # ------------------------------------------------------------------
-    # resources
-    # ------------------------------------------------------------------
-
-    def _ensure_executor(self) -> bool:
-        if self._executor is not None:
-            return True
-        if self.fallback_reason is not None:
-            return False
-        if "fork" not in multiprocessing.get_all_start_methods():
-            self._disable("fork start method unavailable")
-            return False
-        try:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_processes,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        except OSError as exc:  # pragma: no cover - resource exhaustion
-            self._disable(f"could not start process pool ({exc})")
-            return False
-        return True
-
-    def _context(self, X: CSRMatrix) -> SharedScoreContext:
-        entry = self._contexts.get(id(X))
-        if entry is None:
-            entry = (X, SharedScoreContext(self.ensemble, X))
-            self._contexts[id(X)] = entry
-        return entry[1]
+    def _share(self, X: CSRMatrix) -> SharedScoreContext:
+        return SharedScoreContext(self.ensemble, X)
 
     def release(self, X: CSRMatrix) -> bool:
         """Unpin one matrix: unlink its shared-memory context now.
@@ -344,29 +200,7 @@ class ParallelScorer:
         Returns:
             True if a context for ``X`` existed and was released.
         """
-        entry = self._contexts.pop(id(X), None)
-        if entry is None:
-            return False
-        entry[1].close()
-        return True
-
-    def _disable(self, reason: str) -> None:
-        self.fallback_reason = reason
-        warnings.warn(
-            f"process-parallel scoring disabled: {reason}; "
-            "falling back to serial flat scoring",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self._shutdown()
-
-    def _shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-        for _, context in self._contexts.values():
-            context.close()
-        self._contexts.clear()
+        return self._release_arena(X)
 
     def close(self) -> None:
         """Shut the pool down and unlink every shared-memory segment."""
@@ -377,12 +211,6 @@ class ParallelScorer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self._shutdown()
-        except Exception:
-            pass
 
     def __repr__(self) -> str:
         return (

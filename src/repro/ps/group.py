@@ -83,6 +83,22 @@ class ParameterServerGroup:
             point, send, server=server, worker=worker, payload_bytes=payload_bytes
         )
 
+    def _require_seq(self, op: str, seq: object | None) -> None:
+        """A push under a fault fabric must carry its idempotence token."""
+        if self.fabric is not None and seq is None:
+            raise PSError(
+                f"{op} without a seq token while a fault fabric is "
+                "attached: retried pushes would double-count"
+            )
+
+    def _push(self, stats, send, server, worker, payload_bytes) -> None:
+        """Deliver one push message and account it in ``stats``."""
+        self._deliver(
+            "push", send, server=server, worker=worker, payload_bytes=payload_bytes
+        )
+        stats.bytes_up += payload_bytes
+        stats.messages += 1
+
     @property
     def n_servers(self) -> int:
         """Number of shards."""
@@ -144,35 +160,38 @@ class ParameterServerGroup:
     # push / pull
     # ------------------------------------------------------------------
 
-    def push_row(
+    def encode_row(
         self,
         name: str,
-        row: int,
         flat: np.ndarray,
         compression_bits: int = 0,
         rng: np.random.Generator | None = None,
         compression_block: int | None = None,
-        seq: object | None = None,
-        worker: int | None = None,
-    ) -> TransferStats:
-        """Push one row, split by ranges, optionally low-precision.
+    ) -> list[tuple[Partition, np.ndarray, int]]:
+        """Slice a dense row by range and run each slice through the codec.
 
-        With ``compression_bits > 0`` each range slice is quantized by the
-        Section 6.1 codec before "transmission" and decoded on the server,
-        so the stored parameter accumulates the (unbiased) decoded floats
-        while only the compressed bytes count on the wire.
+        The one place a dense row meets the lossy codec.  Returns, in
+        partition order, ``(partition, values, wire_bytes)``: the floats
+        the hosting server will add (the *decoded* slice when
+        ``compression_bits > 0``, so the stored parameter accumulates
+        the unbiased decoded values) and the bytes that slice costs on
+        the wire.  The codec is partition-scoped — every slice is
+        quantized on its own, and the stochastic-rounding stream ``rng``
+        is consumed in partition order — so dense lossy deltas can never
+        be folded before encoding without changing the stored bits.
+        Both dense delivery paths therefore encode here, per delta:
+        :meth:`push_row` delivers the slices at once, and a windowed
+        push (``agg_window > 1``) buffers them, tagged with their row,
+        for :meth:`push_window_rows`.  Either way a DimBoost worker
+        pushes its *pre-fold* histogram and records the exact node sums
+        for the split-time refold; only uncompressed windowed deltas
+        travel as (folded, fully present) slabs.
 
         ``compression_block`` selects the scale granularity: None uses one
         scale per range slice; a positive value gives every that-many
         values their own scale (e.g. ``n_bins`` so each per-feature
         histogram is scaled independently, the Section 6.1 reading of
         "the maximal absolute value in the histogram").
-
-        ``seq`` is the idempotence token forwarded to
-        :meth:`PSServer.handle_push`; required when a fault fabric is
-        attached (a retried delivery must not double-count), optional —
-        but honored — otherwise.  ``worker`` identifies the pushing
-        worker for fault filtering.
         """
         partitioner = self.partitioner(name)
         flat = np.asarray(flat, dtype=np.float64)
@@ -183,12 +202,7 @@ class ParameterServerGroup:
             )
         if compression_bits and rng is None:
             raise PSError("compression requires an rng for stochastic rounding")
-        if self.fabric is not None and seq is None:
-            raise PSError(
-                "push_row without a seq token while a fault fabric is "
-                "attached: retried pushes would double-count"
-            )
-        stats = TransferStats()
+        pieces: list[tuple[Partition, np.ndarray, int]] = []
         for part in partitioner.partitions:
             piece = flat[part.lo : part.hi]
             if compression_bits and compression_block:
@@ -203,7 +217,38 @@ class ParameterServerGroup:
                 piece = decompress_flat(compressed)
             else:
                 piece_bytes = piece.size * 4
-            stats.bytes_up += piece_bytes
+            pieces.append((part, piece, piece_bytes))
+        return pieces
+
+    def push_row(
+        self,
+        name: str,
+        row: int,
+        flat: np.ndarray,
+        compression_bits: int = 0,
+        rng: np.random.Generator | None = None,
+        compression_block: int | None = None,
+        seq: object | None = None,
+        worker: int | None = None,
+    ) -> TransferStats:
+        """Push one row, split by ranges, optionally low-precision.
+
+        With ``compression_bits > 0`` each range slice is quantized by the
+        Section 6.1 codec before "transmission" and decoded on the server
+        (:meth:`encode_row`, which also documents ``compression_block``),
+        so only the compressed bytes count on the wire.
+
+        ``seq`` is the idempotence token forwarded to
+        :meth:`PSServer.handle_push`; required when a fault fabric is
+        attached (a retried delivery must not double-count), optional —
+        but honored — otherwise.  ``worker`` identifies the pushing
+        worker for fault filtering.
+        """
+        self._require_seq("push_row", seq)
+        stats = TransferStats()
+        for part, piece, piece_bytes in self.encode_row(
+            name, flat, compression_bits, rng, compression_block
+        ):
             server = self.servers[part.server_id]
 
             def send(server=server, part=part, piece=piece):
@@ -211,21 +256,14 @@ class ParameterServerGroup:
                     name, row, part.partition_id, piece, seq=seq
                 )
 
-            self._deliver(
-                "push",
-                send,
-                server=part.server_id,
-                worker=worker,
-                payload_bytes=piece_bytes,
-            )
-            stats.messages += 1
+            self._push(stats, send, part.server_id, worker, piece_bytes)
         return stats
 
     def push_slab(
         self,
         name: str,
         row: int,
-        slab: SparseSlab,
+        slab: SparseSlab | CompressedSlab,
         compression_bits: int = 0,
         rng: np.random.Generator | None = None,
         compression_block: int | None = None,
@@ -247,8 +285,10 @@ class ParameterServerGroup:
         stochastic-rounding stream does not depend on the partition
         layout — and every overlapping range receives (and decodes) the
         same :class:`CompressedSlab`, billed at the packed wire size.
-        ``compression_block`` follows the :meth:`push_row` contract and
-        defaults to one scale per g- and per h-histogram.
+        ``compression_block`` follows the :meth:`encode_row` contract and
+        defaults to one scale per g- and per h-histogram.  A caller that
+        already holds the :class:`CompressedSlab` passes it as ``slab``
+        with ``compression_bits`` left at 0.
         """
         partitioner = self.partitioner(name)
         layout = self._layouts.get(name)
@@ -256,11 +296,7 @@ class ParameterServerGroup:
             raise PSError(
                 f"parameter {name!r} was registered without a slab layout"
             )
-        if self.fabric is not None and seq is None:
-            raise PSError(
-                "push_slab without a seq token while a fault fabric is "
-                "attached: retried pushes would double-count"
-            )
+        self._require_seq("push_slab", seq)
         if compression_bits and rng is None:
             raise PSError("compression requires an rng for stochastic rounding")
         wire_slab: SparseSlab | CompressedSlab = slab
@@ -276,7 +312,6 @@ class ParameterServerGroup:
             piece_bytes = wire_slab.wire_bytes_for(
                 part.lo // width, part.hi // width
             )
-            stats.bytes_up += piece_bytes
             server = self.servers[part.server_id]
 
             def send(server=server, part=part):
@@ -284,14 +319,7 @@ class ParameterServerGroup:
                     name, row, part.partition_id, wire_slab, seq=seq
                 )
 
-            self._deliver(
-                "push",
-                send,
-                server=part.server_id,
-                worker=worker,
-                payload_bytes=piece_bytes,
-            )
-            stats.messages += 1
+            self._push(stats, send, part.server_id, worker, piece_bytes)
         return stats
 
     def push_window(
@@ -327,11 +355,7 @@ class ParameterServerGroup:
             raise PSError(
                 f"parameter {name!r} was registered without a slab layout"
             )
-        if self.fabric is not None and seq is None:
-            raise PSError(
-                "push_window without a seq token while a fault fabric is "
-                "attached: retried pushes would double-count"
-            )
+        self._require_seq("push_window", seq)
         width = layout.feature_width
         stats = TransferStats()
         for part in partitioner.partitions:
@@ -346,7 +370,6 @@ class ParameterServerGroup:
             piece_bytes = sum(
                 4 + slab.wire_bytes_for(f_lo, f_hi) for _, slab in share
             )
-            stats.bytes_up += piece_bytes
             server = self.servers[part.server_id]
 
             def send(server=server, part=part, share=share):
@@ -354,14 +377,7 @@ class ParameterServerGroup:
                     name, part.partition_id, share, seq=seq
                 )
 
-            self._deliver(
-                "push",
-                send,
-                server=part.server_id,
-                worker=worker,
-                payload_bytes=piece_bytes,
-            )
-            stats.messages += 1
+            self._push(stats, send, part.server_id, worker, piece_bytes)
         return stats
 
     def push_window_rows(
@@ -373,18 +389,17 @@ class ParameterServerGroup:
     ) -> TransferStats:
         """Push one window of pre-encoded dense row pieces.
 
-        The lossy row codec is *partition-scoped* — :meth:`push_row`
-        quantizes each partition slice with a rounding stream consumed
-        in partition order — so a windowed push of compressed dense
-        deltas cannot fold before encoding without changing the stored
-        bits.  Instead the caller encodes every delta exactly as
-        :meth:`push_row` would (same rng, same slices) and hands the
-        decoded pieces here: ``entries`` is a list of ``(row,
-        partition_id, values, wire_bytes)`` tuples.  This method only
-        batches delivery — one message per server carries all of its
-        pieces, applied in entry order, so the stored floats and their
-        addend order match the per-delta pushes bit for bit while the
-        window pays one latency term per server.
+        The lossy row codec is partition-scoped, so a windowed push of
+        compressed dense deltas cannot fold before encoding without
+        changing the stored bits (see :meth:`encode_row`).  Instead the
+        caller encodes every delta with :meth:`encode_row` — the very
+        call :meth:`push_row` makes — and hands the decoded pieces here:
+        ``entries`` is a list of ``(row, partition_id, values,
+        wire_bytes)`` tuples.  This method only batches delivery — one
+        message per server carries all of its pieces, applied in entry
+        order, so the stored floats and their addend order match the
+        per-delta pushes bit for bit while the window pays one latency
+        term per server.
 
         ``seq``/``worker`` follow the :meth:`push_window` contract: the
         token must identify the window — ``(round, window, worker)`` —
@@ -392,11 +407,7 @@ class ParameterServerGroup:
         while later windows still apply.
         """
         partitioner = self.partitioner(name)
-        if self.fabric is not None and seq is None:
-            raise PSError(
-                "push_window_rows without a seq token while a fault fabric "
-                "is attached: retried pushes would double-count"
-            )
+        self._require_seq("push_window_rows", seq)
         parts = {part.partition_id: part for part in partitioner.partitions}
         by_server: dict[int, list[tuple[int, int, np.ndarray, int]]] = {}
         for row, partition_id, piece, piece_bytes in entries:
@@ -420,15 +431,7 @@ class ParameterServerGroup:
                     server.handle_push(name, row, partition_id, piece, seq=seq)
                 return None
 
-            self._deliver(
-                "push",
-                send,
-                server=server_id,
-                worker=worker,
-                payload_bytes=payload_bytes,
-            )
-            stats.bytes_up += payload_bytes
-            stats.messages += 1
+            self._push(stats, send, server_id, worker, payload_bytes)
         return stats
 
     def push_sketch(
@@ -451,11 +454,7 @@ class ParameterServerGroup:
         ``("sketch", worker_id)``).
         """
         partitioner = self.partitioner(name)
-        if self.fabric is not None and seq is None:
-            raise PSError(
-                "push_sketch without a seq token while a fault fabric is "
-                "attached: retried pushes would double-count"
-            )
+        self._require_seq("push_sketch", seq)
         buckets: dict[int, tuple[Partition, list[tuple[int, bytes]]]] = {}
         for feature in sorted(sketches):
             part = partitioner.partition_of_index(feature)
@@ -465,7 +464,6 @@ class ParameterServerGroup:
         for pid in sorted(buckets):
             part, payloads = buckets[pid]
             piece_bytes = sum(4 + len(wire) for _, wire in payloads)
-            stats.bytes_up += piece_bytes
             server = self.servers[part.server_id]
 
             def send(server=server, part=part, payloads=payloads):
@@ -473,14 +471,7 @@ class ParameterServerGroup:
                     name, part.partition_id, payloads, seq=seq
                 )
 
-            self._deliver(
-                "push",
-                send,
-                server=part.server_id,
-                worker=worker,
-                payload_bytes=piece_bytes,
-            )
-            stats.messages += 1
+            self._push(stats, send, part.server_id, worker, piece_bytes)
         return stats
 
     def pull_sketches(

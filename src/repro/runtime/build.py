@@ -29,12 +29,7 @@ resolve a strategy themselves close it when the fit ends.
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-import warnings
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -52,6 +47,8 @@ from ..histogram.parallel import (
     simulate_span,
 )
 from ..histogram.shared import SharedShard, build_into_slot
+from ..utils.arena import ForkPoolHost
+from ..utils.timing import wall_clock
 
 __all__ = [
     "HistogramBuildStrategy",
@@ -135,11 +132,11 @@ class DenseBuildStrategy(_PooledKernelStrategy):
         grad: np.ndarray,
         hess: np.ndarray,
     ) -> tuple[GradientHistogram, float]:
-        started = time.perf_counter()
+        started = wall_clock()
         histogram = build_node_histogram_dense(
             shard, rows, grad, hess, out=self._out(shard)
         )
-        return histogram, time.perf_counter() - started
+        return histogram, wall_clock() - started
 
 
 class SparseBuildStrategy(_PooledKernelStrategy):
@@ -155,11 +152,11 @@ class SparseBuildStrategy(_PooledKernelStrategy):
         grad: np.ndarray,
         hess: np.ndarray,
     ) -> tuple[GradientHistogram, float]:
-        started = time.perf_counter()
+        started = wall_clock()
         histogram = build_node_histogram_sparse(
             shard, rows, grad, hess, out=self._out(shard)
         )
-        return histogram, time.perf_counter() - started
+        return histogram, wall_clock() - started
 
 
 class BatchedBuildStrategy(HistogramBuildStrategy):
@@ -221,7 +218,7 @@ class BatchedBuildStrategy(HistogramBuildStrategy):
         )
 
 
-class ProcessParallelBuildStrategy(HistogramBuildStrategy):
+class ProcessParallelBuildStrategy(ForkPoolHost, HistogramBuildStrategy):
     """Real multicore batch construction on a persistent process pool.
 
     A node's rows are chunked into at most ``n_processes`` contiguous
@@ -235,7 +232,8 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
     Degrades to the sequential kernel — per build for nodes too small to
     be worth the fan-out (fewer than two ``batch_size`` chunks), and
     permanently (with a warning) when process pools are unusable: no
-    ``fork`` start method, shared memory unavailable, or a broken pool.
+    ``fork`` start method, shared memory unavailable, or a broken pool
+    (the :class:`~repro.utils.arena.ForkPoolHost` ladder).
 
     The returned seconds are the real wall-clock of the fan-out, and
     :attr:`last_result` carries the full telemetry including the
@@ -243,6 +241,8 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
     """
 
     name = "process"
+    _pool_runs = "histogram build"
+    _pool_fallback = "the sequential kernel"
 
     def __init__(
         self,
@@ -253,26 +253,17 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
     ) -> None:
         if n_processes < 1:
             raise ValueError(f"n_processes must be >= 1, got {n_processes}")
+        super().__init__(n_processes)
         self.batch_size = batch_size
-        self.n_processes = n_processes
         self.sparse = sparse
         self.dense = not sparse
         self.pool = pool if pool is not None else HistogramBufferPool()
-        self.kernel = (
-            build_node_histogram_sparse if sparse else build_node_histogram_dense
+        #: The sequential kernel this strategy degrades to.
+        self._serial = (SparseBuildStrategy if sparse else DenseBuildStrategy)(
+            self.pool
         )
-        self._executor: ProcessPoolExecutor | None = None
-        #: id(shard) -> (shard, SharedShard, last grad, last hess).  The
-        #: strong references pin the ids, so the identity check on the
-        #: cached gradients can never alias a freed array.
-        self._shared: dict[int, list] = {}
-        self.fallback_reason: str | None = None
         #: Last *pooled* build's telemetry (None until one has run).
         self.last_result: ParallelBuildResult | None = None
-
-    # ------------------------------------------------------------------
-    # build
-    # ------------------------------------------------------------------
 
     def build(
         self,
@@ -283,32 +274,28 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
     ) -> tuple[GradientHistogram, float]:
         rows = np.asarray(rows, dtype=np.int64)
         n_tasks = min(self.n_processes, -(-len(rows) // self.batch_size))
-        if n_tasks < 2 or not self._ensure_executor():
-            return self._sequential(shard, rows, grad, hess)
-        executor = self._executor
-        assert executor is not None  # _ensure_executor() just built it
-        try:
-            entry = self._entry(shard)
-        except (OSError, ValueError) as exc:
-            self._disable(f"shared memory unavailable ({exc})")
-            return self._sequential(shard, rows, grad, hess)
-        self._refresh_gradients(entry, grad, hess)
-        shared: SharedShard = entry[1]
+        shared = self._arena_for(shard, self._share) if n_tasks >= 2 else None
+        if shared is None:
+            return self._serial.build(shard, rows, grad, hess)
+        # Trainers pass the same gradient arrays for every node of a tree,
+        # so an identity check skips the copy on all but the first build
+        # of each (shard, round).
+        source = shared.gradient_source
+        if source is None or source[0] is not grad or source[1] is not hess:
+            shared.set_gradients(grad, hess)
         chunks = np.array_split(rows, n_tasks)
-        started = time.perf_counter()
-        try:
-            futures = [
-                executor.submit(
-                    build_into_slot, shared.manifest, slot, chunk, self.sparse
-                )
+        started = wall_clock()
+        batch_seconds = self._run(
+            build_into_slot,
+            [
+                (shared.manifest, slot, chunk, self.sparse)
                 for slot, chunk in enumerate(chunks)
-            ]
-            batch_seconds = [future.result() for future in futures]
-        except BrokenProcessPool:
-            self._disable("process pool broke")
-            return self._sequential(shard, rows, grad, hess)
+            ],
+        )
+        if batch_seconds is None:
+            return self._serial.build(shard, rows, grad, hess)
         histogram = shared.reduce(n_tasks, self.pool)
-        wall = time.perf_counter() - started
+        wall = wall_clock() - started
         self.last_result = ParallelBuildResult(
             histogram=histogram,
             n_batches=n_tasks,
@@ -320,83 +307,8 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
         )
         return histogram, wall
 
-    def _sequential(
-        self,
-        shard: BinnedShard,
-        rows: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-    ) -> tuple[GradientHistogram, float]:
-        started = time.perf_counter()
-        out = self.pool.acquire(shard.n_features, shard.n_bins)
-        histogram = self.kernel(shard, rows, grad, hess, out=out)
-        return histogram, time.perf_counter() - started
-
-    # ------------------------------------------------------------------
-    # resources
-    # ------------------------------------------------------------------
-
-    def _ensure_executor(self) -> bool:
-        if self._executor is not None:
-            return True
-        if self.fallback_reason is not None:
-            return False
-        # fork is required so workers exist cheaply and before/after the
-        # pool there is nothing to re-import; on spawn-only platforms the
-        # strategy degrades to the sequential kernel.
-        if "fork" not in multiprocessing.get_all_start_methods():
-            self._disable("fork start method unavailable")
-            return False
-        try:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.n_processes,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-        except OSError as exc:  # pragma: no cover - resource exhaustion
-            self._disable(f"could not start process pool ({exc})")
-            return False
-        return True
-
-    def _entry(self, shard: BinnedShard) -> list:
-        entry = self._shared.get(id(shard))
-        if entry is None:
-            shared = SharedShard(shard, n_slots=self.n_processes)
-            entry = [shard, shared, None, None]
-            self._shared[id(shard)] = entry
-        return entry
-
-    def _refresh_gradients(
-        self, entry: list, grad: np.ndarray, hess: np.ndarray
-    ) -> None:
-        """Copy gradients into shared memory only when they changed.
-
-        Trainers pass the same gradient arrays for every node of a tree,
-        so an identity check skips the copy on all but the first build of
-        each (shard, round).
-        """
-        if entry[2] is grad and entry[3] is hess:
-            return
-        entry[1].set_gradients(grad, hess)
-        entry[2] = grad
-        entry[3] = hess
-
-    def _disable(self, reason: str) -> None:
-        self.fallback_reason = reason
-        warnings.warn(
-            f"process-parallel histogram build disabled: {reason}; "
-            "falling back to the sequential kernel",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        self._shutdown()
-
-    def _shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-        for entry in self._shared.values():
-            entry[1].close()
-        self._shared.clear()
+    def _share(self, shard: BinnedShard) -> SharedShard:
+        return SharedShard(shard, n_slots=self.n_processes)
 
     def release(self, histogram: GradientHistogram) -> None:
         self.pool.release(histogram)
@@ -405,12 +317,6 @@ class ProcessParallelBuildStrategy(HistogramBuildStrategy):
         """Shut the pool down and unlink every shared-memory segment."""
         self._shutdown()
         self.pool.clear()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self._shutdown()
-        except Exception:
-            pass
 
     def __repr__(self) -> str:
         return (

@@ -3,7 +3,7 @@
 The distributed engine used to interleave three concerns at every phase
 boundary: moving all workers through the master's lockstep machine
 (``for wid ...: master.enter_phase(...)``), measuring per-worker kernel
-wall-clock with ad-hoc ``time.perf_counter()`` pairs, and charging the
+wall-clock with ad-hoc clock-read pairs, and charging the
 simulated clock.  :class:`PhaseRunner` and :class:`PhaseStage` absorb
 all three, and additionally publish every stage through the
 :mod:`~repro.runtime.hooks` spine so observers see phase boundaries
@@ -26,7 +26,6 @@ hook dispatch with wall-clock measurement.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from types import TracebackType
 from typing import Iterator, Sequence
@@ -34,6 +33,7 @@ from typing import Iterator, Sequence
 from ..cluster.simclock import SimClock
 from ..config import ClusterConfig
 from ..ps.master import Master, WorkerPhase
+from ..utils.timing import wall_clock
 from .hooks import CallbackList
 
 __all__ = [
@@ -70,11 +70,11 @@ class WorkerTimer:
     @contextmanager
     def measure(self, worker_id: int) -> Iterator[None]:
         """Time a block of real kernel work on behalf of one worker."""
-        started = time.perf_counter()
+        started = wall_clock()
         try:
             yield
         finally:
-            self.seconds[worker_id] += time.perf_counter() - started
+            self.seconds[worker_id] += wall_clock() - started
 
     def add(self, worker_id: int, seconds: float) -> None:
         """Charge pre-measured (or simulated-span) seconds to a worker."""
@@ -176,7 +176,7 @@ class PhaseStage:
             runner.master.enter_all(self.phase)
         if runner.clock is not None:
             self._clock_snapshot = runner.clock.by_phase()
-        self._started_at = time.perf_counter()
+        self._started_at = wall_clock()
         runner.callbacks.on_phase_start(self.phase, self.tree_index)
         return self
 
@@ -188,7 +188,7 @@ class PhaseStage:
     ) -> None:
         if exc_type is not None:
             return
-        wall = time.perf_counter() - self._started_at
+        wall = wall_clock() - self._started_at
         charges: dict[str, float] = {}
         if self.runner.clock is not None:
             after = self.runner.clock.by_phase()

@@ -12,7 +12,8 @@ traffic.  The pieces, hot path first:
   (pointer flip; in-flight batches finish on the old version).
 * :mod:`server` — NDJSON-over-TCP front end (the ``repro serve`` verb).
 * :mod:`metrics` — queue depth, batch-size histogram, stage latencies.
-* :mod:`clock` — the package's single RP002-whitelisted timing seam.
+
+Instants come from :mod:`repro.utils.timing`, the one audited clock seam.
 
 See ``docs/serving.md`` for architecture and bench results, and
 ``benchmarks/bench_ext_serving.py`` for the traffic-replay harness.

@@ -2,9 +2,8 @@
 
 Pure aggregation — this module never reads the clock.  Every duration
 it records was measured by the runtime through the audited seam
-(:mod:`repro.serving.clock`), so the RP002 invariant holds for the whole
-serving package: one timing module, everything else does arithmetic on
-values it was handed.
+(:mod:`repro.utils.timing`), so the RP002 invariant holds for the whole
+serving package: everything here does arithmetic on values it was handed.
 """
 
 from __future__ import annotations

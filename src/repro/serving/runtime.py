@@ -25,7 +25,7 @@ composition never changes bits: every response is bit-identical to a
 direct ``FlatEnsemble.predict_raw`` on the same row, whatever batch it
 landed in — asserted by the traffic-replay bench on every trace.
 
-All instants come from :mod:`repro.serving.clock` (the RP002 seam).
+All instants come from :mod:`repro.utils.timing` (the RP002 seam).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from ..datasets.sparse import CSRMatrix
 from ..errors import ConfigError, RequestRejectedError, ServingError
-from . import clock
+from ..utils.timing import Deadline, wall_clock
 from .metrics import ServingMetrics
 from .store import ModelStore, ModelVersion
 
@@ -297,7 +297,7 @@ class ServingRuntime:
                 f"indices must be strictly increasing within [0, "
                 f"{n_features}), got {idx.tolist()[:8]}..."
             )
-        arrival = clock.now()
+        arrival = wall_clock()
         budget_ms = (
             deadline_ms if deadline_ms is not None else self.config.deadline_ms
         )
@@ -357,7 +357,7 @@ class ServingRuntime:
         Returns True when the stop sentinel arrived (flush then exit).
         """
         assert self._queue is not None
-        deadline = clock.Deadline(
+        deadline = Deadline(
             opened_at + self.config.max_batch_delay_ms / 1e3
         )
         while len(batch) < self.config.max_batch_rows:
@@ -377,7 +377,7 @@ class ServingRuntime:
 
     async def _flush(self, batch: list[_Request]) -> None:
         """Shed expired requests, score the rest as one row block."""
-        drained_at = clock.now()
+        drained_at = wall_clock()
         live: list[_Request] = []
         for request in batch:
             if (
@@ -403,7 +403,7 @@ class ServingRuntime:
         batch_seq = self._batch_seq
         loop = asyncio.get_running_loop()
         assert self._score_pool is not None
-        score_started = clock.now()
+        score_started = wall_clock()
         try:
             raw = await loop.run_in_executor(
                 self._score_pool, version.predict_raw, X
@@ -415,12 +415,12 @@ class ServingRuntime:
                         ServingError(f"scoring failed: {exc}")
                     )
             return
-        score_ms = (clock.now() - score_started) * 1e3
+        score_ms = (wall_clock() - score_started) * 1e3
         value = version.transform(raw)
 
         self.metrics.observe_batch(len(live))
         self.metrics.score.observe(score_ms / 1e3)
-        done_at = clock.now()
+        done_at = wall_clock()
         for i, request in enumerate(live):
             queued_ms = (drained_at - request.arrival) * 1e3
             self.metrics.queue_wait.observe(queued_ms / 1e3)

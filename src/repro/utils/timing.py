@@ -1,12 +1,14 @@
-"""Wall-clock timing helpers used by trainers and benchmarks.
+"""The wall clock: the only module under ``src/`` that touches ``time.*``.
 
-This module is the *audited clock seam*: outside the phase accounting
-modules (``runtime/phases.py`` / ``runtime/build.py``), code must not
-read ``time.*`` directly (reprolint RP002) and instead calls
-:func:`wall_clock` or uses a :class:`Stopwatch`.  Funnelling every real-
-time read through one module keeps measured seconds attributable (a
-grep for ``wall_clock`` finds every timing site) and lets determinism
-tests stub the clock in exactly one place.
+This module is the *audited clock seam* (reprolint RP002 declares it in
+``[tool.reprolint].clock-seam``; every other module reading ``time.*``
+is a finding).  Trainers, build strategies, the phase runner and the
+serving runtime all take instants from here — :data:`wall_clock`
+seconds, :data:`wall_clock_ns` nanoseconds, or the :class:`Stopwatch` /
+:class:`Deadline` helpers built on them — so a grep for ``wall_clock``
+finds every timing site, training phase seconds and serving latencies
+share one value stream, and determinism tests stub the clock in exactly
+one place.
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+#: The audited wall-clock read: monotonic float seconds.  Bound to the
+#: primitive itself, not wrapped, so the build and serving hot paths pay
+#: no Python frame per read.
+wall_clock = time.perf_counter
 
-def wall_clock() -> float:
-    """The audited wall-clock read: a monotonic seconds counter.
-
-    Returns the same value stream as ``time.perf_counter()``; only this
-    module may call the primitive directly.
-    """
-    # The seam primitive itself is the one sanctioned direct clock read.
-    return time.perf_counter()  # reprolint: disable=RP002
+#: Monotonic integer nanoseconds, for sub-millisecond stage latencies.
+wall_clock_ns = time.perf_counter_ns
 
 
 class Stopwatch:
@@ -41,21 +41,37 @@ class Stopwatch:
         self._started_at: float | None = None
 
     def __enter__(self) -> "Stopwatch":
-        # Seam-internal read: Stopwatch is part of the audited clock seam.
-        self._started_at = time.perf_counter()  # reprolint: disable=RP002
+        self._started_at = wall_clock()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         if self._started_at is not None:
-            # Seam-internal read paired with __enter__ above.
-            now = time.perf_counter()  # reprolint: disable=RP002
-            self.total += now - self._started_at
+            self.total += wall_clock() - self._started_at
             self._started_at = None
 
     def reset(self) -> None:
         """Zero the accumulated total."""
         self.total = 0.0
         self._started_at = None
+
+
+class Deadline:
+    """An absolute instant in the :data:`wall_clock` stream.
+
+    Wraps the "remaining budget" arithmetic of the serving batch loop::
+
+        deadline = Deadline(opened_at + 0.002)  # flush 2 ms after opening
+        await asyncio.wait_for(queue.get(), timeout=deadline.remaining())
+    """
+
+    __slots__ = ("at",)
+
+    def __init__(self, at: float) -> None:
+        self.at = at
+
+    def remaining(self) -> float:
+        """Seconds left before expiry (0.0 once expired, never negative)."""
+        return max(0.0, self.at - wall_clock())
 
 
 @dataclass

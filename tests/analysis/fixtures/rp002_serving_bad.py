@@ -1,7 +1,7 @@
 """Known-bad RP002 serving fixture: a serving module reading the clock.
 
-Serving modules must take instants from :mod:`repro.serving.clock` (the
-package's whitelisted seam) — direct ``time.*`` reads anywhere else in
+Serving modules must take instants from :mod:`repro.utils.timing` (the
+one declared clock seam) — direct ``time.*`` reads anywhere in
 ``repro/serving/`` are unaudited latency measurements.
 """
 

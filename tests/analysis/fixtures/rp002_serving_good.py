@@ -1,20 +1,20 @@
-"""Known-good RP002 serving twin: instants come from the serving seam.
+"""Known-good RP002 serving twin: instants come from the clock seam.
 
 Same module shape as the bad fixture, but every instant flows through
-:mod:`repro.serving.clock` — the one serving module whitelisted to read
-``time.*`` directly.
+:mod:`repro.utils.timing` — the one module allowed to read ``time.*``
+directly.
 """
 
-from repro.serving import clock
+from repro.utils.timing import Deadline, wall_clock, wall_clock_ns
 
 
 def admit() -> float:
-    return clock.now()
+    return wall_clock()
 
 
-def batch_deadline(delay_s: float) -> clock.Deadline:
-    return clock.Deadline.after(delay_s)
+def batch_deadline(delay_s: float) -> Deadline:
+    return Deadline(wall_clock() + delay_s)
 
 
 def stamp_ns() -> int:
-    return clock.now_ns()
+    return wall_clock_ns()

@@ -359,6 +359,7 @@ def test_returns_collect_taint():
 
 def test_rp002_seam_derivation_matches_fallback_and_pyproject(src_project):
     derived = WallClockOutsideSeam.seam_suffixes(src_project)
+    assert derived == ("repro/utils/timing.py",)  # one seam, one entry
     assert derived == WallClockOutsideSeam._ALLOWED_SUFFIXES
     assert derived == DEFAULT_CLOCK_SEAM
     declared = LintConfig.from_pyproject(PYPROJECT)

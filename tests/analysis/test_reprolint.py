@@ -7,8 +7,8 @@ in scope, not vacuously silent).  Whole-program rules (RP007–RP010) run
 their fixtures through :func:`lint_sources`, which builds the project
 graph the per-module entry points skip.  The src-tree test then pins
 the repo's own waiver budget: the tree is clean, and the only
-suppressions are the audited ones in the timing seam, the worker-view
-caches, and the shm segment-name generators.
+suppressions are the two audited ones in the shared-memory arena (its
+worker-view cache and its segment-name generator).
 """
 
 from __future__ import annotations
@@ -130,20 +130,24 @@ def test_graph_rules_need_the_project_pass(code):
 
 
 def test_rp002_seam_modules_are_exempt():
+    rules = get_rules(select=["RP002"])
     for source in (
         fixture_source("RP002", "bad"),
         fixture_source("RP002_serving", "bad"),
     ):
-        for seam in (
+        assert lint_source(source, "repro/utils/timing.py", rules) == []
+        # The former seam files are ordinary modules now.
+        for former in (
             "repro/runtime/phases.py",
             "repro/runtime/build.py",
             "repro/serving/clock.py",
         ):
-            assert lint_source(source, seam, get_rules(select=["RP002"])) == []
+            assert lint_source(source, former, rules) != []
 
 
 def test_rp002_patrols_serving_outside_its_clock_seam():
-    """Serving modules other than clock.py stay under the RP002 audit."""
+    """Every serving module stays under the RP002 audit: the package has
+    no clock file of its own, instants come from utils/timing.py."""
     bad = fixture_source("RP002_serving", "bad")
     expected = expected_lines(bad, "RP002")
     assert expected, "serving bad fixture has no expect markers"
@@ -400,16 +404,10 @@ def test_src_tree_waiver_budget():
     result = lint_paths([SRC_ROOT], root=SRC_ROOT)
     waivers = {(f.rule, f.path) for f in result.suppressed}
     assert waivers == {
-        ("RP001", "repro/histogram/shared.py"),
-        ("RP001", "repro/inference/parallel.py"),
-        ("RP002", "repro/utils/timing.py"),
-        ("RP004", "repro/histogram/shared.py"),
-        ("RP004", "repro/inference/parallel.py"),
+        ("RP001", "repro/utils/arena.py"),
+        ("RP004", "repro/utils/arena.py"),
     }
-    assert len(result.suppressed) == 7
-    # The serving package's clock seam is config-derived, not waived; it
-    # must not need a single inline waiver.
-    assert not any(f.path.startswith("repro/serving/") for f in result.suppressed)
+    assert len(result.suppressed) == 2
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,26 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(DataError):
             GBDTModel.from_dict({"format": "xgboost"})
+
+    @pytest.mark.parametrize("version", [2, "1", None])
+    def test_unknown_version_rejected_naming_the_path(
+        self, tiny_dataset, tmp_path, version
+    ):
+        payload = trained_model(tiny_dataset).to_dict()
+        payload["version"] = version
+        path = tmp_path / "future.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=r"future\.json.*version"):
+            GBDTModel.load(path)
+
+    def test_missing_version_loads_as_one(self, tiny_dataset, tmp_path):
+        """Artifacts written before the check carry no version key."""
+        model = trained_model(tiny_dataset)
+        payload = model.to_dict()
+        del payload["version"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert GBDTModel.load(path).n_trees == model.n_trees
 
     def test_format_marker_present(self, tiny_dataset):
         model = trained_model(tiny_dataset)

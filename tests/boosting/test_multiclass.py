@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,17 @@ class TestSerialization:
     def test_bad_format(self):
         with pytest.raises(DataError):
             MulticlassModel.from_dict({"format": "nope"})
+
+    def test_unknown_version_rejected_naming_the_path(self, tmp_path):
+        payload = MulticlassModel([], np.zeros(3), 4).to_dict()
+        payload["version"] = 2
+        path = tmp_path / "future-mc.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=r"future-mc\.json.*version 2"):
+            MulticlassModel.load(path)
+        del payload["version"]  # pre-check artifacts read as version 1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert MulticlassModel.load(path).n_rounds == 0
 
     def test_empty_model_not_fitted(self):
         model = MulticlassModel([], np.zeros(3), 4)

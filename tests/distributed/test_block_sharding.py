@@ -101,6 +101,58 @@ class TestGuards:
                 config,
             )
 
+    @pytest.mark.parametrize(
+        "system,cluster,overrides,match",
+        [
+            (
+                "xgboost",
+                ClusterConfig(n_workers=4, n_servers=2, grid=(2, 2)),
+                {},
+                "grid 2x2 needs a backend with sparse slab aggregation",
+            ),
+            (
+                "mllib",
+                ClusterConfig(n_workers=4, n_servers=2),
+                {"agg_window": 4},
+                "agg_window 4 needs a backend with windowed pushes",
+            ),
+        ],
+        ids=["grid-on-allreduce", "window-on-reduce"],
+    )
+    def test_unsupported_combination_fails_before_any_work(
+        self, data, config, system, cluster, overrides, match
+    ):
+        """The capability checks fire at construction: no stage has
+        started (so CREATE_SKETCH never ran) when ConfigError surfaces."""
+        from repro.runtime.hooks import TrainerCallback
+
+        class Recorder(TrainerCallback):
+            started: list = []
+
+            def on_fit_start(self, n_trees):
+                self.started.append("fit")
+
+            def on_phase_start(self, phase, tree_index):
+                self.started.append(phase)
+
+        recorder = Recorder()
+        with pytest.raises(ConfigError, match=match):
+            DistributedGBDT(
+                system,
+                cluster,
+                config.with_overrides(**overrides),
+                callbacks=[recorder],
+            ).fit(data)
+        assert recorder.started == []
+
+    def test_unknown_system_and_option_fail_at_construction(self):
+        from repro.errors import TrainingError
+
+        with pytest.raises(TrainingError, match="unknown system 'catboost'"):
+            DistributedGBDT("catboost")
+        with pytest.raises(ConfigError, match="unknown option.*'two_fase'"):
+            DistributedGBDT("dimboost", two_fase=False)
+
     def test_compressed_grid_trains(self, data):
         """The former compression_bits=0 grid guard is lifted: slab value
         payloads ride the stochastic-rounding codec end to end.  The

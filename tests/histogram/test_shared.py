@@ -1,5 +1,8 @@
 """Tests for shared-memory shards, the buffer pool, and the process strategy.
 
+(Segment lifecycle — close, partial construction, the worker attach
+cache — is the arena's and lives in ``tests/test_arena.py``.)
+
 Cross-strategy bit-identity needs exact arithmetic: the process strategy
 merges per-chunk partial histograms, so per-bucket sums happen in a
 different order than the serial kernel's.  The gradients here are dyadic
@@ -91,16 +94,6 @@ class TestSharedShard:
             build_into_slot(shared.manifest, 0, rows[:half], sparse=True)
             build_into_slot(shared.manifest, 1, rows[half:], sparse=True)
             assert_identical(shared.reduce(2), reference)
-
-    def test_close_releases_segments(self, tiny_shard):
-        before = set(leaked_segments())
-        shared = SharedShard(tiny_shard, n_slots=1)
-        created = set(leaked_segments()) - before
-        assert created  # /dev/shm is the POSIX shm mount on Linux
-        assert all(shared.token in path for path in created)
-        shared.close()
-        shared.close()  # idempotent
-        assert set(leaked_segments()) == before
 
     def test_invalid_n_slots(self, tiny_shard):
         with pytest.raises(ValueError):

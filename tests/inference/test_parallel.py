@@ -3,7 +3,8 @@
 Mirrors ``tests/chaos/test_shared_memory_faults.py``: every path through
 :class:`ParallelScorer` — clean close, broken pool, context-manager exit
 — must leave ``/dev/shm`` exactly as it found it, and every configuration
-must return bits identical to the serial flat path.
+must return bits identical to the serial flat path.  (The shared-memory
+context's own lifecycle is the arena's: ``tests/test_arena.py``.)
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.histogram.shared import SHM_PREFIX
-from repro.inference import ParallelScorer, SharedScoreContext
+from repro.inference import ParallelScorer
 
 
 def leaked_segments() -> list[str]:
@@ -59,7 +60,7 @@ class TestParity:
             got = scorer.predict_raw(
                 tiny_dataset.X, base_score=trained_model.base_score
             )
-            assert scorer._contexts == {}
+            assert scorer._arenas == {}
         np.testing.assert_array_equal(
             got, trained_model.predict_raw_per_tree(tiny_dataset.X)
         )
@@ -67,17 +68,6 @@ class TestParity:
 
 
 class TestSegmentLifetime:
-    def test_context_close_is_idempotent(self, trained_model, tiny_dataset):
-        before = set(leaked_segments())
-        context = SharedScoreContext(trained_model.compiled(), tiny_dataset.X)
-        assert context.nbytes > 0
-        assert len(set(leaked_segments()) - before) == len(
-            context.manifest["arrays"]
-        )
-        context.close()
-        context.close()
-        assert set(leaked_segments()) == before
-
     def test_predict_raw_transient_pool_releases(
         self, trained_model, tiny_dataset
     ):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import DataError, ServingError
 from repro.serving import ModelStore
 
 from .conftest import make_rows, rows_to_csr
@@ -90,6 +90,20 @@ class TestSwap:
             with pytest.raises(ServingError, match="failed to load"):
                 store.load(str(bad))
             assert store.current() is version
+
+    def test_unknown_version_artifact_keeps_current(self, artifact_a, tmp_path):
+        """A version-2 file is refused by the model loader; the store
+        surfaces that error and keeps serving what it had."""
+        doc = json.loads(open(artifact_a, encoding="utf-8").read())
+        doc["version"] = 2
+        future = tmp_path / "future.json"
+        future.write_text(json.dumps(doc), encoding="utf-8")
+        with ModelStore() as store:
+            version = store.load(artifact_a)
+            with pytest.raises(DataError, match="version 2"):
+                store.load(str(future))
+            assert store.current() is version
+            assert store.release_retired() == 0
 
     def test_treeless_artifact_rejected(self, artifact_a, tmp_path):
         doc = json.loads(open(artifact_a, encoding="utf-8").read())
