@@ -18,6 +18,7 @@ Three measurements around the transport PR:
 from __future__ import annotations
 
 import math
+import struct
 import time
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.datasets import gender_like, train_test_split
 from repro.distributed import DistributedGBDT
 from repro.ps import ParameterServerGroup
 from repro.ps.slab import SlabLayout, SparseSlab
-from repro.sketch import GKSketch, sketch_columns
+from repro.sketch import sketch_columns
 
 from conftest import bench_scale
 
@@ -144,31 +145,34 @@ def test_ext_compressed_slab_wire_bytes(benchmark, report):
     assert all(r[3] for r in rows)  # billing matches the closed form
 
 
-def _loop_sketch_columns(X, n_cols, eps):
-    """Pre-vectorization reference: per-column Python sort-and-sample."""
+def _loop_sketch_bytes(X, n_cols, eps):
+    """Pre-vectorization reference: per-column Python sort-and-sample,
+    serialized by its own ``struct.pack`` of the docs/transport.md layout
+    (float64 eps, float64 count, int32 n, then values/g/delta) — it shares
+    no code with ``src/``, not even the summary class."""
     cols = [[] for _ in range(n_cols)]
     for row in range(X.shape[0]):
         for k in range(X.indptr[row], X.indptr[row + 1]):
             cols[X.indices[k]].append(float(X.data[k]))
-    sketches = []
+    frames = []
     for col in range(n_cols):
         vals = sorted(cols[col])
-        sk = GKSketch(eps)
         n = len(vals)
+        positions = []
         if n:
             step = max(1, int(math.floor(2.0 * eps * n)))
             positions = list(range(0, n, step))
             if positions[-1] != n - 1:
                 positions.append(n - 1)
-            sk._values = [vals[p] for p in positions]
-            sk._g = [
-                p - (positions[i - 1] if i else -1)
-                for i, p in enumerate(positions)
-            ]
-            sk._delta = [0] * len(positions)
-            sk.count = n
-        sketches.append(sk)
-    return sketches
+        k = len(positions)
+        gaps = [p - (positions[i - 1] if i else -1) for i, p in enumerate(positions)]
+        frames.append(
+            struct.pack(
+                f"=ddi{k}d{k}i{k}i",
+                eps, float(n), k, *(vals[p] for p in positions), *gaps, *([0] * k),
+            )
+        )
+    return frames
 
 
 def test_ext_sketch_vectorization(benchmark, report):
@@ -178,7 +182,7 @@ def test_ext_sketch_vectorization(benchmark, report):
     X, n_cols, eps = data.X, data.n_features, 0.025
 
     start = time.perf_counter()
-    looped = _loop_sketch_columns(X, n_cols, eps)
+    looped = _loop_sketch_bytes(X, n_cols, eps)
     loop_seconds = time.perf_counter() - start
 
     def run():
@@ -188,9 +192,7 @@ def test_ext_sketch_vectorization(benchmark, report):
     vectorized = benchmark.pedantic(run, rounds=1, iterations=1)
     vec_seconds = time.perf_counter() - start
 
-    assert [s.to_bytes() for s in vectorized] == [
-        s.to_bytes() for s in looped
-    ]
+    assert [s.to_bytes() for s in vectorized] == looped
     report.add_table(
         "Extension: CREATE_SKETCH column sketching, loop vs vectorized",
         ["implementation", "seconds", "speedup"],

@@ -455,14 +455,15 @@ class ParameterServerGroup:
         """
         partitioner = self.partitioner(name)
         self._require_seq("push_sketch", seq)
-        buckets: dict[int, tuple[Partition, list[tuple[int, bytes]]]] = {}
-        for feature in sorted(sketches):
-            part = partitioner.partition_of_index(feature)
-            _, payloads = buckets.setdefault(part.partition_id, (part, []))
-            payloads.append((feature, sketch_to_wire(sketches[feature])))
+        features = sorted(sketches)
+        # Sorted features fall into partitions in runs: one range query
+        # for all of them, then one message per run.
+        pids = partitioner.partition_ids_of(features)
+        starts = np.flatnonzero(np.diff(pids, prepend=-1))
         stats = TransferStats()
-        for pid in sorted(buckets):
-            part, payloads = buckets[pid]
+        for a, b in zip(starts, (*starts[1:], len(features))):
+            part = partitioner.partitions[pids[a]]
+            payloads = [(f, sketch_to_wire(sketches[f])) for f in features[a:b]]
             piece_bytes = sum(4 + len(wire) for _, wire in payloads)
             server = self.servers[part.server_id]
 

@@ -100,8 +100,8 @@ class VectorPartitioner:
             )
             for pid in range(n_partitions)
         )
-        # Range starts, precomputed once: partition_of_index is called per
-        # feature in hot paths and must not rebuild the boundary list.
+        # Range starts, precomputed once: range queries sit on hot paths
+        # and must not rebuild the boundary list.
         self._los = np.asarray(boundaries[:-1], dtype=np.int64)
 
     @property
@@ -111,10 +111,15 @@ class VectorPartitioner:
 
     def partition_of_index(self, index: int) -> Partition:
         """The range containing global element ``index`` (a range query)."""
-        if not 0 <= index < self.length:
-            raise PSError(f"index {index} out of range [0, {self.length})")
-        pid = int(np.searchsorted(self._los, index, side="right")) - 1
-        return self.partitions[pid]
+        return self.partitions[self.partition_ids_of((index,))[0]]
+
+    def partition_ids_of(self, indices) -> np.ndarray:
+        """Partition id of every global element in ``indices``, in one pass."""
+        indices = np.asarray(indices, dtype=np.int64)
+        bad = indices[(indices < 0) | (indices >= self.length)]
+        if len(bad):
+            raise PSError(f"index {bad[0]} out of range [0, {self.length})")
+        return np.searchsorted(self._los, indices, side="right") - 1
 
     def partitions_in_range(self, lo: int, hi: int) -> list[Partition]:
         """All ranges overlapping global elements ``[lo, hi)``, in

@@ -308,13 +308,15 @@ class PSServer:
         """
         part = self._partition(name, partition_id)
         self.bytes_received += sum(4 + len(wire) for _, wire in payloads)
-        if seq is not None:
-            applied = self._sketch_applied[name].setdefault(partition_id, set())
-            if seq in applied:
-                self.duplicate_pushes += 1
-                return
-            applied.add(seq)
+        applied = self._sketch_applied[name].setdefault(partition_id, set())
+        if seq in applied:
+            self.duplicate_pushes += 1
+            return
+        # All or nothing: every frame is checked, parsed and merged on the
+        # side before the token is recorded, so a push that raises leaves
+        # no trace and its corrected retry is not taken for a duplicate.
         sketches = self._sketches[name]
+        staged: dict[int, AnySketch] = {}
         for feature, wire in payloads:
             if not part.lo <= feature < part.hi:
                 raise PSError(
@@ -322,10 +324,13 @@ class PSServer:
                     f"{partition_id} of {name!r} ([{part.lo}, {part.hi}))"
                 )
             incoming = sketch_from_wire(wire)
-            stored = sketches.get(feature)
-            sketches[feature] = (
+            stored = staged.get(feature, sketches.get(feature))
+            staged[feature] = (
                 incoming if stored is None else stored.merge(incoming)
             )
+        if seq is not None:
+            applied.add(seq)
+        sketches.update(staged)
 
     def handle_pull_sketch(
         self, name: str, partition_id: int

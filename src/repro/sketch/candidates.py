@@ -25,7 +25,8 @@ import numpy as np
 
 from ..errors import DataError, SketchError
 from ..datasets.sparse import CSRMatrix
-from .quantile import GKSketch
+from .quantile import AnySketch
+from .ragged import segment_cumsum, segment_searchsorted, sorted_columns
 
 
 class CandidateSet:
@@ -59,15 +60,10 @@ class CandidateSet:
             raise SketchError(
                 f"a feature has more than max_bins - 1 = {self.max_bins - 1} cuts"
             )
-        self.zero_bins = self._compute_bins_scalar(0.0)
-
-    def _compute_bins_scalar(self, value: float) -> np.ndarray:
-        """Bucket of a constant value under every feature's cuts."""
-        bins = np.empty(self.n_features, dtype=np.int32)
-        for f in range(self.n_features):
-            lo, hi = self.offsets[f], self.offsets[f + 1]
-            bins[f] = int(np.searchsorted(self.cuts[lo:hi], value, side="right"))
-        return bins
+        self.zero_bins = self.bins_for(
+            np.arange(self.n_features, dtype=np.int64),
+            np.zeros(self.n_features, dtype=np.float64),
+        )
 
     # ------------------------------------------------------------------
     # lookups
@@ -90,33 +86,19 @@ class CandidateSet:
     def bins_for(self, features: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Vectorized bucket lookup for parallel (feature, value) arrays.
 
-        Exploits the flat layout: a global searchsorted over ``cuts`` with
-        per-feature offsets subtracted gives all bucket indices in one
-        vectorized pass, provided cuts are increasing within each feature
-        segment (they are).  Cross-segment comparisons are neutralized by
-        clamping into the feature's own segment.
+        One segment-local bisection over the flat ``cuts`` answers every
+        pair at once: 6 rounds at most (cuts per feature <= max_bins - 1
+        <= ~63 in practice), each confined to the pair's own feature.
         """
         features = np.asarray(features, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         if features.shape != values.shape:
             raise DataError("features and values must have the same shape")
-        bins = np.empty(len(features), dtype=np.int32)
         starts = self.offsets[features]
-        ends = self.offsets[features + 1]
-        # Segment-local binary search, vectorized over 6 iterations max
-        # (cuts per feature <= max_bins - 1 <= ~63 in practice): classic
-        # branchless bisection on [starts, ends).
-        lo = starts.copy()
-        hi = ends.copy()
-        while np.any(lo < hi):
-            mid = (lo + hi) >> 1
-            active = lo < hi
-            go_right = np.zeros(len(lo), dtype=bool)
-            go_right[active] = self.cuts[mid[active]] <= values[active]
-            lo = np.where(active & go_right, mid + 1, lo)
-            hi = np.where(active & ~go_right, mid, hi)
-        bins[:] = (lo - starts).astype(np.int32)
-        return bins
+        found = segment_searchsorted(
+            self.cuts, starts, self.offsets[features + 1], values, "right"
+        )
+        return (found - starts).astype(np.int32)
 
     def feature_range(self, lo: int, hi: int) -> "CandidateSet":
         """The candidates of global features ``[lo, hi)``, rebased to 0.
@@ -159,13 +141,54 @@ class CandidateSet:
         )
 
 
-def _dedupe_cuts(raw: np.ndarray, max_cuts: int) -> np.ndarray:
-    """Strictly increasing cuts from raw quantile values, at most max_cuts."""
-    cuts = np.unique(raw.astype(np.float64))
-    if len(cuts) > max_cuts:
-        pick = np.linspace(0, len(cuts) - 1, max_cuts).astype(np.int64)
-        cuts = cuts[np.unique(pick)]
-    return cuts
+def _quantile_steps(span: np.ndarray, max_bins: int) -> np.ndarray:
+    """``np.linspace(0, span[f], max_bins + 1)[1:-1]`` for every ``f``, as rows.
+
+    linspace places point ``i`` at ``i * (span / max_bins)``; spelled out
+    because its array form switches every column to another rounding as
+    soon as one span is 0.
+    """
+    return (span / max_bins)[:, None] * np.arange(1, max_bins, dtype=np.float64)
+
+
+def _assemble(
+    raw: np.ndarray,
+    zero_cut: np.ndarray,
+    live: np.ndarray,
+    n_features: int,
+    max_bins: int,
+) -> CandidateSet:
+    """Strictly increasing cuts, at most ``max_bins - 1`` per feature.
+
+    ``raw`` holds one non-decreasing row of ``max_bins - 1`` quantile
+    values per ``live`` feature (the others get no cuts); rows flagged in
+    ``zero_cut`` also get a cut at 0.0.
+    """
+    max_cuts = max_bins - 1
+    # The zero cut rides in a spare last column (a repeat of the row's
+    # maximum where there is none).  A stable sort files it behind any
+    # zero already present, so of equal neighbours the first is kept:
+    # np.unique's rule, -0.0 included.
+    spare = np.where(zero_cut, 0.0, raw[:, -1])[:, None]
+    rows = np.concatenate((raw, spare), axis=1)
+    rows.sort(axis=1, kind="stable")
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    # Only a zero cut on top of max_cuts distinct quantiles is over
+    # budget; such rows keep evenly spaced cuts.
+    thinned = np.zeros(max_cuts + 1, dtype=bool)
+    thinned[np.linspace(0, max_cuts, max_cuts).astype(np.int64)] = True
+    keep[keep.all(axis=1)] = thinned
+    counts = np.zeros(n_features, dtype=np.int64)
+    counts[live] = keep.sum(axis=1)
+    offsets = np.zeros(n_features + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return CandidateSet(offsets, rows[keep], max_bins)
+
+
+def _check_max_bins(max_bins: int) -> None:
+    if max_bins < 2:
+        raise SketchError(f"max_bins must be >= 2, got {max_bins}")
 
 
 def propose_candidates(
@@ -186,25 +209,15 @@ def propose_candidates(
             negatives from positives — this is what makes "zero bucket"
             semantics of Algorithm 2 exact for signed features.
     """
-    if max_bins < 2:
-        raise SketchError(f"max_bins must be >= 2, got {max_bins}")
-    order = np.lexsort((X.data, X.indices))
-    sorted_cols = X.indices[order]
-    sorted_vals = X.data[order].astype(np.float64)
-    boundaries = np.searchsorted(sorted_cols, np.arange(X.n_cols + 1))
-    per_feature: list[np.ndarray] = []
-    for f in range(X.n_cols):
-        lo, hi = int(boundaries[f]), int(boundaries[f + 1])
-        seg = sorted_vals[lo:hi]
-        if len(seg) == 0:
-            per_feature.append(np.empty(0, dtype=np.float64))
-            continue
-        qpos = np.linspace(0, len(seg) - 1, max_bins + 1)[1:-1]
-        raw = seg[np.round(qpos).astype(np.int64)]
-        if include_zero_cut and seg[0] < 0.0 < seg[-1]:
-            raw = np.append(raw, 0.0)
-        per_feature.append(_dedupe_cuts(raw, max_bins - 1))
-    return _assemble(per_feature, max_bins)
+    _check_max_bins(max_bins)
+    _, sorted_vals, bounds = sorted_columns(X.indices, X.data, X.n_cols)
+    live = np.flatnonzero(np.diff(bounds))
+    lo, last = bounds[:-1][live], bounds[1:][live] - 1
+    picks = np.round(_quantile_steps(last - lo, max_bins)).astype(np.int64)
+    zero_cut = include_zero_cut & (sorted_vals[lo] < 0.0) & (0.0 < sorted_vals[last])
+    return _assemble(
+        sorted_vals[lo[:, None] + picks], zero_cut, live, X.n_cols, max_bins
+    )
 
 
 def propose_candidates_weighted(
@@ -227,8 +240,7 @@ def propose_candidates_weighted(
         sample_weight: Non-negative weight per instance (length n_rows).
         include_zero_cut: As in :func:`propose_candidates`.
     """
-    if max_bins < 2:
-        raise SketchError(f"max_bins must be >= 2, got {max_bins}")
+    _check_max_bins(max_bins)
     sample_weight = np.asarray(sample_weight, dtype=np.float64)
     if sample_weight.shape != (X.n_rows,):
         raise DataError(
@@ -238,61 +250,42 @@ def propose_candidates_weighted(
     if np.any(sample_weight < 0):
         raise DataError("sample_weight must be non-negative")
     row_of = np.repeat(np.arange(X.n_rows), X.row_nnz())
-    order = np.lexsort((X.data, X.indices))
-    sorted_cols = X.indices[order]
-    sorted_vals = X.data[order].astype(np.float64)
+    order, sorted_vals, bounds = sorted_columns(X.indices, X.data, X.n_cols)
     sorted_weights = sample_weight[row_of[order]]
-    boundaries = np.searchsorted(sorted_cols, np.arange(X.n_cols + 1))
-    per_feature: list[np.ndarray] = []
-    for f in range(X.n_cols):
-        lo, hi = int(boundaries[f]), int(boundaries[f + 1])
-        seg_vals = sorted_vals[lo:hi]
-        seg_weights = sorted_weights[lo:hi]
-        total = float(seg_weights.sum())
-        if len(seg_vals) == 0 or total <= 0:
-            per_feature.append(np.empty(0, dtype=np.float64))
-            continue
-        # Weighted rank of each value = cumulative weight up to it; pick
-        # the values at evenly spaced weighted ranks.
-        cum = np.cumsum(seg_weights)
-        targets = np.linspace(0, total, max_bins + 1)[1:-1]
-        positions = np.searchsorted(cum, targets, side="left")
-        np.clip(positions, 0, len(seg_vals) - 1, out=positions)
-        raw = seg_vals[positions]
-        if include_zero_cut and seg_vals[0] < 0.0 < seg_vals[-1]:
-            raw = np.append(raw, 0.0)
-        per_feature.append(_dedupe_cuts(raw, max_bins - 1))
-    return _assemble(per_feature, max_bins)
+    # Weighted rank of each value = cumulative weight up to it; pick the
+    # values at evenly spaced weighted ranks.  A feature's total is its
+    # own pairwise sum, which rounds unlike the running sum's last entry.
+    cum = segment_cumsum(sorted_weights, bounds)
+    total = np.asarray(
+        [sorted_weights[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])],
+        dtype=np.float64,
+    )
+    live = np.flatnonzero(total > 0)
+    lo, hi = bounds[:-1][live], bounds[1:][live]
+    targets = _quantile_steps(total[live], max_bins)
+    each_lo, each_hi = (np.repeat(b, targets.shape[1]) for b in (lo, hi))
+    at = segment_searchsorted(cum, each_lo, each_hi, targets.ravel(), "left")
+    at = np.minimum(at, each_hi - 1).reshape(targets.shape)
+    zero_cut = include_zero_cut & (sorted_vals[lo] < 0.0) & (0.0 < sorted_vals[hi - 1])
+    return _assemble(sorted_vals[at], zero_cut, live, X.n_cols, max_bins)
 
 
 def propose_candidates_from_sketches(
-    sketches: list[GKSketch], max_bins: int, include_zero_cut: bool = True
+    sketches: list[AnySketch], max_bins: int, include_zero_cut: bool = True
 ) -> CandidateSet:
     """Propose cuts from (merged) GK sketches — the distributed path.
 
     This is the PULL_SKETCH phase: workers pull the merged per-feature
     sketches from the PS and turn each into at most ``max_bins - 1`` cuts.
     """
-    if max_bins < 2:
-        raise SketchError(f"max_bins must be >= 2, got {max_bins}")
-    per_feature: list[np.ndarray] = []
-    for sketch in sketches:
-        if sketch.count == 0:
-            per_feature.append(np.empty(0, dtype=np.float64))
-            continue
-        raw = sketch.quantiles(max_bins - 1)
-        if include_zero_cut and sketch.min_value < 0.0 < sketch.max_value:
-            raw = np.append(raw, 0.0)
-        per_feature.append(_dedupe_cuts(raw, max_bins - 1))
-    return _assemble(per_feature, max_bins)
-
-
-def _assemble(per_feature: list[np.ndarray], max_bins: int) -> CandidateSet:
-    offsets = np.zeros(len(per_feature) + 1, dtype=np.int64)
-    np.cumsum([len(c) for c in per_feature], out=offsets[1:])
-    cuts = (
-        np.concatenate(per_feature)
-        if per_feature
-        else np.empty(0, dtype=np.float64)
+    _check_max_bins(max_bins)
+    live = [f for f, sketch in enumerate(sketches) if sketch.count]
+    raw = np.empty((len(live), max_bins - 1), dtype=np.float64)
+    ends = np.empty((len(live), 2), dtype=np.float64)
+    for row, f in enumerate(live):
+        raw[row] = sketches[f].quantiles(max_bins - 1)
+        ends[row] = sketches[f].min_value, sketches[f].max_value
+    zero_cut = include_zero_cut & (ends[:, 0] < 0.0) & (0.0 < ends[:, 1])
+    return _assemble(
+        raw, zero_cut, np.asarray(live, dtype=np.int64), len(sketches), max_bins
     )
-    return CandidateSet(offsets, cuts, max_bins)

@@ -1,11 +1,17 @@
 """Greenwald-Khanna epsilon-approximate quantile summaries.
 
-A GK summary over ``n`` observed values is a sorted list of entries
+A GK summary over ``n`` observed values is a sorted sequence of entries
 ``(value, g, delta)`` where ``g`` is the gap in minimal rank to the
 previous entry and ``delta`` bounds the rank uncertainty of the entry.
 The invariant ``g + delta <= 2 * eps * n`` guarantees that any rank query
 is answered within ``eps * n`` of the true rank [Greenwald & Khanna,
 SIGMOD 2001].
+
+Entries are held as three parallel ndarrays (float64 values; g and delta
+int64, or float64 in weighted rank space).  No method writes into them
+in place — every change rebinds — so the read-only views
+:meth:`from_bytes` takes of a wire payload and the slices
+:func:`sketch_columns` hands out of one batch are ordinary storage.
 
 Three construction paths are provided:
 
@@ -24,121 +30,77 @@ Three construction paths are provided:
 
 from __future__ import annotations
 
-import bisect
 import math
+import struct
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..errors import SketchError
+from .ragged import (
+    ragged_arange,
+    segment_cumsum,
+    segment_searchsorted,
+    sorted_columns,
+)
 
 
-class GKSketch:
-    """Greenwald-Khanna quantile summary.
+def _checked_eps(eps: float) -> float:
+    if not 0.0 < eps < 0.5:
+        raise SketchError(f"eps must be in (0, 0.5), got {eps}")
+    return float(eps)
 
-    Attributes:
-        eps: Target rank-error fraction.
-        count: Number of values summarized.
+
+class _Summary:
+    """What both summaries share: storage, merge, wire format, queries.
+
+    Subclasses name the rank dtype (in memory and on the wire), the wire
+    header, and the three expressions that differ between counted and
+    weighted rank space: the total mass, the merge error of one operand,
+    and the per-group budget of the post-merge compression.
     """
 
     __slots__ = ("eps", "count", "_values", "_g", "_delta")
 
     def __init__(self, eps: float = 0.01) -> None:
-        if not 0.0 < eps < 0.5:
-            raise SketchError(f"eps must be in (0, 0.5), got {eps}")
-        self.eps = float(eps)
-        self.count = 0
-        self._values: list[float] = []
-        self._g: list[int] = []
-        self._delta: list[int] = []
+        none = np.empty(0, dtype=self._RANK)
+        self._fill(_checked_eps(eps), 0, 0.0, np.empty(0, dtype=np.float64), none, none)
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
+    def _fill(self, eps, count, mass, values, g, delta) -> None:
+        self.eps = eps
+        self.count = count
+        self._values = values
+        self._g = g
+        self._delta = delta
 
     @classmethod
-    def from_values(cls, values: Sequence[float] | np.ndarray, eps: float = 0.01) -> "GKSketch":
-        """Build a summary from an in-memory batch by sort-and-sample.
-
-        The result has at most ``ceil(1 / (2 * eps)) + 2`` entries and zero
-        delta everywhere, hence rank error at most ``eps * n``.
-        """
-        arr = np.sort(np.asarray(values, dtype=np.float64))
-        if len(arr) == 0:
-            return cls(eps)
-        return _from_presorted(arr, eps)
-
-    def insert(self, value: float) -> None:
-        """Insert one value (streaming GK insertion with compression)."""
-        value = float(value)
-        self.count += 1
-        threshold = self._threshold()
-        i = bisect.bisect_left(self._values, value)
-        if i == 0 or i == len(self._values):
-            # New minimum or maximum: delta must be 0 at the extremes.
-            self._values.insert(i, value)
-            self._g.insert(i, 1)
-            self._delta.insert(i, 0)
-        else:
-            self._values.insert(i, value)
-            self._g.insert(i, 1)
-            self._delta.insert(i, max(0, threshold - 1))
-        if len(self._values) > self._max_entries():
-            self._compress()
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Insert many values one by one."""
-        for value in values:
-            self.insert(value)
-
-    def _threshold(self) -> int:
-        return max(1, int(math.floor(2.0 * self.eps * self.count)))
+    def _build(cls, *fields):
+        """An instance over already-validated fields (see :meth:`_fill`)."""
+        out = cls.__new__(cls)
+        out._fill(*fields)
+        return out
 
     def _max_entries(self) -> int:
         # Keep roughly 3/eps entries before compressing; GK's bound is
         # O(log(eps * n) / eps) but this fixed cap works well in practice.
         return int(3.0 / self.eps) + 8
 
-    def _compress(self) -> None:
-        """Greedily merge adjacent entries while the GK invariant holds."""
-        if len(self._values) <= 2:
-            return
-        threshold = self._threshold()
-        values = [self._values[0]]
-        gs = [self._g[0]]
-        deltas = [self._delta[0]]
-        for i in range(1, len(self._values) - 1):
-            # Classic GK merge: absorb the previous tuple into this one
-            # when the combined weight plus this tuple's uncertainty still
-            # satisfies the invariant.
-            if len(values) > 1 and gs[-1] + self._g[i] + self._delta[i] <= threshold:
-                gs[-1] += self._g[i]
-                values[-1] = self._values[i]
-                deltas[-1] = self._delta[i]
-            else:
-                values.append(self._values[i])
-                gs.append(self._g[i])
-                deltas.append(self._delta[i])
-        values.append(self._values[-1])
-        gs.append(self._g[-1])
-        deltas.append(self._delta[-1])
-        self._values, self._g, self._delta = values, gs, deltas
-
     # ------------------------------------------------------------------
     # merging (PS-side aggregation)
     # ------------------------------------------------------------------
 
-    def merge(self, other: "GKSketch") -> "GKSketch":
+    def merge(self, other: "_Summary") -> "_Summary":
         """Return a new summary covering both inputs.
 
         Entries are interleaved by value keeping their weights; deltas are
         inflated by the partner sketch's uncertainty, so the merged rank
         error is bounded by ``self.eps * self.count + other.eps *
-        other.count`` — i.e. the errors add, they do not multiply.
+        other.count`` (total weights, for weighted summaries) — i.e. the
+        errors add, they do not multiply.
         """
-        if not isinstance(other, GKSketch):
+        if not isinstance(other, type(self)):
             raise SketchError(
-                f"cannot merge GKSketch with {type(other).__name__}"
+                f"cannot merge {type(self).__name__} with {type(other).__name__}"
             )
         if other.count == 0:
             return self.copy()
@@ -146,41 +108,24 @@ class GKSketch:
             merged = other.copy()
             merged.eps = max(self.eps, other.eps)
             return merged
-        out = GKSketch(max(self.eps, other.eps))
-        out.count = self.count + other.count
-        err_a = int(math.floor(2.0 * self.eps * self.count))
-        err_b = int(math.floor(2.0 * other.eps * other.count))
         # Both inputs are sorted, so a stable sort of the concatenation
         # (self first) reproduces the classic two-pointer interleave,
         # including its take-self-on-ties rule.
-        values = np.concatenate(
-            (
-                np.asarray(self._values, dtype=np.float64),
-                np.asarray(other._values, dtype=np.float64),
-            )
-        )
-        gs = np.concatenate(
-            (
-                np.asarray(self._g, dtype=np.int64),
-                np.asarray(other._g, dtype=np.int64),
-            )
-        )
-        deltas = np.concatenate(
-            (
-                np.asarray(self._delta, dtype=np.int64) + err_b,
-                np.asarray(other._delta, dtype=np.int64) + err_a,
-            )
-        )
+        values = np.concatenate((self._values, other._values))
         order = np.argsort(values, kind="stable")
-        values = values[order]
-        gs = gs[order]
-        deltas = deltas[order]
+        deltas = np.concatenate(
+            (self._delta + other._merge_err(), other._delta + self._merge_err())
+        )[order]
         # Extremes must carry zero delta for exact min/max queries.
-        deltas[0] = 0
-        deltas[-1] = 0
-        out._values = values.tolist()
-        out._g = gs.tolist()
-        out._delta = deltas.tolist()
+        deltas[0] = deltas[-1] = 0
+        out = self._build(
+            max(self.eps, other.eps),
+            self.count + other.count,
+            self._mass + other._mass,
+            values[order],
+            np.concatenate((self._g, other._g))[order],
+            deltas,
+        )
         out._compress_merged()
         return out
 
@@ -195,10 +140,8 @@ class GKSketch:
         # always takes at least one entry).  Group boundaries come from one
         # searchsorted per group over the cumulative g — O(target log n)
         # instead of a Python loop over every entry.
-        budget = max(1, int(math.ceil(sum(self._g) / max(1, target - 2))))
-        values = np.asarray(self._values, dtype=np.float64)
-        gs = np.asarray(self._g, dtype=np.int64)
-        deltas = np.asarray(self._delta, dtype=np.int64)
+        values, gs, deltas = self._values, self._g, self._delta
+        budget = self._group_budget(gs.sum(), max(1, target - 2))
         interior_g = gs[1:-1]
         cum = np.cumsum(interior_g)
         starts: list[int] = []
@@ -209,83 +152,77 @@ class GKSketch:
             base = cum[s] - interior_g[s]
             s = max(s + 1, int(np.searchsorted(cum, base + budget, side="right")))
         start_idx = np.asarray(starts, dtype=np.int64)
-        end_idx = np.append(start_idx[1:], n_interior)
-        grouped_g = np.add.reduceat(interior_g, start_idx)
-        grouped_delta = np.maximum.reduceat(deltas[1:-1], start_idx)
-        grouped_values = values[1:-1][end_idx - 1]
-        self._values = (
-            [float(values[0])] + grouped_values.tolist() + [float(values[-1])]
+        last_of_group = np.concatenate((start_idx[1:], (n_interior,))) - 1
+        self._values = np.concatenate(
+            (values[:1], values[1:-1][last_of_group], values[-1:])
         )
-        self._g = [int(gs[0])] + grouped_g.tolist() + [int(gs[-1])]
-        self._delta = (
-            [int(deltas[0])] + grouped_delta.tolist() + [int(deltas[-1])]
+        self._g = np.concatenate(
+            (gs[:1], np.add.reduceat(interior_g, start_idx), gs[-1:])
+        )
+        self._delta = np.concatenate(
+            (deltas[:1], np.maximum.reduceat(deltas[1:-1], start_idx), deltas[-1:])
         )
 
-    def copy(self) -> "GKSketch":
+    def copy(self) -> "_Summary":
         """Return a deep copy."""
-        out = GKSketch(self.eps)
-        out.count = self.count
-        out._values = list(self._values)
-        out._g = list(self._g)
-        out._delta = list(self._delta)
-        return out
+        return self._build(
+            self.eps,
+            self.count,
+            self._mass,
+            self._values.copy(),
+            self._g.copy(),
+            self._delta.copy(),
+        )
 
     # ------------------------------------------------------------------
     # wire serialization (what CREATE_SKETCH actually pushes)
     # ------------------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Serialize for the PS push: eps + count + packed entries.
-
-        Layout: float64 eps, int64 count, int32 n_entries, then three
-        parallel arrays (float64 values, int32 g, int32 delta).  This is
-        the real wire size the CREATE_SKETCH phase pays per feature.
-        """
-        header = np.empty(2, dtype=np.float64)
-        header[0] = self.eps
-        header[1] = float(self.count)
-        n = np.asarray([len(self._values)], dtype=np.int32)
-        values = np.asarray(self._values, dtype=np.float64)
-        gs = np.asarray(self._g, dtype=np.int32)
-        deltas = np.asarray(self._delta, dtype=np.int32)
-        return b"".join(
-            arr.tobytes() for arr in (header, n, values, gs, deltas)
+    def _frames(self) -> tuple:
+        """The buffers whose concatenation is :meth:`to_bytes`."""
+        return (
+            self._HEAD.pack(*self._head(), len(self._values)),
+            self._values,
+            self._g.astype(self._WIRE_RANK, copy=False),
+            self._delta.astype(self._WIRE_RANK, copy=False),
         )
 
+    def to_bytes(self) -> bytes:
+        """Serialize for the PS push: header, then three parallel arrays
+        (float64 values, g, delta) — the real wire size the CREATE_SKETCH
+        phase pays per feature.  See the subclass for the header layout."""
+        return b"".join(self._frames())
+
     @classmethod
-    def from_bytes(cls, payload: bytes) -> "GKSketch":
-        """Inverse of :meth:`to_bytes`."""
-        if len(payload) < 20:
+    def from_bytes(cls, payload: bytes) -> "_Summary":
+        """Inverse of :meth:`to_bytes`; the arrays are views of ``payload``
+        (g/delta widened once when the wire rank is narrower)."""
+        head, rank = cls._HEAD.size, cls._WIRE_RANK
+        if len(payload) < head:
             raise SketchError(f"sketch payload too short ({len(payload)} bytes)")
-        header = np.frombuffer(payload, dtype=np.float64, count=2)
-        n = int(np.frombuffer(payload, dtype=np.int32, count=1, offset=16)[0])
-        expected = 20 + n * (8 + 4 + 4)
+        *fields, n = cls._HEAD.unpack_from(payload)
+        expected = head + n * (8 + 2 * rank.itemsize)
         if len(payload) != expected:
             raise SketchError(
                 f"sketch payload has {len(payload)} bytes, expected {expected}"
             )
-        sketch = cls(float(header[0]))
-        sketch.count = int(header[1])
-        offset = 20
-        sketch._values = list(
-            np.frombuffer(payload, dtype=np.float64, count=n, offset=offset)
+        eps, count, mass = cls._unhead(*fields)
+        g_at = head + 8 * n
+        g = np.frombuffer(payload, rank, n, g_at)
+        delta = np.frombuffer(payload, rank, n, g_at + rank.itemsize * n)
+        return cls._build(
+            _checked_eps(eps),
+            count,
+            mass,
+            np.frombuffer(payload, np.float64, n, head),
+            g.astype(cls._RANK, copy=False),
+            delta.astype(cls._RANK, copy=False),
         )
-        offset += 8 * n
-        sketch._g = [
-            int(v)
-            for v in np.frombuffer(payload, dtype=np.int32, count=n, offset=offset)
-        ]
-        offset += 4 * n
-        sketch._delta = [
-            int(v)
-            for v in np.frombuffer(payload, dtype=np.int32, count=n, offset=offset)
-        ]
-        return sketch
 
     @property
     def wire_bytes(self) -> int:
         """Size of :meth:`to_bytes` without materializing it."""
-        return 20 + len(self._values) * 16
+        return self._HEAD.size + len(self._values) * (8 + 2 * self._WIRE_RANK.itemsize)
 
     # ------------------------------------------------------------------
     # queries
@@ -294,55 +231,161 @@ class GKSketch:
     def __len__(self) -> int:
         return len(self._values)
 
+    def _entries(self) -> np.ndarray:
+        if self.count == 0:
+            raise SketchError("cannot query an empty sketch")
+        return self._values
+
     @property
     def min_value(self) -> float:
         """Smallest value observed."""
-        if self.count == 0:
-            raise SketchError("cannot query an empty sketch")
-        return self._values[0]
+        return float(self._entries()[0])
 
     @property
     def max_value(self) -> float:
         """Largest value observed."""
-        if self.count == 0:
-            raise SketchError("cannot query an empty sketch")
-        return self._values[-1]
+        return float(self._entries()[-1])
+
+    def _answer(self, targets):
+        """Entry values answering rank ``targets`` (a scalar or an array).
+
+        Entry ``i`` answers target ``t`` when ``t <= rank_min[i] + slack``
+        and ``t <= rank_max[i] + slack``; the first such entry wins, the
+        maximum if none does.  ``rank_max = rank_min + delta`` with
+        ``delta >= 0``, and float addition is monotone, so the second
+        clause can never bind where the first holds: the answer is one
+        ``searchsorted`` over the non-decreasing ``rank_min + slack``.
+        """
+        values = self._entries()
+        bound = np.cumsum(self._g) + self.eps * self._mass
+        first = np.searchsorted(bound, targets, side="left")
+        return values[np.minimum(first, len(bound) - 1)]
 
     def query(self, quantile: float) -> float:
-        """Return a value whose rank is within ``eps * n`` of ``quantile * n``."""
-        if self.count == 0:
-            raise SketchError("cannot query an empty sketch")
+        """Return a value whose rank is within ``eps * n`` of ``quantile * n``
+        (weighted rank and total weight, for weighted summaries)."""
+        self._entries()
         if not 0.0 <= quantile <= 1.0:
             raise SketchError(f"quantile must be in [0, 1], got {quantile}")
-        target = quantile * self.count
-        slack = self.eps * self.count
-        rank_min = np.cumsum(np.asarray(self._g, dtype=np.int64))
-        rank_max = rank_min + np.asarray(self._delta, dtype=np.int64)
-        ok = (target <= rank_max + slack) & (target <= rank_min + slack)
-        if not ok.any():
-            return self._values[-1]
-        return self._values[int(np.argmax(ok))]
+        return float(self._answer(quantile * self._mass))
 
     def quantiles(self, k: int) -> np.ndarray:
         """Return ``k`` evenly spaced interior quantiles (1/(k+1) .. k/(k+1))."""
         if k < 1:
             raise SketchError(f"k must be >= 1, got {k}")
         qs = np.arange(1, k + 1, dtype=np.float64) / (k + 1)
-        return np.asarray([self.query(q) for q in qs], dtype=np.float64)
+        return self._answer(qs * self._mass)
+
+
+class GKSketch(_Summary):
+    """Greenwald-Khanna quantile summary.
+
+    Wire layout: float64 eps, float64 count, int32 n_entries, then
+    float64 values, int32 g, int32 delta.
+
+    Attributes:
+        eps: Target rank-error fraction.
+        count: Number of values summarized.
+    """
+
+    __slots__ = ()
+    _RANK = np.int64
+    _WIRE_RANK = np.dtype(np.int32)
+    _WIRE_TAG = b"\x00"
+    _HEAD = struct.Struct("=ddi")
+
+    @property
+    def _mass(self) -> int:
+        return self.count
+
+    def _merge_err(self) -> int:
+        return int(math.floor(2.0 * self.eps * self.count))
+
+    @staticmethod
+    def _group_budget(total_g, groups: int) -> int:
+        return max(1, int(math.ceil(int(total_g) / groups)))
+
+    def _head(self) -> tuple:
+        return self.eps, float(self.count)
+
+    @staticmethod
+    def _unhead(eps: float, count: float) -> tuple:
+        return eps, int(count), None
+
+    # ------------------------------------------------------------------
+    # construction
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def from_values(
+        cls, values: Sequence[float] | np.ndarray, eps: float = 0.01
+    ) -> "GKSketch":
+        """Build a summary from an in-memory batch by sort-and-sample.
+
+        The result has at most ``ceil(1 / (2 * eps)) + 2`` entries and zero
+        delta everywhere, hence rank error at most ``eps * n``.
+        """
+        arr = np.sort(np.asarray(values, dtype=np.float64))
+        return _sample_sorted(arr, np.asarray((0, len(arr)), dtype=np.int64), eps)[0]
+
+    def insert(self, value: float) -> None:
+        """Insert one value (streaming GK insertion with compression)."""
+        value = float(value)
+        self.count += 1
+        i = int(np.searchsorted(self._values, value, side="left"))
+        # New minimum or maximum: delta must be 0 at the extremes.
+        interior = 0 < i < len(self._values)
+        entry = (value, 1, max(0, self._threshold() - 1) if interior else 0)
+        self._values, self._g, self._delta = (
+            np.concatenate((arr[:i], (field,), arr[i:]))
+            for arr, field in zip((self._values, self._g, self._delta), entry)
+        )
+        if len(self._values) > self._max_entries():
+            self._compress()
+
+    def extend(self, values: Iterable[float]) -> None:
+        """Insert many values one by one."""
+        for value in values:
+            self.insert(value)
+
+    def _threshold(self) -> int:
+        return max(1, int(math.floor(2.0 * self.eps * self.count)))
+
+    def _compress(self) -> None:
+        """Greedily merge adjacent entries while the GK invariant holds."""
+        if len(self._values) <= 2:
+            return
+        threshold = self._threshold()
+        src_values, src_g, src_delta = (
+            self._values.tolist(), self._g.tolist(), self._delta.tolist()
+        )
+        values, gs, deltas = src_values[:1], src_g[:1], src_delta[:1]
+        for i in range(1, len(src_values) - 1):
+            # Classic GK merge: absorb the previous tuple into this one
+            # when the combined weight plus this tuple's uncertainty still
+            # satisfies the invariant.
+            if len(values) > 1 and gs[-1] + src_g[i] + src_delta[i] <= threshold:
+                gs[-1] += src_g[i]
+                values[-1] = src_values[i]
+                deltas[-1] = src_delta[i]
+            else:
+                values.append(src_values[i])
+                gs.append(src_g[i])
+                deltas.append(src_delta[i])
+        self._values = np.asarray(values + src_values[-1:], dtype=np.float64)
+        self._g = np.asarray(gs + src_g[-1:], dtype=np.int64)
+        self._delta = np.asarray(deltas + src_delta[-1:], dtype=np.int64)
 
     def rank_of(self, value: float) -> tuple[int, int]:
         """Return (rank_min, rank_max) bounds for ``value`` (test helper)."""
-        if self.count == 0:
-            raise SketchError("cannot query an empty sketch")
-        rank_min = 0
-        for i in range(len(self._values)):
-            if self._values[i] > value:
-                return rank_min, rank_min + (self._delta[i - 1] if i else 0)
-            rank_min += self._g[i]
-        return rank_min, rank_min
+        above = int(np.searchsorted(self._entries(), value, side="right"))
+        rank_min = int(self._g[:above].sum())
+        if above in (0, len(self._values)):
+            return rank_min, rank_min
+        return rank_min, rank_min + int(self._delta[above - 1])
 
 
-class WeightedGKSketch:
+class WeightedGKSketch(_Summary):
     """Weighted mergeable quantile summary (hessian-weighted entries).
 
     Follows the mergeable weighted quantile construction of Huang & Yi
@@ -356,27 +399,42 @@ class WeightedGKSketch:
     unweighted case, so distributed use builds local summaries at
     ``eps / 2`` to end below ``eps`` after one merge level.
 
+    Wire layout: float64 eps, float64 total_weight, int64 count, int32
+    n_entries, then three parallel float64 arrays (values, g, delta).
+
     Attributes:
         eps: Target weighted-rank-error fraction.
         count: Number of items summarized.
         total_weight: Total weight summarized.
     """
 
-    __slots__ = ("eps", "count", "total_weight", "_values", "_g", "_delta")
+    __slots__ = ("total_weight",)
+    _RANK = np.float64
+    _WIRE_RANK = np.dtype(np.float64)
+    _WIRE_TAG = b"\x01"
+    _HEAD = struct.Struct("=ddqi")
 
-    def __init__(self, eps: float = 0.01) -> None:
-        if not 0.0 < eps < 0.5:
-            raise SketchError(f"eps must be in (0, 0.5), got {eps}")
-        self.eps = float(eps)
-        self.count = 0
-        self.total_weight = 0.0
-        self._values: list[float] = []
-        self._g: list[float] = []
-        self._delta: list[float] = []
+    def _fill(self, eps, count, mass, values, g, delta) -> None:
+        super()._fill(eps, count, mass, values, g, delta)
+        self.total_weight = mass
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
+    @property
+    def _mass(self) -> float:
+        return self.total_weight
+
+    def _merge_err(self) -> float:
+        return 2.0 * self.eps * self.total_weight
+
+    @staticmethod
+    def _group_budget(total_g, groups: int) -> float:
+        return max(float(total_g) / groups, np.finfo(np.float64).tiny)
+
+    def _head(self) -> tuple:
+        return self.eps, self.total_weight, self.count
+
+    @staticmethod
+    def _unhead(eps: float, total_weight: float, count: int) -> tuple:
+        return eps, count, total_weight
 
     @classmethod
     def from_values(
@@ -395,231 +453,80 @@ class WeightedGKSketch:
         if arr.size and float(wts.min()) < 0.0:
             raise SketchError("weights must be non-negative")
         order = np.argsort(arr, kind="stable")
-        return _from_presorted_weighted(arr[order], wts[order], eps)
-
-    def _max_entries(self) -> int:
-        return int(3.0 / self.eps) + 8
-
-    # ------------------------------------------------------------------
-    # merging (PS-side aggregation)
-    # ------------------------------------------------------------------
-
-    def merge(self, other: "WeightedGKSketch") -> "WeightedGKSketch":
-        """Return a new summary covering both inputs (errors add)."""
-        if not isinstance(other, WeightedGKSketch):
-            raise SketchError(
-                f"cannot merge WeightedGKSketch with {type(other).__name__}"
-            )
-        if other.count == 0:
-            return self.copy()
-        if self.count == 0:
-            merged = other.copy()
-            merged.eps = max(self.eps, other.eps)
-            return merged
-        out = WeightedGKSketch(max(self.eps, other.eps))
-        out.count = self.count + other.count
-        out.total_weight = self.total_weight + other.total_weight
-        err_a = 2.0 * self.eps * self.total_weight
-        err_b = 2.0 * other.eps * other.total_weight
-        values = np.concatenate(
-            (
-                np.asarray(self._values, dtype=np.float64),
-                np.asarray(other._values, dtype=np.float64),
-            )
-        )
-        gs = np.concatenate(
-            (
-                np.asarray(self._g, dtype=np.float64),
-                np.asarray(other._g, dtype=np.float64),
-            )
-        )
-        deltas = np.concatenate(
-            (
-                np.asarray(self._delta, dtype=np.float64) + err_b,
-                np.asarray(other._delta, dtype=np.float64) + err_a,
-            )
-        )
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        gs = gs[order]
-        deltas = deltas[order]
-        deltas[0] = 0.0
-        deltas[-1] = 0.0
-        out._values = values.tolist()
-        out._g = gs.tolist()
-        out._delta = deltas.tolist()
-        out._compress_merged()
-        return out
-
-    def _compress_merged(self) -> None:
-        """Size-driven compression after merge (weighted-g budget)."""
-        target = self._max_entries()
-        if len(self._values) <= target:
-            return
-        values = np.asarray(self._values, dtype=np.float64)
-        gs = np.asarray(self._g, dtype=np.float64)
-        deltas = np.asarray(self._delta, dtype=np.float64)
-        budget = max(
-            float(gs.sum()) / max(1, target - 2), np.finfo(np.float64).tiny
-        )
-        interior_g = gs[1:-1]
-        cum = np.cumsum(interior_g)
-        starts: list[int] = []
-        s = 0
-        n_interior = len(interior_g)
-        while s < n_interior:
-            starts.append(s)
-            base = cum[s] - interior_g[s]
-            s = max(s + 1, int(np.searchsorted(cum, base + budget, side="right")))
-        start_idx = np.asarray(starts, dtype=np.int64)
-        end_idx = np.append(start_idx[1:], n_interior)
-        grouped_g = np.add.reduceat(interior_g, start_idx)
-        grouped_delta = np.maximum.reduceat(deltas[1:-1], start_idx)
-        grouped_values = values[1:-1][end_idx - 1]
-        self._values = (
-            [float(values[0])] + grouped_values.tolist() + [float(values[-1])]
-        )
-        self._g = [float(gs[0])] + grouped_g.tolist() + [float(gs[-1])]
-        self._delta = (
-            [float(deltas[0])] + grouped_delta.tolist() + [float(deltas[-1])]
-        )
-
-    def copy(self) -> "WeightedGKSketch":
-        """Return a deep copy."""
-        out = WeightedGKSketch(self.eps)
-        out.count = self.count
-        out.total_weight = self.total_weight
-        out._values = list(self._values)
-        out._g = list(self._g)
-        out._delta = list(self._delta)
-        return out
-
-    # ------------------------------------------------------------------
-    # wire serialization
-    # ------------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize for the PS push.
-
-        Layout: float64 eps, float64 total_weight, int64 count, int32
-        n_entries, then three parallel float64 arrays (values, g, delta).
-        """
-        header = np.empty(2, dtype=np.float64)
-        header[0] = self.eps
-        header[1] = self.total_weight
-        count = np.asarray([self.count], dtype=np.int64)
-        n = np.asarray([len(self._values)], dtype=np.int32)
-        values = np.asarray(self._values, dtype=np.float64)
-        gs = np.asarray(self._g, dtype=np.float64)
-        deltas = np.asarray(self._delta, dtype=np.float64)
-        return b"".join(
-            arr.tobytes() for arr in (header, count, n, values, gs, deltas)
-        )
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "WeightedGKSketch":
-        """Inverse of :meth:`to_bytes`."""
-        if len(payload) < 28:
-            raise SketchError(f"sketch payload too short ({len(payload)} bytes)")
-        header = np.frombuffer(payload, dtype=np.float64, count=2)
-        count = int(np.frombuffer(payload, dtype=np.int64, count=1, offset=16)[0])
-        n = int(np.frombuffer(payload, dtype=np.int32, count=1, offset=24)[0])
-        expected = 28 + n * 24
-        if len(payload) != expected:
-            raise SketchError(
-                f"sketch payload has {len(payload)} bytes, expected {expected}"
-            )
-        sketch = cls(float(header[0]))
-        sketch.count = count
-        sketch.total_weight = float(header[1])
-        offset = 28
-        sketch._values = list(
-            np.frombuffer(payload, dtype=np.float64, count=n, offset=offset)
-        )
-        offset += 8 * n
-        sketch._g = list(
-            np.frombuffer(payload, dtype=np.float64, count=n, offset=offset)
-        )
-        offset += 8 * n
-        sketch._delta = list(
-            np.frombuffer(payload, dtype=np.float64, count=n, offset=offset)
-        )
-        return sketch
-
-    @property
-    def wire_bytes(self) -> int:
-        """Size of :meth:`to_bytes` without materializing it."""
-        return 28 + len(self._values) * 24
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def min_value(self) -> float:
-        """Smallest value observed."""
-        if self.count == 0:
-            raise SketchError("cannot query an empty sketch")
-        return self._values[0]
-
-    @property
-    def max_value(self) -> float:
-        """Largest value observed."""
-        if self.count == 0:
-            raise SketchError("cannot query an empty sketch")
-        return self._values[-1]
-
-    def query(self, quantile: float) -> float:
-        """Return a value whose weighted rank is within ``eps * W`` of
-        ``quantile * W``."""
-        if self.count == 0:
-            raise SketchError("cannot query an empty sketch")
-        if not 0.0 <= quantile <= 1.0:
-            raise SketchError(f"quantile must be in [0, 1], got {quantile}")
-        target = quantile * self.total_weight
-        slack = self.eps * self.total_weight
-        rank_min = np.cumsum(np.asarray(self._g, dtype=np.float64))
-        rank_max = rank_min + np.asarray(self._delta, dtype=np.float64)
-        ok = (target <= rank_max + slack) & (target <= rank_min + slack)
-        if not ok.any():
-            return self._values[-1]
-        return self._values[int(np.argmax(ok))]
-
-    def quantiles(self, k: int) -> np.ndarray:
-        """Return ``k`` evenly spaced interior quantiles (1/(k+1) .. k/(k+1))."""
-        if k < 1:
-            raise SketchError(f"k must be >= 1, got {k}")
-        qs = np.arange(1, k + 1, dtype=np.float64) / (k + 1)
-        return np.asarray([self.query(q) for q in qs], dtype=np.float64)
+        bounds = np.asarray((0, len(arr)), dtype=np.int64)
+        return _sample_sorted_weighted(arr[order], wts[order], bounds, eps)[0]
 
 
-def _from_presorted_weighted(
-    sorted_values: np.ndarray, weights: np.ndarray, eps: float
-) -> WeightedGKSketch:
-    """Build a weighted summary from values presorted ascending."""
-    sketch = WeightedGKSketch(eps)
-    n = len(sorted_values)
-    if n == 0:
-        return sketch
-    cum_weight = np.cumsum(weights)
-    total = float(cum_weight[-1])
-    if total <= 0.0:
-        # All-zero weights carry no rank information; summarize nothing.
-        return sketch
+def _sample_sorted(
+    sorted_values: np.ndarray, bounds: np.ndarray, eps: float
+) -> list[GKSketch]:
+    """One sort-and-sample summary per ``bounds`` segment of presorted values.
+
+    Segment of ``n`` values keeps positions ``0, step, 2*step, ...`` plus
+    ``n - 1``, ``step = max(1, floor(2 * eps * n))`` — computed for every
+    segment at once; the summaries are slices of the shared result.
+    """
+    eps = _checked_eps(eps)
+    n = np.diff(bounds)
+    step = np.maximum(1, np.floor(2.0 * eps * n).astype(np.int64))
+    kept = -(-n // step)
+    kept += (kept - 1) * step < n - 1  # the maximum is always an entry
+    segment, i = ragged_arange(kept)
+    pos = np.minimum(i * step[segment], (n - 1)[segment])
+    values = sorted_values[bounds[:-1][segment] + pos]
+    g = np.diff(pos, prepend=-1)
+    g[i == 0] = 1
+    delta = np.zeros(len(pos), dtype=np.int64)
+    ends = np.cumsum(kept)
+    return [
+        GKSketch._build(eps, int(count), None, values[a:b], g[a:b], delta[a:b])
+        for a, b, count in zip(ends - kept, ends, n)
+    ]
+
+
+def _sample_sorted_weighted(
+    sorted_values: np.ndarray, weights: np.ndarray, bounds: np.ndarray, eps: float
+) -> list[WeightedGKSketch]:
+    """One weighted summary per ``bounds`` segment of presorted values.
+
+    A segment of total weight ``W`` keeps its first and last value and
+    the first value whose cumulative weight reaches each multiple of
+    ``2 * eps * W``.  Segments with no weight summarize nothing.
+    """
+    eps = _checked_eps(eps)
+    sketches = [WeightedGKSketch(eps) for _ in range(len(bounds) - 1)]
+    cum = segment_cumsum(weights, bounds)
+    live = np.flatnonzero(np.diff(bounds) > 0)
+    live = live[cum[bounds[1:][live] - 1] > 0.0]
+    if len(live) == 0:
+        return sketches
+    lo, hi = bounds[:-1][live], bounds[1:][live]
+    total = cum[hi - 1]
     step = 2.0 * eps * total
-    thresholds = np.arange(step, total, step, dtype=np.float64)
-    positions = np.searchsorted(cum_weight, thresholds, side="left")
-    positions = np.unique(np.concatenate(([0], positions, [n - 1])))
-    kept = cum_weight[positions]
-    sketch._values = sorted_values[positions].astype(np.float64).tolist()
-    sketch._g = np.diff(kept, prepend=0.0).tolist()
-    sketch._delta = [0.0] * len(positions)
-    sketch.count = n
-    sketch.total_weight = total
-    return sketch
+    # Thresholds are np.arange(step, total, step): step + j * step.  Entry 0
+    # of a segment is threshold 0 (position 0), the last entry its maximum.
+    n_thresholds = np.maximum(np.ceil((total - step) / step), 0).astype(np.int64)
+    segment, j = ragged_arange(n_thresholds + 2)
+    thresholds = step[segment] + (j - 1) * step[segment]
+    last = hi[segment] - 1
+    at = segment_searchsorted(cum, lo[segment], hi[segment], thresholds, "left")
+    at = np.where(j > n_thresholds[segment], last, np.minimum(at, last))
+    first = j == 0
+    keep = first.copy()
+    keep[1:] |= at[1:] != at[:-1]
+    at, first = at[keep], first[keep]
+    reached = cum[at]
+    g = np.diff(reached, prepend=0.0)
+    g[first] = reached[first]
+    values = sorted_values[at]
+    delta = np.zeros(len(at), dtype=np.float64)
+    kept = np.bincount(segment[keep], minlength=len(live))
+    ends = np.cumsum(kept)
+    for col, a, b, count, weight in zip(live, ends - kept, ends, hi - lo, total):
+        sketches[col]._fill(
+            eps, int(count), float(weight), values[a:b], g[a:b], delta[a:b]
+        )
+    return sketches
 
 
 def sketch_columns(
@@ -631,13 +538,13 @@ def sketch_columns(
 ) -> list[GKSketch]:
     """Build one GK summary per column of a CSR matrix in a single pass.
 
-    Sorts all nonzeros by (column, value) with one lexsort and batch-builds
-    each column's summary from its sorted segment — much faster than
+    Sorts all nonzeros by (column, value) with one lexsort and samples
+    every column's sorted segment in one ragged pass — much faster than
     streaming per-value inserts when the shard is already in memory.
 
     Args:
-        indptr, indices, data: CSR arrays (indptr is unused but accepted to
-            mirror the matrix signature).
+        indptr, indices, data: CSR arrays.  Column summaries only need the
+            (column, value) pairs; ``indptr`` mirrors the matrix signature.
         n_cols: Number of columns (features).
         eps: Rank-error target of each summary.
 
@@ -645,34 +552,8 @@ def sketch_columns(
         A list of ``n_cols`` sketches; columns with no stored values get an
         empty sketch.
     """
-    del indptr  # column sketches only need (column, value) pairs
-    order = np.lexsort((data, indices))
-    sorted_cols = indices[order]
-    sorted_vals = data[order].astype(np.float64)
-    boundaries = np.searchsorted(sorted_cols, np.arange(n_cols + 1))
-    sketches: list[GKSketch] = []
-    for col in range(n_cols):
-        lo, hi = int(boundaries[col]), int(boundaries[col + 1])
-        if hi > lo:
-            sketches.append(_from_presorted(sorted_vals[lo:hi], eps))
-        else:
-            sketches.append(GKSketch(eps))
-    return sketches
-
-
-def _from_presorted(sorted_values: np.ndarray, eps: float) -> GKSketch:
-    """Like :meth:`GKSketch.from_values` but skips the sort."""
-    sketch = GKSketch(eps)
-    n = len(sorted_values)
-    step = max(1, int(math.floor(2.0 * eps * n)))
-    positions = np.arange(0, n, step, dtype=np.int64)
-    if positions[-1] != n - 1:
-        positions = np.append(positions, n - 1)
-    sketch._values = sorted_values[positions].astype(np.float64).tolist()
-    sketch._g = np.diff(positions, prepend=-1).tolist()
-    sketch._delta = [0] * len(positions)
-    sketch.count = n
-    return sketch
+    _, sorted_vals, bounds = sorted_columns(indices, data, n_cols)
+    return _sample_sorted(sorted_vals, bounds, eps)
 
 
 def sketch_columns_weighted(
@@ -707,34 +588,17 @@ def sketch_columns_weighted(
             f"row_weights has {len(weights)} entries for {n_rows} rows"
         )
     row_of = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
-    nnz_weights = weights[row_of]
-    order = np.lexsort((data, indices))
-    sorted_cols = indices[order]
-    sorted_vals = data[order].astype(np.float64)
-    sorted_wts = nnz_weights[order]
-    boundaries = np.searchsorted(sorted_cols, np.arange(n_cols + 1))
-    sketches: list[WeightedGKSketch] = []
-    for col in range(n_cols):
-        lo, hi = int(boundaries[col]), int(boundaries[col + 1])
-        if hi > lo:
-            sketches.append(
-                _from_presorted_weighted(
-                    sorted_vals[lo:hi], sorted_wts[lo:hi], eps
-                )
-            )
-        else:
-            sketches.append(WeightedGKSketch(eps))
-    return sketches
+    order, sorted_vals, bounds = sorted_columns(indices, data, n_cols)
+    return _sample_sorted_weighted(sorted_vals, weights[row_of[order]], bounds, eps)
 
 
 # ----------------------------------------------------------------------
 # tagged wire format (what push_sketch actually sends)
 # ----------------------------------------------------------------------
 
-_WIRE_KIND_GK = 0
-_WIRE_KIND_WEIGHTED = 1
-
 AnySketch = GKSketch | WeightedGKSketch
+
+_WIRE_KINDS = {cls._WIRE_TAG[0]: cls for cls in (GKSketch, WeightedGKSketch)}
 
 
 def sketch_to_wire(sketch: AnySketch) -> bytes:
@@ -744,20 +608,16 @@ def sketch_to_wire(sketch: AnySketch) -> bytes:
     the same handler without guessing from payload length.  The untagged
     :meth:`GKSketch.to_bytes` layout is unchanged.
     """
-    if isinstance(sketch, WeightedGKSketch):
-        return bytes([_WIRE_KIND_WEIGHTED]) + sketch.to_bytes()
-    if isinstance(sketch, GKSketch):
-        return bytes([_WIRE_KIND_GK]) + sketch.to_bytes()
-    raise SketchError(f"cannot serialize {type(sketch).__name__} for the wire")
+    if not isinstance(sketch, _Summary):
+        raise SketchError(f"cannot serialize {type(sketch).__name__} for the wire")
+    return b"".join((sketch._WIRE_TAG, *sketch._frames()))
 
 
 def sketch_from_wire(payload: bytes) -> AnySketch:
     """Inverse of :func:`sketch_to_wire`."""
     if len(payload) < 1:
         raise SketchError("empty sketch wire payload")
-    kind = payload[0]
-    if kind == _WIRE_KIND_GK:
-        return GKSketch.from_bytes(payload[1:])
-    if kind == _WIRE_KIND_WEIGHTED:
-        return WeightedGKSketch.from_bytes(payload[1:])
-    raise SketchError(f"unknown sketch wire tag {kind}")
+    kind = _WIRE_KINDS.get(payload[0])
+    if kind is None:
+        raise SketchError(f"unknown sketch wire tag {payload[0]}")
+    return kind.from_bytes(payload[1:])

@@ -1,0 +1,72 @@
+"""Ragged-array helpers shared by batch sketching and candidate assembly.
+
+Per-feature work in CREATE_SKETCH is tiny (a few dozen numbers), so at
+high dimension the cost is the number of numpy calls, not the data.
+These helpers let one call cover every feature's segment of a flat
+array at once.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def sorted_columns(
+    indices: np.ndarray, data: np.ndarray, n_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort CSR nonzeros by (column, value) with one lexsort.
+
+    Returns ``(order, sorted_values, bounds)``: column ``c``'s ascending
+    values are ``sorted_values[bounds[c]:bounds[c + 1]]``.
+    """
+    order = np.lexsort((data, indices))
+    bounds = np.searchsorted(indices[order], np.arange(n_cols + 1))
+    return order, data[order].astype(np.float64), bounds
+
+
+def ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(segment, index within segment)`` for segments of ``counts`` sizes."""
+    segment = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return segment, np.arange(len(segment), dtype=np.int64) - starts[segment]
+
+
+def segment_searchsorted(
+    keys: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    targets: np.ndarray,
+    side: str,
+) -> np.ndarray:
+    """``searchsorted(keys[lo[i]:hi[i]], targets[i], side) + lo[i]`` for all i.
+
+    Branchless bisection over every query at once; ``keys`` need only be
+    sorted within each ``[lo, hi)`` segment.  Takes ``log2`` of the
+    longest segment rounds.
+    """
+    lo = np.array(lo, dtype=np.int64)
+    hi = np.array(hi, dtype=np.int64)
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) >> 1
+        # A finished query's mid may sit one past the end; clip, then mask.
+        probe = keys.take(mid, mode="clip")
+        below = (probe <= targets) if side == "right" else (probe < targets)
+        go_right = active & below
+        lo = np.where(go_right, mid + 1, lo)
+        hi = np.where(active & ~go_right, mid, hi)
+
+
+def segment_cumsum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Running sums restarting at every ``bounds`` segment.
+
+    Each segment is summed from its own first element, so it is the same
+    float sequence as ``np.cumsum`` of that segment alone (a global cumsum
+    minus an offset is not).
+    """
+    out = np.empty(len(values), dtype=np.float64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.cumsum(values[lo:hi], out=out[lo:hi])
+    return out

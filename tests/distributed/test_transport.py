@@ -13,6 +13,9 @@ recovery on a feature-striped grid.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from repro.chaos import FaultEvent, FaultInjector, FaultPlan, FaultyFabric, Retr
 from repro.cluster.costmodel import compressed_slab_bytes, sparse_slab_bytes
 from repro.cluster.simclock import SimClock
 from repro.config import ClusterConfig, NetworkCost, TrainConfig
-from repro.datasets import SyntheticSpec, make_sparse_classification
+from repro.datasets import Dataset, SyntheticSpec, gender_like, make_sparse_classification
 from repro.distributed import DistributedGBDT
 from repro.ps import ParameterServerGroup
 from repro.ps.slab import SlabLayout, SparseSlab, compress_slab
@@ -215,6 +218,76 @@ class TestEngineSketchModes:
                 TrainConfig(n_trees=1),
                 sketch_mode="telepathic",
             )
+
+
+PIN_LAYOUTS = {
+    "row4x1": dict(n_workers=4, n_servers=2),
+    "grid2x2": dict(n_workers=4, n_servers=2, grid=(2, 2)),
+}
+#: (layout, sketch_mode) -> (model sha256, breakdown.communication,
+#: sha256 of offsets + cuts + zero_bins)
+ENGINE_PINS = {
+    ("row4x1", "distributed"): (
+        "8cf0075a500857176cee1d6a9f46f94ed7604ebbfa4ebfe4e15d38165f8bd1d2",
+        0.017867096,
+        "44bc63b3f4e6cc67c7f1806c27d0f79f2f8e2a3e854074bc9652dc4ea0fbb7e3",
+    ),
+    ("row4x1", "weighted"): (
+        "8bc241414cca6bbe07c7126be6311bd736371439fdec2e14b6cea628951adab0",
+        0.019875031999999994,
+        "196916011a8d177c200a2f53fd362a13730e4e0f47743689b748e44af542bc4a",
+    ),
+    ("grid2x2", "distributed"): (
+        "d4be0c693b0a430be02afaed19ecefdcd249ce3a7d75bf942fb04bb2de5d5aa3",
+        0.014505430000000003,
+        "a86ee7e4eda1e3c2da1ed8185dac13a7e27e8f27a6e7df182e8f1ae391c2df25",
+    ),
+    ("grid2x2", "weighted"): (
+        "817328ee365a8f7f1b5f52f4ffc9201736cf3c0af04e4809509296a3fca4df2a",
+        0.015533580000000005,
+        "3cee05d07126f3cefea753881e2a05e251b2d75d917a5f407449aaab6dd033ef",
+    ),
+}
+
+
+class _CapturingGBDT(DistributedGBDT):
+    """Keeps the candidate set CREATE_SKETCH produced."""
+
+    def _propose_candidates(self, *args, **kwargs):
+        out = super()._propose_candidates(*args, **kwargs)
+        self.candidates = out[0]
+        return out
+
+
+class TestEngineSketchPins:
+    """Recorded on the list-backed summaries, before PR 14 moved them to
+    ndarrays: the model, the simulated communication seconds (hence every
+    billed sketch byte) and the candidate set of a small seeded
+    Gender-like fit.  A representation change must not move any of them."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        base = gender_like(scale=0.02, seed=11)  # 800 x 660
+        weights = np.random.default_rng(11).uniform(0.25, 4.0, size=base.n_instances)
+        return Dataset(base.X, base.y, base.name, weights)
+
+    @pytest.mark.parametrize("layout, mode", sorted(ENGINE_PINS))
+    def test_model_bytes_and_candidates_pinned(self, data, layout, mode):
+        trainer = _CapturingGBDT(
+            "dimboost",
+            ClusterConfig(**PIN_LAYOUTS[layout]),
+            TrainConfig(n_trees=2, max_depth=4, sketch_eps=0.05),
+            sketch_mode=mode,
+        )
+        result = trainer.fit(data)
+        found = trainer.candidates
+        model = json.dumps(result.model.to_dict(), sort_keys=True).encode("utf-8")
+        cuts = found.offsets.tobytes() + found.cuts.tobytes() + found.zero_bins.tobytes()
+        assert (
+            hashlib.sha256(model).hexdigest(),
+            result.breakdown.communication,
+            hashlib.sha256(cuts).hexdigest(),
+        ) == ENGINE_PINS[layout, mode]
 
 
 class TestCompressedSlabTransport:

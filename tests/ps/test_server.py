@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import PSError
+from repro.errors import PSError, SketchError
 from repro.ps import PSServer
 from repro.ps.partitioner import Partition
+from repro.sketch import (
+    GKSketch,
+    WeightedGKSketch,
+    sketch_from_wire,
+    sketch_to_wire,
+)
 
 
 @pytest.fixture()
@@ -119,3 +125,66 @@ class TestMaintenance:
     def test_clear_unknown_parameter(self, server):
         with pytest.raises(PSError):
             server.clear_row("nope", 0)
+
+
+class TestSketchPushAllOrNothing:
+    """A sketch push that raises must leave no trace: no merged feature, no
+    recorded token — so its corrected retry is applied, not swallowed."""
+
+    def frames(self, features, seed=0, weighted=False):
+        rng = np.random.default_rng(seed)
+        out = []
+        for f in features:
+            values = rng.normal(loc=f, size=40)
+            sketch = (
+                WeightedGKSketch.from_values(values, rng.uniform(0.1, 2, 40), 0.05)
+                if weighted
+                else GKSketch.from_values(values, 0.05)
+            )
+            out.append((f, sketch_to_wire(sketch)))
+        return out
+
+    def state(self, server):
+        return server.handle_pull_sketch("hist", 0), server.duplicate_pushes
+
+    @pytest.mark.parametrize(
+        "spoil, error",
+        [
+            (lambda good: good[:-1] + [(15, good[-1][1])], PSError),  # out of range
+            (lambda good: good[:-1] + [(3, b"\x07" + good[-1][1][1:])], SketchError),  # tag
+            (lambda good: good[:-1] + [(3, good[-1][1][:-3])], SketchError),  # length
+        ],
+        ids=["range", "tag", "length"],
+    )
+    def test_mixed_payload_leaves_no_trace(self, server, spoil, error):
+        server.handle_push_sketch("hist", 0, self.frames([1, 2], seed=1), seq=("sketch", 0))
+        before = self.state(server)
+        good = self.frames([1, 2, 3], seed=2)
+        with pytest.raises(error):
+            server.handle_push_sketch("hist", 0, spoil(good), seq=("sketch", 1))
+        assert self.state(server) == before
+        # The corrected retry under the same seq is a first delivery ...
+        server.handle_push_sketch("hist", 0, good, seq=("sketch", 1))
+        after, duplicates = self.state(server)
+        assert duplicates == before[1]
+        assert [f for f, _ in after] == [1, 2, 3] and after[:2] != before[0]
+        # ... and only its replay is a duplicate.
+        server.handle_push_sketch("hist", 0, good, seq=("sketch", 1))
+        assert self.state(server) == (after, duplicates + 1)
+
+    def test_kind_mismatch_leaves_no_trace(self, server):
+        """A frame that parses but cannot merge (weighted into unweighted)
+        fails the whole push too."""
+        server.handle_push_sketch("hist", 0, self.frames([2], seed=1), seq=("sketch", 0))
+        before = self.state(server)
+        mixed = self.frames([1], seed=3) + self.frames([2], seed=3, weighted=True)
+        with pytest.raises(SketchError, match="cannot merge"):
+            server.handle_push_sketch("hist", 0, mixed, seq=("sketch", 1))
+        assert self.state(server) == before
+
+    def test_repeated_feature_in_one_payload_folds_in_order(self, server):
+        frames = self.frames([4], seed=5) + self.frames([4], seed=6)
+        server.handle_push_sketch("hist", 0, frames)
+        (feature, wire), = server.handle_pull_sketch("hist", 0)
+        folded = sketch_from_wire(frames[0][1]).merge(sketch_from_wire(frames[1][1]))
+        assert feature == 4 and wire == sketch_to_wire(folded)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SketchError
-from repro.sketch import GKSketch
+from repro.sketch import GKSketch, WeightedGKSketch
 
 
 class TestWireFormat:
@@ -54,3 +54,76 @@ class TestWireFormat:
             GKSketch.from_bytes(payload[:-4])
         with pytest.raises(SketchError):
             GKSketch.from_bytes(b"xx")
+
+
+def _summary(weighted: bool, seed: int, n: int = 400, eps: float = 0.05):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n)
+    if weighted:
+        return WeightedGKSketch.from_values(values, rng.uniform(0.1, 2.0, size=n), eps)
+    return GKSketch.from_values(values, eps)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["gk", "weighted"])
+class TestParsedSummaryIsFullCitizen:
+    """``from_bytes`` yields read-only views into the payload; everything a
+    built summary can do, a parsed one can too, and nothing it does writes
+    through to the payload or to another summary."""
+
+    def parse(self, weighted, sketch):
+        cls = WeightedGKSketch if weighted else GKSketch
+        payload = sketch.to_bytes()
+        return cls.from_bytes(payload), payload, bytes(bytearray(payload))
+
+    def test_arrays_are_views_of_the_payload(self, weighted):
+        parsed, payload, _ = self.parse(weighted, _summary(weighted, 0))
+        assert not parsed._values.flags.writeable
+        assert np.shares_memory(parsed._values, np.frombuffer(payload, np.uint8))
+
+    def test_query_copy_reserialise(self, weighted):
+        built = _summary(weighted, 1)
+        parsed, payload, snapshot = self.parse(weighted, built)
+        assert parsed.quantiles(19).tobytes() == built.quantiles(19).tobytes()
+        assert [parsed.query(q) for q in (0.0, 0.3, 1.0)] == [
+            built.query(q) for q in (0.0, 0.3, 1.0)
+        ]
+        assert (parsed.min_value, parsed.max_value) == (built.min_value, built.max_value)
+        assert parsed.to_bytes() == payload
+        clone = parsed.copy()
+        assert clone.to_bytes() == payload
+        assert clone._values.flags.writeable and clone._g.flags.writeable
+        clone._values[0] = -1e9  # a copy owns its arrays
+        clone._delta[-1] = 7
+        assert parsed.to_bytes() == payload == snapshot
+
+    def test_merge_on_either_side(self, weighted):
+        a, b = _summary(weighted, 2, eps=0.004), _summary(weighted, 3, n=900, eps=0.45)
+        pa, payload_a, snap_a = self.parse(weighted, a)
+        pb, payload_b, snap_b = self.parse(weighted, b)
+        expected = a.merge(b).to_bytes()  # coarse eps: _compress_merged fires
+        assert len(a.merge(b)) < len(a) + len(b)
+        for left, right in ((pa, b), (a, pb), (pa, pb)):
+            merged = left.merge(right)
+            assert merged.to_bytes() == expected
+            merged._values[:] = 0.0  # the result owns its arrays too
+            merged._g[:] = 0
+            merged._delta[:] = 0
+        empty = type(a)(0.05)
+        for merged in (pa.merge(empty), empty.merge(pa)):
+            assert merged.to_bytes()[8:] == payload_a[8:]  # all but the eps field
+            merged._values[:] = 0.0
+        assert (payload_a, payload_b) == (snap_a, snap_b)
+        assert pa.to_bytes() == a.to_bytes() and pb.to_bytes() == b.to_bytes()
+
+
+def test_insert_into_parsed_summary():
+    built = _summary(False, 4, n=50, eps=0.2)
+    payload = built.to_bytes()
+    snapshot = bytes(bytearray(payload))
+    parsed = GKSketch.from_bytes(payload)
+    for value in (-10.0, 0.0, 10.0, 0.0):
+        built.insert(value)
+        parsed.insert(value)
+    assert parsed.to_bytes() == built.to_bytes() != payload
+    assert parsed.count == 54 and parsed.min_value == -10.0
+    assert payload == snapshot
