@@ -54,7 +54,7 @@ def main() -> None:
         sketch_eps=0.02,
     )
     result = train_distributed(
-        "dimboost", train, cluster, config, distributed_sketch=True
+        "dimboost", train, cluster, config, sketch_mode="distributed"
     )
     print(
         f"trained in {result.sim_seconds:.3f} simulated seconds "

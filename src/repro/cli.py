@@ -40,7 +40,7 @@ from .datasets import (
     train_test_split,
 )
 from .distributed import BACKEND_NAMES, train_distributed
-from .errors import ReproError
+from .errors import ConfigError, ReproError
 from .runtime.hooks import TrainerCallback
 
 _PRESETS: dict[str, Callable] = {
@@ -156,35 +156,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"loaded {data}")
     config = _config_from_args(args, bits=args.compression_bits)
     callbacks = [_ProgressCallback()] if args.progress else []
+    # Flags that only mean something on the simulated cluster.
+    cluster_only = {
+        "--fault-plan": args.fault_plan,
+        "--grid": args.grid,
+        "--agg-window": args.agg_window > 1,
+        "--staleness": args.staleness > 0,
+        "--speed-jitter": args.speed_jitter > 0,
+    }
+    stray = [flag for flag, given in cluster_only.items() if given]
+    if stray and not args.system:
+        verb = "require" if len(stray) > 1 else "requires"
+        raise ConfigError(
+            f"{'/'.join(stray)} {verb} --system (fault "
+            "injection, block sharding, local aggregation, bounded staleness "
+            "and speed jitter target the simulated cluster)"
+        )
     fault_plan = None
     if args.fault_plan:
-        if not args.system:
-            print(
-                "error: --fault-plan requires --system (fault injection "
-                "targets the simulated cluster)",
-                file=sys.stderr,
-            )
-            return 2
         fault_plan = FaultPlan.load(args.fault_plan)
         label = fault_plan.name or args.fault_plan
         print(f"fault plan {label}: {len(fault_plan)} event(s)")
-    if args.grid and not args.system:
-        print(
-            "error: --grid requires --system (block sharding targets the "
-            "simulated cluster)",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.agg_window > 1 or args.staleness > 0 or args.speed_jitter > 0
-    ) and not args.system:
-        print(
-            "error: --agg-window/--staleness/--speed-jitter require "
-            "--system (local aggregation, bounded staleness, and speed "
-            "jitter target the simulated cluster)",
-            file=sys.stderr,
-        )
-        return 2
     if args.system:
         grid = None
         if args.grid:

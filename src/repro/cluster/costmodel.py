@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..errors import CommunicationError
 
@@ -199,35 +198,6 @@ def compressed_slab_bytes(
     payload = -(-width * bits // 8)
     scales = (width // block) * 4
     return header_bytes + n_present * (4 + payload + scales)
-
-
-def aggregation_windows(n_deltas: int, window: int) -> int:
-    """Windowed pushes needed for ``n_deltas`` node deltas: ceil(n/W).
-
-    With local aggregation a worker folds ``window`` node deltas into
-    one batched message, so a layer producing ``n_deltas`` deltas pays
-    the per-message latency term ``(p - co) * alpha`` only this many
-    times instead of ``n_deltas`` times; the volume terms (beta, gamma)
-    are unchanged because folding preserves the payload mass.
-    """
-    if n_deltas < 0:
-        raise CommunicationError(f"n_deltas must be >= 0, got {n_deltas}")
-    if window < 1:
-        raise CommunicationError(f"window must be >= 1, got {window}")
-    return -(-n_deltas // window)
-
-
-def windowed_push_bytes(per_entry_bytes: Sequence[int]) -> int:
-    """Wire bytes of one windowed push: each entry's slab share plus a
-    4-byte row id identifying the tree node the entry belongs to."""
-    total = 0
-    for slab_bytes in per_entry_bytes:
-        if slab_bytes < 0:
-            raise CommunicationError(
-                f"entry bytes must be >= 0, got {slab_bytes}"
-            )
-        total += 4 + slab_bytes
-    return total
 
 
 def crossover_workers(

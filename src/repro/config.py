@@ -25,6 +25,10 @@ SUPPORTED_LOSSES = ("logistic", "squared")
 #: Histogram-build execution backends accepted by :class:`TrainConfig`.
 PARALLEL_BACKENDS = ("simulated", "threads", "process")
 
+#: Legal fixed-point widths of the histogram codec (0 = codec off), for
+#: ``TrainConfig.compression_bits`` and the backend option of that name.
+COMPRESSION_BITS = (0, 2, 4, 8, 16)
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -57,9 +61,10 @@ class TrainConfig:
             0 disables compression (full 32-bit floats on the wire).
         compression_block: Values per fixed-point scale of the codec; 0
             (default) uses one scale per per-feature g/h histogram
-            (``n_split_candidates + 1`` buckets).  Must divide the
-            per-feature histogram width ``2 * (n_split_candidates + 1)``
-            when set; smaller blocks trade scale overhead for SNR.
+            (``n_split_candidates`` buckets).  Must divide the
+            per-feature histogram width ``2 * n_split_candidates`` when
+            set (checked against the run's backend at trainer
+            construction); smaller blocks trade scale overhead for SNR.
         batch_size: Instance batch size ``b`` for parallel histogram
             construction.
         n_threads: Simulated per-worker thread count ``q`` used for the
@@ -146,8 +151,9 @@ class TrainConfig:
             f"loss must be one of {SUPPORTED_LOSSES}, got {self.loss!r}",
         )
         _require(
-            self.compression_bits in (0, 2, 4, 8, 16),
-            f"compression_bits must be one of (0, 2, 4, 8, 16), got {self.compression_bits}",
+            self.compression_bits in COMPRESSION_BITS,
+            f"compression_bits must be one of {COMPRESSION_BITS}, "
+            f"got {self.compression_bits}",
         )
         _require(
             self.compression_block >= 0,

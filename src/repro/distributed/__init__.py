@@ -36,10 +36,9 @@ from .backends import (
     MLlibBackend,
     TencentBoostBackend,
     XGBoostBackend,
-    check_backend,
-    make_backend,
     BACKEND_NAMES,
 )
+from .plan import RunPlan, make_backend
 from .engine import DistributedGBDT, DistributedResult, RoundRecord, train_distributed
 
 __all__ = [
@@ -54,7 +53,7 @@ __all__ = [
     "LightGBMBackend",
     "TencentBoostBackend",
     "DimBoostBackend",
-    "check_backend",
+    "RunPlan",
     "make_backend",
     "BACKEND_NAMES",
     "DistributedGBDT",

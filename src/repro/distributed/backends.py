@@ -29,11 +29,12 @@ from ..cluster.collectives import (
 from ..cluster.costmodel import CostParams, log2_steps
 from ..cluster.simclock import SimClock
 from ..config import ClusterConfig, TrainConfig
-from ..errors import ConfigError, TrainingError
+from ..errors import TrainingError
 from ..ps.group import ParameterServerGroup
 from ..ps.localagg import LocalAggregator
 from ..ps.partitioner import Partition
 from ..ps.slab import CompressedSlab, SlabLayout, SparseSlab, compress_slab, slab_from_flat
+from ..runtime.phases import scale_by_speeds
 from ..sketch.candidates import CandidateSet
 from ..tree.split import SplitDecision, best_split_in_range, combine_shard_decisions
 from ..utils.rng import spawn_rng
@@ -89,15 +90,14 @@ class AggregationBackend(ABC):
     #: (Section 5.1: DimBoost is the first system to exploit sparsity
     #: there, so it alone defaults to "sparse").
     build_mode: str = "dense"
-    #: Whether the backend accepts sparse histogram slabs — the
-    #: block-distributed (feature-striped) aggregation path.  Only PS
-    #: backends can: the server reconstructs absent features from the
-    #: slab sums, which collectives have no place to do.
-    supports_slab_push: bool = False
-    #: Whether the backend accepts locally-aggregated windowed pushes
-    #: (``TrainConfig.agg_window > 1``).  PS backends only — collectives
-    #: have no server-side seq-token seam to deduplicate a window on.
-    supports_windowed_push: bool = False
+    #: Whether aggregation runs on a parameter-server group.  Read only
+    #: by the :class:`~repro.distributed.plan.RunPlan` gate, for the
+    #: three things servers make possible and collectives cannot do:
+    #: sparse slab pushes (feature-striped grids — the server
+    #: reconstructs absent features from the slab sums), windowed pushes
+    #: (``agg_window > 1`` — the server-side seq token deduplicates a
+    #: window), and routing every message through a chaos fabric.
+    parameter_server: bool = False
     #: Fixed-point width of pushed histograms (0 = no lossy codec) and
     #: values per codec scale (None = the codec's default).  Only
     #: DimBoost sets them; declared here so shared code reads them plainly.
@@ -122,10 +122,11 @@ class AggregationBackend(ABC):
         self.flat_bytes = self.flat_len * 4
         self._tree_index = -1
 
-    @property
-    def dense_build(self) -> bool:
-        """Back-compat boolean view of :attr:`build_mode`."""
-        return self.build_mode == "dense"
+    @classmethod
+    def check_data(cls, cluster: ClusterConfig, n_features: int) -> None:
+        """Reject a dataset shape the backend cannot train on (default:
+        any shape is fine).  The engine's load stage calls this before
+        any phase starts."""
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -175,20 +176,27 @@ class AggregationBackend(ABC):
     # shared helpers
     # ------------------------------------------------------------------
 
-    def _scan_flat(
-        self, flat: np.ndarray, feature_valid: np.ndarray | None
+    def _scan_range(
+        self, values: np.ndarray, lo: int, hi: int, feature_valid: np.ndarray | None
     ) -> SplitDecision | None:
-        """Whole-histogram split scan (Algorithm 1 lines 10-17)."""
+        """Split scan (Algorithm 1 lines 10-17) over the flat histogram of
+        features ``[lo, hi)``, under this run's regularization."""
         return best_split_in_range(
-            flat,
-            0,
-            self.n_features,
+            values,
+            lo,
+            hi,
             self.candidates,
             self.config.reg_lambda,
             self.config.reg_gamma,
             self.config.min_child_weight,
             feature_valid,
         )
+
+    def _scan_flat(
+        self, flat: np.ndarray, feature_valid: np.ndarray | None
+    ) -> SplitDecision | None:
+        """Whole-histogram split scan."""
+        return self._scan_range(flat, 0, self.n_features, feature_valid)
 
     def _charge_decision_broadcast(self, clock: SimClock, n_nodes: int) -> None:
         """Ship the (tiny) split decisions to all workers."""
@@ -201,7 +209,32 @@ class AggregationBackend(ABC):
         )
 
 
-class MLlibBackend(AggregationBackend):
+class _RootScanBackend(AggregationBackend):
+    """What MLlib and XGBoost share: a collective leaves every node's
+    merged histogram on one worker, which scans them all serially.
+    Subclasses name the collective and, where it differs, the broadcast."""
+
+    def __init__(self, cluster, config, candidates) -> None:
+        super().__init__(cluster, config, candidates)
+        self._merged: dict[int, np.ndarray] = {}
+
+    def aggregate_node(self, node, local_flats, clock) -> None:
+        merged, stats = self._reduce(local_flats)
+        clock.advance_comm(stats.sim_seconds, phase="FIND_SPLIT")
+        self._merged[node] = merged
+
+    def find_splits(self, nodes, feature_valid, clock):
+        decisions: dict[int, SplitDecision | None] = {}
+        started = wall_clock()
+        for node in nodes:
+            decisions[node] = self._scan_flat(self._merged.pop(node), feature_valid)
+        # One worker scans every node serially: no parallelism.
+        clock.advance_compute(wall_clock() - started, phase="FIND_SPLIT")
+        self._charge_decision_broadcast(clock, len(nodes))
+        return decisions
+
+
+class MLlibBackend(_RootScanBackend):
     """All-to-one reduce; the coordinator finds every split (Section 2.3).
 
     "statistics are collected to a particular worker node via a
@@ -209,57 +242,26 @@ class MLlibBackend(AggregationBackend):
     """
 
     name = "mllib"
-    build_mode = "dense"
 
-    def __init__(self, cluster, config, candidates) -> None:
-        super().__init__(cluster, config, candidates)
-        self._merged: dict[int, np.ndarray] = {}
-
-    def aggregate_node(self, node, local_flats, clock) -> None:
-        merged, stats = reduce_to_coordinator(local_flats, self.cost)
-        clock.advance_comm(stats.sim_seconds, phase="FIND_SPLIT")
-        self._merged[node] = merged
-
-    def find_splits(self, nodes, feature_valid, clock):
-        decisions: dict[int, SplitDecision | None] = {}
-        started = wall_clock()
-        for node in nodes:
-            decisions[node] = self._scan_flat(self._merged.pop(node), feature_valid)
-        # One coordinator scans every node serially: no parallelism.
-        clock.advance_compute(wall_clock() - started, phase="FIND_SPLIT")
-        self._charge_decision_broadcast(clock, len(nodes))
-        return decisions
+    def _reduce(self, local_flats):
+        return reduce_to_coordinator(local_flats, self.cost)
 
 
-class XGBoostBackend(AggregationBackend):
+class XGBoostBackend(_RootScanBackend):
     """Binomial-tree AllReduce; the root worker finds splits (Section 2.3)."""
 
     name = "xgboost"
-    build_mode = "dense"
 
-    def __init__(self, cluster, config, candidates) -> None:
-        super().__init__(cluster, config, candidates)
-        self._merged: dict[int, np.ndarray] = {}
+    def _reduce(self, local_flats):
+        return allreduce_binomial(local_flats, self.cost)
 
-    def aggregate_node(self, node, local_flats, clock) -> None:
-        merged, stats = allreduce_binomial(local_flats, self.cost)
-        clock.advance_comm(stats.sim_seconds, phase="FIND_SPLIT")
-        self._merged[node] = merged
-
-    def find_splits(self, nodes, feature_valid, clock):
-        decisions: dict[int, SplitDecision | None] = {}
-        started = wall_clock()
-        for node in nodes:
-            decisions[node] = self._scan_flat(self._merged.pop(node), feature_valid)
-        clock.advance_compute(wall_clock() - started, phase="FIND_SPLIT")
+    def _charge_decision_broadcast(self, clock, n_nodes) -> None:
         # Up-bottom broadcast of the model update along the tree.
-        w = self.cluster.n_workers
         clock.advance_comm(
-            log2_steps(w)
-            * point_to_point_time(len(nodes) * DECISION_BYTES, self.cost),
+            log2_steps(self.cluster.n_workers)
+            * point_to_point_time(n_nodes * DECISION_BYTES, self.cost),
             phase="FIND_SPLIT",
         )
-        return decisions
 
 
 class LightGBMBackend(AggregationBackend):
@@ -276,12 +278,16 @@ class LightGBMBackend(AggregationBackend):
 
     def __init__(self, cluster, config, candidates) -> None:
         super().__init__(cluster, config, candidates)
-        if self.n_features < cluster.n_workers:
+        self.check_data(cluster, self.n_features)
+        self._owned: dict[int, tuple[list[np.ndarray | None], dict[int, tuple[int, int]]]] = {}
+
+    @classmethod
+    def check_data(cls, cluster, n_features) -> None:
+        if n_features < cluster.n_workers:
             raise TrainingError(
                 "LightGBM backend needs at least one feature per worker "
-                f"(features={self.n_features}, workers={cluster.n_workers})"
+                f"(features={n_features}, workers={cluster.n_workers})"
             )
-        self._owned: dict[int, tuple[list[np.ndarray | None], dict[int, tuple[int, int]]]] = {}
 
     def aggregate_node(self, node, local_flats, clock) -> None:
         owned, stats = reduce_scatter_halving(
@@ -300,26 +306,15 @@ class LightGBMBackend(AggregationBackend):
             for worker_id, (lo, hi) in segments.items():
                 started = wall_clock()
                 shard_decisions.append(
-                    best_split_in_range(
-                        owned[worker_id],
-                        lo // block,
-                        hi // block,
-                        self.candidates,
-                        self.config.reg_lambda,
-                        self.config.reg_gamma,
-                        self.config.min_child_weight,
-                        feature_valid,
+                    self._scan_range(
+                        owned[worker_id], lo // block, hi // block, feature_valid
                     )
                 )
                 per_worker_seconds[worker_id] += wall_clock() - started
             decisions[node] = combine_shard_decisions(shard_decisions)
         # Workers scan their ranges in parallel; barrier on the slowest.
         clock.barrier(
-            [
-                seconds / self.cluster.speed_of(wid)
-                for wid, seconds in enumerate(per_worker_seconds)
-            ],
-            phase="FIND_SPLIT",
+            scale_by_speeds(per_worker_seconds, self.cluster), phase="FIND_SPLIT"
         )
         # Allgather of the per-range optima: log w exchange steps of tiny
         # messages, as in the halving topology run backwards.
@@ -577,8 +572,7 @@ class _PSBackend(AggregationBackend):
     or duplicated deliveries never double-count a histogram.
     """
 
-    supports_slab_push = True
-    supports_windowed_push = True
+    parameter_server = True
 
     def __init__(self, cluster, config, candidates, fabric=None) -> None:
         super().__init__(cluster, config, candidates)
@@ -689,13 +683,7 @@ class DimBoostBackend(_PSBackend):
         # One scale per per-feature g/h histogram by default (Section
         # 6.1's "the maximal absolute value in the histogram");
         # config.compression_block overrides the granularity.
-        block = config.compression_block or candidates.max_bins
-        if (2 * candidates.max_bins) % block != 0:
-            raise ConfigError(
-                f"compression_block {block} must divide the "
-                f"per-feature histogram width {2 * candidates.max_bins}"
-            )
-        self.compression_block = block
+        self.compression_block = config.compression_block or candidates.max_bins
         self.compression_bits = (
             config.compression_bits if compression_bits is None else compression_bits
         )
@@ -766,8 +754,6 @@ class DimBoostBackend(_PSBackend):
     def _make_udf(self, feature_valid: np.ndarray | None, node: int):
         """Server-side split UDF over one stored feature range of ``node``."""
         block = 2 * self.n_bins
-        candidates = self.candidates
-        config = self.config
         sums = self._node_sums.get(node)
 
         def udf(values: np.ndarray, partition: Partition) -> SplitDecision | None:
@@ -775,15 +761,8 @@ class DimBoostBackend(_PSBackend):
                 values = self._fold_zero_buckets(
                     values, partition.lo, partition.hi, sums[0], sums[1]
                 )
-            return best_split_in_range(
-                values,
-                partition.lo // block,
-                partition.hi // block,
-                candidates,
-                config.reg_lambda,
-                config.reg_gamma,
-                config.min_child_weight,
-                feature_valid,
+            return self._scan_range(
+                values, partition.lo // block, partition.hi // block, feature_valid
             )
 
         return udf
@@ -852,11 +831,7 @@ class DimBoostBackend(_PSBackend):
             # barrier below models the round-robin balancing.
             per_worker_seconds[worker_id] += comm_seconds
         clock.barrier(
-            [
-                seconds / self.cluster.speed_of(wid)
-                for wid, seconds in enumerate(per_worker_seconds)
-            ],
-            phase="FIND_SPLIT",
+            scale_by_speeds(per_worker_seconds, self.cluster), phase="FIND_SPLIT"
         )
         # Responsible workers push results to the PS; everyone pulls them.
         w = self.cluster.n_workers
@@ -880,76 +855,21 @@ _BACKENDS = {
 }
 
 
-def backend_options(system: str) -> tuple[str, ...]:
-    """Keyword options a backend accepts beyond (cluster, config, candidates)."""
+def backend_class(system: str) -> type[AggregationBackend]:
+    """The backend class registered under ``system``."""
     try:
-        backend_cls = _BACKENDS[system]
+        return _BACKENDS[system]
     except KeyError as exc:
         raise TrainingError(
             f"unknown system {system!r}; expected one of {BACKEND_NAMES}"
         ) from exc
-    parameters = inspect.signature(backend_cls.__init__).parameters
+
+
+def backend_options(system: str) -> tuple[str, ...]:
+    """Keyword options a backend accepts beyond (cluster, config, candidates)."""
+    parameters = inspect.signature(backend_class(system).__init__).parameters
     return tuple(
         name
         for name in parameters
         if name not in ("self", "cluster", "config", "candidates")
     )
-
-
-def check_backend(
-    system: str, cluster: ClusterConfig, config: TrainConfig, kwargs: dict
-) -> None:
-    """Everything about a backend choice that is knowable before any data.
-
-    Trainers call this at construction so an unsupported combination
-    fails before CREATE_SKETCH, not after it.
-
-    Raises:
-        TrainingError: For an unknown system name.
-        ConfigError: For a keyword the backend does not accept (e.g. a
-            typo'd ablation flag), naming the backend and its options;
-            for a feature-striped grid on a backend without slab
-            aggregation; for ``agg_window > 1`` on a backend without
-            windowed pushes.
-    """
-    accepted = backend_options(system)
-    unknown = sorted(set(kwargs) - set(accepted))
-    if unknown:
-        options = (
-            f"accepted options: {', '.join(accepted)}"
-            if accepted
-            else "it accepts no extra options"
-        )
-        raise ConfigError(
-            f"unknown option(s) {', '.join(map(repr, unknown))} for backend "
-            f"{system!r}; {options}"
-        )
-    backend_cls = _BACKENDS[system]
-    grid_rows, grid_cols = cluster.grid_shape
-    if grid_cols > 1 and not backend_cls.supports_slab_push:
-        raise ConfigError(
-            f"grid {grid_rows}x{grid_cols} needs a backend with "
-            f"sparse slab aggregation; {system!r} has none "
-            f"(use a PS backend: tencentboost, dimboost)"
-        )
-    if config.agg_window > 1 and not backend_cls.supports_windowed_push:
-        raise ConfigError(
-            f"agg_window {config.agg_window} needs a backend with "
-            f"windowed pushes; {system!r} has none "
-            f"(use a PS backend: tencentboost, dimboost)"
-        )
-
-
-def make_backend(
-    system: str,
-    cluster: ClusterConfig,
-    config: TrainConfig,
-    candidates: CandidateSet,
-    **kwargs,
-) -> AggregationBackend:
-    """Instantiate a backend by system name (see ``BACKEND_NAMES``).
-
-    Raises whatever :func:`check_backend` raises for this combination.
-    """
-    check_backend(system, cluster, config, kwargs)
-    return _BACKENDS[system](cluster, config, candidates, **kwargs)

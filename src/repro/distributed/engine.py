@@ -37,31 +37,22 @@ import numpy as np
 from ..boosting.losses import get_loss
 from ..boosting.metrics import error_rate
 from ..boosting.model import GBDTModel
-from ..chaos import (
-    FAULT_RECOVERY_PHASE,
-    ChaosRuntime,
-    FaultPlan,
-    RoundRecovery,
-)
+from ..chaos import ChaosRuntime, FaultPlan, RoundRecovery
 from ..cluster.collectives import point_to_point_time
-from ..cluster.costmodel import CostParams
 from ..cluster.simclock import LayerSpeedJitter, SimClock
 from ..config import ClusterConfig, TrainConfig
 from ..datasets.dataset import Dataset
 from ..datasets.partition import BlockPartitioner, DataBlock, GridSpec
-from ..errors import ConfigError
 from ..histogram.binned import BinnedShard
-from ..histogram.buffers import HistogramBufferPool
 from ..histogram.index import NodeInstanceIndex
 from ..ps.group import ParameterServerGroup
 from ..ps.master import Master, WorkerPhase
 from ..ps.slab import SparseSlab, slab_from_flat
-from ..runtime.build import HistogramBuildStrategy, resolve_build_strategy
+from ..runtime.build import HistogramBuildStrategy
 from ..runtime.hooks import (
     CallbackList,
     FaultAccountant,
     HistoryCollector,
-    PhaseAccountant,
     TrainerCallback,
 )
 from ..runtime.loop import BoostingLoop, TreeGrowthStrategy
@@ -78,16 +69,10 @@ from ..sketch.quantile import (
     sketch_columns,
     sketch_columns_weighted,
 )
-from ..tree.split import leaf_weight
+from ..tree.split import SplitDecision, leaf_weight
 from ..tree.tree import RegressionTree
 from ..utils.timing import Stopwatch, TimeBreakdown
-from .backends import (
-    AggregationBackend,
-    backend_options,
-    check_backend,
-    general_ps_push_time,
-    make_backend,
-)
+from .plan import RunPlan
 
 
 @dataclass
@@ -115,7 +100,8 @@ class DistributedResult:
         breakdown: loading / computation / communication decomposition.
         rounds: Per-tree convergence telemetry.
         phases: Simulated seconds charged per worker phase
-            (CREATE_SKETCH ... SPLIT_TREE) — the Table 3 style view.
+            (CREATE_SKETCH ... SPLIT_TREE) — the Table 3 style view,
+            read off the cluster clock's per-label totals.
             Fault-recovery time appears under ``FAULT_RECOVERY``.
         faults: The :class:`~repro.runtime.hooks.FaultAccountant` report
             (``{"per_round": ..., "totals": ...}``) when a fault plan was
@@ -135,6 +121,71 @@ class DistributedResult:
         return self.breakdown.total
 
 
+class _FitRun:
+    """One fit's live machinery, built in one place, plus the stage hand-offs.
+
+    The :class:`RunPlan` says *what* runs; this is the clock, lockstep
+    master, chaos runtime, hook stack and phase runner one ``fit`` runs it
+    *on*.  All of it dies with the fit — the plan holds none of it — which
+    is what lets one trainer ``fit`` twice.
+    """
+
+    #: From the load stage: per-grid-row shards, the grid's blocks in
+    #: worker-id order (None when row-sharded: workers then hold whole
+    #: shards), stripe boundaries, loading seconds.  From sketch: candidates.
+    shards_data: list[Dataset]
+    blocks: list[DataBlock] | None
+    col_boundaries: np.ndarray
+    loading: float
+    candidates: CandidateSet
+
+    def __init__(self, plan: RunPlan, callbacks: Sequence, train: Dataset) -> None:
+        cluster, config = plan.cluster, plan.config
+        self.train = train
+        # Per-layer speed jitter (rotating stragglers) rides on the
+        # clock so every parallel region — synchronous barriers and
+        # deferred staleness lanes alike — prices compute with the same
+        # seeded factor stream.  Accounting only: model bits unchanged.
+        jitter = (
+            LayerSpeedJitter(cluster.n_workers, cluster.speed_jitter, seed=config.seed)
+            if cluster.speed_jitter > 0.0
+            else None
+        )
+        self.clock = SimClock(jitter=jitter)
+        self.master = Master(cluster.n_workers, staleness=config.staleness)
+        self.chaos: ChaosRuntime | None = None
+        self.fault_accountant: FaultAccountant | None = None
+        if plan.fault_plan is not None:
+            self.chaos = ChaosRuntime(
+                plan.fault_plan,
+                clock=self.clock,
+                cost=cluster.network,
+                max_retries=config.max_retries,
+            )
+            self.fault_accountant = FaultAccountant(self.chaos)
+        #: What every PS group of this fit routes its messages through.
+        self.fabric = self.chaos.fabric if self.chaos is not None else None
+        self.rounds: list[RoundRecord] = []
+        self.hooks = CallbackList(
+            [
+                HistoryCollector(self.rounds),
+                *([self.fault_accountant] if self.fault_accountant else []),
+                *callbacks,
+            ]
+        )
+        # Bounded staleness (S >= 1): stage barriers stop charging
+        # immediately; per-worker seconds accumulate in lanes that sync
+        # every S + 1 tree layers (and once more at fit end).
+        self.lanes = (
+            StalenessLanes(cluster.n_workers, config.staleness)
+            if config.staleness > 0
+            else None
+        )
+        self.runner = PhaseRunner(
+            self.hooks, self.master, self.clock, cluster=cluster, lanes=self.lanes
+        )
+
+
 class _ShardedGrowthStrategy(TreeGrowthStrategy):
     """The distributed per-round operations behind the shared loop.
 
@@ -144,9 +195,9 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
     :class:`~repro.runtime.phases.PhaseStage`, delegating histogram
     aggregation and split finding to the system's backend.
 
-    The worker layout is an R×C grid (``grid``): worker ``r * C + c``
-    holds row band ``r`` × feature stripe ``c``.  With ``C == 1`` — the
-    plain row sharding every pre-existing configuration uses — blocks and
+    The worker layout is the plan's R×C grid: worker ``r * C + c`` holds
+    row band ``r`` × feature stripe ``c``.  With ``C == 1`` — the plain
+    row sharding every pre-existing configuration uses — blocks and
     grid rows coincide and the dense aggregation path runs unchanged.
     With ``C > 1`` the C blocks of a grid row share the row band's
     labels/gradients (replicated compute, charged to every block) and
@@ -154,44 +205,37 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
     (:meth:`AggregationBackend.aggregate_node_slabs`).
     """
 
-    def __init__(
-        self,
-        *,
-        cluster: ClusterConfig,
-        config: TrainConfig,
-        cost: CostParams,
-        loss,
-        shards: list[BinnedShard],
-        labels: list[np.ndarray],
-        weights: list[np.ndarray | None],
-        raws: list[np.ndarray],
-        backend: AggregationBackend,
-        build_strategy: HistogramBuildStrategy,
-        clock: SimClock,
-        runner: PhaseRunner,
-        loading: float,
-        n_features: int,
-        grid: tuple[int, int],
-        col_boundaries: np.ndarray,
-        chaos: ChaosRuntime | None = None,
-    ) -> None:
-        self.cluster = cluster
-        self.config = config
-        self.cost = cost
-        self.loss = loss
-        self.shards = shards
-        self.labels = labels
-        self.weights = weights
-        self.raws = raws
-        self.backend = backend
-        self.build_strategy = build_strategy
-        self.clock = clock
-        self.runner = runner
-        self.loading = loading
-        self.n_features = n_features
-        self.grid = grid
-        self.col_boundaries = np.asarray(col_boundaries, dtype=np.int64)
-        self.chaos = chaos
+    def __init__(self, plan: RunPlan, run: _FitRun) -> None:
+        train, candidates = run.train, run.candidates
+        self.plan, self.cluster, self.config = plan, plan.cluster, plan.config
+        self.cost, self.grid, self.striped = plan.cost, plan.grid, plan.striped
+        self.clock, self.runner, self.chaos = run.clock, run.runner, run.chaos
+        self.loss = get_loss(self.config.loss)
+        self.backend = plan.make_backend(candidates, fabric=run.fabric)
+        self.build_strategy = plan.make_build_strategy()
+        self.n_features = train.n_features
+        self.col_boundaries = np.asarray(run.col_boundaries, dtype=np.int64)
+        # Pre-bucketize every block (part of loading/ETL; measured).  A
+        # block bins against its stripe's candidate slice, so stripe-local
+        # bucket ids equal the global ones feature for feature.
+        etl = Stopwatch()
+        with etl:
+            if run.blocks is not None:
+                self.shards = [
+                    BinnedShard(b.data.X, candidates.feature_range(b.col_lo, b.col_hi))
+                    for b in run.blocks
+                ]
+            else:
+                self.shards = [BinnedShard(s.X, candidates) for s in run.shards_data]
+        self.loading = run.loading + etl.total / self.cluster.n_workers
+        # Per-grid-row training state: the C blocks of a row band share it.
+        self.base_score = self.loss.base_score(train.y, train.weights)
+        self.labels = [np.asarray(s.y, dtype=np.float64) for s in run.shards_data]
+        self.weights = [s.weights for s in run.shards_data]
+        self.raws = [
+            np.full(s.n_instances, self.base_score, dtype=np.float64)
+            for s in run.shards_data
+        ]
         self._root_totals = (0.0, 0.0)
         self._leaf_assignments: list[np.ndarray] = []
         #: Bounded-staleness score queue: ``(tree_index, per-grid-row
@@ -211,6 +255,33 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
             for wid in range(self.cluster.n_workers):
                 self._site("barrier", wid, timer)
 
+    def snapshot(self) -> tuple:
+        """Deep copy of the boosting state a crash rollback rewinds
+        (``chaos.RoundRecovery``'s capture; :meth:`restore` is its inverse).
+
+        Raw scores plus the bounded-staleness pending queue: a rollback
+        must replay from identical score state AND identical queued
+        deltas (partial windows re-fold from scratch, so they need no
+        snapshot of their own).
+        """
+        return (
+            [raw.copy() for raw in self.raws],
+            [
+                (idx, [delta.copy() for delta in deltas])
+                for idx, deltas in self._pending_updates
+            ],
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Inverse of :meth:`snapshot` (the snapshot stays reusable)."""
+        saved_raws, saved_pending = state
+        for raw, saved in zip(self.raws, saved_raws):
+            raw[:] = saved
+        self._pending_updates = [
+            (idx, [delta.copy() for delta in deltas])
+            for idx, deltas in saved_pending
+        ]
+
     # ------------------------------------------------------------------
     # TreeGrowthStrategy
     # ------------------------------------------------------------------
@@ -219,7 +290,6 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         self.backend.begin_tree(tree_index)
 
     def compute_gradients(self, tree_index: int):
-        cluster = self.cluster
         _, grid_cols = self.grid
         with self.runner.stage(WorkerPhase.NEW_TREE, tree_index) as stage:
             timer = stage.worker_timer()
@@ -242,150 +312,66 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
             # Root totals: each worker contributes two floats (tiny push).
             total_g = float(sum(g.sum() for g in grads))
             total_h = float(sum(h.sum() for h in hesses))
-            stage.charge_comm(
-                general_ps_push_time(
-                    cluster.n_workers,
-                    cluster.n_servers,
-                    16,
-                    self.cost,
-                    cluster.colocated,
-                )
-            )
+            stage.charge_comm(self.plan.push_seconds(16))
             self._root_totals = (total_g, total_h)
         return grads, hesses
 
     def grow(self, tree_index: int, gradients, feature_valid) -> RegressionTree:
         grads, hesses = gradients
         config = self.config
-        runner = self.runner
-        grid_rows, grid_cols = self.grid
         tree = RegressionTree(config.max_depth)
         # One node-to-instance index per grid row: the C blocks of a row
         # band hold the same instances, so they share its index.
-        indexes = [
-            NodeInstanceIndex(len(self.raws[r]), config.max_nodes)
-            for r in range(grid_rows)
-        ]
+        indexes = [NodeInstanceIndex(len(raw), config.max_nodes) for raw in self.raws]
         node_totals: dict[int, tuple[float, float]] = {0: self._root_totals}
 
         active = [0]
-        eta = config.learning_rate
         for depth in range(1, config.max_depth + 1):
             if not active:
                 break
             if depth == config.max_depth:
                 for node in active:
-                    g, h = node_totals[node]
-                    tree.set_leaf(
-                        node,
-                        eta * leaf_weight(g, h, config.reg_lambda),
-                        cover=float(h),
-                    )
-                active = []
+                    self._set_leaf(tree, node, node_totals[node])
                 break
-
             # BUILD_HISTOGRAM for the whole layer.  The aggregation's wire
             # cost is charged by the backend under FIND_SPLIT (the paper
             # accounts aggregation as part of split finding).
-            with runner.stage(WorkerPhase.BUILD_HISTOGRAM, tree_index) as stage:
+            with self.runner.stage(WorkerPhase.BUILD_HISTOGRAM, tree_index) as stage:
                 timer = stage.worker_timer()
                 for node in active:
-                    if grid_cols == 1:
+                    if self.striped:
+                        slabs = self._build_node_slabs(
+                            indexes, grads, hesses, node, timer
+                        )
+                        self.backend.aggregate_node_slabs(node, slabs, self.clock)
+                    else:
                         flats = self._build_node_histograms(
                             indexes, grads, hesses, node, timer
                         )
                         self.backend.aggregate_node(node, flats, self.clock)
-                    else:
-                        slabs = self._build_node_slabs(
-                            indexes, grads, hesses, node, timer
-                        )
-                        self.backend.aggregate_node_slabs(
-                            node, slabs, self.clock
-                        )
                 self._barrier_faults(timer)
                 stage.barrier(timer)
-
-            with runner.stage(WorkerPhase.FIND_SPLIT, tree_index):
-                decisions = self.backend.find_splits(
-                    active, feature_valid, self.clock
-                )
+            with self.runner.stage(WorkerPhase.FIND_SPLIT, tree_index):
+                decisions = self.backend.find_splits(active, feature_valid, self.clock)
                 self._barrier_faults()
-
-            with runner.stage(WorkerPhase.SPLIT_TREE, tree_index) as stage:
-                timer = stage.worker_timer()
-                next_active: list[int] = []
-                broadcast_seconds = 0.0
-                for node in active:
-                    decision = decisions.get(node)
-                    if decision is None or decision.gain <= config.min_split_gain:
-                        g, h = node_totals[node]
-                        tree.set_leaf(
-                            node,
-                            eta * leaf_weight(g, h, config.reg_lambda),
-                            cover=float(h),
-                        )
-                        continue
-                    left, right = tree.set_split(
-                        node,
-                        decision.feature,
-                        decision.value,
-                        gain=decision.gain,
-                        cover=decision.total_hess,
-                    )
-                    node_totals[left] = (decision.left_grad, decision.left_hess)
-                    node_totals[right] = (decision.right_grad, decision.right_hess)
-                    # Only the stripe owning the split feature can evaluate
-                    # the predicate; with C > 1 its blocks broadcast the
-                    # go-left bitmaps to their row peers (grid rows move in
-                    # parallel, so the slowest row's bitmap is charged).
-                    owner_col = (
-                        int(
-                            np.searchsorted(
-                                self.col_boundaries,
-                                decision.feature,
-                                side="right",
-                            )
-                        )
-                        - 1
-                    )
-                    local_feature = decision.feature - int(
-                        self.col_boundaries[owner_col]
-                    )
-                    max_rows = 0
-                    for r in range(grid_rows):
-                        wid = r * grid_cols + owner_col
-                        rows = indexes[r].rows_of(node)
-                        max_rows = max(max_rows, len(rows))
-                        with timer.measure(wid):
-                            goes_left = self.shards[wid].split_mask(
-                                rows, local_feature, decision.bucket
-                            )
-                            indexes[r].split(node, goes_left)
-                    if grid_cols > 1:
-                        broadcast_seconds += (
-                            grid_cols - 1
-                        ) * point_to_point_time((max_rows + 7) // 8, self.cost)
-                    next_active.extend((left, right))
-                self._barrier_faults(timer)
-                stage.barrier(timer)
-                if broadcast_seconds:
-                    stage.charge_comm(broadcast_seconds)
-            if runner.lanes is not None:
+            active = self._split_layer(
+                tree_index, tree, active, decisions, node_totals, indexes
+            )
+            if self.runner.lanes is not None:
                 # One tree layer finished: bounded staleness syncs the
                 # deferred barrier lanes every S + 1 layers.
-                runner.lanes.layer_boundary(self.clock)
+                self.runner.lanes.layer_boundary(self.clock)
             # Roll the per-layer speed jitter regardless of staleness so
             # sync and async runs draw from the same factor stream.
             self.clock.next_layer()
-            active = next_active
 
         # Leaf assignment per grid row from its index (free predictions).
         self._leaf_assignments = []
-        for r in range(grid_rows):
-            assignment = np.zeros(len(self.raws[r]), dtype=np.int64)
+        for index, raw in zip(indexes, self.raws):
+            assignment = np.zeros(len(raw), dtype=np.int64)
             for node in range(tree.max_nodes):
-                if tree.is_leaf(node) and indexes[r].has_node(node):
-                    assignment[indexes[r].rows_of(node)] = node
+                if tree.is_leaf(node) and index.has_node(node):
+                    assignment[index.rows_of(node)] = node
             self._leaf_assignments.append(assignment)
         self.backend.end_tree(self.clock)
         return tree
@@ -429,6 +415,76 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+
+    def _set_leaf(self, tree: RegressionTree, node: int, totals: tuple) -> None:
+        g, h = totals
+        weight = self.config.learning_rate * leaf_weight(g, h, self.config.reg_lambda)
+        tree.set_leaf(node, weight, cover=float(h))
+
+    def _split_layer(
+        self,
+        tree_index: int,
+        tree: RegressionTree,
+        active: list[int],
+        decisions: dict[int, SplitDecision | None],
+        node_totals: dict[int, tuple[float, float]],
+        indexes: list[NodeInstanceIndex],
+    ) -> list[int]:
+        """SPLIT_TREE for the whole layer; returns the next layer's nodes."""
+        grid_rows, grid_cols = self.grid
+        with self.runner.stage(WorkerPhase.SPLIT_TREE, tree_index) as stage:
+            timer = stage.worker_timer()
+            next_active: list[int] = []
+            broadcast_seconds = 0.0
+            for node in active:
+                decision = decisions.get(node)
+                if decision is None or decision.gain <= self.config.min_split_gain:
+                    self._set_leaf(tree, node, node_totals[node])
+                    continue
+                left, right = tree.set_split(
+                    node,
+                    decision.feature,
+                    decision.value,
+                    gain=decision.gain,
+                    cover=decision.total_hess,
+                )
+                node_totals[left] = (decision.left_grad, decision.left_hess)
+                node_totals[right] = (decision.right_grad, decision.right_hess)
+                # Only the stripe owning the split feature can evaluate
+                # the predicate; with C > 1 its blocks broadcast the
+                # go-left bitmaps to their row peers (grid rows move in
+                # parallel, so the slowest row's bitmap is charged).
+                owner_col = (
+                    int(
+                        np.searchsorted(
+                            self.col_boundaries, decision.feature, side="right"
+                        )
+                    )
+                    - 1
+                )
+                local_feature = decision.feature - int(
+                    self.col_boundaries[owner_col]
+                )
+                max_rows = 0
+                for r in range(grid_rows):
+                    wid = r * grid_cols + owner_col
+                    rows = indexes[r].rows_of(node)
+                    max_rows = max(max_rows, len(rows))
+                    with timer.measure(wid):
+                        goes_left = self.shards[wid].split_mask(
+                            rows, local_feature, decision.bucket
+                        )
+                        indexes[r].split(node, goes_left)
+                if self.striped:
+                    broadcast_seconds += (
+                        grid_cols - 1
+                    ) * point_to_point_time((max_rows + 7) // 8, self.cost)
+                next_active.extend((left, right))
+            self._barrier_faults(timer)
+            stage.barrier(timer)
+            if broadcast_seconds:
+                stage.charge_comm(broadcast_seconds)
+        return next_active
 
     def _build_node_histograms(
         self,
@@ -507,17 +563,14 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
 class DistributedGBDT:
     """Distributed GBDT trainer over the simulated cluster.
 
+    Construction resolves a :class:`~repro.distributed.plan.RunPlan`
+    from the arguments: every unsupported combination of them raises
+    here, before ``fit`` touches any data.
+
     Args:
         system: One of ``BACKEND_NAMES`` ("dimboost", "xgboost", ...).
         cluster: Cluster shape and network constants.
         config: GBDT hyper-parameters.
-        sparse_build: Override the backend's histogram-build mode (the
-            paper's baselines scan densely; DimBoost uses Algorithm 2).
-        use_index: Node-to-instance index on workers (ablation hook).
-        batched_build: Parallel batch construction with the simulated
-            span accounting (Section 5.2).
-        distributed_sketch: Back-compat alias for
-            ``sketch_mode="distributed"``.
         sketch_mode: How CREATE_SKETCH proposes candidates.  ``"exact"``
             (default) computes exact global quantiles in the driver and
             charges modelled sketch bytes — it keeps the cross-system
@@ -527,8 +580,11 @@ class DistributedGBDT:
             / PULL_SKETCH path).  ``"weighted"`` does the same with
             hessian/instance-weighted summaries (Huang & Yi), so cut
             points equalize weight mass per bucket.
-        build_strategy: Explicit histogram build strategy; overrides the
-            ``sparse_build`` / ``batched_build`` resolution when given.
+        build_strategy: Explicit histogram build strategy (e.g.
+            ``SparseBuildStrategy()`` to give a baseline DimBoost's
+            kernel).  Default: the backend's declared build mode (the
+            paper's baselines scan densely; DimBoost uses Algorithm 2),
+            executed as ``config.parallel_backend`` says.
         callbacks: Trainer hooks observing every fit (see
             :mod:`repro.runtime.hooks`).
         fault_plan: Optional :class:`~repro.chaos.FaultPlan`; when given,
@@ -537,7 +593,9 @@ class DistributedGBDT:
             ``config.checkpoint_every``) and the result carries the
             :attr:`DistributedResult.faults` report.  Message faults
             (drop/duplicate/server_down) need a PS backend
-            ("tencentboost" / "dimboost").
+            ("tencentboost" / "dimboost") or a server-merged
+            ``sketch_mode``; an event that could never fire (also: a
+            worker, server or round the run does not have) is rejected.
         backend_kwargs: Extra arguments for the backend (e.g. DimBoost's
             ``two_phase=False`` ablation); validated against the
             backend's accepted options.
@@ -548,382 +606,205 @@ class DistributedGBDT:
         system: str = "dimboost",
         cluster: ClusterConfig | None = None,
         config: TrainConfig | None = None,
-        sparse_build: bool | None = None,
-        use_index: bool = True,
-        batched_build: bool = False,
-        distributed_sketch: bool = False,
-        sketch_mode: str | None = None,
+        *,
+        sketch_mode: str = "exact",
         build_strategy: HistogramBuildStrategy | None = None,
         callbacks: Sequence[TrainerCallback] = (),
         fault_plan: FaultPlan | None = None,
         **backend_kwargs,
     ) -> None:
-        self.system = system
-        self.cluster = cluster if cluster is not None else ClusterConfig()
-        self.config = config if config is not None else TrainConfig()
-        self._sparse_build_override = sparse_build
-        self.use_index = use_index
-        self.batched_build = batched_build
-        if sketch_mode is None:
-            sketch_mode = "distributed" if distributed_sketch else "exact"
-        if sketch_mode not in ("exact", "distributed", "weighted"):
-            raise ConfigError(
-                f"sketch_mode must be 'exact', 'distributed', or "
-                f"'weighted', got {sketch_mode!r}"
-            )
-        self.sketch_mode = sketch_mode
-        self.distributed_sketch = sketch_mode != "exact"
-        self._build_strategy_override = build_strategy
-        self.callbacks = list(callbacks)
-        self.fault_plan = fault_plan
-        self._backend_kwargs = backend_kwargs
-        # Fail fast: unknown system / option, grid or window on a backend
-        # that cannot carry them — before fit does any work.
-        check_backend(system, self.cluster, self.config, backend_kwargs)
-        self.cost = CostParams(
-            self.cluster.network.alpha,
-            self.cluster.network.beta,
-            self.cluster.network.gamma,
+        self.plan = RunPlan(
+            system,
+            cluster or ClusterConfig(),
+            config or TrainConfig(),
+            sketch_mode=sketch_mode,
+            build_strategy=build_strategy,
+            fault_plan=fault_plan,
+            backend_kwargs=backend_kwargs,
         )
+        self.system = system
+        self.cluster, self.config = self.plan.cluster, self.plan.config
+        self.callbacks = list(callbacks)
 
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
 
     def fit(self, train: Dataset) -> DistributedResult:
-        """Train on ``train`` and return the model plus time accounting."""
-        config = self.config
-        cluster = self.cluster
-        loss = get_loss(config.loss)
-        # Per-layer speed jitter (rotating stragglers) rides on the
-        # clock so every parallel region — synchronous barriers and
-        # deferred staleness lanes alike — prices compute with the same
-        # seeded factor stream.  Accounting only: model bits unchanged.
-        jitter = (
-            LayerSpeedJitter(
-                cluster.n_workers, cluster.speed_jitter, seed=config.seed
-            )
-            if cluster.speed_jitter > 0.0
-            else None
-        )
-        clock = SimClock(jitter=jitter)
-        master = Master(cluster.n_workers, staleness=config.staleness)
+        """Train on ``train`` and return the model plus time accounting.
 
-        chaos: ChaosRuntime | None = None
-        fault_accountant: FaultAccountant | None = None
-        if self.fault_plan is not None:
-            chaos = ChaosRuntime(
-                self.fault_plan,
-                clock=clock,
-                cost=cluster.network,
-                max_retries=config.max_retries,
-            )
-            fault_accountant = FaultAccountant(chaos)
+        Section 4.4's worker loop as five stages over the plan: *load*
+        (DATA PARTITIONING), *sketch* (CREATE_SKETCH, PULL_SKETCH), *bin*
+        (backend, build strategy, pre-bucketized blocks), *boost*
+        (NEW_TREE, BUILD_HISTOGRAM, FIND_SPLIT, SPLIT_TREE per tree) and
+        *finish* (FINISH).  What the data itself rules out raises in
+        *load*, before any callback has fired.
+        """
+        run = _FitRun(self.plan, self.callbacks, train)
+        self._load(run)
+        run.hooks.on_fit_start(self.config.n_trees)
+        self._sketch(run)
+        strategy = self._bin(run)
+        trees = self._boost(run, strategy)
+        return self._finish(run, strategy, trees)
 
-        accountant = PhaseAccountant()
-        rounds: list[RoundRecord] = []
-        hooks = CallbackList(
-            [
-                accountant,
-                HistoryCollector(rounds),
-                *((fault_accountant,) if fault_accountant else ()),
-                *self.callbacks,
-            ]
-        )
-        # Bounded staleness (S >= 1): stage barriers stop charging
-        # immediately; per-worker seconds accumulate in lanes that sync
-        # every S + 1 tree layers (and once more at fit end).
-        lanes = (
-            StalenessLanes(cluster.n_workers, config.staleness)
-            if config.staleness > 0
-            else None
-        )
-        runner = PhaseRunner(
-            hooks, master=master, clock=clock, cluster=cluster, lanes=lanes
-        )
-        hooks.on_fit_start(config.n_trees)
+    def _load(self, run: _FitRun) -> None:
+        """DATA PARTITIONING + loading, and every data-dependent check.
 
-        # DATA PARTITIONING + loading: block bytes over the ingest rate,
-        # workers load in parallel (max block).  The R×C grid defaults to
-        # (n_workers, 1) — plain row sharding.
-        grid_rows, grid_cols = cluster.grid_shape
-        partitioner = BlockPartitioner(train, GridSpec(grid_rows, grid_cols))
-        shards_data = [partitioner.row_shard(r) for r in range(grid_rows)]
-        blocks: list[DataBlock] | None = (
-            partitioner.blocks if grid_cols > 1 else None
-        )
-        loading = (
-            max(b.data.X.nbytes for b in blocks)
-            if blocks is not None
-            else max(s.X.nbytes for s in shards_data)
-        ) / cluster.loading_bytes_per_second
+        Loading is charged as block bytes over the ingest rate, workers
+        loading in parallel (max block).
 
-        # CREATE_SKETCH / PULL_SKETCH.
-        with runner.stage(WorkerPhase.CREATE_SKETCH):
-            candidates, sketch_bytes = self._propose_candidates(
-                train,
-                shards_data,
-                clock,
-                blocks,
-                fabric=chaos.fabric if chaos is not None else None,
-            )
-        with runner.stage(WorkerPhase.PULL_SKETCH) as stage:
+        Raises:
+            DataError: The dataset cannot be cut into the plan's grid.
+            TrainingError: The backend cannot train on this shape.
+        """
+        plan, train = self.plan, run.train
+        plan.backend_cls.check_data(plan.cluster, train.n_features)
+        partitioner = BlockPartitioner(train, GridSpec(*plan.grid))
+        run.shards_data = [partitioner.row_shard(r) for r in range(plan.grid[0])]
+        run.blocks = partitioner.blocks if plan.striped else None
+        run.col_boundaries = partitioner.col_boundaries
+        units = run.shards_data if run.blocks is None else [b.data for b in run.blocks]
+        run.loading = (
+            max(unit.X.nbytes for unit in units) / plan.cluster.loading_bytes_per_second
+        )
+
+    def _sketch(self, run: _FitRun) -> None:
+        """CREATE_SKETCH + PULL_SKETCH: the candidates workers bin against."""
+        with run.runner.stage(WorkerPhase.CREATE_SKETCH):
+            run.candidates, sketch_bytes = self._propose_candidates(run)
+        with run.runner.stage(WorkerPhase.PULL_SKETCH) as stage:
             # Pull of the merged sketches by every worker.
             stage.charge_comm(
-                cluster.n_servers * self.cost.alpha
-                + sketch_bytes * self.cost.beta
+                self.cluster.n_servers * self.plan.cost.alpha
+                + sketch_bytes * self.plan.cost.beta
             )
 
-        backend_kwargs = dict(self._backend_kwargs)
-        if chaos is not None and "fabric" in backend_options(self.system):
-            backend_kwargs.setdefault("fabric", chaos.fabric)
-        backend = make_backend(
-            self.system, cluster, config, candidates, **backend_kwargs
-        )
-        build_strategy = self._resolve_build_strategy(backend)
+    def _bin(self, run: _FitRun) -> _ShardedGrowthStrategy:
+        """The growth strategy: backend, build strategy, pre-bucketized blocks."""
+        return _ShardedGrowthStrategy(self.plan, run)
 
-        # Pre-bucketize every block (part of loading/ETL; measured).  A
-        # block bins against its stripe's candidate slice, so stripe-local
-        # bucket ids equal the global ones feature for feature.
-        etl = Stopwatch()
-        with etl:
-            if blocks is not None:
-                shards = [
-                    BinnedShard(
-                        b.data.X, candidates.feature_range(b.col_lo, b.col_hi)
-                    )
-                    for b in blocks
-                ]
-            else:
-                shards = [BinnedShard(s.X, candidates) for s in shards_data]
-        loading += etl.total / cluster.n_workers
-
-        labels = [np.asarray(s.y, dtype=np.float64) for s in shards_data]
-        weights = [
-            s.weights if s.weights is not None else None for s in shards_data
-        ]
-        base = loss.base_score(train.y, train.weights)
-        raws = [np.full(s.n_instances, base, dtype=np.float64) for s in shards_data]
-
-        strategy = _ShardedGrowthStrategy(
-            cluster=cluster,
-            config=config,
-            cost=self.cost,
-            loss=loss,
-            shards=shards,
-            labels=labels,
-            weights=weights,
-            raws=raws,
-            backend=backend,
-            build_strategy=build_strategy,
-            clock=clock,
-            runner=runner,
-            loading=loading,
-            n_features=train.n_features,
-            grid=(grid_rows, grid_cols),
-            col_boundaries=partitioner.col_boundaries,
-            chaos=chaos,
-        )
+    def _boost(self, run: _FitRun, strategy: _ShardedGrowthStrategy) -> list:
+        """The boosting rounds (rollback-replay recovery under a fault plan)."""
         recovery = None
-        if chaos is not None:
-
-            def capture() -> tuple:
-                # Raw scores plus the bounded-staleness pending queue: a
-                # rollback must replay from identical score state AND
-                # identical queued deltas (partial windows re-fold from
-                # scratch, so they need no snapshot of their own).
-                return (
-                    [raw.copy() for raw in raws],
-                    [
-                        (idx, [delta.copy() for delta in deltas])
-                        for idx, deltas in strategy._pending_updates
-                    ],
-                )
-
-            def restore(state: tuple) -> None:
-                saved_raws, saved_pending = state
-                for raw, saved in zip(raws, saved_raws):
-                    raw[:] = saved
-                strategy._pending_updates = [
-                    (idx, [delta.copy() for delta in deltas])
-                    for idx, deltas in saved_pending
-                ]
-
+        if run.chaos is not None:
             recovery = RoundRecovery(
-                capture=capture,
-                restore=restore,
-                master=master,
-                clock=clock,
-                injector=chaos.injector,
-                policy=chaos.policy,
-                checkpoint_every=config.checkpoint_every,
-                records=rounds,
+                capture=strategy.snapshot,
+                restore=strategy.restore,
+                master=run.master,
+                clock=run.clock,
+                injector=run.chaos.injector,
+                policy=run.chaos.policy,
+                checkpoint_every=self.config.checkpoint_every,
+                records=run.rounds,
             )
+        loop = BoostingLoop(strategy, self.config, run.hooks, recovery=recovery)
         try:
-            trees = BoostingLoop(
-                strategy, config, callbacks=hooks, recovery=recovery
-            ).run()
+            return loop.run()
         finally:
             # Resources (process pools, shared memory) of a strategy this
             # fit resolved are this fit's to release; an injected strategy
             # stays open for its owner.
-            if self._build_strategy_override is None:
-                build_strategy.close()
+            if self.plan.build_strategy is None:
+                strategy.build_strategy.close()
 
-        if lanes is not None:
+    def _finish(
+        self, run: _FitRun, strategy: _ShardedGrowthStrategy, trees: list
+    ) -> DistributedResult:
+        """Close the books and assemble the deliverable (FINISH)."""
+        clock = run.clock
+        if run.lanes is not None:
             # Final staleness sync: whatever lane time the last (< S + 1)
             # layers accumulated is paid before the fit's books close.
-            lanes.sync(clock)
-
-        with runner.stage(WorkerPhase.FINISH):
+            run.lanes.sync(clock)
+        with run.runner.stage(WorkerPhase.FINISH):
             # FINISH assembles the deliverable: the model object plus its
             # compiled flat form, so downstream evaluation (cmd_compare,
             # tests) scores on the batched inference path immediately.
             model = GBDTModel(
                 trees=trees,
-                base_score=base,
-                loss_name=config.loss,
-                n_features=train.n_features,
+                base_score=strategy.base_score,
+                loss_name=self.config.loss,
+                n_features=run.train.n_features,
             )
             if trees:
                 model.compiled()
-
-        if chaos is not None:
-            # Rollback charges land between stages (the aborted stage's
-            # accounting is skipped), so the per-stage accountant misses
-            # them; the clock's per-label total is authoritative.
-            recovery_seconds = clock.by_phase().get(FAULT_RECOVERY_PHASE, 0.0)
-            if recovery_seconds > 0.0:
-                accountant.phases[FAULT_RECOVERY_PHASE] = recovery_seconds
-        if lanes is not None:
-            # Lane syncs charge the clock between stages, so the
-            # per-stage accountant misses them; like fault recovery, the
-            # clock's per-label totals are authoritative.
-            for label, seconds in clock.by_phase().items():
-                accountant.phases[label] = seconds
-        breakdown = TimeBreakdown(
-            loading=loading,
-            computation=clock.computation,
-            communication=clock.communication,
-        )
         result = DistributedResult(
             model=model,
             system=self.system,
-            breakdown=breakdown,
-            rounds=rounds,
-            phases=accountant.phases,
-            faults=(
-                fault_accountant.report() if fault_accountant is not None else None
+            breakdown=TimeBreakdown(
+                loading=strategy.loading,
+                computation=clock.computation,
+                communication=clock.communication,
             ),
+            rounds=run.rounds,
+            # Rollbacks and lane syncs charge the clock between stages, so
+            # its per-label totals — not a sum of per-stage deltas — are
+            # the books.
+            phases=clock.by_phase(),
+            faults=run.fault_accountant.report() if run.fault_accountant else None,
         )
-        hooks.on_fit_end(result)
+        run.hooks.on_fit_end(result)
         return result
 
     # ------------------------------------------------------------------
     # setup
     # ------------------------------------------------------------------
 
-    def _resolve_build_strategy(
-        self, backend: AggregationBackend
-    ) -> HistogramBuildStrategy:
-        """The histogram build strategy for this fit.
-
-        Precedence: explicit ``build_strategy`` > the ``sparse_build``
-        override > the backend's own build mode.
-        """
-        if self._build_strategy_override is not None:
-            return self._build_strategy_override
-        sparse = (
-            backend.build_mode == "sparse"
-            if self._sparse_build_override is None
-            else self._sparse_build_override
-        )
-        return resolve_build_strategy(
-            self.config,
-            sparse=sparse,
-            batched=self.batched_build,
-            pool=HistogramBufferPool(),
-        )
-
-    def _propose_candidates(
-        self,
-        train: Dataset,
-        shards_data: list[Dataset],
-        clock: SimClock,
-        blocks: "list[DataBlock] | None" = None,
-        fabric=None,
-    ) -> tuple[CandidateSet, float]:
+    def _propose_candidates(self, run: _FitRun) -> tuple[CandidateSet, float]:
         """Candidate proposal with the sketch *push* charged.
 
         Returns the candidates plus the sketch wire bytes the PULL_SKETCH
-        stage charges per worker.  On the ``"distributed"`` and
-        ``"weighted"`` paths every worker serializes one summary per
-        feature it holds and pushes it through a real
-        :class:`ParameterServerGroup` (and ``fabric``, when chaos is
-        active); the servers merge arrivals per feature in delivery
-        order.  With a feature-striped grid (``blocks``), each block
-        sketches only its stripe's columns and workers push in worker-id
-        order, so every stripe's feature is merged down its grid rows in
-        increasing row order — the same left-fold the row-sharded layout
-        performs — and candidates are bit-identical across layouts.
+        stage charges per worker.  The ``"exact"`` path computes global
+        quantiles in the driver and charges the modelled summary size for
+        the widest per-worker feature range (the whole row when C == 1,
+        the widest stripe otherwise); the other modes merge real
+        per-worker summaries on the servers.
         """
-        config = self.config
-        cluster = self.cluster
+        config, train = self.config, run.train
+        if self.plan.sketch_mode != "exact":
+            return self._merge_worker_sketches(run)
+        entries_per_sketch = int(1.0 / (2.0 * config.sketch_eps)) + 2
+        per_push_features = (
+            max(b.n_cols for b in run.blocks)
+            if run.blocks is not None
+            else train.n_features
+        )
+        sketch_bytes = (
+            per_push_features
+            * entries_per_sketch
+            * self.cluster.network.sketch_entry_bytes
+        )
+        run.clock.advance_comm(
+            self.plan.push_seconds(sketch_bytes), phase="CREATE_SKETCH"
+        )
+        return propose_candidates(train.X, config.n_split_candidates), sketch_bytes
 
-        def charge_sketch_push(sketch_bytes: float) -> None:
-            clock.advance_comm(
-                general_ps_push_time(
-                    cluster.n_workers,
-                    cluster.n_servers,
-                    sketch_bytes,
-                    self.cost,
-                    cluster.colocated,
-                ),
-                phase="CREATE_SKETCH",
-            )
+    def _merge_worker_sketches(self, run: _FitRun) -> tuple[CandidateSet, float]:
+        """The ``"distributed"`` / ``"weighted"`` CREATE_SKETCH path.
 
-        if self.sketch_mode == "exact":
-            # Exact path: charge the modelled summary size for the widest
-            # per-worker feature range (the whole row when C == 1, the
-            # widest stripe otherwise).
-            entries_per_sketch = int(1.0 / (2.0 * config.sketch_eps)) + 2
-            per_push_features = (
-                max(b.n_cols for b in blocks)
-                if blocks is not None
-                else train.n_features
-            )
-            sketch_bytes = (
-                per_push_features
-                * entries_per_sketch
-                * cluster.network.sketch_entry_bytes
-            )
-            charge_sketch_push(sketch_bytes)
-            return (
-                propose_candidates(train.X, config.n_split_candidates),
-                sketch_bytes,
-            )
-
-        # PS path: every worker pushes its serialized stripe-local
-        # summaries through the group (and the fault fabric, if any); the
-        # servers merge per feature in arrival order.
-        weighted = self.sketch_mode == "weighted"
+        Every worker serializes one summary per feature it holds and
+        pushes it through a real :class:`ParameterServerGroup` (and the
+        fault fabric, when chaos is active); the servers merge arrivals
+        per feature in delivery order.  With a feature-striped grid
+        (``run.blocks``), each block sketches only its stripe's columns
+        and workers push in worker-id order, so every stripe's feature is
+        merged down its grid rows in increasing row order — the same
+        left-fold the row-sharded layout performs — and candidates are
+        bit-identical across layouts.
+        """
+        config, cluster, train = self.config, self.cluster, run.train
+        weighted = self.plan.sketch_mode == "weighted"
         eps_local = config.sketch_eps / 2.0
-        group = ParameterServerGroup(cluster.n_servers, fabric=fabric)
+        group = ParameterServerGroup(cluster.n_servers, fabric=run.fabric)
         group.register("sketch", train.n_features)
-
-        if blocks is None:
-            units = [
-                (wid, shard.X, 0, shard.n_features, shard.weights)
-                for wid, shard in enumerate(shards_data)
-            ]
+        if run.blocks is None:
+            units = [(s.X, 0, s.n_features, s.weights) for s in run.shards_data]
         else:
-            units = [
-                (wid, b.data.X, b.col_lo, b.n_cols, b.data.weights)
-                for wid, b in enumerate(blocks)
-            ]
+            units = [(b.data.X, b.col_lo, b.n_cols, b.data.weights) for b in run.blocks]
         per_worker_seconds = [0.0] * len(units)
         per_worker_bytes = [0] * len(units)
-        for wid, X, col_lo, n_cols, row_weights in units:
+        for wid, (X, col_lo, n_cols, row_weights) in enumerate(units):
             sw = Stopwatch()
             with sw:
                 local: Sequence[AnySketch]
@@ -934,12 +815,7 @@ class DistributedGBDT:
                         else np.ones(X.shape[0], dtype=np.float64)
                     )
                     local = sketch_columns_weighted(
-                        X.indptr,
-                        X.indices,
-                        X.data,
-                        n_cols,
-                        weights_arr,
-                        eps=eps_local,
+                        X.indptr, X.indices, X.data, n_cols, weights_arr, eps=eps_local
                     )
                 else:
                     local = sketch_columns(
@@ -954,9 +830,10 @@ class DistributedGBDT:
             )
             per_worker_bytes[wid] = stats.bytes_up
         # Real wire accounting: what a worker's serialized sketches weigh.
-        sketch_bytes = max(per_worker_bytes)
-        charge_sketch_push(sketch_bytes)
-        clock.barrier(
+        run.clock.advance_comm(
+            self.plan.push_seconds(max(per_worker_bytes)), phase="CREATE_SKETCH"
+        )
+        run.clock.barrier(
             scale_by_speeds(per_worker_seconds, cluster), phase="CREATE_SKETCH"
         )
         merged_map, pull_stats = group.pull_sketches("sketch", worker=0)

@@ -1,0 +1,207 @@
+"""RunPlan: the one construction-time gate for a distributed run.
+
+Each object a run is assembled from validates *itself* where it is
+declared (field ranges in ``TrainConfig`` / ``ClusterConfig`` /
+``FaultEvent.__post_init__``).  Whether they fit *together* — a striped
+grid on a collective backend, a codec block that does not tile this
+run's histograms, a fault naming a worker the cluster does not have — is
+judged here and nowhere else.  The judgement needs no data, so
+:class:`~repro.distributed.engine.DistributedGBDT` builds its plan in
+``__init__``: an unsupported combination is a :class:`ConfigError` before
+any phase starts.  (Checks that need the dataset belong to the engine's
+load stage, the first thing ``fit`` does.)
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Any, Mapping
+
+from ..chaos import MESSAGE_POINTS, FaultPlan
+from ..cluster.costmodel import CostParams
+from ..config import COMPRESSION_BITS, ClusterConfig, TrainConfig
+from ..errors import ConfigError
+from ..histogram.buffers import HistogramBufferPool
+from ..runtime.build import HistogramBuildStrategy, resolve_build_strategy
+from ..sketch.candidates import CandidateSet
+from .backends import (
+    AggregationBackend,
+    DimBoostBackend,
+    backend_class,
+    backend_options,
+    general_ps_push_time,
+)
+
+__all__ = ["RunPlan", "make_backend"]
+
+#: How CREATE_SKETCH may propose candidates (see ``DistributedGBDT``).
+SKETCH_MODES = ("exact", "distributed", "weighted")
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """One distributed run, validated on construction, before any data.
+
+    Frozen, and a holder of recipes rather than live resources — the
+    backend *class* and its checked options, how to obtain a build
+    strategy — so one trainer can ``fit`` any number of times.  The
+    arguments are :class:`~repro.distributed.engine.DistributedGBDT`'s;
+    derived from them:
+
+    Attributes:
+        backend_cls: The aggregation backend class ``system`` names.
+        grid: Worker grid ``(rows, cols)``; ``(n_workers, 1)`` when row
+            sharded.
+        cost: The alpha/beta/gamma triple of ``cluster.network``.
+
+    Raises:
+        TrainingError: For an unknown system name.
+        ConfigError: For every other combination that cannot run.
+    """
+
+    system: str
+    cluster: ClusterConfig
+    config: TrainConfig
+    sketch_mode: str = "exact"
+    build_strategy: HistogramBuildStrategy | None = None
+    fault_plan: FaultPlan | None = None
+    backend_kwargs: Mapping[str, Any] = field(default_factory=dict)
+    backend_cls: type[AggregationBackend] = field(init=False)
+    grid: tuple[int, int] = field(init=False)
+    cost: CostParams = field(init=False)
+
+    def __post_init__(self) -> None:
+        system, cluster, config = self.system, self.cluster, self.config
+        kwargs, net = self.backend_kwargs, cluster.network
+        backend_cls = backend_class(system)
+        rows, cols = cluster.grid_shape
+        object.__setattr__(self, "backend_cls", backend_cls)
+        object.__setattr__(self, "grid", (rows, cols))
+        object.__setattr__(self, "cost", CostParams(net.alpha, net.beta, net.gamma))
+        _require(
+            self.sketch_mode in SKETCH_MODES,
+            f"sketch_mode must be 'exact', 'distributed', or 'weighted', "
+            f"got {self.sketch_mode!r}",
+        )
+        accepted = backend_options(system)
+        unknown = sorted(set(kwargs) - set(accepted))
+        _require(
+            not unknown,
+            f"unknown option(s) {', '.join(map(repr, unknown))} for backend "
+            f"{system!r}; "
+            + (
+                f"accepted options: {', '.join(accepted)}"
+                if accepted
+                else "it accepts no extra options"
+            ),
+        )
+        # Sparse slab pushes (absent features are reconstructed server
+        # side), windowed pushes (deduplicated on the server's seq token)
+        # and fault-fabric routing all need parameter servers.
+        on_ps = backend_cls.parameter_server
+        hint = f"{system!r} has none (use a PS backend: tencentboost, dimboost)"
+        _require(
+            cols == 1 or on_ps,
+            f"grid {rows}x{cols} needs a backend with sparse slab "
+            f"aggregation; {hint}",
+        )
+        _require(
+            config.agg_window == 1 or on_ps,
+            f"agg_window {config.agg_window} needs a backend with windowed "
+            f"pushes; {hint}",
+        )
+        self._check_codec_block(config.n_split_candidates)
+        bits = kwargs.get("compression_bits")
+        _require(
+            bits is None or bits in COMPRESSION_BITS,
+            f"option compression_bits must be one of {COMPRESSION_BITS}, got {bits}",
+        )
+        _require(
+            kwargs.get("use_scheduler", True)
+            or not kwargs.get("speed_aware_scheduler", False),
+            "speed_aware_scheduler=True weights the scheduler's assignment; "
+            "it cannot be combined with use_scheduler=False",
+        )
+        # A fault that can never fire would make a chaos run that tests
+        # nothing.  Message faults need a PS group: a PS backend, or the
+        # server-merged sketch path (whose group rides the fabric too).
+        has_group = on_ps or self.sketch_mode != "exact"
+        events = self.fault_plan.events if self.fault_plan is not None else ()
+        for index, event in enumerate(events):
+            where = f"fault plan event {index} ({event.kind}@{event.point})"
+            for what, named, count in (
+                ("worker", event.worker, cluster.n_workers),
+                ("server", event.server, cluster.n_servers),
+                ("round", event.round_, config.n_trees),
+            ):
+                _require(
+                    named is None or named < count,
+                    f"{where} names {what} {named} but the run has only {count}",
+                )
+            _require(
+                has_group or event.point not in MESSAGE_POINTS,
+                f"{where} is a message fault, but {system!r} with exact sketches "
+                f"sends no PS message (use a PS backend: tencentboost, dimboost)",
+            )
+
+    def _check_codec_block(self, n_bins: int) -> None:
+        """DimBoost's codec scale blocks must tile a feature's g/h histogram."""
+        block = self.config.compression_block or n_bins
+        has_codec = issubclass(self.backend_cls, DimBoostBackend)
+        _require(
+            (2 * n_bins) % block == 0 or not has_codec,
+            f"compression_block {block} must divide the per-feature histogram "
+            f"width {2 * n_bins}",
+        )
+
+    @property
+    def striped(self) -> bool:
+        """Whether workers hold feature stripes (grid ``cols > 1``)."""
+        return self.grid[1] > 1
+
+    def push_seconds(self, n_bytes: float) -> float:
+        """PS aggregation time of every worker pushing ``n_bytes``."""
+        c = self.cluster
+        return general_ps_push_time(
+            c.n_workers, c.n_servers, n_bytes, self.cost, c.colocated
+        )
+
+    def make_backend(self, candidates: CandidateSet, fabric=None) -> AggregationBackend:
+        """This run's backend over ``candidates``; ``fabric`` (the chaos
+        fabric of a faulted fit) is routed into a PS backend's group."""
+        kwargs = dict(self.backend_kwargs)
+        if fabric is not None and self.backend_cls.parameter_server:
+            kwargs.setdefault("fabric", fabric)
+        self._check_codec_block(candidates.max_bins)
+        return self.backend_cls(self.cluster, self.config, candidates, **kwargs)
+
+    def make_build_strategy(self) -> HistogramBuildStrategy:
+        """The histogram build strategy for one fit, in two steps: the
+        caller's explicit instance (theirs to close), else the backend's
+        ``build_mode`` executed as ``config.parallel_backend`` says (the
+        fit's to close)."""
+        if self.build_strategy is not None:
+            return self.build_strategy
+        return resolve_build_strategy(
+            self.config,
+            sparse=self.backend_cls.build_mode == "sparse",
+            pool=HistogramBufferPool(),
+        )
+
+
+def make_backend(
+    system: str,
+    cluster: ClusterConfig,
+    config: TrainConfig,
+    candidates: CandidateSet,
+    **kwargs: Any,
+) -> AggregationBackend:
+    """Instantiate a backend by system name (see ``BACKEND_NAMES``),
+    through the same gate trainers use: raises what :class:`RunPlan` does."""
+    plan = RunPlan(system, cluster, config, backend_kwargs=kwargs)
+    return plan.make_backend(candidates)

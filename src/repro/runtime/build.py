@@ -1,8 +1,6 @@
 """Histogram build strategies: how one node histogram gets constructed.
 
-Replaces the boolean tangle (``sparse_build`` / ``batched_build`` /
-``dense_build`` flags threaded through trainers and backends) with one
-strategy object chosen once per fit:
+One strategy object, chosen once per fit:
 
 * :class:`DenseBuildStrategy` — the traditional full scan over all
   ``M * K`` buckets (what the baseline systems do, Section 5.1).

@@ -168,8 +168,10 @@ class PhaseAccountant(TrainerCallback):
     """Accumulates the Table-3 style per-phase simulated seconds.
 
     Merges the ``charges`` dict of every completed stage, so after a fit
-    :attr:`phases` reproduces the cluster clock's per-label totals — the
-    dict :class:`~repro.distributed.engine.DistributedResult` exposes.
+    :attr:`phases` holds what the stages charged per label.  (Charges
+    made *between* stages — crash rollbacks, staleness syncs — are not
+    seen here; :class:`~repro.distributed.engine.DistributedResult`
+    reports the cluster clock's own per-label totals.)
     """
 
     def __init__(self) -> None:

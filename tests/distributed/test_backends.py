@@ -163,7 +163,7 @@ class TestDimBoostOptions:
         candidates, cluster, config = setup
         backend = make_backend("dimboost", cluster, config, candidates)
         assert isinstance(backend, DimBoostBackend)
-        assert backend.dense_build is False
+        assert backend.build_mode == "sparse"
 
 
 class TestGeneralPSPushTime:

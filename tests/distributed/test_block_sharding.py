@@ -58,10 +58,10 @@ class TestBitIdentity:
         cluster_row = ClusterConfig(n_workers=2, n_servers=2)
         cluster_blk = ClusterConfig(n_workers=4, n_servers=2, grid=(2, 2))
         row = DistributedGBDT(
-            "dimboost", cluster_row, config, distributed_sketch=True
+            "dimboost", cluster_row, config, sketch_mode="distributed"
         ).fit(data)
         blk = DistributedGBDT(
-            "dimboost", cluster_blk, config, distributed_sketch=True
+            "dimboost", cluster_blk, config, sketch_mode="distributed"
         ).fit(data)
         assert trees_of(row) == trees_of(blk)
 

@@ -129,7 +129,7 @@ class TestAccuracy:
             cluster4,
             fast_cfg,
             compression_bits=0,
-            distributed_sketch=True,
+            sketch_mode="distributed",
         )
         e1 = error_rate(test.y, exact.model.predict(test.X))
         e2 = error_rate(test.y, sketched.model.predict(test.X))

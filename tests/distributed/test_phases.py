@@ -8,6 +8,7 @@ from repro import ClusterConfig, TrainConfig, train_distributed
 from repro.cluster import SimClock
 from repro.distributed import BACKEND_NAMES
 from repro.ps.master import WorkerPhase
+from repro.runtime.build import SparseBuildStrategy
 
 
 class TestSimClockPhases:
@@ -89,6 +90,6 @@ class TestEnginePhases:
             small_dataset,
             ClusterConfig(4, 4),
             config,
-            sparse_build=True,
+            build_strategy=SparseBuildStrategy(),
         )
         assert result.phases["FIND_SPLIT"] == max(result.phases.values())
