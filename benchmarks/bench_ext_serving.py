@@ -8,8 +8,8 @@ through the *real* :class:`~repro.serving.ServingRuntime` twice:
 * ``sequential`` — ``max_batch_rows=1``: every request is its own
   flush, i.e. single-row scoring with the full per-request runtime
   overhead.  This is the no-batching baseline.
-* ``micro-batched`` — the default policy (256-row batches, 2 ms delay
-  budget): the batch loop greedily drains each burst into one block.
+* ``micro-batched`` — the default policy (up to 256 rows a batch): the
+  batch loop drains whatever queued up while the previous batch scored.
 
 The trace is open-loop (arrivals do not wait for responses) and bursty:
 requests arrive in groups at exponentially spaced instants, offered at
@@ -200,12 +200,10 @@ def test_serving_traffic_replay(benchmark, report, request, tmp_path):
     configs = {
         "sequential (rows=1)": ServingConfig(
             max_batch_rows=1,
-            max_batch_delay_ms=0.0,
             queue_limit=n_requests + 8,
         ),
         "micro-batched": ServingConfig(
             max_batch_rows=256,
-            max_batch_delay_ms=2.0,
             queue_limit=n_requests + 8,
         ),
     }

@@ -10,6 +10,8 @@ the ``report`` fixture; the rows are
 
 ``REPRO_BENCH_SCALE`` (float, default 1.0) scales every dataset so the
 suite can be shrunk for smoke runs (e.g. 0.2) or grown on big machines.
+Only a run at scale 1.0 without ``--tiny`` may rewrite the committed
+tables: any other run writes its JSON under a pytest temp directory.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ def bench_scale() -> float:
 class Report:
     """Accumulates paper-style result tables for one bench module."""
 
+    def __init__(self, results_dir: Path = RESULTS_DIR) -> None:
+        self.results_dir = results_dir
+
     def add_table(
         self,
         title: str,
@@ -53,20 +58,23 @@ class Report:
     ) -> None:
         """Record a table; it is printed at session end and saved as JSON."""
         _TABLES.append((title, header, rows, notes))
-        RESULTS_DIR.mkdir(exist_ok=True)
+        self.results_dir.mkdir(exist_ok=True)
         slug = "".join(
             ch if ch.isalnum() else "_" for ch in title.lower()
         ).strip("_")
         while "__" in slug:
             slug = slug.replace("__", "_")
         payload = {"title": title, "header": header, "rows": rows, "notes": notes}
-        with open(RESULTS_DIR / f"{slug}.json", "w", encoding="utf-8") as handle:
+        with open(
+            self.results_dir / f"{slug}.json", "w", encoding="utf-8"
+        ) as handle:
             json.dump(payload, handle, indent=2, default=str)
 
 
 @pytest.fixture(scope="session")
-def report() -> Report:
-    return Report()
+def report(request, tmp_path_factory) -> Report:
+    smoke = request.config.getoption("--tiny") or bench_scale() != 1.0
+    return Report(tmp_path_factory.mktemp("results") if smoke else RESULTS_DIR)
 
 
 def _format_cell(value: object) -> str:

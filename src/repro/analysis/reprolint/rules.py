@@ -12,9 +12,8 @@ live in :mod:`repro.analysis.reprolint.graph_rules`):
 * RP002 ``wall-clock-outside-seam`` — real-time reads live in the one
   clock seam, ``utils/timing.py``; everything else (phase accounting,
   build strategies, the serving runtime) goes through its
-  ``wall_clock`` / ``Stopwatch`` / ``Deadline``; stray ``time.*`` pairs
-  produce unphased seconds no report can attribute.  Under a
-  whole-program run
+  ``wall_clock`` / ``Stopwatch``; stray ``time.*`` pairs produce
+  unphased seconds no report can attribute.  Under a whole-program run
   the seam is *derived*: the seam modules come from the declared
   ``[tool.reprolint]`` contract and a clock read is also permitted in
   any function transitively called only from seam modules; the manual

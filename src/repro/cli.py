@@ -296,7 +296,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     serving_config = ServingConfig(
         max_batch_rows=args.max_batch_rows,
-        max_batch_delay_ms=args.max_batch_delay_ms,
         queue_limit=args.queue_limit,
         deadline_ms=args.deadline_ms,
         n_processes=args.n_processes,
@@ -318,8 +317,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"serving NDJSON on {server.host}:{server.port} "
-            f"(max_batch_rows={serving_config.max_batch_rows}, "
-            f"max_batch_delay_ms={serving_config.max_batch_delay_ms})",
+            f"(max_batch_rows={serving_config.max_batch_rows})",
             flush=True,
         )
         await server.serve_until_shutdown()
@@ -486,13 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch-rows",
         type=int,
         default=256,
-        help="flush a micro-batch at this many rows (1 = no coalescing)",
-    )
-    serve.add_argument(
-        "--max-batch-delay-ms",
-        type=float,
-        default=2.0,
-        help="flush an under-filled batch after this delay (p99 bound)",
+        help="most rows one micro-batch may hold (1 = no coalescing)",
     )
     serve.add_argument(
         "--queue-limit",

@@ -55,9 +55,13 @@ from ..tree.tree import LEAF, UNUSED, RegressionTree
 
 __all__ = ["FlatEnsemble", "DEFAULT_BLOCK_BYTES"]
 
-#: Target footprint of one block's dense feature panel (float64).  The
-#: panel plus the per-level scratch should sit in L2/L3, not RAM.
+#: Target footprint of one block: its dense feature panel (float64)
+#: plus its per-level scratch should sit in L2/L3, not RAM.
 DEFAULT_BLOCK_BYTES = 4 * 1024 * 1024
+
+#: Scratch bytes per (row, tree) cell, summed over :class:`_Scratch`'s
+#: planes: int64 node/pos, int32 cols, float64 vals/thresh/sums, bool goes.
+SCRATCH_CELL_BYTES = 45
 
 #: Never shrink blocks below this many rows — tiny blocks pay python
 #: dispatch per block instead of amortizing it.
@@ -81,8 +85,9 @@ class _Scratch:
         self.vals = np.empty(shape, dtype=np.float64)
         self.thresh = np.empty(shape, dtype=np.float64)
         self.goes = np.empty(shape, dtype=bool)
-        self.weights = np.empty(shape, dtype=np.float64)
-        self.acc = np.empty(n_rows, dtype=np.float64)
+        # Column 0 is the seed of the running sum (the base score);
+        # column t + 1 receives tree t's leaf weight.
+        self.sums = np.empty((n_rows, n_trees + 1), dtype=np.float64)
         # Row r of the block starts at flat panel position r * n_used.
         self.row_base = (
             np.arange(n_rows, dtype=np.int64) * max(1, n_used)
@@ -220,7 +225,7 @@ class FlatEnsemble:
             n_trees: Truncate to the first trees (slice semantics, like
                 ``trees[:n_trees]``).
             batch_rows: Rows per block; default sizes the block's dense
-                panel to ~:data:`DEFAULT_BLOCK_BYTES`.
+                panel plus scratch to ~:data:`DEFAULT_BLOCK_BYTES`.
             n_processes: With >= 2, score row blocks on a shared-memory
                 process pool (falls back to this serial path when pools
                 are unusable — see :mod:`repro.inference.parallel`).
@@ -326,15 +331,16 @@ class FlatEnsemble:
         col_of = self._col_lookup(X)
         for lo in range(start, stop, batch):
             hi = min(lo + batch, stop)
-            n = hi - lo
-            weights = self._leaf_weights_block(X, lo, hi, n_use, scratch, col_of)
-            acc = scratch.acc[:n]
-            acc[:] = base_score
-            # Tree-order accumulation: the same float64 addition sequence
-            # as `raw += tree.predict(X)` per boosting round.
-            for t in range(n_use):
-                acc += weights[:, t]
-            out[lo:hi] = acc
+            # Leaf weights land in sums[:, 1:]; column 0 seeds the sum.
+            self._leaf_weights_block(X, lo, hi, n_use, scratch, col_of)
+            sums = scratch.sums[: hi - lo, : n_use + 1]
+            sums[:, 0] = base_score
+            # Tree-order accumulation: a running sum is sequential by
+            # definition, so this is the same float64 addition sequence
+            # as `raw += tree.predict(X)` per boosting round (np.sum /
+            # np.add.reduce add pairwise and would change the bits).
+            np.cumsum(sums, axis=1, out=sums)
+            out[lo:hi] = sums[:, -1]
 
     # ------------------------------------------------------------------
     # block kernels
@@ -350,10 +356,9 @@ class FlatEnsemble:
         col_of: np.ndarray,
     ) -> np.ndarray:
         """Leaf weight of rows ``[lo, hi)`` in every tree: ``(n, n_use)``."""
-        n = hi - lo
         node = self._traverse_block(X, lo, hi, n_use, scratch, col_of)
-        weights = scratch.weights[:n, :n_use]
-        np.take(self.weight, node, out=weights, mode="wrap")
+        weights = scratch.sums[: hi - lo, 1 : n_use + 1]
+        self.weight.take(node, out=weights, mode="wrap")
         return weights
 
     def _traverse_block(
@@ -401,14 +406,17 @@ class FlatEnsemble:
         thresh = scratch.thresh[:n, :n_use]
         goes = scratch.goes[:n, :n_use]
         row_base = scratch.row_base[:n]
+        slot_col, split_value = self.slot_col, self.split_value
         for _ in range(self.max_depth - 1):
+            # The ndarray method, not np.take: the function form is a
+            # Python wrapper whose dispatch shows at serving batch sizes.
             # mode="wrap" skips numpy's per-element bounds check; the
             # descent can only produce in-range slots (and the tests
             # assert bit-identity, so a wrap-around could not hide).
-            np.take(self.slot_col, node, out=cols, mode="wrap")
+            slot_col.take(node, out=cols, mode="wrap")
             np.add(row_base, cols, out=pos)
-            np.take(flat_block, pos, out=vals, mode="wrap")
-            np.take(self.split_value, node, out=thresh, mode="wrap")
+            flat_block.take(pos, out=vals, mode="wrap")
+            split_value.take(node, out=thresh, mode="wrap")
             # The exact comparison RegressionTree.leaf_of performs
             # (DESIGN §4b: an absent feature is the value 0.0, routed by
             # ``0 < threshold``); pseudo-splits compare against +inf.
@@ -444,7 +452,7 @@ class FlatEnsemble:
             if batch_rows < 1:
                 raise DataError(f"batch_rows must be >= 1, got {batch_rows}")
             return batch_rows
-        per_row = 8 * max(1, self.n_used)
+        per_row = 8 * max(1, self.n_used) + SCRATCH_CELL_BYTES * self.n_trees
         rows = DEFAULT_BLOCK_BYTES // per_row
         return int(min(max(rows, MIN_BLOCK_ROWS), max(1, n_rows)))
 

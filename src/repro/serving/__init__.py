@@ -5,9 +5,10 @@ Training ends with a compiled :class:`~repro.inference.flat.FlatEnsemble`
 traffic.  The pieces, hot path first:
 
 * :mod:`runtime` — the asyncio admission queue + dynamic micro-batcher:
-  single-row requests coalesce into the cache-sized row blocks the flat
-  kernel wants, flushing on ``max_batch_rows`` or a
-  ``max_batch_delay_ms`` deadline, with explicit load shedding.
+  single-row requests coalesce into the row blocks the flat kernel
+  wants by back-pressure alone (a batch is whatever queued up while the
+  previous one scored, up to ``max_batch_rows``; no timer), with
+  explicit load shedding.
 * :mod:`store` — versioned :class:`ModelStore` with atomic hot-swap
   (pointer flip; in-flight batches finish on the old version).
 * :mod:`server` — NDJSON-over-TCP front end (the ``repro serve`` verb).

@@ -8,11 +8,12 @@ Request flow::
         ◀──────── future ◀── run_in_executor(score) ◀── ModelStore.current()
 
 The batching loop waits for a first request, greedily drains whatever
-is already queued, then keeps the batch open until either
-``max_batch_rows`` is reached or ``max_batch_delay_ms`` has elapsed
-since the batch opened — so throughput scales with load (big batches
-feed the flat kernel the cache-sized blocks it wants) while p99 stays
-bounded at low load (a lone request waits at most the delay budget).
+else is already queued (up to ``max_batch_rows``) and flushes at once.
+It never waits on a timer: the flush is awaited, so whatever arrives
+while it scores is the next batch.  Batches form from back-pressure —
+their size grows with load by itself (big batches feed the flat kernel
+the cache-sized blocks it wants), and an idle runtime answers a lone
+request immediately.
 
 Scoring runs on a dedicated single-thread executor: the event loop
 keeps admitting (and shedding) requests while numpy works, and at most
@@ -39,7 +40,7 @@ import numpy as np
 
 from ..datasets.sparse import CSRMatrix
 from ..errors import ConfigError, RequestRejectedError, ServingError
-from ..utils.timing import Deadline, wall_clock
+from ..utils.timing import wall_clock
 from .metrics import ServingMetrics
 from .store import ModelStore, ModelVersion
 
@@ -56,10 +57,9 @@ class ServingConfig:
     """Tuning knobs of one :class:`ServingRuntime`.
 
     Attributes:
-        max_batch_rows: Flush a micro-batch at this many rows.  1
-            disables coalescing (the single-row-sequential baseline).
-        max_batch_delay_ms: Flush an under-filled batch this many
-            milliseconds after it opened — the p99 bound at low load.
+        max_batch_rows: Most rows one micro-batch may hold; a longer
+            backlog is split.  1 disables coalescing (the
+            single-row-sequential baseline).
         queue_limit: Admission bound; a submit finding this many
             requests queued is rejected immediately (explicit shed, not
             queue collapse).
@@ -73,7 +73,6 @@ class ServingConfig:
     """
 
     max_batch_rows: int = 256
-    max_batch_delay_ms: float = 2.0
     queue_limit: int = 1024
     deadline_ms: float | None = None
     n_processes: int = 1
@@ -83,10 +82,6 @@ class ServingConfig:
         _require(
             self.max_batch_rows >= 1,
             f"max_batch_rows must be >= 1, got {self.max_batch_rows}",
-        )
-        _require(
-            self.max_batch_delay_ms >= 0.0,
-            f"max_batch_delay_ms must be >= 0, got {self.max_batch_delay_ms}",
         )
         _require(
             self.queue_limit >= 1,
@@ -130,24 +125,18 @@ class Prediction:
     score_ms: float
 
 
+@dataclass(slots=True, eq=False)
 class _Request:
     """Internal queue entry: validated row + response future."""
 
-    __slots__ = ("indices", "values", "arrival", "deadline_at", "future")
-
-    def __init__(
-        self,
-        indices: np.ndarray,
-        values: np.ndarray,
-        arrival: float,
-        deadline_at: float | None,
-        future: "asyncio.Future[Prediction]",
-    ) -> None:
-        self.indices = indices
-        self.values = values
-        self.arrival = arrival
-        self.deadline_at = deadline_at
-        self.future = future
+    indices: np.ndarray
+    values: np.ndarray
+    #: Width of the version the indices were validated against: a hot
+    #: swap may publish a narrower one before this row is scored.
+    n_features: int
+    arrival: float
+    deadline_at: float | None
+    future: "asyncio.Future[Prediction]"
 
 
 class _Stop:
@@ -217,17 +206,15 @@ class ServingRuntime:
         if self._batch_task is None:
             return
         self._stopping = True
-        assert self._queue is not None
+        assert self._queue is not None and self._score_pool is not None
         self._queue.put_nowait(_STOP)
-        await self._batch_task
-        self._batch_task = None
-        # Whatever the loop did not pick up is shed explicitly.
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if isinstance(item, _Request):
-                self._reject(item, "shutdown", "runtime stopped")
-        self._queue = None
-        if self._score_pool is not None:
+        try:
+            # The loop sheds what it did not pick up on its way out; a
+            # loop that died re-raises here what killed it.
+            await self._batch_task
+        finally:
+            self._batch_task = None
+            self._queue = None
             self._score_pool.shutdown(wait=True)
             self._score_pool = None
 
@@ -263,6 +250,7 @@ class ServingRuntime:
             ServingError: Malformed row or runtime not started.
         """
         if self._queue is None or self._stopping:
+            self.metrics.rejected_shutdown += 1
             raise RequestRejectedError("shutdown", "runtime is not accepting")
         request = self._admit(indices, values, deadline_ms)
         return await request.future
@@ -280,8 +268,11 @@ class ServingRuntime:
                 "queue_full",
                 f"admission queue at limit ({self.config.queue_limit})",
             )
-        idx = np.asarray(indices, dtype=np.int32)
-        val = np.asarray(values, dtype=np.float32)
+        try:
+            idx = np.asarray(indices, dtype=np.int32)
+            val = np.asarray(values, dtype=np.float32)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise ServingError(f"row is not numeric: {exc}") from None
         if idx.ndim != 1 or val.ndim != 1 or len(idx) != len(val):
             raise ServingError(
                 f"row must be parallel 1-D indices/values, got shapes "
@@ -291,7 +282,7 @@ class ServingRuntime:
         if len(idx) and (
             idx[0] < 0
             or idx[-1] >= n_features
-            or bool(np.any(np.diff(idx) <= 0))
+            or (idx[1:] <= idx[:-1]).any()
         ):
             raise ServingError(
                 f"indices must be strictly increasing within [0, "
@@ -305,6 +296,7 @@ class ServingRuntime:
         request = _Request(
             idx,
             val,
+            n_features,
             arrival,
             deadline_at,
             asyncio.get_running_loop().create_future(),
@@ -319,19 +311,33 @@ class ServingRuntime:
     # ------------------------------------------------------------------
 
     async def _batch_loop(self) -> None:
-        assert self._queue is not None
-        while True:
-            first = await self._queue.get()
-            if isinstance(first, _Stop):
-                return
-            batch = [first]
-            self._fill_nowait(batch)
-            if len(batch) < self.config.max_batch_rows:
-                stop = await self._fill_until_deadline(batch, first.arrival)
-                if stop:
-                    await self._flush(batch)
+        queue = self._queue
+        assert queue is not None
+        batch: list[_Request] = []
+        try:
+            while not self._stopping:
+                first = await queue.get()
+                if isinstance(first, _Stop):
                     return
-            await self._flush(batch)
+                batch = [first]
+                self._fill_nowait(batch)
+                # Awaited: what arrives while this batch scores is the
+                # next batch, so batches grow with load and never wait
+                # on a clock.
+                await self._flush(batch)
+        finally:
+            # However the loop ends, nothing may be left waiting on it:
+            # later submits are refused, and what it did not answer —
+            # queued, or in hand when it died — is shed.
+            self._stopping = True
+            while not queue.empty():
+                item = queue.get_nowait()
+                if isinstance(item, _Request):
+                    batch.append(item)
+            for request in batch:
+                if not request.future.done():
+                    self.metrics.rejected_shutdown += 1
+                    self._reject(request, "shutdown", "runtime stopped")
 
     def _fill_nowait(self, batch: list[_Request]) -> None:
         """Greedily drain the backlog (never waits, never over-fills)."""
@@ -349,35 +355,24 @@ class ServingRuntime:
                 return
             batch.append(item)
 
-    async def _fill_until_deadline(
-        self, batch: list[_Request], opened_at: float
-    ) -> bool:
-        """Keep the batch open until rows or delay budget runs out.
-
-        Returns True when the stop sentinel arrived (flush then exit).
-        """
-        assert self._queue is not None
-        deadline = Deadline(
-            opened_at + self.config.max_batch_delay_ms / 1e3
-        )
-        while len(batch) < self.config.max_batch_rows:
-            remaining = deadline.remaining()
-            if remaining <= 0.0:
-                return False
-            try:
-                item = await asyncio.wait_for(
-                    self._queue.get(), timeout=remaining
-                )
-            except asyncio.TimeoutError:
-                return False
-            if isinstance(item, _Stop):
-                return True
-            batch.append(item)
-        return False
-
     async def _flush(self, batch: list[_Request]) -> None:
-        """Shed expired requests, score the rest as one row block."""
+        """Shed expired requests, score the rest as one row block.
+
+        Never raises: whatever goes wrong with one batch is answered to
+        that batch's requests, and the loop takes the next one.
+        """
+        try:
+            await self._score(batch)
+        except Exception as exc:  # the loop must outlive any one batch
+            error = ServingError(f"scoring failed: {exc}")
+            for request in batch:
+                if not request.future.done():
+                    request.future.set_exception(error)
+
+    async def _score(self, batch: list[_Request]) -> None:
         drained_at = wall_clock()
+        version = self.store.current()  # read once: the whole batch
+        n_features = version.n_features
         live: list[_Request] = []
         for request in batch:
             if (
@@ -391,46 +386,50 @@ class ServingRuntime:
                     f"deadline expired after "
                     f"{(drained_at - request.arrival) * 1e3:.2f} ms in queue",
                 )
+            elif (
+                request.n_features > n_features
+                and len(request.indices)
+                and request.indices[-1] >= n_features
+            ):
+                # Admitted under a wider version that a hot swap has
+                # since replaced; its batch-mates are scored as usual.
+                request.future.set_exception(
+                    ServingError(
+                        f"feature {request.indices[-1]} is outside version "
+                        f"{version.version}'s width {n_features}"
+                    )
+                )
             else:
                 live.append(request)
         if not live:
             self.metrics.empty_flushes += 1
             return
 
-        version = self.store.current()  # read once: the whole batch
-        X = self._assemble(live, version.n_features)
+        X = self._assemble(live, n_features)
         self._batch_seq += 1
         batch_seq = self._batch_seq
-        loop = asyncio.get_running_loop()
         assert self._score_pool is not None
         score_started = wall_clock()
-        try:
-            raw = await loop.run_in_executor(
-                self._score_pool, version.predict_raw, X
-            )
-        except Exception as exc:
-            for request in live:
-                if not request.future.done():
-                    request.future.set_exception(
-                        ServingError(f"scoring failed: {exc}")
-                    )
-            return
+        raw = await asyncio.get_running_loop().run_in_executor(
+            self._score_pool, version.predict_raw, X
+        )
         score_ms = (wall_clock() - score_started) * 1e3
-        value = version.transform(raw)
+        # One conversion per batch, not one float() per request.
+        raws, values = raw.tolist(), version.transform(raw).tolist()
 
         self.metrics.observe_batch(len(live))
+        self.metrics.served += len(live)
         self.metrics.score.observe(score_ms / 1e3)
         done_at = wall_clock()
-        for i, request in enumerate(live):
+        for request, raw_i, value_i in zip(live, raws, values, strict=True):
             queued_ms = (drained_at - request.arrival) * 1e3
             self.metrics.queue_wait.observe(queued_ms / 1e3)
             self.metrics.total.observe(done_at - request.arrival)
-            self.metrics.served += 1
             if not request.future.done():
                 request.future.set_result(
                     Prediction(
-                        raw=float(raw[i]),
-                        value=float(value[i]),
+                        raw=raw_i,
+                        value=value_i,
                         version=version.version,
                         batch_seq=batch_seq,
                         batch_size=len(live),

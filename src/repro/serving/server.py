@@ -16,7 +16,10 @@ multiplex freely (each line is independent).  Operations::
 ``op`` defaults to ``"score"`` so the hot path can omit it.  A shed
 request answers ``{"ok": false, "error": "rejected", "reason": ...}``
 — explicit load shedding is part of the wire contract, not an
-exception.
+exception.  So is a malformed line: it answers ``bad_json`` or
+``bad_request`` and the connection lives on (a line over the stream
+limit is answered, then that connection is closed — the rest of the
+line is still in the pipe).
 """
 
 from __future__ import annotations
@@ -28,6 +31,15 @@ from ..errors import ReproError, RequestRejectedError
 from .runtime import ServingRuntime
 
 __all__ = ["ServingServer"]
+
+
+def _bad_request(detail: str) -> dict:
+    return {"ok": False, "error": "bad_request", "detail": detail}
+
+
+async def _reply(writer: asyncio.StreamWriter, response: dict) -> None:
+    writer.write(json.dumps(response).encode("utf-8") + b"\n")
+    await writer.drain()
 
 
 class ServingServer:
@@ -86,12 +98,16 @@ class ServingServer:
     ) -> None:
         try:
             while not self._shutdown.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # Over the StreamReader limit, and the rest of the
+                    # line is still in the pipe: answer, then hang up.
+                    await _reply(writer, _bad_request(f"line too long: {exc}"))
+                    break
                 if not line:
                     break
-                response = await self._dispatch(line)
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
-                await writer.drain()
+                await _reply(writer, await self._dispatch(line))
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -104,14 +120,12 @@ class ServingServer:
     async def _dispatch(self, line: bytes) -> dict:
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Not only JSONDecodeError: invalid UTF-8 is a plain
+            # ValueError, and 64 KiB of "[" overflows the parser's stack.
             return {"ok": False, "error": "bad_json", "detail": str(exc)}
         if not isinstance(payload, dict):
-            return {
-                "ok": False,
-                "error": "bad_request",
-                "detail": "each line must be a JSON object",
-            }
+            return _bad_request("each line must be a JSON object")
         op = payload.get("op", "score")
         try:
             if op == "score":
@@ -135,25 +149,25 @@ class ServingServer:
             return {"ok": False, "error": "rejected", "reason": exc.reason,
                     "detail": str(exc)}
         except ReproError as exc:
-            return {"ok": False, "error": "bad_request", "detail": str(exc)}
+            return _bad_request(str(exc))
         return {"ok": False, "error": "unknown_op", "detail": repr(op)}
 
     async def _op_score(self, payload: dict) -> dict:
         features = payload.get("features", [])
         try:
+            # OverflowError: JSON's 1e400 parses to inf, and int(inf) raises.
             indices = [int(pair[0]) for pair in features]
             values = [float(pair[1]) for pair in features]
-        except (TypeError, ValueError, IndexError):
-            return {
-                "ok": False,
-                "error": "bad_request",
-                "detail": "features must be [[index, value], ...]",
-            }
+        except (TypeError, ValueError, IndexError, OverflowError):
+            return _bad_request("features must be [[index, value], ...]")
         deadline_ms = payload.get("deadline_ms")
+        try:
+            if deadline_ms is not None:
+                deadline_ms = float(deadline_ms)
+        except (TypeError, ValueError):
+            return _bad_request("deadline_ms must be a number")
         prediction = await self.runtime.submit(
-            indices,
-            values,
-            deadline_ms=float(deadline_ms) if deadline_ms is not None else None,
+            indices, values, deadline_ms=deadline_ms
         )
         return {
             "ok": True,
@@ -169,10 +183,6 @@ class ServingServer:
     async def _op_swap(self, payload: dict) -> dict:
         path = payload.get("model")
         if not isinstance(path, str):
-            return {
-                "ok": False,
-                "error": "bad_request",
-                "detail": "swap needs a 'model' artifact path",
-            }
+            return _bad_request("swap needs a 'model' artifact path")
         version = await self.runtime.swap(path)
         return {"ok": True, "version": version.version}

@@ -4,11 +4,10 @@ This module is the *audited clock seam* (reprolint RP002 declares it in
 ``[tool.reprolint].clock-seam``; every other module reading ``time.*``
 is a finding).  Trainers, build strategies, the phase runner and the
 serving runtime all take instants from here — :data:`wall_clock`
-seconds, :data:`wall_clock_ns` nanoseconds, or the :class:`Stopwatch` /
-:class:`Deadline` helpers built on them — so a grep for ``wall_clock``
-finds every timing site, training phase seconds and serving latencies
-share one value stream, and determinism tests stub the clock in exactly
-one place.
+seconds, :data:`wall_clock_ns` nanoseconds, or the :class:`Stopwatch`
+built on them — so a grep for ``wall_clock`` finds every timing site,
+training phase seconds and serving latencies share one value stream,
+and determinism tests stub the clock in exactly one place.
 """
 
 from __future__ import annotations
@@ -53,25 +52,6 @@ class Stopwatch:
         """Zero the accumulated total."""
         self.total = 0.0
         self._started_at = None
-
-
-class Deadline:
-    """An absolute instant in the :data:`wall_clock` stream.
-
-    Wraps the "remaining budget" arithmetic of the serving batch loop::
-
-        deadline = Deadline(opened_at + 0.002)  # flush 2 ms after opening
-        await asyncio.wait_for(queue.get(), timeout=deadline.remaining())
-    """
-
-    __slots__ = ("at",)
-
-    def __init__(self, at: float) -> None:
-        self.at = at
-
-    def remaining(self) -> float:
-        """Seconds left before expiry (0.0 once expired, never negative)."""
-        return max(0.0, self.at - wall_clock())
 
 
 @dataclass

@@ -5,15 +5,15 @@ Same module shape as the bad fixture, but every instant flows through
 directly.
 """
 
-from repro.utils.timing import Deadline, wall_clock, wall_clock_ns
+from repro.utils.timing import wall_clock, wall_clock_ns
 
 
 def admit() -> float:
     return wall_clock()
 
 
-def batch_deadline(delay_s: float) -> Deadline:
-    return Deadline(wall_clock() + delay_s)
+def request_deadline(budget_s: float) -> float:
+    return wall_clock() + budget_s
 
 
 def stamp_ns() -> int:

@@ -43,6 +43,36 @@ def test_flat_matches_per_tree(seed):
     np.testing.assert_array_equal(got, oracle)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_accumulation_is_sequential_in_boosting_order(seed):
+    """Leaf weights spanning sixteen decades from a non-zero base score:
+    any sum that is not ((base + w0) + w1) + ... — pairwise, reordered,
+    base added last — lands on different bits than the per-tree loop."""
+    rng = np.random.default_rng(seed)
+    n_features = int(rng.integers(1, 16))
+    model = random_model(
+        rng,
+        n_trees=int(rng.integers(9, 40)),
+        n_features=n_features,
+        max_depth=int(rng.integers(1, 5)),
+    )
+    for tree in model.trees:
+        tree.weight *= 10.0 ** rng.uniform(-8.0, 8.0)
+    model.base_score = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 8.0))
+    # Serving shapes: no rows, a lone row, a ragged block.
+    n_rows = int(rng.choice([0, 1, rng.integers(2, 40)]))
+    X = random_matrix(rng, n_rows=n_rows, n_cols=n_features, empty_row_prob=0.3)
+    n_trees = (
+        None if rng.random() < 0.5 else int(rng.integers(-2, model.n_trees + 2))
+    )
+    batch_rows = None if rng.random() < 0.5 else int(rng.integers(1, 12))
+
+    oracle = model.predict_raw_per_tree(X, n_trees=n_trees)
+    got = model.predict_raw(X, n_trees=n_trees, batch_rows=batch_rows)
+    assert np.array_equal(got, oracle)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_leaf_slots_match_leaf_of(seed):

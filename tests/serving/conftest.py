@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -13,25 +15,27 @@ N_FEATURES = 24
 MAX_DEPTH = 4
 
 
-def _full_tree(rng: np.random.Generator) -> RegressionTree:
+def _full_tree(rng: np.random.Generator, n_features: int) -> RegressionTree:
     tree = RegressionTree(max_depth=MAX_DEPTH)
     internal = (1 << (MAX_DEPTH - 1)) - 1
     for node in range(internal):
         tree.set_split(
-            node, int(rng.integers(0, N_FEATURES)), float(rng.normal())
+            node, int(rng.integers(0, n_features)), float(rng.normal())
         )
     for node in range(internal, tree.max_nodes):
         tree.set_leaf(node, float(rng.normal()))
     return tree
 
 
-def make_model(seed: int, n_trees: int = 4) -> GBDTModel:
+def make_model(
+    seed: int, n_trees: int = 4, n_features: int = N_FEATURES
+) -> GBDTModel:
     rng = np.random.default_rng(seed)
     return GBDTModel(
-        trees=[_full_tree(rng) for _ in range(n_trees)],
+        trees=[_full_tree(rng, n_features) for _ in range(n_trees)],
         base_score=0.0,
         loss_name="logistic",
-        n_features=N_FEATURES,
+        n_features=n_features,
     )
 
 
@@ -49,6 +53,14 @@ def make_rows(
         values = rng.normal(size=nnz).astype(np.float32)
         rows.append((indices, values))
     return rows
+
+
+async def until_in_flight(runtime) -> None:
+    """Yield until a first request is in and the batch loop has picked
+    the queue up (no sleeping: with a slow or gated scorer that batch is
+    then in the scorer)."""
+    while runtime.metrics.submitted < 1 or runtime.queue_depth():
+        await asyncio.sleep(0)
 
 
 def rows_to_csr(rows: list[tuple[np.ndarray, np.ndarray]]) -> CSRMatrix:

@@ -9,13 +9,16 @@ micro-batches — one version per ``batch_seq``, monotone in flush order.
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
+from repro.datasets.sparse import CSRMatrix
+from repro.errors import ServingError
 from repro.serving import ModelStore, ServingConfig, ServingRuntime
 
-from .conftest import make_model, make_rows, rows_to_csr
+from .conftest import make_model, make_rows, rows_to_csr, until_in_flight
 
 N_REQUESTS = 120
 SWAP_AT = (40, 80)
@@ -47,7 +50,7 @@ def test_hot_swap_under_load(artifacts):
         store = ModelStore()
         store.load(paths[0])
         runtime = ServingRuntime(
-            store, ServingConfig(max_batch_rows=16, max_batch_delay_ms=1.0)
+            store, ServingConfig(max_batch_rows=16)
         )
         await runtime.start()
         tasks = []
@@ -97,3 +100,64 @@ def test_hot_swap_under_load(artifacts):
     assert metrics.served == N_REQUESTS
     assert metrics.rejected == 0
     assert max(metrics.batch_sizes) > 1
+
+
+def test_swap_to_a_narrower_model_keeps_the_loop_alive(tmp_path):
+    """A row admitted under v1 may not fit the v2 that scores it.
+
+    It is answered ``ServingError``; its batch-mate gets v2's exact bits
+    and the runtime keeps serving (on the parent the flush raised outside
+    its ``try``, the batch loop died and every later request hung).
+    """
+    narrow = make_model(4, n_features=8)
+    paths = []
+    for name, model in (("wide", make_model(1)), ("narrow", narrow)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        model.save(paths[-1])
+    fits = (np.array([2, 5], dtype=np.int32), np.ones(2, dtype=np.float32))
+    too_wide = (np.array([2, 20], dtype=np.int32), np.ones(2, dtype=np.float32))
+
+    async def drive():
+        store = ModelStore()
+        store.load(paths[0])
+        # Hold v1's first batch in the scorer until the swap has landed.
+        gate = threading.Event()
+        v1 = store.current()
+        original = v1.predict_raw
+
+        def gated(X):
+            gate.wait(10)
+            return original(X)
+
+        v1.predict_raw = gated
+        runtime = ServingRuntime(store, ServingConfig(max_batch_rows=16))
+        await runtime.start()
+        tasks = [asyncio.create_task(runtime.submit(*fits))]
+        await until_in_flight(runtime)
+        tasks += [
+            asyncio.create_task(runtime.submit(*row))
+            for row in (too_wide, fits)
+        ]
+        await asyncio.sleep(0)  # both admitted, validated against v1
+        await runtime.swap(paths[1])
+        gate.set()
+        results = await asyncio.wait_for(
+            asyncio.gather(*tasks, return_exceptions=True), timeout=10
+        )
+        alive = runtime.running
+        after = await asyncio.wait_for(runtime.submit(*fits), timeout=10)
+        await runtime.stop()
+        store.close()
+        return results, alive, after
+
+    (first, rejected, mate), alive, after = asyncio.run(drive())
+    assert first.version == 1
+    assert isinstance(rejected, ServingError)
+    assert "20" in str(rejected) and "8" in str(rejected)
+    expected = narrow.compiled().predict_raw(
+        CSRMatrix.from_rows([[(2, 1.0), (5, 1.0)]], n_cols=8),
+        base_score=narrow.base_score,
+    )[0]
+    assert (mate.version, mate.raw, mate.batch_size) == (2, expected, 1)
+    assert alive
+    assert (after.version, after.raw) == (2, expected)

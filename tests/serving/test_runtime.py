@@ -11,7 +11,7 @@ import pytest
 from repro.errors import ConfigError, RequestRejectedError, ServingError
 from repro.serving import ModelStore, ServingConfig, ServingRuntime
 
-from .conftest import make_rows, rows_to_csr
+from .conftest import make_rows, rows_to_csr, until_in_flight
 
 
 def run(coro):
@@ -30,7 +30,6 @@ class TestConfig:
         "kwargs",
         [
             dict(max_batch_rows=0),
-            dict(max_batch_delay_ms=-1.0),
             dict(queue_limit=0),
             dict(deadline_ms=0.0),
             dict(n_processes=0),
@@ -87,6 +86,31 @@ class TestLifecycle:
         prediction = run(body())
         assert prediction.version == 1
 
+    def test_dead_batch_loop_fails_fast(self, store):
+        """If the loop ever exits abnormally, nothing waits on it: the
+        queued request and every later submit are refused at once."""
+
+        async def body():
+            runtime = ServingRuntime(store)
+
+            def broken(batch):
+                raise RuntimeError("boom")
+
+            runtime._fill_nowait = broken
+            await runtime.start()
+            with pytest.raises(RequestRejectedError) as queued:
+                await asyncio.wait_for(runtime.submit([1], [1.0]), timeout=5)
+            assert not runtime.running
+            with pytest.raises(RequestRejectedError) as later:
+                await asyncio.wait_for(runtime.submit([1], [1.0]), timeout=5)
+            with pytest.raises(RuntimeError, match="boom"):
+                await runtime.stop()  # surfaces what killed the loop
+            return queued.value.reason, later.value.reason, runtime.metrics
+
+        queued, later, metrics = run(body())
+        assert queued == later == "shutdown"
+        assert metrics.rejected_shutdown == 2
+
 
 class TestAdmissionValidation:
     @pytest.mark.parametrize(
@@ -97,6 +121,8 @@ class TestAdmissionValidation:
             ([-1], [1.0]),  # negative
             ([9999], [1.0]),  # past n_features
             ([1, 2], [1.0]),  # length mismatch
+            ([2**40], [1.0]),  # does not fit the index dtype
+            (["a"], [1.0]),  # not a number
         ],
     )
     def test_bad_rows_raise_serving_error(self, store, indices, values):
@@ -131,7 +157,7 @@ class TestBatching:
 
         async def body():
             runtime = ServingRuntime(
-                store, ServingConfig(max_batch_rows=64, max_batch_delay_ms=50)
+                store, ServingConfig(max_batch_rows=64)
             )
             await runtime.start()
             tasks = [
@@ -155,7 +181,7 @@ class TestBatching:
 
         async def body():
             runtime = ServingRuntime(
-                store, ServingConfig(max_batch_rows=4, max_batch_delay_ms=0.0)
+                store, ServingConfig(max_batch_rows=4)
             )
             await runtime.start()
             tasks = [
@@ -171,29 +197,62 @@ class TestBatching:
         assert sum(r * c for r, c in sizes.items()) == 10
         assert max(sizes) <= 4
 
-    def test_lone_request_flushes_after_delay(self, store):
-        async def body():
-            runtime = ServingRuntime(
-                store,
-                ServingConfig(max_batch_rows=64, max_batch_delay_ms=20.0),
-            )
-            await runtime.start()
-            prediction = await runtime.submit([2, 5], [1.0, -0.5])
-            await runtime.stop()
-            return prediction
+    def test_request_path_schedules_no_timer(self, store, monkeypatch):
+        """Batching is driven by back-pressure alone: serving a request
+        never arms a timer (the old policy armed one per queued item)."""
+        rows = make_rows(11, 100)
+        timers = []
 
-        prediction = run(body())
-        assert prediction.batch_size == 1
-        # The batch stayed open for (roughly) the delay budget waiting
-        # for company that never came.
-        assert prediction.queued_ms >= 10.0
+        async def body():
+            loop = asyncio.get_running_loop()
+            for name in ("call_at", "call_later"):
+                original = getattr(loop, name)
+
+                def counted(*args, _original=original, **kwargs):
+                    timers.append(args)
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(loop, name, counted)
+            runtime = ServingRuntime(store)
+            await runtime.start()
+            predictions = [await runtime.submit(idx, val) for idx, val in rows]
+            await runtime.stop()
+            return predictions
+
+        predictions = run(body())
+        assert timers == []
+        # Sequential callers on an idle runtime: every request is alone.
+        assert [p.batch_size for p in predictions] == [1] * 100
+
+    def test_arrivals_during_a_flush_ride_the_next_one(self, store):
+        """A batch waits only while the previous one scores, so what is
+        admitted meanwhile is exactly the next batch."""
+        TestLoadShedding._slow_scorer(store)
+        rows = make_rows(12, 6)
+
+        async def body():
+            runtime = ServingRuntime(store, ServingConfig(max_batch_rows=64))
+            await runtime.start()
+            lone = asyncio.create_task(runtime.submit(*rows[0]))
+            await until_in_flight(runtime)
+            behind = [
+                asyncio.create_task(runtime.submit(*row)) for row in rows[1:]
+            ]
+            results = await asyncio.gather(lone, *behind)
+            await runtime.stop()
+            return results
+
+        lone, *behind = run(body())
+        assert lone.batch_size == 1
+        assert [p.batch_size for p in behind] == [5] * 5
+        assert {p.batch_seq for p in behind} == {lone.batch_seq + 1}
 
     def test_sequential_mode_never_batches(self, store):
         rows = make_rows(5, 8)
 
         async def body():
             runtime = ServingRuntime(
-                store, ServingConfig(max_batch_rows=1, max_batch_delay_ms=0.0)
+                store, ServingConfig(max_batch_rows=1)
             )
             await runtime.start()
             tasks = [
@@ -228,9 +287,7 @@ class TestLoadShedding:
         async def body():
             runtime = ServingRuntime(
                 store,
-                ServingConfig(
-                    max_batch_rows=1, max_batch_delay_ms=0.0, queue_limit=2
-                ),
+                ServingConfig(max_batch_rows=1, queue_limit=2),
             )
             await runtime.start()
             first = asyncio.create_task(runtime.submit(*rows[0]))
@@ -259,7 +316,7 @@ class TestLoadShedding:
         async def body():
             runtime = ServingRuntime(
                 store,
-                ServingConfig(max_batch_rows=1, max_batch_delay_ms=0.0),
+                ServingConfig(max_batch_rows=1),
             )
             await runtime.start()
             first = asyncio.create_task(runtime.submit(*rows[0]))
@@ -280,3 +337,33 @@ class TestLoadShedding:
         # The doomed request's whole batch expired: an empty flush.
         assert metrics.empty_flushes == 1
         assert metrics.served == 1
+
+    def test_shutdown_sheds_are_counted(self, store):
+        """stop() finishes the in-flight batch and sheds what queued up
+        behind it; those and every later submit count as shutdown sheds."""
+        self._slow_scorer(store)
+        rows = make_rows(13, 5)
+
+        async def body():
+            runtime = ServingRuntime(store, ServingConfig(max_batch_rows=2))
+            await runtime.start()
+            in_flight = asyncio.create_task(runtime.submit(*rows[0]))
+            await until_in_flight(runtime)
+            queued = [
+                asyncio.create_task(runtime.submit(*row)) for row in rows[1:]
+            ]
+            await asyncio.sleep(0)  # run their admissions
+            await runtime.stop()
+            results = await asyncio.gather(
+                in_flight, *queued, return_exceptions=True
+            )
+            with pytest.raises(RequestRejectedError):
+                await runtime.submit(*rows[0])
+            return results, runtime.metrics
+
+        (served, *shed), metrics = run(body())
+        assert served.batch_size == 1
+        assert [e.reason for e in shed] == ["shutdown"] * 4
+        assert metrics.rejected_shutdown == 5
+        assert metrics.rejected == 5 and metrics.served == 1
+        assert metrics.snapshot()["rejected"]["shutdown"] == 5

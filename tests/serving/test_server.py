@@ -27,7 +27,7 @@ def test_wire_protocol(artifact_a, artifact_b, model_a, model_b):
         store = ModelStore()
         store.load(artifact_a)
         runtime = ServingRuntime(
-            store, ServingConfig(max_batch_rows=8, max_batch_delay_ms=1.0)
+            store, ServingConfig(max_batch_rows=8)
         )
         server = ServingServer(runtime, host="127.0.0.1", port=0)
         await server.start()
@@ -192,9 +192,7 @@ def test_parallel_scorer_serving_path(artifact_a, model_a):
             store.load(artifact_a)
             runtime = ServingRuntime(
                 store,
-                ServingConfig(
-                    max_batch_rows=8, max_batch_delay_ms=1.0, n_processes=2
-                ),
+                ServingConfig(max_batch_rows=8, n_processes=2),
             )
             await runtime.start()
             tasks = [
@@ -211,3 +209,68 @@ def test_parallel_scorer_serving_path(artifact_a, model_a):
         rows_to_csr(rows), base_score=model_a.base_score
     )
     assert np.array_equal(np.array([p.raw for p in predictions]), direct)
+
+
+@pytest.mark.parametrize(
+    "line, error, closes",
+    [
+        (b'{"features": [[1, 1.0]], "deadline_ms": "soon"}', "bad_request", False),
+        (b'{"features": [[1, 1.0]], "deadline_ms": [1]}', "bad_request", False),
+        (b'{"features": [[1e400, 0.5]]}', "bad_request", False),
+        (b'{"features": [[1099511627776, 0.5]]}', "bad_request", False),
+        (b'{"a": "\xff"}', "bad_json", False),
+        (b"[" * 60_000, "bad_json", False),
+        (b'{"pad": "' + b"x" * 70_000 + b'"}', "bad_request", True),
+    ],
+    ids=[
+        "deadline-str", "deadline-list", "index-inf", "index-int32",
+        "utf8", "nesting", "oversized",
+    ],
+)
+def test_malformed_line_is_a_wire_answer_not_a_drop(
+    artifact_a, line, error, closes
+):
+    """Every malformed line gets exactly one {ok: false} reply; nothing
+    reaches the loop's exception handler; other connections (and this
+    one, unless the line overran the stream limit) keep being served."""
+    unhandled = []
+
+    async def body():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        store = ModelStore()
+        store.load(artifact_a)
+        server = ServingServer(ServingRuntime(store), port=0)
+        await server.start()
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        other = await asyncio.open_connection(server.host, server.port)
+        try:
+            writer.write(line + b"\n")
+            await writer.drain()
+            reply = json.loads(
+                await asyncio.wait_for(reader.readline(), timeout=10)
+            )
+            if closes:
+                follow_up = await asyncio.wait_for(reader.read(), timeout=10)
+            else:
+                follow_up = await roundtrip(reader, writer, {"op": "ping"})
+            elsewhere = await roundtrip(*other, {"features": [[1, 1.0]]})
+            # Read now: tearing the loop down with connections open
+            # makes 3.11's streams report their cancelled handlers.
+            seen = list(unhandled)
+        finally:
+            writer.close()
+            other[1].close()
+            await server.close()
+            store.close()
+        return reply, follow_up, elsewhere, seen
+
+    reply, follow_up, elsewhere, seen = asyncio.run(body())
+    assert reply["ok"] is False and reply["error"] == error, reply
+    if closes:
+        assert follow_up == b""  # EOF: the server hung up after replying
+    else:
+        assert follow_up["ok"]
+    assert elsewhere["ok"] and elsewhere["version"] == 1
+    assert seen == []

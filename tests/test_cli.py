@@ -220,7 +220,6 @@ class TestParser:
 
         args = build_parser().parse_args(["serve", "model.json"])
         assert args.max_batch_rows == 256
-        assert args.max_batch_delay_ms == 2.0
         assert args.queue_limit == 1024
         assert args.deadline_ms is None
         assert args.port == 0
