@@ -18,6 +18,17 @@ existing output file keeps the workloads this run does not touch:
     python scripts/bench_pairs.py --parent <sha> --out BENCH_18.json \\
         --workload serve_replay --pairs 10
 
+``--layers`` adds one ``--trace 1`` pass per side per workload and records
+every per-layer metric of ``BENCHMARK.json`` side by side (span self
+seconds and calls, work counters, phase wall and simulated seconds), so
+the file itself shows *where* an end-to-end difference sits.  Layer
+seconds are as measured; ``trace.speed_factor`` of each side scales them
+to the nominal machine speed.  Train workloads print the SHA-256 of the
+model they fit: it is recorded per run, and the workload's
+``equal_per_seed`` says whether it and ``sim_comm_s`` were the same on
+both sides of every pair — a change to the training path is bit-exact or
+it is wrong.
+
 Nothing is imported from ``benchmarks/perf/``: metric names, units and
 directions come from ``BENCHMARK.json``, numbers from the JSON line the
 benchmark ends with.  The parent is exported with ``git archive`` (not a
@@ -28,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +47,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
 
 
 def git(*args: str) -> str:
@@ -58,11 +71,11 @@ def export_commit(sha: str, into: Path) -> Path:
 
 
 def one_run(
-    checkout: Path, command: list[str], workload: str, seed: int
+    checkout: Path, command: list[str], workload: str, seed: int, trace: int = 0
 ) -> tuple[dict, dict]:
-    """One untraced pass: (its result line, the fingerprint it printed)."""
+    """One pass: (its result line, the fingerprint it printed)."""
     done = subprocess.run(
-        [*command, "--workload", workload, "--seed", str(seed), "--trace", "0"],
+        [*command, "--workload", workload, "--seed", str(seed), "--trace", str(trace)],
         cwd=checkout,
         capture_output=True,
         text=True,
@@ -84,7 +97,47 @@ def one_run(
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
+    sha = re.search(r"model sha256 ([0-9a-f]+)", done.stdout)
+    if sha:
+        run["model_sha256"] = sha.group(1)
     return run, env
+
+
+def equal_per_seed(pairs: list[dict]) -> dict:
+    """Whether the two sides of every pair fitted the same model with the
+    same simulated communication (train workloads only: they print both)."""
+    if not all("model_sha256" in pair[side] for pair in pairs for side in SIDES):
+        return {}
+    return {
+        "model_sha256": all(
+            pair["parent"]["model_sha256"] == pair["change"]["model_sha256"]
+            for pair in pairs
+        ),
+        "sim_comm_s": all(
+            pair["parent"]["metrics"]["sim_comm_s"]
+            == pair["change"]["metrics"]["sim_comm_s"]
+            for pair in pairs
+        ),
+    }
+
+
+def layer_table(checkouts: dict, manifest: dict, workload: str, seed: int) -> dict:
+    """One traced pass per side: every per-layer metric, side by side."""
+    runs = {
+        side: one_run(checkouts[side], manifest["command"], workload, seed, trace=1)[0]
+        for side in SIDES
+    }
+    return {
+        "seed": seed,
+        "failed": {side: runs[side]["failed"] for side in SIDES},
+        "metrics": {
+            m["name"]: {
+                "unit": m["unit"],
+                **{side: runs[side]["metrics"].get(m["name"]) for side in SIDES},
+            }
+            for m in manifest["per_layer"]
+        },
+    }
 
 
 def summarize(pairs: list[dict], metric: dict) -> dict:
@@ -142,6 +195,11 @@ def main() -> int:
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument(
+        "--layers",
+        action="store_true",
+        help="also one traced pass per side per workload: the per-layer metrics",
+    )
+    parser.add_argument(
         "--seeds", default=None, help="comma-separated; default 0..pairs-1, cycled"
     )
     args = parser.parse_args()
@@ -164,7 +222,7 @@ def main() -> int:
             pairs = []
             for i in range(args.pairs):
                 seed = seeds[i % len(seeds)]
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side], record["environment"] = one_run(
@@ -180,10 +238,16 @@ def main() -> int:
                 )
             record["workloads"][workload] = {
                 "pairs": pairs,
+                "equal_per_seed": equal_per_seed(pairs),
                 "summary": {
                     m["name"]: summarize(pairs, m) for m in manifest["end_to_end"]
                 },
             }
+            if args.layers:
+                record["workloads"][workload]["layers"] = layer_table(
+                    checkouts, manifest, workload, seeds[0]
+                )
+                print(f"{workload} traced pass per side, seed {seeds[0]}", flush=True)
             out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -50,8 +50,10 @@ class BinnedShard:
         row_of: Row id of each nonzero.
         zero_bins: Bucket of value 0.0 for every feature.
         zero_slots: Flat slot of the zero bucket for every feature.
-        zero_slots_of_nz: Flat zero slot of each nonzero's feature —
-            ``zero_slots[features]`` hoisted out of the per-node builds.
+        column_order: Nonzero positions sorted by (feature, position) —
+            the shard's column-major order, int32 where the positions fit.
+        column_bounds: Feature ``f`` owns
+            ``column_order[column_bounds[f]:column_bounds[f + 1]]``.
         feature_arange: Cached ``arange(n_features)``, the row index of
             every per-feature settle/update step.
         n_rows, n_features, n_bins: Layout.
@@ -65,7 +67,8 @@ class BinnedShard:
         "row_of",
         "zero_bins",
         "zero_slots",
-        "zero_slots_of_nz",
+        "column_order",
+        "column_bounds",
         "feature_arange",
         "n_rows",
         "n_features",
@@ -89,7 +92,41 @@ class BinnedShard:
         self.zero_bins = candidates.zero_bins.astype(np.int64)
         self.feature_arange = np.arange(self.n_features, dtype=np.int64)
         self.zero_slots = self.feature_arange * self.n_bins + self.zero_bins
-        self.zero_slots_of_nz = self.zero_slots[self.features]
+        self.column_order, self.column_bounds = self._column_order()
+
+    def _column_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sort the nonzeros by (feature, position) and reject repeats.
+
+        One value sort of the key ``feature << shift | position`` (keys
+        are distinct, so no stable argsort is needed) — SPLIT_TREE reads
+        one feature's rows from it instead of gathering every nonzero of
+        the node.  A row that lists a column twice is the one input on
+        which a column lookup is ambiguous; :meth:`CSRMatrix.from_rows`
+        and the LibSVM loader reject it, the raw constructor does not.
+        """
+        shift = np.uint64(max(self.nnz - 1, 1).bit_length())
+        keys = self.features.astype(np.uint64) << shift
+        keys |= np.arange(self.nnz, dtype=np.uint64)
+        keys.sort()
+        columns = keys >> shift
+        keys &= (np.uint64(1) << shift) - np.uint64(1)
+        fits = self.nnz <= np.iinfo(np.int32).max
+        order = keys.astype(np.int32 if fits else np.int64)
+        bounds = np.searchsorted(
+            columns, np.arange(self.n_features + 1, dtype=np.uint64)
+        )
+        # Positions ascend within a column, and so do their rows: a
+        # repeated (row, feature) pair sits in adjacent entries.
+        rows = self.row_of[order]
+        repeats = rows[1:] == rows[:-1]
+        repeats &= columns[1:] == columns[:-1]
+        if repeats.any():
+            at = int(np.flatnonzero(repeats)[0])
+            raise DataError(
+                f"row {int(rows[at])} lists feature {int(columns[at])} "
+                "more than once"
+            )
+        return order, bounds
 
     @property
     def nnz(self) -> int:
@@ -110,24 +147,20 @@ class BinnedShard:
         ``bucket``; rows where the feature is absent use the zero bucket —
         the same rule the histograms encode, so tree splitting
         (SPLIT_TREE) partitions instances exactly as FIND_SPLIT counted
-        them.
+        them.  The answer is laid out for every shard row — default side,
+        then the rows of the feature's column — and read at ``rows``:
+        O(shard rows + nonzeros of the feature), whatever the node holds.
         """
         if not 0 <= feature < self.n_features:
             raise DataError(
                 f"feature {feature} out of range [0, {self.n_features})"
             )
-        rows = np.asarray(rows, dtype=np.int64)
-        mask = np.full(len(rows), self.zero_bins[feature] <= bucket, dtype=bool)
-        positions = self.positions_of_rows(rows)
-        if len(positions) == 0:
-            return mask
-        counts = self.indptr[rows + 1] - self.indptr[rows]
-        local_row = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-        # zero_slots is strictly increasing in the feature id, so matching
-        # the precomputed per-nonzero zero slot identifies the feature.
-        at_feature = self.zero_slots_of_nz[positions] == self.zero_slots[feature]
-        mask[local_row[at_feature]] = self.bins[positions[at_feature]] <= bucket
-        return mask
+        goes_left = np.full(self.n_rows, self.zero_bins[feature] <= bucket, dtype=bool)
+        column = self.column_order[
+            self.column_bounds[feature] : self.column_bounds[feature + 1]
+        ]
+        goes_left[self.row_of[column]] = self.bins[column] <= bucket
+        return goes_left[np.asarray(rows, dtype=np.int64)]
 
     def __repr__(self) -> str:
         return (

@@ -25,8 +25,8 @@ from .histogram import GradientHistogram
 
 __all__ = ["SHM_PREFIX", "SharedShard", "build_into_slot"]
 
-#: BinnedShard arrays mirrored into shared memory.  ``bins`` and
-#: ``zero_slots_of_nz`` are omitted: the build kernels never touch them
+#: BinnedShard arrays mirrored into shared memory.  ``bins`` and the
+#: column order are omitted: the build kernels never touch them
 #: (``slots`` already encodes the buckets), and ``split_mask`` runs only
 #: in the driving process.
 _SHARD_FIELDS = ("indptr", "features", "slots", "row_of", "zero_bins", "zero_slots")

@@ -97,31 +97,18 @@ class HistogramBuildStrategy(ABC):
         return f"{type(self).__name__}()"
 
 
-class _PooledKernelStrategy(HistogramBuildStrategy):
-    """Shared plumbing for the single-kernel strategies."""
+class DenseBuildStrategy(HistogramBuildStrategy):
+    """Traditional dense scan over every (feature, bucket) pair.
 
-    def __init__(self, pool: HistogramBufferPool | None = None) -> None:
-        self.pool = pool
-
-    def _out(self, shard: BinnedShard) -> GradientHistogram | None:
-        if self.pool is None:
-            return None
-        return self.pool.acquire(shard.n_features, shard.n_bins)
-
-    def release(self, histogram: GradientHistogram) -> None:
-        if self.pool is not None:
-            self.pool.release(histogram)
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.clear()
-
-
-class DenseBuildStrategy(_PooledKernelStrategy):
-    """Traditional dense scan over every (feature, bucket) pair."""
+    The kernel accumulates chunk by chunk into its output, so with a
+    ``pool`` it builds straight into a recycled buffer.
+    """
 
     name = "dense"
     dense = True
+
+    def __init__(self, pool: HistogramBufferPool | None = None) -> None:
+        self.pool = pool
 
     def build(
         self,
@@ -131,14 +118,29 @@ class DenseBuildStrategy(_PooledKernelStrategy):
         hess: np.ndarray,
     ) -> tuple[GradientHistogram, float]:
         started = wall_clock()
-        histogram = build_node_histogram_dense(
-            shard, rows, grad, hess, out=self._out(shard)
-        )
+        out = None
+        if self.pool is not None:
+            out = self.pool.acquire(shard.n_features, shard.n_bins)
+        histogram = build_node_histogram_dense(shard, rows, grad, hess, out=out)
         return histogram, wall_clock() - started
 
+    def release(self, histogram: GradientHistogram) -> None:
+        """Return a consumed histogram's buffers to the pool, if any."""
+        if self.pool is not None:
+            self.pool.release(histogram)
 
-class SparseBuildStrategy(_PooledKernelStrategy):
-    """Algorithm 2: touch only the nonzeros, fold totals into zero bins."""
+    def close(self) -> None:
+        """Drop the pooled buffers."""
+        if self.pool is not None:
+            self.pool.clear()
+
+
+class SparseBuildStrategy(HistogramBuildStrategy):
+    """Algorithm 2: touch only the nonzeros, fold totals into zero bins.
+
+    Never pooled: ``np.bincount`` allocates its result, so a recycled
+    output buffer would only be one more copy of every histogram.
+    """
 
     name = "sparse"
     dense = False
@@ -151,9 +153,7 @@ class SparseBuildStrategy(_PooledKernelStrategy):
         hess: np.ndarray,
     ) -> tuple[GradientHistogram, float]:
         started = wall_clock()
-        histogram = build_node_histogram_sparse(
-            shard, rows, grad, hess, out=self._out(shard)
-        )
+        histogram = build_node_histogram_sparse(shard, rows, grad, hess)
         return histogram, wall_clock() - started
 
 
@@ -257,8 +257,8 @@ class ProcessParallelBuildStrategy(ForkPoolHost, HistogramBuildStrategy):
         self.dense = not sparse
         self.pool = pool if pool is not None else HistogramBufferPool()
         #: The sequential kernel this strategy degrades to.
-        self._serial = (SparseBuildStrategy if sparse else DenseBuildStrategy)(
-            self.pool
+        self._serial = (
+            SparseBuildStrategy() if sparse else DenseBuildStrategy(self.pool)
         )
         #: Last *pooled* build's telemetry (None until one has run).
         self.last_result: ParallelBuildResult | None = None
@@ -309,7 +309,11 @@ class ProcessParallelBuildStrategy(ForkPoolHost, HistogramBuildStrategy):
         return SharedShard(shard, n_slots=self.n_processes)
 
     def release(self, histogram: GradientHistogram) -> None:
-        self.pool.release(histogram)
+        # The serial sparse fallback hands out bincount's own arrays, not a
+        # pooled buffer: adopt one while the pool is empty and drop the
+        # rest, or a run of small nodes would grow the pool without bound.
+        if self.pool.n_free == 0:
+            self.pool.release(histogram)
 
     def close(self) -> None:
         """Shut the pool down and unlink every shared-memory segment."""
@@ -349,8 +353,9 @@ def resolve_build_strategy(
         sparse: Use the Algorithm 2 kernel (else the dense scan).
         batched: Wrap the kernel in parallel batch construction (only
             meaningful for the ``"simulated"`` backend).
-        pool: Optional buffer pool for strategies that can recycle
-            released histograms.
+        pool: Optional buffer pool for the strategies that can recycle
+            released histograms (the dense scan and the process pool's
+            slot reduction; the serial sparse kernel cannot).
     """
     backend = config.parallel_backend
     if backend == "process" and config.n_processes > 1:
@@ -374,5 +379,5 @@ def resolve_build_strategy(
             sparse=sparse,
         )
     if sparse:
-        return SparseBuildStrategy(pool=pool)
+        return SparseBuildStrategy()
     return DenseBuildStrategy(pool=pool)

@@ -197,8 +197,8 @@ def propose_candidates(
     """Propose cuts from exact per-feature quantiles of the nonzero values.
 
     Single-machine path (also the ground truth the sketch path is tested
-    against).  One lexsort of all nonzeros by (column, value) yields every
-    feature's sorted values; ``max_bins - 1`` evenly spaced order
+    against).  One stable sort of all nonzeros by (column, value) yields
+    every feature's sorted values; ``max_bins - 1`` evenly spaced order
     statistics become the cuts.
 
     Args:

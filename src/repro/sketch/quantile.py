@@ -538,7 +538,7 @@ def sketch_columns(
 ) -> list[GKSketch]:
     """Build one GK summary per column of a CSR matrix in a single pass.
 
-    Sorts all nonzeros by (column, value) with one lexsort and samples
+    Sorts all nonzeros by (column, value) with one stable sort and samples
     every column's sorted segment in one ragged pass — much faster than
     streaming per-value inserts when the shard is already in memory.
 

@@ -14,12 +14,33 @@ import numpy as np
 def sorted_columns(
     indices: np.ndarray, data: np.ndarray, n_cols: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort CSR nonzeros by (column, value) with one lexsort.
+    """Sort CSR nonzeros by (column, value) with one stable sort.
 
     Returns ``(order, sorted_values, bounds)``: column ``c``'s ascending
-    values are ``sorted_values[bounds[c]:bounds[c + 1]]``.
+    values are ``sorted_values[bounds[c]:bounds[c + 1]]``.  ``order`` is
+    ``np.lexsort((data, indices))``: equal values of a column keep their
+    CSR order, ``-0.0`` and ``0.0`` compare equal, and every NaN (either
+    sign, any payload) sorts after ``+inf`` as one value.
+
+    float32 values — what :class:`~repro.datasets.sparse.CSRMatrix`
+    stores, so every trainer's input — take half the time of the two-key
+    lexsort: the column and the value's order-preserving bit pattern are
+    packed into one uint64 key per nonzero.  The key has 32 bits for the
+    value, so any other dtype (the public ``sketch_columns*`` accept raw
+    float64 arrays) is sorted by the lexsort itself.
     """
-    order = np.lexsort((data, indices))
+    if data.dtype == np.float32:
+        values = data + np.float32(0.0)  # folds -0.0 into +0.0
+        values[np.isnan(values)] = np.nan  # one bit pattern for every NaN
+        bits = values.view(np.uint32)
+        # IEEE-754 order as unsigned order: flip every bit of a negative
+        # value, only the sign bit of a non-negative one.
+        bits ^= (bits.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
+        keys = indices.astype(np.uint64) << np.uint64(32)
+        keys |= bits
+        order = np.argsort(keys, kind="stable")
+    else:
+        order = np.lexsort((data, indices))
     bounds = np.searchsorted(indices[order], np.arange(n_cols + 1))
     return order, data[order].astype(np.float64), bounds
 

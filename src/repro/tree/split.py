@@ -64,8 +64,15 @@ def leaf_weight(grad_sum: float, hess_sum: float, reg_lambda: float) -> float:
     return -grad_sum / denominator
 
 
-def _gain_term(g: np.ndarray | float, h: np.ndarray | float, reg_lambda: float):
-    return np.square(g) / (h + reg_lambda)
+def _gain_term(
+    g: np.ndarray, h: np.ndarray, reg_lambda: float, valid: np.ndarray
+) -> np.ndarray:
+    """``g^2 / (h + lambda)`` per cut; clears ``valid`` where the
+    denominator is not positive."""
+    term = h + reg_lambda
+    valid &= term > 0.0
+    np.divide(np.square(g), term, out=term)
+    return term
 
 
 def best_split_in_range(
@@ -104,48 +111,48 @@ def best_split_in_range(
     if n_features == 0:
         return None
     blocks = np.asarray(flat_slice, dtype=np.float64).reshape(n_features, 2, n_bins)
-    grad = blocks[:, 0, :]
-    hess = blocks[:, 1, :]
 
     # Node totals: every feature row sums to the node totals; use the
     # first feature that actually has candidates to avoid all-empty rows.
-    total_grad = float(grad[0].sum())
-    total_hess = float(hess[0].sum())
+    total_grad = float(blocks[0, 0].sum())
+    total_hess = float(blocks[0, 1].sum())
 
-    # Left sums at cut j = buckets 0..j  (prefix sums, dropping the final
-    # prefix which would put everything left).
-    left_g = np.cumsum(grad, axis=1)[:, : n_bins - 1]
-    left_h = np.cumsum(hess, axis=1)[:, : n_bins - 1]
+    # Left sums at cut j = buckets 0..j (prefix sums, dropping the final
+    # prefix which would put everything left).  The scan runs bucket-major
+    # — (grad|hess, cut, feature) — so every pass below walks contiguous
+    # rows of n_features values; the prefix sums are the additions cumsum
+    # makes, in its order, as n_bins - 2 row additions.
+    left = np.ascontiguousarray(blocks[:, :, : n_bins - 1].transpose(1, 2, 0))
+    for cut in range(1, n_bins - 1):
+        left[:, cut] += left[:, cut - 1]
+    left_g, left_h = left
     right_g = total_grad - left_g
     right_h = total_hess - left_h
-
-    # Low-precision decoding can make hessian sums slightly negative;
-    # suppress the resulting divide warnings and mask those cuts invalid.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gains = 0.5 * (
-            _gain_term(left_g, left_h, reg_lambda)
-            + _gain_term(right_g, right_h, reg_lambda)
-            - _gain_term(total_grad, total_hess, reg_lambda)
-        ) - reg_gamma
 
     # Validity: cut j exists only for j < n_cuts(feature); both children
     # must satisfy the hessian floor and have positive denominators.
     n_cuts = np.diff(candidates.offsets[f_lo : f_hi + 1])
-    cut_exists = np.arange(n_bins - 1)[None, :] < n_cuts[:, None]
-    valid = (
-        cut_exists
-        & (left_h >= min_child_weight)
-        & (right_h >= min_child_weight)
-        & (left_h + reg_lambda > 0.0)
-        & (right_h + reg_lambda > 0.0)
-    )
+    valid = np.arange(n_bins - 1)[:, None] < n_cuts
+    valid &= left_h >= min_child_weight
+    valid &= right_h >= min_child_weight
     if feature_valid is not None:
-        valid &= np.asarray(feature_valid[f_lo:f_hi], dtype=bool)[:, None]
-    gains = np.where(valid & np.isfinite(gains), gains, -np.inf)
+        valid &= np.asarray(feature_valid[f_lo:f_hi], dtype=bool)
 
-    best = int(np.argmax(gains))
-    local_f, bucket = divmod(best, n_bins - 1)
-    best_gain = float(gains.flat[best])
+    # Low-precision decoding can make hessian sums slightly negative;
+    # suppress the resulting divide warnings and mask those cuts invalid.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = _gain_term(left_g, left_h, reg_lambda, valid)
+        gains += _gain_term(right_g, right_h, reg_lambda, valid)
+        gains -= np.square(total_grad) / (total_hess + reg_lambda)
+    gains *= 0.5
+    gains -= reg_gamma
+    valid &= np.isfinite(gains)
+    gains = np.where(valid, gains, -np.inf)
+
+    # argmax over the (feature, cut) view: among equal gains the first in
+    # feature-major order wins — the order Algorithm 1's serial scan visits.
+    local_f, bucket = divmod(int(np.argmax(gains.T)), n_bins - 1)
+    best_gain = float(gains[bucket, local_f])
     if not np.isfinite(best_gain) or best_gain <= 0.0:
         return None
     feature = f_lo + local_f
@@ -154,10 +161,10 @@ def best_split_in_range(
         bucket=bucket,
         value=candidates.split_value(feature, bucket),
         gain=best_gain,
-        left_grad=float(left_g[local_f, bucket]),
-        left_hess=float(left_h[local_f, bucket]),
-        right_grad=float(right_g[local_f, bucket]),
-        right_hess=float(right_h[local_f, bucket]),
+        left_grad=float(left_g[bucket, local_f]),
+        left_hess=float(left_h[bucket, local_f]),
+        right_grad=float(right_g[bucket, local_f]),
+        right_hess=float(right_h[bucket, local_f]),
         total_grad=total_grad,
         total_hess=total_hess,
     )

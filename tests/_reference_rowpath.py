@@ -1,0 +1,221 @@
+"""Frozen reference for the row-path inner loops rewritten in PR 19.
+
+Verbatim copies of ``compress_blocked`` / ``decompress_blocked``
+(``repro.compression.lowprec``), ``BinnedShard.split_mask``
+(``repro.histogram.binned``), ``best_split_in_range``
+(``repro.tree.split``) and ``sorted_columns`` (``repro.sketch.ragged``)
+as they stood at ``45c8b6c``, before the in-place codec, the column
+lookup, the bucket-major scan and the single-key sort.  Test-only — the
+differential oracle of the ``test_*_matches_reference`` tests — and
+never imported by ``src/``.  Do not "fix" or modernise it: its value is
+that it shares no inner loop with the implementation it checks.  The
+only edits are absolute ``repro`` imports, the codec returning plain
+``(payload, scales)`` / taking them back instead of building the frame
+dataclass, ``split_mask`` taking the shard as an argument and gathering
+``zero_slots[features[positions]]`` where the shard used to cache that
+gather as ``zero_slots_of_nz``, and ``best_split_in_range`` returning the
+``SplitDecision`` fields as a tuple.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.errors import DataError, TrainingError
+from repro.histogram.binned import concat_ranges
+
+# ----------------------------------------------------------------------
+# compression/lowprec.py
+# ----------------------------------------------------------------------
+
+SUPPORTED_BITS = (2, 4, 8, 16)
+
+
+def _int_scale(bits: int) -> int:
+    return (1 << (bits - 1)) - 1
+
+
+def _pack(levels: np.ndarray, bits: int) -> np.ndarray:
+    if bits == 8:
+        return levels.astype(np.uint8)
+    if bits == 16:
+        return levels.astype(np.uint16).view(np.uint8)
+    per_byte = 8 // bits
+    padded_len = -(-len(levels) // per_byte) * per_byte
+    padded = np.zeros(padded_len, dtype=np.uint8)
+    padded[: len(levels)] = levels
+    packed = np.zeros(padded_len // per_byte, dtype=np.uint8)
+    for j in range(per_byte):
+        packed |= padded[j::per_byte] << (bits * j)
+    return packed
+
+
+def _unpack(payload: np.ndarray, bits: int, n_values: int) -> np.ndarray:
+    if bits == 8:
+        return payload[:n_values].astype(np.int64)
+    if bits == 16:
+        return payload.view(np.uint16)[:n_values].astype(np.int64)
+    per_byte = 8 // bits
+    mask = (1 << bits) - 1
+    levels = np.empty(len(payload) * per_byte, dtype=np.int64)
+    for j in range(per_byte):
+        levels[j::per_byte] = (payload >> (bits * j)) & mask
+    return levels[:n_values]
+
+
+def compress_blocked(
+    flat: np.ndarray, block_size: int, bits: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(payload, float32 scales)`` of the old kernel."""
+    if bits not in SUPPORTED_BITS:
+        raise DataError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
+    flat = np.asarray(flat, dtype=np.float64)
+    if flat.ndim != 1:
+        raise DataError(f"compress_blocked expects a 1-D array, got ndim={flat.ndim}")
+    if block_size < 1:
+        raise DataError(f"block_size must be >= 1, got {block_size}")
+    if flat.size % block_size != 0:
+        raise DataError(
+            f"length {flat.size} is not a multiple of block_size {block_size}"
+        )
+    if not np.all(np.isfinite(flat)):
+        raise DataError("histogram contains non-finite values")
+    n_blocks = flat.size // block_size
+    blocks = flat.reshape(n_blocks, block_size)
+    scales_abs = np.abs(blocks).max(axis=1)
+    scale = _int_scale(bits)
+    safe = np.where(scales_abs == 0.0, 1.0, scales_abs)
+    dither = rng.random(blocks.shape)
+    encoded = np.floor(blocks / safe[:, None] * scale + dither).astype(np.int64)
+    encoded[scales_abs == 0.0] = 0
+    np.clip(encoded, -scale, scale, out=encoded)
+    levels = (encoded + scale).ravel()
+    return _pack(levels, bits), scales_abs.astype(np.float32)
+
+
+def decompress_blocked(
+    payload: np.ndarray, scales: np.ndarray, bits: int, n_values: int, block_size: int
+) -> np.ndarray:
+    scale = _int_scale(bits)
+    levels = _unpack(payload, bits, n_values)
+    encoded = (levels - scale).astype(np.float64)
+    blocks = encoded.reshape(-1, block_size)
+    return (blocks * (scales.astype(np.float64)[:, None] / scale)).ravel()
+
+
+# ----------------------------------------------------------------------
+# histogram/binned.py
+# ----------------------------------------------------------------------
+
+
+def split_mask(shard, rows: np.ndarray, feature: int, bucket: int) -> np.ndarray:
+    """The old SPLIT_TREE gather over every nonzero of the node's rows."""
+    if not 0 <= feature < shard.n_features:
+        raise DataError(f"feature {feature} out of range [0, {shard.n_features})")
+    rows = np.asarray(rows, dtype=np.int64)
+    mask = np.full(len(rows), shard.zero_bins[feature] <= bucket, dtype=bool)
+    starts = shard.indptr[rows]
+    counts = shard.indptr[rows + 1] - starts
+    positions = concat_ranges(starts, counts)
+    if len(positions) == 0:
+        return mask
+    local_row = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+    zero_slots_of_nz = shard.zero_slots[shard.features[positions]]
+    at_feature = zero_slots_of_nz == shard.zero_slots[feature]
+    mask[local_row[at_feature]] = shard.bins[positions[at_feature]] <= bucket
+    return mask
+
+
+# ----------------------------------------------------------------------
+# tree/split.py
+# ----------------------------------------------------------------------
+
+
+def _gain_term(g, h, reg_lambda: float):
+    return np.square(g) / (h + reg_lambda)
+
+
+def best_split_in_range(
+    flat_slice: np.ndarray,
+    f_lo: int,
+    f_hi: int,
+    candidates,
+    reg_lambda: float,
+    reg_gamma: float = 0.0,
+    min_child_weight: float = 0.0,
+    feature_valid: np.ndarray | None = None,
+) -> tuple | None:
+    """The old feature-major scan; the decision's fields in declaration order."""
+    n_features = f_hi - f_lo
+    n_bins = candidates.max_bins
+    if flat_slice.size != 2 * n_features * n_bins:
+        raise TrainingError(
+            f"slice has {flat_slice.size} values; features [{f_lo}, {f_hi}) "
+            f"with {n_bins} bins need {2 * n_features * n_bins}"
+        )
+    if n_features == 0:
+        return None
+    blocks = np.asarray(flat_slice, dtype=np.float64).reshape(n_features, 2, n_bins)
+    grad = blocks[:, 0, :]
+    hess = blocks[:, 1, :]
+
+    total_grad = float(grad[0].sum())
+    total_hess = float(hess[0].sum())
+
+    left_g = np.cumsum(grad, axis=1)[:, : n_bins - 1]
+    left_h = np.cumsum(hess, axis=1)[:, : n_bins - 1]
+    right_g = total_grad - left_g
+    right_h = total_hess - left_h
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = 0.5 * (
+            _gain_term(left_g, left_h, reg_lambda)
+            + _gain_term(right_g, right_h, reg_lambda)
+            - _gain_term(total_grad, total_hess, reg_lambda)
+        ) - reg_gamma
+
+    n_cuts = np.diff(candidates.offsets[f_lo : f_hi + 1])
+    cut_exists = np.arange(n_bins - 1)[None, :] < n_cuts[:, None]
+    valid = (
+        cut_exists
+        & (left_h >= min_child_weight)
+        & (right_h >= min_child_weight)
+        & (left_h + reg_lambda > 0.0)
+        & (right_h + reg_lambda > 0.0)
+    )
+    if feature_valid is not None:
+        valid &= np.asarray(feature_valid[f_lo:f_hi], dtype=bool)[:, None]
+    gains = np.where(valid & np.isfinite(gains), gains, -np.inf)
+
+    best = int(np.argmax(gains))
+    local_f, bucket = divmod(best, n_bins - 1)
+    best_gain = float(gains.flat[best])
+    if not np.isfinite(best_gain) or best_gain <= 0.0:
+        return None
+    feature = f_lo + local_f
+    return (
+        feature,
+        bucket,
+        candidates.split_value(feature, bucket),
+        best_gain,
+        float(left_g[local_f, bucket]),
+        float(left_h[local_f, bucket]),
+        float(right_g[local_f, bucket]),
+        float(right_h[local_f, bucket]),
+        total_grad,
+        total_hess,
+    )
+
+
+# ----------------------------------------------------------------------
+# sketch/ragged.py
+# ----------------------------------------------------------------------
+
+
+def sorted_columns(
+    indices: np.ndarray, data: np.ndarray, n_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort CSR nonzeros by (column, value) with one lexsort."""
+    order = np.lexsort((data, indices))
+    bounds = np.searchsorted(indices[order], np.arange(n_cols + 1))
+    return order, data[order].astype(np.float64), bounds

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from repro.compression import (
     BlockCompressedHistogram,
+    CompressedHistogram,
     compress_blocked,
     compress_flat,
     decompress_blocked,
     decompress_flat,
 )
 from repro.errors import DataError
+
+from .. import _reference_rowpath as ref
 
 
 class TestRoundTrip:
@@ -123,3 +126,178 @@ class TestValidation:
         rng = np.random.default_rng(0)
         with pytest.raises(DataError):
             compress_blocked(np.ones((2, 2)), 2, 8, rng)
+
+
+# ----------------------------------------------------------------------
+# PR 19: the in-place kernel against the frozen one, bit for bit
+# ----------------------------------------------------------------------
+
+
+BLOCK_KINDS = ["zero", "residue", "sparse", "dense", "subnormal", "pm_max"]
+
+
+@st.composite
+def histogram_slices(draw):
+    """``(flat, n_blocks, block_size)`` with the block kinds a histogram
+    slice holds: all-zero, a lone 1e-17 zero-bucket residue, a value at
+    +max or -max of its block, subnormals, and ordinary sparse mass."""
+    block_size = draw(st.sampled_from([1, 2, 3, 4, 10, 20, 40]))
+    n_blocks = draw(st.integers(min_value=0, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    blocks = np.zeros((n_blocks, block_size), dtype=np.float64)
+    for block in blocks:
+        kind = draw(st.sampled_from(BLOCK_KINDS))
+        if kind == "residue":
+            block[rng.integers(block_size)] = rng.choice([1e-17, -1e-17])
+        elif kind == "sparse":
+            block[:] = rng.normal(size=block_size) * (rng.random(block_size) < 0.25)
+        elif kind == "dense":
+            block[:] = rng.normal(size=block_size) * 10.0 ** rng.integers(-8, 9)
+        elif kind == "subnormal":
+            block[:] = rng.integers(-3, 4, size=block_size) * 5e-324
+        elif kind == "pm_max":
+            top = float(rng.random() + 0.5)
+            block[:] = rng.choice([top, -top, 0.0, top / 3], size=block_size)
+    return blocks.ravel(), n_blocks, block_size
+
+
+class TestMatchesFrozenReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        histogram_slices(), st.sampled_from([2, 4, 8, 16]), st.integers(0, 2**31 - 1)
+    )
+    def test_same_bits_and_same_rng_state(self, drawn, bits, seed):
+        flat, n_blocks, block_size = drawn
+        rng_old, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        payload, scales = ref.compress_blocked(flat, block_size, bits, rng_old)
+        frame = compress_blocked(flat, block_size, bits, rng_new)
+
+        assert frame.payload.dtype == payload.dtype
+        assert frame.payload.tobytes() == payload.tobytes()
+        assert frame.scales.dtype == scales.dtype
+        assert frame.scales.tobytes() == scales.tobytes()
+        assert frame.wire_bytes == payload.nbytes + scales.nbytes
+        assert (frame.n_values, frame.block_size) == (flat.size, block_size)
+        # The dither stream is part of the model bits: the kernel must
+        # leave the generator exactly where the old one did.
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+        old = ref.decompress_blocked(payload, scales, bits, flat.size, block_size)
+        new = decompress_blocked(frame)
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert new.tobytes() == old.tobytes()  # signbit of zeros included
+
+    def test_input_is_not_written(self):
+        flat = np.random.default_rng(0).normal(size=200)
+        before = flat.copy()
+        frame = compress_blocked(flat, 20, 8, np.random.default_rng(1))
+        decompress_blocked(frame)[:] = 0.0  # the decode is the caller's to keep
+        np.testing.assert_array_equal(flat, before)
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    def test_clip_holds_the_top_level(self, bits):
+        """With the largest dither a generator can return, ``S + u`` rounds
+        up to ``S + 1`` at a block's positive maximum; the clip is what
+        keeps the level at ``+S`` (unsigned ``2 S``)."""
+
+        class AlmostOne:
+            def random(self, shape):
+                return np.full(shape, np.nextafter(1.0, 0.0))
+
+        scale = (1 << (bits - 1)) - 1
+        assert np.floor(scale + np.nextafter(1.0, 0.0)) == scale + 1
+        flat = np.array([2.5, -2.5, 0.0, 1.0])
+        frame = compress_blocked(flat, 4, bits, AlmostOne())
+        decoded = decompress_blocked(frame)
+        assert decoded[0] == 2.5  # level +S exactly, not S + 1 wrapped
+        assert np.abs(decoded).max() <= 2.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_still_rejected_before_any_draw(self, bad):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        flat = np.zeros(60)
+        flat[41] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            compress_blocked(flat, 20, 8, rng)
+        assert rng.bit_generator.state == state
+
+
+class TestFrameValidation:
+    """A frame checks itself at construction: a truncated or mis-sized one
+    must not reach ``reshape`` / broadcasting (numpy ``ValueError``) or
+    decode silently wrong."""
+
+    def good(self, **changes):
+        frame = compress_blocked(np.arange(40.0), 20, 8, np.random.default_rng(0))
+        fields = {
+            "payload": frame.payload,
+            "scales": frame.scales,
+            "bits": frame.bits,
+            "n_values": frame.n_values,
+            "block_size": frame.block_size,
+        }
+        fields.update(changes)
+        return BlockCompressedHistogram(**fields)
+
+    def test_well_formed_frame_is_accepted(self):
+        assert self.good().n_values == 40
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"bits": 5},
+            {"bits": 16},  # payload is half of what 16 bits need
+            {"payload": np.zeros(39, dtype=np.uint8)},  # truncated
+            {"payload": np.zeros(41, dtype=np.uint8)},  # overlong
+            {"payload": np.zeros(40, dtype=np.int64)},
+            {"payload": np.zeros((2, 20), dtype=np.uint8)},
+            {"block_size": 0},
+            {"block_size": 3},  # does not divide 40
+            {"block_size": 10},  # 4 blocks, 2 scales
+            {"n_values": 60},
+            {"n_values": -20},
+            {"scales": np.zeros(3, dtype=np.float32)},
+            {"scales": np.array([1.0, np.nan], dtype=np.float32)},
+            {"scales": np.array([1.0, np.inf], dtype=np.float32)},
+            {"scales": np.array([1.0, -2.0], dtype=np.float32)},
+        ],
+    )
+    def test_malformed_block_frame_rejected(self, changes):
+        with pytest.raises(DataError):
+            self.good(**changes)
+
+    def test_sub_byte_payload_length(self):
+        rng = np.random.default_rng(0)
+        frame = compress_blocked(np.arange(6.0), 3, 2, rng)  # 6 values, 2 bytes
+        with pytest.raises(DataError, match="payload"):
+            BlockCompressedHistogram(frame.payload[:1], frame.scales, 2, 6, 3)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"bits": 3},
+            {"payload": np.zeros(7, dtype=np.uint8)},
+            {"n_values": 9},
+            {"scale_max": float("nan")},
+            {"scale_max": float("inf")},
+            {"scale_max": -1.0},
+        ],
+    )
+    def test_malformed_flat_frame_rejected(self, changes):
+        frame = compress_flat(np.arange(8.0), 8, np.random.default_rng(0))
+        fields = {
+            "payload": frame.payload,
+            "scale_max": frame.scale_max,
+            "bits": frame.bits,
+            "n_values": frame.n_values,
+        }
+        assert CompressedHistogram(**fields).n_values == 8
+        fields.update(changes)
+        with pytest.raises(DataError):
+            CompressedHistogram(**fields)
+
+    def test_empty_frame(self):
+        frame = compress_blocked(np.empty(0), 20, 8, np.random.default_rng(0))
+        assert frame.wire_bytes == 0
+        assert decompress_blocked(frame).shape == (0,)

@@ -13,6 +13,8 @@ from repro.histogram import BinnedShard
 from repro.histogram.binned import concat_ranges
 from repro.sketch import propose_candidates
 
+from .. import _reference_rowpath as ref
+
 
 class TestConcatRanges:
     def test_basic(self):
@@ -128,13 +130,85 @@ class TestSplitMask:
         with pytest.raises(DataError):
             tiny_shard.split_mask(np.array([0]), 10_000, 0)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.data())
+    def test_column_lookup_matches_frozen_gather(self, seed, data):
+        """Random shards x node row sets x (feature, bucket) against the old
+        gather over every nonzero of the node."""
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        dense = rng.choice([-2.0, -0.5, 0.5, 1.0, 3.0], size=(n_rows, n_cols))
+        dense[rng.random((n_rows, n_cols)) < 0.6] = 0.0
+        dense[:, rng.integers(n_cols)] = 0.0  # a feature with no nonzero
+        X = CSRMatrix.from_dense(dense)
+        shard = BinnedShard(X, propose_candidates(X, max_bins=4))
+        kind = data.draw(st.sampled_from(["empty", "all", "tail", "subset"]))
+        if kind == "empty":
+            rows = np.empty(0, dtype=np.int64)
+        elif kind == "all":
+            rows = np.arange(n_rows, dtype=np.int64)
+        elif kind == "tail":  # a node that does not start at row 0
+            rows = np.arange(n_rows // 2, n_rows, dtype=np.int64)
+        else:
+            rows = np.flatnonzero(rng.random(n_rows) < 0.4)
+        for feature in range(n_cols):
+            # Every bucket: the zero bin ends up on either side of it.
+            for bucket in range(shard.n_bins):
+                np.testing.assert_array_equal(
+                    shard.split_mask(rows, feature, bucket),
+                    ref.split_mask(shard, rows, feature, bucket),
+                )
+
+    def test_rows_in_any_order(self, tiny_shard):
+        rows = np.array([250, 3, 3, 117, 0])
+        np.testing.assert_array_equal(
+            tiny_shard.split_mask(rows, 5, 2), ref.split_mask(tiny_shard, rows, 5, 2)
+        )
+
+
+class TestRepeatedColumn:
+    """The one input on which the old gather (last write wins) and a column
+    lookup could disagree is refused at bin time."""
+
+    def test_row_repeating_a_column_is_rejected(self, tiny_candidates):
+        # The raw constructor takes what from_rows and the loader refuse.
+        X = CSRMatrix(
+            np.array([0, 2, 5]),
+            np.array([3, 7, 1, 9, 1]),
+            np.array([1.0, 2.0, 0.5, 1.5, 2.5]),
+            (2, tiny_candidates.n_features),
+        )
+        with pytest.raises(DataError, match="row 1 lists feature 1 more than once"):
+            BinnedShard(X, tiny_candidates)
+
+    def test_same_column_in_adjacent_rows_is_fine(self, tiny_candidates):
+        X = CSRMatrix(
+            np.array([0, 2, 4]),
+            np.array([7, 3, 3, 7]),  # unsorted within a row, no repeat
+            np.array([1.0, 2.0, 0.5, 1.5]),
+            (2, tiny_candidates.n_features),
+        )
+        shard = BinnedShard(X, tiny_candidates)
+        np.testing.assert_array_equal(shard.column_order, [1, 2, 0, 3])
+
 
 class TestPrecomputedSlotCaches:
-    def test_zero_slots_of_nz_matches_gather(self, tiny_shard):
+    def test_column_order_is_the_stable_sort_by_feature(self, tiny_shard):
+        order, bounds = tiny_shard.column_order, tiny_shard.column_bounds
         np.testing.assert_array_equal(
-            tiny_shard.zero_slots_of_nz,
-            tiny_shard.zero_slots[tiny_shard.features],
+            order, np.argsort(tiny_shard.features, kind="stable")
         )
+        assert order.dtype == np.int32
+        np.testing.assert_array_equal(
+            bounds,
+            np.searchsorted(
+                tiny_shard.features[order], np.arange(tiny_shard.n_features + 1)
+            ),
+        )
+        for feature in (0, 7, tiny_shard.n_features - 1):
+            column = order[bounds[feature] : bounds[feature + 1]]
+            assert np.all(tiny_shard.features[column] == feature)
+            assert np.all(np.diff(tiny_shard.row_of[column]) > 0)
 
     def test_feature_arange(self, tiny_shard):
         np.testing.assert_array_equal(
@@ -143,6 +217,6 @@ class TestPrecomputedSlotCaches:
         )
 
     def test_zero_slots_injective_in_feature(self, tiny_shard):
-        """split_mask's fast path relies on zero_slots identifying the
-        feature uniquely."""
+        """The dense kernel scatters through zero_slots: one slot per
+        feature, no two features sharing one."""
         assert len(np.unique(tiny_shard.zero_slots)) == tiny_shard.n_features

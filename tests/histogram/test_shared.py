@@ -29,6 +29,7 @@ from repro.histogram.binned import BinnedShard
 from repro.histogram.shared import SHM_PREFIX, build_into_slot
 from repro.runtime.build import (
     BatchedBuildStrategy,
+    DenseBuildStrategy,
     ProcessParallelBuildStrategy,
     SparseBuildStrategy,
 )
@@ -129,13 +130,32 @@ class TestBufferPool:
         grad, hess = dyadic_gradients(tiny_shard.n_rows)
         rows = np.arange(tiny_shard.n_rows, dtype=np.int64)
         reference = build_node_histogram_sparse(tiny_shard, rows, grad, hess)
-        strategy = SparseBuildStrategy(pool=HistogramBufferPool())
+        # The dense scan accumulates into its output, so it is the serial
+        # strategy that pools; the sparse one returns bincount's arrays.
+        strategy = DenseBuildStrategy(pool=HistogramBufferPool())
         first, _ = strategy.build(tiny_shard, rows, grad, hess)
         first.grad.fill(np.nan)  # poison, then recycle
         strategy.release(first)
         second, _ = strategy.build(tiny_shard, rows, grad, hess)
         assert second is first
         assert_identical(second, reference)
+
+    def test_serial_sparse_strategy_takes_no_pool(self):
+        with pytest.raises(TypeError):
+            SparseBuildStrategy(pool=HistogramBufferPool())
+
+    def test_small_nodes_do_not_grow_the_process_pool(
+        self, tiny_shard, process_strategy
+    ):
+        """Nodes under two batches build serially and hand back bincount's
+        own arrays; releasing them must not pile up pooled buffers."""
+        grad, hess = dyadic_gradients(tiny_shard.n_rows)
+        rows = np.arange(10, dtype=np.int64)
+        for _ in range(5):
+            histogram, _ = process_strategy.build(tiny_shard, rows, grad, hess)
+            process_strategy.release(histogram)
+        assert process_strategy.last_result is None  # never fanned out
+        assert process_strategy.pool.n_free == 1
 
 
 class TestProcessStrategyIdentity:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TrainingError
 from repro.histogram import GradientHistogram
@@ -14,6 +18,8 @@ from repro.tree import (
     leaf_weight,
 )
 from repro.tree.split import combine_shard_decisions
+
+from .. import _reference_rowpath as ref
 
 
 def make_candidates(cuts_per_feature: list[list[float]], max_bins: int) -> CandidateSet:
@@ -211,3 +217,104 @@ class TestLeafWeight:
 
     def test_degenerate_denominator(self):
         assert leaf_weight(5.0, -2.0, 1.0) == 0.0
+
+
+# ----------------------------------------------------------------------
+# PR 19: the bucket-major scan against the frozen feature-major one
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def scan_cases(draw):
+    """A flat slice as a PS shard stores it, plus every scan argument."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    n_bins = draw(st.sampled_from([2, 3, 8, 20]))
+    n_features = draw(st.integers(min_value=1, max_value=12))
+    f_lo = draw(st.integers(min_value=0, max_value=3))
+    f_hi = f_lo + n_features
+    cuts = [
+        sorted(rng.normal(size=int(rng.integers(0, n_bins))).tolist())
+        for _ in range(f_hi + 2)
+    ]
+    candidates = make_candidates(cuts, max_bins=n_bins)
+
+    kind = draw(st.sampled_from(["exact", "lossy", "ties", "flat"]))
+    grad = rng.normal(size=(n_features, n_bins))
+    hess = rng.random((n_features, n_bins)) + 0.05
+    if kind == "lossy":
+        # What an 8-bit decode hands the scan: dyadic levels, zero mass in
+        # most buckets, and hessian prefixes that dip below zero.
+        grad = np.round(grad * 8) / 8 * (rng.random(grad.shape) < 0.4)
+        hess = np.round((hess - 0.35) * 8) / 8 * (rng.random(hess.shape) < 0.4)
+    elif kind == "ties":
+        grad = rng.integers(-3, 4, size=grad.shape).astype(np.float64)
+        hess = rng.integers(1, 3, size=hess.shape).astype(np.float64)
+    elif kind == "flat":
+        grad[:], hess[:] = 0.0, 1.0  # no positive gain anywhere
+    if n_features >= 2 and draw(st.booleans()):
+        # Two identical feature columns, same cut count: the first must win.
+        a, b = sorted(rng.choice(n_features, size=2, replace=False).tolist())
+        grad[b], hess[b] = grad[a], hess[a]
+        cuts[f_lo + b] = cuts[f_lo + a]
+        candidates = make_candidates(cuts, max_bins=n_bins)
+    flat = np.stack([grad, hess], axis=1).ravel()
+
+    feature_valid = None
+    if draw(st.booleans()):
+        feature_valid = rng.random(f_hi + 2) < 0.6
+    return (
+        flat,
+        f_lo,
+        f_hi,
+        candidates,
+        draw(st.sampled_from([0.0, 1.0, 5.0])),  # reg_lambda
+        draw(st.sampled_from([0.0, 0.05])),  # reg_gamma
+        draw(st.sampled_from([0.0, 0.5, 2.0])),  # min_child_weight
+        feature_valid,
+    )
+
+
+class TestMatchesFrozenReference:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_same_decision_field_for_field(self, case):
+        old = ref.best_split_in_range(*case)
+        new = best_split_in_range(*case)
+        if old is None:
+            assert new is None
+        else:
+            assert new is not None and dataclasses.astuple(new) == old
+
+    def test_first_of_two_identical_features_wins(self):
+        candidates = make_candidates([[0.0, 1.0]] * 3, max_bins=3)
+        column = [[4.0, -1.0, -3.0], [1.0, 1.0, 1.0]]
+        flat = np.array([[[0.0] * 3, [1.0] * 3], column, column]).ravel()
+        decision = best_split_in_range(flat, 0, 3, candidates, reg_lambda=1.0)
+        assert (decision.feature, decision.bucket) == (1, 0)
+        assert dataclasses.astuple(decision) == ref.best_split_in_range(
+            flat, 0, 3, candidates, 1.0
+        )
+
+    def test_equal_gains_resolve_in_feature_major_order(self):
+        """Feature 0's cut 1 and feature 1's cut 0 split the node the same
+        way; a bucket-major argmax would pick the later feature."""
+        candidates = make_candidates([[0.0, 1.0]] * 2, max_bins=3)
+        flat = np.array(
+            [
+                [[0.0, 4.0, -4.0], [0.0, 1.0, 1.0]],
+                [[4.0, -4.0, 0.0], [1.0, 1.0, 0.0]],
+            ]
+        ).ravel()
+        decision = best_split_in_range(flat, 0, 2, candidates, reg_lambda=1.0)
+        assert (decision.feature, decision.bucket) == (0, 1)
+        assert dataclasses.astuple(decision) == ref.best_split_in_range(
+            flat, 0, 2, candidates, 1.0
+        )
+
+    def test_input_slice_is_not_written(self):
+        rng = np.random.default_rng(0)
+        candidates = make_candidates([[0.0, 1.0, 2.0]] * 4, max_bins=4)
+        flat = rng.normal(size=2 * 4 * 4)
+        before = flat.copy()
+        best_split_in_range(flat, 0, 4, candidates, reg_lambda=1.0)
+        np.testing.assert_array_equal(flat, before)
