@@ -18,7 +18,7 @@ from .reprolint import (
     Rule,
     all_rules,
     lint_paths,
-    lint_source,
+    lint_sources,
     render_json,
     render_text,
     to_json,
@@ -35,7 +35,7 @@ __all__ = [
     "Rule",
     "all_rules",
     "lint_paths",
-    "lint_source",
+    "lint_sources",
     "render_json",
     "render_text",
     "to_json",

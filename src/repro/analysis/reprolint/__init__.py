@@ -2,22 +2,21 @@
 
 Public surface:
 
-* :func:`lint_paths` / :func:`lint_source` / :func:`lint_sources` — run
-  the rules (``lint_paths`` and ``lint_sources`` build the project graph
-  that powers RP007–RP010; ``lint_source`` is the single-module fast path).
+* :func:`lint_paths` / :func:`lint_sources` — run the rules over files
+  on disk or modules in memory; both build the project graph every rule
+  is judged against.
 * :class:`Finding`, :class:`LintResult` — results.
 * :class:`Rule`, :func:`register`, :func:`all_rules` — extend the rule set.
-* :class:`Project`, :class:`LintConfig` — the import/call-graph layer.
+* :class:`Project`, :class:`LintConfig` — the import/call-graph layer
+  and the contract declared in ``[tool.reprolint]``
+  (:class:`LintConfigError` when it is malformed).
 * :func:`render_text` / :func:`to_json` / :func:`render_json` — reporters.
-* :func:`write_baseline` / :func:`load_baseline` / :func:`new_findings` —
-  the CI diff gate.
 * :func:`main` — the ``python -m repro.analysis`` entry point.
 
 See ``docs/static-analysis.md`` for the rule catalogue (RP001–RP010),
 the invariants each guards, and the suppression syntax.
 """
 
-from .baseline import load_baseline, new_findings, write_baseline
 from .cli import main
 from .core import (
     Finding,
@@ -26,35 +25,29 @@ from .core import (
     Rule,
     all_rules,
     get_rules,
-    lint_file,
     lint_paths,
-    lint_source,
     lint_sources,
     register,
 )
-from .project import LintConfig, Project
+from .project import LintConfig, LintConfigError, Project
 from .reporters import JSON_SCHEMA_VERSION, render_json, render_text, to_json
 
 __all__ = [
     "Finding",
     "JSON_SCHEMA_VERSION",
     "LintConfig",
+    "LintConfigError",
     "LintResult",
     "ModuleContext",
     "Project",
     "Rule",
     "all_rules",
     "get_rules",
-    "lint_file",
     "lint_paths",
-    "lint_source",
     "lint_sources",
-    "load_baseline",
     "main",
-    "new_findings",
     "register",
     "render_json",
     "render_text",
     "to_json",
-    "write_baseline",
 ]

@@ -1,13 +1,10 @@
 """Command-line front end: ``python -m repro.analysis [paths...]``.
 
-Exit status is 0 when the tree is clean (no unsuppressed findings) and
-1 otherwise, so CI can gate on it directly.  ``--format json`` emits the
-schema the ``static-analysis`` workflow uploads as an artifact.
-
-With ``--baseline FILE`` the gate is *differential*: the run fails only
-on findings not already recorded in the committed baseline, so rule
-tightening never blocks unrelated PRs.  ``--write-baseline FILE``
-records the current findings and exits 0 (the ratchet update).
+Exit status is 0 when the tree is clean (no unsuppressed findings), 1
+when it is not, and 2 on a usage error or a malformed
+``[tool.reprolint]``, so CI can gate on it directly.  ``--format json``
+emits the schema the ``static-analysis`` workflow uploads as an
+artifact.
 """
 
 from __future__ import annotations
@@ -17,8 +14,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .baseline import load_baseline, new_findings, write_baseline
 from .core import all_rules, get_rules, lint_paths
+from .project import LintConfigError
 from .reporters import render_json, render_text
 
 __all__ = ["main", "build_parser"]
@@ -72,18 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="describe every registered rule and exit",
     )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="fail only on findings not recorded in this baseline JSON",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="record current findings to FILE and exit 0",
-    )
     return parser
 
 
@@ -112,40 +97,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if missing:
         print(f"reprolint: no such path(s): {missing}", file=sys.stderr)
         return 2
-    result = lint_paths(args.paths, rules=rules)
-    if args.write_baseline is not None:
-        recorded = write_baseline(result, args.write_baseline)
-        print(
-            f"reprolint: baseline written to {args.write_baseline} "
-            f"({recorded} finding(s))"
-        )
-        return 0
-    fresh = None
-    if args.baseline is not None:
-        try:
-            fresh = new_findings(result, load_baseline(args.baseline))
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"reprolint: bad baseline: {exc}", file=sys.stderr)
-            return 2
+    try:
+        result = lint_paths(args.paths, rules=rules)
+    except LintConfigError as exc:
+        print(f"reprolint: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         report = render_json(result)
     else:
         report = render_text(result, show_suppressed=args.show_suppressed)
-        if fresh is not None:
-            lines = [
-                f"{f.path}:{f.line}:{f.col}: {f.rule} {f.message}"
-                for f in fresh
-            ]
-            verdict = (
-                f"reprolint: {len(fresh)} NEW finding(s) vs baseline"
-                if fresh
-                else "reprolint: no new findings vs baseline"
-            )
-            report = "\n".join([report, *lines, verdict])
     if args.output is not None:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
     else:
         print(report)
-    if fresh is not None:
-        return 1 if fresh else 0
     return 0 if result.ok else 1

@@ -16,12 +16,16 @@ Vocabulary:
 * :class:`Finding` — one violation (rule code, message, location,
   whether an inline suppression absorbed it).
 * :class:`ModuleContext` — one parsed module: source, AST, parent links,
-  the import-alias table used to resolve dotted call names, and the
+  the import table (:class:`ImportBinding`, one walk) that resolves
+  dotted call names and feeds the project's import graph, and the
   suppression table parsed from ``# reprolint: disable=...`` comments.
 * :class:`Rule` — a registered checker; subclasses implement
-  :meth:`Rule.check` as a generator of findings.
-* :func:`lint_paths` — the runner: walks files, applies rules, applies
-  suppressions, returns a :class:`LintResult`.
+  :meth:`Rule.check` (per module) and/or :meth:`Rule.check_project`
+  (once per run) as generators of findings.
+* :func:`lint_paths` / :func:`lint_sources` — the two inputs (disk,
+  memory) to the one engine: parse every module, build the
+  :class:`~repro.analysis.reprolint.project.Project`, apply the rules
+  and the suppressions, return a :class:`LintResult`.
 
 Suppression syntax (both forms take a comma-separated code list or
 ``all``)::
@@ -47,15 +51,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "Finding",
+    "ImportBinding",
     "LintResult",
     "ModuleContext",
     "Rule",
     "all_rules",
     "get_rules",
-    "lint_file",
     "lint_paths",
-    "lint_source",
     "lint_sources",
+    "module_name_for",
     "register",
 ]
 
@@ -93,15 +97,70 @@ class Finding:
     suppressed: bool = False
 
 
+@dataclass(frozen=True)
+class ImportBinding:
+    """One name bound by one import statement.
+
+    ``from .timing import wall_clock as now`` inside
+    ``repro/serving/runtime.py`` is ``local="now"``,
+    ``written="timing.wall_clock"``,
+    ``resolved="repro.serving.timing.wall_clock"``,
+    ``module="repro.serving.timing"``.
+
+    Attributes:
+        local: The name the statement binds (``"*"`` for a star import).
+        written: Dotted target of ``local`` as the source spells it —
+            relative imports keep their textual module path, so they
+            never shadow the stdlib names the per-module rules match on.
+        resolved: The same target with relative levels resolved against
+            the package layout.  For ``import a.b`` this is the module
+            the statement loads (``a.b``), whatever name it binds.
+        module: Resolved dotted module the statement imports or imports
+            from (empty when a relative import climbs out of the tree).
+        lineno: 1-based line of the import statement.
+        col: 0-based column of the import statement.
+        type_checking: True under an ``if TYPE_CHECKING:`` guard.
+        deferred: True inside a function body.
+    """
+
+    local: str
+    written: str
+    resolved: str
+    module: str
+    lineno: int
+    col: int
+    type_checking: bool
+    deferred: bool
+
+
+def module_name_for(rel_path: str) -> str:
+    """Dotted module qualname for a lint-relative path.
+
+    ``src/repro/serving/runtime.py`` → ``repro.serving.runtime`` (the
+    path is anchored at the first ``repro`` component so the same module
+    gets the same qualname whether linted as ``src`` or ``src/repro``);
+    paths without a ``repro`` component fall back to their dotted stem.
+    """
+    parts = [part for part in rel_path.replace("\\", "/").split("/") if part]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if "repro" in parts:
+        parts = parts[parts.index("repro") :]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) if parts else rel_path
+
+
 class ModuleContext:
     """A parsed module plus the lookup tables rules need.
 
     Args:
         source: Module source text.
         rel_path: Path used for reporting *and* for path-scoped rules
-            (e.g. RP002's seam allowlist, RP005's kernel packages); use
-            POSIX separators.  Tests exercise path-scoped rules by
-            passing a pretend path like ``"repro/histogram/x.py"``.
+            (e.g. RP002's declared seam, RP005's kernel packages) and
+            for the module's qualname; use POSIX separators.  Tests
+            exercise path-scoped rules by passing a pretend path like
+            ``"repro/histogram/x.py"``.
     """
 
     def __init__(self, source: str, rel_path: str) -> None:
@@ -110,25 +169,31 @@ class ModuleContext:
         self.path_parts: tuple[str, ...] = tuple(
             part for part in self.rel_path.split("/") if part
         )
+        self.module_name = module_name_for(self.rel_path)
         self.tree = ast.parse(source, filename=rel_path)
         self.lines = source.splitlines()
         self._parents: dict[int, ast.AST] = {}
+        #: Every call expression and every import binding of the module,
+        #: in ``ast.walk`` order.
+        self.calls: list[ast.Call] = []
+        self.imports: list[ImportBinding] = []
         for parent in ast.walk(self.tree):
             for child in ast.iter_child_nodes(parent):
                 self._parents[id(child)] = parent
-        self.aliases = self._collect_aliases()
+                if isinstance(child, ast.Call):
+                    self.calls.append(child)
+                elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                    self.imports.extend(self._bindings(child))
+        #: Local name → target as written.  A name bound twice keeps its
+        #: *last* binding here (what a call through it means once the
+        #: module body has run) and its *first* in :meth:`imported`.
+        self.aliases: dict[str, str] = {}
+        self._first_import: dict[str, ImportBinding] = {}
+        for binding in self.imports:
+            if binding.local != "*":
+                self.aliases[binding.local] = binding.written
+                self._first_import.setdefault(binding.local, binding)
         self._inline, self._filewide = self._collect_suppressions()
-
-    @classmethod
-    def from_file(cls, path: Path, root: Path | None = None) -> "ModuleContext":
-        """Parse ``path``; ``rel_path`` is relative to ``root`` if given."""
-        rel = path
-        if root is not None:
-            try:
-                rel = path.relative_to(root)
-            except ValueError:
-                rel = path
-        return cls(path.read_text(encoding="utf-8"), rel.as_posix())
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -164,32 +229,58 @@ class ModuleContext:
     # name resolution
     # ------------------------------------------------------------------
 
-    def _collect_aliases(self) -> dict[str, str]:
-        """Map local names to dotted import targets.
+    def _bindings(self, node: ast.Import | ast.ImportFrom) -> Iterator[ImportBinding]:
+        """The bindings of one import statement.
 
-        ``import numpy as np`` maps ``np -> numpy``; ``from time import
-        perf_counter`` maps ``perf_counter -> time.perf_counter``; ``from
-        multiprocessing import shared_memory`` maps ``shared_memory ->
-        multiprocessing.shared_memory``.  Relative imports keep their
-        textual module path (never shadowing the stdlib names the rules
-        match on).
+        ``import numpy as np`` binds ``np`` to ``numpy``; ``from time
+        import perf_counter`` binds ``perf_counter`` to
+        ``time.perf_counter``; ``import os.path`` binds ``os`` (written
+        ``os``) and loads ``os.path`` (resolved).  Relative levels are
+        resolved from ``rel_path`` alone: inside a package ``__init__``
+        level 1 is the package itself.
         """
-        aliases: dict[str, str] = {}
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    aliases[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    target = f"{module}.{alias.name}" if module else alias.name
-                    aliases[local] = target
-        return aliases
+        ancestors = list(self.ancestors(node))
+        where = (
+            node.lineno,
+            node.col_offset,
+            any(_is_type_checking_guard(a) for a in ancestors),
+            any(
+                isinstance(a, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for a in ancestors
+            ),
+        )
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                yield ImportBinding(
+                    alias.asname or head,
+                    alias.name if alias.asname else head,
+                    alias.name,
+                    alias.name,
+                    *where,
+                )
+            return
+        written = node.module or ""
+        module = written
+        if node.level:
+            package = self.module_name.split(".")
+            if self.path_parts[-1:] != ("__init__.py",):
+                package = package[:-1]
+            climb = node.level - 1
+            anchor = package[: len(package) - climb] if climb else package
+            module = ".".join(anchor + ([written] if written else []))
+        for alias in node.names:
+            yield ImportBinding(
+                alias.asname or alias.name,
+                f"{written}.{alias.name}" if written else alias.name,
+                f"{module}.{alias.name}" if module else alias.name,
+                module,
+                *where,
+            )
+
+    def imported(self, name: str) -> ImportBinding | None:
+        """The first import statement (``ast.walk`` order) binding ``name``."""
+        return self._first_import.get(name)
 
     def qualname(self, node: ast.expr) -> str | None:
         """Resolve an attribute chain to a dotted name via the alias table.
@@ -244,6 +335,16 @@ def _parse_codes(raw: str) -> set[str]:
     return {part.strip() for part in raw.split(",") if part.strip()}
 
 
+def _is_type_checking_guard(node: ast.AST) -> bool:
+    """``if TYPE_CHECKING:`` / ``if typing.TYPE_CHECKING:``."""
+    if not isinstance(node, ast.If):
+        return False
+    test = node.test
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
 # ----------------------------------------------------------------------
 # rules
 # ----------------------------------------------------------------------
@@ -263,20 +364,17 @@ class Rule:
     summary: str = ""
     invariant: str = ""
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext, project: Project) -> Iterator[Finding]:
         """Yield findings for one module (suppressions applied later).
 
-        ``project`` is the whole-program model when the engine ran a
-        full-tree pass, or None for single-module linting — rules that
-        *derive* their seams from the graph fall back to their manual
-        allowlists in that case.
+        ``project`` is the run's whole-program model: the declared
+        contract (``project.config``) and the import/call graph a
+        per-module rule may consult.  The default is no findings, so
+        whole-program rules need not override.
         """
-        raise NotImplementedError
-        yield  # pragma: no cover - generator typing aid
+        return iter(())
 
-    def check_project(self, project: "Project") -> Iterator[Finding]:
+    def check_project(self, project: Project) -> Iterator[Finding]:
         """Yield whole-program findings (graph/dataflow rules).
 
         Called once per run, after every module's :meth:`check`.  The
@@ -352,11 +450,14 @@ class LintResult:
     Attributes:
         findings: Every finding, suppressed ones included, ordered by
             (path, line, col, rule).
-        files_checked: Number of modules parsed.
+        files_checked: Number of modules linted (unparseable ones
+            included — each is one ``RP000`` finding).
+        project: The whole-program model the run built and judged.
     """
 
     findings: list[Finding]
     files_checked: int
+    project: Project
 
     @property
     def unsuppressed(self) -> list[Finding]:
@@ -385,96 +486,71 @@ def _finding_key(finding: Finding) -> tuple[str, int, int, str]:
     return (finding.path, finding.line, finding.col, finding.rule)
 
 
-def _run_rules(
-    contexts: Sequence[ModuleContext],
-    checkers: Sequence[Rule],
-    project: "Project | None",
-) -> list[Finding]:
-    """Per-module checks, then whole-program checks, suppressions applied.
+def _parse_error(rel_path: str, exc: SyntaxError | ValueError) -> Finding:
+    return Finding(
+        rule="RP000",
+        name="parse-error",
+        message=f"could not parse module: {getattr(exc, 'msg', exc)}",
+        path=rel_path,
+        line=getattr(exc, "lineno", None) or 1,
+        col=(getattr(exc, "offset", None) or 1) - 1,
+    )
+
+
+def lint_sources(
+    sources: Mapping[str, str | Path],
+    rules: Sequence[Rule] | None = None,
+    config: LintConfig | None = None,
+) -> LintResult:
+    """The engine: parse, build the project, run the rules, apply waivers.
+
+    Modules are taken in sorted path order, so findings come out
+    byte-identical whatever order the caller (or the filesystem)
+    produced them in.  A module that cannot be read as UTF-8 or parsed
+    becomes one ``RP000`` finding and the rest are still linted.
 
     Suppression lookup goes through the finding's *path* (not the module
     the rule happened to be iterating), so a graph rule anchoring a
     finding in another module still honors that module's waivers.
-    """
-    by_path = {ctx.rel_path: ctx for ctx in contexts}
-
-    def absorb(finding: Finding) -> Finding:
-        ctx = by_path.get(finding.path)
-        if ctx is not None and ctx.is_suppressed(finding.rule, finding.line):
-            return replace(finding, suppressed=True)
-        return finding
-
-    findings: list[Finding] = []
-    for ctx in contexts:
-        for rule in checkers:
-            findings.extend(absorb(f) for f in rule.check(ctx, project))
-    if project is not None:
-        for rule in checkers:
-            findings.extend(absorb(f) for f in rule.check_project(project))
-    findings.sort(key=_finding_key)
-    return findings
-
-
-def lint_source(
-    source: str, rel_path: str, rules: Sequence[Rule] | None = None
-) -> list[Finding]:
-    """Lint one module given as text; returns all findings (sorted).
-
-    Single-module mode: no project is built, so graph rules stay silent
-    and seam-derived rules use their manual fallbacks.
-    """
-    ctx = ModuleContext(source, rel_path)
-    checkers = list(rules) if rules is not None else all_rules()
-    return _run_rules([ctx], checkers, None)
-
-
-def lint_sources(
-    sources: Mapping[str, str],
-    rules: Sequence[Rule] | None = None,
-    config: "LintConfig | None" = None,
-) -> LintResult:
-    """Whole-program lint over in-memory modules (fixture entry point).
 
     Args:
-        sources: rel_path → source text; paths use POSIX separators and
-            should start at ``repro/`` so package-scoped rules engage.
+        sources: rel_path → source text (the fixture entry point), or →
+            the file to read it from (what :func:`lint_paths` passes);
+            paths use POSIX separators and should start at ``repro/``
+            so package-scoped rules engage.
         rules: Rule subset (default: every registered rule).
-        config: Declared contracts (default: the built-in defaults, no
-            pyproject discovery — fixtures stay hermetic).
+        config: Declared contract (default: the empty one — no clock
+            seam, no layering rows, and no pyproject discovery, so
+            fixtures stay hermetic).
     """
     from .project import Project
 
     checkers = list(rules) if rules is not None else all_rules()
-    contexts = [
-        ModuleContext(text, rel_path)
-        for rel_path, text in sorted(sources.items())
+    findings: list[Finding] = []
+    by_path: dict[str, ModuleContext] = {}
+    for rel_path, source in sorted(sources.items()):
+        try:
+            if isinstance(source, Path):
+                source = source.read_text(encoding="utf-8")
+            by_path[rel_path] = ModuleContext(source, rel_path)
+        # ValueError: bytes that are not UTF-8, and (before 3.12) NUL bytes.
+        except (SyntaxError, ValueError) as exc:
+            findings.append(_parse_error(rel_path, exc))
+    project = Project(by_path.values(), config)
+    for ctx in by_path.values():
+        for rule in checkers:
+            findings.extend(rule.check(ctx, project))
+    for rule in checkers:
+        findings.extend(rule.check_project(project))
+    findings = [
+        replace(finding, suppressed=True)
+        if finding.path in by_path
+        and by_path[finding.path].is_suppressed(finding.rule, finding.line)
+        else finding
+        for finding in findings
     ]
-    project = Project(contexts, config)
-    findings = _run_rules(contexts, checkers, project)
-    return LintResult(findings=findings, files_checked=len(contexts))
-
-
-def _parse_error(rel_path: str, exc: SyntaxError) -> Finding:
-    return Finding(
-        rule="RP000",
-        name="parse-error",
-        message=f"could not parse module: {exc.msg}",
-        path=rel_path,
-        line=exc.lineno or 1,
-        col=(exc.offset or 1) - 1,
-    )
-
-
-def lint_file(
-    path: Path, root: Path | None = None, rules: Sequence[Rule] | None = None
-) -> list[Finding]:
-    """Lint one file on disk (single-module mode, no project)."""
-    rel = _rel_path(path, root)
-    try:
-        source = path.read_text(encoding="utf-8")
-        return lint_source(source, rel, rules)
-    except SyntaxError as exc:
-        return [_parse_error(rel, exc)]
+    findings.sort(key=_finding_key)
+    return LintResult(findings, len(sources), project)
 
 
 def _rel_path(path: Path, root: Path | None) -> str:
@@ -503,14 +579,13 @@ def lint_paths(
     paths: Sequence[str | Path],
     root: str | Path | None = None,
     rules: Sequence[Rule] | None = None,
-    whole_program: bool = True,
 ) -> LintResult:
-    """Lint files and directories; the package entry point's engine.
+    """Lint files and directories; the package entry point.
 
-    The file set is deduplicated and globally sorted by *reported path*
-    before any rule runs, so findings come out byte-identical whatever
-    order the filesystem (or the caller's path list) produced — ordering
-    is an engine guarantee, not a reporter courtesy.
+    The file set is deduplicated by *reported path*.  The declared
+    contract is read from the nearest ``pyproject.toml`` at or above
+    ``root`` (else the first path); a malformed ``[tool.reprolint]``
+    raises :class:`~repro.analysis.reprolint.project.LintConfigError`.
 
     Args:
         paths: Files or directory roots (directories are walked for
@@ -518,37 +593,15 @@ def lint_paths(
         root: Paths in findings are reported relative to this (default:
             the current working directory when paths are relative).
         rules: Rule subset (default: every registered rule).
-        whole_program: Build the cross-module :class:`Project` (import
-            graph, call graph, declared contracts from the nearest
-            ``pyproject.toml``) and run graph rules over it.  False
-            reverts to v1 per-module behavior.
     """
+    from .project import LintConfig
+
     root_path = Path(root) if root is not None else None
-    checkers = list(rules) if rules is not None else all_rules()
     file_list = [Path(p) for p in paths]
     by_rel: dict[str, Path] = {}
     for file_path in iter_python_files(file_list):
         by_rel.setdefault(_rel_path(file_path, root_path), file_path)
-
-    findings: list[Finding] = []
-    contexts: list[ModuleContext] = []
-    files_checked = 0
-    for rel in sorted(by_rel):
-        files_checked += 1
-        try:
-            source = by_rel[rel].read_text(encoding="utf-8")
-            contexts.append(ModuleContext(source, rel))
-        except SyntaxError as exc:
-            findings.append(_parse_error(rel, exc))
-
-    project: "Project | None" = None
-    if whole_program and contexts:
-        from .project import LintConfig, Project
-
-        anchor = root_path if root_path is not None else (
-            file_list[0] if file_list else Path.cwd()
-        )
-        project = Project(contexts, LintConfig.discover(anchor))
-    findings.extend(_run_rules(contexts, checkers, project))
-    findings.sort(key=_finding_key)
-    return LintResult(findings=findings, files_checked=files_checked)
+    anchor = root_path if root_path is not None else (
+        file_list[0] if file_list else Path.cwd()
+    )
+    return lint_sources(by_rel, rules, LintConfig.discover(anchor))

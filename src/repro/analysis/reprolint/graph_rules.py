@@ -1,7 +1,7 @@
 """Whole-program rules (RP007–RP010) over the project graph.
 
-These rules state contracts no single-module pass can check, because
-the evidence spans modules:
+These rules state contracts no module can be judged against alone,
+because the evidence spans modules:
 
 * RP007 ``blocking-call-in-async`` — nothing reachable from an ``async
   def`` in ``serving/`` may block the event loop: ``time.sleep``,
@@ -37,7 +37,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .core import Finding, ModuleContext, Rule, register
+from .core import Finding, Rule, register
 from .dataflow import analyze_taint
 from .project import CallSite, Project, ProjectFunction
 
@@ -49,35 +49,8 @@ __all__ = [
 ]
 
 
-def _in_package(project: Project, fn: ProjectFunction, part: str) -> bool:
-    ctx = project.modules.get(fn.module)
-    return ctx is not None and part in ctx.path_parts
-
-
-class ProjectRule(Rule):
-    """A rule that only runs in whole-program mode."""
-
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
-        return iter(())
-
-    def finding_at(
-        self, project: Project, fn: ProjectFunction, node: ast.AST, message: str
-    ) -> Finding:
-        """A finding anchored in the module that owns ``fn``."""
-        return Finding(
-            rule=self.code,
-            name=self.name,
-            message=message,
-            path=fn.rel_path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-        )
-
-
 @register
-class BlockingCallInAsync(ProjectRule):
+class BlockingCallInAsync(Rule):
     """RP007: the serving event loop never blocks."""
 
     code = "RP007"
@@ -136,7 +109,7 @@ class BlockingCallInAsync(ProjectRule):
             for fn in sorted(
                 project.functions.values(), key=lambda f: f.qualname
             )
-            if fn.is_async and _in_package(project, fn, "serving")
+            if fn.is_async and project.in_package(fn, "serving")
         ]
         reported: set[tuple[str, int, int]] = set()
         for root in roots:
@@ -164,9 +137,8 @@ class BlockingCallInAsync(ProjectRule):
                         if fn.qualname == root.qualname
                         else f" via {fn.qualname}"
                     )
-                    yield self.finding_at(
-                        project,
-                        fn,
+                    yield self.finding(
+                        project.modules[fn.module],
                         site.node,
                         f"{why} reachable from async "
                         f"{root.qualname}{via}; blocking work must cross "
@@ -194,7 +166,7 @@ class BlockingCallInAsync(ProjectRule):
 
 
 @register
-class WallClockTaint(ProjectRule):
+class WallClockTaint(Rule):
     """RP008: wall-clock values never reach persistent/replayed state."""
 
     code = "RP008"
@@ -285,9 +257,8 @@ class WallClockTaint(ProjectRule):
                     f"{t.source}() (line {t.line})"
                     for t in sorted(taints, key=lambda t: (t.line, t.source))
                 )
-                yield self.finding_at(
-                    project,
-                    fn,
+                yield self.finding(
+                    project.modules[fn.module],
                     site.node,
                     f"wall-clock value from {origins} flows into "
                     f"{site.callee or site.tail}(); persisted/replayed "
@@ -299,7 +270,7 @@ class WallClockTaint(ProjectRule):
 
 
 @register
-class LayeringContract(ProjectRule):
+class LayeringContract(Rule):
     """RP009: the declared import DAG holds, and stays acyclic."""
 
     code = "RP009"
@@ -355,23 +326,17 @@ class LayeringContract(ProjectRule):
                         break
         for cycle in project.import_cycles():
             anchor = project.modules[cycle[0]]
-            yield Finding(
-                rule=self.code,
-                name=self.name,
-                message=(
-                    "runtime import cycle among project modules: "
-                    + " <-> ".join(cycle)
-                    + "; break it with a deferred import or an interface "
-                    "module"
-                ),
-                path=anchor.rel_path,
-                line=1,
-                col=0,
+            yield self.finding(  # a Module node has no position: line 1, col 0
+                anchor,
+                anchor.tree,
+                "runtime import cycle among project modules: "
+                + " <-> ".join(cycle)
+                + "; break it with a deferred import or an interface module",
             )
 
 
 @register
-class LossyCodecSeam(ProjectRule):
+class LossyCodecSeam(Rule):
     """RP010: encoded deltas reach the fabric only via the PS seams."""
 
     code = "RP010"
@@ -397,12 +362,12 @@ class LossyCodecSeam(ProjectRule):
         raw_pushers = {
             fn.qualname
             for fn in project.functions.values()
-            if not _in_package(project, fn, "ps")
+            if not project.in_package(fn, "ps")
             and any(site.tail == "push_row" for site in fn.callsites)
         }
         for fn in sorted(project.functions.values(), key=lambda f: f.qualname):
-            if _in_package(project, fn, "ps") or _in_package(
-                project, fn, "compression"
+            if project.in_package(fn, "ps") or project.in_package(
+                fn, "compression"
             ):
                 continue  # the transport and the codec itself are the seam
             encodes = [
@@ -417,9 +382,8 @@ class LossyCodecSeam(ProjectRule):
             if not pushers_hit:
                 continue
             for site in encodes:
-                yield self.finding_at(
-                    project,
-                    fn,
+                yield self.finding(
+                    project.modules[fn.module],
                     site.node,
                     f"codec encode {site.callee}() in {fn.qualname} "
                     f"reaches a raw push_row (via {pushers_hit[0]}); "

@@ -1,19 +1,21 @@
 """Whole-program model: symbol table, import graph, and call graph.
 
-reprolint v1 judged every module alone, so cross-module contracts (the
-wall-clock seam, the PS push pairing, the codec pre-encode seam) had to
-be *restated* as hand-maintained whitelists inside each rule — and every
-transport PR re-extended them.  :class:`Project` replaces the whitelists
-with derivation: it parses every module of the linted tree once, builds
+Cross-module contracts (the wall-clock seam, the PS push pairing, the
+codec pre-encode seam) cannot be judged one module at a time, and
+restating them as hand-maintained whitelists inside each rule meant
+every transport PR re-extended the lists.  :class:`Project` derives
+them instead: every lint run parses the linted tree once and builds
 
 * a **symbol table** — every top-level function, class, and method with
   its dotted qualname (``repro.serving.runtime.ServingRuntime._flush``),
   re-exports chased through package ``__init__`` chains;
-* an **import graph** — module → imported module, relative imports
-  resolved against the package layout, ``if TYPE_CHECKING:`` imports
-  tagged so layering rules can skip them;
+* an **import graph** — module → imported module, read off each
+  module's import table (:class:`~.core.ImportBinding`: relative
+  imports resolved against the package layout, ``if TYPE_CHECKING:``
+  and function-level imports tagged so layering and cycle rules can
+  tell them apart);
 * a **call graph** — every call site resolved to a dotted target via
-  the alias table, ``self`` attributes, and locally-inferred types
+  the import table, ``self`` attributes, and locally-inferred types
   (constructor assignments, parameter/return annotations), so
   ``self.store.current()`` resolves to ``ModelStore.current`` and the
   ``send`` closures inside ``push_row`` still connect it to
@@ -22,10 +24,10 @@ with derivation: it parses every module of the linted tree once, builds
 Graph rules (RP007–RP010) and the derived RP002/RP006 seam sets are
 built on these tables; :mod:`dataflow` adds the intraprocedural layer.
 
-The analyzer stays stdlib-only.  The declared layering contract lives in
-``pyproject.toml`` under ``[tool.reprolint]`` (see :class:`LintConfig`);
-when no pyproject is found the built-in defaults — which the patrol
-tests pin against the declared ones — apply.
+The analyzer stays stdlib-only.  The declared contract — the clock seam
+and the layering DAG — has exactly one statement, ``[tool.reprolint]``
+in ``pyproject.toml`` (see :class:`LintConfig`); a tree without one is
+linted against the empty contract.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeGuard
 
 from .core import ModuleContext
 
@@ -43,40 +45,36 @@ __all__ = [
     "ClassInfo",
     "ImportEdge",
     "LintConfig",
+    "LintConfigError",
     "Project",
     "ProjectFunction",
-    "module_name_for",
 ]
 
-#: The RP002 clock seam as declared in pyproject.toml (and mirrored in
-#: the rule's manual fallback whitelist — the patrol test pins both).
-DEFAULT_CLOCK_SEAM: tuple[str, ...] = ("repro/utils/timing.py",)
 
-#: The declared import DAG: package → packages/top-level modules it must
-#: never import.  Kernel packages stay importable without the
-#: orchestration stack; serving never grows a chaos dependency.
-DEFAULT_LAYERING: Mapping[str, tuple[str, ...]] = {
-    "repro.tree": ("repro.distributed", "repro.serving", "repro.chaos", "asyncio"),
-    "repro.histogram": (
-        "repro.distributed",
-        "repro.serving",
-        "repro.chaos",
-        "asyncio",
-    ),
-    "repro.sketch": ("repro.distributed", "repro.serving", "repro.chaos", "asyncio"),
-    "repro.compression": (
-        "repro.distributed",
-        "repro.serving",
-        "repro.chaos",
-        "asyncio",
-    ),
-    "repro.serving": ("repro.chaos",),
-}
+class LintConfigError(ValueError):
+    """``[tool.reprolint]`` is unreadable or mis-shaped.
+
+    The message names the file, the key, and what was expected; a
+    contract that silently degraded would switch a rule off instead.
+    """
+
+    def __init__(self, source: Path, detail: str) -> None:
+        super().__init__(f"bad [tool.reprolint] in {source}: {detail}")
+
+
+def _is_string_list(value: object) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(item, str) and item for item in value
+    )
 
 
 @dataclass(frozen=True)
 class LintConfig:
-    """Declared whole-program contracts, normally read from pyproject.
+    """The declared whole-program contract, read from pyproject.
+
+    The default is the *empty* contract: RP002 has no exempt module (a
+    clock read anywhere is a finding) and RP009 checks import cycles
+    only.
 
     Attributes:
         clock_seam: Module suffixes allowed to read the clock directly
@@ -85,140 +83,164 @@ class LintConfig:
         layering: Package qualname → forbidden import prefixes (RP009).
     """
 
-    clock_seam: tuple[str, ...] = DEFAULT_CLOCK_SEAM
-    layering: Mapping[str, tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_LAYERING)
-    )
+    clock_seam: tuple[str, ...] = ()
+    layering: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     @classmethod
-    def from_pyproject(cls, path: Path) -> "LintConfig":
-        """Parse ``[tool.reprolint]`` out of a pyproject.toml file."""
-        data = _read_toml_tool_reprolint(path.read_text(encoding="utf-8"))
-        if data is None:
+    def from_table(cls, table: object, source: Path) -> LintConfig:
+        """Validate a parsed ``[tool.reprolint]`` table (None: absent).
+
+        Raises:
+            LintConfigError: Unknown key, or a value of the wrong shape
+                (``clock-seam`` is a list of non-empty strings,
+                ``layering`` a table of package → list of strings).
+        """
+        if table is None:
             return cls()
-        clock_seam = tuple(data.get("clock-seam", DEFAULT_CLOCK_SEAM))
-        raw_layering = data.get("layering")
-        layering: Mapping[str, tuple[str, ...]]
-        if raw_layering is None:
-            layering = dict(DEFAULT_LAYERING)
-        else:
-            layering = {
+        if not isinstance(table, dict):
+            raise LintConfigError(
+                source, f"tool.reprolint: expected a table, got {table!r}"
+            )
+        for key in sorted(table):
+            if key not in ("clock-seam", "layering"):
+                raise LintConfigError(
+                    source, f"{key}: unknown key (known: clock-seam, layering)"
+                )
+        layering = table.get("layering", {})
+        if not isinstance(layering, dict):
+            raise LintConfigError(
+                source,
+                f"layering: expected a table of package = [imports], "
+                f"got {layering!r}",
+            )
+        lists = {"clock-seam": table.get("clock-seam", [])}
+        lists.update((f"layering.{pkg}", row) for pkg, row in layering.items())
+        for key, value in lists.items():
+            if not _is_string_list(value):
+                raise LintConfigError(
+                    source,
+                    f"{key}: expected a list of non-empty strings, got {value!r}",
+                )
+        return cls(
+            clock_seam=tuple(lists["clock-seam"]),
+            layering={
                 package: tuple(forbidden)
-                for package, forbidden in sorted(raw_layering.items())
-            }
-        return cls(clock_seam=clock_seam, layering=layering)
+                for package, forbidden in sorted(layering.items())
+            },
+        )
 
     @classmethod
-    def discover(cls, start: Path) -> "LintConfig":
-        """Walk up from ``start`` for a pyproject declaring the contract."""
+    def from_pyproject(cls, path: Path) -> LintConfig:
+        """Read and validate ``[tool.reprolint]`` of a pyproject.toml.
+
+        Raises:
+            LintConfigError: The file cannot be read or parsed, or the
+                table fails :meth:`from_table`.
+        """
+        try:
+            table = _read_tool_reprolint(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # TOMLDecodeError is a ValueError
+            raise LintConfigError(path, str(exc)) from exc
+        return cls.from_table(table, path)
+
+    @classmethod
+    def discover(cls, start: Path) -> LintConfig:
+        """The contract of the nearest pyproject.toml at or above ``start``.
+
+        No pyproject.toml, or one without ``[tool.reprolint]``, is the
+        empty contract.
+        """
         current = start.resolve()
         if current.is_file():
             current = current.parent
         for candidate in (current, *current.parents):
             pyproject = candidate / "pyproject.toml"
             if pyproject.is_file():
-                try:
-                    return cls.from_pyproject(pyproject)
-                except OSError:  # pragma: no cover - racy unlink
-                    break
+                return cls.from_pyproject(pyproject)
         return cls()
 
 
-def _read_toml_tool_reprolint(text: str) -> dict | None:
-    """The ``[tool.reprolint]`` tables as a plain dict, or None if absent.
+def _read_tool_reprolint(text: str) -> object:
+    """The ``[tool.reprolint]`` table of a TOML document, None if absent.
 
-    Uses :mod:`tomllib` when available (3.11+); on 3.10 falls back to a
-    deliberately tiny parser that understands exactly the shape this
-    config uses — ``[tool.reprolint*]`` sections holding
-    ``key = ["string", ...]`` entries (single- or multi-line arrays).
+    Uses :mod:`tomllib` when available (3.11+); on 3.10
+    :func:`_read_toml_minimal` is the only reader.
     """
     try:
         import tomllib
-    except ImportError:  # pragma: no cover - 3.10 fallback
+    except ImportError:
         return _read_toml_minimal(text)
-    try:
-        document = tomllib.loads(text)
-    except tomllib.TOMLDecodeError:
-        return None
-    tool = document.get("tool", {})
-    section = tool.get("reprolint")
-    return section if isinstance(section, dict) else None
+    return tomllib.loads(text).get("tool", {}).get("reprolint")
 
 
-_SECTION_RE = re.compile(r"^\[([^\]]+)\]\s*$")
+_SECTION_RE = re.compile(r"^\[([^\]]+)\]$")
 _STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+#: A basic string (kept) or a ``#`` comment outside one (dropped).
+_STRING_OR_COMMENT_RE = re.compile(r'("(?:[^"\\]|\\.)*")|#.*')
 
 
-def _read_toml_minimal(text: str) -> dict | None:  # pragma: no cover
-    """3.10 fallback: parse only the ``[tool.reprolint*]`` sections."""
+def _read_toml_minimal(text: str) -> dict | None:
+    """A deliberately tiny TOML reader for the ``[tool.reprolint*]`` tables.
+
+    Understands exactly the shape this config uses — sections holding
+    ``key = ["string", ...]`` entries (single- or multi-line arrays,
+    ``#`` comments).  Any other value is kept as the text it was written
+    as, which no ``[tool.reprolint]`` key accepts, so
+    :meth:`LintConfig.from_table` rejects it by name instead of the
+    reader dropping it.
+    """
     result: dict = {}
     section: dict | None = None
-    pending_key: str | None = None
-    pending_values: list[str] = []
+    entry_of: dict | None = None  # the table of the entry being read
+    key = value = ""
     for raw_line in text.splitlines():
-        line = raw_line.split("#", 1)[0].strip() if '"' not in raw_line else (
-            raw_line.strip()
-        )
+        line = _STRING_OR_COMMENT_RE.sub(
+            lambda found: found.group(1) or "", raw_line
+        ).strip()
         if not line:
             continue
-        match = _SECTION_RE.match(line)
-        if match is not None:
-            name = match.group(1).strip().strip('"')
-            pending_key = None
-            if name == "tool.reprolint":
-                section = result
-            elif name.startswith("tool.reprolint."):
-                sub_name = name[len("tool.reprolint.") :].strip('"')
-                section = result.setdefault(sub_name, {})
-            else:
-                section = None
-            continue
-        if section is None:
-            continue
-        if pending_key is not None:
-            pending_values.extend(_STRING_RE.findall(line))
-            if "]" in line:
-                section[pending_key] = list(pending_values)
-                pending_key = None
-            continue
-        if "=" in line:
-            key, _, value = line.partition("=")
-            key = key.strip().strip('"')
-            value = value.strip()
-            if value.startswith("["):
-                values = _STRING_RE.findall(value)
-                if "]" in value:
-                    section[key] = values
+        if entry_of is None:
+            header = _SECTION_RE.match(line)
+            if header is not None:
+                name = header.group(1).strip()
+                if name == "tool.reprolint":
+                    section = result
+                elif name.startswith("tool.reprolint."):
+                    sub_name = name[len("tool.reprolint.") :].strip('"')
+                    section = result.setdefault(sub_name, {})
                 else:
-                    pending_key, pending_values = key, list(values)
-            else:
-                strings = _STRING_RE.findall(value)
-                if strings:
-                    section[key] = strings[0]
+                    section = None
+                continue
+            if section is None or "=" not in line:
+                continue
+            key, _, value = line.partition("=")
+            entry_of, key, value = section, key.strip().strip('"'), value.strip()
+        else:
+            value += " " + line
+        if value.startswith("[") and not value.endswith("]"):
+            continue  # the array continues on the next line
+        entry_of[key] = _toml_value(value)
+        entry_of = None
+    if entry_of is not None:  # array never closed: kept as text, so rejected
+        entry_of[key] = value
     return result or None
 
 
+def _toml_value(text: str) -> object:
+    """An array of basic strings as a list, one basic string as a str."""
+    if text.startswith("[") and text.endswith("]"):
+        if not _STRING_RE.sub("", text[1:-1]).strip(", "):
+            return _STRING_RE.findall(text)
+    else:
+        string = _STRING_RE.fullmatch(text)
+        if string is not None:
+            return string.group(1)
+    return text
+
+
 # ----------------------------------------------------------------------
-# naming
+# tables
 # ----------------------------------------------------------------------
-
-
-def module_name_for(rel_path: str) -> str:
-    """Dotted module qualname for a lint-relative path.
-
-    ``src/repro/serving/runtime.py`` → ``repro.serving.runtime`` (the
-    path is anchored at the first ``repro`` component so the same module
-    gets the same qualname whether linted as ``src`` or ``src/repro``);
-    paths without a ``repro`` component fall back to their dotted stem.
-    """
-    parts = [part for part in rel_path.replace("\\", "/").split("/") if part]
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if "repro" in parts:
-        parts = parts[parts.index("repro") :]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts) if parts else rel_path
 
 
 @dataclass(frozen=True)
@@ -282,6 +304,8 @@ class ProjectFunction:
     is_async: bool
     is_method: bool
     callsites: list[CallSite] = field(default_factory=list)
+    #: Local name → project class, inferred on the first call site.
+    local_types: dict[str, str] | None = None
 
     @property
     def name(self) -> str:
@@ -306,11 +330,11 @@ class Project:
     """The whole-program tables built over one lint run's modules.
 
     Args:
-        contexts: Parsed modules (rel_path → :class:`ModuleContext`);
-            modules that collide on qualname keep the first occurrence
-            in sorted rel-path order (deterministic).
-        config: Declared contracts; defaults let fixture projects run
-            without a pyproject.
+        contexts: Parsed modules; modules that collide on qualname keep
+            the first occurrence in sorted rel-path order
+            (deterministic).
+        config: Declared contract (default: the empty one, so fixture
+            projects run without a pyproject).
     """
 
     MODULE_FUNCTION = "<module>"
@@ -320,27 +344,40 @@ class Project:
         contexts: Iterable[ModuleContext],
         config: LintConfig | None = None,
     ) -> None:
-        self.config = config or LintConfig()
+        self.config = config if config is not None else LintConfig()
         self.modules: dict[str, ModuleContext] = {}
         self.module_names: dict[str, str] = {}  # rel_path -> qualname
-        self._packages: set[str] = set()
         for ctx in sorted(contexts, key=lambda c: c.rel_path):
-            name = module_name_for(ctx.rel_path)
-            if name in self.modules:
-                continue
-            self.modules[name] = ctx
-            self.module_names[ctx.rel_path] = name
-            if ctx.rel_path.endswith("__init__.py"):
-                self._packages.add(name)
+            if ctx.module_name not in self.modules:
+                self.modules[ctx.module_name] = ctx
+                self.module_names[ctx.rel_path] = ctx.module_name
 
         self.functions: dict[str, ProjectFunction] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.imports: dict[str, list[ImportEdge]] = {}
         self._module_symbols: dict[str, dict[str, str]] = {}
         self._return_types: dict[str, str] = {}
 
-        for name in self.modules:
-            self._collect_imports(name)
+        # `from pkg import sub` imports the submodule, not a symbol of
+        # pkg/__init__ — edge to the submodule so package re-export hubs
+        # do not read as cycles.
+        self.imports: dict[str, list[ImportEdge]] = {
+            name: [
+                ImportEdge(
+                    target=(
+                        binding.resolved
+                        if binding.resolved in self.modules
+                        else binding.module
+                    ),
+                    lineno=binding.lineno,
+                    col=binding.col,
+                    type_checking=binding.type_checking,
+                    deferred=binding.deferred,
+                )
+                for binding in ctx.imports
+                if binding.module
+            ]
+            for name, ctx in self.modules.items()
+        }
         for name in self.modules:
             self._collect_symbols(name)
         for info in self.classes.values():
@@ -359,95 +396,6 @@ class Project:
                 if site.callee is not None and site.callee in self.functions:
                     self._callees.setdefault(fn.qualname, set()).add(site.callee)
                     self._callers.setdefault(site.callee, set()).add(fn.qualname)
-
-    # ------------------------------------------------------------------
-    # imports
-    # ------------------------------------------------------------------
-
-    def _is_module(self, dotted: str) -> bool:
-        return dotted in self.modules
-
-    def _anchor_parts(self, module: str, level: int) -> list[str]:
-        parts = module.split(".")
-        if module in self._packages:
-            # Inside a package __init__, level 1 is the package itself.
-            drop = level - 1
-        else:
-            drop = level
-        return parts[: len(parts) - drop] if drop else parts
-
-    def _collect_imports(self, module: str) -> None:
-        ctx = self.modules[module]
-        edges: list[ImportEdge] = []
-        guarded = self._type_checking_lines(ctx)
-        deferred_lines = self._function_body_lines(ctx)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    edges.append(
-                        ImportEdge(
-                            target=alias.name,
-                            lineno=node.lineno,
-                            col=node.col_offset,
-                            type_checking=node.lineno in guarded,
-                            deferred=node.lineno in deferred_lines,
-                        )
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    anchor = self._anchor_parts(module, node.level)
-                    base = ".".join(
-                        anchor + ([node.module] if node.module else [])
-                    )
-                else:
-                    base = node.module or ""
-                if not base:
-                    continue
-                for alias in node.names:
-                    # `from pkg import sub` imports the submodule, not a
-                    # symbol of pkg/__init__ — edge to the submodule so
-                    # package re-export hubs do not read as cycles.
-                    sub = f"{base}.{alias.name}"
-                    target = sub if self._is_module(sub) else base
-                    edges.append(
-                        ImportEdge(
-                            target=target,
-                            lineno=node.lineno,
-                            col=node.col_offset,
-                            type_checking=node.lineno in guarded,
-                            deferred=node.lineno in deferred_lines,
-                        )
-                    )
-        self.imports[module] = edges
-
-    @staticmethod
-    def _function_body_lines(ctx: ModuleContext) -> set[int]:
-        """Lines of import statements that sit inside a function body."""
-        lines: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for child in ast.walk(node):
-                    if isinstance(child, (ast.Import, ast.ImportFrom)):
-                        lines.add(child.lineno)
-        return lines
-
-    @staticmethod
-    def _type_checking_lines(ctx: ModuleContext) -> set[int]:
-        lines: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.If):
-                continue
-            test = node.test
-            is_guard = (
-                isinstance(test, ast.Name) and test.id == "TYPE_CHECKING"
-            ) or (
-                isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
-            )
-            if is_guard:
-                for child in ast.walk(node):
-                    if isinstance(child, (ast.Import, ast.ImportFrom)):
-                        lines.add(child.lineno)
-        return lines
 
     # ------------------------------------------------------------------
     # symbols
@@ -520,36 +468,10 @@ class Project:
         if name in symbols:
             return symbols[name]
         ctx = self.modules.get(module)
-        if ctx is None:
+        binding = ctx.imported(name) if ctx is not None else None
+        if binding is None:
             return None
-        target = self._import_target(ctx, module, name)
-        if target is None:
-            return None
-        return self._canonicalize(target, seen)
-
-    def _import_target(
-        self, ctx: ModuleContext, module: str, name: str
-    ) -> str | None:
-        """Absolute dotted target of an imported local name, if any."""
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    if local == name:
-                        return alias.name if alias.asname else alias.name
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    anchor = self._anchor_parts(module, node.level)
-                    base = ".".join(
-                        anchor + ([node.module] if node.module else [])
-                    )
-                else:
-                    base = node.module or ""
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    if local == name and alias.name != "*":
-                        return f"{base}.{alias.name}" if base else alias.name
-        return None
+        return self._canonicalize(binding.resolved, seen)
 
     def _canonicalize(
         self, dotted: str, seen: frozenset[tuple[str, str]]
@@ -560,7 +482,7 @@ class Project:
         # repro.ps, so symbols resolve in the defining module).
         for cut in range(len(parts), 0, -1):
             prefix = ".".join(parts[:cut])
-            if self._is_module(prefix):
+            if prefix in self.modules:
                 rest = parts[cut:]
                 if not rest:
                     return prefix
@@ -607,6 +529,51 @@ class Project:
             resolved = text if text in self.classes else None
         return resolved if resolved in self.classes else None
 
+    def _param_types(
+        self, module: str, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> dict[str, str]:
+        """Parameter name → project class, for the annotated parameters."""
+        types: dict[str, str] = {}
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs):
+            cls = self._class_of_annotation(module, arg.annotation)
+            if cls is not None:
+                types[arg.arg] = cls
+        return types
+
+    def _class_of_assigned(
+        self,
+        module: str,
+        value: ast.expr | None,
+        annotation: ast.expr | None,
+        env: dict[str, str],
+        info: ClassInfo | None,
+    ) -> str | None:
+        """Project class of one assigned value, when inferable.
+
+        In order: the annotation; a constructor call ``X(...)`` or a
+        call of a function annotated ``-> X``; a name already typed in
+        ``env`` (a parameter, an earlier local); ``self.attr``; and
+        ``self.attr[i]`` through the container's element type.
+        """
+        cls = self._class_of_annotation(module, annotation)
+        if cls is not None:
+            return cls
+        if isinstance(value, ast.Call):
+            callee = self._resolve_expr(module, value.func, env, info)
+            if callee in self.classes:
+                return callee
+            return self._return_types.get(callee or "")
+        if isinstance(value, ast.Name):
+            return env.get(value.id)
+        if info is None:
+            return None
+        if _is_self_attr(value):
+            return info.attr_types.get(value.attr)
+        if isinstance(value, ast.Subscript) and _is_self_attr(value.value):
+            # ``server = self.servers[i]`` — container element.
+            return info.elem_types.get(value.value.attr)
+        return None
+
     def _infer_attr_types(self, info: ClassInfo) -> None:
         module = info.module
         for item in info.node.body:
@@ -619,50 +586,16 @@ class Project:
         for item in info.node.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            param_types: dict[str, str] = {}
-            for arg in (
-                *item.args.posonlyargs,
-                *item.args.args,
-                *item.args.kwonlyargs,
-            ):
-                cls = self._class_of_annotation(module, arg.annotation)
-                if cls is not None:
-                    param_types[arg.arg] = cls
-            for sub in ast.walk(item):
-                target: ast.expr | None = None
-                value: ast.expr | None = None
-                annotation: ast.expr | None = None
-                if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-                    target, value = sub.targets[0], sub.value
-                elif isinstance(sub, ast.AnnAssign):
-                    target, value, annotation = (
-                        sub.target,
-                        sub.value,
-                        sub.annotation,
-                    )
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                ):
+            env = self._param_types(module, item)
+            for target, value, annotation in _assignments(item):
+                if not _is_self_attr(target):
                     continue
-                attr = target.attr
-                cls = self._class_of_annotation(module, annotation)
-                if cls is None and isinstance(value, ast.Call):
-                    callee = self._resolve_expr(module, value.func, None, info)
-                    if callee in self.classes:
-                        cls = callee
-                if (
-                    cls is None
-                    and isinstance(value, ast.Name)
-                    and value.id in param_types
-                ):
-                    cls = param_types[value.id]
-                if cls is not None and attr not in info.attr_types:
-                    info.attr_types[attr] = cls
+                cls = self._class_of_assigned(module, value, annotation, env, info)
+                if cls is not None:
+                    info.attr_types.setdefault(target.attr, cls)
                 elem = self._elem_of_value(module, value, annotation, info)
-                if elem is not None and attr not in info.elem_types:
-                    info.elem_types[attr] = elem
+                if elem is not None:
+                    info.elem_types.setdefault(target.attr, elem)
 
     _CONTAINER_HEADS = {"list", "List", "Sequence", "tuple", "Tuple", "dict", "Dict"}
 
@@ -768,65 +701,19 @@ class Project:
     def _local_types(
         self, fn: ProjectFunction, info: ClassInfo | None
     ) -> dict[str, str]:
-        cached = getattr(fn, "_local_types_cache", None)
-        if cached is not None:
-            return cached
-        env: dict[str, str] = {}
-        node = fn.node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for arg in (
-                *node.args.posonlyargs,
-                *node.args.args,
-                *node.args.kwonlyargs,
-            ):
-                cls = self._class_of_annotation(fn.module, arg.annotation)
-                if cls is not None:
-                    env[arg.arg] = cls
-            for sub in ast.walk(node):
-                target: ast.expr | None = None
-                value: ast.expr | None = None
-                annotation: ast.expr | None = None
-                if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
-                    target, value = sub.targets[0], sub.value
-                elif isinstance(sub, ast.AnnAssign):
-                    target, value, annotation = (
-                        sub.target,
-                        sub.value,
-                        sub.annotation,
-                    )
-                if not isinstance(target, ast.Name):
-                    continue
-                cls = self._class_of_annotation(fn.module, annotation)
-                if cls is None and isinstance(value, ast.Call):
-                    callee = self._resolve_expr(
-                        fn.module, value.func, env, info
-                    )
-                    if callee in self.classes:
-                        cls = callee
-                    elif callee in self._return_types:
-                        cls = self._return_types[callee]
-                if (
-                    cls is None
-                    and isinstance(value, ast.Attribute)
-                    and isinstance(value.value, ast.Name)
-                    and value.value.id == "self"
-                    and info is not None
-                ):
-                    cls = info.attr_types.get(value.attr)
-                if (
-                    cls is None
-                    and isinstance(value, ast.Subscript)
-                    and isinstance(value.value, ast.Attribute)
-                    and isinstance(value.value.value, ast.Name)
-                    and value.value.value.id == "self"
-                    and info is not None
-                ):
-                    # ``server = self.servers[i]`` — container element.
-                    cls = info.elem_types.get(value.value.attr)
-                if cls is not None:
-                    env[target.id] = cls
-        fn._local_types_cache = env  # type: ignore[attr-defined]
-        return env
+        """Local name → project class inside ``fn`` (parameters included)."""
+        if fn.local_types is None:
+            fn.local_types = env = {}
+            if isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                env.update(self._param_types(fn.module, fn.node))
+                for target, value, annotation in _assignments(fn.node):
+                    if isinstance(target, ast.Name):
+                        cls = self._class_of_assigned(
+                            fn.module, value, annotation, env, info
+                        )
+                        if cls is not None:
+                            env[target.id] = cls
+        return fn.local_types
 
     def _resolve_expr(
         self,
@@ -955,12 +842,9 @@ class Project:
                     queue.append(nxt)
         return frozenset(seen)
 
-    def functions_in_package(self, package_part: str) -> Iterator[ProjectFunction]:
-        """Functions whose module path contains ``package_part``."""
-        for fn in sorted(self.functions.values(), key=lambda f: f.qualname):
-            ctx = self.modules.get(fn.module)
-            if ctx is not None and package_part in ctx.path_parts:
-                yield fn
+    def in_package(self, fn: ProjectFunction, package_part: str) -> bool:
+        """Whether ``fn``'s module path contains ``package_part``."""
+        return package_part in self.modules[fn.module].path_parts
 
     def import_cycles(self) -> list[list[str]]:
         """Cycles among project modules (runtime imports only).
@@ -1032,6 +916,26 @@ def _strongly_connected(graph: Mapping[str, set[str]]) -> list[list[str]]:
                         break
                 result.append(component)
     return result
+
+
+def _assignments(
+    node: ast.AST,
+) -> Iterator[tuple[ast.expr, ast.expr | None, ast.expr | None]]:
+    """(target, value, annotation) of each single-target assignment."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
+            yield sub.targets[0], sub.value, None
+        elif isinstance(sub, ast.AnnAssign):
+            yield sub.target, sub.value, sub.annotation
+
+
+def _is_self_attr(expr: ast.expr | None) -> TypeGuard[ast.Attribute]:
+    """``self.<attr>``."""
+    return (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    )
 
 
 def _dotted_text(expr: ast.expr) -> str | None:

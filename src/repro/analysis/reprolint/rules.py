@@ -1,8 +1,11 @@
-"""The project-specific per-module invariant rules (RP001–RP006).
+"""The project-specific rules that patrol module by module (RP001–RP006).
 
 Each rule encodes one contract an earlier PR introduced and the test
-suite only enforces dynamically (the whole-program rules RP007–RP010
-live in :mod:`repro.analysis.reprolint.graph_rules`):
+suite only enforces dynamically.  RP001–RP005 judge one module at a
+time; RP006 derives its seams from the call graph once per run and then
+patrols every module against them (the rules whose findings are built
+from the graph itself, RP007–RP010, live in
+:mod:`repro.analysis.reprolint.graph_rules`):
 
 * RP001 ``unseeded-randomness`` — every stochastic path takes a seeded
   ``numpy.random.Generator`` (``repro.utils.rng.spawn_rng``); module-
@@ -13,12 +16,9 @@ live in :mod:`repro.analysis.reprolint.graph_rules`):
   clock seam, ``utils/timing.py``; everything else (phase accounting,
   build strategies, the serving runtime) goes through its
   ``wall_clock`` / ``Stopwatch``; stray ``time.*`` pairs produce
-  unphased seconds no report can attribute.  Under a whole-program run
-  the seam is *derived*: the seam modules come from the declared
-  ``[tool.reprolint]`` contract and a clock read is also permitted in
-  any function transitively called only from seam modules; the manual
-  module list below survives as the single-module fallback and is
-  patrol-tested against the derivation.
+  unphased seconds no report can attribute.  The seam modules come from
+  the declared ``[tool.reprolint]`` contract, and a clock read is also
+  permitted in any function transitively called only from seam modules.
 * RP003 ``shm-lifecycle`` — a class creating ``SharedMemory(create=True)``
   segments must also release them (a method calling both ``close()`` and
   ``unlink()``) and manage lifetime (``__exit__`` or ``__del__``); the
@@ -32,21 +32,18 @@ live in :mod:`repro.analysis.reprolint.graph_rules`):
   aggregation), not a numpy default.
 * RP006 ``ps-seq-token`` — PS push handlers and callers thread the
   per-round ``seq`` idempotency token (the PR 3 recovery contract: a
-  retried delivery must never double-count a histogram).  Under a
-  whole-program run the handler/pusher pairing is derived from the call
-  graph (a pusher is whatever in ``ps/`` reaches a ``handle_push*``
-  handler); the name lists survive as the fallback and the patrol test.
+  retried delivery must never double-count a histogram).  The
+  handler/pusher pairing is derived from the call graph, once per run
+  (a pusher is whatever in ``ps/`` calls a ``handle_push*`` handler).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .core import Finding, ModuleContext, Rule, register
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .project import Project
+from .project import Project
 
 __all__ = [
     "UnseededRandomness",
@@ -56,12 +53,6 @@ __all__ = [
     "ImplicitDtype",
     "PSSequenceToken",
 ]
-
-
-def _calls(ctx: ModuleContext) -> Iterator[ast.Call]:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Call):
-            yield node
 
 
 def _has_keyword(call: ast.Call, name: str) -> bool:
@@ -121,10 +112,8 @@ class UnseededRandomness(Rule):
         }
     )
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
-        for call in _calls(ctx):
+    def check(self, ctx: ModuleContext, project: Project) -> Iterator[Finding]:
+        for call in ctx.calls:
             qualname = ctx.qualname(call.func)
             if qualname is None:
                 continue
@@ -204,37 +193,13 @@ class WallClockOutsideSeam(Rule):
         }
     )
 
-    #: The clock seam: the only module allowed to read the clock
-    #: directly.  Phase accounting, build strategies, and every
-    #: event-loop deadline, admission stamp, and stage latency of the
-    #: serving runtime read that module, never ``time.*`` directly.
-    #: Single-module fallback only — whole-program runs derive the seam
-    #: from ``[tool.reprolint].clock_seam``; the patrol test asserts the
-    #: two stay equal.
-    _ALLOWED_SUFFIXES = ("repro/utils/timing.py",)
-
-    @classmethod
-    def seam_suffixes(cls, project: "Project | None") -> tuple[str, ...]:
-        """The seam module suffixes in force for this run.
-
-        Derived from the declared contract when a project is available,
-        the manual fallback otherwise.
-        """
-        if project is not None:
-            return tuple(project.config.clock_seam)
-        return cls._ALLOWED_SUFFIXES
-
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
-        if ctx.rel_path.endswith(self.seam_suffixes(project)):
+    def check(self, ctx: ModuleContext, project: Project) -> Iterator[Finding]:
+        if ctx.rel_path.endswith(project.config.clock_seam):
             return
-        for call in _calls(ctx):
+        for call in ctx.calls:
             qualname = ctx.qualname(call.func)
             if qualname in self._CLOCK_CALLS:
-                if project is not None and self._called_only_from_seam(
-                    ctx, call, project
-                ):
+                if self._called_only_from_seam(ctx, call, project):
                     continue
                 yield self.finding(
                     ctx,
@@ -245,7 +210,7 @@ class WallClockOutsideSeam(Rule):
                 )
 
     def _called_only_from_seam(
-        self, ctx: ModuleContext, call: ast.Call, project: "Project"
+        self, ctx: ModuleContext, call: ast.Call, project: Project
     ) -> bool:
         """Whether the clock read's function belongs to the *derived* seam.
 
@@ -257,7 +222,7 @@ class WallClockOutsideSeam(Rule):
         fn = project.function_at(ctx.rel_path, call)
         if fn is None:
             return False
-        suffixes = self.seam_suffixes(project)
+        suffixes = project.config.clock_seam
 
         def in_seam(qualname: str) -> bool:
             owner = project.functions.get(qualname)
@@ -295,10 +260,8 @@ class SharedMemoryLifecycle(Rule):
         "utils/arena.py's SharedArena)"
     )
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
-        for call in _calls(ctx):
+    def check(self, ctx: ModuleContext, project: Project) -> Iterator[Finding]:
+        for call in ctx.calls:
             qualname = ctx.qualname(call.func)
             if qualname is None or not qualname.endswith("SharedMemory"):
                 continue
@@ -397,9 +360,7 @@ class ForkUnsafePoolState(Rule):
             for target in ctx.aliases.values()
         )
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext, project: Project) -> Iterator[Finding]:
         if not self._in_scope(ctx):
             return
         for node in ctx.tree.body:
@@ -446,7 +407,7 @@ class ForkUnsafePoolState(Rule):
         return None
 
     def _check_submits(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for call in _calls(ctx):
+        for call in ctx.calls:
             func = call.func
             if not (isinstance(func, ast.Attribute) and func.attr == "submit"):
                 continue
@@ -514,13 +475,11 @@ class ImplicitDtype(Rule):
          "compression"}
     )
 
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
+    def check(self, ctx: ModuleContext, project: Project) -> Iterator[Finding]:
         parts = set(ctx.path_parts)
         if "repro" not in parts or not (parts & self._KERNEL_PACKAGES):
             return
-        for call in _calls(ctx):
+        for call in ctx.calls:
             qualname = ctx.qualname(call.func)
             if qualname not in self._ALLOCATORS:
                 continue
@@ -553,79 +512,53 @@ class PSSequenceToken(Rule):
         "faulted runs stay bit-identical to fault-free runs)"
     )
 
-    #: Server-side handlers that must accept *and read* ``seq``.
-    #: Single-module fallback only — whole-program runs derive both sets
-    #: from the call graph (:meth:`derive_seams`); the patrol test
-    #: asserts derivation and fallback agree on ``src/``.
-    _HANDLER_NAMES = (
-        "handle_push",
-        "handle_push_slab",
-        "handle_push_sketch",
-        "handle_push_window",
-    )
-    #: Client-side pushers that must accept ``seq`` to forward it.
-    _PUSHER_NAMES = (
-        "push_row",
-        "push_slab",
-        "push_sketch",
-        "push_window",
-        "push_window_rows",
-    )
-
-    @classmethod
-    def derive_seams(
-        cls, project: "Project"
-    ) -> tuple[frozenset[str], frozenset[str]]:
+    @staticmethod
+    def derive_seams(project: Project) -> tuple[frozenset[str], frozenset[str]]:
         """(handler names, pusher names) computed from the call graph.
 
-        A *handler* is any ``ps/`` function named ``handle_push*``.  A
-        *pusher* is any other ``ps/`` function that calls a handler —
-        the client half of the idempotency pairing, found by following
-        the edges instead of maintaining a name list.
+        A *handler* is any ``ps/`` function named ``handle_push*`` — it
+        must accept *and read* ``seq``.  A *pusher* is any other ``ps/``
+        function that calls a handler — the client half of the
+        idempotency pairing, which must accept ``seq`` to forward it —
+        found by following the edges instead of maintaining a name list.
         """
-        handlers: set[str] = set()
-        handler_quals: set[str] = set()
-        for fn in project.functions_in_package("ps"):
-            if fn.name.startswith("handle_push"):
-                handlers.add(fn.name)
-                handler_quals.add(fn.qualname)
-        pushers: set[str] = set()
-        for fn in project.functions_in_package("ps"):
-            if fn.name.startswith("handle_push"):
-                continue
-            if project.callees_of(fn.qualname) & handler_quals:
-                pushers.add(fn.name)
-        return frozenset(handlers), frozenset(pushers)
+        in_ps = [
+            fn for fn in project.functions.values() if project.in_package(fn, "ps")
+        ]
+        handlers = {
+            fn.qualname: fn.name for fn in in_ps if fn.name.startswith("handle_push")
+        }
+        pushers = {
+            fn.name
+            for fn in in_ps
+            if fn.qualname not in handlers
+            and project.callees_of(fn.qualname) & handlers.keys()
+        }
+        return frozenset(handlers.values()), frozenset(pushers)
 
-    def _seams(
-        self, project: "Project | None"
-    ) -> tuple[frozenset[str], frozenset[str]]:
-        if project is not None:
-            return self.derive_seams(project)
-        return frozenset(self._HANDLER_NAMES), frozenset(self._PUSHER_NAMES)
-
-    def check(
-        self, ctx: ModuleContext, project: "Project | None" = None
-    ) -> Iterator[Finding]:
-        handlers, pushers = self._seams(project)
-        in_ps = "ps" in ctx.path_parts
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.FunctionDef) and in_ps:
-                if node.name in handlers:
-                    yield from self._check_handler_def(ctx, node)
-                elif node.name in pushers:
-                    yield from self._check_pusher_def(ctx, node)
-            if isinstance(node, ast.Call):
-                func = node.func
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        handlers, pushers = self.derive_seams(project)
+        seam_names = handlers | pushers
+        for ctx in project.modules.values():
+            if "ps" in ctx.path_parts:
+                for node in ast.walk(ctx.tree):
+                    if not isinstance(node, ast.FunctionDef):
+                        continue
+                    if node.name in handlers:
+                        yield from self._check_handler_def(ctx, node)
+                    elif node.name in pushers:
+                        yield from self._check_pusher_def(ctx, node)
+            for call in ctx.calls:
+                func = call.func
                 if (
                     isinstance(func, ast.Attribute)
-                    and func.attr in (handlers | pushers)
-                    and not _has_keyword(node, "seq")
-                    and not _has_star_kwargs(node)
+                    and func.attr in seam_names
+                    and not _has_keyword(call, "seq")
+                    and not _has_star_kwargs(call)
                 ):
                     yield self.finding(
                         ctx,
-                        node,
+                        call,
                         f"{func.attr}() call without seq=; a retried "
                         "delivery of this push would double-count",
                     )

@@ -345,10 +345,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         forwarded += ["--ignore", args.ignore]
     if args.show_suppressed:
         forwarded.append("--show-suppressed")
-    if args.baseline is not None:
-        forwarded += ["--baseline", args.baseline]
-    if args.write_baseline is not None:
-        forwarded += ["--write-baseline", args.write_baseline]
     return reprolint_main(forwarded)
 
 
@@ -514,18 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--select", default=None, metavar="CODES")
     lint.add_argument("--ignore", default=None, metavar="CODES")
     lint.add_argument("--show-suppressed", action="store_true")
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="fail only on findings not recorded in this baseline JSON",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record current findings to FILE and exit 0",
-    )
     lint.set_defaults(func=cmd_lint)
     return parser
 

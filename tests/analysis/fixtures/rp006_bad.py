@@ -49,8 +49,13 @@ class WindowServer:
             self._rows[(name, row)] = slab
 
 
+class AnyServer(Server, SketchServer, WindowServer):
+    """Every handler on one receiver, so the call graph can pair each of
+    Group's pushers with the handler it calls."""
+
+
 class Group:
-    def __init__(self, server: Server) -> None:
+    def __init__(self, server: AnyServer) -> None:
         self.server = server
 
     def push_row(self, name: str, row: int, values: np.ndarray) -> None:  # expect: RP006

@@ -1,48 +1,39 @@
-"""Unit tests for the whole-program layer: Project, dataflow, and the
-seam-derivation patrols.
+"""Unit tests for the whole-program layer: Project, the declared
+contract, dataflow, and the seam-derivation patrols.
 
 The Project tests use small in-memory module sets so each capability
 (cross-module resolution, re-exports, type inference, cycles) is pinned
-in isolation.  The patrol tests then run the derivations over the real
-``src/`` tree and assert they agree with the manual fallback lists and
-the contract declared in ``pyproject.toml`` — if a seam drifts, exactly
-one of these fails and names the drift.
+in isolation.  The patrol tests then read the session's one pass over
+the real ``src/`` tree and pin what it *derives* — the seam names
+written out here, the contract ``pyproject.toml`` declares — so if a
+seam drifts, or type inference stops reaching one, exactly one of these
+fails and names it.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.reprolint.core import ModuleContext
+from repro.analysis.reprolint.core import ModuleContext, module_name_for
 from repro.analysis.reprolint.dataflow import analyze_taint
 from repro.analysis.reprolint.project import (
-    DEFAULT_CLOCK_SEAM,
-    DEFAULT_LAYERING,
     LintConfig,
+    LintConfigError,
     Project,
-    module_name_for,
+    _read_toml_minimal,
+    _read_tool_reprolint,
 )
-from repro.analysis.reprolint.rules import PSSequenceToken, WallClockOutsideSeam
+from repro.analysis.reprolint.rules import PSSequenceToken
 
-SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
+from .conftest import DECLARED, SRC_ROOT
+
 PYPROJECT = SRC_ROOT.parent / "pyproject.toml"
 
 
-def build(sources: dict[str, str], config: LintConfig | None = None) -> Project:
-    contexts = [ModuleContext(text, rel) for rel, text in sources.items()]
-    return Project(contexts, config)
-
-
-@pytest.fixture(scope="module")
-def src_project() -> Project:
-    contexts = []
-    for path in sorted(SRC_ROOT.rglob("*.py")):
-        rel = path.relative_to(SRC_ROOT).as_posix()
-        contexts.append(ModuleContext(path.read_text(encoding="utf-8"), rel))
-    return Project(contexts, LintConfig.discover(SRC_ROOT))
+def build(sources: dict[str, str]) -> Project:
+    return Project([ModuleContext(text, rel) for rel, text in sources.items()])
 
 
 # ----------------------------------------------------------------------
@@ -353,29 +344,125 @@ def test_returns_collect_taint():
 
 
 # ----------------------------------------------------------------------
-# patrol tests: derived seams vs the manual lists vs pyproject
+# the declared contract: [tool.reprolint], both TOML readers
+# ----------------------------------------------------------------------
+
+MULTI_LINE = """\
+[project]
+keywords = [
+    "not",  # ours
+    "ours",
+]
+
+[tool.reprolint]
+clock-seam = [
+    "repro/utils/timing.py",  # the seam, "quoted" in a comment
+    "repro/utils/clock#2.py",
+]
+
+[tool.reprolint.layering]
+"repro.tree" = ["repro.serving", "asyncio"]  # kernels # stay "low"
+"repro.serving" = []
+
+[tool.other]
+clock-seam = ["not/ours.py"]
+"""
+
+#: (what is wrong, [tool.reprolint] text, the key the error must name)
+MALFORMED = [
+    ("seam is a string", 'clock-seam = "repro/utils/timing.py"', "clock-seam"),
+    ("seam holds an empty string", 'clock-seam = ["a.py", ""]', "clock-seam"),
+    ("seam holds a number", "clock-seam = [1, 2]", "clock-seam"),
+    ("seam is a number", "clock-seam = 3", "clock-seam"),
+    ("unknown key", 'clock-seams = ["a.py"]', "clock-seams"),
+    ("layering is a list", 'layering = ["repro.tree"]', "layering"),
+    (
+        "layering row is a string",
+        '[tool.reprolint.layering]\n"repro.tree" = "asyncio"',
+        "layering.repro.tree",
+    ),
+]
+
+
+def test_minimal_reader_matches_tomllib():
+    """The 3.10 reader returns what tomllib returns — on the repo's own
+    pyproject.toml, on multi-line arrays, and on trailing comments."""
+    tomllib = pytest.importorskip("tomllib")
+    for text in (PYPROJECT.read_text(encoding="utf-8"), MULTI_LINE):
+        expected = tomllib.loads(text)["tool"]["reprolint"]
+        assert _read_toml_minimal(text) == expected
+    assert _read_toml_minimal(MULTI_LINE)["clock-seam"] == [
+        "repro/utils/timing.py",
+        "repro/utils/clock#2.py",
+    ]
+    assert _read_toml_minimal("[project]\nname = 'x'\n") is None
+
+
+@pytest.mark.parametrize("reader", [_read_toml_minimal, _read_tool_reprolint])
+@pytest.mark.parametrize(
+    "body, key", [row[1:] for row in MALFORMED], ids=[row[0] for row in MALFORMED]
+)
+def test_malformed_contract_is_rejected_by_name(reader, body, key, tmp_path):
+    text = body if body.startswith("[") else "[tool.reprolint]\n" + body
+    with pytest.raises(LintConfigError) as caught:
+        LintConfig.from_table(reader(text + "\n"), tmp_path / "pyproject.toml")
+    assert f"pyproject.toml: {key}: " in str(caught.value)
+
+
+def test_unparseable_pyproject_raises_instead_of_falling_back(tmp_path):
+    pytest.importorskip("tomllib")  # the 3.10 reader skims, it cannot tell
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text("[tool.reprolint\nclock-seam = [\n", encoding="utf-8")
+    with pytest.raises(LintConfigError, match="bad \\[tool.reprolint\\] in "):
+        LintConfig.discover(tmp_path)
+
+
+def test_no_declared_contract_is_the_empty_one(tmp_path):
+    assert LintConfig.discover(tmp_path) == LintConfig()
+    (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
+    assert LintConfig.discover(tmp_path) == LintConfig()
+    assert LintConfig().clock_seam == () and LintConfig().layering == {}
+
+
+# ----------------------------------------------------------------------
+# patrol tests: what the pass over src/ derives, written out
 # ----------------------------------------------------------------------
 
 
 def test_rp002_seam_derivation_matches_fallback_and_pyproject(src_project):
-    derived = WallClockOutsideSeam.seam_suffixes(src_project)
-    assert derived == ("repro/utils/timing.py",)  # one seam, one entry
-    assert derived == WallClockOutsideSeam._ALLOWED_SUFFIXES
-    assert derived == DEFAULT_CLOCK_SEAM
-    declared = LintConfig.from_pyproject(PYPROJECT)
-    assert tuple(declared.clock_seam) == derived
+    """One seam, one entry — declared in pyproject.toml, nowhere else."""
+    assert src_project.config.clock_seam == ("repro/utils/timing.py",)
+    assert LintConfig.from_pyproject(PYPROJECT) == src_project.config == DECLARED
 
 
 def test_rp006_seam_derivation_matches_fallback(src_project):
+    """The names are written out so that a type-inference regression
+    which silently drops a pusher from the derivation fails here."""
     handlers, pushers = PSSequenceToken.derive_seams(src_project)
-    assert handlers == frozenset(PSSequenceToken._HANDLER_NAMES)
-    assert pushers == frozenset(PSSequenceToken._PUSHER_NAMES)
+    assert handlers == {
+        "handle_push",
+        "handle_push_slab",
+        "handle_push_sketch",
+        "handle_push_window",
+    }
+    assert pushers == {
+        "push_row",
+        "push_slab",
+        "push_sketch",
+        "push_window",
+        "push_window_rows",
+    }
 
 
 def test_layering_contract_matches_pyproject(src_project):
-    declared = LintConfig.from_pyproject(PYPROJECT)
-    assert declared.layering == DEFAULT_LAYERING
-    assert src_project.config.layering == DEFAULT_LAYERING
+    kernels = ("repro.distributed", "repro.serving", "repro.chaos", "asyncio")
+    assert src_project.config.layering == {
+        "repro.tree": kernels,
+        "repro.histogram": kernels,
+        "repro.sketch": kernels,
+        "repro.compression": kernels,
+        "repro.serving": ("repro.chaos",),
+    }
 
 
 def test_src_call_graph_spans_the_ps_transport(src_project):

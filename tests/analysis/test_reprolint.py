@@ -3,12 +3,13 @@
 Every rule has a known-bad fixture whose violations are marked inline
 with ``# expect: RPxxx`` comments and a known-good twin that must lint
 clean *under the same pretend path* (so path-scoped rules are genuinely
-in scope, not vacuously silent).  Whole-program rules (RP007–RP010) run
-their fixtures through :func:`lint_sources`, which builds the project
-graph the per-module entry points skip.  The src-tree test then pins
-the repo's own waiver budget: the tree is clean, and the only
-suppressions are the two audited ones in the shared-memory arena (its
-worker-view cache and its segment-name generator).
+in scope, not vacuously silent).  Every fixture is linted as a
+one-module project through :func:`lint_sources`, against the contract
+the repo's own ``pyproject.toml`` declares.  The src-tree tests read the
+session's one pass over ``src/`` and pin the repo's own waiver budget:
+the tree is clean, and the only suppressions are the two audited ones
+in the shared-memory arena (its worker-view cache and its segment-name
+generator).
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from repro.analysis.reprolint import (
     JSON_SCHEMA_VERSION,
     all_rules,
     get_rules,
-    lint_file,
     lint_paths,
-    lint_source,
     lint_sources,
     render_json,
     render_text,
@@ -32,8 +31,9 @@ from repro.analysis.reprolint import (
 )
 from repro.analysis.reprolint.cli import main
 
+from .conftest import DECLARED, SRC_ROOT
+
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
 #: (code, pretend rel_path) — the path places each fixture inside the
 #: package scope its rule patrols.
@@ -50,8 +50,7 @@ RULE_PATHS = {
     "RP010": "repro/distributed/fixture.py",
 }
 ALL_CODES = sorted(RULE_PATHS)
-#: Rules that need the whole-program pass (fixtures go through
-#: lint_sources; lint_source leaves them silent by design).
+#: The rules whose findings are built from the project graph itself.
 GRAPH_CODES = frozenset({"RP007", "RP008", "RP009", "RP010"})
 
 
@@ -68,13 +67,15 @@ def expected_lines(source: str, code: str) -> list[int]:
     ]
 
 
+def lint_one(source: str, path: str, code: str):
+    """Findings of one rule on a one-module project at a pretend path."""
+    return lint_sources(
+        {path: source}, rules=get_rules(select=[code]), config=DECLARED
+    ).findings
+
+
 def fixture_findings(code: str, source: str):
-    """Lint a fixture the way its rule requires (module vs project)."""
-    path = RULE_PATHS[code]
-    rules = get_rules(select=[code])
-    if code in GRAPH_CODES:
-        return lint_sources({path: source}, rules=rules).findings
-    return lint_source(source, path, rules)
+    return lint_one(source, RULE_PATHS[code], code)
 
 
 # ----------------------------------------------------------------------
@@ -121,28 +122,28 @@ def test_good_twin_is_clean(code):
     assert fixture_findings(code, source) == []
 
 
-@pytest.mark.parametrize("code", sorted(GRAPH_CODES))
-def test_graph_rules_need_the_project_pass(code):
-    """Single-module lint_source must leave whole-program rules silent,
-    not half-fire on a graph it never built."""
-    source = fixture_source(code, "bad")
-    assert lint_source(source, RULE_PATHS[code], get_rules(select=[code])) == []
-
-
 def test_rp002_seam_modules_are_exempt():
-    rules = get_rules(select=["RP002"])
     for source in (
         fixture_source("RP002", "bad"),
         fixture_source("RP002_serving", "bad"),
     ):
-        assert lint_source(source, "repro/utils/timing.py", rules) == []
+        assert lint_one(source, "repro/utils/timing.py", "RP002") == []
         # The former seam files are ordinary modules now.
         for former in (
             "repro/runtime/phases.py",
             "repro/runtime/build.py",
             "repro/serving/clock.py",
         ):
-            assert lint_source(source, former, rules) != []
+            assert lint_one(source, former, "RP002") != []
+
+
+def test_rp002_empty_contract_exempts_no_module():
+    """Without a declared seam (``LintConfig()``) even timing.py is patrolled."""
+    source = fixture_source("RP002", "bad")
+    result = lint_sources(
+        {"repro/utils/timing.py": source}, rules=get_rules(select=["RP002"])
+    )
+    assert [f.line for f in result.findings] == expected_lines(source, "RP002")
 
 
 def test_rp002_patrols_serving_outside_its_clock_seam():
@@ -151,51 +152,47 @@ def test_rp002_patrols_serving_outside_its_clock_seam():
     bad = fixture_source("RP002_serving", "bad")
     expected = expected_lines(bad, "RP002")
     assert expected, "serving bad fixture has no expect markers"
-    findings = lint_source(
-        bad, "repro/serving/fixture.py", get_rules(select=["RP002"])
-    )
+    findings = lint_one(bad, "repro/serving/fixture.py", "RP002")
     assert [f.line for f in findings] == expected
     good = fixture_source("RP002_serving", "good")
-    assert (
-        lint_source(good, "repro/serving/fixture.py", get_rules(select=["RP002"]))
-        == []
-    )
+    assert lint_one(good, "repro/serving/fixture.py", "RP002") == []
 
 
 def test_rp005_only_fires_in_kernel_packages():
     source = fixture_source("RP005", "bad")
-    outside = lint_source(
-        source, "repro/boosting/fixture.py", get_rules(select=["RP005"])
-    )
-    assert outside == []
+    assert lint_one(source, "repro/boosting/fixture.py", "RP005") == []
 
 
 def test_rp006_def_checks_scoped_to_ps_call_checks_global():
-    source = fixture_source("RP006", "bad")
-    findings = lint_source(
-        source, "repro/worker/fixture.py", get_rules(select=["RP006"])
+    """The seams are derived from ``ps/`` (here the good twin); outside
+    ``ps/`` the handler/pusher *definitions* are someone else's contract,
+    but a call that drops ``seq=`` is flagged everywhere."""
+    caller = fixture_source("RP006", "bad")
+    result = lint_sources(
+        {
+            "repro/ps/fixture.py": fixture_source("RP006", "good"),
+            "repro/worker/fixture.py": caller,
+        },
+        rules=get_rules(select=["RP006"]),
+        config=DECLARED,
     )
-    # Outside ps/ the handler/pusher *definitions* are someone else's
-    # contract, but a call that drops seq= is flagged everywhere.
     call_lines = [
         lineno
-        for lineno, text in enumerate(source.splitlines(), start=1)
+        for lineno, text in enumerate(caller.splitlines(), start=1)
         if "self.server.handle_push" in text
     ]
-    assert [f.line for f in findings] == call_lines
+    assert [(f.path, f.line) for f in result.findings] == [
+        ("repro/worker/fixture.py", line) for line in call_lines
+    ]
 
 
 def test_rp001_resolves_import_aliases():
-    flagged = lint_source(
-        "import numpy.random as npr\nnpr.rand()\n",
-        "repro/x.py",
-        get_rules(select=["RP001"]),
+    flagged = lint_one(
+        "import numpy.random as npr\nnpr.rand()\n", "repro/x.py", "RP001"
     )
     assert [f.line for f in flagged] == [2]
-    renamed = lint_source(
-        "from numpy import random as rnd\nrnd.shuffle(x)\n",
-        "repro/x.py",
-        get_rules(select=["RP001"]),
+    renamed = lint_one(
+        "from numpy import random as rnd\nrnd.shuffle(x)\n", "repro/x.py", "RP001"
     )
     assert [f.line for f in renamed] == [2]
 
@@ -203,10 +200,10 @@ def test_rp001_resolves_import_aliases():
 def test_rules_ignore_lookalike_local_names():
     # `np` is a local object, not the numpy import: no finding.
     source = "np = make_fake()\nnp.random.rand()\n"
-    assert lint_source(source, "repro/x.py", get_rules(select=["RP001"])) == []
+    assert lint_one(source, "repro/x.py", "RP001") == []
     # Same for a local called `time`.
     source = "time = clock_stub()\ntime.time()\n"
-    assert lint_source(source, "repro/x.py", get_rules(select=["RP002"])) == []
+    assert lint_one(source, "repro/x.py", "RP002") == []
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +217,7 @@ def test_inline_suppression_absorbs_only_its_line():
         "a = time.time()  # reprolint: disable=RP002 -- audited boot stamp\n"
         "b = time.time()\n"
     )
-    findings = lint_source(source, "repro/x.py", get_rules(select=["RP002"]))
+    findings = lint_one(source, "repro/x.py", "RP002")
     assert [(f.line, f.suppressed) for f in findings] == [(2, True), (3, False)]
 
 
@@ -231,7 +228,7 @@ def test_filewide_suppression_absorbs_whole_module():
         "a = time.time()\n"
         "b = time.time()\n"
     )
-    findings = lint_source(source, "repro/x.py", get_rules(select=["RP002"]))
+    findings = lint_one(source, "repro/x.py", "RP002")
     assert len(findings) == 2
     assert all(f.suppressed for f in findings)
 
@@ -241,13 +238,13 @@ def test_suppression_is_per_code():
         "import time\n"
         "a = time.time()  # reprolint: disable=RP001 -- wrong code\n"
     )
-    findings = lint_source(source, "repro/x.py", get_rules(select=["RP002"]))
+    findings = lint_one(source, "repro/x.py", "RP002")
     assert [f.suppressed for f in findings] == [False]
 
 
 def test_disable_all_suppresses_any_code():
     source = "import time\na = time.time()  # reprolint: disable=all\n"
-    findings = lint_source(source, "repro/x.py", get_rules(select=["RP002"]))
+    findings = lint_one(source, "repro/x.py", "RP002")
     assert [f.suppressed for f in findings] == [True]
 
 
@@ -261,7 +258,7 @@ def test_graph_rule_inline_suppression_round_trip(code):
         for line in source.splitlines()
     )
     result = lint_sources(
-        {RULE_PATHS[code]: waived}, rules=get_rules(select=[code])
+        {RULE_PATHS[code]: waived}, rules=get_rules(select=[code]), config=DECLARED
     )
     assert result.ok
     assert result.unsuppressed == []
@@ -275,7 +272,7 @@ def test_graph_rule_filewide_suppression_round_trip(code):
         + fixture_source(code, "bad")
     )
     result = lint_sources(
-        {RULE_PATHS[code]: source}, rules=get_rules(select=[code])
+        {RULE_PATHS[code]: source}, rules=get_rules(select=[code]), config=DECLARED
     )
     assert result.ok
     assert result.unsuppressed == []
@@ -382,10 +379,28 @@ def test_render_text_summary_lines(tmp_path):
 def test_parse_error_reported_as_rp000(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def broken(:\n", encoding="utf-8")
-    findings = lint_file(bad, root=tmp_path)
+    findings = lint_paths([bad], root=tmp_path).findings
     assert [f.rule for f in findings] == ["RP000"]
     assert findings[0].name == "parse-error"
     assert not findings[0].suppressed
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"x = 1\n\xff\xfe\n", b"x = 1\n\x00\n", b"def broken(:\n"],
+    ids=["invalid-utf8", "nul-byte", "syntax-error"],
+)
+def test_cli_unreadable_module_is_one_finding_not_a_crash(tmp_path, payload):
+    """A module that cannot be decoded or parsed is one RP000 finding at
+    a line in that file; the rest of the tree is still linted; exit 1."""
+    (tmp_path / "broken.py").write_bytes(payload)
+    (tmp_path / "clock.py").write_text("import time\na = time.time()\n")
+    report = tmp_path / "report.json"
+    assert main([str(tmp_path), "--format", "json", "--output", str(report)]) == 1
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["files_checked"] == 2
+    found = {(Path(f["path"]).name, f["rule"], f["line"]) for f in doc["findings"]}
+    assert found == {("broken.py", "RP000", 1), ("clock.py", "RP002", 2)}
 
 
 # ----------------------------------------------------------------------
@@ -393,21 +408,19 @@ def test_parse_error_reported_as_rp000(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_src_tree_is_clean():
-    result = lint_paths([SRC_ROOT], root=SRC_ROOT)
-    assert result.ok, render_text(result)
-    assert result.files_checked > 50
+def test_src_tree_is_clean(src_lint):
+    assert src_lint.ok, render_text(src_lint)
+    assert src_lint.files_checked > 50
 
 
-def test_src_tree_waiver_budget():
+def test_src_tree_waiver_budget(src_lint):
     """The audited suppressions are exactly the ones the docs justify."""
-    result = lint_paths([SRC_ROOT], root=SRC_ROOT)
-    waivers = {(f.rule, f.path) for f in result.suppressed}
+    waivers = {(f.rule, f.path) for f in src_lint.suppressed}
     assert waivers == {
         ("RP001", "repro/utils/arena.py"),
         ("RP004", "repro/utils/arena.py"),
     }
-    assert len(result.suppressed) == 2
+    assert len(src_lint.suppressed) == 2
 
 
 # ----------------------------------------------------------------------
@@ -442,6 +455,21 @@ def test_cli_exit_two_on_missing_path(capsys):
     assert "no such path" in capsys.readouterr().err
 
 
+def test_cli_exit_two_on_malformed_contract(tmp_path, capsys):
+    """A mistyped ``[tool.reprolint]`` is a usage error naming file and
+    key — as a string, ``clock-seam`` used to exempt every ``*.py``."""
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.reprolint]\nclock-seam = "repro/utils/timing.py"\n', encoding="utf-8"
+    )
+    bad = tmp_path / "mod.py"
+    bad.write_text("import time\na = time.time()\n", encoding="utf-8")
+    assert main([str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("reprolint: bad [tool.reprolint] in ")
+    assert "pyproject.toml: clock-seam: expected a list" in captured.err
+
+
 def test_cli_select_and_ignore(tmp_path):
     bad = tmp_path / "mod.py"
     bad.write_text("import time\na = time.time()\n", encoding="utf-8")
@@ -471,76 +499,3 @@ def test_cli_list_rules(capsys):
 def test_cli_lints_src_clean(capsys):
     assert main([str(SRC_ROOT)]) == 0
     assert "reprolint: clean" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-# baseline / diff mode
-# ----------------------------------------------------------------------
-
-
-def test_cli_write_baseline_records_findings_and_exits_zero(tmp_path, capsys):
-    bad = tmp_path / "mod.py"
-    bad.write_text("import time\na = time.time()\n", encoding="utf-8")
-    base = tmp_path / "baseline.json"
-    assert main([str(bad), "--write-baseline", str(base)]) == 0
-    assert "baseline written" in capsys.readouterr().out
-    doc = json.loads(base.read_text(encoding="utf-8"))
-    assert doc["version"] == 1
-    assert doc["tool"] == "reprolint"
-    assert [(e["rule"], e["count"]) for e in doc["entries"]] == [("RP002", 1)]
-
-
-def test_cli_baseline_passes_on_pre_existing_findings(tmp_path, capsys):
-    bad = tmp_path / "mod.py"
-    bad.write_text("import time\na = time.time()\n", encoding="utf-8")
-    base = tmp_path / "baseline.json"
-    assert main([str(bad), "--write-baseline", str(base)]) == 0
-    capsys.readouterr()
-    assert main([str(bad), "--baseline", str(base)]) == 0
-    assert "no new findings vs baseline" in capsys.readouterr().out
-
-
-def test_cli_baseline_survives_line_moves(tmp_path, capsys):
-    """Fingerprints carry no line numbers: shifting a waived finding
-    down the file must not resurrect it."""
-    bad = tmp_path / "mod.py"
-    bad.write_text("import time\na = time.time()\n", encoding="utf-8")
-    base = tmp_path / "baseline.json"
-    assert main([str(bad), "--write-baseline", str(base)]) == 0
-    bad.write_text(
-        "import time\n\n\n# a comment\na = time.time()\n", encoding="utf-8"
-    )
-    capsys.readouterr()
-    assert main([str(bad), "--baseline", str(base)]) == 0
-
-
-def test_cli_baseline_fails_only_on_new_findings(tmp_path, capsys):
-    bad = tmp_path / "mod.py"
-    bad.write_text("import time\na = time.time()\n", encoding="utf-8")
-    base = tmp_path / "baseline.json"
-    assert main([str(bad), "--write-baseline", str(base)]) == 0
-    bad.write_text(
-        "import time\na = time.time()\nb = time.time()\n", encoding="utf-8"
-    )
-    capsys.readouterr()
-    assert main([str(bad), "--baseline", str(base)]) == 1
-    assert "1 NEW finding(s) vs baseline" in capsys.readouterr().out
-
-
-def test_cli_baseline_bad_file_exits_two(tmp_path, capsys):
-    good = tmp_path / "mod.py"
-    good.write_text("x = 1\n", encoding="utf-8")
-    base = tmp_path / "baseline.json"
-    base.write_text('{"version": 99}\n', encoding="utf-8")
-    assert main([str(good), "--baseline", str(base)]) == 2
-    assert "bad baseline" in capsys.readouterr().err
-
-
-def test_committed_baseline_is_empty_and_src_has_no_new_findings(capsys):
-    """The repo gate: the committed baseline carries zero entries (the
-    tree is clean) and src produces nothing new against it."""
-    committed = SRC_ROOT.parent / ".reprolint-baseline.json"
-    doc = json.loads(committed.read_text(encoding="utf-8"))
-    assert doc["entries"] == []
-    assert main([str(SRC_ROOT), "--baseline", str(committed)]) == 0
-    assert "no new findings vs baseline" in capsys.readouterr().out
