@@ -97,19 +97,24 @@ def _pack(levels: np.ndarray, bits: int) -> np.ndarray:
     return packed
 
 
-def _unpack(payload: np.ndarray, bits: int, n_values: int) -> np.ndarray:
-    """Inverse of :func:`_pack`: the unsigned levels, as a fresh float64
-    array (exact — a level is below ``2**16``) the decoders scale in place."""
+def _unpack(payload: np.ndarray, bits: int, stop: int, start: int = 0) -> np.ndarray:
+    """Inverse of :func:`_pack`: the unsigned levels ``[start, stop)``, as
+    a fresh float64 array (exact — a level is below ``2**16``) the
+    decoders scale in place.  Sub-byte widths unpack only the bytes that
+    cover the range, whether or not it starts on a byte."""
     if bits == 8:
-        return payload[:n_values].astype(np.float64)
+        return payload[start:stop].astype(np.float64)
     if bits == 16:
-        return payload.view(np.uint16)[:n_values].astype(np.float64)
+        return payload.view(np.uint16)[start:stop].astype(np.float64)
     per_byte = 8 // bits
     mask = (1 << bits) - 1
-    levels = np.empty(len(payload) * per_byte, dtype=np.float64)
+    first_byte = start // per_byte
+    covering = payload[first_byte : -(-stop // per_byte)]
+    levels = np.empty(len(covering) * per_byte, dtype=np.float64)
     for j in range(per_byte):
-        levels[j::per_byte] = (payload >> (bits * j)) & mask
-    return levels[:n_values]
+        levels[j::per_byte] = (covering >> (bits * j)) & mask
+    skipped = first_byte * per_byte
+    return levels[start - skipped : stop - skipped]
 
 
 def compress_flat(
@@ -273,13 +278,30 @@ def compress_blocked(
     )
 
 
-def decompress_blocked(compressed: BlockCompressedHistogram) -> np.ndarray:
-    """Inverse of :func:`compress_blocked`; unbiased per block."""
+def decompress_blocked(
+    compressed: BlockCompressedHistogram, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Inverse of :func:`compress_blocked`; unbiased per block.
+
+    ``start`` / ``stop`` (multiples of the block size; default: all)
+    decode only values ``[start, stop)`` — the same floats the full decode
+    holds there, since every value depends on its own level and its own
+    block's scale alone.
+    """
+    block = compressed.block_size
+    if stop is None:
+        stop = compressed.n_values
+    if not 0 <= start <= stop <= compressed.n_values or start % block or stop % block:
+        raise DataError(
+            f"decode range [{start}, {stop}) must be block-aligned (block "
+            f"{block}) within {compressed.n_values} values"
+        )
     scale = _int_scale(compressed.bits)
-    decoded = _unpack(compressed.payload, compressed.bits, compressed.n_values)
+    decoded = _unpack(compressed.payload, compressed.bits, stop, start)
     decoded -= scale
-    blocks = decoded.reshape(-1, compressed.block_size)
-    blocks *= (compressed.scales.astype(np.float64) / scale)[:, None]
+    blocks = decoded.reshape(-1, block)
+    scales = compressed.scales[start // block : stop // block]
+    blocks *= (scales.astype(np.float64) / scale)[:, None]
     return decoded
 
 

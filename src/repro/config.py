@@ -48,7 +48,10 @@ class TrainConfig:
         max_depth: Maximal tree depth ``d``; the root is at depth 1, so a
             tree holds at most ``2**d - 1`` nodes.
         n_split_candidates: Number of candidate split values ``K`` proposed
-            per feature from the quantile sketch.
+            per feature from the quantile sketch — the bucket budget of
+            every histogram.  At least 2: one bucket has no cut to split
+            at, and every candidate proposer refuses it (rejected here so
+            that no fit dies in its sketch stage, after ``on_fit_start``).
         learning_rate: Shrinkage ``eta`` applied to leaf weights.
         feature_sample_ratio: Fraction ``sigma`` of features sampled per tree.
         reg_lambda: L2 regularization ``lambda`` on leaf weights.
@@ -125,8 +128,8 @@ class TrainConfig:
         _require(self.n_trees >= 1, f"n_trees must be >= 1, got {self.n_trees}")
         _require(self.max_depth >= 1, f"max_depth must be >= 1, got {self.max_depth}")
         _require(
-            self.n_split_candidates >= 1,
-            f"n_split_candidates must be >= 1, got {self.n_split_candidates}",
+            self.n_split_candidates >= 2,
+            f"n_split_candidates must be >= 2, got {self.n_split_candidates}",
         )
         _require(
             self.learning_rate > 0.0,

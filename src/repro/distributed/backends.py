@@ -479,6 +479,7 @@ class WindowedPusher:
             self._piece_deltas += 1
         else:
             n_bins = self.layout.n_bins
+            # Every feature is listed, so the slab wraps ``flat`` as it is.
             for aggregator, flat in zip(self._aggregators, flats):
                 slab = slab_from_flat(
                     flat,

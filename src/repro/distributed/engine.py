@@ -44,6 +44,7 @@ from ..config import ClusterConfig, TrainConfig
 from ..datasets.dataset import Dataset
 from ..datasets.partition import BlockPartitioner, DataBlock, GridSpec
 from ..histogram.binned import BinnedShard
+from ..histogram.histogram import GradientHistogram
 from ..histogram.index import NodeInstanceIndex
 from ..ps.group import ParameterServerGroup
 from ..ps.master import Master, WorkerPhase
@@ -62,13 +63,7 @@ from ..sketch.candidates import (
     propose_candidates,
     propose_candidates_from_sketches,
 )
-from ..sketch.quantile import (
-    AnySketch,
-    GKSketch,
-    WeightedGKSketch,
-    sketch_columns,
-    sketch_columns_weighted,
-)
+from ..sketch.quantile import sketch_columns, sketch_columns_weighted
 from ..tree.split import SplitDecision, leaf_weight
 from ..tree.tree import RegressionTree
 from ..utils.timing import Stopwatch, TimeBreakdown
@@ -520,10 +515,12 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         """One node's sparse slabs, per block in worker-id order.
 
         Each block builds only its stripe's histogram and ships only the
-        stripe features that have nonzeros among the node's rows.  The
-        gradient sums are recomputed with the builder's exact expression
-        so the server-side reconstruction of absent features is bitwise
-        identical to the dense push.
+        stripe features that have nonzeros among the node's rows — counted,
+        not sorted: one unweighted ``bincount`` over the node's nonzeros,
+        O(nnz + M) like the build itself.  The gradient sums are
+        recomputed with the builder's exact expression so the server-side
+        reconstruction of absent features is bitwise identical to the
+        dense push.
         """
         grid_rows, grid_cols = self.grid
         slabs: list[tuple[int, SparseSlab]] = []
@@ -540,14 +537,18 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                     shard, rows, grad, hess
                 )
                 timer.add(wid, seconds)
-                positions = shard.positions_of_rows(rows)
-                present = (
-                    np.unique(shard.features[positions])
-                    if len(positions)
-                    else np.empty(0, dtype=np.int64)
+                present = np.flatnonzero(
+                    np.bincount(
+                        shard.features[shard.positions_of_rows(rows)],
+                        minlength=shard.n_features,
+                    )
+                )
+                # Only the present rows are interleaved for the wire.
+                carried = GradientHistogram(
+                    histogram.grad[present], histogram.hess[present]
                 )
                 slab = slab_from_flat(
-                    histogram.to_flat_feature_major(),
+                    carried.to_flat_feature_major(),
                     present,
                     int(self.col_boundaries[c]),
                     int(self.col_boundaries[c + 1]),
@@ -783,10 +784,10 @@ class DistributedGBDT:
     def _merge_worker_sketches(self, run: _FitRun) -> tuple[CandidateSet, float]:
         """The ``"distributed"`` / ``"weighted"`` CREATE_SKETCH path.
 
-        Every worker serializes one summary per feature it holds and
-        pushes it through a real :class:`ParameterServerGroup` (and the
-        fault fabric, when chaos is active); the servers merge arrivals
-        per feature in delivery order.  With a feature-striped grid
+        Every worker summarizes the features it holds into one ragged
+        batch and pushes it through a real :class:`ParameterServerGroup`
+        (and the fault fabric, when chaos is active) as one frame per
+        partition; the servers merge arrivals in delivery order.  With a feature-striped grid
         (``run.blocks``), each block sketches only its stripe's columns
         and workers push in worker-id order, so every stripe's feature is
         merged down its grid rows in increasing row order — the same
@@ -807,7 +808,6 @@ class DistributedGBDT:
         for wid, (X, col_lo, n_cols, row_weights) in enumerate(units):
             sw = Stopwatch()
             with sw:
-                local: Sequence[AnySketch]
                 if weighted:
                     weights_arr = (
                         np.asarray(row_weights, dtype=np.float64)
@@ -823,10 +823,7 @@ class DistributedGBDT:
                     )
             per_worker_seconds[wid] = sw.total
             stats = group.push_sketch(
-                "sketch",
-                {col_lo + f: sk for f, sk in enumerate(local)},
-                seq=("sketch", wid),
-                worker=wid,
+                "sketch", local.shifted(col_lo), seq=("sketch", wid), worker=wid
             )
             per_worker_bytes[wid] = stats.bytes_up
         # Real wire accounting: what a worker's serialized sketches weigh.
@@ -836,14 +833,9 @@ class DistributedGBDT:
         run.clock.barrier(
             scale_by_speeds(per_worker_seconds, cluster), phase="CREATE_SKETCH"
         )
-        merged_map, pull_stats = group.pull_sketches("sketch", worker=0)
-        empty: AnySketch = (
-            WeightedGKSketch(eps_local) if weighted else GKSketch(eps_local)
-        )
-        merged = [
-            merged_map[f] if f in merged_map else empty
-            for f in range(train.n_features)
-        ]
+        # Every stripe pushed every one of its columns (empty summaries
+        # included), so the pull lists each feature exactly once.
+        merged, pull_stats = group.pull_sketches("sketch", worker=0)
         return (
             propose_candidates_from_sketches(merged, config.n_split_candidates),
             float(pull_stats.bytes_down),

@@ -24,7 +24,7 @@ from ..compression.lowprec import (
     decompress_flat,
 )
 from ..errors import PSError
-from ..sketch.quantile import AnySketch, sketch_from_wire, sketch_to_wire
+from ..sketch.quantile import SketchBatch
 from .partitioner import Partition, VectorPartitioner
 from .server import PSServer, PullUDF
 from .slab import CompressedSlab, SlabLayout, SparseSlab, compress_slab
@@ -437,55 +437,54 @@ class ParameterServerGroup:
     def push_sketch(
         self,
         name: str,
-        sketches: dict[int, AnySketch],
+        sketches: SketchBatch,
         seq: object | None = None,
         worker: int | None = None,
     ) -> TransferStats:
         """Push one worker's per-feature quantile summaries.
 
-        ``sketches`` maps global feature ids (elements of the registered
-        parameter, one element per feature) to local summaries.  Each
-        summary is serialized with the tagged wire frame, bucketed by the
-        partition hosting its feature, and delivered as one message per
-        partition — the servers merge arrivals in delivery order, so a
-        fixed push order across workers yields a deterministic merged
-        summary.  ``seq``/``worker`` follow the :meth:`push_row` contract
-        (seq required under a fault fabric; the engine uses
-        ``("sketch", worker_id)``).
+        ``sketches`` lists global feature ids (elements of the registered
+        parameter, one element per feature).  Every partition hosting
+        some of them receives one message: the frame of its share, cut
+        from the batch by feature range and billed by entry counts
+        (:attr:`~repro.sketch.SketchBatch.wire_bytes`).  The servers merge
+        arrivals in delivery order, so a fixed push order across workers
+        yields a deterministic merged summary.  ``seq``/``worker`` follow
+        the :meth:`push_row` contract (seq required under a fault fabric;
+        the engine uses ``("sketch", worker_id)``).
         """
         partitioner = self.partitioner(name)
         self._require_seq("push_sketch", seq)
-        features = sorted(sketches)
-        # Sorted features fall into partitions in runs: one range query
-        # for all of them, then one message per run.
-        pids = partitioner.partition_ids_of(features)
-        starts = np.flatnonzero(np.diff(pids, prepend=-1))
         stats = TransferStats()
-        for a, b in zip(starts, (*starts[1:], len(features))):
-            part = partitioner.partitions[pids[a]]
-            payloads = [(f, sketch_to_wire(sketches[f])) for f in features[a:b]]
-            piece_bytes = sum(4 + len(wire) for _, wire in payloads)
+        if len(sketches) == 0:
+            return stats
+        first, last = int(sketches.features[0]), int(sketches.features[-1])
+        for part in partitioner.partitions_in_range(first, last + 1):
+            share = sketches.span(part.lo, part.hi)
+            if len(share) == 0:
+                continue
+            frame = share.to_frame()
             server = self.servers[part.server_id]
 
-            def send(server=server, part=part, payloads=payloads):
+            def send(server=server, part=part, frame=frame):
                 return server.handle_push_sketch(
-                    name, part.partition_id, payloads, seq=seq
+                    name, part.partition_id, frame, seq=seq
                 )
 
-            self._push(stats, send, part.server_id, worker, piece_bytes)
+            self._push(stats, send, part.server_id, worker, share.wire_bytes)
         return stats
 
     def pull_sketches(
         self, name: str, worker: int | None = None
-    ) -> tuple[dict[int, AnySketch], TransferStats]:
+    ) -> tuple[SketchBatch, TransferStats]:
         """Pull every merged summary, reassembled across partitions.
 
-        Returns a dict of global feature id to merged summary (features
-        nobody pushed are absent) plus the transfer accounting — the
+        Returns one batch over the features somebody pushed (the others
+        are absent), in feature order, plus the transfer accounting — the
         PULL_SKETCH bytes the engine charges.
         """
         partitioner = self.partitioner(name)
-        merged: dict[int, AnySketch] = {}
+        shares: list[SketchBatch] = []
         stats = TransferStats()
         for part in partitioner.partitions:
             server = self.servers[part.server_id]
@@ -493,18 +492,17 @@ class ParameterServerGroup:
             def send(server=server, part=part):
                 return server.handle_pull_sketch(name, part.partition_id)
 
-            payloads = self._deliver(
+            frame = self._deliver(
                 "pull",
                 send,
                 server=part.server_id,
                 worker=worker,
                 payload_bytes=0,
             )
-            for feature, wire in payloads:
-                merged[feature] = sketch_from_wire(wire)
-                stats.bytes_down += 4 + len(wire)
+            shares.append(SketchBatch.from_frame(frame))
+            stats.bytes_down += shares[-1].wire_bytes
             stats.messages += 1
-        return merged, stats
+        return SketchBatch.concat(shares), stats
 
     def pull_row(
         self, name: str, row: int, worker: int | None = None

@@ -20,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import PSError
-from ..sketch.quantile import AnySketch, sketch_from_wire, sketch_to_wire
+from ..sketch.quantile import SketchBatch
 from .partitioner import Partition
 from .slab import CompressedSlab, SlabLayout, SparseSlab
 
@@ -46,8 +46,8 @@ class PSServer:
         self._applied: dict[str, dict[int, dict[int, set]]] = {}
         # name -> histogram layout, for parameters accepting sparse slabs
         self._layouts: dict[str, SlabLayout] = {}
-        # name -> feature -> merged quantile summary (CREATE_SKETCH state)
-        self._sketches: dict[str, dict[int, AnySketch]] = {}
+        # name -> partition_id -> merged quantile summaries (CREATE_SKETCH state)
+        self._sketches: dict[str, dict[int, SketchBatch]] = {}
         # name -> partition_id -> applied sketch-push sequence tokens
         self._sketch_applied: dict[str, dict[int, set]] = {}
         self.bytes_received = 0
@@ -156,43 +156,31 @@ class PSServer:
         omitted stripe features contribute the Algorithm-2 closed form
         (``sum_g`` / ``sum_h`` folded into the zero bucket, zeros
         elsewhere), and features outside the stripe contribute nothing —
-        their stripes' own slabs cover them.  The materialized
-        contribution is then merged additively, so a row-sharded dense
-        push equals the element-wise sum of its stripes' slab pushes,
-        addend for addend.
+        their stripes' own slabs cover them.  The contribution is merged
+        additively, so a row-sharded dense push equals the element-wise
+        sum of its stripes' slab pushes, addend for addend.
 
         A :class:`CompressedSlab` is billed at its (smaller) packed wire
-        size and decoded here before materialization; decoding is
+        size, and this partition decodes the share it was billed for —
+        the carried features it hosts — never the whole slab; decoding is
         deterministic, so duplicate deliveries of the same compressed
         slab would reconstruct identical values even without the seq
         guard.
 
         ``seq`` carries the same per-round idempotency contract as
         :meth:`handle_push` (token per logical message; duplicates are
-        counted, billed, and ignored; freed with the row).
+        counted, billed, and ignored; freed with the row).  A slab that
+        does not fit the layout raises before anything is recorded.
         """
-        part, layout, f_lo, f_hi = self._slab_range(name, partition_id)
+        layout, f_lo, f_hi = self._slab_range(name, partition_id)
+        layout.check_slab(slab)
         self.bytes_received += slab.wire_bytes_for(f_lo, f_hi)
-        if seq is not None:
-            applied = self._applied[name].setdefault(row, {}).setdefault(
-                partition_id, set()
-            )
-            if seq in applied:
-                self.duplicate_pushes += 1
-                return
-            applied.add(seq)
-        contrib = self._materialize_slab(layout, slab, f_lo, f_hi, part.length)
-        rows = self._rows[name].setdefault(row, {})
-        stored = rows.get(partition_id)
-        if stored is None:
-            rows[partition_id] = contrib
-        else:
-            stored += contrib
+        self._apply_slab(name, row, partition_id, slab, seq, layout, f_lo, f_hi)
 
     def _slab_range(
         self, name: str, partition_id: int
-    ) -> tuple[Partition, SlabLayout, int, int]:
-        """Resolve a slab-capable partition to its feature range."""
+    ) -> tuple[SlabLayout, int, int]:
+        """Resolve a slab-capable partition to its layout and feature range."""
         part = self._partition(name, partition_id)
         layout = self._layouts.get(name)
         if layout is None:
@@ -206,35 +194,62 @@ class PSServer:
                 f"partition {partition_id} of {name!r} is not feature-aligned "
                 f"(align {width}); cannot apply slabs"
             )
-        return part, layout, part.lo // width, part.hi // width
+        return layout, part.lo // width, part.hi // width
 
-    def _materialize_slab(
+    def _apply_slab(
         self,
-        layout: SlabLayout,
+        name: str,
+        row: int,
+        partition_id: int,
         slab: SparseSlab | CompressedSlab,
+        seq: object | None,
+        layout: SlabLayout,
         f_lo: int,
         f_hi: int,
-        length: int,
+    ) -> None:
+        """Add one billed, layout-checked slab unless ``seq`` was applied."""
+        if seq is not None:
+            applied = self._applied[name].setdefault(row, {}).setdefault(
+                partition_id, set()
+            )
+            if seq in applied:
+                self.duplicate_pushes += 1
+                return
+            applied.add(seq)
+        contrib = self._materialize_slab(layout, slab, f_lo, f_hi)
+        rows = self._rows[name].setdefault(row, {})
+        stored = rows.get(partition_id)
+        if stored is None:
+            rows[partition_id] = contrib
+        else:
+            stored += contrib
+
+    @staticmethod
+    def _materialize_slab(
+        layout: SlabLayout, slab: SparseSlab | CompressedSlab, f_lo: int, f_hi: int
     ) -> np.ndarray:
-        """Materialize a slab's contribution over features [f_lo, f_hi)."""
-        if isinstance(slab, CompressedSlab):
-            slab = slab.to_sparse(layout)
+        """Materialize a slab's contribution over features [f_lo, f_hi).
+
+        Only the carried features this range hosts are read — and, for a
+        compressed slab, decoded: the share the partition was billed for.
+        """
         lo = max(f_lo, slab.col_lo)
         hi = min(f_hi, slab.col_hi)
-        contrib = np.zeros(length, dtype=np.float64)
+        contrib = np.zeros((f_hi - f_lo) * layout.feature_width, dtype=np.float64)
         if lo < hi:
             view = contrib.reshape(f_hi - f_lo, 2, layout.n_bins)
             local = np.arange(lo - f_lo, hi - f_lo, dtype=np.int64)
             zero_bins = layout.zero_bins[lo:hi]
             view[local, 0, zero_bins] = slab.sum_g
             view[local, 1, zero_bins] = slab.sum_h
-            first = int(np.searchsorted(slab.features, lo, side="left"))
-            last = int(np.searchsorted(slab.features, hi, side="left"))
-            if first < last:
-                carried = slab.features[first:last] - f_lo
-                view[carried] = slab.values[first:last].reshape(
-                    last - first, 2, layout.n_bins
-                )
+            first, last = (int(i) for i in np.searchsorted(slab.features, (lo, hi)))
+            if isinstance(slab, CompressedSlab):
+                values = slab.decode(layout, first, last)
+            else:
+                values = slab.values[first:last]
+            view[slab.features[first:last] - f_lo] = values.reshape(
+                last - first, 2, layout.n_bins
+            )
         return contrib
 
     def handle_push_window(
@@ -261,45 +276,32 @@ class PSServer:
         the *same* window must still deduplicate.  Tokens are recorded
         per entry row, so :meth:`clear_row` frees them with the row and
         a post-rollback replay into a cleared row is never misread as a
-        duplicate.
+        duplicate.  Every entry is checked against the layout before the
+        first one is billed, so a window that raises leaves no trace.
         """
-        part, layout, f_lo, f_hi = self._slab_range(name, partition_id)
+        layout, f_lo, f_hi = self._slab_range(name, partition_id)
+        for _, slab in entries:
+            layout.check_slab(slab)
         for row, slab in entries:
             self.bytes_received += 4 + slab.wire_bytes_for(f_lo, f_hi)
-            if seq is not None:
-                applied = self._applied[name].setdefault(row, {}).setdefault(
-                    partition_id, set()
-                )
-                if seq in applied:
-                    self.duplicate_pushes += 1
-                    continue
-                applied.add(seq)
-            contrib = self._materialize_slab(
-                layout, slab, f_lo, f_hi, part.length
-            )
-            rows = self._rows[name].setdefault(row, {})
-            stored = rows.get(partition_id)
-            if stored is None:
-                rows[partition_id] = contrib
-            else:
-                stored += contrib
+            self._apply_slab(name, row, partition_id, slab, seq, layout, f_lo, f_hi)
 
     def handle_push_sketch(
         self,
         name: str,
         partition_id: int,
-        payloads: list[tuple[int, bytes]],
+        frame: bytes,
         seq: object | None = None,
     ) -> None:
-        """Merge one worker's serialized sketches into the hosted state.
+        """Merge one worker's sketch frame into the hosted state.
 
-        ``payloads`` is a list of ``(feature, wire_bytes)`` pairs — one
-        tagged :func:`repro.sketch.sketch_to_wire` frame per feature the
-        pushing worker has data for, all falling inside this partition's
-        element range.  Each incoming summary is merged (GK merge, errors
-        add) into the feature's stored summary in arrival order, which is
-        the same left-fold order the driver-side merge used, so the
-        merged result is bit-identical to centralizing the sketches.
+        ``frame`` is one :meth:`repro.sketch.SketchBatch.to_frame` — the
+        summaries of every feature the pushing worker holds inside this
+        partition's element range (one element per feature).  The whole
+        range merges at once (GK merge, errors add) into the stored
+        batch, feature by feature in arrival order — the left-fold order
+        the driver-side merge used — so the merged result is
+        bit-identical to centralizing the sketches.
 
         ``seq`` follows the :meth:`handle_push` idempotency contract:
         one token per logical message (the engine uses
@@ -307,49 +309,42 @@ class PSServer:
         ignored.  Tokens are freed with :meth:`clear_parameter`.
         """
         part = self._partition(name, partition_id)
-        self.bytes_received += sum(4 + len(wire) for _, wire in payloads)
+        # All or nothing: the frame is parsed, range-checked and merged on
+        # the side before the token is recorded, so a push that raises
+        # leaves no trace and its corrected retry is not taken for a
+        # duplicate.
+        incoming = SketchBatch.from_frame(frame)
+        if len(incoming) and not (
+            part.lo <= incoming.features[0] and incoming.features[-1] < part.hi
+        ):
+            raise PSError(
+                f"sketch frame for features [{incoming.features[0]}, "
+                f"{incoming.features[-1]}] pushed to partition {partition_id} "
+                f"of {name!r} ([{part.lo}, {part.hi}))"
+            )
+        self.bytes_received += incoming.wire_bytes
         applied = self._sketch_applied[name].setdefault(partition_id, set())
         if seq in applied:
             self.duplicate_pushes += 1
             return
-        # All or nothing: every frame is checked, parsed and merged on the
-        # side before the token is recorded, so a push that raises leaves
-        # no trace and its corrected retry is not taken for a duplicate.
-        sketches = self._sketches[name]
-        staged: dict[int, AnySketch] = {}
-        for feature, wire in payloads:
-            if not part.lo <= feature < part.hi:
-                raise PSError(
-                    f"sketch for feature {feature} pushed to partition "
-                    f"{partition_id} of {name!r} ([{part.lo}, {part.hi}))"
-                )
-            incoming = sketch_from_wire(wire)
-            stored = staged.get(feature, sketches.get(feature))
-            staged[feature] = (
-                incoming if stored is None else stored.merge(incoming)
-            )
+        stored = self._sketches[name].get(partition_id)
+        merged = incoming if stored is None else stored.merge(incoming)
         if seq is not None:
             applied.add(seq)
-        sketches.update(staged)
+        self._sketches[name][partition_id] = merged
 
-    def handle_pull_sketch(
-        self, name: str, partition_id: int
-    ) -> list[tuple[int, bytes]]:
-        """Return the merged summaries of one hosted range, serialized.
+    def handle_pull_sketch(self, name: str, partition_id: int) -> bytes:
+        """Return the merged summaries of one hosted range, as one frame.
 
-        The reply is ``(feature, wire_bytes)`` pairs in increasing
-        feature order; features no worker pushed a sketch for are simply
-        absent (the engine substitutes an empty sketch).
+        Features no worker pushed a sketch for are simply absent from it
+        (an untouched partition answers with an empty frame).
         """
-        part = self._partition(name, partition_id)
-        sketches = self._sketches[name]
-        out = [
-            (feature, sketch_to_wire(sketches[feature]))
-            for feature in sorted(sketches)
-            if part.lo <= feature < part.hi
-        ]
-        self.bytes_sent += sum(4 + len(wire) for _, wire in out)
-        return out
+        self._partition(name, partition_id)
+        stored = self._sketches[name].get(partition_id)
+        if stored is None:
+            stored = SketchBatch.from_sketches(())
+        self.bytes_sent += stored.wire_bytes
+        return stored.to_frame()
 
     def handle_pull(self, name: str, row: int, partition_id: int) -> np.ndarray:
         """Return the stored values of one hosted range of ``row``."""

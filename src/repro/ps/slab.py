@@ -96,6 +96,51 @@ class SlabLayout:
         """Total flat row length ``2 * K * M``."""
         return self.feature_width * self.n_features
 
+    def check_slab(self, slab: "SparseSlab | CompressedSlab") -> None:
+        """Reject a slab whose header does not fit this layout.
+
+        What a slab cannot check about itself: that its stripe lies inside
+        the row, that it was cut for this ``K``, and — for a compressed
+        payload — that no scale block straddles two features, which is
+        what lets a partition decode the features it hosts and no others.
+        """
+        if slab.col_hi > self.n_features:
+            raise PSError(
+                f"slab stripe [{slab.col_lo}, {slab.col_hi}) exceeds the "
+                f"layout's {self.n_features} features"
+            )
+        compressed = isinstance(slab, CompressedSlab)
+        width = 2 * slab.n_bins if compressed else slab.values.shape[1]
+        if width != self.feature_width:
+            raise PSError(
+                f"slab carries {width} values per feature, the layout's "
+                f"K={self.n_bins} needs {self.feature_width}"
+            )
+        if compressed and width % slab.blocked.block_size:
+            raise PSError(
+                f"compression block {slab.blocked.block_size} does not divide "
+                f"the feature width {width}"
+            )
+
+
+def _check_header(
+    col_lo: int, col_hi: int, features: np.ndarray, sum_g: float, sum_h: float
+) -> None:
+    """What every slab header must satisfy, whatever its payload."""
+    if not 0 <= col_lo <= col_hi:
+        raise PSError(f"invalid slab stripe [{col_lo}, {col_hi})")
+    if features.ndim != 1:
+        raise PSError("slab features must be 1-D")
+    if len(features) > 0:
+        if np.any(np.diff(features) <= 0):
+            raise PSError("slab features must be strictly increasing")
+        if features[0] < col_lo or features[-1] >= col_hi:
+            raise PSError(
+                f"slab features must lie in the stripe [{col_lo}, {col_hi})"
+            )
+    if not (np.isfinite(sum_g) and np.isfinite(sum_h)):
+        raise PSError(f"slab sums must be finite, got ({sum_g}, {sum_h})")
+
 
 @dataclass(frozen=True)
 class SparseSlab:
@@ -128,25 +173,12 @@ class SparseSlab:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "values", values)
-        if not 0 <= self.col_lo <= self.col_hi:
-            raise PSError(
-                f"invalid slab stripe [{self.col_lo}, {self.col_hi})"
-            )
-        if features.ndim != 1:
-            raise PSError("slab features must be 1-D")
+        _check_header(self.col_lo, self.col_hi, features, self.sum_g, self.sum_h)
         if values.ndim != 2 or values.shape[0] != len(features):
             raise PSError(
                 f"slab values shape {values.shape} does not match "
                 f"{len(features)} features"
             )
-        if len(features) > 0:
-            if np.any(np.diff(features) <= 0):
-                raise PSError("slab features must be strictly increasing")
-            if features[0] < self.col_lo or features[-1] >= self.col_hi:
-                raise PSError(
-                    f"slab features must lie in the stripe "
-                    f"[{self.col_lo}, {self.col_hi})"
-                )
 
     @property
     def n_present(self) -> int:
@@ -206,9 +238,12 @@ class CompressedSlab:
         blocked: The packed payload + per-block scales over all carried
             segments (zero-bucket folds removed), in feature order.
         sum_g, sum_h: The block's exact node gradient sums (uncompressed).
-        zero_bins: int64 array, the carried features' zero buckets — what
-            :meth:`to_sparse` needs to refold without the full layout.
         n_bins: Bucket budget K.
+
+    The carried features' zero buckets are not a field: they are not on
+    the billed wire, and the decoding side reads them off the
+    :class:`SlabLayout` it registered (what :func:`compress_slab`
+    subtracted at).
     """
 
     col_lo: int
@@ -217,21 +252,14 @@ class CompressedSlab:
     blocked: BlockCompressedHistogram
     sum_g: float
     sum_h: float
-    zero_bins: np.ndarray
     n_bins: int
 
     def __post_init__(self) -> None:
         features = np.ascontiguousarray(self.features, dtype=np.int64)
-        zero_bins = np.ascontiguousarray(self.zero_bins, dtype=np.int64)
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "zero_bins", zero_bins)
-        if zero_bins.shape != features.shape:
-            raise PSError(
-                f"zero_bins shape {zero_bins.shape} does not match "
-                f"{len(features)} carried features"
-            )
+        _check_header(self.col_lo, self.col_hi, features, self.sum_g, self.sum_h)
         width = 2 * self.n_bins
-        if self.blocked.n_values != len(features) * width:
+        if self.n_bins < 1 or self.blocked.n_values != len(features) * width:
             raise PSError(
                 f"compressed payload carries {self.blocked.n_values} values; "
                 f"{len(features)} features with {self.n_bins} bins need "
@@ -275,30 +303,38 @@ class CompressedSlab:
         """Total wire size of the slab (single-message accounting)."""
         return self.wire_bytes_for(self.col_lo, self.col_hi)
 
-    def to_sparse(self, layout: SlabLayout) -> SparseSlab:
-        """Decode into a :class:`SparseSlab` (server-side, rng-free).
+    def decode(
+        self, layout: SlabLayout, first: int = 0, last: int | None = None
+    ) -> np.ndarray:
+        """The value segments of carried features ``[first, last)``.
 
-        Decoding is deterministic — the stochastic rounding happened at
-        encode time — so every server partition decoding the same slab
-        reconstructs identical values, and a retried delivery decodes to
-        the same contribution it would have made the first time.
+        Server-side and rng-free: the stochastic rounding happened at
+        encode time, so every partition decoding its share of the same
+        slab — and a retried delivery — reconstructs the floats a full
+        decode holds there.  Scale blocks never straddle a feature
+        (:meth:`SlabLayout.check_slab`), so only the listed features'
+        blocks are unpacked; their exact zero-bucket folds are re-added.
         """
+        layout.check_slab(self)
         width = 2 * self.n_bins
-        if layout.n_bins != self.n_bins:
-            raise PSError(
-                f"slab was compressed for K={self.n_bins}, layout has "
-                f"K={layout.n_bins}"
-            )
-        values = decompress_blocked(self.blocked).reshape(-1, width)
-        if len(self.features):
-            rows = np.arange(len(self.features), dtype=np.int64)
-            values[rows, self.zero_bins] += self.sum_g
-            values[rows, self.n_bins + self.zero_bins] += self.sum_h
+        if last is None:
+            last = len(self.features)
+        values = decompress_blocked(
+            self.blocked, first * width, last * width
+        ).reshape(last - first, width)
+        zero_bins = layout.zero_bins[self.features[first:last]]
+        rows = np.arange(last - first, dtype=np.int64)
+        values[rows, zero_bins] += self.sum_g
+        values[rows, self.n_bins + zero_bins] += self.sum_h
+        return values
+
+    def to_sparse(self, layout: SlabLayout) -> SparseSlab:
+        """Decode the whole slab into a :class:`SparseSlab`."""
         return SparseSlab(
             col_lo=self.col_lo,
             col_hi=self.col_hi,
             features=self.features,
-            values=values,
+            values=self.decode(layout),
             sum_g=self.sum_g,
             sum_h=self.sum_h,
         )
@@ -316,7 +352,7 @@ def compress_slab(
     The zero-bucket folds (``sum_g`` / ``sum_h``, already exact in the
     header) are subtracted from every carried feature before encoding —
     they carry O(N) mass and would otherwise dominate every scale —
-    and re-added exactly by :meth:`CompressedSlab.to_sparse`.
+    and re-added exactly by :meth:`CompressedSlab.decode`.
 
     Args:
         slab: The sparse slab to compress.
@@ -350,7 +386,6 @@ def compress_slab(
         blocked=blocked,
         sum_g=slab.sum_g,
         sum_h=slab.sum_h,
-        zero_bins=zero_bins,
         n_bins=layout.n_bins,
     )
 
@@ -364,31 +399,30 @@ def slab_from_flat(
     sum_g: float,
     sum_h: float,
 ) -> SparseSlab:
-    """Build a slab from a stripe-local feature-major flat histogram.
+    """Wrap the present features' flat segments as a slab, without a copy.
 
     Args:
-        flat: The stripe's flat histogram (``(col_hi - col_lo) * 2 * K``
-            float64 values, feature-major).
-        present: Sorted stripe-local ids of features with nonzeros.
+        flat: Exactly the listed features' ``2 * K`` segments, in order
+            (feature-major: ``K`` gradient buckets then ``K`` hessian
+            buckets each) — ``len(present) * 2 * K`` float64 values.
+        present: Sorted stripe-local ids of the features ``flat`` holds.
         col_lo, col_hi: Global feature range of the stripe.
         n_bins: Bucket budget K.
         sum_g, sum_h: The block's exact node gradient sums.
     """
     width = 2 * n_bins
-    n_stripe = col_hi - col_lo
     flat = np.asarray(flat, dtype=np.float64)
-    if flat.size != n_stripe * width:
-        raise PSError(
-            f"stripe flat has {flat.size} values; {n_stripe} features with "
-            f"{n_bins} bins need {n_stripe * width}"
-        )
     present = np.asarray(present, dtype=np.int64)
-    segments = flat.reshape(n_stripe, width)[present]
+    if flat.size != len(present) * width:
+        raise PSError(
+            f"flat has {flat.size} values; {len(present)} present features "
+            f"with {n_bins} bins need {len(present) * width}"
+        )
     return SparseSlab(
         col_lo=col_lo,
         col_hi=col_hi,
         features=present + col_lo,
-        values=segments,
+        values=flat.reshape(len(present), width),
         sum_g=sum_g,
         sum_h=sum_h,
     )

@@ -9,17 +9,19 @@ to generate quantile sketches").  This package provides:
   summary with streaming insert, batch construction from sorted data, and
   merging (the CREATE_SKETCH / PULL_SKETCH phases push local sketches to
   the PS and pull merged ones).
+* :class:`SketchBatch` — one summary per feature in ragged flat storage:
+  what :func:`sketch_columns` returns, one wire frame per (worker,
+  partition), merged and queried without a loop over features.
 * :class:`CandidateSet` — per-feature split-candidate cut points with the
   bucketization used by the histogram builders (Algorithm 1 line 2).
 """
 
 from .quantile import (
     GKSketch,
+    SketchBatch,
     WeightedGKSketch,
     sketch_columns,
     sketch_columns_weighted,
-    sketch_from_wire,
-    sketch_to_wire,
 )
 from .candidates import (
     CandidateSet,
@@ -30,11 +32,10 @@ from .candidates import (
 
 __all__ = [
     "GKSketch",
+    "SketchBatch",
     "WeightedGKSketch",
     "sketch_columns",
     "sketch_columns_weighted",
-    "sketch_from_wire",
-    "sketch_to_wire",
     "CandidateSet",
     "propose_candidates",
     "propose_candidates_from_sketches",

@@ -21,11 +21,13 @@ features.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import DataError, SketchError
 from ..datasets.sparse import CSRMatrix
-from .quantile import AnySketch
+from .quantile import AnySketch, SketchBatch
 from .ragged import segment_cumsum, segment_searchsorted, sorted_columns
 
 
@@ -271,21 +273,28 @@ def propose_candidates_weighted(
 
 
 def propose_candidates_from_sketches(
-    sketches: list[AnySketch], max_bins: int, include_zero_cut: bool = True
+    sketches: SketchBatch | Sequence[AnySketch],
+    max_bins: int,
+    include_zero_cut: bool = True,
 ) -> CandidateSet:
     """Propose cuts from (merged) GK sketches — the distributed path.
 
     This is the PULL_SKETCH phase: workers pull the merged per-feature
     sketches from the PS and turn each into at most ``max_bins - 1`` cuts.
+    ``sketches`` holds one summary per feature ``0 .. M - 1`` — the
+    pulled :class:`~repro.sketch.quantile.SketchBatch`, or a plain
+    sequence of summaries, packed into one here — and every feature's
+    quantiles are answered in one ragged pass.
     """
     _check_max_bins(max_bins)
-    live = [f for f, sketch in enumerate(sketches) if sketch.count]
-    raw = np.empty((len(live), max_bins - 1), dtype=np.float64)
-    ends = np.empty((len(live), 2), dtype=np.float64)
-    for row, f in enumerate(live):
-        raw[row] = sketches[f].quantiles(max_bins - 1)
-        ends[row] = sketches[f].min_value, sketches[f].max_value
-    zero_cut = include_zero_cut & (ends[:, 0] < 0.0) & (0.0 < ends[:, 1])
+    if not isinstance(sketches, SketchBatch):
+        sketches = SketchBatch.from_sketches(sketches)
+    if not np.array_equal(sketches.features, np.arange(len(sketches))):
+        raise SketchError("candidate proposal needs one summary per feature 0 .. M - 1")
+    live = np.flatnonzero(sketches.counts)
+    low = sketches.values[sketches.bounds[:-1][live]]
+    high = sketches.values[sketches.bounds[1:][live] - 1]
+    zero_cut = include_zero_cut & (low < 0.0) & (0.0 < high)
     return _assemble(
-        raw, zero_cut, np.asarray(live, dtype=np.int64), len(sketches), max_bins
+        sketches.quantiles(max_bins - 1), zero_cut, live, len(sketches), max_bins
     )

@@ -26,12 +26,18 @@ Three construction paths are provided:
   re-compresses; the rank error of the result is bounded by the sum of
   the inputs' errors, so distributed use builds local sketches at
   ``eps / 2`` to end below ``eps`` after one merge level.
+
+A :class:`SketchBatch` holds one summary per feature of a shard in the
+same ragged storage — what :func:`sketch_columns` computes, what a
+worker pushes to a server partition as one frame, and what the servers
+merge and candidate proposal reads without a Python loop over features.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -49,6 +55,60 @@ def _checked_eps(eps: float) -> float:
     if not 0.0 < eps < 0.5:
         raise SketchError(f"eps must be in (0, 0.5), got {eps}")
     return float(eps)
+
+
+def _check_summaries(
+    kind: type,
+    eps: np.ndarray,
+    counts: np.ndarray,
+    masses: np.ndarray,
+    bounds: np.ndarray,
+    values: np.ndarray,
+    g: np.ndarray,
+    delta: np.ndarray,
+) -> np.ndarray:
+    """Vouch for parsed summaries before anything merges or queries them.
+
+    Summary ``i`` owns entries ``[bounds[i], bounds[i + 1])`` of the
+    shared ``values`` / ``g`` / ``delta``; ``counts`` may still be the
+    float64 the GK wire carries.  One vectorized pass for a whole frame —
+    and the single check :meth:`_Summary.from_bytes` runs for a frame of
+    one.  Returns the counts as int64.
+
+    Raises:
+        SketchError: An ``eps`` outside (0, 0.5); a count that is not a
+            finite non-negative integer, or a mass that is not finite
+            and non-negative; entries without a count or a count without
+            entries; NaN or descending values inside a summary; a
+            negative (or NaN) ``g`` / ``delta``; gaps that do not sum to
+            the summary's mass.
+    """
+    if not np.all((eps > 0.0) & (eps < 0.5)):
+        raise SketchError("sketch eps must be in (0, 0.5)")
+    # Comparisons with NaN are false, so NaN fails every test below.
+    if not np.all((counts >= 0) & (counts < 2**62) & (counts == np.floor(counts))):
+        raise SketchError("sketch counts must be finite non-negative integers")
+    if not np.all((masses >= 0.0) & (masses < np.inf)):
+        raise SketchError("sketch masses must be finite and non-negative")
+    sizes = np.diff(bounds)
+    if np.any((sizes == 0) != (counts == 0)):
+        raise SketchError("a sketch has entries exactly when its count is nonzero")
+    lo, hi = bounds[0], bounds[-1]
+    descending = values[lo + 1 : hi] < values[lo : hi - 1]
+    # A summary's first entry may sit below the previous summary's last.
+    firsts = bounds[1:-1]
+    descending[firsts[(firsts > lo) & (firsts < hi)] - lo - 1] = False
+    if np.isnan(values[lo:hi]).any() or descending.any():
+        raise SketchError("sketch entries must be non-decreasing and not NaN")
+    if not (np.all(g[lo:hi] >= 0) and np.all(delta[lo:hi] >= 0)):
+        raise SketchError("sketch g and delta must be non-negative")
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    gaps = np.bincount(owner, weights=g[lo:hi], minlength=len(sizes))
+    # Integer ranks add exactly; weighted ones to rounding.
+    slack = 0.0 if kind._RANK is np.int64 else 1e-9 * masses
+    if np.any(np.abs(gaps - masses) > slack):
+        raise SketchError("sketch gaps must sum to the summary's mass")
+    return counts.astype(np.int64)
 
 
 class _Summary:
@@ -96,38 +156,11 @@ class _Summary:
         inflated by the partner sketch's uncertainty, so the merged rank
         error is bounded by ``self.eps * self.count + other.eps *
         other.count`` (total weights, for weighted summaries) — i.e. the
-        errors add, they do not multiply.
+        errors add, they do not multiply.  A :meth:`SketchBatch.merge` of
+        one summary a side: the arithmetic lives there.
         """
-        if not isinstance(other, type(self)):
-            raise SketchError(
-                f"cannot merge {type(self).__name__} with {type(other).__name__}"
-            )
-        if other.count == 0:
-            return self.copy()
-        if self.count == 0:
-            merged = other.copy()
-            merged.eps = max(self.eps, other.eps)
-            return merged
-        # Both inputs are sorted, so a stable sort of the concatenation
-        # (self first) reproduces the classic two-pointer interleave,
-        # including its take-self-on-ties rule.
-        values = np.concatenate((self._values, other._values))
-        order = np.argsort(values, kind="stable")
-        deltas = np.concatenate(
-            (self._delta + other._merge_err(), other._delta + self._merge_err())
-        )[order]
-        # Extremes must carry zero delta for exact min/max queries.
-        deltas[0] = deltas[-1] = 0
-        out = self._build(
-            max(self.eps, other.eps),
-            self.count + other.count,
-            self._mass + other._mass,
-            values[order],
-            np.concatenate((self._g, other._g))[order],
-            deltas,
-        )
-        out._compress_merged()
-        return out
+        one = SketchBatch.from_sketches
+        return one((self,)).merge(one((other,)))[0]
 
     def _compress_merged(self) -> None:
         """Size-driven compression after merge (keeps the delta bounds)."""
@@ -175,49 +208,57 @@ class _Summary:
         )
 
     # ------------------------------------------------------------------
-    # wire serialization (what CREATE_SKETCH actually pushes)
+    # single-summary serialization
     # ------------------------------------------------------------------
 
-    def _frames(self) -> tuple:
-        """The buffers whose concatenation is :meth:`to_bytes`."""
-        return (
-            self._HEAD.pack(*self._head(), len(self._values)),
-            self._values,
-            self._g.astype(self._WIRE_RANK, copy=False),
-            self._delta.astype(self._WIRE_RANK, copy=False),
-        )
-
     def to_bytes(self) -> bytes:
-        """Serialize for the PS push: header, then three parallel arrays
-        (float64 values, g, delta) — the real wire size the CREATE_SKETCH
-        phase pays per feature.  See the subclass for the header layout."""
-        return b"".join(self._frames())
+        """Serialize one summary: header, then three parallel arrays
+        (float64 values, g, delta).  See the subclass for the header
+        layout; a :class:`SketchBatch` frame carries the same fields for
+        many summaries at once."""
+        return b"".join(
+            (
+                self._HEAD.pack(*self._head(), len(self._values)),
+                self._values,
+                self._g.astype(self._WIRE_RANK, copy=False),
+                self._delta.astype(self._WIRE_RANK, copy=False),
+            )
+        )
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "_Summary":
         """Inverse of :meth:`to_bytes`; the arrays are views of ``payload``
-        (g/delta widened once when the wire rank is narrower)."""
+        (g/delta widened once when the wire rank is narrower).
+
+        Raises:
+            SketchError: The payload is not one well-formed summary (see
+                :func:`_check_summaries`).
+        """
         head, rank = cls._HEAD.size, cls._WIRE_RANK
         if len(payload) < head:
             raise SketchError(f"sketch payload too short ({len(payload)} bytes)")
         *fields, n = cls._HEAD.unpack_from(payload)
         expected = head + n * (8 + 2 * rank.itemsize)
-        if len(payload) != expected:
+        if n < 0 or len(payload) != expected:
             raise SketchError(
                 f"sketch payload has {len(payload)} bytes, expected {expected}"
             )
         eps, count, mass = cls._unhead(*fields)
         g_at = head + 8 * n
-        g = np.frombuffer(payload, rank, n, g_at)
-        delta = np.frombuffer(payload, rank, n, g_at + rank.itemsize * n)
-        return cls._build(
-            _checked_eps(eps),
-            count,
-            mass,
-            np.frombuffer(payload, np.float64, n, head),
-            g.astype(cls._RANK, copy=False),
-            delta.astype(cls._RANK, copy=False),
+        values = np.frombuffer(payload, np.float64, n, head)
+        g = np.frombuffer(payload, rank, n, g_at).astype(cls._RANK, copy=False)
+        delta = np.frombuffer(payload, rank, n, g_at + rank.itemsize * n).astype(
+            cls._RANK, copy=False
         )
+        counts = _check_summaries(
+            cls,
+            *(np.asarray([field]) for field in (eps, count, mass)),
+            np.asarray([0, n]),
+            values,
+            g,
+            delta,
+        )
+        return cls._build(eps, int(counts[0]), mass, values, g, delta)
 
     @property
     def wire_bytes(self) -> int:
@@ -298,9 +339,6 @@ class GKSketch(_Summary):
     def _mass(self) -> int:
         return self.count
 
-    def _merge_err(self) -> int:
-        return int(math.floor(2.0 * self.eps * self.count))
-
     @staticmethod
     def _group_budget(total_g, groups: int) -> int:
         return max(1, int(math.ceil(int(total_g) / groups)))
@@ -310,7 +348,13 @@ class GKSketch(_Summary):
 
     @staticmethod
     def _unhead(eps: float, count: float) -> tuple:
-        return eps, int(count), None
+        # The count travels as a float64; the validator vouches for it.
+        return eps, count, count
+
+    @staticmethod
+    def _merge_errs(eps: np.ndarray, masses: np.ndarray) -> np.ndarray:
+        """What merging into a partner adds to its deltas, per summary."""
+        return np.floor(2.0 * eps * masses).astype(np.int64)
 
     # ------------------------------------------------------------------
     # construction
@@ -422,9 +466,6 @@ class WeightedGKSketch(_Summary):
     def _mass(self) -> float:
         return self.total_weight
 
-    def _merge_err(self) -> float:
-        return 2.0 * self.eps * self.total_weight
-
     @staticmethod
     def _group_budget(total_g, groups: int) -> float:
         return max(float(total_g) / groups, np.finfo(np.float64).tiny)
@@ -435,6 +476,11 @@ class WeightedGKSketch(_Summary):
     @staticmethod
     def _unhead(eps: float, total_weight: float, count: int) -> tuple:
         return eps, count, total_weight
+
+    @staticmethod
+    def _merge_errs(eps: np.ndarray, masses: np.ndarray) -> np.ndarray:
+        """What merging into a partner adds to its deltas, per summary."""
+        return 2.0 * eps * masses
 
     @classmethod
     def from_values(
@@ -457,14 +503,368 @@ class WeightedGKSketch(_Summary):
         return _sample_sorted_weighted(arr[order], wts[order], bounds, eps)[0]
 
 
+
+#: Leads every :class:`SketchBatch` frame: kind tag, three pad bytes (the
+#: columns behind it stay 8-byte aligned), number of summaries.
+_FRAME_HEAD = struct.Struct("=B3xi")
+
+
+@dataclass(eq=False, slots=True)
+class SketchBatch(Sequence):
+    """One summary per listed feature, in ragged flat storage.
+
+    Summary ``i`` speaks for feature ``features[i]`` and owns entries
+    ``[bounds[i], bounds[i + 1])`` of the shared ``values`` / ``g`` /
+    ``delta`` arrays — the layout :func:`sketch_columns` samples into, so
+    a batch costs no per-feature object.  Indexing hands out a
+    :class:`GKSketch` / :class:`WeightedGKSketch` over slices of those
+    arrays; no method writes into them.
+
+    Attributes:
+        kind: :class:`GKSketch` or :class:`WeightedGKSketch` — rank
+            dtype, wire header and merge arithmetic of every summary.
+        features: Strictly increasing int64 feature ids.
+        eps, counts, masses: Per-summary error target, item count and
+            total rank mass (``counts`` itself for unweighted summaries).
+        bounds: int64, ``len(features) + 1`` entry offsets.
+        values, g, delta: The summaries' entries, back to back.
+    """
+
+    kind: type
+    features: np.ndarray
+    eps: np.ndarray
+    counts: np.ndarray
+    masses: np.ndarray
+    bounds: np.ndarray
+    values: np.ndarray
+    g: np.ndarray
+    delta: np.ndarray
+
+    @classmethod
+    def from_sketches(
+        cls, sketches: Sequence[AnySketch], features: Sequence[int] | None = None
+    ) -> "SketchBatch":
+        """Pack summaries of one kind, for ``features`` (increasing ids;
+        default ``0 .. len - 1``)."""
+        kind = type(sketches[0]) if len(sketches) else GKSketch
+        if not (issubclass(kind, _Summary) and all(type(s) is kind for s in sketches)):
+            raise SketchError("a sketch batch holds summaries of one kind")
+        ids = np.arange(len(sketches)) if features is None else np.asarray(features)
+        if ids.shape != (len(sketches),) or np.any(np.diff(ids) <= 0):
+            raise SketchError("a sketch batch lists one increasing feature id per summary")
+        sizes = np.fromiter((len(s) for s in sketches), np.int64, len(sketches))
+        values, g, delta = (
+            np.concatenate([np.empty(0, dtype), *(getattr(s, name) for s in sketches)])
+            for name, dtype in (
+                ("_values", np.float64), ("_g", kind._RANK), ("_delta", kind._RANK)
+            )
+        )
+        return cls(
+            kind,
+            ids.astype(np.int64),
+            np.fromiter((s.eps for s in sketches), np.float64, len(sketches)),
+            np.fromiter((s.count for s in sketches), np.int64, len(sketches)),
+            np.asarray([s._mass for s in sketches], dtype=kind._RANK),
+            np.concatenate(((0,), np.cumsum(sizes))),
+            values,
+            g,
+            delta,
+        )
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def __getitem__(self, i: int) -> AnySketch:
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"summary {i} of a batch of {len(self)}")
+        a, b = self.bounds[i], self.bounds[i + 1]
+        return self.kind._build(
+            float(self.eps[i]),
+            int(self.counts[i]),
+            float(self.masses[i]),
+            self.values[a:b],
+            self.g[a:b],
+            self.delta[a:b],
+        )
+
+    def shifted(self, offset: int) -> "SketchBatch":
+        """The same summaries under feature ids ``features + offset``
+        (a stripe's local columns as global features)."""
+        return replace(self, features=self.features + offset)
+
+    def span(self, lo: int, hi: int) -> "SketchBatch":
+        """The summaries of features in ``[lo, hi)``, sharing storage."""
+        a, b = np.searchsorted(self.features, (lo, hi))
+        return replace(
+            self,
+            features=self.features[a:b],
+            eps=self.eps[a:b],
+            counts=self.counts[a:b],
+            masses=self.masses[a:b],
+            bounds=self.bounds[a : b + 1],
+        )
+
+    def quantiles(self, k: int) -> np.ndarray:
+        """:meth:`_Summary.quantiles` of every non-empty summary, as rows
+        (in batch order): one segment-local bisection answers all ``k``
+        targets of all summaries over the segment-restarted rank bounds."""
+        if k < 1:
+            raise SketchError(f"k must be >= 1, got {k}")
+        live = np.flatnonzero(self.counts)
+        qs = np.arange(1, k + 1, dtype=np.float64) / (k + 1)
+        targets = self.masses[live][:, None] * qs
+        slack = np.repeat(self.eps * self.masses, np.diff(self.bounds))
+        lo, hi = self.bounds[0], self.bounds[-1]
+        bound = segment_cumsum(self.g, self.bounds)
+        bound[lo:hi] += slack
+        each_lo, each_hi = (np.repeat(b[live], k) for b in (self.bounds[:-1], self.bounds[1:]))
+        first = segment_searchsorted(bound, each_lo, each_hi, targets.ravel(), "left")
+        return self.values[np.minimum(first, each_hi - 1)].reshape(len(live), k)
+
+    # ------------------------------------------------------------------
+    # wire frame (what push_sketch / pull_sketches move, one per partition)
+    # ------------------------------------------------------------------
+
+    @property
+    def wire_bytes(self) -> int:
+        """Bytes the cost model bills for these summaries.
+
+        Per summary a 4-byte feature id, a kind tag and
+        :meth:`_Summary.to_bytes` — header plus 16 (24 weighted) bytes an
+        entry — whether or not it has entries: what the per-feature frames
+        this one replaced weighed, a function of entry counts alone.
+        """
+        rank = self.kind._WIRE_RANK.itemsize
+        entries = int(self.bounds[-1] - self.bounds[0])
+        return len(self) * (5 + self.kind._HEAD.size) + entries * (8 + 2 * rank)
+
+    def to_frame(self) -> bytes:
+        """Serialize: header (kind tag, summary count), then per-summary
+        columns — int32 feature id, int32 entry count, float64 eps, the
+        kind's count / weight columns — then the entry columns (float64
+        values; g and delta in the kind's wire rank)."""
+        kind, (lo, hi) = self.kind, self.bounds[[0, -1]]
+        rank = kind._WIRE_RANK
+        heads = (
+            (self.counts.astype(np.float64),)
+            if kind is GKSketch
+            else (self.masses, self.counts)
+        )
+        return b"".join(
+            (
+                _FRAME_HEAD.pack(kind._WIRE_TAG[0], len(self)),
+                self.features.astype(np.int32),
+                np.diff(self.bounds).astype(np.int32),
+                self.eps,
+                *heads,
+                self.values[lo:hi],
+                self.g[lo:hi].astype(rank, copy=False),
+                self.delta[lo:hi].astype(rank, copy=False),
+            )
+        )
+
+    @classmethod
+    def from_frame(cls, payload: bytes) -> "SketchBatch":
+        """Inverse of :meth:`to_frame`, validated once for the whole frame.
+
+        The arrays are read-only views of ``payload`` (g/delta widened
+        once when the wire rank is narrower).
+
+        Raises:
+            SketchError: Unknown kind tag, a length that is not exactly
+                what the header and entry counts imply, feature ids that
+                are negative or not strictly increasing, or summaries
+                :func:`_check_summaries` rejects.
+        """
+        if len(payload) < _FRAME_HEAD.size:
+            raise SketchError(f"sketch frame too short ({len(payload)} bytes)")
+        tag, n = _FRAME_HEAD.unpack_from(payload)
+        kind = _WIRE_KINDS.get(tag)
+        if kind is None:
+            raise SketchError(f"unknown sketch wire tag {tag}")
+        rank = kind._WIRE_RANK
+        at = _FRAME_HEAD.size
+        per_summary = 4 + kind._HEAD.size
+        if n < 0 or len(payload) < at + n * per_summary:
+            raise SketchError(
+                f"sketch frame of {len(payload)} bytes cannot hold {n} summaries"
+            )
+
+        def column(dtype, count: int) -> np.ndarray:
+            nonlocal at
+            out = np.frombuffer(payload, dtype, count, at)
+            at += out.nbytes
+            return out
+
+        features = column(np.int32, n).astype(np.int64)
+        sizes = column(np.int32, n).astype(np.int64)
+        if np.any(sizes < 0):
+            raise SketchError("sketch frame lists a negative entry count")
+        eps = column(np.float64, n)
+        if kind is GKSketch:
+            masses = counts = column(np.float64, n)
+        else:
+            masses, counts = column(np.float64, n), column(np.int64, n)
+        bounds = np.concatenate(((0,), np.cumsum(sizes)))
+        entries = int(bounds[-1])
+        expected = at + entries * (8 + 2 * rank.itemsize)
+        if len(payload) != expected:
+            raise SketchError(
+                f"sketch frame has {len(payload)} bytes, expected {expected}"
+            )
+        if np.any(features[:1] < 0) or np.any(np.diff(features) <= 0):
+            raise SketchError("sketch frame features must be strictly increasing")
+        values = column(np.float64, entries)
+        g = column(rank, entries).astype(kind._RANK, copy=False)
+        delta = column(rank, entries).astype(kind._RANK, copy=False)
+        counts = _check_summaries(kind, eps, counts, masses, bounds, values, g, delta)
+        if kind is GKSketch:
+            masses = counts
+        return cls(kind, features, eps, counts, masses, bounds, values, g, delta)
+
+    @classmethod
+    def concat(cls, batches: Sequence["SketchBatch"]) -> "SketchBatch":
+        """Join batches over disjoint, increasing feature ranges (the
+        partitions of one pull); batches without summaries take no side."""
+        batches = [batch for batch in batches if len(batch)] or list(batches[:1])
+        kind = batches[0].kind
+        if any(batch.kind is not kind for batch in batches):
+            raise SketchError("cannot join sketch batches of different kinds")
+        columns = {
+            name: np.concatenate([getattr(batch, name) for batch in batches])
+            for name in ("features", "eps", "counts", "masses")
+        }
+        if np.any(np.diff(columns["features"]) <= 0):
+            raise SketchError("joined sketch batches must list increasing features")
+        entries = {
+            name: np.concatenate(
+                [getattr(b, name)[b.bounds[0] : b.bounds[-1]] for b in batches]
+            )
+            for name in ("values", "g", "delta")
+        }
+        sizes = np.concatenate([np.diff(batch.bounds) for batch in batches])
+        bounds = np.concatenate(((0,), np.cumsum(sizes)))
+        return cls(kind=kind, bounds=bounds, **columns, **entries)
+
+    # ------------------------------------------------------------------
+    # merging (PS-side aggregation of a whole partition at once)
+    # ------------------------------------------------------------------
+
+    def merge(self, other: "SketchBatch") -> "SketchBatch":
+        """Feature-wise :meth:`_Summary.merge` over the union of features.
+
+        Bit for bit what merging summary by summary returns, ``self``
+        first: a feature only one side lists passes through; an empty
+        ``other`` summary leaves ``self``'s as it is; otherwise entries
+        interleave under one stable ``(feature, value)`` ordering (self
+        before other on ties), each side's deltas are inflated by the
+        partner's merge error, the extremes are zeroed, and only the
+        features that outgrew :meth:`_Summary._max_entries` go through
+        :meth:`_Summary._compress_merged`, one by one.
+        """
+        kind = self.kind
+        if other.kind is not kind:
+            raise SketchError(
+                f"cannot merge {kind.__name__} with {other.kind.__name__}"
+            )
+        features = np.union1d(self.features, other.features)
+        n = len(features)
+        at_a = np.searchsorted(features, self.features)
+        at_b = np.searchsorted(features, other.features)
+
+        def spread(at: np.ndarray, column: np.ndarray) -> np.ndarray:
+            out = np.zeros(n, dtype=column.dtype)
+            out[at] = column
+            return out
+
+        size_a = spread(at_a, np.diff(self.bounds))
+        size_b = spread(at_b, np.diff(other.bounds))
+        count_a, count_b = spread(at_a, self.counts), spread(at_b, other.counts)
+        mass_a, mass_b = spread(at_a, self.masses), spread(at_b, other.masses)
+        eps_a, eps_b = spread(at_a, self.eps), spread(at_b, other.eps)
+        only_b = np.ones(n, dtype=bool)
+        only_b[at_a] = False
+        # A feature only ``other`` lists arrives as it is.
+        eps_a[only_b], mass_a[only_b] = eps_b[only_b], mass_b[only_b]
+        eps = np.where(count_b == 0, eps_a, np.maximum(eps_a, eps_b))
+        masses = np.where(
+            count_b == 0, mass_a, np.where(count_a == 0, mass_b, mass_a + mass_b)
+        )
+        both = (count_a > 0) & (count_b > 0)
+
+        owner_a = np.repeat(at_a, np.diff(self.bounds))
+        owner_b = np.repeat(at_b, np.diff(other.bounds))
+        (lo_a, hi_a), (lo_b, hi_b) = self.bounds[[0, -1]], other.bounds[[0, -1]]
+        delta_a = self.delta[lo_a:hi_a].copy()
+        delta_b = other.delta[lo_b:hi_b].copy()
+        grows = both[owner_a]
+        delta_a[grows] += kind._merge_errs(eps_b, mass_b)[owner_a[grows]]
+        grows = both[owner_b]
+        delta_b[grows] += kind._merge_errs(eps_a, mass_a)[owner_b[grows]]
+        # The two-pointer interleave of every feature at once.  Both sides
+        # are sorted by (feature, value) — the lexicographic order numpy
+        # gives complex numbers — so an entry lands behind its own
+        # predecessors and the partner's entries below it: strictly below
+        # for ``self``, below or equal for ``other`` (self on ties).
+        def keyed(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+            key = np.empty(len(owner), dtype=np.complex128)
+            key.real, key.imag = owner, values
+            return key
+
+        key_a = keyed(owner_a, self.values[lo_a:hi_a])
+        key_b = keyed(owner_b, other.values[lo_b:hi_b])
+        to_a = np.arange(len(key_a)) + np.searchsorted(key_b, key_a, side="left")
+        to_b = np.arange(len(key_b)) + np.searchsorted(key_a, key_b, side="right")
+
+        def interleave(from_a: np.ndarray, from_b: np.ndarray) -> np.ndarray:
+            out = np.empty(len(to_a) + len(to_b), dtype=from_a.dtype)
+            out[to_a], out[to_b] = from_a, from_b
+            return out
+
+        values = interleave(self.values[lo_a:hi_a], other.values[lo_b:hi_b])
+        g = interleave(self.g[lo_a:hi_a], other.g[lo_b:hi_b])
+        delta = interleave(delta_a, delta_b)
+        bounds = np.concatenate(((0,), np.cumsum(size_a + size_b)))
+        # Extremes must carry zero delta for exact min/max queries.
+        delta[bounds[:-1][both]] = 0
+        delta[bounds[1:][both] - 1] = 0
+
+        merged = SketchBatch(
+            kind, features, eps, count_a + count_b, masses, bounds, values, g, delta
+        )
+        sizes = size_a + size_b
+        limit = (3.0 / eps).astype(np.int64) + 8  # _Summary._max_entries
+        outgrown = np.flatnonzero(both & (sizes > limit))
+        if len(outgrown) == 0:
+            return merged
+        # Splice each compressed summary between the untouched stretches.
+        wholes = (values, g, delta)
+        spliced: tuple[list, list, list] = ([], [], [])
+        cursor = 0
+        for i in outgrown:
+            summary = merged[i]
+            summary._compress_merged()
+            parts = (summary._values, summary._g, summary._delta)
+            for pieces, whole, part in zip(spliced, wholes, parts):
+                pieces += (whole[cursor : bounds[i]], part)
+            sizes[i] = len(summary)
+            cursor = bounds[i + 1]
+        values, g, delta = (
+            np.concatenate((*pieces, whole[cursor:]))
+            for pieces, whole in zip(spliced, wholes)
+        )
+        bounds = np.concatenate(((0,), np.cumsum(sizes)))
+        return replace(merged, bounds=bounds, values=values, g=g, delta=delta)
+
+
 def _sample_sorted(
     sorted_values: np.ndarray, bounds: np.ndarray, eps: float
-) -> list[GKSketch]:
+) -> SketchBatch:
     """One sort-and-sample summary per ``bounds`` segment of presorted values.
 
     Segment of ``n`` values keeps positions ``0, step, 2*step, ...`` plus
     ``n - 1``, ``step = max(1, floor(2 * eps * n))`` — computed for every
-    segment at once; the summaries are slices of the shared result.
+    segment at once, straight into the batch's shared storage.
     """
     eps = _checked_eps(eps)
     n = np.diff(bounds)
@@ -476,17 +876,22 @@ def _sample_sorted(
     values = sorted_values[bounds[:-1][segment] + pos]
     g = np.diff(pos, prepend=-1)
     g[i == 0] = 1
-    delta = np.zeros(len(pos), dtype=np.int64)
-    ends = np.cumsum(kept)
-    return [
-        GKSketch._build(eps, int(count), None, values[a:b], g[a:b], delta[a:b])
-        for a, b, count in zip(ends - kept, ends, n)
-    ]
+    return SketchBatch(
+        GKSketch,
+        np.arange(len(n), dtype=np.int64),
+        np.full(len(n), eps, dtype=np.float64),
+        n,
+        n,
+        np.concatenate(((0,), np.cumsum(kept))),
+        values,
+        g,
+        np.zeros(len(pos), dtype=np.int64),
+    )
 
 
 def _sample_sorted_weighted(
     sorted_values: np.ndarray, weights: np.ndarray, bounds: np.ndarray, eps: float
-) -> list[WeightedGKSketch]:
+) -> SketchBatch:
     """One weighted summary per ``bounds`` segment of presorted values.
 
     A segment of total weight ``W`` keeps its first and last value and
@@ -494,12 +899,10 @@ def _sample_sorted_weighted(
     ``2 * eps * W``.  Segments with no weight summarize nothing.
     """
     eps = _checked_eps(eps)
-    sketches = [WeightedGKSketch(eps) for _ in range(len(bounds) - 1)]
+    n_segments = len(bounds) - 1
     cum = segment_cumsum(weights, bounds)
     live = np.flatnonzero(np.diff(bounds) > 0)
     live = live[cum[bounds[1:][live] - 1] > 0.0]
-    if len(live) == 0:
-        return sketches
     lo, hi = bounds[:-1][live], bounds[1:][live]
     total = cum[hi - 1]
     step = 2.0 * eps * total
@@ -518,15 +921,23 @@ def _sample_sorted_weighted(
     reached = cum[at]
     g = np.diff(reached, prepend=0.0)
     g[first] = reached[first]
-    values = sorted_values[at]
-    delta = np.zeros(len(at), dtype=np.float64)
-    kept = np.bincount(segment[keep], minlength=len(live))
-    ends = np.cumsum(kept)
-    for col, a, b, count, weight in zip(live, ends - kept, ends, hi - lo, total):
-        sketches[col]._fill(
-            eps, int(count), float(weight), values[a:b], g[a:b], delta[a:b]
-        )
-    return sketches
+    counts = np.zeros(n_segments, dtype=np.int64)
+    counts[live] = hi - lo
+    masses = np.zeros(n_segments, dtype=np.float64)
+    masses[live] = total
+    kept = np.zeros(n_segments, dtype=np.int64)
+    kept[live] = np.bincount(segment[keep], minlength=len(live))
+    return SketchBatch(
+        WeightedGKSketch,
+        np.arange(n_segments, dtype=np.int64),
+        np.full(n_segments, eps, dtype=np.float64),
+        counts,
+        masses,
+        np.concatenate(((0,), np.cumsum(kept))),
+        sorted_values[at],
+        g,
+        np.zeros(len(at), dtype=np.float64),
+    )
 
 
 def sketch_columns(
@@ -535,7 +946,7 @@ def sketch_columns(
     data: np.ndarray,
     n_cols: int,
     eps: float = 0.01,
-) -> list[GKSketch]:
+) -> SketchBatch:
     """Build one GK summary per column of a CSR matrix in a single pass.
 
     Sorts all nonzeros by (column, value) with one stable sort and samples
@@ -549,8 +960,8 @@ def sketch_columns(
         eps: Rank-error target of each summary.
 
     Returns:
-        A list of ``n_cols`` sketches; columns with no stored values get an
-        empty sketch.
+        A batch of ``n_cols`` summaries, feature ``c`` for column ``c``;
+        columns with no stored values get an empty one.
     """
     _, sorted_vals, bounds = sorted_columns(indices, data, n_cols)
     return _sample_sorted(sorted_vals, bounds, eps)
@@ -563,7 +974,7 @@ def sketch_columns_weighted(
     n_cols: int,
     row_weights: np.ndarray,
     eps: float = 0.01,
-) -> list[WeightedGKSketch]:
+) -> SketchBatch:
     """Build one weighted summary per column of a CSR matrix.
 
     Each stored value is weighted by its row's weight (the engine passes
@@ -578,8 +989,8 @@ def sketch_columns_weighted(
         eps: Weighted-rank-error target of each summary.
 
     Returns:
-        A list of ``n_cols`` sketches; columns with no stored values get
-        an empty sketch.
+        A batch of ``n_cols`` summaries, feature ``c`` for column ``c``;
+        columns with no stored values or no weight get an empty one.
     """
     n_rows = len(indptr) - 1
     weights = np.asarray(row_weights, dtype=np.float64)
@@ -592,32 +1003,7 @@ def sketch_columns_weighted(
     return _sample_sorted_weighted(sorted_vals, weights[row_of[order]], bounds, eps)
 
 
-# ----------------------------------------------------------------------
-# tagged wire format (what push_sketch actually sends)
-# ----------------------------------------------------------------------
-
 AnySketch = GKSketch | WeightedGKSketch
 
+#: Frame kind tag -> summary class.
 _WIRE_KINDS = {cls._WIRE_TAG[0]: cls for cls in (GKSketch, WeightedGKSketch)}
-
-
-def sketch_to_wire(sketch: AnySketch) -> bytes:
-    """Frame a sketch for the fabric: 1-byte kind tag + ``to_bytes``.
-
-    The tag lets the server host unweighted and weighted summaries behind
-    the same handler without guessing from payload length.  The untagged
-    :meth:`GKSketch.to_bytes` layout is unchanged.
-    """
-    if not isinstance(sketch, _Summary):
-        raise SketchError(f"cannot serialize {type(sketch).__name__} for the wire")
-    return b"".join((sketch._WIRE_TAG, *sketch._frames()))
-
-
-def sketch_from_wire(payload: bytes) -> AnySketch:
-    """Inverse of :func:`sketch_to_wire`."""
-    if len(payload) < 1:
-        raise SketchError("empty sketch wire payload")
-    kind = _WIRE_KINDS.get(payload[0])
-    if kind is None:
-        raise SketchError(f"unknown sketch wire tag {payload[0]}")
-    return kind.from_bytes(payload[1:])

@@ -81,13 +81,22 @@ def segment_searchsorted(
 
 
 def segment_cumsum(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Running sums restarting at every ``bounds`` segment.
+    """Running sums restarting at every ``bounds`` segment, as float64.
 
-    Each segment is summed from its own first element, so it is the same
-    float sequence as ``np.cumsum`` of that segment alone (a global cumsum
-    minus an offset is not).
+    Each float segment is summed from its own first element, so it is the
+    same float sequence as ``np.cumsum`` of that segment alone (a global
+    cumsum minus an offset is not) — one ``cumsum`` call a segment.
+    Integer sums are exact in any order, so integer values take the
+    global cumsum minus each segment's offset, in one pass.  Only
+    ``[bounds[0], bounds[-1])`` of the result is filled.
     """
     out = np.empty(len(values), dtype=np.float64)
+    if values.dtype.kind in "iu":
+        lo, hi = bounds[0], bounds[-1]
+        running = np.cumsum(values[lo:hi])
+        before = np.concatenate(((0,), running))[bounds[:-1] - lo]
+        out[lo:hi] = running - np.repeat(before, np.diff(bounds))
+        return out
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         np.cumsum(values[lo:hi], out=out[lo:hi])
     return out

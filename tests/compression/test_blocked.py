@@ -301,3 +301,30 @@ class TestFrameValidation:
         frame = compress_blocked(np.empty(0), 20, 8, np.random.default_rng(0))
         assert frame.wire_bytes == 0
         assert decompress_blocked(frame).shape == (0,)
+
+
+class TestRangeDecode:
+    """``decompress_blocked(frame, start, stop)``: what a server partition
+    decodes of a slab — the floats the full decode holds there, bit for bit
+    (sign of zero included), wherever the range starts inside a byte."""
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    @pytest.mark.parametrize("block_size", [1, 3, 5, 10])  # odd: 2-bit ranges start mid-byte
+    def test_every_block_range_equals_the_full_decode(self, bits, block_size):
+        rng = np.random.default_rng(bits * 31 + block_size)
+        n_blocks = 7
+        values = rng.normal(size=n_blocks * block_size)
+        values[block_size : 2 * block_size] = 0.0  # a zero-scale block
+        frame = compress_blocked(values, block_size, bits, rng)
+        full = decompress_blocked(frame)
+        for first in range(n_blocks + 1):
+            for last in range(first, n_blocks + 1):
+                part = decompress_blocked(frame, first * block_size, last * block_size)
+                assert part.tobytes() == full[first * block_size : last * block_size].tobytes()
+                assert part.flags.writeable and not np.shares_memory(part, frame.payload)
+
+    @pytest.mark.parametrize("start, stop", [(2, 8), (0, 9), (-4, 4), (8, 4), (0, 32)])
+    def test_misaligned_or_outside_range_rejected(self, start, stop):
+        frame = compress_blocked(np.ones(28), 4, 8, np.random.default_rng(0))
+        with pytest.raises(DataError, match="block-aligned"):
+            decompress_blocked(frame, start, stop)

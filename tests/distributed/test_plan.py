@@ -69,6 +69,18 @@ GATE_ROWS = {
         "agg_window 4 needs a backend with windowed pushes",
         {"agg_window": 4},
     ),
+    # K = 1 used to pass TrainConfig and die in the sketch stage, after
+    # on_fit_start, under either sketch mode.
+    "one-candidate-exact": row(
+        "dimboost", ROW, "n_split_candidates must be >= 2", {"n_split_candidates": 1}
+    ),
+    "one-candidate-distributed": row(
+        "dimboost",
+        GRID,
+        "n_split_candidates must be >= 2",
+        {"n_split_candidates": 1},
+        sketch_mode="distributed",
+    ),
     "block-3": row("dimboost", ROW, "must divide", {**K20, "compression_block": 3}),
     "block-7": row("dimboost", ROW, "must divide", {**K20, "compression_block": 7}),
     "block-16": row(

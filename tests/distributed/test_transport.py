@@ -2,9 +2,10 @@
 
 The CREATE_SKETCH phase now pushes stripe-local summaries through the
 parameter servers instead of folding them in the driver.  These tests
-pin the contract that made the move safe: the servers' per-feature
-arrival-order left fold is *bit-identical* (``to_bytes`` equality) to
-the driver-side fold, fault-free and under a chaotic fabric, for both
+pin the contract that made the move safe: the servers' arrival-order
+left fold — one ragged batch merge per partition since PR 21 — is
+*bit-identical* (``to_bytes`` equality, feature by feature) to the
+driver-side per-feature fold, fault-free and under a chaotic fabric, for both
 plain and hessian-weighted summaries.  The second half pins the
 compressed slab push: the packed wire size matches the cost model, wins
 >= 3x over the float32 slab at 8 bits, and composes with chaos-plan
@@ -27,7 +28,7 @@ from repro.datasets import Dataset, SyntheticSpec, gender_like, make_sparse_clas
 from repro.distributed import DistributedGBDT
 from repro.ps import ParameterServerGroup
 from repro.ps.slab import SlabLayout, SparseSlab, compress_slab
-from repro.sketch import GKSketch, WeightedGKSketch
+from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
 
 N_FEATURES = 12
 N_WORKERS = 4
@@ -61,17 +62,22 @@ def driver_fold(workers):
     return merged
 
 
+def as_batch(per_feature):
+    """One worker's ``{feature: summary}`` as the batch it pushes."""
+    return SketchBatch.from_sketches([per_feature[f] for f in range(N_FEATURES)])
+
+
 def push_all(group, workers):
     for wid, per_feature in enumerate(workers):
         group.push_sketch(
-            "sketch", per_feature, seq=("sketch", wid), worker=wid
+            "sketch", as_batch(per_feature), seq=("sketch", wid), worker=wid
         )
 
 
-def assert_bit_identical(merged_map, reference):
-    assert sorted(merged_map) == sorted(reference)
-    for f in reference:
-        assert merged_map[f].to_bytes() == reference[f].to_bytes()
+def assert_bit_identical(merged, reference):
+    assert merged.features.tolist() == sorted(reference)
+    for f, summary in zip(merged.features.tolist(), merged):
+        assert summary.to_bytes() == reference[f].to_bytes()
 
 
 class TestServerMergeBitIdentity:
@@ -95,10 +101,12 @@ class TestServerMergeBitIdentity:
         group = ParameterServerGroup(2)
         group.register("sketch", N_FEATURES)
         push_all(group, workers)
-        merged_map, _ = group.pull_sketches("sketch")
+        merged, _ = group.pull_sketches("sketch")
         cls = WeightedGKSketch if weighted else GKSketch
-        for sk in merged_map.values():
+        assert merged.kind is cls and len(merged) == N_FEATURES
+        for sk in merged:
             assert cls.from_bytes(sk.to_bytes()).to_bytes() == sk.to_bytes()
+        assert SketchBatch.from_frame(merged.to_frame()).to_frame() == merged.to_frame()
 
     def test_duplicate_push_is_idempotent(self):
         """Re-delivering a worker's sketch push with the same seq token
@@ -108,7 +116,7 @@ class TestServerMergeBitIdentity:
         group.register("sketch", N_FEATURES)
         push_all(group, workers)
         # Replay worker 1's push verbatim — same seq, same payloads.
-        group.push_sketch("sketch", workers[1], seq=("sketch", 1), worker=1)
+        group.push_sketch("sketch", as_batch(workers[1]), seq=("sketch", 1), worker=1)
         merged_map, _ = group.pull_sketches("sketch")
         assert_bit_identical(merged_map, driver_fold(workers))
         assert any(s.duplicate_pushes > 0 for s in group.servers)
@@ -149,7 +157,7 @@ class TestChaoticFabric:
         workers = make_worker_sketches(weighted=False)
         group = self.make_faulty_group([])
         with pytest.raises(PSError, match="seq"):
-            group.push_sketch("sketch", workers[0], worker=0)
+            group.push_sketch("sketch", as_batch(workers[0]), worker=0)
 
 
 class TestEngineSketchModes:

@@ -8,12 +8,7 @@ import pytest
 from repro.errors import PSError, SketchError
 from repro.ps import PSServer
 from repro.ps.partitioner import Partition
-from repro.sketch import (
-    GKSketch,
-    WeightedGKSketch,
-    sketch_from_wire,
-    sketch_to_wire,
-)
+from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
 
 
 @pytest.fixture()
@@ -131,18 +126,28 @@ class TestSketchPushAllOrNothing:
     """A sketch push that raises must leave no trace: no merged feature, no
     recorded token — so its corrected retry is applied, not swallowed."""
 
-    def frames(self, features, seed=0, weighted=False):
+    def batch(self, features, seed=0, weighted=False):
         rng = np.random.default_rng(seed)
-        out = []
+        sketches = []
         for f in features:
             values = rng.normal(loc=f, size=40)
-            sketch = (
+            sketches.append(
                 WeightedGKSketch.from_values(values, rng.uniform(0.1, 2, 40), 0.05)
                 if weighted
                 else GKSketch.from_values(values, 0.05)
             )
-            out.append((f, sketch_to_wire(sketch)))
-        return out
+        return SketchBatch.from_sketches(sketches, features)
+
+    def frame(self, features, seed=0, weighted=False):
+        return self.batch(features, seed, weighted).to_frame()
+
+    def relisted(self, batch, features):
+        """``batch``'s frame with other feature ids in its header."""
+        hostile = SketchBatch(
+            batch.kind, np.asarray(features, dtype=np.int64), batch.eps, batch.counts,
+            batch.masses, batch.bounds, batch.values, batch.g, batch.delta,
+        )
+        return hostile.to_frame()
 
     def state(self, server):
         return server.handle_pull_sketch("hist", 0), server.duplicate_pushes
@@ -150,41 +155,56 @@ class TestSketchPushAllOrNothing:
     @pytest.mark.parametrize(
         "spoil, error",
         [
-            (lambda good: good[:-1] + [(15, good[-1][1])], PSError),  # out of range
-            (lambda good: good[:-1] + [(3, b"\x07" + good[-1][1][1:])], SketchError),  # tag
-            (lambda good: good[:-1] + [(3, good[-1][1][:-3])], SketchError),  # length
+            (lambda self, good: self.relisted(good, [1, 2, 15]), PSError),  # out of range
+            (lambda self, good: b"\x07" + good.to_frame()[1:], SketchError),  # tag
+            (lambda self, good: good.to_frame()[:-3], SketchError),  # length
         ],
         ids=["range", "tag", "length"],
     )
     def test_mixed_payload_leaves_no_trace(self, server, spoil, error):
-        server.handle_push_sketch("hist", 0, self.frames([1, 2], seed=1), seq=("sketch", 0))
+        server.handle_push_sketch("hist", 0, self.frame([1, 2], seed=1), seq=("sketch", 0))
         before = self.state(server)
-        good = self.frames([1, 2, 3], seed=2)
+        good = self.batch([1, 2, 3], seed=2)
         with pytest.raises(error):
-            server.handle_push_sketch("hist", 0, spoil(good), seq=("sketch", 1))
+            server.handle_push_sketch("hist", 0, spoil(self, good), seq=("sketch", 1))
         assert self.state(server) == before
         # The corrected retry under the same seq is a first delivery ...
-        server.handle_push_sketch("hist", 0, good, seq=("sketch", 1))
+        server.handle_push_sketch("hist", 0, good.to_frame(), seq=("sketch", 1))
         after, duplicates = self.state(server)
         assert duplicates == before[1]
-        assert [f for f, _ in after] == [1, 2, 3] and after[:2] != before[0]
+        merged, was = SketchBatch.from_frame(after), SketchBatch.from_frame(before[0])
+        assert merged.features.tolist() == [1, 2, 3]
+        assert merged.span(1, 3).to_frame() != was.to_frame()
         # ... and only its replay is a duplicate.
-        server.handle_push_sketch("hist", 0, good, seq=("sketch", 1))
+        server.handle_push_sketch("hist", 0, good.to_frame(), seq=("sketch", 1))
         assert self.state(server) == (after, duplicates + 1)
 
     def test_kind_mismatch_leaves_no_trace(self, server):
         """A frame that parses but cannot merge (weighted into unweighted)
         fails the whole push too."""
-        server.handle_push_sketch("hist", 0, self.frames([2], seed=1), seq=("sketch", 0))
+        server.handle_push_sketch("hist", 0, self.frame([2], seed=1), seq=("sketch", 0))
         before = self.state(server)
-        mixed = self.frames([1], seed=3) + self.frames([2], seed=3, weighted=True)
+        mixed = self.frame([1, 2], seed=3, weighted=True)
         with pytest.raises(SketchError, match="cannot merge"):
             server.handle_push_sketch("hist", 0, mixed, seq=("sketch", 1))
         assert self.state(server) == before
 
-    def test_repeated_feature_in_one_payload_folds_in_order(self, server):
-        frames = self.frames([4], seed=5) + self.frames([4], seed=6)
-        server.handle_push_sketch("hist", 0, frames)
-        (feature, wire), = server.handle_pull_sketch("hist", 0)
-        folded = sketch_from_wire(frames[0][1]).merge(sketch_from_wire(frames[1][1]))
-        assert feature == 4 and wire == sketch_to_wire(folded)
+    def test_repeated_feature_in_one_frame_rejected(self, server):
+        """A frame lists each feature once, in increasing order: the
+        per-feature payload list could repeat one and fold it twice, the
+        ragged frame cannot — and says so before touching any state."""
+        server.handle_push_sketch("hist", 0, self.frame([4], seed=1), seq=("sketch", 0))
+        before = self.state(server)
+        twice = self.relisted(self.batch([4, 5], seed=5), [4, 4])
+        with pytest.raises(SketchError, match="strictly increasing"):
+            server.handle_push_sketch("hist", 0, twice, seq=("sketch", 1))
+        assert self.state(server) == before
+
+    def test_two_pushes_fold_in_order(self, server):
+        first, second = self.batch([4], seed=5), self.batch([4], seed=6)
+        server.handle_push_sketch("hist", 0, first.to_frame())
+        server.handle_push_sketch("hist", 0, second.to_frame())
+        merged = SketchBatch.from_frame(server.handle_pull_sketch("hist", 0))
+        folded = first[0].merge(second[0])
+        assert merged.features.tolist() == [4]
+        assert merged[0].to_bytes() == folded.to_bytes()

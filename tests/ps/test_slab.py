@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.compression.lowprec import compress_blocked
 from repro.errors import PSError
 from repro.ps import ParameterServerGroup, PSServer, SlabLayout, SparseSlab, slab_from_flat
 from repro.ps.partitioner import Partition
-from repro.ps.slab import SLAB_HEADER_BYTES
+from repro.ps.slab import SLAB_HEADER_BYTES, CompressedSlab
 
 M, K = 8, 4  # features, bins
 WIDTH = 2 * K
@@ -97,22 +100,24 @@ class TestSparseSlab:
         assert slab.wire_bytes_for(M, M + 4) == 0
 
     def test_slab_from_flat(self):
+        """``flat`` holds exactly the listed features' segments, in order,
+        and the slab wraps it without a copy."""
         rng = np.random.default_rng(0)
-        flat = rng.normal(size=3 * WIDTH)
+        flat = rng.normal(size=2 * WIDTH)
         slab = slab_from_flat(
             flat, np.array([0, 2]), col_lo=5, col_hi=8, n_bins=K,
             sum_g=1.5, sum_h=2.5,
         )
         np.testing.assert_array_equal(slab.features, [5, 7])
-        np.testing.assert_array_equal(
-            slab.values, flat.reshape(3, WIDTH)[[0, 2]]
-        )
+        np.testing.assert_array_equal(slab.values, flat.reshape(2, WIDTH))
+        assert np.shares_memory(slab.values, flat)
         assert slab.sum_g == 1.5 and slab.sum_h == 2.5
 
     def test_slab_from_flat_size_check(self):
+        """One segment per listed feature: a whole-stripe flat is refused."""
         with pytest.raises(PSError, match="need"):
             slab_from_flat(
-                np.zeros(5), np.array([0]), 0, 3, K, 0.0, 0.0
+                np.zeros(3 * WIDTH), np.array([0]), 0, 3, K, 0.0, 0.0
             )
 
 
@@ -179,6 +184,79 @@ class TestServerSlabPush:
         before = server.bytes_received
         server.handle_push_slab("hist", 0, 0, slab, seq=None)
         assert server.bytes_received - before == slab.wire_bytes
+
+
+def _compressed(features, values, col_lo=0, col_hi=M, sum_g=0.5, sum_h=1.5, n_bins=K):
+    """A CompressedSlab header over an honestly encoded payload."""
+    blocked = compress_blocked(
+        np.asarray(values, dtype=np.float64).ravel(), n_bins, 8, np.random.default_rng(0)
+    )
+    return CompressedSlab(col_lo, col_hi, np.asarray(features), blocked, sum_g, sum_h, n_bins)
+
+
+#: Headers a server must not trust.  ``CompressedSlab`` used to carry its
+#: own ``zero_bins`` (``[0, K]`` leaked an IndexError, ``[0, -1]`` folded
+#: the sums into the wrong bucket): the field is gone — the server reads
+#: the layout it registered — and a header that lies about ``K`` is the
+#: case that remains of it.
+HOSTILE_SLABS = {
+    "nan-sum": lambda: _compressed([1, 3], np.ones((2, WIDTH)), sum_g=float("nan")),
+    "inf-sum-plain": lambda: SparseSlab(
+        0, M, np.array([1]), np.ones((1, WIDTH)), 0.0, float("inf")
+    ),
+    "unsorted-features": lambda: _compressed([3, 1], np.ones((2, WIDTH))),
+    "features-outside-stripe": lambda: _compressed(
+        [1, 6], np.ones((2, WIDTH)), col_lo=0, col_hi=5
+    ),
+    "header-lies-about-K": lambda: _compressed(
+        [1, 3], np.ones((2, 4 * K)), n_bins=2 * K
+    ),
+    "stripe-past-the-layout": lambda: SparseSlab(
+        4, M + 3, np.array([M + 1]), np.ones((1, WIDTH)), 0.0, 0.0
+    ),
+    "block-straddles-features": lambda: CompressedSlab(
+        0, M, np.array([1, 2, 3]),
+        compress_blocked(np.ones(3 * WIDTH), 3 * K, 8, np.random.default_rng(0)),
+        0.0, 0.0, K,
+    ),
+}
+
+
+class TestHostileSlabHeaders:
+    """A slab the server refuses raises ``PSError`` — never a numpy error —
+    and leaves no row, no token and no byte count behind, whether it
+    arrives alone or behind honest entries of a window."""
+
+    def snapshot(self, server):
+        return (
+            server.stored_rows("hist"),
+            {row: {pid: set(tokens) for pid, tokens in parts.items()}
+             for row, parts in server._applied["hist"].items()},
+            server.bytes_received,
+            [server.handle_pull("hist", row, 0).tobytes() for row in server.stored_rows("hist")],
+        )
+
+    def test_the_zero_bins_field_is_gone(self):
+        assert "zero_bins" not in {f.name for f in dataclasses.fields(CompressedSlab)}
+
+    @pytest.mark.parametrize("case", HOSTILE_SLABS.values(), ids=HOSTILE_SLABS.keys())
+    @pytest.mark.parametrize("windowed", [False, True], ids=["slab", "window"])
+    def test_rejected_before_anything_is_recorded(self, server, case, windowed):
+        honest = _compressed([0, 2], np.full((2, WIDTH), 0.25))
+        server.handle_push_slab("hist", 7, 0, honest, seq=("t", 0))
+        before = self.snapshot(server)
+        with pytest.raises(PSError):
+            if windowed:
+                # Honest entries first: they must not land either.
+                server.handle_push_window(
+                    "hist", 0, [(7, honest), (8, honest), (9, case())], seq=("t", 1, 0)
+                )
+            else:
+                server.handle_push_slab("hist", 9, 0, case(), seq=("t", 1))
+        assert self.snapshot(server) == before
+        # The same token is still fresh: a corrected retry applies.
+        server.handle_push_slab("hist", 9, 0, honest, seq=("t", 1))
+        assert server.stored_rows("hist") == [7, 9] and server.duplicate_pushes == 0
 
 
 class TestGroupSlabPush:

@@ -127,3 +127,59 @@ def test_insert_into_parsed_summary():
     assert parsed.to_bytes() == built.to_bytes() != payload
     assert parsed.count == 54 and parsed.min_value == -10.0
     assert payload == snapshot
+
+
+def _gk_frame(eps=0.1, count=3.0, values=(1.0, 2.0, 3.0), g=(1, 1, 1), delta=(0, 0, 0)):
+    """A GKSketch ``to_bytes`` payload with every field under the caller's hand."""
+    return b"".join(
+        (
+            GKSketch._HEAD.pack(eps, count, len(values)),
+            np.asarray(values, dtype=np.float64),
+            np.asarray(g, dtype=np.int32),
+            np.asarray(delta, dtype=np.int32),
+        )
+    )
+
+
+#: Headers and entries the parser used to believe: NaN / inf counts leaked
+#: ValueError / OverflowError, the rest parsed — ``count=7`` with no entry
+#: became an IndexError inside ``_answer``, mid-fit.
+HOSTILE_FRAMES = {
+    "count-nan": dict(count=float("nan")),
+    "count-inf": dict(count=float("inf")),
+    "count-negative": dict(count=-5.0),
+    "count-fractional": dict(count=2.5, g=(1, 1, 0)),
+    "count-without-entries": dict(count=7.0, values=(), g=(), delta=()),
+    "entries-without-count": dict(count=0.0),
+    "count-is-not-the-gap-sum": dict(count=4.0),
+    "descending-values": dict(values=(1.0, 3.0, 2.0)),
+    "nan-value": dict(values=(1.0, float("nan"), 3.0)),
+    "negative-gap": dict(g=(-3, 5, 1)),
+    "negative-delta": dict(delta=(0, -1, 0)),
+    "eps-nan": dict(eps=float("nan")),
+    "eps-too-wide": dict(eps=0.5),
+}
+
+
+@pytest.mark.parametrize("fields", HOSTILE_FRAMES.values(), ids=HOSTILE_FRAMES.keys())
+def test_hostile_frame_is_a_sketch_error(fields):
+    assert GKSketch.from_bytes(_gk_frame()).count == 3  # the untouched frame parses
+    with pytest.raises(SketchError):
+        GKSketch.from_bytes(_gk_frame(**fields))
+
+
+def test_hostile_weighted_frame_is_a_sketch_error():
+    good = WeightedGKSketch.from_values([1.0, 2.0, 3.0], [0.5, 1.0, 1.5], 0.1)
+    head = WeightedGKSketch._HEAD
+    eps, weight, count, n = head.unpack_from(good.to_bytes())
+    body = good.to_bytes()[head.size :]
+    assert WeightedGKSketch.from_bytes(head.pack(eps, weight, count, n) + body).count == 3
+    for hostile in (
+        head.pack(eps, float("nan"), count, n),
+        head.pack(eps, -1.0, count, n),
+        head.pack(eps, 2.0 * weight, count, n),  # gaps no longer sum to the weight
+        head.pack(eps, weight, -3, n),
+        head.pack(eps, weight, 0, n),
+    ):
+        with pytest.raises(SketchError):
+            WeightedGKSketch.from_bytes(hostile + body)

@@ -18,8 +18,7 @@ from repro.sketch import (
     GKSketch,
     WeightedGKSketch,
     sketch_columns_weighted,
-    sketch_from_wire,
-    sketch_to_wire,
+    SketchBatch,
 )
 
 
@@ -178,13 +177,14 @@ class TestTaggedWire:
         wsk = WeightedGKSketch.from_values(values, weights, eps=0.05)
         gsk = GKSketch.from_values(values, eps=0.05)
         for sk, cls in ((wsk, WeightedGKSketch), (gsk, GKSketch)):
-            back = sketch_from_wire(sketch_to_wire(sk))
+            frame = SketchBatch.from_sketches([sk]).to_frame()
+            (back,) = SketchBatch.from_frame(frame)
             assert isinstance(back, cls)
             assert back.to_bytes() == sk.to_bytes()
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(SketchError):
-            sketch_from_wire(b"\x7f" + b"\x00" * 20)
+            SketchBatch.from_frame(b"\x7f" + b"\x00" * 20)
 
 
 class TestColumnBatch:
