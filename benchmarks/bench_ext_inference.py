@@ -26,8 +26,8 @@ reported:
 
 Claims asserted: every configuration is **bit-identical**
 (``np.array_equal``, not allclose); flat chunked reaches >= 5x the
-cold baseline and >= 1.2x the warm one; with >= 2 usable cores the
-2-process path is at least as fast as serial flat.
+cold baseline and >= 1.2x the warm one; with >= 2 usable cores and at
+full scale the 2-process path is at least as fast as serial flat.
 """
 
 from __future__ import annotations
@@ -172,8 +172,11 @@ def test_flat_inference_throughput(benchmark, report):
         f"expected >= 1.2x flat-vs-warm at scale {scale}, "
         f"got {warm_ratio:.2f}x"
     )
-    if cores >= 2:
-        # With real cores, 2 processes must beat the serial flat path.
+    if cores >= 2 and scale >= 1.0:
+        # With real cores, 2 processes must beat the serial flat path —
+        # at full scale only: the pool costs a few ms a call to dispatch,
+        # which since PR 22 is more than the serial kernel spends on the
+        # whole 1,000-row smoke matrix (5 ms), so there is nothing to win.
         serial = by_label["flat serial"]
         assert by_label["flat 2 proc"][1] <= serial[1], (
             f"expected 2-process <= serial flat on {cores} cores"

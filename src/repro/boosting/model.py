@@ -24,7 +24,7 @@ from ..datasets.sparse import CSRMatrix
 from ..errors import DataError, NotFittedError
 from ..inference.flat import FlatEnsemble
 from .losses import get_loss
-from ..tree.tree import RegressionTree
+from ..tree.tree import RegressionTree, artifact_field
 
 #: The ``"version"`` every model artifact is written with — and the only
 #: one the loaders read.
@@ -46,6 +46,17 @@ def read_artifact(path: str | os.PathLike[str]) -> dict[str, Any]:
             f"{version!r} (this build reads version {ARTIFACT_VERSION})"
         )
     return payload
+
+
+def artifact_header(payload: Any, expected_format: str) -> int:
+    """Check a parsed artifact's ``format`` tag; return its ``n_features``."""
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != expected_format:
+        raise DataError(f"unrecognized model format {found!r}")
+    n_features = artifact_field(payload, "n_features", int, "model")
+    if n_features < 0:
+        raise DataError(f"model.n_features: {n_features} is negative")
+    return n_features
 
 
 class GBDTModel:
@@ -184,14 +195,25 @@ class GBDTModel:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "GBDTModel":
-        """Inverse of :meth:`to_dict`."""
-        if payload.get("format") != "repro-dimboost-gbdt":
-            raise DataError(f"unrecognized model format {payload.get('format')!r}")
+        """Inverse of :meth:`to_dict`, total over hostile input.
+
+        Raises:
+            DataError: Naming the offending field (``base_score``,
+                ``trees[3].nodes[5].weight``, ...) for any payload
+                :meth:`to_dict` could not have written — see
+                :meth:`RegressionTree.from_dict` for the per-tree cases.
+        """
+        n_features = artifact_header(payload, "repro-dimboost-gbdt")
         return cls(
-            trees=[RegressionTree.from_dict(t) for t in payload["trees"]],
-            base_score=float(payload["base_score"]),
-            loss_name=str(payload["loss"]),
-            n_features=int(payload["n_features"]),
+            trees=[
+                RegressionTree.from_dict(tree, n_features, f"model.trees[{t}]")
+                for t, tree in enumerate(
+                    artifact_field(payload, "trees", list, "model")
+                )
+            ],
+            base_score=artifact_field(payload, "base_score", float, "model"),
+            loss_name=artifact_field(payload, "loss", str, "model"),
+            n_features=n_features,
         )
 
     def save(self, path: str | os.PathLike[str]) -> None:

@@ -26,7 +26,7 @@ from ..datasets.sparse import CSRMatrix
 from ..errors import DataError, NotFittedError, TrainingError
 from ..histogram.binned import BinnedShard
 from ..inference.flat import FlatEnsemble
-from .model import ARTIFACT_VERSION, read_artifact
+from .model import ARTIFACT_VERSION, artifact_header, read_artifact
 from ..ps.master import WorkerPhase
 from ..runtime.hooks import CallbackList, HistoryCollector, TrainerCallback
 from ..runtime.loop import BoostingLoop, TreeGrowthStrategy
@@ -34,7 +34,7 @@ from ..runtime.phases import PhaseRunner
 from ..utils.timing import wall_clock
 from ..sketch.candidates import CandidateSet, propose_candidates
 from ..tree.grower import LayerwiseGrower
-from ..tree.tree import RegressionTree
+from ..tree.tree import RegressionTree, artifact_field, artifact_value
 
 
 def softmax(raw: np.ndarray) -> np.ndarray:
@@ -192,16 +192,30 @@ class MulticlassModel:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "MulticlassModel":
-        """Inverse of :meth:`to_dict`."""
-        if payload.get("format") != "repro-dimboost-gbdt-multiclass":
-            raise DataError(f"unrecognized model format {payload.get('format')!r}")
+        """Inverse of :meth:`to_dict`, total over hostile input (the
+        same ``DataError`` contract as :meth:`GBDTModel.from_dict`)."""
+        n_features = artifact_header(payload, "repro-dimboost-gbdt-multiclass")
         return cls(
             tree_groups=[
-                [RegressionTree.from_dict(t) for t in group]
-                for group in payload["rounds"]
+                [
+                    RegressionTree.from_dict(
+                        tree, n_features, f"model.rounds[{r}][{k}]"
+                    )
+                    for k, tree in enumerate(
+                        artifact_value(group, list, f"model.rounds[{r}]")
+                    )
+                ]
+                for r, group in enumerate(
+                    artifact_field(payload, "rounds", list, "model")
+                )
             ],
-            base_scores=np.asarray(payload["base_scores"], dtype=np.float64),
-            n_features=int(payload["n_features"]),
+            base_scores=[
+                artifact_value(score, float, f"model.base_scores[{k}]")
+                for k, score in enumerate(
+                    artifact_field(payload, "base_scores", list, "model")
+                )
+            ],
+            n_features=n_features,
         )
 
     def save(self, path: str | os.PathLike[str]) -> None:

@@ -28,13 +28,12 @@ from .flat import FlatEnsemble
 __all__ = ["ParallelScorer", "SharedScoreContext", "score_span"]
 
 #: Arrays of the compiled ensemble mirrored into shared memory — the
-#: exact set the scoring kernel touches (``leaf_origin`` and raw feature
-#: ids stay behind; workers only score).
+#: exact set ``FlatEnsemble.score_into`` reads (``leaf_origin`` and the
+#: raw feature ids stay behind; workers only score).
 _ENSEMBLE_FIELDS = (
-    "slot_col",
-    "split_value",
-    "weight",
-    "tree_offset",
+    "level_col",
+    "level_thresh",
+    "leaf_weight",
     "col_of_feature",
 )
 
@@ -80,9 +79,11 @@ def _worker_view(
     ensemble.n_features = manifest["n_features"]
     ensemble.max_depth = manifest["max_depth"]
     ensemble.n_used = manifest["n_used"]
+    # A manifest that lacks a field fails here, at attach, not at the
+    # first block; _bind_levels cuts the per-level views the loop reads.
     for name in _ENSEMBLE_FIELDS:
         setattr(ensemble, name, arrays[f"ens_{name}"])
-    ensemble.used_features = np.flatnonzero(ensemble.col_of_feature >= 0)
+    ensemble._bind_levels()
     X = CSRMatrix(
         arrays["mat_indptr"],
         arrays["mat_indices"],

@@ -10,17 +10,140 @@ and prediction agree exactly.
 
 from __future__ import annotations
 
-from typing import Any
+from math import isfinite
+from typing import Any, NoReturn
 
 import numpy as np
 
 from ..datasets.sparse import CSRMatrix
-from ..errors import TrainingError
+from ..errors import DataError, TrainingError
 
 #: Marker in ``split_feature`` for a node that is a leaf.
 LEAF = -1
 #: Marker in ``split_feature`` for a slot not present in the tree.
 UNUSED = -2
+
+#: Deepest tree a model artifact may declare.  A tree allocates its
+#: ``2**max_depth - 1`` heap slots whatever its node count, so the
+#: loaders refuse a file that asks for more than 16 M of them.
+MAX_ARTIFACT_DEPTH = 24
+
+_MAX_FEATURES = int(np.iinfo(np.int32).max)
+
+
+def artifact_field(payload: Any, key: str, kind: type, where: str) -> Any:
+    """``payload[key]`` of a parsed model artifact, or :class:`DataError`.
+
+    The one validator every artifact loader (tree, binary model,
+    multiclass model) reads its fields through, so a hostile file is
+    refused with the name of the offending field instead of whatever
+    ``KeyError`` / ``TypeError`` / ``ValueError`` indexing it would
+    raise.  ``kind`` as for :func:`artifact_value`.
+    """
+    if not isinstance(payload, dict):
+        raise DataError(
+            f"{where}: expected an object, got {type(payload).__name__}"
+        )
+    if key not in payload:
+        raise DataError(f"{where}.{key}: missing")
+    return artifact_value(payload[key], kind, f"{where}.{key}")
+
+
+def artifact_value(value: Any, kind: type, at: str) -> Any:
+    """``value`` if it is a ``kind``, else :class:`DataError` naming ``at``.
+
+    ``kind`` is ``dict``, ``list``, ``str``, ``int`` (a JSON integer;
+    ``true`` is not one) or ``float`` (any finite JSON number, returned
+    as a float).
+    """
+    if kind is float:
+        if type(value) not in (int, float):
+            raise DataError(
+                f"{at}: expected a number, got {type(value).__name__}"
+            )
+        try:
+            finite = isfinite(value)
+        except OverflowError:  # an integer beyond float range
+            finite = False
+        if not finite:
+            raise DataError(f"{at}: expected a finite number, got {value!r}")
+        return float(value)
+    if type(value) is not kind:
+        raise DataError(
+            f"{at}: expected {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+#: Per-node fields of a serialized tree: (key, kind, required).
+_SPLIT_FIELDS = (
+    ("id", int, True),
+    ("feature", int, True),
+    ("value", float, True),
+    ("gain", float, False),
+    ("cover", float, False),
+)
+_LEAF_FIELDS = (("id", int, True), ("weight", float, True), ("cover", float, False))
+
+
+def _is_table(table: np.ndarray, shape: tuple[int, ...], kinds: str) -> bool:
+    """Whether ``np.array`` made the numeric table it was meant to: one
+    row per field, of a dtype kind in ``kinds`` (numpy types an empty
+    table float, so an empty one passes)."""
+    return table.shape == shape and (
+        table.size == 0 or table.dtype.kind in kinds
+    )
+
+
+def _refuse(nodes: list, max_nodes: int, n_features: int, where: str) -> NoReturn:
+    """Raise the :class:`DataError` for a tree ``from_dict`` found unsound.
+
+    The loader validates a tree's nodes in bulk and only learns *that*
+    something is wrong; this walks them one by one and names the first
+    offence by its place in the file.
+    """
+    is_split: dict[int, bool] = {}
+    for i, entry in enumerate(nodes):
+        at = f"{where}.nodes[{i}]"
+        if not isinstance(entry, dict):
+            raise DataError(
+                f"{at}: expected an object, got {type(entry).__name__}"
+            )
+        split = "feature" in entry
+        for key, kind, required in _SPLIT_FIELDS if split else _LEAF_FIELDS:
+            if required or key in entry:
+                artifact_field(entry, key, kind, at)
+        node = entry["id"]
+        if not 0 <= node < max_nodes:
+            raise DataError(f"{at}.id: {node} outside [0, {max_nodes})")
+        if node in is_split:
+            raise DataError(f"{at}.id: node {node} appears twice")
+        if split and 2 * node + 2 >= max_nodes:
+            raise DataError(
+                f"{at}.feature: node {node} is on the bottom level and "
+                f"cannot split"
+            )
+        if split and not 0 <= entry["feature"] < n_features:
+            raise DataError(
+                f"{at}.feature: {entry['feature']} outside [0, {n_features})"
+            )
+        is_split[node] = split
+    if 0 not in is_split:
+        raise DataError(f"{where}.nodes: no root (no node with id 0)")
+    for node, split in is_split.items():
+        parent = (node - 1) >> 1
+        if node and not is_split.get(parent, False):
+            raise DataError(
+                f"{where}.nodes: node {node} has no internal parent "
+                f"(node {parent} is absent or a leaf)"
+            )
+        if split and not (
+            2 * node + 1 in is_split and 2 * node + 2 in is_split
+        ):
+            raise DataError(
+                f"{where}.nodes: internal node {node} lacks a child"
+            )
+    raise DataError(f"{where}.nodes: malformed tree")
 
 
 class RegressionTree:
@@ -211,25 +334,102 @@ class RegressionTree:
         return {"max_depth": self.max_depth, "nodes": nodes}
 
     @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "RegressionTree":
-        """Inverse of :meth:`to_dict`."""
-        tree = cls(int(payload["max_depth"]))
-        for entry in payload["nodes"]:
-            node = int(entry["id"])
-            if "feature" in entry:
-                tree.set_split(
-                    node,
-                    int(entry["feature"]),
-                    float(entry["value"]),
-                    gain=float(entry.get("gain", 0.0)),
-                    cover=float(entry.get("cover", 0.0)),
+    def from_dict(
+        cls,
+        payload: dict[str, Any],
+        n_features: int | None = None,
+        where: str = "tree",
+    ) -> "RegressionTree":
+        """Inverse of :meth:`to_dict`, total over hostile input.
+
+        Every malformed payload — wrong container types, missing keys,
+        non-integral / out-of-range / repeated ids, a ``feature``
+        outside ``[0, n_features)`` (when given), a non-finite number, a
+        split on the bottom level, a node without an internal parent, an
+        internal node without both children, no root, ``max_depth``
+        outside ``[1, MAX_ARTIFACT_DEPTH]`` — raises :class:`DataError`
+        naming the field as ``where.nodes[i].key``, and does so before
+        the tree's ``2**max_depth - 1`` slots are allocated.  (A JSON
+        ``true`` / ``false`` among a tree's numbers reads as 1 / 0, the
+        way numpy reads it.)
+        """
+        max_depth = artifact_field(payload, "max_depth", int, where)
+        if not 1 <= max_depth <= MAX_ARTIFACT_DEPTH:
+            raise DataError(
+                f"{where}.max_depth: {max_depth} outside "
+                f"[1, {MAX_ARTIFACT_DEPTH}]"
+            )
+        nodes = artifact_field(payload, "nodes", list, where)
+        max_nodes = (1 << max_depth) - 1
+        # ``split_feature`` is int32 whatever width the caller names.
+        n_features = (
+            _MAX_FEATURES
+            if n_features is None
+            else min(n_features, _MAX_FEATURES)
+        )
+        # Bulk pass: one column per field, checked whole.  It only finds
+        # out whether the tree is sound; _refuse names what is not.
+        try:
+            splits = [entry for entry in nodes if "feature" in entry]
+            leaves = [entry for entry in nodes if "feature" not in entry]
+            split_id = [entry["id"] for entry in splits]
+            leaf_id = [entry["id"] for entry in leaves]
+            ids = split_id + leaf_id
+            # Rows: split id, feature | value, gain, cover | weight, cover.
+            split_ints = np.array(
+                [split_id, [entry["feature"] for entry in splits]]
+            )
+            split_floats = np.array(
+                [
+                    [entry["value"] for entry in splits],
+                    [entry.get("gain", 0.0) for entry in splits],
+                    [entry.get("cover", 0.0) for entry in splits],
+                ]
+            )
+            leaf_ints = np.array(leaf_id)
+            leaf_floats = np.array(
+                [
+                    [entry["weight"] for entry in leaves],
+                    [entry.get("cover", 0.0) for entry in leaves],
+                ]
+            )
+            sound = (
+                _is_table(split_ints, (2, len(splits)), "iu")
+                and _is_table(leaf_ints, (len(leaves),), "iu")
+                and _is_table(split_floats, (3, len(splits)), "fiu")
+                and _is_table(leaf_floats, (2, len(leaves)), "fiu")
+                and bool(np.isfinite(split_floats).all())
+                and bool(np.isfinite(leaf_floats).all())
+                and min(ids) == 0
+                and max(ids) < max_nodes
+                and len(set(ids)) == len(ids)
+                and (
+                    not splits
+                    or (
+                        max(split_id) < max_nodes // 2
+                        and 0 <= split_ints[1].min()
+                        and split_ints[1].max() < n_features
+                    )
                 )
-            else:
-                tree.set_leaf(
-                    node,
-                    float(entry["weight"]),
-                    cover=float(entry.get("cover", 0.0)),
-                )
+                # Every other node hangs off a split, and with unique ids
+                # the count says every split has both children.
+                and {(node - 1) >> 1 for node in ids if node} <= set(split_id)
+                and len(ids) - 1 == 2 * len(splits)
+            )
+        except (TypeError, KeyError, AttributeError, ValueError, OverflowError):
+            sound = False
+        if not sound:
+            _refuse(nodes, max_nodes, n_features, where)
+        tree = cls(max_depth)
+        if splits:
+            split_at = split_ints[0]
+            tree.split_feature[split_at] = split_ints[1]
+            tree.split_value[split_at] = split_floats[0]
+            tree.gain[split_at] = split_floats[1]
+            tree.cover[split_at] = split_floats[2]
+        tree.split_feature[leaf_ints] = LEAF
+        tree.weight[leaf_ints] = leaf_floats[0]
+        tree.cover[leaf_ints] = leaf_floats[1]
         return tree
 
     def to_text(self) -> str:

@@ -11,7 +11,8 @@ from repro.datasets import Dataset
 from repro.datasets.sparse import CSRMatrix
 from repro.errors import DataError, TrainingError
 from repro.inference import FlatEnsemble
-from repro.tree.tree import LEAF, RegressionTree
+from repro.inference.flat import round_up_float32
+from repro.tree.tree import LEAF, UNUSED, RegressionTree
 
 from .conftest import random_matrix, random_model, random_tree
 
@@ -21,37 +22,41 @@ class TestCompile:
         trees = [random_tree(rng, 12, 4) for _ in range(5)]
         flat = FlatEnsemble(trees, n_features=12)
         assert flat.n_trees == 5
-        assert flat.slab == (1 << flat.max_depth) - 1
+        depth = flat.max_depth
+        bottom = depth - 1
+        assert len(flat.level_col) == len(flat.level_thresh)
+        assert len(flat.level_col) == 5 * ((1 << bottom) - 1)
+        assert len(flat.leaf_weight) == len(flat.leaf_origin) == 5 << bottom
         for t, tree in enumerate(trees):
-            assert flat.tree_offset[t] == t * flat.slab
-            lo = t * flat.slab
-            feat = flat.split_feature[lo : lo + tree.max_nodes]
-            # Real internal slots are copied verbatim; leaf slots keep
-            # their marker and weight (padding only adds +inf pseudo-
-            # splits and weight-carrying descendants below them).
-            internal = tree.split_feature >= 0
-            np.testing.assert_array_equal(
-                feat[internal], tree.split_feature[internal]
-            )
-            np.testing.assert_array_equal(
-                flat.split_value[lo : lo + tree.max_nodes][internal],
-                tree.split_value[internal],
-            )
-            leaves = tree.split_feature == LEAF
-            np.testing.assert_array_equal(feat[leaves], tree.split_feature[leaves])
-            np.testing.assert_array_equal(
-                flat.weight[lo : lo + tree.max_nodes][leaves],
-                tree.weight[leaves],
-            )
-            # Padded pseudo-splits route everything left.
-            padded = leaves & (
-                np.arange(tree.max_nodes) < (1 << (flat.max_depth - 1)) - 1
-            )
-            assert np.all(
-                np.isposinf(
-                    flat.split_value[lo : lo + tree.max_nodes][padded]
+            for slot in range(tree.max_nodes):
+                state = tree.split_feature[slot]
+                if state == UNUSED:
+                    continue
+                # Level d is a tree-major table starting after levels
+                # 0..d-1; within the tree it is the heap level reversed,
+                # so heap children 2h+1 / 2h+2 sit at 2k+1 / 2k.
+                d = (slot + 1).bit_length() - 1
+                in_level = slot - ((1 << d) - 1)
+                k = (t << d) + ((1 << d) - 1 - in_level)
+                at = 5 * ((1 << d) - 1) + k
+                if state >= 0:
+                    # Real splits: compact column and rounded-up threshold.
+                    assert flat.level_col[at] == flat.col_of_feature[state]
+                    assert flat.level_thresh[at] == round_up_float32(
+                        tree.split_value[slot]
+                    )
+                    continue
+                if d < bottom:
+                    # Padded pseudo-splits route everything left.
+                    assert np.isposinf(flat.level_thresh[at])
+                    assert flat.level_col[at] == 0
+                # Every bottom position under a leaf carries its weight
+                # and names it as the origin.
+                under = slice(k << (bottom - d), (k + 1) << (bottom - d))
+                np.testing.assert_array_equal(
+                    flat.leaf_weight[under], tree.weight[slot]
                 )
-            )
+                np.testing.assert_array_equal(flat.leaf_origin[under], slot)
 
     def test_used_features_compact_map(self, rng):
         tree = RegressionTree(max_depth=3)
@@ -62,7 +67,8 @@ class TestCompile:
         np.testing.assert_array_equal(flat.used_features, [7])
         assert flat.n_used == 1
         assert flat.col_of_feature[7] == 0
-        assert (np.delete(flat.col_of_feature, 7) == -1).all()
+        # Every feature no split tests maps to the dump column, n_used.
+        assert (np.delete(flat.col_of_feature, 7) == flat.n_used).all()
 
     def test_rootless_tree_rejected(self):
         with pytest.raises(TrainingError, match="no root"):
