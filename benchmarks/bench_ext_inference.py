@@ -22,12 +22,25 @@ reported:
 * ``per-tree warm`` — the per-tree loop with the memoized CSC, i.e.
   this PR's own improved reference oracle.
 * ``flat serial`` / ``flat chunked`` / ``flat N proc`` — the compiled
-  engine, whole-matrix vs cache-blocked vs process-parallel.
+  engine, whole-matrix vs cache-blocked vs a *warm* process pool (one
+  ``ParallelScorer`` kept open, the matrix already in shared memory).
+* ``flat 2 proc one-shot`` — ``predict_raw(X, n_processes=2)``, which
+  starts a pool, shares the matrix and tears both down inside the call,
+  the way ``repro predict --n-processes 2`` pays for it.
+
+Every row is timed over ``REPEATS`` calls and reports the median *and*
+the best: the pooled rows are bimodal on a small box (the same call
+reads either of two values, run to run), so a best-of-N alone says
+which mode was hit once, not what a caller gets.
 
 Claims asserted: every configuration is **bit-identical**
 (``np.array_equal``, not allclose); flat chunked reaches >= 5x the
 cold baseline and >= 1.2x the warm one; with >= 2 usable cores and at
-full scale the 2-process path is at least as fast as serial flat.
+full scale the warm 2-process median is at most the flat serial median.
+(Against the serial *chunked* median the warm pool wins most runs on a
+2-core box but not every one — a pool instance whose workers share a
+core stays slow for all its calls — so that comparison is reported in
+``docs/inference.md``, not asserted.)
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from conftest import bench_scale
 
 N_TREES = 100
 MAX_DEPTH = 7
+REPEATS = 7
 
 
 def usable_cores() -> int:
@@ -89,15 +103,14 @@ def test_flat_inference_throughput(benchmark, report):
         n_features=X.n_cols,
     )
     flat: FlatEnsemble = model.compiled()
-    repeats = 3
 
-    def best_of(fn, reps=repeats) -> tuple[float, np.ndarray]:
-        best, out = np.inf, None
-        for _ in range(reps):
+    def timed(fn) -> tuple[list[float], np.ndarray]:
+        seconds, out = [], None
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             out = fn()
-            best = min(best, time.perf_counter() - t0)
-        return best, out
+            seconds.append(time.perf_counter() - t0)
+        return seconds, out
 
     def per_tree_cold() -> np.ndarray:
         # The seed had no CSC memo: every tree's leaf_of re-converted
@@ -111,59 +124,82 @@ def test_flat_inference_throughput(benchmark, report):
         return raw
 
     def run():
-        cold_seconds, reference = best_of(per_tree_cold, reps=1)
+        cold_seconds, reference = timed(per_tree_cold)
+        cold = float(np.median(cold_seconds))
 
         def row(label, seconds, out):
+            median = float(np.median(seconds))
             return [
                 label,
-                seconds,
-                X.n_rows / seconds,
-                cold_seconds / seconds,
+                median,
+                min(seconds),
+                X.n_rows / median,
+                cold / median,
                 np.array_equal(out, reference),
             ]
 
         rows = [row("per-tree cold", cold_seconds, reference)]
-        seconds, out = best_of(lambda: model.predict_raw_per_tree(X))
-        rows.append(row("per-tree warm", seconds, out))
-        seconds, out = best_of(
-            lambda: model.predict_raw(X, batch_rows=max(1, X.n_rows))
+        rows.append(
+            row("per-tree warm", *timed(lambda: model.predict_raw_per_tree(X)))
         )
-        rows.append(row("flat serial", seconds, out))
-        seconds, out = best_of(lambda: model.predict_raw(X))
-        rows.append(row("flat chunked", seconds, out))
-        for n_processes in (2, 4):
-            with warnings.catch_warnings():
-                # Single-core CI: pool fallback warns; parity still holds.
-                warnings.simplefilter("ignore", RuntimeWarning)
+        rows.append(
+            row(
+                "flat serial",
+                *timed(lambda: model.predict_raw(X, batch_rows=max(1, X.n_rows))),
+            )
+        )
+        rows.append(row("flat chunked", *timed(lambda: model.predict_raw(X))))
+        with warnings.catch_warnings():
+            # Single-core CI: pool fallback warns; parity still holds.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for n_processes in (2, 4):
                 with ParallelScorer(flat, n_processes=n_processes) as scorer:
                     scorer.predict_raw(X, base_score=model.base_score)  # warm
-                    seconds, out = best_of(
-                        lambda: scorer.predict_raw(
-                            X, base_score=model.base_score
+                    rows.append(
+                        row(
+                            f"flat {n_processes} proc",
+                            *timed(
+                                lambda: scorer.predict_raw(
+                                    X, base_score=model.base_score
+                                )
+                            ),
                         )
                     )
-            rows.append(row(f"flat {n_processes} proc", seconds, out))
+            rows.append(
+                row(
+                    "flat 2 proc one-shot",
+                    *timed(lambda: model.predict_raw(X, n_processes=2)),
+                )
+            )
         return rows
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
     cores = usable_cores()
     report.add_table(
         "Extension: compiled flat-ensemble inference",
-        ["path", "best wall s", "rows/s", "speedup vs cold", "bit-identical"],
+        [
+            "path",
+            "median wall s",
+            "best wall s",
+            "rows/s",
+            "speedup vs cold",
+            "bit-identical",
+        ],
         table,
         notes=(
             f"{X.n_rows} rows x {X.n_cols} features, T={N_TREES} "
             f"depth-{MAX_DEPTH} random full trees; {cores} usable cores; "
-            f"best of {repeats} (cold baseline timed once); scale {scale}"
+            f"{REPEATS} calls a row, rows/s and speedup from the median; "
+            f"scale {scale}"
         ),
     )
     # Bit-identity holds on every configuration, on any machine.
-    assert all(r[4] for r in table), [r[0] for r in table if not r[4]]
+    assert all(r[5] for r in table), [r[0] for r in table if not r[5]]
     by_label = {r[0]: r for r in table}
     chunked = by_label["flat chunked"]
     # >= 5x over the path this PR replaced (per-tree, CSC per tree).
-    assert chunked[3] >= 5.0, (
-        f"expected >= 5x flat-vs-cold at scale {scale}, got {chunked[3]:.2f}x"
+    assert chunked[4] >= 5.0, (
+        f"expected >= 5x flat-vs-cold at scale {scale}, got {chunked[4]:.2f}x"
     )
     # And still faster than this PR's own memoized per-tree oracle.
     warm = by_label["per-tree warm"]
@@ -173,11 +209,13 @@ def test_flat_inference_throughput(benchmark, report):
         f"got {warm_ratio:.2f}x"
     )
     if cores >= 2 and scale >= 1.0:
-        # With real cores, 2 processes must beat the serial flat path —
-        # at full scale only: the pool costs a few ms a call to dispatch,
-        # which since PR 22 is more than the serial kernel spends on the
-        # whole 1,000-row smoke matrix (5 ms), so there is nothing to win.
+        # With real cores a warm 2-process pool must beat the serial flat
+        # path on the median — at full scale only: the pool costs a few ms
+        # a call to dispatch, which since PR 22 is more than the serial
+        # kernel spends on the whole 1,000-row smoke matrix (5 ms), so
+        # there is nothing to win.
         serial = by_label["flat serial"]
         assert by_label["flat 2 proc"][1] <= serial[1], (
-            f"expected 2-process <= serial flat on {cores} cores"
+            f"expected warm 2-process median <= serial flat median "
+            f"on {cores} cores"
         )

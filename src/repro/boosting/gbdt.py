@@ -259,14 +259,7 @@ class GBDT:
             runner=runner,
             fit_started_at=start,
         )
-        try:
-            grown_units = BoostingLoop(strategy, config, callbacks=hooks).run()
-        finally:
-            # The grower resolved its own build strategy above, so this
-            # fit releases its resources (process pools, shared memory).
-            build_strategy = getattr(grower, "build_strategy", None)
-            if build_strategy is not None:
-                build_strategy.close()
+        grown_units = BoostingLoop(strategy, config, callbacks=hooks).run()
 
         model = GBDTModel(
             trees=[grown.tree for grown in grown_units],

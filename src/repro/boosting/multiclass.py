@@ -350,12 +350,9 @@ class MulticlassGBDT:
         )
         # The multiclass trainer historically draws feature masks from its
         # own RNG stream, kept for model reproducibility.
-        try:
-            groups = BoostingLoop(
-                strategy, config, callbacks=hooks, rng_stream="feature_sampling_mc"
-            ).run()
-        finally:
-            grower.build_strategy.close()
+        groups = BoostingLoop(
+            strategy, config, callbacks=hooks, rng_stream="feature_sampling_mc"
+        ).run()
 
         tree_groups: list[list[RegressionTree]] = [
             [grown.tree for grown in group] for group in groups

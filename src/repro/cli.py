@@ -105,18 +105,6 @@ def _add_train_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--reg-lambda", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--parallel-backend",
-        choices=("simulated", "threads", "process"),
-        default="simulated",
-        help="how histogram builds execute (process = real multicore)",
-    )
-    parser.add_argument(
-        "--n-processes",
-        type=int,
-        default=1,
-        help="worker processes for --parallel-backend process",
-    )
 
 
 def _config_from_args(args: argparse.Namespace, bits: int = 0) -> TrainConfig:
@@ -130,8 +118,6 @@ def _config_from_args(args: argparse.Namespace, bits: int = 0) -> TrainConfig:
         reg_lambda=args.reg_lambda,
         compression_bits=bits,
         compression_block=getattr(args, "compression_block", 0),
-        parallel_backend=args.parallel_backend,
-        n_processes=args.n_processes,
         seed=args.seed,
         max_retries=getattr(args, "max_retries", 3),
         checkpoint_every=getattr(args, "checkpoint_every", 1),
@@ -298,13 +284,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_batch_rows=args.max_batch_rows,
         queue_limit=args.queue_limit,
         deadline_ms=args.deadline_ms,
-        n_processes=args.n_processes,
-        batch_rows=args.batch_rows,
     )
-    store = ModelStore(
-        n_processes=serving_config.n_processes,
-        batch_rows=serving_config.batch_rows,
-    )
+    store = ModelStore()
     version = store.load(args.model)
     print(
         f"loaded {args.model}: version {version.version}, "
@@ -495,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline; expired requests are shed "
         "at dequeue instead of scored late",
     )
-    _add_inference_options(serve)
     serve.set_defaults(func=cmd_serve)
 
     lint = sub.add_parser(

@@ -22,9 +22,6 @@ from .errors import ConfigError
 #: Loss names accepted by :class:`TrainConfig`.
 SUPPORTED_LOSSES = ("logistic", "squared")
 
-#: Histogram-build execution backends accepted by :class:`TrainConfig`.
-PARALLEL_BACKENDS = ("simulated", "threads", "process")
-
 #: Legal fixed-point widths of the histogram codec (0 = codec off), for
 #: ``TrainConfig.compression_bits`` and the backend option of that name.
 COMPRESSION_BITS = (0, 2, 4, 8, 16)
@@ -68,16 +65,13 @@ class TrainConfig:
             per-feature histogram width ``2 * n_split_candidates`` when
             set (checked against the run's backend at trainer
             construction); smaller blocks trade scale overhead for SNR.
-        batch_size: Instance batch size ``b`` for parallel histogram
-            construction.
-        n_threads: Simulated per-worker thread count ``q`` used for the
-            parallel-span accounting of batch construction.
-        n_processes: Worker processes for the ``"process"`` parallel
-            backend; 1 keeps histogram builds in the driving process.
-        parallel_backend: How batch histogram construction executes —
-            ``"simulated"`` (serial kernels, span accounting),
-            ``"threads"`` (real thread pool, GIL-capped), or
-            ``"process"`` (shared-memory process pool on real cores).
+        batch_size: Instance batch size ``b`` of Section 5.2's parallel
+            batch construction.  Feeds the span account of the
+            single-machine ``TreeGrower(batched=True)``; ``DistributedGBDT``
+            does not read it.
+        n_threads: Simulated per-worker thread count ``q`` of the same
+            span account (``TreeGrower(batched=True)`` only; not read by
+            ``DistributedGBDT``).
         sketch_eps: Rank-error bound of the Greenwald-Khanna sketch.
         seed: Seed for all stochastic choices (feature sampling, stochastic
             rounding, synthetic splits of data).
@@ -115,8 +109,6 @@ class TrainConfig:
     compression_block: int = 0
     batch_size: int = 10_000
     n_threads: int = 20
-    n_processes: int = 1
-    parallel_backend: str = "simulated"
     sketch_eps: float = 0.01
     seed: int = 0
     max_retries: int = 3
@@ -164,15 +156,6 @@ class TrainConfig:
         )
         _require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
         _require(self.n_threads >= 1, f"n_threads must be >= 1, got {self.n_threads}")
-        _require(
-            self.n_processes >= 1,
-            f"n_processes must be >= 1, got {self.n_processes}",
-        )
-        _require(
-            self.parallel_backend in PARALLEL_BACKENDS,
-            f"parallel_backend must be one of {PARALLEL_BACKENDS}, "
-            f"got {self.parallel_backend!r}",
-        )
         _require(
             0.0 < self.sketch_eps < 0.5,
             f"sketch_eps must be in (0, 0.5), got {self.sketch_eps}",

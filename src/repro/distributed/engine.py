@@ -499,9 +499,6 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
             )
             timer.add(wid, seconds)
             flats.append(histogram.to_flat_feature_major())
-            # The flat copy is what goes on the wire; the histogram's
-            # buffers can be recycled for the next node.
-            self.build_strategy.release(histogram)
         return flats
 
     def _build_node_slabs(
@@ -556,7 +553,6 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                     sum_g,
                     sum_h,
                 )
-                self.build_strategy.release(histogram)
                 slabs.append((wid, slab))
         return slabs
 
@@ -584,8 +580,7 @@ class DistributedGBDT:
         build_strategy: Explicit histogram build strategy (e.g.
             ``SparseBuildStrategy()`` to give a baseline DimBoost's
             kernel).  Default: the backend's declared build mode (the
-            paper's baselines scan densely; DimBoost uses Algorithm 2),
-            executed as ``config.parallel_backend`` says.
+            paper's baselines scan densely; DimBoost uses Algorithm 2).
         callbacks: Trainer hooks observing every fit (see
             :mod:`repro.runtime.hooks`).
         fault_plan: Optional :class:`~repro.chaos.FaultPlan`; when given,
@@ -700,14 +695,7 @@ class DistributedGBDT:
                 records=run.rounds,
             )
         loop = BoostingLoop(strategy, self.config, run.hooks, recovery=recovery)
-        try:
-            return loop.run()
-        finally:
-            # Resources (process pools, shared memory) of a strategy this
-            # fit resolved are this fit's to release; an injected strategy
-            # stays open for its owner.
-            if self.plan.build_strategy is None:
-                strategy.build_strategy.close()
+        return loop.run()
 
     def _finish(
         self, run: _FitRun, strategy: _ShardedGrowthStrategy, trees: list

@@ -21,7 +21,6 @@ from ..chaos import MESSAGE_POINTS, FaultPlan
 from ..cluster.costmodel import CostParams
 from ..config import COMPRESSION_BITS, ClusterConfig, TrainConfig
 from ..errors import ConfigError
-from ..histogram.buffers import HistogramBufferPool
 from ..runtime.build import HistogramBuildStrategy, resolve_build_strategy
 from ..sketch.candidates import CandidateSet
 from .backends import (
@@ -181,16 +180,12 @@ class RunPlan:
         return self.backend_cls(self.cluster, self.config, candidates, **kwargs)
 
     def make_build_strategy(self) -> HistogramBuildStrategy:
-        """The histogram build strategy for one fit, in two steps: the
-        caller's explicit instance (theirs to close), else the backend's
-        ``build_mode`` executed as ``config.parallel_backend`` says (the
-        fit's to close)."""
+        """The histogram build strategy for one fit: the caller's
+        explicit instance, else the backend's ``build_mode``."""
         if self.build_strategy is not None:
             return self.build_strategy
         return resolve_build_strategy(
-            self.config,
-            sparse=self.backend_cls.build_mode == "sparse",
-            pool=HistogramBufferPool(),
+            self.config, sparse=self.backend_cls.build_mode == "sparse"
         )
 
 

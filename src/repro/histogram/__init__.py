@@ -12,30 +12,21 @@ Contents:
 * :class:`NodeInstanceIndex` — the node-to-instance index of Section 5.2
   (Figure 9).
 * parallel batch construction of a single histogram (Section 5.2) with
-  real threads plus the simulated-parallel span account.
-* :class:`SharedShard` — the shard plus per-round gradients in
-  shared memory, so worker *processes* build batches on real cores
-  without pickling the data.
-* :class:`HistogramBufferPool` — recycled histogram buffers for the hot
-  build-flatten-discard paths.
+  the simulated-parallel span account.
 """
 
 from .histogram import GradientHistogram
 from .binned import BinnedShard
-from .buffers import HistogramBufferPool
 from .builder import build_node_histogram_dense, build_node_histogram_sparse
 from .index import NodeInstanceIndex
 from .parallel import ParallelBuildResult, build_histogram_batched
-from .shared import SharedShard
 
 __all__ = [
     "GradientHistogram",
     "BinnedShard",
-    "HistogramBufferPool",
     "build_node_histogram_dense",
     "build_node_histogram_sparse",
     "NodeInstanceIndex",
     "ParallelBuildResult",
     "build_histogram_batched",
-    "SharedShard",
 ]

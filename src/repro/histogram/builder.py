@@ -12,12 +12,6 @@ Two builders with identical outputs but different complexity:
 Both operate on a :class:`BinnedShard` so bucket lookups are precomputed;
 the asymptotic gap the paper reports (52272 s -> 33 s for the Gender root
 node, Table 3) comes purely from the number of buckets touched.
-
-Both builders accept an optional ``out`` histogram so callers that
-recycle buffers (the :class:`~repro.histogram.buffers.HistogramBufferPool`
-and the shared-memory worker slabs of :mod:`~repro.histogram.shared`) can
-receive the result in preallocated memory instead of two fresh
-``M * n_bins`` float64 arrays per node.
 """
 
 from __future__ import annotations
@@ -37,20 +31,11 @@ def _check_inputs(shard: BinnedShard, grad: np.ndarray, hess: np.ndarray) -> Non
         )
 
 
-def _check_out(shard: BinnedShard, out: GradientHistogram | None) -> None:
-    if out is not None and out.grad.shape != (shard.n_features, shard.n_bins):
-        raise DataError(
-            f"out histogram has shape {out.grad.shape}, expected "
-            f"({shard.n_features}, {shard.n_bins})"
-        )
-
-
 def build_node_histogram_sparse(
     shard: BinnedShard,
     rows: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
-    out: GradientHistogram | None = None,
 ) -> GradientHistogram:
     """Sparsity-aware histogram build (Algorithm 2), vectorized.
 
@@ -59,14 +44,11 @@ def build_node_histogram_sparse(
         rows: Shard-local row ids of the instances in the tree node.
         grad: First-order gradients, one per shard row.
         hess: Second-order gradients, one per shard row.
-        out: Optional preallocated histogram the result is written into
-            (its prior contents are discarded).
 
     Returns:
-        The node's gradient histogram (``out`` when it was given).
+        The node's gradient histogram.
     """
     _check_inputs(shard, grad, hess)
-    _check_out(shard, out)
     rows = np.asarray(rows, dtype=np.int64)
     size = shard.n_features * shard.n_bins
     far = shard.feature_arange
@@ -79,14 +61,10 @@ def build_node_histogram_sparse(
     positions = shard.positions_of_rows(rows)
     if len(positions) == 0:
         # No nonzeros in this node: only the zero buckets receive mass.
-        if out is None:
-            out = GradientHistogram.zeros(shard.n_features, shard.n_bins)
-        else:
-            out.grad[:] = 0.0
-            out.hess[:] = 0.0
-        out.grad[far, zero_bins] += sum_g
-        out.hess[far, zero_bins] += sum_h
-        return out
+        empty = GradientHistogram.zeros(shard.n_features, shard.n_bins)
+        empty.grad[far, zero_bins] += sum_g
+        empty.hess[far, zero_bins] += sum_h
+        return empty
 
     # Lines 4-10: scatter each nonzero's gradient into its bucket and
     # subtract it from the feature's zero bucket.  The scatter is one
@@ -113,11 +91,7 @@ def build_node_histogram_sparse(
     hist_h[far, zero_bins] -= zsub_h
     hist_g[far, zero_bins] += sum_g
     hist_h[far, zero_bins] += sum_h
-    if out is None:
-        return GradientHistogram(hist_g, hist_h)
-    np.copyto(out.grad, hist_g)
-    np.copyto(out.hess, hist_h)
-    return out
+    return GradientHistogram(hist_g, hist_h)
 
 
 def build_node_histogram_dense(
@@ -126,7 +100,6 @@ def build_node_histogram_dense(
     grad: np.ndarray,
     hess: np.ndarray,
     chunk_rows: int = 512,
-    out: GradientHistogram | None = None,
 ) -> GradientHistogram:
     """Traditional dense histogram build: touch all M features per instance.
 
@@ -140,17 +113,10 @@ def build_node_histogram_dense(
     summation order) to :func:`build_node_histogram_sparse`.
     """
     _check_inputs(shard, grad, hess)
-    _check_out(shard, out)
     rows = np.asarray(rows, dtype=np.int64)
     size = shard.n_features * shard.n_bins
-    if out is None:
-        hist_g = np.zeros(size, dtype=np.float64)
-        hist_h = np.zeros(size, dtype=np.float64)
-    else:
-        hist_g = out.grad.reshape(size)
-        hist_h = out.hess.reshape(size)
-        hist_g[:] = 0.0
-        hist_h[:] = 0.0
+    hist_g = np.zeros(size, dtype=np.float64)
+    hist_h = np.zeros(size, dtype=np.float64)
 
     for lo in range(0, len(rows), chunk_rows):
         chunk = rows[lo : lo + chunk_rows]
@@ -168,8 +134,6 @@ def build_node_histogram_dense(
         hist_g += np.bincount(flat, weights=g_chunk, minlength=size)
         hist_h += np.bincount(flat, weights=h_chunk, minlength=size)
 
-    if out is not None:
-        return out
     return GradientHistogram(
         hist_g.reshape(shard.n_features, shard.n_bins),
         hist_h.reshape(shard.n_features, shard.n_bins),

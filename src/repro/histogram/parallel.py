@@ -5,10 +5,10 @@ so node-level parallelism leaves cores idle.  The paper divides a node's
 instance range into batches of size ``b``, builds a sub-histogram per
 batch on its own thread, and sums the sub-histograms.
 
-Python's GIL caps the real speedup of thread-level numpy work, so this
-module reports two numbers:
+The batches run one after another in this process, so this module
+reports two numbers:
 
-* the real wall-clock of the (optionally threaded) build, and
+* the real wall-clock of the serial build, and
 * the *span* — the simulated parallel makespan with ``n_threads``
   workers, computed from the measured per-batch times by greedy (LPT-
   free, arrival-order) scheduling.  The simulated cluster charges the
@@ -18,7 +18,6 @@ module reports two numbers:
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,14 +43,9 @@ class ParallelBuildResult:
         histogram: The summed histogram (identical to a sequential build).
         n_batches: Number of batches the range was divided into.
         batch_seconds: Measured build time of each batch, indexed by
-            batch (batch ``i``'s time is ``batch_seconds[i]`` no matter
-            which worker ran it or when it finished).
+            batch.
         span_seconds: Simulated makespan on ``n_threads`` threads.
         wall_seconds: Real elapsed wall-clock of the whole build.
-        serial_seconds: Sum of the per-batch times — what one core would
-            have spent on the same batches.
-        backend: How the batches actually ran: ``"simulated"`` (serial
-            loop, span-only accounting), ``"threads"``, or ``"process"``.
     """
 
     histogram: GradientHistogram
@@ -59,20 +53,6 @@ class ParallelBuildResult:
     batch_seconds: tuple[float, ...]
     span_seconds: float
     wall_seconds: float
-    serial_seconds: float = 0.0
-    backend: str = "simulated"
-
-    @property
-    def real_speedup(self) -> float:
-        """Measured speedup of the parallel build over one core.
-
-        ``serial_seconds / wall_seconds`` — only meaningful for the
-        ``"threads"`` / ``"process"`` backends, where the wall-clock is a
-        genuinely concurrent run.
-        """
-        if self.wall_seconds <= 0.0:
-            return 1.0
-        return self.serial_seconds / self.wall_seconds
 
 
 def simulate_span(batch_seconds: list[float], n_threads: int) -> float:
@@ -101,7 +81,6 @@ def build_histogram_batched(
     hess: np.ndarray,
     batch_size: int,
     n_threads: int = 1,
-    use_real_threads: bool = False,
     kernel: BuildKernel = build_node_histogram_sparse,
 ) -> ParallelBuildResult:
     """Build one node histogram from batches of its instance range.
@@ -111,11 +90,7 @@ def build_histogram_batched(
         rows: Row ids of the node (from the node-to-instance index).
         grad, hess: Per-shard-row gradients.
         batch_size: Instances per batch ``b`` (paper default 10000).
-        n_threads: Thread count ``q`` used for the span account (and for
-            the real pool when ``use_real_threads``).
-        use_real_threads: Run batches on a ThreadPoolExecutor.  Numpy
-            bincount releases the GIL only partially, so the default is
-            the sequential loop; outputs are identical either way.
+        n_threads: Thread count ``q`` used for the span account.
         kernel: Per-batch histogram kernel.
 
     Returns:
@@ -130,24 +105,12 @@ def build_histogram_batched(
         batches = [rows]
 
     wall_start = wall_clock()
-    # Indexed by batch, not appended in completion order: threads finish
-    # in nondeterministic order, and the span account must be reproducible
-    # for a fixed seed.
-    batch_seconds = [0.0] * len(batches)
-
-    def run_batch(item: tuple[int, np.ndarray]) -> GradientHistogram:
-        index, batch = item
+    batch_seconds = []
+    parts = []
+    for batch in batches:
         t0 = wall_clock()
-        part = kernel(shard, batch, grad, hess)
-        batch_seconds[index] = wall_clock() - t0
-        return part
-
-    threaded = use_real_threads and len(batches) > 1 and n_threads > 1
-    if threaded:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(run_batch, enumerate(batches)))
-    else:
-        parts = [run_batch(item) for item in enumerate(batches)]
+        parts.append(kernel(shard, batch, grad, hess))
+        batch_seconds.append(wall_clock() - t0)
 
     total = parts[0]
     for part in parts[1:]:
@@ -159,6 +122,4 @@ def build_histogram_batched(
         batch_seconds=tuple(batch_seconds),
         span_seconds=simulate_span(batch_seconds, n_threads),
         wall_seconds=wall_seconds,
-        serial_seconds=sum(batch_seconds),
-        backend="threads" if threaded else "simulated",
     )

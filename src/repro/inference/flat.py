@@ -302,6 +302,8 @@ class FlatEnsemble:
                 process pool (falls back to this serial path when pools
                 are unusable — see :mod:`repro.inference.parallel`).
         """
+        if n_processes < 1:
+            raise DataError(f"n_processes must be >= 1, got {n_processes}")
         n_use = self._n_use(n_trees)
         if n_processes > 1 and X.n_rows > 1:
             from .parallel import ParallelScorer

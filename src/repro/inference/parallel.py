@@ -1,9 +1,8 @@
 """Process-parallel flat-ensemble scoring over shared memory.
 
 The numpy kernels in :mod:`repro.inference.flat` hold the GIL, so real
-multicore prediction needs worker *processes* — the same conclusion
-PR 2 reached for histogram builds, and the same machinery
-(:mod:`repro.utils.arena`): the compiled ensemble's struct-of-arrays,
+multicore prediction needs worker *processes* over
+:mod:`repro.utils.arena`: the compiled ensemble's struct-of-arrays,
 the input matrix's CSR arrays, and one float64 output vector go into a
 shared arena; workers attach it once, score a disjoint row span directly
 into the shared output, and pickle back only the measured seconds.  The

@@ -11,7 +11,7 @@ distributed):
 * :mod:`~repro.runtime.hooks` — the :class:`TrainerCallback` spine that
   observability attaches to at stage boundaries;
 * :mod:`~repro.runtime.build` — :class:`HistogramBuildStrategy`
-  (dense / sparse / batched / process-parallel) replacing per-trainer
+  (dense / sparse / batched) replacing per-trainer
   boolean flags.
 
 See ``docs/runtime.md`` for how a new execution backend plugs in.
@@ -21,7 +21,6 @@ from .build import (
     BatchedBuildStrategy,
     DenseBuildStrategy,
     HistogramBuildStrategy,
-    ProcessParallelBuildStrategy,
     SparseBuildStrategy,
     resolve_build_strategy,
 )
@@ -54,6 +53,5 @@ __all__ = [
     "DenseBuildStrategy",
     "SparseBuildStrategy",
     "BatchedBuildStrategy",
-    "ProcessParallelBuildStrategy",
     "resolve_build_strategy",
 ]

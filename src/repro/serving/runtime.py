@@ -18,8 +18,8 @@ request immediately.
 Scoring runs on a dedicated single-thread executor: the event loop
 keeps admitting (and shedding) requests while numpy works, and at most
 one batch is ever in flight — which is what makes hot-swap trivially
-safe (the loop reads :meth:`ModelStore.current` once per flush; retired
-versions are released only between flushes).
+safe (the loop reads :meth:`ModelStore.current` once per flush and
+scores the whole batch on that version).
 
 Rows are independent in :meth:`FlatEnsemble.score_into`, so micro-batch
 composition never changes bits: every response is bit-identical to a
@@ -66,17 +66,11 @@ class ServingConfig:
         deadline_ms: Default per-request deadline (milliseconds from
             admission); a request still queued past it is rejected at
             dequeue instead of scored late.  None = no default deadline.
-        n_processes: Scoring processes per model version (>= 2 routes
-            through the ``ParallelScorer`` fork+shared-memory seam).
-        batch_rows: Row-block size for the scoring kernel (None = the
-            flat ensemble's cache-sized default).
     """
 
     max_batch_rows: int = 256
     queue_limit: int = 1024
     deadline_ms: float | None = None
-    n_processes: int = 1
-    batch_rows: int | None = None
 
     def __post_init__(self) -> None:
         _require(
@@ -90,14 +84,6 @@ class ServingConfig:
         _require(
             self.deadline_ms is None or self.deadline_ms > 0.0,
             f"deadline_ms must be > 0 or None, got {self.deadline_ms}",
-        )
-        _require(
-            self.n_processes >= 1,
-            f"n_processes must be >= 1, got {self.n_processes}",
-        )
-        _require(
-            self.batch_rows is None or self.batch_rows >= 1,
-            f"batch_rows must be >= 1 or None, got {self.batch_rows}",
         )
 
 
@@ -151,7 +137,7 @@ class ServingRuntime:
 
     Usage (inside a running event loop)::
 
-        store = ModelStore(n_processes=1)
+        store = ModelStore()
         store.load("model.json")
         runtime = ServingRuntime(store, ServingConfig())
         await runtime.start()
@@ -174,10 +160,9 @@ class ServingRuntime:
         self.metrics = metrics or ServingMetrics()
         self._queue: "asyncio.Queue[_Request | _Stop] | None" = None
         self._batch_task: asyncio.Task | None = None
-        # One scoring thread: batches serialize (at most one in flight),
-        # the event loop stays responsive while numpy holds the GIL
-        # slices it needs, and retired model versions can be released
-        # between flushes without racing a score.
+        # One scoring thread: batches serialize (at most one in flight)
+        # and the event loop stays responsive while numpy holds the GIL
+        # slices it needs.
         self._score_pool: ThreadPoolExecutor | None = None
         self._batch_seq = 0
         self._stopping = False
@@ -437,8 +422,6 @@ class ServingRuntime:
                         score_ms=score_ms,
                     )
                 )
-        # No batch is in flight here, so retiring old versions is safe.
-        self.store.release_retired()
 
     @staticmethod
     def _assemble(batch: list[_Request], n_features: int) -> CSRMatrix:

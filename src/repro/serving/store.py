@@ -2,25 +2,21 @@
 
 The store owns every model the runtime serves.  :meth:`ModelStore.load`
 does all the heavy lifting on a *private* object — JSON parse, tree
-reconstruction, flat-ensemble compilation, optional
-:class:`~repro.inference.parallel.ParallelScorer` construction — and
-publishes the finished :class:`ModelVersion` with a single attribute
-assignment.  That assignment is the swap: a pointer flip the GIL makes
-atomic, so a reader can only ever observe the complete old version or
-the complete new one, never a half-loaded model.  There is no lock
-anywhere near scoring; the batch loop reads :meth:`ModelStore.current`
-once per flush and scores the whole batch on that object, so in-flight
-batches simply finish on the version they started with.
+reconstruction, flat-ensemble compilation — and publishes the finished
+:class:`ModelVersion` with a single attribute assignment.  That
+assignment is the swap: a pointer flip the GIL makes atomic, so a reader
+can only ever observe the complete old version or the complete new one,
+never a half-loaded model.  There is no lock anywhere near scoring; the
+batch loop reads :meth:`ModelStore.current` once per flush and scores
+the whole batch on that object, so in-flight batches simply finish on
+the version they started with.
 
 A failed load (missing file, corrupt JSON, wrong schema) raises before
 the flip — the previously served version keeps serving.
 
-Retired versions are kept until :meth:`ModelStore.close` (or an
-explicit :meth:`ModelStore.release_retired`): an in-flight batch may
-still hold the old pointer, and a fork-pool scorer must not be shut
-down under it.  ``release_retired`` is safe to call whenever no flush
-is in flight on an old version — the runtime calls it after each flush
-completes.
+A version holds nothing but memory, so a replaced one is not retired
+explicitly: the flush that still holds its pointer keeps it alive, and
+the garbage collector frees it when that flush returns.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from ..errors import ReproError, ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..inference.flat import FlatEnsemble
-    from ..inference.parallel import ParallelScorer
 
 __all__ = ["ModelStore", "ModelVersion"]
 
@@ -46,8 +41,8 @@ class ModelVersion:
     """One immutable, fully compiled, servable model.
 
     Everything scoring needs hangs off this object — the compiled
-    :class:`FlatEnsemble`, the loss transform, the optional process
-    pool — so holding the pointer is holding a consistent model.
+    :class:`FlatEnsemble`, the loss transform — so holding the pointer
+    is holding a consistent model.
 
     Attributes:
         version: Monotonically increasing swap counter (first load = 1).
@@ -56,14 +51,7 @@ class ModelVersion:
         flat: Its compiled flat ensemble (compiled before publication).
     """
 
-    def __init__(
-        self,
-        version: int,
-        path: str,
-        model: GBDTModel,
-        n_processes: int = 1,
-        batch_rows: int | None = None,
-    ) -> None:
+    def __init__(self, version: int, path: str, model: GBDTModel) -> None:
         self.version = version
         self.path = path
         self.model = model
@@ -71,41 +59,14 @@ class ModelVersion:
         self.n_features = model.n_features
         self.base_score = model.base_score
         self._transform = get_loss(model.loss_name).transform
-        self._batch_rows = batch_rows
-        self._scorer: "ParallelScorer | None" = None
-        if n_processes > 1:
-            from ..inference.parallel import ParallelScorer
-
-            self._scorer = ParallelScorer(
-                self.flat, n_processes=n_processes, batch_rows=batch_rows
-            )
 
     def predict_raw(self, X: CSRMatrix) -> np.ndarray:
-        """Raw margin scores for one micro-batch.
-
-        Serving matrices are built fresh per flush, so the parallel
-        scorer's per-matrix shared-memory context is released as soon as
-        the batch is scored — a long-running server must not pin one
-        segment per batch.  Bit-identical to the serial flat path for
-        every configuration (the PR 4 contract).
-        """
-        if self._scorer is not None:
-            raw = self._scorer.predict_raw(X, base_score=self.base_score)
-            self._scorer.release(X)
-            return raw
-        return self.flat.predict_raw(
-            X, base_score=self.base_score, batch_rows=self._batch_rows
-        )
+        """Raw margin scores for one micro-batch."""
+        return self.flat.predict_raw(X, base_score=self.base_score)
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         """The model's output transform (sigmoid for logistic, etc.)."""
         return self._transform(raw)
-
-    def close(self) -> None:
-        """Shut down the version's scorer pool (idempotent)."""
-        if self._scorer is not None:
-            self._scorer.close()
-            self._scorer = None
 
     def __repr__(self) -> str:
         return (
@@ -115,23 +76,10 @@ class ModelVersion:
 
 
 class ModelStore:
-    """Loads FINISH artifacts and hot-swaps them atomically.
+    """Loads FINISH artifacts and hot-swaps them atomically."""
 
-    Args:
-        n_processes: Worker processes each version scores with (1 =
-            serial flat scoring; >= 2 routes through the
-            ``ParallelScorer`` fork+shared-memory seam).
-        batch_rows: Row-block size passed through to scoring (None =
-            the flat ensemble's cache-sized default).
-    """
-
-    def __init__(
-        self, n_processes: int = 1, batch_rows: int | None = None
-    ) -> None:
-        self.n_processes = n_processes
-        self.batch_rows = batch_rows
+    def __init__(self) -> None:
         self._current: ModelVersion | None = None
-        self._retired: list[ModelVersion] = []
         # Serializes *writers* only (concurrent load() calls racing the
         # version counter).  Readers never take it: current() is a bare
         # attribute read, so no lock is ever held across scoring.
@@ -159,20 +107,11 @@ class ModelStore:
         if not model.trees:
             raise ServingError(f"artifact {path!r} contains no trees")
         with self._swap_lock:
-            version = ModelVersion(
-                self._next_version,
-                str(path),
-                model,
-                n_processes=self.n_processes,
-                batch_rows=self.batch_rows,
-            )
+            version = ModelVersion(self._next_version, str(path), model)
             self._next_version += 1
-            previous = self._current
             # The swap: one atomic pointer flip, nothing half-loaded is
             # ever reachable from current().
             self._current = version
-            if previous is not None:
-                self._retired.append(previous)
         return version
 
     def current(self) -> ModelVersion:
@@ -187,26 +126,10 @@ class ModelStore:
         """Whether a version has been published."""
         return self._current is not None
 
-    def release_retired(self) -> int:
-        """Close scorer pools of retired versions; returns how many.
-
-        Call only when no flush is in flight on an old version (the
-        runtime's batch loop guarantees this by calling it between
-        flushes).
-        """
-        with self._swap_lock:
-            retired, self._retired = self._retired, []
-        for version in retired:
-            version.close()
-        return len(retired)
-
     def close(self) -> None:
-        """Release every version, retired and current (idempotent)."""
-        self.release_retired()
+        """Drop the served version (idempotent)."""
         with self._swap_lock:
-            current, self._current = self._current, None
-        if current is not None:
-            current.close()
+            self._current = None
 
     def __enter__(self) -> "ModelStore":
         return self
@@ -217,4 +140,4 @@ class ModelStore:
     def __repr__(self) -> str:
         current = self._current
         label = f"v{current.version}" if current is not None else "empty"
-        return f"ModelStore({label}, n_processes={self.n_processes})"
+        return f"ModelStore({label})"

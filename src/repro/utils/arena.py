@@ -1,16 +1,13 @@
 """The one shared-memory + fork-pool seam.
 
 Python threads cannot speed up the numpy kernels much (the GIL), so real
-multicore work — Section 5.2 histogram builds, flat-ensemble scoring —
-runs in worker *processes*.  Pickling a shard or a matrix per task would
-copy it per task; instead a :class:`SharedArena` places named arrays in
+multicore work — flat-ensemble scoring — runs in worker *processes*.
+Pickling a matrix per task would copy it per task; instead a :class:`SharedArena` places named arrays in
 :mod:`multiprocessing.shared_memory` segments once, workers
 :func:`attach` them once per process (cached by token), and the only
 per-task pickling is a manifest plus a few scalars.
 
-Three pieces, each written once and shared by every client
-(:class:`~repro.histogram.shared.SharedShard` with
-:class:`~repro.runtime.build.ProcessParallelBuildStrategy`, and
+Three pieces, each written once (the client is
 :class:`~repro.inference.parallel.SharedScoreContext` with
 :class:`~repro.inference.parallel.ParallelScorer`):
 

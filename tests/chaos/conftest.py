@@ -1,9 +1,7 @@
 """Shared chaos-suite helpers: tiny cluster runs and model hashing.
 
 Every scenario here compares a faulted run against a fault-free run of
-the *same* configuration, so the bit-identity assertions hold per
-backend (the process pool's chunked merge may drift a few ULPs from the
-sequential kernel, but it is deterministic against itself).
+the *same* configuration.
 """
 
 from __future__ import annotations
@@ -19,10 +17,6 @@ from repro.distributed.engine import DistributedGBDT, DistributedResult
 #: The cluster shape every chaos scenario runs on.
 CLUSTER = ClusterConfig(n_workers=3, n_servers=2)
 
-#: Histogram-build backends the scenarios are swept over; ``process``
-#: exercises the shared-memory pool (PR 2) under injected faults.
-BACKENDS = ("simulated", "process")
-
 
 def chaos_config(**overrides) -> TrainConfig:
     """The suite's quick-training config (3 small uncompressed trees)."""
@@ -35,16 +29,6 @@ def chaos_config(**overrides) -> TrainConfig:
     )
     base.update(overrides)
     return TrainConfig(**base)
-
-
-def backend_config(backend: str, **overrides) -> TrainConfig:
-    """``chaos_config`` tuned so the named backend actually engages."""
-    if backend == "process":
-        overrides.setdefault("parallel_backend", "process")
-        overrides.setdefault("n_processes", 2)
-        # Small enough that a 300-row node fans out to the pool.
-        overrides.setdefault("batch_size", 32)
-    return chaos_config(**overrides)
 
 
 def run(
@@ -74,15 +58,12 @@ def model_hash(result: DistributedResult) -> str:
 
 @pytest.fixture(scope="session")
 def baseline():
-    """Memoized fault-free reference runs, keyed by (system, backend)."""
-    cache: dict[tuple[str, str], DistributedResult] = {}
+    """Memoized fault-free reference runs, keyed by system."""
+    cache: dict[str, DistributedResult] = {}
 
-    def get(dataset, system: str = "dimboost", backend: str = "simulated"):
-        key = (system, backend)
-        if key not in cache:
-            cache[key] = run(
-                dataset, system=system, config=backend_config(backend)
-            )
-        return cache[key]
+    def get(dataset, system: str = "dimboost"):
+        if system not in cache:
+            cache[system] = run(dataset, system=system)
+        return cache[system]
 
     return get

@@ -1,26 +1,22 @@
 """The chaos scenarios: inject, recover, and match the fault-free model.
 
 Four named scenarios from the issue — kill-worker-mid-round,
-drop-every-Nth-push, straggler-on-leader, server-down-during-pull-UDF —
-each swept over both histogram-build backends (``simulated`` and the
-real ``process`` pool).  Every scenario asserts the headline determinism
-contract: recovery completes and the final model is **bit-identical** to
-the fault-free baseline of the same configuration, while the injected
-faults show up in simulated time and in the fault report.
+drop-every-Nth-push, straggler-on-leader, server-down-during-pull-UDF.
+Every scenario asserts the headline determinism contract: recovery
+completes and the final model is **bit-identical** to the fault-free
+baseline of the same configuration, while the injected faults show up in
+simulated time and in the fault report.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.chaos import FAULT_RECOVERY_PHASE, FaultEvent, FaultPlan
 
-from tests.chaos.conftest import BACKENDS, backend_config, model_hash, run
+from tests.chaos.conftest import model_hash, run
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestKillWorkerMidRound:
-    def test_crash_recovers_bit_identical(self, tiny_dataset, baseline, backend):
+    def test_crash_recovers_bit_identical(self, tiny_dataset, baseline):
         plan = FaultPlan(
             events=(
                 FaultEvent(
@@ -29,10 +25,8 @@ class TestKillWorkerMidRound:
             ),
             name="kill-worker-mid-round",
         )
-        result = run(
-            tiny_dataset, config=backend_config(backend), fault_plan=plan
-        )
-        reference = baseline(tiny_dataset, backend=backend)
+        result = run(tiny_dataset, fault_plan=plan)
+        reference = baseline(tiny_dataset)
         assert model_hash(result) == model_hash(reference)
         totals = result.faults["totals"]
         assert totals["crashes"] == 1
@@ -46,21 +40,16 @@ class TestKillWorkerMidRound:
         assert len(result.rounds) == len(reference.rounds)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestDropEveryNthPush:
-    def test_sustained_drops_recover_bit_identical(
-        self, tiny_dataset, baseline, backend
-    ):
+    def test_sustained_drops_recover_bit_identical(self, tiny_dataset, baseline):
         plan = FaultPlan(
             events=(
                 FaultEvent(kind="drop", point="push", every=3, times=None),
             ),
             name="drop-every-3rd-push",
         )
-        result = run(
-            tiny_dataset, config=backend_config(backend), fault_plan=plan
-        )
-        reference = baseline(tiny_dataset, backend=backend)
+        result = run(tiny_dataset, fault_plan=plan)
+        reference = baseline(tiny_dataset)
         assert model_hash(result) == model_hash(reference)
         totals = result.faults["totals"]
         assert totals["drops"] > 0
@@ -70,10 +59,9 @@ class TestDropEveryNthPush:
         assert result.phases[FAULT_RECOVERY_PHASE] > 0.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestStragglerOnLeader:
     def test_delays_slow_the_cluster_but_not_the_model(
-        self, tiny_dataset, baseline, backend
+        self, tiny_dataset, baseline
     ):
         plan = FaultPlan(
             events=(
@@ -87,10 +75,8 @@ class TestStragglerOnLeader:
             ),
             name="straggler-on-leader",
         )
-        result = run(
-            tiny_dataset, config=backend_config(backend), fault_plan=plan
-        )
-        reference = baseline(tiny_dataset, backend=backend)
+        result = run(tiny_dataset, fault_plan=plan)
+        reference = baseline(tiny_dataset)
         assert model_hash(result) == model_hash(reference)
         totals = result.faults["totals"]
         assert totals["delays"] > 0
@@ -99,9 +85,8 @@ class TestStragglerOnLeader:
         assert result.sim_seconds - reference.sim_seconds >= 0.25
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestServerDownDuringPullUDF:
-    def test_outage_recovers_bit_identical(self, tiny_dataset, baseline, backend):
+    def test_outage_recovers_bit_identical(self, tiny_dataset, baseline):
         plan = FaultPlan(
             events=(
                 FaultEvent(
@@ -116,10 +101,8 @@ class TestServerDownDuringPullUDF:
         )
         # DimBoost's default two-phase split finding sends the split UDF
         # to every server — including the one that is down.
-        result = run(
-            tiny_dataset, config=backend_config(backend), fault_plan=plan
-        )
-        reference = baseline(tiny_dataset, backend=backend)
+        result = run(tiny_dataset, fault_plan=plan)
+        reference = baseline(tiny_dataset)
         assert model_hash(result) == model_hash(reference)
         totals = result.faults["totals"]
         assert totals["server_down"] == 3

@@ -1,17 +1,14 @@
 """The synchronous parity matrix: windowed pushes change nothing at S=0.
 
 One parametrized sweep replaces the scattered one-off parity tests:
-every cell of {sketch mode} x {shard grid} x {compression} x
-{execution backend} trains twice — aggregation window 1 (today's
-per-node pushes) and window 3 (local aggregation) — and the two models
-must be **bit-identical**.  Window size is pure communication
-scheduling; at staleness 0 it may not move a single bit.
+every cell of {sketch mode} x {shard grid} x {compression} trains
+twice — aggregation window 1 (today's per-node pushes) and window 3
+(local aggregation) — and the two models must be **bit-identical**.
+Window size is pure communication scheduling; at staleness 0 it may not
+move a single bit.
 
-Bit-identity is asserted *within* each execution backend.  Across
-backends the process pool's chunked histogram merge drifts by ULPs
-(see ``tests/histogram/test_shared.py``), so the cross-backend check is
-the established structural one.  The exact/row/uncompressed cell is
-additionally anchored to the single-machine reference trees.
+The exact/row/uncompressed cell is additionally anchored to the
+single-machine reference trees.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from repro import ClusterConfig, GBDT, TrainConfig
@@ -46,7 +42,7 @@ def cluster_for(grid):
     return ClusterConfig(n_workers=4, n_servers=2, grid=grid)
 
 
-def train(sketch_mode, grid, compressed, backend, window):
+def train(sketch_mode, grid, compressed, window):
     return TrainConfig(
         n_trees=2,
         max_depth=3,
@@ -56,37 +52,31 @@ def train(sketch_mode, grid, compressed, backend, window):
         compression_bits=8 if compressed else 0,
         compression_block=8 if compressed else 0,
         agg_window=window,
-        parallel_backend=backend,
-        n_processes=2,
-        batch_size=64,
     )
 
 
 GRIDS = {"row": None, "grid2x2": (2, 2)}
 
 MATRIX = [
-    pytest.param(sketch_mode, grid_name, compressed, backend,
+    pytest.param(sketch_mode, grid_name, compressed,
                  id=f"{sketch_mode}-{grid_name}-"
-                    f"{'packed' if compressed else 'raw'}-{backend}")
+                    f"{'packed' if compressed else 'raw'}")
     for sketch_mode in ("exact", "distributed")
     for grid_name in GRIDS
     for compressed in (False, True)
-    for backend in ("simulated", "process")
 ]
 
 
 class TestParityMatrix:
-    @pytest.mark.parametrize(
-        "sketch_mode, grid_name, compressed, backend", MATRIX
-    )
+    @pytest.mark.parametrize("sketch_mode, grid_name, compressed", MATRIX)
     def test_windowed_cell_is_bit_identical(
-        self, data, sketch_mode, grid_name, compressed, backend
+        self, data, sketch_mode, grid_name, compressed
     ):
         grid = GRIDS[grid_name]
         cluster = cluster_for(grid)
         hashes = {}
         for window in (1, 3):
-            config = train(sketch_mode, grid, compressed, backend, window)
+            config = train(sketch_mode, grid, compressed, window)
             result = DistributedGBDT(
                 "dimboost", cluster, config, sketch_mode=sketch_mode
             ).fit(data)
@@ -94,34 +84,18 @@ class TestParityMatrix:
         assert hashes[1] == hashes[3], (
             f"agg_window changed the model bits in cell "
             f"{sketch_mode}/{grid_name}/"
-            f"{'packed' if compressed else 'raw'}/{backend}"
+            f"{'packed' if compressed else 'raw'}"
         )
 
 
 class TestCrossBackendAnchors:
-    def test_process_backend_matches_simulated_structure(self, data):
-        """The ULP-tolerant cross-backend check, windowed on both sides."""
-        cluster = cluster_for(None)
-        results = {}
-        for backend in ("simulated", "process"):
-            config = train("exact", None, False, backend, 3)
-            results[backend] = DistributedGBDT(
-                "dimboost", cluster, config
-            ).fit(data)
-        sim, proc = results["simulated"], results["process"]
-        for ours, ref in zip(proc.model.trees, sim.model.trees):
-            np.testing.assert_array_equal(
-                ours.split_feature, ref.split_feature
-            )
-            np.testing.assert_allclose(ours.weight, ref.weight, atol=1e-8)
-
     def test_reference_cell_matches_single_machine(self, data):
-        """exact/row/raw/simulated at window 3 reaches the single-machine
+        """exact/row/raw at window 3 reaches the single-machine
         objective — the matrix is anchored to the sequential algorithm,
         not just internally consistent.  Tree structure can diverge on
         float-order gain ties (workers sum gradients in band order), so
         the established objective-equivalence check is used."""
-        config = train("exact", None, False, "simulated", 3)
+        config = train("exact", None, False, 3)
         result = DistributedGBDT(
             "dimboost", cluster_for(None), config
         ).fit(data)

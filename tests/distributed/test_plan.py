@@ -301,10 +301,8 @@ class TestRefit:
         )
     )
     CONFIG = FAST.with_overrides(n_trees=2, max_depth=3, n_split_candidates=8)
-    POOL = {"parallel_backend": "process", "n_processes": 2, "batch_size": 16}
     CASES = {
         "row-window-stale": (ROW, {"agg_window": 3, "staleness": 1}, {}),
-        "grid-process-pool": (GRID, POOL, {}),
         "crash-plan": (ROW, {}, {"fault_plan": CRASH}),
         "merged-sketches": (GRID, {}, {"sketch_mode": "distributed"}),
     }

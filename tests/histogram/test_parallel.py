@@ -22,16 +22,6 @@ class TestBatchedBuild:
         assert result.histogram.allclose(direct, atol=1e-9)
         assert result.n_batches == -(-len(rows) // 37)
 
-    def test_real_threads_match(self, tiny_shard, rng):
-        g = rng.normal(size=tiny_shard.n_rows)
-        h = rng.random(tiny_shard.n_rows)
-        rows = np.arange(tiny_shard.n_rows)
-        direct = build_node_histogram_sparse(tiny_shard, rows, g, h)
-        result = build_histogram_batched(
-            tiny_shard, rows, g, h, batch_size=50, n_threads=4, use_real_threads=True
-        )
-        assert result.histogram.allclose(direct, atol=1e-9)
-
     def test_single_batch_when_small(self, tiny_shard, rng):
         g = rng.normal(size=tiny_shard.n_rows)
         h = rng.random(tiny_shard.n_rows)
@@ -90,59 +80,3 @@ class TestSimulateSpan:
         with pytest.raises(TrainingError):
             simulate_span([1.0], 0)
 
-
-class TestBatchTimeAttribution:
-    def test_batch_seconds_indexed_by_batch_under_threads(self, tiny_shard, rng):
-        """Each slot of batch_seconds belongs to its batch even when real
-        threads finish out of order."""
-        import time
-
-        from repro.histogram.histogram import GradientHistogram
-
-        g = rng.normal(size=tiny_shard.n_rows)
-        h = rng.random(tiny_shard.n_rows)
-        rows = np.arange(120)
-        batch_size = 30
-        delays = {0: 0.05, 30: 0.0, 60: 0.02, 90: 0.0}  # keyed by first row
-
-        def sleeping_kernel(shard, batch, grad, hess):
-            time.sleep(delays[int(batch[0])])
-            return GradientHistogram.zeros(shard.n_features, shard.n_bins)
-
-        result = build_histogram_batched(
-            tiny_shard,
-            rows,
-            g,
-            h,
-            batch_size=batch_size,
-            n_threads=4,
-            use_real_threads=True,
-            kernel=sleeping_kernel,
-        )
-        assert result.backend == "threads"
-        # Batch 0 slept longest, so its slot must hold the largest time —
-        # regardless of the order the threads completed in.
-        assert int(np.argmax(result.batch_seconds)) == 0
-        assert result.batch_seconds[0] >= 0.05
-
-    def test_serial_seconds_and_backend_fields(self, tiny_shard, rng):
-        g = rng.normal(size=tiny_shard.n_rows)
-        h = rng.random(tiny_shard.n_rows)
-        rows = np.arange(tiny_shard.n_rows)
-        result = build_histogram_batched(
-            tiny_shard, rows, g, h, batch_size=50, n_threads=4
-        )
-        assert result.backend == "simulated"
-        assert result.serial_seconds == pytest.approx(sum(result.batch_seconds))
-
-    def test_real_speedup_guard_on_zero_wall(self, tiny_shard, rng):
-        from repro.histogram.parallel import ParallelBuildResult
-
-        result = ParallelBuildResult(
-            histogram=None,
-            n_batches=0,
-            batch_seconds=(),
-            span_seconds=0.0,
-            wall_seconds=0.0,
-        )
-        assert result.real_speedup == 1.0

@@ -125,6 +125,27 @@ class TestParity:
         with pytest.raises(DataError, match="batch_rows"):
             trained_model.predict_raw(tiny_dataset.X, batch_rows=0)
 
+    @pytest.mark.parametrize("n_processes", [0, -2])
+    def test_n_processes_must_be_positive(
+        self, trained_model, tiny_dataset, n_processes, monkeypatch
+    ):
+        """Refused at the entry point, before any scoring, like
+        ``ParallelScorer(flat, n_processes=0)`` and ``batch_rows=0``."""
+        flat = trained_model.compiled()
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scored before validating n_processes")
+
+        monkeypatch.setattr(flat, "score_into", no_scoring)
+        for entry in (
+            flat.predict_raw,
+            trained_model.predict_raw,
+            trained_model.predict,
+            trained_model.predict_labels,
+        ):
+            with pytest.raises(DataError, match="n_processes must be >= 1, got"):
+                entry(tiny_dataset.X, n_processes=n_processes)
+
     def test_wider_input_rejected(self, trained_model):
         X = CSRMatrix.from_rows(
             [[(0, 1.0)]], n_cols=trained_model.n_features + 3

@@ -1,10 +1,10 @@
 """Process-parallel scoring: parity, fallback, and no shared-memory leaks.
 
-Mirrors ``tests/chaos/test_shared_memory_faults.py``: every path through
-:class:`ParallelScorer` — clean close, broken pool, context-manager exit
-— must leave ``/dev/shm`` exactly as it found it, and every configuration
-must return bits identical to the serial flat path.  (The shared-memory
-context's own lifecycle is the arena's: ``tests/test_arena.py``.)
+Every path through :class:`ParallelScorer` — clean close, broken pool,
+context-manager exit — must leave ``/dev/shm`` exactly as it found it,
+and every configuration must return bits identical to the serial flat
+path.  (The shared-memory context's own lifecycle is the arena's:
+``tests/test_arena.py``.)
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import glob
 import numpy as np
 import pytest
 
-from repro.histogram.shared import SHM_PREFIX
 from repro.inference import ParallelScorer
+from repro.utils.arena import SHM_PREFIX
 
 
 def leaked_segments() -> list[str]:

@@ -82,6 +82,31 @@ class TestResolution:
         assert SparseBuildStrategy().dense is False
         assert BatchedBuildStrategy(10, 2, sparse=True).dense is False
 
+    def test_no_strategy_has_a_lifecycle(self):
+        """No strategy holds a resource, so none is released or closed —
+        and no trainer calls either."""
+        from pathlib import Path
+
+        import repro
+
+        for strategy in (
+            DenseBuildStrategy(),
+            SparseBuildStrategy(),
+            BatchedBuildStrategy(10, 2),
+        ):
+            assert not hasattr(strategy, "release")
+            assert not hasattr(strategy, "close")
+        src = Path(repro.__file__).parent
+        callers = [
+            src / "runtime" / "build.py",
+            src / "distributed" / "engine.py",
+            *sorted((src / "boosting").glob("*.py")),
+        ]
+        for path in callers:
+            text = path.read_text(encoding="utf-8")
+            assert "release(" not in text, path
+            assert "build_strategy.close()" not in text, path
+
     def test_strategies_are_the_abc(self):
         for strategy in (
             DenseBuildStrategy(),
@@ -134,58 +159,3 @@ class TestEngineIntegration:
         grown = custom.grow(grad, hess)
         assert grown.tree.n_leaves >= 1
 
-
-class TestBackendResolution:
-    def test_process_backend_resolves_process_strategy(self):
-        from repro.runtime.build import ProcessParallelBuildStrategy
-
-        config = TrainConfig(
-            parallel_backend="process", n_processes=4, batch_size=64
-        )
-        strategy = resolve_build_strategy(config, sparse=True)
-        try:
-            assert isinstance(strategy, ProcessParallelBuildStrategy)
-            assert strategy.n_processes == 4
-            assert strategy.batch_size == 64
-            assert strategy.sparse is True
-        finally:
-            strategy.close()
-
-    def test_process_backend_single_process_stays_serial(self):
-        config = TrainConfig(parallel_backend="process", n_processes=1)
-        assert isinstance(
-            resolve_build_strategy(config, sparse=True), SparseBuildStrategy
-        )
-        assert isinstance(
-            resolve_build_strategy(config, sparse=False), DenseBuildStrategy
-        )
-
-    def test_threads_backend_resolves_real_threads(self):
-        config = TrainConfig(parallel_backend="threads", n_threads=3)
-        strategy = resolve_build_strategy(config, sparse=True)
-        assert isinstance(strategy, BatchedBuildStrategy)
-        assert strategy.real_threads is True
-        assert strategy.n_threads == 3
-
-    def test_simulated_batched_keeps_span_accounting(self):
-        config = TrainConfig(parallel_backend="simulated")
-        strategy = resolve_build_strategy(config, sparse=True, batched=True)
-        assert isinstance(strategy, BatchedBuildStrategy)
-        assert strategy.real_threads is False
-
-    def test_invalid_backend_and_processes_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            TrainConfig(parallel_backend="gpu")
-        with pytest.raises(ConfigError):
-            TrainConfig(n_processes=0)
-
-    def test_release_and_close_are_safe_noops_by_default(self, tiny_shard, gradients):
-        grad, hess = gradients
-        strategy = SparseBuildStrategy()
-        histogram, _ = strategy.build(
-            tiny_shard, np.arange(tiny_shard.n_rows), grad, hess
-        )
-        strategy.release(histogram)  # no pool: nothing to recycle
-        strategy.close()

@@ -32,13 +32,15 @@ class TestConfig:
             dict(max_batch_rows=0),
             dict(queue_limit=0),
             dict(deadline_ms=0.0),
-            dict(n_processes=0),
-            dict(batch_rows=0),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ServingConfig(**kwargs)
+
+    def test_scorer_pool_field_is_refused(self):
+        with pytest.raises(TypeError):
+            ServingConfig(n_processes=2)
 
 
 class TestLifecycle:

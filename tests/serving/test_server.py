@@ -5,7 +5,6 @@ from __future__ import annotations
 import asyncio
 import json
 
-import numpy as np
 import pytest
 
 from repro.serving import ModelStore, ServingConfig, ServingRuntime, ServingServer
@@ -176,39 +175,6 @@ def test_rejection_is_a_wire_answer_not_a_drop(artifact_a):
     assert response["ok"] is False
     assert response["error"] == "rejected"
     assert response["reason"] == "shutdown"
-
-
-def test_parallel_scorer_serving_path(artifact_a, model_a):
-    """n_processes >= 2 routes flushes through ParallelScorer with the
-    per-batch release — still bit-identical over the wire."""
-    import warnings
-
-    rows = make_rows(10, 4)
-
-    async def body():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            store = ModelStore(n_processes=2)
-            store.load(artifact_a)
-            runtime = ServingRuntime(
-                store,
-                ServingConfig(max_batch_rows=8, n_processes=2),
-            )
-            await runtime.start()
-            tasks = [
-                asyncio.create_task(runtime.submit(idx, val))
-                for idx, val in rows
-            ]
-            predictions = await asyncio.gather(*tasks)
-            await runtime.stop()
-            store.close()
-        return predictions
-
-    predictions = asyncio.run(body())
-    direct = model_a.compiled().predict_raw(
-        rows_to_csr(rows), base_score=model_a.base_score
-    )
-    assert np.array_equal(np.array([p.raw for p in predictions]), direct)
 
 
 @pytest.mark.parametrize(

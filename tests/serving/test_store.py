@@ -1,9 +1,8 @@
-"""ModelStore: versioned loads, atomic swap semantics, retirement."""
+"""ModelStore: versioned loads, atomic swap semantics."""
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +19,10 @@ class TestLoadAndCurrent:
         assert not store.loaded
         with pytest.raises(ServingError, match="no model loaded"):
             store.current()
+
+    def test_scorer_pool_argument_is_refused(self):
+        with pytest.raises(TypeError):
+            ModelStore(n_processes=2)
 
     def test_first_load_is_version_one(self, artifact_a, model_a):
         with ModelStore() as store:
@@ -46,18 +49,6 @@ class TestLoadAndCurrent:
             out = version.transform(raw)
         np.testing.assert_allclose(out, 1.0 / (1.0 + np.exp(-raw)))
 
-    def test_parallel_scoring_parity(self, artifact_a, model_a):
-        X = rows_to_csr(make_rows(6, 9))
-        direct = model_a.compiled().predict_raw(
-            X, base_score=model_a.base_score
-        )
-        with warnings.catch_warnings():
-            # Single-core CI: the pool falls back and warns.
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with ModelStore(n_processes=2) as store:
-                raw = store.load(artifact_a).predict_raw(X)
-        assert np.array_equal(raw, direct)
-
 
 class TestSwap:
     def test_swap_bumps_version_and_retires_previous(
@@ -68,12 +59,10 @@ class TestSwap:
             second = store.load(artifact_b)
             assert (first.version, second.version) == (1, 2)
             assert store.current() is second
-            # The retired version still scores (an in-flight batch may
-            # hold the pointer) until explicitly released.
+            # The retired version still scores: an in-flight batch may
+            # hold the pointer.
             X = rows_to_csr(make_rows(7, 3))
             first.predict_raw(X)
-            assert store.release_retired() == 1
-            assert store.release_retired() == 0
 
     def test_failed_load_keeps_current(self, artifact_a, tmp_path):
         with ModelStore() as store:
@@ -103,7 +92,6 @@ class TestSwap:
             with pytest.raises(DataError, match="version 2"):
                 store.load(str(future))
             assert store.current() is version
-            assert store.release_retired() == 0
 
     def test_treeless_artifact_rejected(self, artifact_a, tmp_path):
         doc = json.loads(open(artifact_a, encoding="utf-8").read())

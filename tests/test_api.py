@@ -70,6 +70,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "removed", [{"parallel_backend": "process"}, {"n_processes": 2}]
+    )
+    def test_removed_executor_fields_are_refused(self, removed):
+        """The histogram executors are gone, not deprecated: their fields
+        are unknown keywords, through the constructor and ``with_overrides``."""
+        with pytest.raises(TypeError):
+            TrainConfig(**removed)
+        with pytest.raises(TypeError):
+            TrainConfig().with_overrides(**removed)
+
 
 class TestClusterConfig:
     def test_defaults(self):

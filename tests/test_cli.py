@@ -115,6 +115,16 @@ class TestPredict:
         assert len(lines) > 100
 
 
+    def test_n_processes_below_one_exits_2(self, model_file, dataset_file, capsys):
+        code = main(
+            ["predict", str(model_file), str(dataset_file), "--n-processes", "0"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "n_processes must be >= 1, got 0" in captured.err
+        assert captured.out == ""
+
+
 class TestEvaluate:
     def test_metrics_printed(self, model_file, dataset_file, capsys):
         code = main(["evaluate", str(model_file), str(dataset_file)])
@@ -223,6 +233,20 @@ class TestParser:
         assert args.queue_limit == 1024
         assert args.deadline_ms is None
         assert args.port == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "d.libsvm", "--model", "m.json", "--parallel-backend", "process"],
+            ["serve", "m.json", "--n-processes", "2"],
+        ],
+        ids=["train-parallel-backend", "serve-n-processes"],
+    )
+    def test_removed_pool_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_speed_jitter_requires_system(self, dataset_file, tmp_path, capsys):
         code = main(
