@@ -26,16 +26,13 @@ def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if starts.shape != counts.shape:
         raise DataError("starts and counts must have the same shape")
-    nonempty = counts > 0
-    starts, counts = starts[nonempty], counts[nonempty]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    deltas = np.ones(total, dtype=np.int64)
-    deltas[0] = starts[0]
+    if counts.size and counts.min() < 0:
+        raise DataError(f"negative range length {int(counts.min())}")
     ends = counts.cumsum()
-    deltas[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
-    return deltas.cumsum()
+    # Output index k of range i holds starts[i] + (k - first index of i).
+    out = np.repeat(starts - (ends - counts), counts)
+    out += np.arange(len(out), dtype=np.int64)
+    return out
 
 
 class BinnedShard:
@@ -136,6 +133,11 @@ class BinnedShard:
     def positions_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Flat nonzero positions of the given rows, in row order."""
         rows = np.asarray(rows, dtype=np.int64)
+        if rows.size:
+            low, high = int(rows.min()), int(rows.max())
+            if low < 0 or high >= self.n_rows:
+                bad = low if low < 0 else high
+                raise DataError(f"row id {bad} outside [0, {self.n_rows})")
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
         return concat_ranges(starts, counts)

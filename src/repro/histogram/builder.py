@@ -50,32 +50,36 @@ def build_node_histogram_sparse(
     """
     _check_inputs(shard, grad, hess)
     rows = np.asarray(rows, dtype=np.int64)
+    shape = (shard.n_features, shard.n_bins)
     size = shard.n_features * shard.n_bins
-    far = shard.feature_arange
-    zero_bins = shard.zero_bins
+    positions = shard.positions_of_rows(rows)
 
     # Algorithm 2 lines 2-3: accumulate the gradient sums of all instances.
-    sum_g = float(grad[rows].sum())
-    sum_h = float(hess[rows].sum())
+    g_rows, h_rows = grad[rows], hess[rows]
+    sum_g = float(g_rows.sum())
+    sum_h = float(h_rows.sum())
 
-    positions = shard.positions_of_rows(rows)
     if len(positions) == 0:
         # No nonzeros in this node: only the zero buckets receive mass.
-        empty = GradientHistogram.zeros(shard.n_features, shard.n_bins)
-        empty.grad[far, zero_bins] += sum_g
-        empty.hess[far, zero_bins] += sum_h
+        empty = GradientHistogram.zeros(*shape)
+        empty.grad[shard.feature_arange, shard.zero_bins] += sum_g
+        empty.hess[shard.feature_arange, shard.zero_bins] += sum_h
         return empty
 
     # Lines 4-10: scatter each nonzero's gradient into its bucket and
     # subtract it from the feature's zero bucket.  The scatter is one
     # weighted bincount over the precomputed flat slots; the subtraction
     # needs only per-feature sums of the nonzero gradients, so its
-    # bincount temporary is M values, not M * n_bins.
+    # bincount temporary is M values, not M * n_bins.  Only the slots are
+    # gathered per nonzero: ``positions`` keeps a row's nonzeros together,
+    # so its gradient repeated once per nonzero is the weight array, and
+    # the feature is the slot's quotient — every bincount sees the values
+    # a per-nonzero gather would hand it, in the same order.
+    counts = shard.indptr[rows + 1] - shard.indptr[rows]
     slots = shard.slots[positions]
-    nz_features = shard.features[positions]
-    nz_rows = shard.row_of[positions]
-    g_nz = grad[nz_rows].astype(np.float64, copy=False)
-    h_nz = hess[nz_rows].astype(np.float64, copy=False)
+    nz_features = slots // shard.n_bins
+    g_nz = np.repeat(g_rows.astype(np.float64, copy=False), counts)
+    h_nz = np.repeat(h_rows.astype(np.float64, copy=False), counts)
 
     hist_g = np.bincount(slots, weights=g_nz, minlength=size)
     hist_h = np.bincount(slots, weights=h_nz, minlength=size)
@@ -84,14 +88,14 @@ def build_node_histogram_sparse(
 
     # Lines 12-15: settle the zero buckets — remove each feature's nonzero
     # mass, then add the node totals.  Two steps (not one fused delta) so
-    # the per-slot float operations match the historical kernel bit for bit.
-    hist_g = hist_g.reshape(shard.n_features, shard.n_bins)
-    hist_h = hist_h.reshape(shard.n_features, shard.n_bins)
-    hist_g[far, zero_bins] -= zsub_g
-    hist_h[far, zero_bins] -= zsub_h
-    hist_g[far, zero_bins] += sum_g
-    hist_h[far, zero_bins] += sum_h
-    return GradientHistogram(hist_g, hist_h)
+    # the per-slot float operations match the historical kernel bit for
+    # bit, between one gather and one scatter through the flat zero slots.
+    for hist, zsub, total in ((hist_g, zsub_g, sum_g), (hist_h, zsub_h, sum_h)):
+        at_zero = hist[shard.zero_slots]
+        at_zero -= zsub
+        at_zero += total
+        hist[shard.zero_slots] = at_zero
+    return GradientHistogram(hist_g.reshape(shape), hist_h.reshape(shape))
 
 
 def build_node_histogram_dense(

@@ -28,7 +28,12 @@ import numpy as np
 from ..errors import DataError, SketchError
 from ..datasets.sparse import CSRMatrix
 from .quantile import AnySketch, SketchBatch
-from .ragged import segment_cumsum, segment_searchsorted, sorted_columns
+from .ragged import (
+    segment_cumsum,
+    segment_searchsorted,
+    sorted_column_values,
+    sorted_columns,
+)
 
 
 class CandidateSet:
@@ -212,7 +217,7 @@ def propose_candidates(
             semantics of Algorithm 2 exact for signed features.
     """
     _check_max_bins(max_bins)
-    _, sorted_vals, bounds = sorted_columns(X.indices, X.data, X.n_cols)
+    sorted_vals, bounds = sorted_column_values(X.indices, X.data, X.n_cols)
     live = np.flatnonzero(np.diff(bounds))
     lo, last = bounds[:-1][live], bounds[1:][live] - 1
     picks = np.round(_quantile_steps(last - lo, max_bins)).astype(np.int64)

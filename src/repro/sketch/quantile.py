@@ -47,6 +47,7 @@ from .ragged import (
     ragged_arange,
     segment_cumsum,
     segment_searchsorted,
+    sorted_column_values,
     sorted_columns,
 )
 
@@ -963,7 +964,7 @@ def sketch_columns(
         A batch of ``n_cols`` summaries, feature ``c`` for column ``c``;
         columns with no stored values get an empty one.
     """
-    _, sorted_vals, bounds = sorted_columns(indices, data, n_cols)
+    sorted_vals, bounds = sorted_column_values(indices, data, n_cols)
     return _sample_sorted(sorted_vals, bounds, eps)
 
 

@@ -32,17 +32,44 @@ def sorted_columns(
     if data.dtype == np.float32:
         values = data + np.float32(0.0)  # folds -0.0 into +0.0
         values[np.isnan(values)] = np.nan  # one bit pattern for every NaN
-        bits = values.view(np.uint32)
-        # IEEE-754 order as unsigned order: flip every bit of a negative
-        # value, only the sign bit of a non-negative one.
-        bits ^= (bits.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
-        keys = indices.astype(np.uint64) << np.uint64(32)
-        keys |= bits
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(_packed_keys(indices, values), kind="stable")
     else:
         order = np.lexsort((data, indices))
     bounds = np.searchsorted(indices[order], np.arange(n_cols + 1))
     return order, data[order].astype(np.float64), bounds
+
+
+def _packed_keys(indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``column << 32 | ordered bits`` of float32 ``values`` (overwritten)."""
+    bits = values.view(np.uint32)
+    # IEEE-754 order as unsigned order: flip every bit of a negative
+    # value, only the sign bit of a non-negative one.
+    bits ^= (bits.view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
+    keys = indices.astype(np.uint64) << np.uint64(32)
+    keys |= bits
+    return keys
+
+
+def sorted_column_values(
+    indices: np.ndarray, data: np.ndarray, n_cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(sorted_values, bounds)`` of :func:`sorted_columns`, byte for byte.
+
+    With no permutation to return, a value sort of the packed keys is
+    enough and the values are decoded back out of them — unless equal
+    keys can differ in bytes (a stored ``-0.0``, any NaN) or the data is
+    not float32: those take the stable sort.
+    """
+    stable = data.dtype != np.float32 or np.isnan(data).any()
+    if stable or (data.view(np.uint32) == np.uint32(1 << 31)).any():  # a -0.0
+        return sorted_columns(indices, data, n_cols)[1:]
+    keys = _packed_keys(indices, data.copy())
+    keys.sort()
+    first_keys = np.arange(n_cols + 1, dtype=np.uint64) << np.uint64(32)
+    bounds = np.searchsorted(keys, first_keys)
+    bits = keys.astype(np.uint32)  # the low word: the value's ordered bits
+    bits ^= ((~bits).view(np.int32) >> 31).view(np.uint32) | np.uint32(1 << 31)
+    return bits.view(np.float32).astype(np.float64), bounds
 
 
 def ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

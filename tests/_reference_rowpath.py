@@ -15,6 +15,14 @@ dataclass, ``split_mask`` taking the shard as an argument and gathering
 ``zero_slots[features[positions]]`` where the shard used to cache that
 gather as ``zero_slots_of_nz``, and ``best_split_in_range`` returning the
 ``SplitDecision`` fields as a tuple.
+
+PR 24 appended ``concat_ranges`` (``repro.histogram.binned``) and
+``build_node_histogram_sparse`` (``repro.histogram.builder``) as they
+stood at ``9840ba0``, before the repeat-based ranges and weights; the
+frozen ``split_mask`` above uses that frozen ``concat_ranges``, and the
+frozen builder reaches its positions through it (``indptr`` gathers
+inlined) instead of ``shard.positions_of_rows``, so neither shares a loop
+with the rewrite.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DataError, TrainingError
-from repro.histogram.binned import concat_ranges
+from repro.histogram.histogram import GradientHistogram
 
 # ----------------------------------------------------------------------
 # compression/lowprec.py
@@ -108,6 +116,24 @@ def decompress_blocked(
 # ----------------------------------------------------------------------
 
 
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The old ``ones -> fancy set -> cumsum`` range concat."""
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if starts.shape != counts.shape:
+        raise DataError("starts and counts must have the same shape")
+    nonempty = counts > 0
+    starts, counts = starts[nonempty], counts[nonempty]
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    deltas = np.ones(total, dtype=np.int64)
+    deltas[0] = starts[0]
+    ends = counts.cumsum()
+    deltas[ends[:-1]] = starts[1:] - (starts[:-1] + counts[:-1]) + 1
+    return deltas.cumsum()
+
+
 def split_mask(shard, rows: np.ndarray, feature: int, bucket: int) -> np.ndarray:
     """The old SPLIT_TREE gather over every nonzero of the node's rows."""
     if not 0 <= feature < shard.n_features:
@@ -124,6 +150,56 @@ def split_mask(shard, rows: np.ndarray, feature: int, bucket: int) -> np.ndarray
     at_feature = zero_slots_of_nz == shard.zero_slots[feature]
     mask[local_row[at_feature]] = shard.bins[positions[at_feature]] <= bucket
     return mask
+
+
+# ----------------------------------------------------------------------
+# histogram/builder.py
+# ----------------------------------------------------------------------
+
+
+def build_node_histogram_sparse(
+    shard, rows: np.ndarray, grad: np.ndarray, hess: np.ndarray
+) -> GradientHistogram:
+    """The old Algorithm 2 kernel: five gathers per nonzero, 2-D settle."""
+    if len(grad) != shard.n_rows or len(hess) != shard.n_rows:
+        raise DataError(
+            f"grad/hess must have one value per shard row ({shard.n_rows}), "
+            f"got {len(grad)}/{len(hess)}"
+        )
+    rows = np.asarray(rows, dtype=np.int64)
+    size = shard.n_features * shard.n_bins
+    far = shard.feature_arange
+    zero_bins = shard.zero_bins
+
+    sum_g = float(grad[rows].sum())
+    sum_h = float(hess[rows].sum())
+
+    starts = shard.indptr[rows]
+    positions = concat_ranges(starts, shard.indptr[rows + 1] - starts)
+    if len(positions) == 0:
+        empty = GradientHistogram.zeros(shard.n_features, shard.n_bins)
+        empty.grad[far, zero_bins] += sum_g
+        empty.hess[far, zero_bins] += sum_h
+        return empty
+
+    slots = shard.slots[positions]
+    nz_features = shard.features[positions]
+    nz_rows = shard.row_of[positions]
+    g_nz = grad[nz_rows].astype(np.float64, copy=False)
+    h_nz = hess[nz_rows].astype(np.float64, copy=False)
+
+    hist_g = np.bincount(slots, weights=g_nz, minlength=size)
+    hist_h = np.bincount(slots, weights=h_nz, minlength=size)
+    zsub_g = np.bincount(nz_features, weights=g_nz, minlength=shard.n_features)
+    zsub_h = np.bincount(nz_features, weights=h_nz, minlength=shard.n_features)
+
+    hist_g = hist_g.reshape(shard.n_features, shard.n_bins)
+    hist_h = hist_h.reshape(shard.n_features, shard.n_bins)
+    hist_g[far, zero_bins] -= zsub_g
+    hist_h[far, zero_bins] -= zsub_h
+    hist_g[far, zero_bins] += sum_g
+    hist_h[far, zero_bins] += sum_h
+    return GradientHistogram(hist_g, hist_h)
 
 
 # ----------------------------------------------------------------------

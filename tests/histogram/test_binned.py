@@ -52,6 +52,29 @@ class TestConcatRanges:
         )
         np.testing.assert_array_equal(concat_ranges(starts, counts), expected)
 
+    @pytest.mark.parametrize(
+        "starts, counts",
+        [
+            ([], []),
+            ([7], [4]),
+            ([7], [0]),
+            ([5, 9, 2, 20], [3, 0, 0, 2]),  # zero counts in the middle
+            ([0, 0, 3], [2, 2, 1]),  # overlapping and repeated ranges
+        ],
+    )
+    def test_matches_frozen(self, starts, counts):
+        starts = np.array(starts, dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)
+        new, old = concat_ranges(starts, counts), ref.concat_ranges(starts, counts)
+        assert new.dtype == old.dtype == np.int64
+        np.testing.assert_array_equal(new, old)
+
+    def test_negative_count_is_an_error(self):
+        """The old loop dropped the range; ``np.repeat`` would raise a bare
+        ``ValueError``."""
+        with pytest.raises(DataError, match="negative range length -2"):
+            concat_ranges(np.array([4, 9]), np.array([1, -2]))
+
 
 class TestBinnedShard:
     def test_layout(self, tiny_dataset, tiny_candidates, tiny_shard):
@@ -88,6 +111,18 @@ class TestBinnedShard:
             ]
         )
         np.testing.assert_array_equal(positions, expected)
+
+    @pytest.mark.parametrize("bad", [-1, "n_rows"])
+    def test_positions_of_rows_out_of_range(self, tiny_shard, bad):
+        """-1 used to wrap around ``indptr`` to a negative count that was
+        silently dropped; ``n_rows`` escaped as an ``IndexError``."""
+        bad = tiny_shard.n_rows if bad == "n_rows" else bad
+        with pytest.raises(DataError, match=f"row id {bad} outside"):
+            tiny_shard.positions_of_rows(np.array([3, bad]))
+
+    def test_positions_of_no_rows(self, tiny_shard):
+        out = tiny_shard.positions_of_rows(np.array([], dtype=np.int64))
+        assert out.dtype == np.int64 and len(out) == 0
 
     def test_feature_count_mismatch(self, tiny_dataset):
         other = propose_candidates(

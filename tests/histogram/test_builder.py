@@ -16,6 +16,8 @@ from repro.histogram import (
 )
 from repro.sketch import propose_candidates
 
+from .. import _reference_rowpath as ref
+
 
 def brute_force_histogram(X, candidates, rows, grad, hess):
     """Reference: the literal Algorithm 1 lines 4-8 over dense data."""
@@ -121,6 +123,100 @@ class TestCorrectness:
             build_node_histogram_sparse(
                 tiny_shard, np.array([0]), np.zeros(3), np.zeros(3)
             )
+
+
+def random_shard(rng, n_bins):
+    """A small shard with rows and features that hold no nonzero."""
+    n_rows, n_cols = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+    dense = rng.choice([-2.0, -0.5, 0.5, 1.0, 3.0], size=(n_rows, n_cols))
+    dense[rng.random((n_rows, n_cols)) < 0.6] = 0.0
+    dense[:, rng.integers(n_cols)] = 0.0  # a feature no row touches
+    dense[rng.integers(n_rows)] = 0.0  # a row with no nonzeros
+    X = CSRMatrix.from_dense(dense)
+    return BinnedShard(X, propose_candidates(X, max_bins=n_bins))
+
+
+def assert_same_bits(new, old):
+    for a, b in ((new.grad, old.grad), (new.hess, old.hess)):
+        assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestMatchesFrozenKernel:
+    """The repeat-based kernel against the gather-based one it replaced:
+    the same float additions in the same order, so the same bits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**31 - 1),
+        st.sampled_from([2, 20]),
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from(["empty", "single", "all", "tail", "subset", "unsorted"]),
+    )
+    def test_bit_for_bit(self, seed, n_bins, dtype, kind):
+        rng = np.random.default_rng(seed)
+        shard = random_shard(rng, n_bins)
+        n_rows = shard.n_rows
+        if kind == "empty":
+            rows = np.empty(0, dtype=np.int64)
+        elif kind == "single":
+            rows = rng.integers(n_rows, size=1)
+        elif kind == "all":
+            rows = np.arange(n_rows, dtype=np.int64)
+        elif kind == "tail":
+            rows = np.arange(n_rows // 2, n_rows, dtype=np.int64)
+        elif kind == "subset":
+            rows = np.flatnonzero(rng.random(n_rows) < 0.4)
+        else:  # no trainer passes it; the kernel never promised an order
+            rows = rng.integers(n_rows, size=n_rows)
+        grad = (rng.normal(size=n_rows) * 10.0 ** rng.integers(-8, 8)).astype(dtype)
+        hess = rng.random(n_rows).astype(dtype)
+        assert_same_bits(
+            build_node_histogram_sparse(shard, rows, grad, hess),
+            ref.build_node_histogram_sparse(shard, rows, grad, hess),
+        )
+
+    def test_rows_without_nonzeros_only(self):
+        """A non-empty node with no nonzero takes the empty branch."""
+        X = CSRMatrix.from_rows([[(0, 5.0)], [], []], n_cols=3)
+        shard = BinnedShard(X, propose_candidates(X, max_bins=4))
+        grad, hess = np.array([1.0, -0.25, 3.0]), np.array([1.0, 0.5, 0.125])
+        rows = np.array([1, 2])
+        new = build_node_histogram_sparse(shard, rows, grad, hess)
+        assert_same_bits(new, ref.build_node_histogram_sparse(shard, rows, grad, hess))
+        assert new.grad[np.arange(3), shard.zero_bins].tolist() == [2.75] * 3
+
+    def test_on_a_real_shard(self, small_shard, rng):
+        grad = rng.normal(size=small_shard.n_rows)
+        hess = rng.random(small_shard.n_rows)
+        for rows in (
+            np.arange(small_shard.n_rows),
+            np.flatnonzero(rng.random(small_shard.n_rows) < 0.3),
+        ):
+            assert_same_bits(
+                build_node_histogram_sparse(small_shard, rows, grad, hess),
+                ref.build_node_histogram_sparse(small_shard, rows, grad, hess),
+            )
+
+
+class TestRowIdsOutOfRange:
+    """Row ids are checked where both kernels look their ranges up."""
+
+    @pytest.mark.parametrize(
+        "build", [build_node_histogram_sparse, build_node_histogram_dense]
+    )
+    @pytest.mark.parametrize("bad", [-1, "n_rows"])
+    def test_rejected_by_name(self, tiny_shard, build, bad):
+        bad = tiny_shard.n_rows if bad == "n_rows" else bad
+        g, h = np.ones(tiny_shard.n_rows), np.ones(tiny_shard.n_rows)
+        with pytest.raises(DataError, match=rf"row id {bad} outside \[0, "):
+            build(tiny_shard, np.array([0, bad, 2]), g, h)
+
+    def test_last_row_is_in_range(self, tiny_shard):
+        g, h = np.ones(tiny_shard.n_rows), np.ones(tiny_shard.n_rows)
+        rows = np.array([tiny_shard.n_rows - 1])
+        hist = build_node_histogram_sparse(tiny_shard, rows, g, h)
+        assert hist.totals() == (1.0, 1.0)
 
 
 class TestComplexity:
