@@ -12,6 +12,7 @@ RCV1 distribution).
 
 from __future__ import annotations
 
+import math
 import os
 from typing import IO, Iterable
 
@@ -21,6 +22,9 @@ from ..errors import DataError
 from .dataset import Dataset
 from .sparse import CSRMatrix
 
+#: Largest 0-based feature index a CSR block's int32 indices can hold.
+_INDEX_MAX = int(np.iinfo(np.int32).max)
+
 
 def _parse_line(line: str, line_no: int, one_based: bool) -> tuple[float, list[int], list[float]]:
     parts = line.split()
@@ -28,6 +32,8 @@ def _parse_line(line: str, line_no: int, one_based: bool) -> tuple[float, list[i
         label = float(parts[0])
     except ValueError as exc:
         raise DataError(f"line {line_no}: bad label {parts[0]!r}") from exc
+    if not math.isfinite(label):
+        raise DataError(f"line {line_no}: label {parts[0]!r} is not finite")
     idxs: list[int] = []
     vals: list[float] = []
     for token in parts[1:]:
@@ -43,6 +49,8 @@ def _parse_line(line: str, line_no: int, one_based: bool) -> tuple[float, list[i
             idx -= 1
         if idx < 0:
             raise DataError(f"line {line_no}: feature index {idx} below range")
+        if idx > _INDEX_MAX:
+            raise DataError(f"line {line_no}: feature index {idx} does not fit int32")
         idxs.append(idx)
         vals.append(val)
     return label, idxs, vals
@@ -64,7 +72,8 @@ def load_libsvm(
         name: Dataset name; defaults to the file's basename.
 
     Raises:
-        DataError: On malformed lines or indices beyond ``n_features``.
+        DataError: On malformed lines (a non-finite label, an index past
+            int32 included) or indices beyond ``n_features``.
     """
     labels: list[float] = []
     indptr: list[int] = [0]

@@ -3,17 +3,19 @@
 Request flow::
 
     submit() ──admission──▶ asyncio.Queue ──batch loop──▶ CSR assembly
-        │ (reject: queue full)    │ (reject: deadline expired)
-        │                         ▼
+        │ (reject: queue full,    │ (reject: deadline expired;
+        │  malformed request)     ▼  indices that do not fit the version)
         ◀──────── future ◀── run_in_executor(score) ◀── ModelStore.current()
 
-The batching loop waits for a first request, greedily drains whatever
-else is already queued (up to ``max_batch_rows``) and flushes at once.
-It never waits on a timer: the flush is awaited, so whatever arrives
-while it scores is the next batch.  Batches form from back-pressure —
-their size grows with load by itself (big batches feed the flat kernel
-the cache-sized blocks it wants), and an idle runtime answers a lone
-request immediately.
+Admission checks only what must fail before a row is queued; indices
+are checked once per batch, over the assembled block, against the
+version that scores it.  The batching loop waits for a first request,
+greedily drains whatever else is already queued (up to
+``max_batch_rows``) and flushes at once.  It never waits on a timer:
+the flush is awaited, so whatever arrives while it scores is the next
+batch.  Batches form from back-pressure — their size grows with load
+by itself (big batches feed the flat kernel the cache-sized blocks it
+wants), and an idle runtime answers a lone request immediately.
 
 Scoring runs on a dedicated single-thread executor: the event loop
 keeps admitting (and shedding) requests while numpy works, and at most
@@ -34,7 +36,7 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,9 +89,10 @@ class ServingConfig:
         )
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """One scored request, stamped with full provenance.
+
+    A named tuple: immutable, and cheap to build once per served row.
 
     Attributes:
         raw: Raw margin score (bit-identical to direct flat scoring).
@@ -113,16 +116,33 @@ class Prediction:
 
 @dataclass(slots=True, eq=False)
 class _Request:
-    """Internal queue entry: validated row + response future."""
+    """Internal queue entry: a well-shaped row + response future (its
+    indices are checked per batch, by :meth:`ServingRuntime._block`)."""
 
     indices: np.ndarray
     values: np.ndarray
-    #: Width of the version the indices were validated against: a hot
-    #: swap may publish a narrower one before this row is scored.
-    n_features: int
     arrival: float
     deadline_at: float | None
     future: "asyncio.Future[Prediction]"
+
+
+def _invalid_rows(
+    indptr: np.ndarray, indices: np.ndarray, n_features: int
+) -> np.ndarray:
+    """Rows of a CSR block whose indices are not strictly increasing
+    within ``[0, n_features)``, in one vectorised pass over the block.
+
+    ``bad`` has a spare slot so ``indptr`` (values up to ``nnz``: empty
+    rows may sit anywhere) can unmark every row's first entry unguarded;
+    an entry belongs to the last row starting at or before it.
+    """
+    nnz = len(indices)
+    bad = np.zeros(nnz + 1, dtype=bool)
+    np.less_equal(indices[1:], indices[:-1], out=bad[1:nnz])
+    bad[indptr] = False
+    bad[:nnz] |= (indices < 0) | (indices >= n_features)
+    at = np.flatnonzero(bad)
+    return np.unique(np.searchsorted(indptr, at, side="right") - 1)
 
 
 class _Stop:
@@ -228,11 +248,12 @@ class ServingRuntime:
             indices: Sorted, duplicate-free feature ids of the row.
             values: Matching feature values.
             deadline_ms: Per-request deadline override (milliseconds
-                from now); defaults to ``config.deadline_ms``.
+                from now, > 0); defaults to ``config.deadline_ms``.
 
         Raises:
             RequestRejectedError: Shed by admission or deadline control.
-            ServingError: Malformed row or runtime not started.
+            ServingError: Malformed row or deadline (at once), or indices
+                that do not fit the version scoring the row.
         """
         if self._queue is None or self._stopping:
             self.metrics.rejected_shutdown += 1
@@ -263,25 +284,15 @@ class ServingRuntime:
                 f"row must be parallel 1-D indices/values, got shapes "
                 f"{idx.shape} and {val.shape}"
             )
-        n_features = self.store.current().n_features
-        if len(idx) and (
-            idx[0] < 0
-            or idx[-1] >= n_features
-            or (idx[1:] <= idx[:-1]).any()
-        ):
-            raise ServingError(
-                f"indices must be strictly increasing within [0, "
-                f"{n_features}), got {idx.tolist()[:8]}..."
-            )
+        if deadline_ms is None:
+            deadline_ms = self.config.deadline_ms
+        elif not deadline_ms > 0.0:  # NaN included: ServingConfig's rule
+            raise ServingError(f"deadline_ms must be > 0, got {deadline_ms}")
         arrival = wall_clock()
-        budget_ms = (
-            deadline_ms if deadline_ms is not None else self.config.deadline_ms
-        )
-        deadline_at = arrival + budget_ms / 1e3 if budget_ms is not None else None
+        deadline_at = arrival + deadline_ms / 1e3 if deadline_ms is not None else None
         request = _Request(
             idx,
             val,
-            n_features,
             arrival,
             deadline_at,
             asyncio.get_running_loop().create_future(),
@@ -357,7 +368,6 @@ class ServingRuntime:
     async def _score(self, batch: list[_Request]) -> None:
         drained_at = wall_clock()
         version = self.store.current()  # read once: the whole batch
-        n_features = version.n_features
         live: list[_Request] = []
         for request in batch:
             if (
@@ -371,26 +381,13 @@ class ServingRuntime:
                     f"deadline expired after "
                     f"{(drained_at - request.arrival) * 1e3:.2f} ms in queue",
                 )
-            elif (
-                request.n_features > n_features
-                and len(request.indices)
-                and request.indices[-1] >= n_features
-            ):
-                # Admitted under a wider version that a hot swap has
-                # since replaced; its batch-mates are scored as usual.
-                request.future.set_exception(
-                    ServingError(
-                        f"feature {request.indices[-1]} is outside version "
-                        f"{version.version}'s width {n_features}"
-                    )
-                )
             else:
                 live.append(request)
+        X = self._block(live, version)
         if not live:
             self.metrics.empty_flushes += 1
             return
 
-        X = self._assemble(live, n_features)
         self._batch_seq += 1
         batch_seq = self._batch_seq
         assert self._score_pool is not None
@@ -402,42 +399,55 @@ class ServingRuntime:
         # One conversion per batch, not one float() per request.
         raws, values = raw.tolist(), version.transform(raw).tolist()
 
-        self.metrics.observe_batch(len(live))
-        self.metrics.served += len(live)
+        n_live = len(live)
+        self.metrics.observe_batch(n_live)
+        self.metrics.served += n_live
         self.metrics.score.observe(score_ms / 1e3)
+        arrivals = [request.arrival for request in live]
+        queued = [(drained_at - arrival) * 1e3 for arrival in arrivals]
         done_at = wall_clock()
-        for request, raw_i, value_i in zip(live, raws, values, strict=True):
-            queued_ms = (drained_at - request.arrival) * 1e3
-            self.metrics.queue_wait.observe(queued_ms / 1e3)
-            self.metrics.total.observe(done_at - request.arrival)
+        self.metrics.queue_wait.observe_many([ms / 1e3 for ms in queued])
+        self.metrics.total.observe_many([done_at - t for t in arrivals])
+        version_no = version.version
+        for request, raw_i, value_i, wait_ms in zip(live, raws, values, queued):
             if not request.future.done():
                 request.future.set_result(
                     Prediction(
-                        raw=raw_i,
-                        value=value_i,
-                        version=version.version,
-                        batch_seq=batch_seq,
-                        batch_size=len(live),
-                        queued_ms=queued_ms,
-                        score_ms=score_ms,
+                        raw_i, value_i, version_no, batch_seq, n_live, wait_ms, score_ms
                     )
                 )
 
-    @staticmethod
-    def _assemble(batch: list[_Request], n_features: int) -> CSRMatrix:
-        """Stack validated rows into one CSR block (the kernel's shape)."""
+    def _block(self, live: list[_Request], version: ModelVersion) -> CSRMatrix:
+        """Stack ``live`` into one CSR block (the kernel's shape).
+
+        Rows whose indices do not fit ``version`` are answered
+        ``ServingError`` and dropped from ``live`` in place; their
+        batch-mates are scored as usual.
+        """
         lengths = np.fromiter(
-            (len(r.indices) for r in batch), dtype=np.int64, count=len(batch)
+            (len(r.indices) for r in live), dtype=np.int64, count=len(live)
         )
-        indptr = np.zeros(len(batch) + 1, dtype=np.int64)
+        indptr = np.zeros(len(live) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         if indptr[-1]:
-            indices = np.concatenate([r.indices for r in batch])
-            data = np.concatenate([r.values for r in batch])
+            indices = np.concatenate([r.indices for r in live])
+            data = np.concatenate([r.values for r in live])
         else:
             indices = np.empty(0, dtype=np.int32)
             data = np.empty(0, dtype=np.float32)
-        return CSRMatrix(indptr, indices, data, (len(batch), n_features))
+        n_features = version.n_features
+        invalid = _invalid_rows(indptr, indices, n_features).tolist()
+        for i in reversed(invalid):
+            request = live.pop(i)
+            error = ServingError(
+                f"indices must be strictly increasing within [0, {n_features}) "
+                f"of version {version.version}: {request.indices[:8].tolist()}..."
+            )
+            if not request.future.done():
+                request.future.set_exception(error)
+        if invalid:  # restack what is left: every row of it passes
+            return self._block(live, version)
+        return CSRMatrix(indptr, indices, data, (len(live), n_features))
 
     def _reject(self, request: _Request, reason: str, detail: str) -> None:
         if not request.future.done():

@@ -80,6 +80,29 @@ class TestParsing:
         with pytest.raises(DataError, match="below range"):
             load_libsvm(path)  # one_based: 0 becomes -1
 
+    @pytest.mark.parametrize("index", ["2147483649", "99999999999999999999"])
+    def test_index_past_int32_names_the_line(self, tmp_path, index):
+        # Used to escape as a raw OverflowError from np.asarray, after
+        # the whole file had been parsed.
+        path = tmp_path / "data.txt"
+        path.write_text(f"1 1:1.0\n0 {index}:1.0\n")
+        with pytest.raises(DataError, match="line 2: .* does not fit int32"):
+            load_libsvm(path)
+
+    def test_largest_int32_index_loads(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("1 2147483647:1.0\n")
+        data = load_libsvm(path, one_based=False)
+        assert data.X.row(0)[0].tolist() == [2**31 - 1]
+        assert data.n_features == 2**31
+
+    @pytest.mark.parametrize("label", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_label_names_the_line(self, tmp_path, label):
+        path = tmp_path / "data.txt"
+        path.write_text(f"1 1:1.0\n\n{label} 2:1.0\n")
+        with pytest.raises(DataError, match="line 3: label .* not finite"):
+            load_libsvm(path)
+
     def test_unsorted_indices_accepted(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("1 5:5.0 2:2.0\n")

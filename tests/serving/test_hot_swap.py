@@ -161,3 +161,67 @@ def test_swap_to_a_narrower_model_keeps_the_loop_alive(tmp_path):
     assert (mate.version, mate.raw, mate.batch_size) == (2, expected, 1)
     assert alive
     assert (after.version, after.raw) == (2, expected)
+
+
+def test_swap_fails_only_the_rows_past_the_new_width(tmp_path):
+    """One queued batch mixing rows that fit the narrower v2, a row that
+    only fit v1, an unsorted row and empty rows at the start, middle and
+    end: the width and order check runs once over the assembled block
+    against v2, so exactly the two bad rows fail."""
+    narrow = make_model(5, n_features=8)
+    paths = []
+    for name, model in (("wide", make_model(1)), ("narrow", narrow)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        model.save(paths[-1])
+    layout = [[], [2, 5], [2, 20], [], [0, 7], [5, 3], [1], []]
+    bad = {2, 5}
+    rows = [
+        (np.array(r, dtype=np.int32), np.full(len(r), 0.75, dtype=np.float32))
+        for r in layout
+    ]
+
+    async def drive():
+        store = ModelStore()
+        store.load(paths[0])
+        gate = threading.Event()
+        v1 = store.current()
+        original = v1.predict_raw
+
+        def gated(X):
+            gate.wait(10)
+            return original(X)
+
+        v1.predict_raw = gated
+        runtime = ServingRuntime(store, ServingConfig(max_batch_rows=16))
+        await runtime.start()
+        first = asyncio.create_task(runtime.submit(*rows[1]))
+        await until_in_flight(runtime)
+        tasks = [asyncio.create_task(runtime.submit(*row)) for row in rows]
+        await asyncio.sleep(0)  # all admitted while v1 is published
+        await runtime.swap(paths[1])
+        gate.set()
+        results = await asyncio.wait_for(
+            asyncio.gather(first, *tasks, return_exceptions=True), timeout=10
+        )
+        await runtime.stop()
+        store.close()
+        return results[1:]
+
+    results = asyncio.run(drive())
+    good = [i for i in range(len(layout)) if i not in bad]
+    for i in bad:
+        assert isinstance(results[i], ServingError), results[i]
+        assert "version 2" in str(results[i])
+    expected = narrow.compiled().predict_raw(
+        CSRMatrix.from_rows(
+            [list(zip(layout[i], [0.75] * len(layout[i]))) for i in good],
+            n_cols=8,
+        ),
+        base_score=narrow.base_score,
+    )
+    served = [results[i] for i in good]
+    assert [p.version for p in served] == [2] * len(good)
+    assert {(p.batch_seq, p.batch_size) for p in served} == {
+        (served[0].batch_seq, len(good))
+    }
+    assert np.array_equal(np.array([p.raw for p in served]), expected)

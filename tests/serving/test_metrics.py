@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.serving import LatencyStat, ServingMetrics
@@ -36,6 +37,23 @@ class TestLatencyStat:
         assert stat.total == pytest.approx(sum(range(10)))
         # Percentiles see only the window (6, 7, 8, 9).
         assert stat.percentile(0.0) == pytest.approx(6.0)
+
+    def test_observe_many_equals_repeated_observe(self):
+        """Bit for bit: count, total (a left fold, which a compensated
+        sum would not reproduce), max, and the window's contents."""
+        rng = np.random.default_rng(5)
+        batches = [rng.exponential(1e-3, size=n).tolist() for n in (7, 0, 250, 1, 40)]
+        batches.append([1e16, 1.0, -1e16, 3.0])  # order-sensitive total
+        one, many = LatencyStat(window=64), LatencyStat(window=64)
+        for batch in batches:
+            for seconds in batch:
+                one.observe(seconds)
+            many.observe_many(batch)
+            assert (many.count, many.total, many.max) == (
+                one.count, one.total, one.max,
+            )
+            assert list(many._samples) == list(one._samples)
+        assert many.snapshot() == one.snapshot()
 
 
 class TestServingMetrics:

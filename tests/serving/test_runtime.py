@@ -7,11 +7,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, RequestRejectedError, ServingError
-from repro.serving import ModelStore, ServingConfig, ServingRuntime
+from repro.serving import ModelStore, Prediction, ServingConfig, ServingRuntime
+from repro.serving.runtime import _invalid_rows
 
-from .conftest import make_rows, rows_to_csr, until_in_flight
+from .conftest import N_FEATURES, make_rows, rows_to_csr, until_in_flight
 
 
 def run(coro):
@@ -115,6 +118,8 @@ class TestLifecycle:
 
 
 class TestAdmissionValidation:
+    # The first four fail when their batch is assembled, the rest at
+    # admission; either way the submit raises ServingError.
     @pytest.mark.parametrize(
         "indices, values",
         [
@@ -150,6 +155,133 @@ class TestAdmissionValidation:
 
         prediction = run(body())
         assert np.isfinite(prediction.raw)
+
+    @pytest.mark.parametrize("deadline_ms", [0.0, -5.0, float("nan")])
+    def test_deadline_not_above_zero_is_refused_at_submit(
+        self, store, deadline_ms
+    ):
+        """ServingConfig's rule, per request: NaN used to disable the
+        deadline and a value <= 0 was queued, then shed as "deadline"."""
+
+        async def body():
+            runtime = ServingRuntime(store)
+            await runtime.start()
+            try:
+                with pytest.raises(ServingError, match="deadline_ms must be > 0"):
+                    await runtime.submit([1], [1.0], deadline_ms=deadline_ms)
+            finally:
+                await runtime.stop()
+            return runtime.metrics
+
+        metrics = run(body())
+        assert metrics.submitted == 0
+        assert metrics.rejected_deadline == 0
+
+
+EMPTY: list[int] = []
+
+
+def _row(indices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.asarray(indices, dtype=np.int32)
+    return idx, np.linspace(0.5, 1.5, len(idx), dtype=np.float32)
+
+
+def _fits(indices: list[int], n_features: int = N_FEATURES) -> bool:
+    """The per-row reference: strictly increasing within [0, n_features)."""
+    return all(0 <= f < n_features for f in indices) and all(
+        b > a for a, b in zip(indices, indices[1:])
+    )
+
+
+class TestBatchValidation:
+    """Indices are checked once per batch, over the assembled block,
+    against the version that scores it: only the bad rows fail."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            # Every kind of bad row, empty rows at the start, middle, end;
+            # [10, 20] then [3, 5] and [7] then [7] are good rows whose
+            # boundary would look unsorted if it were not masked.
+            [EMPTY, [10, 20], [3, 5], [5, 3], EMPTY, [4, 4], [7], [7],
+             [-1, 2], EMPTY, [2, N_FEATURES], [0, 1, 23], EMPTY],
+            # A bad row just before trailing empty rows (a row start equal
+            # to nnz must not index past the block).
+            [[1, 2], [9, 8], EMPTY, EMPTY],
+            [[1, 2], [2, N_FEATURES + 5], EMPTY],
+            # A bad row just after leading empty rows, and last of all.
+            [EMPTY, EMPTY, [-3], [6, 9]],
+            [[6, 9], [6, 6]],
+            # Nothing valid: the flush scores nothing.
+            [[3, 1], [N_FEATURES]],
+        ],
+        ids=["every-kind", "bad-then-empties", "wide-then-empty",
+             "empties-then-bad", "bad-last", "all-bad"],
+    )
+    def test_only_bad_rows_fail(self, store, model_a, layout):
+        rows = [_row(indices) for indices in layout]
+        good = [i for i, indices in enumerate(layout) if _fits(indices)]
+
+        async def body():
+            runtime = ServingRuntime(store, ServingConfig(max_batch_rows=64))
+            await runtime.start()
+            tasks = [asyncio.create_task(runtime.submit(*row)) for row in rows]
+            results = await asyncio.gather(*tasks, return_exceptions=True)
+            await runtime.stop()
+            return results, runtime.metrics
+
+        results, metrics = run(body())
+        for i, result in enumerate(results):
+            if i in good:
+                assert not isinstance(result, Exception), (i, result)
+            else:
+                assert type(result) is ServingError, (i, result)
+                assert f"[0, {N_FEATURES})" in str(result)
+        served = [results[i] for i in good]
+        assert metrics.served == len(good)
+        if not good:
+            assert metrics.empty_flushes == 1
+            return
+        assert {(p.batch_seq, p.batch_size) for p in served} == {
+            (served[0].batch_seq, len(good))
+        }
+        direct = model_a.compiled().predict_raw(
+            rows_to_csr([rows[i] for i in good]), base_score=model_a.base_score
+        )
+        assert np.array_equal(np.array([p.raw for p in served]), direct)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.integers(-2, 12), max_size=5), min_size=1, max_size=12
+        )
+    )
+    def test_invalid_rows_matches_a_per_row_check(self, layout):
+        n_features = 10
+        indptr = np.zeros(len(layout) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in layout], out=indptr[1:])
+        indices = np.array(
+            [f for row in layout for f in row], dtype=np.int32
+        )
+        expected = [i for i, row in enumerate(layout) if not _fits(row, n_features)]
+        assert _invalid_rows(indptr, indices, n_features).tolist() == expected
+
+
+class TestPrediction:
+    def test_is_an_immutable_named_tuple(self):
+        prediction = Prediction(0.25, 0.56, 3, 7, 12, 0.4, 0.1)
+        assert Prediction._fields == (
+            "raw", "value", "version", "batch_seq", "batch_size",
+            "queued_ms", "score_ms",
+        )
+        assert (prediction.raw, prediction.version, prediction.score_ms) == (
+            0.25, 3, 0.1,
+        )
+        with pytest.raises(AttributeError):
+            prediction.raw = 1.0
+        with pytest.raises(AttributeError):
+            prediction.extra = 1
+        assert prediction._replace(version=4).version == 4
 
 
 class TestBatching:

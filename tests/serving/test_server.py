@@ -182,6 +182,9 @@ def test_rejection_is_a_wire_answer_not_a_drop(artifact_a):
     [
         (b'{"features": [[1, 1.0]], "deadline_ms": "soon"}', "bad_request", False),
         (b'{"features": [[1, 1.0]], "deadline_ms": [1]}', "bad_request", False),
+        (b'{"features": [[1, 1.0]], "deadline_ms": NaN}', "bad_request", False),
+        (b'{"features": [[1, 1.0]], "deadline_ms": 0}', "bad_request", False),
+        (b'{"features": [[3, 1.0], [1, 0.5]]}', "bad_request", False),
         (b'{"features": [[1e400, 0.5]]}', "bad_request", False),
         (b'{"features": [[1099511627776, 0.5]]}', "bad_request", False),
         (b'{"a": "\xff"}', "bad_json", False),
@@ -189,7 +192,8 @@ def test_rejection_is_a_wire_answer_not_a_drop(artifact_a):
         (b'{"pad": "' + b"x" * 70_000 + b'"}', "bad_request", True),
     ],
     ids=[
-        "deadline-str", "deadline-list", "index-inf", "index-int32",
+        "deadline-str", "deadline-list", "deadline-nan", "deadline-zero",
+        "unsorted", "index-inf", "index-int32",
         "utf8", "nesting", "oversized",
     ],
 )
