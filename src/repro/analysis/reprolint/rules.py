@@ -257,7 +257,7 @@ class SharedMemoryLifecycle(Rule):
     )
     invariant = (
         "no leaked /dev/shm segments (PR 2/4 lifecycle contract, now "
-        "utils/arena.py's SharedArena)"
+        "inference/parallel.py's ParallelScorer)"
     )
 
     def check(self, ctx: ModuleContext, project: Project) -> Iterator[Finding]:

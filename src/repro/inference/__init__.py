@@ -8,6 +8,6 @@ See ``docs/inference.md``.
 """
 
 from .flat import FlatEnsemble
-from .parallel import ParallelScorer, SharedScoreContext
+from .parallel import ParallelScorer
 
-__all__ = ["FlatEnsemble", "ParallelScorer", "SharedScoreContext"]
+__all__ = ["FlatEnsemble", "ParallelScorer"]

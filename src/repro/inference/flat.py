@@ -291,8 +291,9 @@ class FlatEnsemble:
         """Raw margin scores, bit-identical to the per-tree reference.
 
         Args:
-            X: Input rows; ``X.n_cols`` may be narrower than the model
-                (absent features score as 0.0) but not wider.
+            X: Input rows of any width: absent features score as 0.0,
+                columns past the model's features go to the dump column
+                (only ``GBDTModel`` rejects wider input).
             base_score: Constant every row starts from.
             n_trees: Truncate to the first trees (slice semantics, like
                 ``trees[:n_trees]``).

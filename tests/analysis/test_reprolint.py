@@ -8,7 +8,7 @@ one-module project through :func:`lint_sources`, against the contract
 the repo's own ``pyproject.toml`` declares.  The src-tree tests read the
 session's one pass over ``src/`` and pin the repo's own waiver budget:
 the tree is clean, and the only suppressions are the two audited ones
-in the shared-memory arena (its worker-view cache and its segment-name
+in process-parallel scoring (its worker-view cache and its segment-name
 generator).
 """
 
@@ -417,8 +417,8 @@ def test_src_tree_waiver_budget(src_lint):
     """The audited suppressions are exactly the ones the docs justify."""
     waivers = {(f.rule, f.path) for f in src_lint.suppressed}
     assert waivers == {
-        ("RP001", "repro/utils/arena.py"),
-        ("RP004", "repro/utils/arena.py"),
+        ("RP001", "repro/inference/parallel.py"),
+        ("RP004", "repro/inference/parallel.py"),
     }
     assert len(src_lint.suppressed) == 2
 

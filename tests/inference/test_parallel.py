@@ -3,23 +3,33 @@
 Every path through :class:`ParallelScorer` — clean close, broken pool,
 context-manager exit — must leave ``/dev/shm`` exactly as it found it,
 and every configuration must return bits identical to the serial flat
-path.  (The shared-memory context's own lifecycle is the arena's:
+path.  (The shared-memory context's own lifecycle is in
 ``tests/test_arena.py``.)
 """
 
 from __future__ import annotations
 
 import glob
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.inference import ParallelScorer
-from repro.utils.arena import SHM_PREFIX
+from repro.inference import ParallelScorer, parallel
+from repro.inference.parallel import SHM_PREFIX
+
+from .conftest import random_matrix
 
 
 def leaked_segments() -> list[str]:
     return glob.glob(f"/dev/shm/{SHM_PREFIX}*")
+
+
+@pytest.fixture(autouse=True)
+def no_pool_outlives_a_test():
+    """Every test here closes its scorer: no worker survives it."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 class TestParity:
@@ -60,7 +70,7 @@ class TestParity:
             got = scorer.predict_raw(
                 tiny_dataset.X, base_score=trained_model.base_score
             )
-            assert scorer._arenas == {}
+            assert scorer._context is None
         np.testing.assert_array_equal(
             got, trained_model.predict_raw_per_tree(tiny_dataset.X)
         )
@@ -76,6 +86,24 @@ class TestSegmentLifetime:
             tiny_dataset.X, n_processes=2, batch_rows=40
         )
         assert set(leaked_segments()) == before
+
+    def test_workers_hold_at_most_one_context(self, trained_model):
+        rng = np.random.default_rng(17)
+        with ParallelScorer(
+            trained_model.compiled(), n_processes=2, batch_rows=40
+        ) as scorer:
+            for _ in range(4):
+                X = random_matrix(rng, 200, trained_model.n_features)
+                got = scorer.predict_raw(X, base_score=trained_model.base_score)
+                assert np.array_equal(got, trained_model.predict_raw_per_tree(X))
+            if scorer.fallback_reason is not None:
+                pytest.skip(f"pool fell back: {scorer.fallback_reason}")
+            sizes = [scorer._executor.submit(_worker_cache_size) for _ in range(8)]
+            assert max(future.result() for future in sizes) <= 1
+
+
+def _worker_cache_size() -> int:
+    return len(parallel._WORKER_VIEW)
 
 
 class _BreakingExecutor:

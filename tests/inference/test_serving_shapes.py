@@ -18,6 +18,7 @@ import pytest
 
 from repro.datasets.sparse import CSRMatrix
 from repro.inference import ParallelScorer
+from tests.test_arena import leaked_segments
 
 from .conftest import random_matrix, random_model
 
@@ -98,21 +99,30 @@ class TestParallelScorerServingShapes:
         assert np.array_equal(got, oracle)
 
     def test_release_frees_context_and_rescoring_works(self, model, X):
-        """Serving releases each flush's shared-memory context right
-        after scoring; a later identical matrix must still score.  On a
-        box where the pool fell back, scoring pins nothing and release
-        correctly reports there was nothing to free."""
+        """A fresh matrix per flush must not pin a segment set each: the
+        scorer keeps one context, for the last matrix, and re-scoring
+        that matrix still matches.  On a box where the pool fell back,
+        scoring pins nothing."""
+        before = leaked_segments()
         oracle = model.predict_raw_per_tree(X)
+        rng = np.random.default_rng(43)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with ParallelScorer(
                 model.compiled(), n_processes=2, batch_rows=8
             ) as scorer:
+                for _ in range(3):
+                    other = random_matrix(rng, 37, model.n_features)
+                    scorer.predict_raw(other, base_score=model.base_score)
                 first = scorer.predict_raw(X, base_score=model.base_score)
-                pinned = scorer.fallback_reason is None
-                assert scorer.release(X) is pinned
-                assert scorer.release(X) is False  # nothing left either way
                 second = scorer.predict_raw(X, base_score=model.base_score)
-                assert scorer.release(X) is pinned
+                held = leaked_segments() - before
+                if scorer.fallback_reason is None:
+                    _, manifest, _ = scorer._context
+                    assert len(held) == len(manifest["arrays"])
+                    assert all(manifest["token"] in path for path in held)
+                else:
+                    assert held == set()
+        assert leaked_segments() == before
         assert np.array_equal(first, oracle)
         assert np.array_equal(second, oracle)

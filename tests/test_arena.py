@@ -1,12 +1,10 @@
-"""Lifecycle of the one shared-memory arena and of the pool that reads it.
+"""Lifecycle of process-parallel scoring's shared memory and its pool.
 
-Segment creation, release and the worker attach cache are
-:class:`~repro.utils.arena.SharedArena`'s, so every lifecycle guarantee
-is asserted here on a bare arena and on its one client,
-:class:`~repro.inference.parallel.SharedScoreContext`.  The fallback
-ladder of :class:`~repro.utils.arena.ForkPoolHost` is driven through
-:class:`~repro.inference.parallel.ParallelScorer` (its "process pool
-broke" rung is in ``tests/inference/test_parallel.py``).
+:class:`~repro.inference.parallel.ParallelScorer` owns the segments of
+one shared context and the fork pool that reads them, and workers keep
+one attached context each; every lifecycle guarantee and every rung of
+the fallback ladder is asserted here (the "process pool broke" rung is
+in ``tests/inference/test_parallel.py``).
 """
 
 from __future__ import annotations
@@ -19,60 +17,55 @@ import numpy as np
 import pytest
 
 from repro.inference import parallel as score_client
-from repro.utils import arena
 from tests.inference.conftest import random_model
 
 
 def leaked_segments() -> set[str]:
-    return set(glob.glob(f"/dev/shm/{arena.SHM_PREFIX}*"))
+    return set(glob.glob(f"/dev/shm/{score_client.SHM_PREFIX}*"))
 
 
-def _bare_view(manifest, arrays):
-    return arrays
-
-
-@pytest.fixture(params=["bare", "score"])
+@pytest.fixture(params=["score"])
 def client(request, tiny_dataset):
-    """``(make_arena, worker_view_builder)`` of one arena client."""
-    if request.param == "bare":
-        X = tiny_dataset.X
-        arrays = {"indptr": X.indptr, "indices": X.indices, "data": X.data}
-        return (lambda: arena.SharedArena(arrays, n_rows=X.n_rows), _bare_view)
+    """``make_context()`` -> a scorer holding a fresh shared context."""
     model = random_model(np.random.default_rng(3), 4, tiny_dataset.n_features, 3)
     ensemble = model.compiled()
-    return (
-        lambda: score_client.SharedScoreContext(ensemble, tiny_dataset.X),
-        score_client._worker_view,
-    )
+    scorers = []
+
+    def make_context():
+        scorer = score_client.ParallelScorer(ensemble, n_processes=2)
+        scorers.append(scorer)
+        scorer._share(tiny_dataset.X)
+        return scorer
+
+    yield make_context
+    for scorer in scorers:
+        scorer.close()
 
 
 def test_close_unlinks_every_segment_and_is_idempotent(client):
-    make_arena, _ = client
     before = leaked_segments()
-    shared = make_arena()
+    shared = client()
+    _, manifest, _ = shared._context
     created = leaked_segments() - before
-    assert len(created) == len(shared.manifest["arrays"])  # one per array
-    assert all(shared.token in path for path in created)
-    assert shared.nbytes > 0
+    assert len(created) == len(manifest["arrays"])  # one per array
+    assert all(manifest["token"] in path for path in created)
     shared.close()
     shared.close()
-    assert shared.arrays == {} and shared.nbytes == 0
+    assert shared._context is None and shared._segments == []
     assert leaked_segments() == before
 
 
 def test_context_manager_releases(client):
-    make_arena, _ = client
     before = leaked_segments()
-    with make_arena() as shared:
+    with client() as shared:
         assert leaked_segments() - before
-        assert shared.manifest["token"] == shared.token
+        assert shared._context[1]["token"].startswith(score_client.SHM_PREFIX)
     assert leaked_segments() == before
 
 
 def test_failure_mid_construction_unlinks_created_segments(client, monkeypatch):
     """The third segment fails to allocate: the first two must not leak."""
-    make_arena, _ = client
-    real = arena.shared_memory.SharedMemory
+    real = score_client.shared_memory.SharedMemory
     created = []
 
     def flaky(*args, **kwargs):
@@ -83,40 +76,40 @@ def test_failure_mid_construction_unlinks_created_segments(client, monkeypatch):
             created.append(segment.name)
         return segment
 
-    monkeypatch.setattr(arena.shared_memory, "SharedMemory", flaky)
+    monkeypatch.setattr(score_client.shared_memory, "SharedMemory", flaky)
     before = leaked_segments()
     with pytest.raises(OSError, match="no space left"):
-        make_arena()
+        client()
     assert len(created) == 2
     assert leaked_segments() == before
 
 
 def test_worker_attach_cache_is_keyed_by_token(client):
-    make_arena, build_view = client
-    before = leaked_segments()
-    with make_arena() as first, make_arena() as second:
-        assert first.token != second.token
-        view = other = None
-        try:
-            view = arena.attach(first.manifest, build_view)
-            assert arena.attach(first.manifest, build_view) is view
-            other = arena.attach(second.manifest, build_view)
-            assert other is not view
-            assert {first.token, second.token} <= set(arena._WORKER_VIEWS)
-            # The cached view maps the owner's segments, not a copy.
-            _, segments = arena._WORKER_VIEWS[first.token]
-            assert [seg.name for seg in segments] == [
-                entry[0] for entry in first.manifest["arrays"].values()
-            ]
-        finally:
-            del view, other
-            for token in (first.token, second.token):
-                arena._WORKER_VIEWS.pop(token, None)
-    assert leaked_segments() == before
+    first, second = client()._context[1], client()._context[1]
+    assert first["token"] != second["token"]
+    cache = score_client._WORKER_VIEW
+    try:
+        view = score_client._attach(first)
+        assert score_client._attach(first) is view
+        assert set(cache) == {first["token"]}
+        # The cached view maps the owner's segments, not a copy.
+        _, segments = cache[first["token"]]
+        assert [seg.name for seg in segments] == [
+            entry[0] for entry in first["arrays"].values()
+        ]
+        del view, segments  # a new token closes the old segments
+        other = score_client._attach(second)
+        assert set(cache) == {second["token"]}
+        assert score_client._attach(second) is other
+        del other
+    finally:
+        for token in list(cache):
+            for seg in cache.pop(token)[1]:
+                seg.close()
 
 
 # ----------------------------------------------------------------------
-# ForkPoolHost's ladder, through ParallelScorer
+# the fallback ladder
 # ----------------------------------------------------------------------
 
 
@@ -154,15 +147,15 @@ def test_worker_exception_propagates_and_segments_release(
 
 def _no_fork(monkeypatch):
     monkeypatch.setattr(
-        arena.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        score_client.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
     )
 
 
 def _no_shared_memory(monkeypatch):
-    def refuse(ensemble, X):
+    def refuse(*args, **kwargs):
         raise OSError("no space left on /dev/shm")
 
-    monkeypatch.setattr(score_client, "SharedScoreContext", refuse)
+    monkeypatch.setattr(score_client.shared_memory, "SharedMemory", refuse)
 
 
 @pytest.mark.parametrize(
