@@ -18,7 +18,6 @@ Three measurements around the transport PR:
 from __future__ import annotations
 
 import math
-import struct
 import time
 
 import numpy as np
@@ -145,16 +144,17 @@ def test_ext_compressed_slab_wire_bytes(benchmark, report):
     assert all(r[3] for r in rows)  # billing matches the closed form
 
 
-def _loop_sketch_bytes(X, n_cols, eps):
-    """Pre-vectorization reference: per-column Python sort-and-sample,
-    serialized by its own ``struct.pack`` of the docs/transport.md layout
-    (float64 eps, float64 count, int32 n, then values/g/delta) — it shares
-    no code with ``src/``, not even the summary class."""
+def _loop_sketch_columns(X, n_cols, eps):
+    """Pre-vectorization reference: per-column Python sort-and-sample into
+    Python lists — it shares no code with ``src/``, not even the summary
+    class.  Returns the arrays a :class:`~repro.sketch.SketchBatch` holds:
+    per column eps, count and entry count, then every column's values, g
+    and delta back to back."""
     cols = [[] for _ in range(n_cols)]
     for row in range(X.shape[0]):
         for k in range(X.indptr[row], X.indptr[row + 1]):
             cols[X.indices[k]].append(float(X.data[k]))
-    frames = []
+    counts, sizes, values, gaps = [], [], [], []
     for col in range(n_cols):
         vals = sorted(cols[col])
         n = len(vals)
@@ -164,15 +164,18 @@ def _loop_sketch_bytes(X, n_cols, eps):
             positions = list(range(0, n, step))
             if positions[-1] != n - 1:
                 positions.append(n - 1)
-        k = len(positions)
-        gaps = [p - (positions[i - 1] if i else -1) for i, p in enumerate(positions)]
-        frames.append(
-            struct.pack(
-                f"=ddi{k}d{k}i{k}i",
-                eps, float(n), k, *(vals[p] for p in positions), *gaps, *([0] * k),
-            )
-        )
-    return frames
+        counts.append(n)
+        sizes.append(len(positions))
+        values += [vals[p] for p in positions]
+        gaps += [p - (positions[i - 1] if i else -1) for i, p in enumerate(positions)]
+    return (
+        np.full(n_cols, eps),
+        np.asarray(counts, dtype=np.int64),
+        np.asarray(sizes, dtype=np.int64),
+        np.asarray(values, dtype=np.float64),
+        np.asarray(gaps, dtype=np.int64),
+        np.zeros(len(gaps), dtype=np.int64),
+    )
 
 
 def test_ext_sketch_vectorization(benchmark, report):
@@ -182,7 +185,7 @@ def test_ext_sketch_vectorization(benchmark, report):
     X, n_cols, eps = data.X, data.n_features, 0.025
 
     start = time.perf_counter()
-    looped = _loop_sketch_bytes(X, n_cols, eps)
+    looped = _loop_sketch_columns(X, n_cols, eps)
     loop_seconds = time.perf_counter() - start
 
     def run():
@@ -192,7 +195,15 @@ def test_ext_sketch_vectorization(benchmark, report):
     vectorized = benchmark.pedantic(run, rounds=1, iterations=1)
     vec_seconds = time.perf_counter() - start
 
-    assert [s.to_bytes() for s in vectorized] == looped
+    arrays = (
+        vectorized.eps,
+        vectorized.counts,
+        np.diff(vectorized.bounds),
+        vectorized.values,
+        vectorized.g,
+        vectorized.delta,
+    )
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in looped]
     report.add_table(
         "Extension: CREATE_SKETCH column sketching, loop vs vectorized",
         ["implementation", "seconds", "speedup"],
@@ -202,6 +213,6 @@ def test_ext_sketch_vectorization(benchmark, report):
         ],
         notes=(
             f"{X.shape[0]} rows x {n_cols} features, nnz={X.nnz}, "
-            f"eps={eps}; outputs bit-identical (to_bytes equality)"
+            f"eps={eps}; outputs bit-identical (equal batch arrays)"
         ),
     )

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.costmodel import (
-    SYSTEM_NAMES,
-    CostParams,
-    aggregation_time,
-    comm_steps,
-)
+from ..cluster.costmodel import SYSTEM_NAMES, CostParams, aggregation_time
 
 
 @dataclass(frozen=True)
@@ -75,10 +70,3 @@ def speedup_table(
     """Each system's time divided by the baseline's — the paper's "x faster"."""
     base = table.times[baseline]
     return {system: table.times[system] / base for system in SYSTEM_NAMES}
-
-
-def steps_table(workers: list[int]) -> dict[str, list[int]]:
-    """The ``# comm steps`` column of Table 1 for each worker count."""
-    return {
-        system: [comm_steps(system, w) for w in workers] for system in SYSTEM_NAMES
-    }

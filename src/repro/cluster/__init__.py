@@ -29,7 +29,6 @@ from .collectives import (
     allreduce_binomial,
     reduce_scatter_halving,
     ps_aggregate,
-    allreduce_rabenseifner,
     point_to_point_time,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "allreduce_binomial",
     "reduce_scatter_halving",
     "ps_aggregate",
-    "allreduce_rabenseifner",
     "point_to_point_time",
 ]

@@ -23,7 +23,7 @@ from ..errors import CommunicationError
 from .costmodel import (
     CostParams,
     dimboost_aggregation_time,
-    is_power_of_two,
+    general_ps_push_time,
     lightgbm_aggregation_time,
     log2_steps,
     mllib_aggregation_time,
@@ -102,9 +102,7 @@ def reduce_to_coordinator(
 
 
 def allreduce_binomial(
-    contributions: list[np.ndarray],
-    cost: CostParams,
-    full_broadcast: bool = False,
+    contributions: list[np.ndarray], cost: CostParams
 ) -> tuple[np.ndarray, CollectiveResult]:
     """XGBoost-style binomial-tree reduce to the root worker.
 
@@ -112,8 +110,7 @@ def allreduce_binomial(
     (Section 2.3: "these steps cannot overlap in XGBoost's
     implementation").  The root (worker 0) holds the sum.  XGBoost then
     broadcasts only the small split decision, so the full histogram is
-    *not* sent back down by default; pass ``full_broadcast=True`` to model
-    a textbook AllReduce instead (time doubles).
+    *not* sent back down.
     """
     data = _as_matrix(contributions)
     w = len(contributions)
@@ -135,17 +132,13 @@ def allreduce_binomial(
         if len(alive) % 2 == 1:
             survivors.append(alive[-1])
         alive = survivors
-    result = partial[alive[0]]
-    sim = xgboost_aggregation_time(w, h, cost)
-    if full_broadcast:
-        sim += (h * cost.beta + cost.alpha) * log2_steps(w)
-        moved += (w - 1) * h
-        messages += w - 1
-        steps += log2_steps(w)
     stats = CollectiveResult(
-        steps=steps, total_bytes=moved, sim_seconds=sim, messages=messages
+        steps=steps,
+        total_bytes=moved,
+        sim_seconds=xgboost_aggregation_time(w, h, cost),
+        messages=messages,
     )
-    return result, stats
+    return partial[alive[0]], stats
 
 
 def reduce_scatter_halving(
@@ -273,13 +266,7 @@ def ps_aggregate(
     if p == w and colocated:
         sim = dimboost_aggregation_time(w, h, cost)
     else:
-        # General PS form, reducing to the Table 1 row when p == w:
-        # per-server inbound transfer + per-worker batched latency +
-        # per-server merge of w slices.
-        slice_h = h / p
-        sim = (w - co) * slice_h * cost.beta + (p - co) * cost.alpha + (
-            w * slice_h * cost.gamma
-        )
+        sim = general_ps_push_time(w, p, h, cost, colocated)
     stats = CollectiveResult(
         steps=1 if (w > 1 or p > 1) else 0,
         total_bytes=moved,
@@ -288,53 +275,3 @@ def ps_aggregate(
         segments=segments,
     )
     return server_slices, stats
-
-
-def allreduce_rabenseifner(
-    contributions: list[np.ndarray], cost: CostParams
-) -> tuple[np.ndarray, CollectiveResult]:
-    """Rabenseifner AllReduce: reduce-scatter + allgather.
-
-    The large-message-optimal algorithm Section 3 cites from Thakur et
-    al. — included so the analysis benches can show what XGBoost *could*
-    achieve by switching algorithms (the paper's "just fixing this
-    problem ... speeds up these systems by up to 2x").  Only supports
-    power-of-two worker counts, like the textbook algorithm.
-    """
-    w = len(contributions)
-    if not is_power_of_two(w):
-        raise CommunicationError(
-            f"Rabenseifner AllReduce requires a power-of-two worker count, got {w}"
-        )
-    owned, rs_stats = reduce_scatter_halving(contributions, cost)
-    n = contributions[0].size
-    h = n * WIRE_BYTES_PER_VALUE
-    result = np.empty(n, dtype=np.float64)
-    for i, seg in rs_stats.segments.items():
-        lo, hi = seg
-        result[lo:hi] = owned[i]  # type: ignore[index] — participants own data
-    # Allgather by recursive doubling: same byte volume as the scatter.
-    gather_bytes = (w - 1) * h  # w workers each collect (w-1)/w of h
-    gather_time = (w - 1) / w * h * cost.beta + cost.alpha * log2_steps(w)
-    stats = CollectiveResult(
-        steps=rs_stats.steps + log2_steps(w),
-        total_bytes=rs_stats.total_bytes + gather_bytes,
-        sim_seconds=rs_stats.sim_seconds + gather_time,
-        messages=rs_stats.messages + w * log2_steps(w),
-        segments=rs_stats.segments,
-    )
-    return result, stats
-
-
-def expected_halving_bytes(w: int, n_values: int) -> int:
-    """Closed-form bytes moved by recursive halving (test helper).
-
-    At recursion level ``l`` the groups partition the ``n_values`` range
-    exactly and each group's ``w / 2**l`` pairs exchange the full group
-    range, so level ``l`` moves ``n * w / 2**l`` values; summing the
-    geometric series gives exactly ``(w - 1) * n`` values — independent of
-    how odd ranges split.
-    """
-    if not is_power_of_two(w):
-        raise CommunicationError("expected_halving_bytes: w must be a power of two")
-    return (w - 1) * n_values * WIRE_BYTES_PER_VALUE

@@ -104,6 +104,26 @@ def dimboost_aggregation_time(w: int, h: float, cost: CostParams) -> float:
     return (w - 1) / w * h * cost.beta + (w - 1) * cost.alpha + h * cost.gamma
 
 
+def general_ps_push_time(
+    w: int, p: int, h: float, cost: CostParams, colocated: bool = True
+) -> float:
+    """PS aggregation time for ``w`` workers pushing ``h`` bytes to ``p`` servers.
+
+    Reduces to the Table 1 DimBoost row when ``p == w`` and co-located:
+    per-server inbound transfer ``(w-1) * h/p * beta``, batched per-worker
+    latency ``(p-1) * alpha``, and per-server merge ``w * h/p * gamma``.
+    """
+    if w < 1 or p < 1:
+        raise CommunicationError(f"w and p must be >= 1, got w={w}, p={p}")
+    co = 1 if (colocated and p <= w) else 0
+    slice_h = h / p
+    return (
+        (w - co) * slice_h * cost.beta
+        + (p - co) * cost.alpha
+        + w * slice_h * cost.gamma
+    )
+
+
 _TIME_FUNCS = {
     "mllib": mllib_aggregation_time,
     "xgboost": xgboost_aggregation_time,

@@ -26,7 +26,7 @@ from ..cluster.collectives import (
     reduce_scatter_halving,
     reduce_to_coordinator,
 )
-from ..cluster.costmodel import CostParams, log2_steps
+from ..cluster.costmodel import CostParams, general_ps_push_time, log2_steps
 from ..cluster.simclock import SimClock
 from ..config import ClusterConfig, TrainConfig
 from ..errors import TrainingError
@@ -53,26 +53,6 @@ DECISION_BYTES = 28
 
 #: The PS parameter every histogram delta lands in.
 GRAD_HIST = "grad_hist"
-
-
-def general_ps_push_time(
-    w: int, p: int, h: float, cost: CostParams, colocated: bool = True
-) -> float:
-    """PS aggregation time for ``w`` workers pushing ``h`` bytes to ``p`` servers.
-
-    Reduces to the Table 1 DimBoost row when ``p == w`` and co-located:
-    per-server inbound transfer ``(w-1) * h/p * beta``, batched per-worker
-    latency ``(p-1) * alpha``, and per-server merge ``w * h/p * gamma``.
-    """
-    if w < 1 or p < 1:
-        raise TrainingError(f"w and p must be >= 1, got w={w}, p={p}")
-    co = 1 if (colocated and p <= w) else 0
-    slice_h = h / p
-    return (
-        (w - co) * slice_h * cost.beta
-        + (p - co) * cost.alpha
-        + w * slice_h * cost.gamma
-    )
 
 
 class AggregationBackend(ABC):
@@ -698,7 +678,6 @@ class DimBoostBackend(_PSBackend):
             self.scheduler = SpeedWeightedScheduler(cluster.n_workers, speeds)
         else:
             self.scheduler = RoundRobinScheduler(cluster.n_workers)
-        self._push_bytes: dict[int, list[int]] = {}
         # Flat slots of every feature's zero bucket (g and h halves).
         block = 2 * self.n_bins
         self._zero_slots_g = (
@@ -750,7 +729,7 @@ class DimBoostBackend(_PSBackend):
                 sum((sum_g for _, sum_g, _ in parts), 0.0),
                 sum((sum_h for _, _, sum_h in parts), 0.0),
             )
-        self._push_bytes[node] = self.pusher.push_flats(node, local_flats, clock)
+        self.pusher.push_flats(node, local_flats, clock)
 
     def _make_udf(self, feature_valid: np.ndarray | None, node: int):
         """Server-side split UDF over one stored feature range of ``node``."""
@@ -843,7 +822,6 @@ class DimBoostBackend(_PSBackend):
             else 0.0,
             phase="FIND_SPLIT",
         )
-        self._push_bytes.clear()
         return decisions
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..chaos import MESSAGE_POINTS, FaultPlan
-from ..cluster.costmodel import CostParams
+from ..cluster.costmodel import CostParams, general_ps_push_time
 from ..config import COMPRESSION_BITS, ClusterConfig, TrainConfig
 from ..errors import ConfigError
 from ..runtime.build import HistogramBuildStrategy, resolve_build_strategy
@@ -28,7 +28,6 @@ from .backends import (
     DimBoostBackend,
     backend_class,
     backend_options,
-    general_ps_push_time,
 )
 
 __all__ = ["RunPlan", "make_backend"]

@@ -6,13 +6,10 @@ instance range into batches of size ``b``, builds a sub-histogram per
 batch on its own thread, and sums the sub-histograms.
 
 The batches run one after another in this process, so this module
-reports two numbers:
-
-* the real wall-clock of the serial build, and
-* the *span* — the simulated parallel makespan with ``n_threads``
-  workers, computed from the measured per-batch times by greedy (LPT-
-  free, arrival-order) scheduling.  The simulated cluster charges the
-  span, which is what a multi-core Java worker would observe.
+reports the *span* — the simulated parallel makespan with ``n_threads``
+workers, computed from the measured per-batch times by greedy (LPT-free,
+arrival-order) scheduling.  The simulated cluster charges the span,
+which is what a multi-core Java worker would observe.
 """
 
 from __future__ import annotations
@@ -45,14 +42,12 @@ class ParallelBuildResult:
         batch_seconds: Measured build time of each batch, indexed by
             batch.
         span_seconds: Simulated makespan on ``n_threads`` threads.
-        wall_seconds: Real elapsed wall-clock of the whole build.
     """
 
     histogram: GradientHistogram
     n_batches: int
     batch_seconds: tuple[float, ...]
     span_seconds: float
-    wall_seconds: float
 
 
 def simulate_span(batch_seconds: list[float], n_threads: int) -> float:
@@ -104,7 +99,6 @@ def build_histogram_batched(
     if not batches:
         batches = [rows]
 
-    wall_start = wall_clock()
     batch_seconds = []
     parts = []
     for batch in batches:
@@ -115,11 +109,9 @@ def build_histogram_batched(
     total = parts[0]
     for part in parts[1:]:
         total.add_(part)
-    wall_seconds = wall_clock() - wall_start
     return ParallelBuildResult(
         histogram=total,
         n_batches=len(batches),
         batch_seconds=tuple(batch_seconds),
         span_seconds=simulate_span(batch_seconds, n_threads),
-        wall_seconds=wall_seconds,
     )

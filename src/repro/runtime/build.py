@@ -30,7 +30,7 @@ from ..histogram.builder import (
     build_node_histogram_sparse,
 )
 from ..histogram.histogram import GradientHistogram
-from ..histogram.parallel import ParallelBuildResult, build_histogram_batched
+from ..histogram.parallel import build_histogram_batched
 from ..utils.timing import wall_clock
 
 __all__ = [
@@ -128,8 +128,6 @@ class BatchedBuildStrategy(HistogramBuildStrategy):
         self.kernel = (
             build_node_histogram_sparse if sparse else build_node_histogram_dense
         )
-        #: Last build's full telemetry (span, wall, per-batch times).
-        self.last_result: ParallelBuildResult | None = None
 
     def build(
         self,
@@ -147,7 +145,6 @@ class BatchedBuildStrategy(HistogramBuildStrategy):
             n_threads=self.n_threads,
             kernel=self.kernel,
         )
-        self.last_result = result
         return result.histogram, result.span_seconds
 
     def __repr__(self) -> str:

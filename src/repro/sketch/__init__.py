@@ -5,13 +5,15 @@ distribution computed with distributed quantile sketches (Section 2.2,
 referencing GK and DataSketches; Section 7.1: "We implement DataSketches
 to generate quantile sketches").  This package provides:
 
-* :class:`GKSketch` — a Greenwald-Khanna epsilon-approximate quantile
-  summary with streaming insert, batch construction from sorted data, and
-  merging (the CREATE_SKETCH / PULL_SKETCH phases push local sketches to
-  the PS and pull merged ones).
-* :class:`SketchBatch` — one summary per feature in ragged flat storage:
-  what :func:`sketch_columns` returns, one wire frame per (worker,
-  partition), merged and queried without a loop over features.
+* :class:`SketchBatch` — one Greenwald-Khanna epsilon-approximate
+  quantile summary per feature in ragged flat storage: what
+  :func:`sketch_columns` returns, one wire frame per (worker, partition)
+  — the only sketch format — merged and queried without a loop over
+  features (the CREATE_SKETCH / PULL_SKETCH phases push local sketches
+  to the PS and pull merged ones).
+* :class:`GKSketch` / :class:`WeightedGKSketch` — one summary, a
+  read-only view of a one-summary batch: batch construction from sorted
+  data, merging and queries.
 * :class:`CandidateSet` — per-feature split-candidate cut points with the
   bucketization used by the histogram builders (Algorithm 1 line 2).
 """
@@ -27,7 +29,6 @@ from .candidates import (
     CandidateSet,
     propose_candidates,
     propose_candidates_from_sketches,
-    propose_candidates_weighted,
 )
 
 __all__ = [
@@ -39,5 +40,4 @@ __all__ = [
     "CandidateSet",
     "propose_candidates",
     "propose_candidates_from_sketches",
-    "propose_candidates_weighted",
 ]

@@ -28,12 +28,7 @@ import numpy as np
 from ..errors import DataError, SketchError
 from ..datasets.sparse import CSRMatrix
 from .quantile import AnySketch, SketchBatch
-from .ragged import (
-    segment_cumsum,
-    segment_searchsorted,
-    sorted_column_values,
-    sorted_columns,
-)
+from .ragged import segment_searchsorted, sorted_column_values
 
 
 class CandidateSet:
@@ -225,56 +220,6 @@ def propose_candidates(
     return _assemble(
         sorted_vals[lo[:, None] + picks], zero_cut, live, X.n_cols, max_bins
     )
-
-
-def propose_candidates_weighted(
-    X: CSRMatrix,
-    max_bins: int,
-    sample_weight: np.ndarray,
-    include_zero_cut: bool = True,
-) -> CandidateSet:
-    """Propose cuts at *weighted* quantiles of the nonzero values.
-
-    The WOS (weighted quantile sketch) idea the paper cites from XGBoost:
-    each instance contributes ``sample_weight`` (typically its hessian)
-    to the rank space, so buckets equalize second-order mass rather than
-    instance counts.  Exact computation, mirroring
-    :func:`propose_candidates`.
-
-    Args:
-        X: Feature matrix.
-        max_bins: Bucket budget K.
-        sample_weight: Non-negative weight per instance (length n_rows).
-        include_zero_cut: As in :func:`propose_candidates`.
-    """
-    _check_max_bins(max_bins)
-    sample_weight = np.asarray(sample_weight, dtype=np.float64)
-    if sample_weight.shape != (X.n_rows,):
-        raise DataError(
-            f"sample_weight must have one value per row ({X.n_rows}), got "
-            f"{sample_weight.shape}"
-        )
-    if np.any(sample_weight < 0):
-        raise DataError("sample_weight must be non-negative")
-    row_of = np.repeat(np.arange(X.n_rows), X.row_nnz())
-    order, sorted_vals, bounds = sorted_columns(X.indices, X.data, X.n_cols)
-    sorted_weights = sample_weight[row_of[order]]
-    # Weighted rank of each value = cumulative weight up to it; pick the
-    # values at evenly spaced weighted ranks.  A feature's total is its
-    # own pairwise sum, which rounds unlike the running sum's last entry.
-    cum = segment_cumsum(sorted_weights, bounds)
-    total = np.asarray(
-        [sorted_weights[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])],
-        dtype=np.float64,
-    )
-    live = np.flatnonzero(total > 0)
-    lo, hi = bounds[:-1][live], bounds[1:][live]
-    targets = _quantile_steps(total[live], max_bins)
-    each_lo, each_hi = (np.repeat(b, targets.shape[1]) for b in (lo, hi))
-    at = segment_searchsorted(cum, each_lo, each_hi, targets.ravel(), "left")
-    at = np.minimum(at, each_hi - 1).reshape(targets.shape)
-    zero_cut = include_zero_cut & (sorted_vals[lo] < 0.0) & (0.0 < sorted_vals[hi - 1])
-    return _assemble(sorted_vals[at], zero_cut, live, X.n_cols, max_bins)
 
 
 def propose_candidates_from_sketches(

@@ -7,30 +7,28 @@ The invariant ``g + delta <= 2 * eps * n`` guarantees that any rank query
 is answered within ``eps * n`` of the true rank [Greenwald & Khanna,
 SIGMOD 2001].
 
-Entries are held as three parallel ndarrays (float64 values; g and delta
-int64, or float64 in weighted rank space).  No method writes into them
-in place — every change rebinds — so the read-only views
-:meth:`from_bytes` takes of a wire payload and the slices
-:func:`sketch_columns` hands out of one batch are ordinary storage.
+Summaries have one form.  A :class:`SketchBatch` holds one summary per
+feature of a shard in ragged storage — three parallel entry arrays
+(float64 values; g and delta int64, or float64 in weighted rank space)
+cut by ``bounds``.  It is what :func:`sketch_columns` computes, what a
+worker pushes to a server partition as one frame (the only sketch wire
+format), and what the servers merge and candidate proposal reads without
+a Python loop over features.  No batch method writes into those arrays,
+so the read-only views :meth:`SketchBatch.from_frame` takes of a payload
+are ordinary storage.
 
-Three construction paths are provided:
+A :class:`GKSketch` / :class:`WeightedGKSketch` is a read-only view of a
+one-summary batch, and everything it does runs through the batch code:
 
-* :meth:`GKSketch.insert` — classic streaming insertion with periodic
-  compression (used when data arrives value by value).
-* :meth:`GKSketch.from_values` — batch construction from an in-memory
-  array: sort once and keep every ``ceil(2*eps*n)``-th element.  This is
-  how workers summarize their local data shard in CREATE_SKETCH, since
-  the shard is already resident.
+* :meth:`GKSketch.from_values` — construction from an in-memory array:
+  sort once and keep every ``ceil(2*eps*n)``-th element.  This is how
+  workers summarize their local data shard in CREATE_SKETCH, since the
+  shard is already resident.
 * :meth:`GKSketch.merge` — combine two summaries (the PS-side aggregation
   of local sketches).  Merging concatenates the weighted entries and
   re-compresses; the rank error of the result is bounded by the sum of
   the inputs' errors, so distributed use builds local sketches at
   ``eps / 2`` to end below ``eps`` after one merge level.
-
-A :class:`SketchBatch` holds one summary per feature of a shard in the
-same ragged storage — what :func:`sketch_columns` computes, what a
-worker pushes to a server partition as one frame, and what the servers
-merge and candidate proposal reads without a Python loop over features.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,9 +70,8 @@ def _check_summaries(
 
     Summary ``i`` owns entries ``[bounds[i], bounds[i + 1])`` of the
     shared ``values`` / ``g`` / ``delta``; ``counts`` may still be the
-    float64 the GK wire carries.  One vectorized pass for a whole frame —
-    and the single check :meth:`_Summary.from_bytes` runs for a frame of
-    one.  Returns the counts as int64.
+    float64 the GK wire carries.  One vectorized pass for a whole frame.
+    Returns the counts as int64.
 
     Raises:
         SketchError: An ``eps`` outside (0, 0.5); a count that is not a
@@ -113,170 +110,61 @@ def _check_summaries(
 
 
 class _Summary:
-    """What both summaries share: storage, merge, wire format, queries.
+    """One summary: a read-only view of a one-summary :class:`SketchBatch`.
 
-    Subclasses name the rank dtype (in memory and on the wire), the wire
-    header, and the three expressions that differ between counted and
-    weighted rank space: the total mass, the merge error of one operand,
-    and the per-group budget of the post-merge compression.
+    Every method runs through the batch code, so a summary answers bit
+    for bit what the batch it came from answers.  Subclasses name the
+    rank dtype (in memory and on the wire), the per-summary header the
+    cost model bills (:attr:`SketchBatch.wire_bytes`), and the two
+    expressions that differ between counted and weighted rank space: the
+    merge error of one operand and the per-group budget of the
+    post-merge compression.
     """
 
-    __slots__ = ("eps", "count", "_values", "_g", "_delta")
+    __slots__ = ("_one",)
 
     def __init__(self, eps: float = 0.01) -> None:
+        """An empty summary with error target ``eps``."""
         none = np.empty(0, dtype=self._RANK)
-        self._fill(_checked_eps(eps), 0, 0.0, np.empty(0, dtype=np.float64), none, none)
-
-    def _fill(self, eps, count, mass, values, g, delta) -> None:
-        self.eps = eps
-        self.count = count
-        self._values = values
-        self._g = g
-        self._delta = delta
+        self._one = SketchBatch(
+            type(self),
+            np.zeros(1, dtype=np.int64),
+            np.full(1, _checked_eps(eps), dtype=np.float64),
+            np.zeros(1, dtype=np.int64),
+            np.zeros(1, dtype=self._RANK),
+            np.zeros(2, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+            none,
+            none,
+        )
 
     @classmethod
-    def _build(cls, *fields):
-        """An instance over already-validated fields (see :meth:`_fill`)."""
+    def _of(cls, one: "SketchBatch") -> "_Summary":
+        """The summary ``one`` holds (feature 0; its entries may sit
+        anywhere in the shared arrays)."""
         out = cls.__new__(cls)
-        out._fill(*fields)
+        out._one = one
         return out
 
-    def _max_entries(self) -> int:
-        # Keep roughly 3/eps entries before compressing; GK's bound is
-        # O(log(eps * n) / eps) but this fixed cap works well in practice.
-        return int(3.0 / self.eps) + 8
-
-    # ------------------------------------------------------------------
-    # merging (PS-side aggregation)
-    # ------------------------------------------------------------------
-
-    def merge(self, other: "_Summary") -> "_Summary":
-        """Return a new summary covering both inputs.
-
-        Entries are interleaved by value keeping their weights; deltas are
-        inflated by the partner sketch's uncertainty, so the merged rank
-        error is bounded by ``self.eps * self.count + other.eps *
-        other.count`` (total weights, for weighted summaries) — i.e. the
-        errors add, they do not multiply.  A :meth:`SketchBatch.merge` of
-        one summary a side: the arithmetic lives there.
-        """
-        one = SketchBatch.from_sketches
-        return one((self,)).merge(one((other,)))[0]
-
-    def _compress_merged(self) -> None:
-        """Size-driven compression after merge (keeps the delta bounds)."""
-        target = self._max_entries()
-        if len(self._values) <= target:
-            return
-        # Reduce to ~target entries by combining adjacent entries evenly.
-        # The extremes are kept verbatim; interior entries are grouped
-        # greedily so each group's total g stays within the budget (a group
-        # always takes at least one entry).  Group boundaries come from one
-        # searchsorted per group over the cumulative g — O(target log n)
-        # instead of a Python loop over every entry.
-        values, gs, deltas = self._values, self._g, self._delta
-        budget = self._group_budget(gs.sum(), max(1, target - 2))
-        interior_g = gs[1:-1]
-        cum = np.cumsum(interior_g)
-        starts: list[int] = []
-        s = 0
-        n_interior = len(interior_g)
-        while s < n_interior:
-            starts.append(s)
-            base = cum[s] - interior_g[s]
-            s = max(s + 1, int(np.searchsorted(cum, base + budget, side="right")))
-        start_idx = np.asarray(starts, dtype=np.int64)
-        last_of_group = np.concatenate((start_idx[1:], (n_interior,))) - 1
-        self._values = np.concatenate(
-            (values[:1], values[1:-1][last_of_group], values[-1:])
-        )
-        self._g = np.concatenate(
-            (gs[:1], np.add.reduceat(interior_g, start_idx), gs[-1:])
-        )
-        self._delta = np.concatenate(
-            (deltas[:1], np.maximum.reduceat(deltas[1:-1], start_idx), deltas[-1:])
-        )
-
-    def copy(self) -> "_Summary":
-        """Return a deep copy."""
-        return self._build(
-            self.eps,
-            self.count,
-            self._mass,
-            self._values.copy(),
-            self._g.copy(),
-            self._delta.copy(),
-        )
-
-    # ------------------------------------------------------------------
-    # single-summary serialization
-    # ------------------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Serialize one summary: header, then three parallel arrays
-        (float64 values, g, delta).  See the subclass for the header
-        layout; a :class:`SketchBatch` frame carries the same fields for
-        many summaries at once."""
-        return b"".join(
-            (
-                self._HEAD.pack(*self._head(), len(self._values)),
-                self._values,
-                self._g.astype(self._WIRE_RANK, copy=False),
-                self._delta.astype(self._WIRE_RANK, copy=False),
-            )
-        )
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "_Summary":
-        """Inverse of :meth:`to_bytes`; the arrays are views of ``payload``
-        (g/delta widened once when the wire rank is narrower).
-
-        Raises:
-            SketchError: The payload is not one well-formed summary (see
-                :func:`_check_summaries`).
-        """
-        head, rank = cls._HEAD.size, cls._WIRE_RANK
-        if len(payload) < head:
-            raise SketchError(f"sketch payload too short ({len(payload)} bytes)")
-        *fields, n = cls._HEAD.unpack_from(payload)
-        expected = head + n * (8 + 2 * rank.itemsize)
-        if n < 0 or len(payload) != expected:
-            raise SketchError(
-                f"sketch payload has {len(payload)} bytes, expected {expected}"
-            )
-        eps, count, mass = cls._unhead(*fields)
-        g_at = head + 8 * n
-        values = np.frombuffer(payload, np.float64, n, head)
-        g = np.frombuffer(payload, rank, n, g_at).astype(cls._RANK, copy=False)
-        delta = np.frombuffer(payload, rank, n, g_at + rank.itemsize * n).astype(
-            cls._RANK, copy=False
-        )
-        counts = _check_summaries(
-            cls,
-            *(np.asarray([field]) for field in (eps, count, mass)),
-            np.asarray([0, n]),
-            values,
-            g,
-            delta,
-        )
-        return cls._build(eps, int(counts[0]), mass, values, g, delta)
+    @property
+    def eps(self) -> float:
+        """Target rank-error fraction."""
+        return float(self._one.eps[0])
 
     @property
-    def wire_bytes(self) -> int:
-        """Size of :meth:`to_bytes` without materializing it."""
-        return self._HEAD.size + len(self._values) * (8 + 2 * self._WIRE_RANK.itemsize)
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
+    def count(self) -> int:
+        """Number of values summarized."""
+        return int(self._one.counts[0])
 
     def __len__(self) -> int:
-        return len(self._values)
+        lo, hi = self._one.bounds
+        return int(hi - lo)
 
     def _entries(self) -> np.ndarray:
         if self.count == 0:
             raise SketchError("cannot query an empty sketch")
-        return self._values
+        lo, hi = self._one.bounds
+        return self._one.values[lo:hi]
 
     @property
     def min_value(self) -> float:
@@ -288,20 +176,21 @@ class _Summary:
         """Largest value observed."""
         return float(self._entries()[-1])
 
-    def _answer(self, targets):
-        """Entry values answering rank ``targets`` (a scalar or an array).
+    def merge(self, other: "_Summary") -> "_Summary":
+        """Return a new summary covering both inputs.
 
-        Entry ``i`` answers target ``t`` when ``t <= rank_min[i] + slack``
-        and ``t <= rank_max[i] + slack``; the first such entry wins, the
-        maximum if none does.  ``rank_max = rank_min + delta`` with
-        ``delta >= 0``, and float addition is monotone, so the second
-        clause can never bind where the first holds: the answer is one
-        ``searchsorted`` over the non-decreasing ``rank_min + slack``.
+        A :meth:`SketchBatch.merge` of one summary a side: entries are
+        interleaved by value keeping their weights; deltas are inflated
+        by the partner sketch's uncertainty, so the merged rank error is
+        bounded by ``self.eps * self.count + other.eps * other.count``
+        (total weights, for weighted summaries) — i.e. the errors add,
+        they do not multiply.
         """
-        values = self._entries()
-        bound = np.cumsum(self._g) + self.eps * self._mass
-        first = np.searchsorted(bound, targets, side="left")
-        return values[np.minimum(first, len(bound) - 1)]
+        return self._one.merge(other._one)[0]
+
+    def copy(self) -> "_Summary":
+        """The same summary over entry arrays of its own."""
+        return SketchBatch.concat((self._one,))[0]
 
     def query(self, quantile: float) -> float:
         """Return a value whose rank is within ``eps * n`` of ``quantile * n``
@@ -309,21 +198,23 @@ class _Summary:
         self._entries()
         if not 0.0 <= quantile <= 1.0:
             raise SketchError(f"quantile must be in [0, 1], got {quantile}")
-        return float(self._answer(quantile * self._mass))
+        one = self._one
+        live = np.zeros(1, dtype=np.int64)
+        return float(one._answer(live, one.masses[:, None] * quantile)[0, 0])
 
     def quantiles(self, k: int) -> np.ndarray:
         """Return ``k`` evenly spaced interior quantiles (1/(k+1) .. k/(k+1))."""
-        if k < 1:
-            raise SketchError(f"k must be >= 1, got {k}")
-        qs = np.arange(1, k + 1, dtype=np.float64) / (k + 1)
-        return self._answer(qs * self._mass)
+        rows = self._one.quantiles(k)
+        self._entries()
+        return rows[0]
 
 
 class GKSketch(_Summary):
     """Greenwald-Khanna quantile summary.
 
-    Wire layout: float64 eps, float64 count, int32 n_entries, then
-    float64 values, int32 g, int32 delta.
+    Billed per summary as the frame of one it once had: float64 eps,
+    float64 count, int32 n_entries, then float64 values, int32 g, int32
+    delta.
 
     Attributes:
         eps: Target rank-error fraction.
@@ -336,30 +227,14 @@ class GKSketch(_Summary):
     _WIRE_TAG = b"\x00"
     _HEAD = struct.Struct("=ddi")
 
-    @property
-    def _mass(self) -> int:
-        return self.count
-
     @staticmethod
     def _group_budget(total_g, groups: int) -> int:
         return max(1, int(math.ceil(int(total_g) / groups)))
-
-    def _head(self) -> tuple:
-        return self.eps, float(self.count)
-
-    @staticmethod
-    def _unhead(eps: float, count: float) -> tuple:
-        # The count travels as a float64; the validator vouches for it.
-        return eps, count, count
 
     @staticmethod
     def _merge_errs(eps: np.ndarray, masses: np.ndarray) -> np.ndarray:
         """What merging into a partner adds to its deltas, per summary."""
         return np.floor(2.0 * eps * masses).astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
 
     @classmethod
     def from_values(
@@ -372,62 +247,6 @@ class GKSketch(_Summary):
         """
         arr = np.sort(np.asarray(values, dtype=np.float64))
         return _sample_sorted(arr, np.asarray((0, len(arr)), dtype=np.int64), eps)[0]
-
-    def insert(self, value: float) -> None:
-        """Insert one value (streaming GK insertion with compression)."""
-        value = float(value)
-        self.count += 1
-        i = int(np.searchsorted(self._values, value, side="left"))
-        # New minimum or maximum: delta must be 0 at the extremes.
-        interior = 0 < i < len(self._values)
-        entry = (value, 1, max(0, self._threshold() - 1) if interior else 0)
-        self._values, self._g, self._delta = (
-            np.concatenate((arr[:i], (field,), arr[i:]))
-            for arr, field in zip((self._values, self._g, self._delta), entry)
-        )
-        if len(self._values) > self._max_entries():
-            self._compress()
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Insert many values one by one."""
-        for value in values:
-            self.insert(value)
-
-    def _threshold(self) -> int:
-        return max(1, int(math.floor(2.0 * self.eps * self.count)))
-
-    def _compress(self) -> None:
-        """Greedily merge adjacent entries while the GK invariant holds."""
-        if len(self._values) <= 2:
-            return
-        threshold = self._threshold()
-        src_values, src_g, src_delta = (
-            self._values.tolist(), self._g.tolist(), self._delta.tolist()
-        )
-        values, gs, deltas = src_values[:1], src_g[:1], src_delta[:1]
-        for i in range(1, len(src_values) - 1):
-            # Classic GK merge: absorb the previous tuple into this one
-            # when the combined weight plus this tuple's uncertainty still
-            # satisfies the invariant.
-            if len(values) > 1 and gs[-1] + src_g[i] + src_delta[i] <= threshold:
-                gs[-1] += src_g[i]
-                values[-1] = src_values[i]
-                deltas[-1] = src_delta[i]
-            else:
-                values.append(src_values[i])
-                gs.append(src_g[i])
-                deltas.append(src_delta[i])
-        self._values = np.asarray(values + src_values[-1:], dtype=np.float64)
-        self._g = np.asarray(gs + src_g[-1:], dtype=np.int64)
-        self._delta = np.asarray(deltas + src_delta[-1:], dtype=np.int64)
-
-    def rank_of(self, value: float) -> tuple[int, int]:
-        """Return (rank_min, rank_max) bounds for ``value`` (test helper)."""
-        above = int(np.searchsorted(self._entries(), value, side="right"))
-        rank_min = int(self._g[:above].sum())
-        if above in (0, len(self._values)):
-            return rank_min, rank_min
-        return rank_min, rank_min + int(self._delta[above - 1])
 
 
 class WeightedGKSketch(_Summary):
@@ -444,8 +263,9 @@ class WeightedGKSketch(_Summary):
     unweighted case, so distributed use builds local summaries at
     ``eps / 2`` to end below ``eps`` after one merge level.
 
-    Wire layout: float64 eps, float64 total_weight, int64 count, int32
-    n_entries, then three parallel float64 arrays (values, g, delta).
+    Billed per summary as the frame of one it once had: float64 eps,
+    float64 total_weight, int64 count, int32 n_entries, then three
+    parallel float64 arrays (values, g, delta).
 
     Attributes:
         eps: Target weighted-rank-error fraction.
@@ -453,30 +273,20 @@ class WeightedGKSketch(_Summary):
         total_weight: Total weight summarized.
     """
 
-    __slots__ = ("total_weight",)
+    __slots__ = ()
     _RANK = np.float64
     _WIRE_RANK = np.dtype(np.float64)
     _WIRE_TAG = b"\x01"
     _HEAD = struct.Struct("=ddqi")
 
-    def _fill(self, eps, count, mass, values, g, delta) -> None:
-        super()._fill(eps, count, mass, values, g, delta)
-        self.total_weight = mass
-
     @property
-    def _mass(self) -> float:
-        return self.total_weight
+    def total_weight(self) -> float:
+        """Total weight summarized."""
+        return float(self._one.masses[0])
 
     @staticmethod
     def _group_budget(total_g, groups: int) -> float:
         return max(float(total_g) / groups, np.finfo(np.float64).tiny)
-
-    def _head(self) -> tuple:
-        return self.eps, self.total_weight, self.count
-
-    @staticmethod
-    def _unhead(eps: float, total_weight: float, count: int) -> tuple:
-        return eps, count, total_weight
 
     @staticmethod
     def _merge_errs(eps: np.ndarray, masses: np.ndarray) -> np.ndarray:
@@ -504,7 +314,6 @@ class WeightedGKSketch(_Summary):
         return _sample_sorted_weighted(arr[order], wts[order], bounds, eps)[0]
 
 
-
 #: Leads every :class:`SketchBatch` frame: kind tag, three pad bytes (the
 #: columns behind it stay 8-byte aligned), number of summaries.
 _FRAME_HEAD = struct.Struct("=B3xi")
@@ -518,8 +327,8 @@ class SketchBatch(Sequence):
     ``[bounds[i], bounds[i + 1])`` of the shared ``values`` / ``g`` /
     ``delta`` arrays — the layout :func:`sketch_columns` samples into, so
     a batch costs no per-feature object.  Indexing hands out a
-    :class:`GKSketch` / :class:`WeightedGKSketch` over slices of those
-    arrays; no method writes into them.
+    :class:`GKSketch` / :class:`WeightedGKSketch` view of one summary,
+    sharing those arrays; no method writes into them.
 
     Attributes:
         kind: :class:`GKSketch` or :class:`WeightedGKSketch` — rank
@@ -553,24 +362,9 @@ class SketchBatch(Sequence):
         ids = np.arange(len(sketches)) if features is None else np.asarray(features)
         if ids.shape != (len(sketches),) or np.any(np.diff(ids) <= 0):
             raise SketchError("a sketch batch lists one increasing feature id per summary")
-        sizes = np.fromiter((len(s) for s in sketches), np.int64, len(sketches))
-        values, g, delta = (
-            np.concatenate([np.empty(0, dtype), *(getattr(s, name) for s in sketches)])
-            for name, dtype in (
-                ("_values", np.float64), ("_g", kind._RANK), ("_delta", kind._RANK)
-            )
-        )
-        return cls(
-            kind,
-            ids.astype(np.int64),
-            np.fromiter((s.eps for s in sketches), np.float64, len(sketches)),
-            np.fromiter((s.count for s in sketches), np.int64, len(sketches)),
-            np.asarray([s._mass for s in sketches], dtype=kind._RANK),
-            np.concatenate(((0,), np.cumsum(sizes))),
-            values,
-            g,
-            delta,
-        )
+        if not len(sketches):
+            return GKSketch()._one.span(0, 0)
+        return cls.concat([s._one.shifted(int(f)) for s, f in zip(sketches, ids)])
 
     def __len__(self) -> int:
         return len(self.features)
@@ -578,24 +372,11 @@ class SketchBatch(Sequence):
     def __getitem__(self, i: int) -> AnySketch:
         if not -len(self) <= i < len(self):
             raise IndexError(f"summary {i} of a batch of {len(self)}")
-        a, b = self.bounds[i], self.bounds[i + 1]
-        return self.kind._build(
-            float(self.eps[i]),
-            int(self.counts[i]),
-            float(self.masses[i]),
-            self.values[a:b],
-            self.g[a:b],
-            self.delta[a:b],
-        )
+        i %= len(self)
+        return self.kind._of(self._rows(i, i + 1).shifted(-self.features[i]))
 
-    def shifted(self, offset: int) -> "SketchBatch":
-        """The same summaries under feature ids ``features + offset``
-        (a stripe's local columns as global features)."""
-        return replace(self, features=self.features + offset)
-
-    def span(self, lo: int, hi: int) -> "SketchBatch":
-        """The summaries of features in ``[lo, hi)``, sharing storage."""
-        a, b = np.searchsorted(self.features, (lo, hi))
+    def _rows(self, a: int, b: int) -> "SketchBatch":
+        """Summaries ``a .. b - 1`` by position, sharing storage."""
         return replace(
             self,
             features=self.features[a:b],
@@ -605,22 +386,44 @@ class SketchBatch(Sequence):
             bounds=self.bounds[a : b + 1],
         )
 
-    def quantiles(self, k: int) -> np.ndarray:
-        """:meth:`_Summary.quantiles` of every non-empty summary, as rows
-        (in batch order): one segment-local bisection answers all ``k``
-        targets of all summaries over the segment-restarted rank bounds."""
-        if k < 1:
-            raise SketchError(f"k must be >= 1, got {k}")
-        live = np.flatnonzero(self.counts)
-        qs = np.arange(1, k + 1, dtype=np.float64) / (k + 1)
-        targets = self.masses[live][:, None] * qs
+    def shifted(self, offset: int) -> "SketchBatch":
+        """The same summaries under feature ids ``features + offset``
+        (a stripe's local columns as global features)."""
+        return replace(self, features=self.features + offset)
+
+    def span(self, lo: int, hi: int) -> "SketchBatch":
+        """The summaries of features in ``[lo, hi)``, sharing storage."""
+        return self._rows(*np.searchsorted(self.features, (lo, hi)))
+
+    def _answer(self, live: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Entry values answering rank ``targets``: one row of targets per
+        summary listed in ``live``, the answers in the same shape.
+
+        Entry ``j`` answers target ``t`` when ``t <= rank_min[j] + slack``
+        and ``t <= rank_max[j] + slack`` (``slack = eps * mass``); the
+        summary's first such entry wins, its maximum if none does.
+        ``rank_max = rank_min + delta`` with ``delta >= 0``, and float
+        addition is monotone, so the second clause can never bind where
+        the first holds: the answer is one segment-local bisection of
+        every target over the segment-restarted ``rank_min + slack``.
+        """
+        k = targets.shape[1]
         slack = np.repeat(self.eps * self.masses, np.diff(self.bounds))
         lo, hi = self.bounds[0], self.bounds[-1]
         bound = segment_cumsum(self.g, self.bounds)
         bound[lo:hi] += slack
         each_lo, each_hi = (np.repeat(b[live], k) for b in (self.bounds[:-1], self.bounds[1:]))
         first = segment_searchsorted(bound, each_lo, each_hi, targets.ravel(), "left")
-        return self.values[np.minimum(first, each_hi - 1)].reshape(len(live), k)
+        return self.values[np.minimum(first, each_hi - 1)].reshape(targets.shape)
+
+    def quantiles(self, k: int) -> np.ndarray:
+        """``k`` evenly spaced interior quantiles (1/(k+1) .. k/(k+1)) of
+        every non-empty summary, as rows (in batch order)."""
+        if k < 1:
+            raise SketchError(f"k must be >= 1, got {k}")
+        live = np.flatnonzero(self.counts)
+        qs = np.arange(1, k + 1, dtype=np.float64) / (k + 1)
+        return self._answer(live, self.masses[live][:, None] * qs)
 
     # ------------------------------------------------------------------
     # wire frame (what push_sketch / pull_sketches move, one per partition)
@@ -630,10 +433,10 @@ class SketchBatch(Sequence):
     def wire_bytes(self) -> int:
         """Bytes the cost model bills for these summaries.
 
-        Per summary a 4-byte feature id, a kind tag and
-        :meth:`_Summary.to_bytes` — header plus 16 (24 weighted) bytes an
-        entry — whether or not it has entries: what the per-feature frames
-        this one replaced weighed, a function of entry counts alone.
+        Per summary a 4-byte feature id, a kind tag and the kind's
+        ``_HEAD``, plus 16 (24 weighted) bytes an entry, whether or not
+        it has entries: what the per-feature frames this one replaced
+        weighed, a function of entry counts alone.
         """
         rank = self.kind._WIRE_RANK.itemsize
         entries = int(self.bounds[-1] - self.bounds[0])
@@ -760,8 +563,8 @@ class SketchBatch(Sequence):
         interleave under one stable ``(feature, value)`` ordering (self
         before other on ties), each side's deltas are inflated by the
         partner's merge error, the extremes are zeroed, and only the
-        features that outgrew :meth:`_Summary._max_entries` go through
-        :meth:`_Summary._compress_merged`, one by one.
+        features that outgrew their entry cap go through
+        :func:`_compress_merged`, one by one.
         """
         kind = self.kind
         if other.kind is not kind:
@@ -834,7 +637,9 @@ class SketchBatch(Sequence):
             kind, features, eps, count_a + count_b, masses, bounds, values, g, delta
         )
         sizes = size_a + size_b
-        limit = (3.0 / eps).astype(np.int64) + 8  # _Summary._max_entries
+        # Keep roughly 3/eps entries a summary: GK's bound is
+        # O(log(eps * n) / eps), but this fixed cap works well in practice.
+        limit = (3.0 / eps).astype(np.int64) + 8
         outgrown = np.flatnonzero(both & (sizes > limit))
         if len(outgrown) == 0:
             return merged
@@ -843,19 +648,51 @@ class SketchBatch(Sequence):
         spliced: tuple[list, list, list] = ([], [], [])
         cursor = 0
         for i in outgrown:
-            summary = merged[i]
-            summary._compress_merged()
-            parts = (summary._values, summary._g, summary._delta)
+            a, b = bounds[i], bounds[i + 1]
+            parts = _compress_merged(kind, int(limit[i]), values[a:b], g[a:b], delta[a:b])
             for pieces, whole, part in zip(spliced, wholes, parts):
-                pieces += (whole[cursor : bounds[i]], part)
-            sizes[i] = len(summary)
-            cursor = bounds[i + 1]
+                pieces += (whole[cursor:a], part)
+            sizes[i] = len(parts[0])
+            cursor = b
         values, g, delta = (
             np.concatenate((*pieces, whole[cursor:]))
             for pieces, whole in zip(spliced, wholes)
         )
         bounds = np.concatenate(((0,), np.cumsum(sizes)))
         return replace(merged, bounds=bounds, values=values, g=g, delta=delta)
+
+
+def _compress_merged(
+    kind: type, target: int, values: np.ndarray, g: np.ndarray, delta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One merged summary's entries, cut to about ``target`` while
+    keeping the delta bounds.
+
+    The extremes are kept verbatim; interior entries are grouped greedily
+    so each group's total g stays within the budget (a group always takes
+    at least one entry).  Group boundaries come from one searchsorted per
+    group over the cumulative g — O(target log n) instead of a Python
+    loop over every entry.
+    """
+    budget = kind._group_budget(g.sum(), max(1, target - 2))
+    interior_g = g[1:-1]
+    cum = np.cumsum(interior_g)
+    starts: list[int] = []
+    s = 0
+    n_interior = len(interior_g)
+    while s < n_interior:
+        starts.append(s)
+        base = cum[s] - interior_g[s]
+        s = max(s + 1, int(np.searchsorted(cum, base + budget, side="right")))
+    start_idx = np.asarray(starts, dtype=np.int64)
+    last_of_group = np.concatenate((start_idx[1:], (n_interior,))) - 1
+    return (
+        np.concatenate((values[:1], values[1:-1][last_of_group], values[-1:])),
+        np.concatenate((g[:1], np.add.reduceat(interior_g, start_idx), g[-1:])),
+        np.concatenate(
+            (delta[:1], np.maximum.reduceat(delta[1:-1], start_idx), delta[-1:])
+        ),
+    )
 
 
 def _sample_sorted(
@@ -951,8 +788,8 @@ def sketch_columns(
     """Build one GK summary per column of a CSR matrix in a single pass.
 
     Sorts all nonzeros by (column, value) with one stable sort and samples
-    every column's sorted segment in one ragged pass — much faster than
-    streaming per-value inserts when the shard is already in memory.
+    every column's sorted segment in one ragged pass — much faster than a
+    Python loop over columns when the shard is already in memory.
 
     Args:
         indptr, indices, data: CSR arrays.  Column summaries only need the

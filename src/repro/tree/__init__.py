@@ -13,7 +13,6 @@ from .split import SplitDecision, find_best_split, best_split_in_range, leaf_wei
 from .tree import RegressionTree
 from .grower import GrownTree, LayerwiseGrower
 from .bestfirst import BestFirstGrower
-from .exact import exact_best_split, exact_split_mask
 
 __all__ = [
     "SplitDecision",
@@ -24,6 +23,4 @@ __all__ = [
     "GrownTree",
     "LayerwiseGrower",
     "BestFirstGrower",
-    "exact_best_split",
-    "exact_split_mask",
 ]

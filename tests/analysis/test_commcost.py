@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import CostTable, speedup_table, tabulate_costs
-from repro.analysis.commcost import steps_table
 from repro.cluster import CostParams, aggregation_time
 from repro.cluster.costmodel import SYSTEM_NAMES
 
@@ -40,12 +39,6 @@ class TestTabulate:
         speedups = speedup_table(table, baseline="dimboost")
         assert speedups["dimboost"][0, 0] == pytest.approx(1.0)
         assert speedups["mllib"][0, 0] > 1.0
-
-    def test_steps_table(self):
-        steps = steps_table([2, 8, 50])
-        assert steps["mllib"] == [1, 1, 1]
-        assert steps["xgboost"] == [1, 3, 6]
-        assert steps["dimboost"] == [1, 1, 1]
 
     def test_cost_table_is_dataclass(self):
         table = tabulate_costs([2], [1.0], COST)

@@ -8,9 +8,9 @@ import pytest
 from repro import ClusterConfig, TrainConfig
 from repro.cluster import SimClock
 from repro.distributed import BACKEND_NAMES, make_backend
-from repro.distributed.backends import DimBoostBackend, general_ps_push_time
-from repro.errors import TrainingError
-from repro.cluster.costmodel import CostParams
+from repro.distributed.backends import DimBoostBackend
+from repro.errors import CommunicationError, TrainingError
+from repro.cluster.costmodel import CostParams, general_ps_push_time
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ class TestGeneralPSPushTime:
 
     def test_validation(self):
         cost = CostParams()
-        with pytest.raises(TrainingError):
+        with pytest.raises(CommunicationError):
             general_ps_push_time(0, 1, 100, cost)
 
 

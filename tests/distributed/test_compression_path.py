@@ -89,7 +89,7 @@ class TestFoldDeferral:
         assert lossy.feature == exact.feature
         assert lossy.gain == pytest.approx(exact.gain, rel=0.1)
 
-    def test_compression_bytes_include_sums(self, setup):
+    def test_compression_bytes_include_sums(self, setup, monkeypatch):
         candidates, flats = setup
         cluster = ClusterConfig(n_workers=4, n_servers=4)
         config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
@@ -98,8 +98,15 @@ class TestFoldDeferral:
         )
         backend.begin_tree(0)
         clock = SimClock()
+        returned = []
+        push = backend.pusher.push_flats
+        monkeypatch.setattr(
+            backend.pusher,
+            "push_flats",
+            lambda *args: returned.append(push(*args)) or returned[-1],
+        )
         backend.aggregate_node(0, [f.copy() for f in flats], clock)
-        pushed = backend._push_bytes[0]
+        (pushed,) = returned
         # ~1 byte per value + per-feature scales + the 8-byte sums: far
         # below the 4-bytes-per-value uncompressed push.
         assert all(b < backend.flat_bytes / 2 for b in pushed)

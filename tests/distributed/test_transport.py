@@ -4,7 +4,7 @@ The CREATE_SKETCH phase now pushes stripe-local summaries through the
 parameter servers instead of folding them in the driver.  These tests
 pin the contract that made the move safe: the servers' arrival-order
 left fold — one ragged batch merge per partition since PR 21 — is
-*bit-identical* (``to_bytes`` equality, feature by feature) to the
+*bit-identical* (equal frames of one, feature by feature) to the
 driver-side per-feature fold, fault-free and under a chaotic fabric, for both
 plain and hessian-weighted summaries.  The second half pins the
 compressed slab push: the packed wire size matches the cost model, wins
@@ -29,6 +29,8 @@ from repro.distributed import DistributedGBDT
 from repro.ps import ParameterServerGroup
 from repro.ps.slab import SlabLayout, SparseSlab, compress_slab
 from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
+
+from ..sketch import frame_of
 
 N_FEATURES = 12
 N_WORKERS = 4
@@ -77,7 +79,7 @@ def push_all(group, workers):
 def assert_bit_identical(merged, reference):
     assert merged.features.tolist() == sorted(reference)
     for f, summary in zip(merged.features.tolist(), merged):
-        assert summary.to_bytes() == reference[f].to_bytes()
+        assert frame_of(summary) == frame_of(reference[f])
 
 
 class TestServerMergeBitIdentity:
@@ -95,8 +97,9 @@ class TestServerMergeBitIdentity:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_serialization_round_trip_through_wire(self, weighted):
-        """What comes back from the servers survives to_bytes/from_bytes
-        losslessly — the wire frame adds a tag, never precision loss."""
+        """What comes back from the servers survives another trip through
+        the frame losslessly, whole or one summary at a time — the wire
+        adds a tag, never precision loss."""
         workers = make_worker_sketches(weighted)
         group = ParameterServerGroup(2)
         group.register("sketch", N_FEATURES)
@@ -105,7 +108,8 @@ class TestServerMergeBitIdentity:
         cls = WeightedGKSketch if weighted else GKSketch
         assert merged.kind is cls and len(merged) == N_FEATURES
         for sk in merged:
-            assert cls.from_bytes(sk.to_bytes()).to_bytes() == sk.to_bytes()
+            (back,) = SketchBatch.from_frame(frame_of(sk))
+            assert frame_of(back) == frame_of(sk)
         assert SketchBatch.from_frame(merged.to_frame()).to_frame() == merged.to_frame()
 
     def test_duplicate_push_is_idempotent(self):

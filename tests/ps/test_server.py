@@ -10,6 +10,8 @@ from repro.ps import PSServer
 from repro.ps.partitioner import Partition
 from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
 
+from ..sketch import frame_of
+
 
 @pytest.fixture()
 def server() -> PSServer:
@@ -207,4 +209,4 @@ class TestSketchPushAllOrNothing:
         merged = SketchBatch.from_frame(server.handle_pull_sketch("hist", 0))
         folded = first[0].merge(second[0])
         assert merged.features.tolist() == [4]
-        assert merged[0].to_bytes() == folded.to_bytes()
+        assert frame_of(merged[0]) == frame_of(folded)

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import CSRMatrix
 from repro.errors import SketchError
-from repro.sketch import GKSketch, sketch_columns
+from repro.sketch import GKSketch, sketch_columns, sketch_columns_weighted
+
+from . import frame_of
 
 
 def assert_rank_error_bounded(
@@ -62,40 +65,6 @@ class TestBatchConstruction:
         assert sketch.count == 0
         with pytest.raises(SketchError):
             sketch.query(0.5)
-
-
-class TestStreaming:
-    def test_streaming_rank_error(self):
-        rng = np.random.default_rng(1)
-        arr = rng.normal(size=2000)
-        sketch = GKSketch(eps=0.05)
-        sketch.extend(arr)
-        assert sketch.count == 2000
-        assert_rank_error_bounded(sketch, arr, 0.05)
-
-    def test_streaming_sorted_input(self):
-        arr = np.arange(1000, dtype=np.float64)
-        sketch = GKSketch(eps=0.05)
-        sketch.extend(arr)
-        assert_rank_error_bounded(sketch, arr, 0.05)
-
-    def test_streaming_reverse_sorted(self):
-        arr = np.arange(1000, dtype=np.float64)[::-1]
-        sketch = GKSketch(eps=0.05)
-        sketch.extend(arr)
-        assert_rank_error_bounded(sketch, np.sort(arr), 0.05)
-
-    def test_compression_keeps_size_bounded(self):
-        sketch = GKSketch(eps=0.05)
-        rng = np.random.default_rng(2)
-        sketch.extend(rng.random(5000))
-        assert len(sketch) <= int(3 / 0.05) + 16
-
-    def test_single_value(self):
-        sketch = GKSketch(eps=0.1)
-        sketch.insert(42.0)
-        assert sketch.query(0.0) == 42.0
-        assert sketch.query(1.0) == 42.0
 
 
 class TestMerge:
@@ -184,9 +153,32 @@ class TestColumnSketches:
         assert_rank_error_bounded(sketch, vals, 0.05)
 
     def test_empty_columns_get_empty_sketches(self):
-        from repro.datasets import CSRMatrix
-
         X = CSRMatrix.from_rows([[(0, 1.0)], [(0, 2.0)]], n_cols=3)
         sketches = sketch_columns(X.indptr, X.indices, X.data, X.n_cols)
         assert sketches[1].count == 0
         assert sketches[2].count == 0
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["gk", "weighted"])
+def test_negative_index_counts_from_the_end(weighted):
+    """``batch[-k]`` is ``batch[len - k]``, field for field: the slice of
+    entries must follow the normalised index, not ``bounds[-k]``."""
+    rng = np.random.default_rng(11)
+    dense = rng.normal(size=(200, 4)) * (rng.random((200, 4)) < [0.9, 0.5, 0.2, 0.7])
+    X = CSRMatrix.from_dense(dense.astype(np.float32))
+    csr = (X.indptr, X.indices, X.data, X.n_cols)
+    batch = (
+        sketch_columns_weighted(*csr, rng.uniform(0.1, 2.0, size=200), eps=0.05)
+        if weighted
+        else sketch_columns(*csr, eps=0.05)
+    )
+    n = len(batch)
+    assert len({frame_of(summary) for summary in batch}) == n  # all differ
+    for k in range(1, n + 1):
+        back, front = batch[-k], batch[n - k]
+        assert frame_of(back) == frame_of(front)
+        assert (back.eps, back.count, len(back)) == (front.eps, front.count, len(front))
+        assert back.quantiles(5).tobytes() == front.quantiles(5).tobytes()
+    for outside in (n, -n - 1):
+        with pytest.raises(IndexError):
+            batch[outside]

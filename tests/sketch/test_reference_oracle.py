@@ -3,7 +3,8 @@
 ``_reference_gk`` is the implementation as it stood before summaries
 moved to ndarray storage.  Hypothesis drives both through the same
 construction, merge-chain, query and candidate-assembly inputs and
-demands the same *bytes*: ``to_bytes()`` of every summary, the
+demands the same *bytes*: the ``(eps, count, mass, values, g, delta)``
+arrays of every summary and the bytes the cost model bills for it, the
 ``quantiles`` arrays, and the ``(offsets, cuts, zero_bins)`` of every
 candidate set.
 
@@ -32,15 +33,16 @@ from repro.datasets.sparse import CSRMatrix
 from repro.sketch import (
     CandidateSet,
     GKSketch,
+    SketchBatch,
     WeightedGKSketch,
     propose_candidates,
     propose_candidates_from_sketches,
-    propose_candidates_weighted,
     sketch_columns,
     sketch_columns_weighted,
 )
 
 from . import _reference_gk as ref
+from . import summary_fields
 
 EPS = st.sampled_from([0.004, 0.01, 0.05, 0.2, 0.45])
 #: Few distinct values, both signs, both zeros: duplicate-heavy and signed.
@@ -92,9 +94,28 @@ def build_pair(values, eps, weights=None):
     return old, WeightedGKSketch.from_values(values, weights, eps)
 
 
+def as_live(old, kind):
+    """A live summary holding exactly ``old``'s fields, parsed from a frame."""
+    mass = old.total_weight if kind is WeightedGKSketch else old.count
+    batch = SketchBatch(
+        kind,
+        np.zeros(1, dtype=np.int64),
+        np.asarray([old.eps]),
+        np.asarray([old.count]),
+        np.asarray([mass], dtype=kind._RANK),
+        np.asarray([0, len(old)]),
+        np.asarray(old._values, dtype=np.float64),
+        np.asarray(old._g, dtype=kind._RANK),
+        np.asarray(old._delta, dtype=kind._RANK),
+    )
+    (new,) = SketchBatch.from_frame(batch.to_frame())
+    return new
+
+
 def assert_same_queries(old, new, ks):
-    assert new.to_bytes() == old.to_bytes()
-    assert new.wire_bytes == old.wire_bytes == len(old.to_bytes())
+    assert summary_fields(new) == summary_fields(old)
+    # Billed: a feature id and a kind tag on top of the old frame of one.
+    assert SketchBatch.from_sketches([new]).wire_bytes == 5 + old.wire_bytes
     assert len(new) == len(old)
     if old.count == 0:
         return
@@ -133,7 +154,7 @@ class TestSummaries:
             o, n = build_pair(values, eps)
             old, new = (o, n) if old is None else (old.merge(o), new.merge(n))
             assert_same_queries(old, new, (k, 19))
-        assert new.copy().to_bytes() == old.to_bytes()
+        assert summary_fields(new.copy()) == summary_fields(old)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -148,7 +169,7 @@ class TestSummaries:
             o, n = pair
             old, new = (o, n) if old is None else (old.merge(o), new.merge(n))
             assert_same_queries(old, new, (k, 19))
-        assert new.copy().to_bytes() == old.to_bytes()
+        assert summary_fields(new.copy()) == summary_fields(old)
 
     def test_merge_chain_compresses(self):
         """The chains above must reach the size-driven compression: show
@@ -166,20 +187,6 @@ class TestSummaries:
                 old, new = (o, n) if old is None else (old.merge(o), new.merge(n))
                 assert_same_queries(old, new, (1, 19, 63))
             assert fired >= 2
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        values=st.lists(LUMPY | SMOOTH, min_size=1, max_size=300),
-        eps=st.sampled_from([0.05, 0.2, 0.45]),
-    )
-    def test_streaming_insert(self, values, eps):
-        """insert/_compress are test-only traffic but keep their semantics."""
-        old, new = ref.GKSketch(eps), GKSketch(eps)
-        old.extend(values)
-        new.extend(values)
-        assert_same_queries(old, new, (7,))
-        for probe in (-3.0, 0.0, values[0], 1e7):
-            assert new.rank_of(probe) == old.rank_of(probe)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -200,15 +207,14 @@ class TestSummaries:
         old = ref.GKSketch(eps)
         old._values = [float(v) for v in range(n)]
         old._g, old._delta, old.count = list(g), deltas, sum(g)
-        new = GKSketch.from_bytes(old.to_bytes())
-        assert_same_queries(old, new, (k,))
+        assert_same_queries(old, as_live(old, GKSketch), (k,))
         scale = 0.37  # the same through the weighted (float rank) class
         oldw = ref.WeightedGKSketch(eps)
         oldw._values = list(old._values)
         oldw._g = [scale * v for v in g]
         oldw._delta = [scale * v for v in deltas]
         oldw.count, oldw.total_weight = n, float(np.cumsum(oldw._g)[-1])
-        assert_same_queries(oldw, WeightedGKSketch.from_bytes(oldw.to_bytes()), (k,))
+        assert_same_queries(oldw, as_live(oldw, WeightedGKSketch), (k,))
 
 
 @st.composite
@@ -254,6 +260,8 @@ class TestCandidates:
         eps=st.sampled_from([0.01, 0.05, 0.2]),
     )
     def test_all_three_proposers(self, drawn, max_bins, zero_cut, eps):
+        """The exact proposer, and the sketch proposer over plain and over
+        hessian-weighted column summaries."""
         X, weights = drawn
         negative_zero = bool(np.any((X.data == 0) & np.signbit(X.data)))
         csr = (X.indptr, X.indices, X.data, X.n_cols)
@@ -262,13 +270,8 @@ class TestCandidates:
             ref.propose_candidates(X, max_bins, zero_cut),
             negative_zero,
         )
-        assert_same_candidates(
-            propose_candidates_weighted(X, max_bins, weights, zero_cut),
-            ref.propose_candidates_weighted(X, max_bins, weights, zero_cut),
-            negative_zero,
-        )
         old, new = ref.sketch_columns(*csr, eps), sketch_columns(*csr, eps)
-        assert [s.to_bytes() for s in new] == [s.to_bytes() for s in old]
+        assert [summary_fields(s) for s in new] == [summary_fields(s) for s in old]
         assert_same_candidates(
             propose_candidates_from_sketches(new, max_bins, zero_cut),
             ref.propose_candidates_from_sketches(old, max_bins, zero_cut),
@@ -279,7 +282,7 @@ class TestCandidates:
         except IndexError:
             return
         new = sketch_columns_weighted(*csr, weights, eps)
-        assert [s.to_bytes() for s in new] == [s.to_bytes() for s in old]
+        assert [summary_fields(s) for s in new] == [summary_fields(s) for s in old]
         assert_same_candidates(
             propose_candidates_from_sketches(new, max_bins, zero_cut),
             ref.propose_candidates_from_sketches(old, max_bins, zero_cut),
@@ -313,11 +316,29 @@ class TestCandidates:
 
 
 def test_reference_is_not_imported_by_src():
-    """The oracle must share no code with what it checks."""
+    """No test oracle shares code with what it checks: no import line
+    under ``src/`` names a frozen reference or the exact-split oracle."""
     import pathlib
+    import re
 
-    src = pathlib.Path(__file__).resolve().parents[2] / "src"
-    assert not [p for p in src.rglob("*.py") if "_reference_gk" in p.read_text()]
+    root = pathlib.Path(__file__).resolve().parents[2]
+    oracles = {p.stem for p in (root / "tests").rglob("_reference_*.py")}
+    assert {
+        "_reference_gk",
+        "_reference_rowpath",
+        "_reference_gridpath",
+        "_reference_flat",
+        "_reference_exact",
+    } <= oracles
+    imports = re.compile(
+        rf"^\s*(?:from|import)\s.*\b(?:{'|'.join(sorted(oracles))})\b", re.MULTILINE
+    )
+    leaks = [
+        str(p.relative_to(root))
+        for p in (root / "src").rglob("*.py")
+        if imports.search(p.read_text())
+    ]
+    assert not leaks
 
 
 def test_weighted_threshold_overrun_is_clipped():

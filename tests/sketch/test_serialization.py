@@ -1,19 +1,29 @@
-"""Tests for GK sketch wire serialization."""
+"""Summaries on the wire: frames of one, in the one sketch format."""
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
 
 from repro.errors import SketchError
-from repro.sketch import GKSketch, WeightedGKSketch
+from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
+
+from . import frame_of
+
+
+def parse(payload: bytes):
+    """The one summary a frame carries."""
+    (summary,) = SketchBatch.from_frame(payload)
+    return summary
 
 
 class TestWireFormat:
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
         sketch = GKSketch.from_values(rng.normal(size=500), eps=0.02)
-        clone = GKSketch.from_bytes(sketch.to_bytes())
+        clone = parse(frame_of(sketch))
         assert clone.count == sketch.count
         assert clone.eps == sketch.eps
         for q in (0.1, 0.5, 0.9):
@@ -24,36 +34,42 @@ class TestWireFormat:
         a = GKSketch.from_values(rng.normal(size=300), 0.05)
         b = GKSketch.from_values(rng.normal(size=200), 0.05)
         merged = a.merge(b)
-        clone = GKSketch.from_bytes(merged.to_bytes())
+        clone = parse(frame_of(merged))
         assert clone.count == 500
         assert clone.query(0.5) == merged.query(0.5)
 
     def test_empty_sketch(self):
         sketch = GKSketch(0.1)
-        clone = GKSketch.from_bytes(sketch.to_bytes())
+        clone = parse(frame_of(sketch))
         assert clone.count == 0
         assert len(clone) == 0
 
     def test_wire_bytes_matches(self):
+        """Billed: a feature id, a kind tag, the 20-byte header and 16
+        bytes an entry; sent: the 8-byte frame head, 24 bytes of
+        per-summary columns and the same 16 bytes an entry."""
         rng = np.random.default_rng(2)
         sketch = GKSketch.from_values(rng.normal(size=400), 0.05)
-        assert sketch.wire_bytes == len(sketch.to_bytes())
+        billed = SketchBatch.from_sketches([sketch]).wire_bytes
+        assert billed == 4 + 1 + 20 + 16 * len(sketch)
+        assert len(frame_of(sketch)) == 8 + 24 + 16 * len(sketch)
 
     def test_wire_size_bounded_by_eps(self):
         """The sketch size, not the data size, bounds the wire bytes."""
         rng = np.random.default_rng(3)
         small = GKSketch.from_values(rng.normal(size=1_000), 0.05)
         large = GKSketch.from_values(rng.normal(size=100_000), 0.05)
+        billed = [SketchBatch.from_sketches([s]).wire_bytes for s in (small, large)]
         # 100x the data, similar wire footprint.
-        assert large.wire_bytes < small.wire_bytes * 3
+        assert billed[1] < billed[0] * 3
 
     def test_truncated_payload_rejected(self):
         sketch = GKSketch.from_values([1.0, 2.0, 3.0], 0.1)
-        payload = sketch.to_bytes()
+        payload = frame_of(sketch)
         with pytest.raises(SketchError):
-            GKSketch.from_bytes(payload[:-4])
+            SketchBatch.from_frame(payload[:-4])
         with pytest.raises(SketchError):
-            GKSketch.from_bytes(b"xx")
+            SketchBatch.from_frame(b"xx")
 
 
 def _summary(weighted: bool, seed: int, n: int = 400, eps: float = 0.05):
@@ -66,74 +82,68 @@ def _summary(weighted: bool, seed: int, n: int = 400, eps: float = 0.05):
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["gk", "weighted"])
 class TestParsedSummaryIsFullCitizen:
-    """``from_bytes`` yields read-only views into the payload; everything a
-    built summary can do, a parsed one can too, and nothing it does writes
-    through to the payload or to another summary."""
+    """A summary out of a parsed frame is a read-only view into the
+    payload; everything a built summary can do, a parsed one can too, and
+    nothing it does writes through to the payload or to another summary."""
 
-    def parse(self, weighted, sketch):
-        cls = WeightedGKSketch if weighted else GKSketch
-        payload = sketch.to_bytes()
-        return cls.from_bytes(payload), payload, bytes(bytearray(payload))
+    def parse(self, sketch):
+        payload = frame_of(sketch)
+        return parse(payload), payload, bytes(bytearray(payload))
 
     def test_arrays_are_views_of_the_payload(self, weighted):
-        parsed, payload, _ = self.parse(weighted, _summary(weighted, 0))
-        assert not parsed._values.flags.writeable
-        assert np.shares_memory(parsed._values, np.frombuffer(payload, np.uint8))
+        parsed, payload, _ = self.parse(_summary(weighted, 0))
+        values = parsed._one.values
+        assert not values.flags.writeable
+        assert np.shares_memory(values, np.frombuffer(payload, np.uint8))
 
     def test_query_copy_reserialise(self, weighted):
         built = _summary(weighted, 1)
-        parsed, payload, snapshot = self.parse(weighted, built)
+        parsed, payload, snapshot = self.parse(built)
         assert parsed.quantiles(19).tobytes() == built.quantiles(19).tobytes()
         assert [parsed.query(q) for q in (0.0, 0.3, 1.0)] == [
             built.query(q) for q in (0.0, 0.3, 1.0)
         ]
         assert (parsed.min_value, parsed.max_value) == (built.min_value, built.max_value)
-        assert parsed.to_bytes() == payload
+        assert frame_of(parsed) == payload
         clone = parsed.copy()
-        assert clone.to_bytes() == payload
-        assert clone._values.flags.writeable and clone._g.flags.writeable
-        clone._values[0] = -1e9  # a copy owns its arrays
-        clone._delta[-1] = 7
-        assert parsed.to_bytes() == payload == snapshot
+        assert frame_of(clone) == payload
+        own = clone._one
+        assert own.values.flags.writeable and own.g.flags.writeable
+        own.values[0] = -1e9  # a copy owns its arrays
+        own.delta[-1] = 7
+        assert frame_of(parsed) == payload == snapshot
 
     def test_merge_on_either_side(self, weighted):
         a, b = _summary(weighted, 2, eps=0.004), _summary(weighted, 3, n=900, eps=0.45)
-        pa, payload_a, snap_a = self.parse(weighted, a)
-        pb, payload_b, snap_b = self.parse(weighted, b)
-        expected = a.merge(b).to_bytes()  # coarse eps: _compress_merged fires
+        pa, payload_a, snap_a = self.parse(a)
+        pb, payload_b, snap_b = self.parse(b)
+        expected = frame_of(a.merge(b))  # coarse eps: _compress_merged fires
         assert len(a.merge(b)) < len(a) + len(b)
         for left, right in ((pa, b), (a, pb), (pa, pb)):
             merged = left.merge(right)
-            assert merged.to_bytes() == expected
-            merged._values[:] = 0.0  # the result owns its arrays too
-            merged._g[:] = 0
-            merged._delta[:] = 0
+            assert frame_of(merged) == expected
+            merged._one.values[:] = 0.0  # the result owns its arrays too
+            merged._one.g[:] = 0
+            merged._one.delta[:] = 0
         empty = type(a)(0.05)
+        eps_column = slice(16, 24)  # after the frame head, feature id, entry count
         for merged in (pa.merge(empty), empty.merge(pa)):
-            assert merged.to_bytes()[8:] == payload_a[8:]  # all but the eps field
-            merged._values[:] = 0.0
+            frame = bytearray(frame_of(merged))
+            frame[eps_column] = payload_a[eps_column]
+            assert bytes(frame) == payload_a  # all but the eps
+            merged._one.values[:] = 0.0
         assert (payload_a, payload_b) == (snap_a, snap_b)
-        assert pa.to_bytes() == a.to_bytes() and pb.to_bytes() == b.to_bytes()
-
-
-def test_insert_into_parsed_summary():
-    built = _summary(False, 4, n=50, eps=0.2)
-    payload = built.to_bytes()
-    snapshot = bytes(bytearray(payload))
-    parsed = GKSketch.from_bytes(payload)
-    for value in (-10.0, 0.0, 10.0, 0.0):
-        built.insert(value)
-        parsed.insert(value)
-    assert parsed.to_bytes() == built.to_bytes() != payload
-    assert parsed.count == 54 and parsed.min_value == -10.0
-    assert payload == snapshot
+        assert frame_of(pa) == frame_of(a) and frame_of(pb) == frame_of(b)
 
 
 def _gk_frame(eps=0.1, count=3.0, values=(1.0, 2.0, 3.0), g=(1, 1, 1), delta=(0, 0, 0)):
-    """A GKSketch ``to_bytes`` payload with every field under the caller's hand."""
+    """A GK frame of one summary with every field under the caller's hand:
+    frame head, feature id and entry count, eps and count, the entries."""
     return b"".join(
         (
-            GKSketch._HEAD.pack(eps, count, len(values)),
+            struct.pack("=B3xi", 0, 1),
+            np.asarray([0, len(values)], dtype=np.int32),
+            np.asarray([eps, count], dtype=np.float64),
             np.asarray(values, dtype=np.float64),
             np.asarray(g, dtype=np.int32),
             np.asarray(delta, dtype=np.int32),
@@ -143,7 +153,7 @@ def _gk_frame(eps=0.1, count=3.0, values=(1.0, 2.0, 3.0), g=(1, 1, 1), delta=(0,
 
 #: Headers and entries the parser used to believe: NaN / inf counts leaked
 #: ValueError / OverflowError, the rest parsed — ``count=7`` with no entry
-#: became an IndexError inside ``_answer``, mid-fit.
+#: became an IndexError inside a quantile query, mid-fit.
 HOSTILE_FRAMES = {
     "count-nan": dict(count=float("nan")),
     "count-inf": dict(count=float("inf")),
@@ -163,23 +173,28 @@ HOSTILE_FRAMES = {
 
 @pytest.mark.parametrize("fields", HOSTILE_FRAMES.values(), ids=HOSTILE_FRAMES.keys())
 def test_hostile_frame_is_a_sketch_error(fields):
-    assert GKSketch.from_bytes(_gk_frame()).count == 3  # the untouched frame parses
+    assert parse(_gk_frame()).count == 3  # the untouched frame parses
     with pytest.raises(SketchError):
-        GKSketch.from_bytes(_gk_frame(**fields))
+        SketchBatch.from_frame(_gk_frame(**fields))
 
 
 def test_hostile_weighted_frame_is_a_sketch_error():
     good = WeightedGKSketch.from_values([1.0, 2.0, 3.0], [0.5, 1.0, 1.5], 0.1)
-    head = WeightedGKSketch._HEAD
-    eps, weight, count, n = head.unpack_from(good.to_bytes())
-    body = good.to_bytes()[head.size :]
-    assert WeightedGKSketch.from_bytes(head.pack(eps, weight, count, n) + body).count == 3
+    payload = frame_of(good)
+    # Frame head, feature id, entry count, eps | weight f8, count i64 | entries.
+    head, body = payload[:24], payload[40:]
+
+    def frame(weight, count):
+        return head + struct.pack("=dq", weight, count) + body
+
+    weight, count = good.total_weight, good.count
+    assert frame(weight, count) == payload and parse(payload).count == 3
     for hostile in (
-        head.pack(eps, float("nan"), count, n),
-        head.pack(eps, -1.0, count, n),
-        head.pack(eps, 2.0 * weight, count, n),  # gaps no longer sum to the weight
-        head.pack(eps, weight, -3, n),
-        head.pack(eps, weight, 0, n),
+        frame(float("nan"), count),
+        frame(-1.0, count),
+        frame(2.0 * weight, count),  # gaps no longer sum to the weight
+        frame(weight, -3),
+        frame(weight, 0),
     ):
         with pytest.raises(SketchError):
-            WeightedGKSketch.from_bytes(hostile + body)
+            SketchBatch.from_frame(hostile)

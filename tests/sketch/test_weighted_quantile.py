@@ -4,8 +4,9 @@ The weighted summary (Huang & Yi, arXiv:1909.07633) generalizes the GK
 entries to carry weight mass in ``g``/``delta``: a query at fraction
 ``q`` must land within ``eps * total_weight`` of the true weighted rank.
 These tests pin the error bound through construction, merging at
-``eps / 2`` (merge errors add), serialization, the column batch builder,
-and the tagged wire frame the PS transport uses for both sketch kinds.
+``eps / 2`` (merge errors add), frames of one summary, the column batch
+builder, and the tagged wire frame the PS transport uses for both sketch
+kinds.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from repro.sketch import (
     sketch_columns_weighted,
     SketchBatch,
 )
+
+from . import frame_of
 
 
 def weighted_rank_error(sketch, values, weights, qs):
@@ -126,8 +129,8 @@ class TestMerge:
         values, weights = batch
         sk = WeightedGKSketch.from_values(values, weights, eps=0.1)
         empty = WeightedGKSketch(eps=0.1)
-        assert sk.merge(empty).to_bytes() == sk.to_bytes()
-        assert empty.merge(sk).to_bytes() == sk.to_bytes()
+        assert frame_of(sk.merge(empty)) == frame_of(sk)
+        assert frame_of(empty.merge(sk)) == frame_of(sk)
 
     def test_merge_takes_coarser_eps(self):
         rng = np.random.default_rng(3)
@@ -154,21 +157,24 @@ class TestSerialization:
     def test_roundtrip_bit_exact(self, batch):
         values, weights = batch
         sk = WeightedGKSketch.from_values(values, weights, eps=0.05)
-        back = WeightedGKSketch.from_bytes(sk.to_bytes())
-        assert back.to_bytes() == sk.to_bytes()
+        (back,) = SketchBatch.from_frame(frame_of(sk))
+        assert frame_of(back) == frame_of(sk)
         assert back.total_weight == sk.total_weight
         assert back.count == sk.count
 
     def test_wire_bytes_matches(self, batch):
+        """Billed: feature id, kind tag, the 28-byte header, 24 bytes an
+        entry; sent: frame head, 32 bytes of columns, the entries."""
         values, weights = batch
         sk = WeightedGKSketch.from_values(values, weights, eps=0.05)
-        assert len(sk.to_bytes()) == sk.wire_bytes == 28 + 24 * len(sk)
+        assert SketchBatch.from_sketches([sk]).wire_bytes == 5 + 28 + 24 * len(sk)
+        assert len(frame_of(sk)) == 8 + 32 + 24 * len(sk)
 
     def test_truncated_payload_rejected(self, batch):
         values, weights = batch
         sk = WeightedGKSketch.from_values(values, weights, eps=0.05)
         with pytest.raises(SketchError):
-            WeightedGKSketch.from_bytes(sk.to_bytes()[:-3])
+            SketchBatch.from_frame(frame_of(sk)[:-3])
 
 
 class TestTaggedWire:
@@ -177,10 +183,9 @@ class TestTaggedWire:
         wsk = WeightedGKSketch.from_values(values, weights, eps=0.05)
         gsk = GKSketch.from_values(values, eps=0.05)
         for sk, cls in ((wsk, WeightedGKSketch), (gsk, GKSketch)):
-            frame = SketchBatch.from_sketches([sk]).to_frame()
-            (back,) = SketchBatch.from_frame(frame)
+            (back,) = SketchBatch.from_frame(frame_of(sk))
             assert isinstance(back, cls)
-            assert back.to_bytes() == sk.to_bytes()
+            assert frame_of(back) == frame_of(sk)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(SketchError):
@@ -206,7 +211,7 @@ class TestColumnBatch:
             ref = WeightedGKSketch.from_values(
                 dense[rows, col], row_weights[rows], eps=0.05
             )
-            assert sketches[col].to_bytes() == ref.to_bytes()
+            assert frame_of(sketches[col]) == frame_of(ref)
 
     def test_empty_column_gets_empty_sketch(self):
         indptr = np.array([0, 1], dtype=np.int64)

@@ -14,7 +14,6 @@ from repro.datasets import (
     save_dataset,
     train_test_split,
 )
-from repro.sketch import GKSketch
 
 
 class TestNonPowerOfTwoClusters:
@@ -53,25 +52,6 @@ class TestNonPowerOfTwoClusters:
             reference.predict_raw(tiny_dataset.X),
             atol=1e-7,
         )
-
-
-class TestSketchMixedUsage:
-    def test_insert_after_batch_build(self):
-        rng = np.random.default_rng(0)
-        sketch = GKSketch.from_values(rng.normal(size=500), eps=0.05)
-        sketch.extend(rng.normal(size=200))
-        assert sketch.count == 700
-        # Queries still answer within a loose band.
-        answer = sketch.query(0.5)
-        assert -1.0 < answer < 1.0
-
-    def test_merge_then_insert(self):
-        rng = np.random.default_rng(1)
-        a = GKSketch.from_values(rng.normal(size=200), 0.05)
-        b = GKSketch.from_values(rng.normal(size=200), 0.05)
-        merged = a.merge(b)
-        merged.extend(rng.normal(size=100))
-        assert merged.count == 500
 
 
 class TestDiskToDistributedPipeline:

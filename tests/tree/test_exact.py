@@ -10,7 +10,8 @@ from repro.errors import TrainingError
 from repro.histogram import BinnedShard, build_node_histogram_sparse
 from repro.sketch import propose_candidates
 from repro.tree import find_best_split
-from repro.tree.exact import exact_best_split, exact_split_mask
+
+from ._reference_exact import exact_best_split, exact_split_mask
 
 
 def brute_force_exact(X, rows, grad, hess, lam):
