@@ -63,7 +63,7 @@ def test_a1_end_to_end_accuracy_vs_bits(benchmark, report):
         rows = []
         for bits in (0, 16, 8, 4, 2):
             result = train_distributed(
-                "dimboost", train, cluster, config, compression_bits=bits
+                "dimboost", train, cluster, config.with_overrides(compression_bits=bits)
             )
             err = error_rate(test.y, result.model.predict(test.X))
             rows.append(

@@ -35,6 +35,10 @@ from repro.tree import LayerwiseGrower
 
 from conftest import bench_scale
 
+#: Section 5.2's batch size ``b`` and per-worker thread count ``q``.
+BATCH_SIZE = 500
+N_THREADS = 20
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -45,8 +49,6 @@ def setup():
         max_depth=6,
         n_split_candidates=20,
         learning_rate=0.1,
-        batch_size=500,
-        n_threads=20,
     )
     candidates = propose_candidates(data.X, config.n_split_candidates)
     shard = BinnedShard(data.X, candidates)
@@ -73,8 +75,8 @@ def test_root_node_construction(benchmark, setup, report):
             rows_all,
             grad,
             hess,
-            batch_size=config.batch_size,
-            n_threads=config.n_threads,
+            batch_size=BATCH_SIZE,
+            n_threads=N_THREADS,
         )
         assert dense.allclose(sparse, atol=1e-6)
         assert batched.histogram.allclose(sparse, atol=1e-6)
@@ -87,7 +89,7 @@ def test_root_node_construction(benchmark, setup, report):
         [
             ["traditional dense scan", dense_t, 1.0],
             ["+ sparsity-aware (Alg. 2)", sparse_t, dense_t / sparse_t],
-            ["+ parallel batch (span, q=20)", span_t, sparse_t / span_t],
+            [f"+ parallel batch (span, q={N_THREADS})", span_t, sparse_t / span_t],
         ],
         notes=(
             f"gender-like {shard.n_rows} x {shard.n_features}, "
@@ -165,26 +167,19 @@ def test_tree_time_find_split_optimizations(benchmark, setup, report):
     variants = [
         (
             "baseline PS (no scheduler, full pulls)",
-            dict(use_scheduler=False, two_phase=False, compression_bits=0),
+            0,
+            dict(use_scheduler=False, two_phase=False),
         ),
-        (
-            "+ task scheduler",
-            dict(use_scheduler=True, two_phase=False, compression_bits=0),
-        ),
-        (
-            "+ two-phase split",
-            dict(use_scheduler=True, two_phase=True, compression_bits=0),
-        ),
-        (
-            "+ low-precision (8-bit)",
-            dict(use_scheduler=True, two_phase=True, compression_bits=8),
-        ),
+        ("+ task scheduler", 0, dict(use_scheduler=True, two_phase=False)),
+        ("+ two-phase split", 0, dict(use_scheduler=True, two_phase=True)),
+        ("+ low-precision (8-bit)", 8, dict(use_scheduler=True, two_phase=True)),
     ]
 
     def run():
         rows = []
-        for label, kwargs in variants:
-            result = train_distributed("dimboost", data, cluster, config, **kwargs)
+        for label, bits, kwargs in variants:
+            variant = config.with_overrides(compression_bits=bits)
+            result = train_distributed("dimboost", data, cluster, variant, **kwargs)
             per_tree = result.sim_seconds / config.n_trees
             rows.append([label, per_tree])
         return rows

@@ -50,7 +50,7 @@ def training_sweep() -> None:
     print(f"{'bits':>15s} {'comm (s)':>9s} {'test error':>11s}")
     for bits in (0, 16, 8, 4, 2):
         result = train_distributed(
-            "dimboost", train, cluster, config, compression_bits=bits
+            "dimboost", train, cluster, config.with_overrides(compression_bits=bits)
         )
         err = error_rate(test.y, result.model.predict(test.X))
         label = "full precision" if bits == 0 else f"{bits}-bit"

@@ -169,16 +169,12 @@ class GBDT:
 
     Attributes:
         config: Hyper-parameters.
-        sparse_build: Histogram builder choice (Algorithm 2 vs dense).
-        use_index: Node-to-instance index on/off (ablation hook).
         subtraction: Derive sibling histograms as parent minus child
             (extension; halves per-layer build work).
         history: Per-round telemetry, populated by :meth:`fit`.
     """
 
     config: TrainConfig = field(default_factory=TrainConfig)
-    sparse_build: bool = True
-    use_index: bool = True
     subtraction: bool = False
     leaf_wise: bool = False
     max_leaves: int | None = None
@@ -228,12 +224,7 @@ class GBDT:
             )
         else:
             grower = LayerwiseGrower(
-                shard,
-                candidates,
-                config,
-                sparse_build=self.sparse_build,
-                use_index=self.use_index,
-                subtraction=self.subtraction,
+                shard, candidates, config, subtraction=self.subtraction
             )
 
         base = loss.base_score(train.y, train.weights)

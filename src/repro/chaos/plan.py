@@ -30,6 +30,8 @@ up front; after construction the plan is as static as a hand-written one.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 
@@ -60,6 +62,19 @@ FAULT_KINDS = ("crash", "drop", "duplicate", "server_down", "delay")
 
 #: Kinds that make a delivery attempt fail (recovered by retry).
 _FAILING_KINDS = ("drop", "server_down")
+
+#: The ``"version"`` :meth:`FaultPlan.to_dict` writes, and the only one
+#: :meth:`FaultPlan.from_dict` reads (a plan without the key is version 1).
+PLAN_VERSION = 1
+
+
+def _require_int(name: str, value: object, *, optional: bool = False) -> None:
+    """``value`` must be an integer (``None`` when ``optional``); a bool
+    or an integral float is not one."""
+    if value is None and optional:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +118,20 @@ class FaultEvent:
     delay_seconds: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("round_", "worker", "server", "times"):
+            _require_int(name, getattr(self, name), optional=True)
+        for name in ("every", "attempts"):
+            _require_int(name, getattr(self, name))
+        delay = self.delay_seconds
+        if (
+            isinstance(delay, bool)
+            or not isinstance(delay, numbers.Real)
+            or not math.isfinite(delay)
+            or delay < 0.0
+        ):
+            raise ConfigError(
+                f"delay_seconds must be a finite number >= 0, got {delay!r}"
+            )
         if self.kind not in FAULT_KINDS:
             raise ConfigError(
                 f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
@@ -165,6 +194,9 @@ class FaultPlan:
                 raise ConfigError(
                     f"FaultPlan events must be FaultEvent, got {type(event)!r}"
                 )
+        _require_int("seed", self.seed)
+        if not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string, got {self.name!r}")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -176,26 +208,53 @@ class FaultPlan:
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready)."""
         return {
-            "version": 1,
+            "version": PLAN_VERSION,
             "seed": self.seed,
             "name": self.name,
             "events": [asdict(event) for event in self.events],
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`; validates every event."""
+    def from_dict(cls, payload: object) -> "FaultPlan":
+        """Inverse of :meth:`to_dict`; validates every field.
+
+        Total over JSON values: anything but a valid plan raises
+        :class:`ConfigError` naming the field.
+        """
+        if not isinstance(payload, dict):
+            raise ConfigError(
+                f"fault plan must be a JSON object, got {type(payload).__name__}"
+            )
+        version = payload.get("version", PLAN_VERSION)
+        if type(version) is not int or version != PLAN_VERSION:
+            raise ConfigError(
+                f"fault plan version: unsupported {version!r} "
+                f"(this build reads version {PLAN_VERSION})"
+            )
+        raw_events = payload.get("events", [])
+        if not isinstance(raw_events, list):
+            raise ConfigError(
+                f"fault plan events must be a list, got {type(raw_events).__name__}"
+            )
+        events = []
+        for index, raw in enumerate(raw_events):
+            where = f"fault plan events[{index}]"
+            if not isinstance(raw, dict):
+                raise ConfigError(f"{where} must be an object, got {raw!r}")
+            try:
+                events.append(FaultEvent(**raw))
+            except TypeError as exc:
+                raise ConfigError(f"malformed fault plan: {where}: {exc}") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
         try:
-            events = tuple(
-                FaultEvent(**event) for event in payload.get("events", ())
-            )
             return cls(
-                events=events,
-                seed=int(payload.get("seed", 0)),
-                name=str(payload.get("name", "")),
+                events=tuple(events),
+                seed=payload.get("seed", 0),
+                name=payload.get("name", ""),
             )
-        except TypeError as exc:
-            raise ConfigError(f"malformed fault plan: {exc}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"fault plan {exc}") from exc
 
     def save(self, path: str | os.PathLike[str]) -> None:
         """Write the plan as JSON."""
@@ -208,10 +267,9 @@ class FaultPlan:
         with open(path, encoding="utf-8") as handle:
             try:
                 payload = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers malformed JSON and undecodable UTF-8.
                 raise ConfigError(f"fault plan {path}: invalid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"fault plan {path}: expected a JSON object")
         return cls.from_dict(payload)
 
     # ------------------------------------------------------------------

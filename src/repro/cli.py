@@ -117,7 +117,6 @@ def _config_from_args(args: argparse.Namespace, bits: int = 0) -> TrainConfig:
         feature_sample_ratio=args.feature_sample,
         reg_lambda=args.reg_lambda,
         compression_bits=bits,
-        compression_block=getattr(args, "compression_block", 0),
         seed=args.seed,
         max_retries=getattr(args, "max_retries", 3),
         checkpoint_every=getattr(args, "checkpoint_every", 1),
@@ -149,14 +148,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         "--agg-window": args.agg_window > 1,
         "--staleness": args.staleness > 0,
         "--speed-jitter": args.speed_jitter > 0,
+        "--compression-bits": args.compression_bits != 0,
     }
     stray = [flag for flag, given in cluster_only.items() if given]
     if stray and not args.system:
         verb = "require" if len(stray) > 1 else "requires"
         raise ConfigError(
             f"{'/'.join(stray)} {verb} --system (fault "
-            "injection, block sharding, local aggregation, bounded staleness "
-            "and speed jitter target the simulated cluster)"
+            "injection, block sharding, local aggregation, bounded staleness, "
+            "speed jitter and the histogram codec target the simulated cluster)"
         )
     fault_plan = None
     if args.fault_plan:
@@ -365,13 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --system; implies --workers rows*cols; composes with "
         "--compression-bits: slab pushes ride the codec)",
     )
-    train.add_argument("--compression-bits", type=int, default=0)
     train.add_argument(
-        "--compression-block",
+        "--compression-bits",
         type=int,
         default=0,
-        help="values per fixed-point scale of the histogram codec "
-        "(0 = one scale per per-feature g/h histogram)",
+        help="fixed-point width of pushed histograms (requires --system; "
+        "0 = no codec)",
     )
     train.add_argument(
         "--progress",

@@ -23,7 +23,7 @@ from .errors import ConfigError
 SUPPORTED_LOSSES = ("logistic", "squared")
 
 #: Legal fixed-point widths of the histogram codec (0 = codec off), for
-#: ``TrainConfig.compression_bits`` and the backend option of that name.
+#: ``TrainConfig.compression_bits``.
 COMPRESSION_BITS = (0, 2, 4, 8, 16)
 
 
@@ -59,19 +59,8 @@ class TrainConfig:
         loss: Name of the loss function, one of ``SUPPORTED_LOSSES``.
         compression_bits: Width ``r`` of the fixed-point histogram codec;
             0 disables compression (full 32-bit floats on the wire).
-        compression_block: Values per fixed-point scale of the codec; 0
-            (default) uses one scale per per-feature g/h histogram
-            (``n_split_candidates`` buckets).  Must divide the
-            per-feature histogram width ``2 * n_split_candidates`` when
-            set (checked against the run's backend at trainer
-            construction); smaller blocks trade scale overhead for SNR.
-        batch_size: Instance batch size ``b`` of Section 5.2's parallel
-            batch construction.  Feeds the span account of the
-            single-machine ``TreeGrower(batched=True)``; ``DistributedGBDT``
-            does not read it.
-        n_threads: Simulated per-worker thread count ``q`` of the same
-            span account (``TreeGrower(batched=True)`` only; not read by
-            ``DistributedGBDT``).
+            DimBoost keeps one fixed-point scale per per-feature g/h
+            histogram (Section 6.1).
         sketch_eps: Rank-error bound of the Greenwald-Khanna sketch.
         seed: Seed for all stochastic choices (feature sampling, stochastic
             rounding, synthetic splits of data).
@@ -106,9 +95,6 @@ class TrainConfig:
     min_child_weight: float = 0.0
     loss: str = "logistic"
     compression_bits: int = 8
-    compression_block: int = 0
-    batch_size: int = 10_000
-    n_threads: int = 20
     sketch_eps: float = 0.01
     seed: int = 0
     max_retries: int = 3
@@ -151,12 +137,6 @@ class TrainConfig:
             f"got {self.compression_bits}",
         )
         _require(
-            self.compression_block >= 0,
-            f"compression_block must be >= 0, got {self.compression_block}",
-        )
-        _require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
-        _require(self.n_threads >= 1, f"n_threads must be >= 1, got {self.n_threads}")
-        _require(
             0.0 < self.sketch_eps < 0.5,
             f"sketch_eps must be in (0, 0.5), got {self.sketch_eps}",
         )
@@ -195,25 +175,16 @@ class NetworkCost:
     ``alpha + n * beta``; merging ``n`` bytes of histograms costs
     ``n * gamma``.  The defaults approximate the paper's 1 GbE cluster:
     0.1 ms latency, ~8 ns/byte transfer (≈1 Gbit/s), 1 ns/byte merge.
-
-    ``sketch_entry_bytes`` is the approximate wire weight of one
-    quantile-sketch entry (value + rank bounds) used when charging the
-    CREATE_SKETCH / PULL_SKETCH exchange.
     """
 
     alpha: float = 1e-4
     beta: float = 8e-9
     gamma: float = 1e-9
-    sketch_entry_bytes: float = 16.0
 
     def __post_init__(self) -> None:
         _require(self.alpha >= 0.0, f"alpha must be >= 0, got {self.alpha}")
         _require(self.beta >= 0.0, f"beta must be >= 0, got {self.beta}")
         _require(self.gamma >= 0.0, f"gamma must be >= 0, got {self.gamma}")
-        _require(
-            self.sketch_entry_bytes > 0.0,
-            f"sketch_entry_bytes must be > 0, got {self.sketch_entry_bytes}",
-        )
 
 
 @dataclass(frozen=True)

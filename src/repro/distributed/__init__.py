@@ -23,11 +23,9 @@ reference — the integration tests assert exactly that.
 """
 
 from .scheduler import (
-    NodeState,
     RoundRobinScheduler,
     SingleAgentScheduler,
     SpeedWeightedScheduler,
-    StateArray,
 )
 from .backends import (
     AggregationBackend,
@@ -42,11 +40,9 @@ from .plan import RunPlan, make_backend
 from .engine import DistributedGBDT, DistributedResult, RoundRecord, train_distributed
 
 __all__ = [
-    "NodeState",
     "RoundRobinScheduler",
     "SingleAgentScheduler",
     "SpeedWeightedScheduler",
-    "StateArray",
     "AggregationBackend",
     "MLlibBackend",
     "XGBoostBackend",

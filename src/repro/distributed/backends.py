@@ -78,11 +78,9 @@ class AggregationBackend(ABC):
     #: (``agg_window > 1`` — the server-side seq token deduplicates a
     #: window), and routing every message through a chaos fabric.
     parameter_server: bool = False
-    #: Fixed-point width of pushed histograms (0 = no lossy codec) and
-    #: values per codec scale (None = the codec's default).  Only
-    #: DimBoost sets them; declared here so shared code reads them plainly.
+    #: Fixed-point width of pushed histograms (0 = no lossy codec).  Only
+    #: DimBoost sets it; declared here so shared code reads it plainly.
     compression_bits: int = 0
-    compression_block: int | None = None
 
     def __init__(
         self,
@@ -341,7 +339,10 @@ class WindowedPusher:
     Every lossy encode draws its rounding stream from :meth:`_rng`,
     keyed ``(tree, node, worker)`` — the key a rollback-replay
     re-derives — so retries, duplicates and replays move identical
-    payloads however delivery is scheduled.
+    payloads however delivery is scheduled.  A lossy encode keeps one
+    fixed-point scale per per-feature g/h histogram (``layout.n_bins``
+    values; Section 6.1's "the maximal absolute value in the
+    histogram").
     """
 
     def __init__(
@@ -352,7 +353,6 @@ class WindowedPusher:
         cost: CostParams,
         layout: SlabLayout,
         compression_bits: int = 0,
-        compression_block: int | None = None,
     ) -> None:
         self.group = group
         self.cluster = cluster
@@ -360,7 +360,7 @@ class WindowedPusher:
         self.cost = cost
         self.layout = layout
         self.bits = compression_bits
-        self.block = compression_block
+        self.block = layout.n_bins
         self.window = config.agg_window
         self._aggregators = [
             LocalAggregator(self.window, layout)
@@ -562,7 +562,7 @@ class _PSBackend(AggregationBackend):
         self.group.register(
             GRAD_HIST, self.flat_len, align=2 * self.n_bins, layout=layout
         )
-        # A subclass with a lossy codec sets its knobs before calling up.
+        # A subclass with a lossy codec sets its width before calling up.
         self.pusher = WindowedPusher(
             self.group,
             cluster,
@@ -570,7 +570,6 @@ class _PSBackend(AggregationBackend):
             self.cost,
             layout,
             self.compression_bits,
-            self.compression_block,
         )
 
     def begin_tree(self, tree_index: int) -> None:
@@ -643,8 +642,9 @@ class DimBoostBackend(_PSBackend):
             single-agent strategy (False) — Table 3's scheduler ablation.
         two_phase: Server-side split UDF + tiny replies (True) or full
             histogram pulls by the responsible worker (False).
-        compression_bits: Fixed-point width for pushed histograms
-            (0 disables compression).
+
+    The fixed-point width of pushed histograms is
+    ``config.compression_bits`` (0 disables compression).
     """
 
     name = "dimboost"
@@ -657,17 +657,10 @@ class DimBoostBackend(_PSBackend):
         candidates,
         use_scheduler: bool = True,
         two_phase: bool = True,
-        compression_bits: int | None = None,
         speed_aware_scheduler: bool = False,
         fabric=None,
     ) -> None:
-        # One scale per per-feature g/h histogram by default (Section
-        # 6.1's "the maximal absolute value in the histogram");
-        # config.compression_block overrides the granularity.
-        self.compression_block = config.compression_block or candidates.max_bins
-        self.compression_bits = (
-            config.compression_bits if compression_bits is None else compression_bits
-        )
+        self.compression_bits = config.compression_bits
         super().__init__(cluster, config, candidates, fabric=fabric)
         self.use_scheduler = use_scheduler
         self.two_phase = two_phase

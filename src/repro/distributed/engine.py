@@ -69,6 +69,10 @@ from ..tree.tree import RegressionTree
 from ..utils.timing import Stopwatch, TimeBreakdown
 from .plan import RunPlan
 
+#: Approximate wire weight of one quantile-sketch entry (value + rank
+#: bounds), charged for the modelled CREATE_SKETCH / PULL_SKETCH exchange.
+SKETCH_ENTRY_BYTES = 16.0
+
 
 @dataclass
 class RoundRecord:
@@ -759,11 +763,7 @@ class DistributedGBDT:
             if run.blocks is not None
             else train.n_features
         )
-        sketch_bytes = (
-            per_push_features
-            * entries_per_sketch
-            * self.cluster.network.sketch_entry_bytes
-        )
+        sketch_bytes = per_push_features * entries_per_sketch * SKETCH_ENTRY_BYTES
         run.clock.advance_comm(
             self.plan.push_seconds(sketch_bytes), phase="CREATE_SKETCH"
         )

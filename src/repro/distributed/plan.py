@@ -3,9 +3,8 @@
 Each object a run is assembled from validates *itself* where it is
 declared (field ranges in ``TrainConfig`` / ``ClusterConfig`` /
 ``FaultEvent.__post_init__``).  Whether they fit *together* — a striped
-grid on a collective backend, a codec block that does not tile this
-run's histograms, a fault naming a worker the cluster does not have — is
-judged here and nowhere else.  The judgement needs no data, so
+grid on a collective backend, a fault naming a worker the cluster does
+not have — is judged here and nowhere else.  The judgement needs no data, so
 :class:`~repro.distributed.engine.DistributedGBDT` builds its plan in
 ``__init__``: an unsupported combination is a :class:`ConfigError` before
 any phase starts.  (Checks that need the dataset belong to the engine's
@@ -19,16 +18,15 @@ from typing import Any, Mapping
 
 from ..chaos import MESSAGE_POINTS, FaultPlan
 from ..cluster.costmodel import CostParams, general_ps_push_time
-from ..config import COMPRESSION_BITS, ClusterConfig, TrainConfig
+from ..config import ClusterConfig, TrainConfig
 from ..errors import ConfigError
-from ..runtime.build import HistogramBuildStrategy, resolve_build_strategy
-from ..sketch.candidates import CandidateSet
-from .backends import (
-    AggregationBackend,
-    DimBoostBackend,
-    backend_class,
-    backend_options,
+from ..runtime.build import (
+    DenseBuildStrategy,
+    HistogramBuildStrategy,
+    SparseBuildStrategy,
 )
+from ..sketch.candidates import CandidateSet
+from .backends import AggregationBackend, backend_class, backend_options
 
 __all__ = ["RunPlan", "make_backend"]
 
@@ -113,12 +111,6 @@ class RunPlan:
             f"agg_window {config.agg_window} needs a backend with windowed "
             f"pushes; {hint}",
         )
-        self._check_codec_block(config.n_split_candidates)
-        bits = kwargs.get("compression_bits")
-        _require(
-            bits is None or bits in COMPRESSION_BITS,
-            f"option compression_bits must be one of {COMPRESSION_BITS}, got {bits}",
-        )
         _require(
             kwargs.get("use_scheduler", True)
             or not kwargs.get("speed_aware_scheduler", False),
@@ -147,16 +139,6 @@ class RunPlan:
                 f"sends no PS message (use a PS backend: tencentboost, dimboost)",
             )
 
-    def _check_codec_block(self, n_bins: int) -> None:
-        """DimBoost's codec scale blocks must tile a feature's g/h histogram."""
-        block = self.config.compression_block or n_bins
-        has_codec = issubclass(self.backend_cls, DimBoostBackend)
-        _require(
-            (2 * n_bins) % block == 0 or not has_codec,
-            f"compression_block {block} must divide the per-feature histogram "
-            f"width {2 * n_bins}",
-        )
-
     @property
     def striped(self) -> bool:
         """Whether workers hold feature stripes (grid ``cols > 1``)."""
@@ -175,7 +157,6 @@ class RunPlan:
         kwargs = dict(self.backend_kwargs)
         if fabric is not None and self.backend_cls.parameter_server:
             kwargs.setdefault("fabric", fabric)
-        self._check_codec_block(candidates.max_bins)
         return self.backend_cls(self.cluster, self.config, candidates, **kwargs)
 
     def make_build_strategy(self) -> HistogramBuildStrategy:
@@ -183,9 +164,9 @@ class RunPlan:
         explicit instance, else the backend's ``build_mode``."""
         if self.build_strategy is not None:
             return self.build_strategy
-        return resolve_build_strategy(
-            self.config, sparse=self.backend_cls.build_mode == "sparse"
-        )
+        if self.backend_cls.build_mode == "sparse":
+            return SparseBuildStrategy()
+        return DenseBuildStrategy()
 
 
 def make_backend(

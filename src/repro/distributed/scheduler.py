@@ -1,4 +1,4 @@
-"""Round-robin task scheduler over the tree-node state array (Section 6.2).
+"""Round-robin task scheduler over a layer's active nodes (Section 6.2).
 
 "Each worker uses a 'state array' to store the 'state' of each tree
 node, where the (2i+1)-th item and the (2i+2)-th item are the child
@@ -13,60 +13,7 @@ ablation.
 
 from __future__ import annotations
 
-from enum import IntEnum
-
-import numpy as np
-
 from ..errors import TrainingError
-
-
-class NodeState(IntEnum):
-    """Lifecycle of a tree-node slot in the state array."""
-
-    INACTIVE = 0
-    ACTIVE = 1
-    SPLIT = 2
-    LEAF = 3
-
-
-class StateArray:
-    """The heap-indexed per-node state array every worker keeps."""
-
-    def __init__(self, max_nodes: int) -> None:
-        if max_nodes < 1:
-            raise TrainingError(f"max_nodes must be >= 1, got {max_nodes}")
-        self.states = np.full(max_nodes, NodeState.INACTIVE, dtype=np.int8)
-
-    @property
-    def max_nodes(self) -> int:
-        """Number of node slots."""
-        return len(self.states)
-
-    def set_state(self, node: int, state: NodeState) -> None:
-        """Record a node's new state."""
-        if not 0 <= node < self.max_nodes:
-            raise TrainingError(f"node {node} out of range [0, {self.max_nodes})")
-        self.states[node] = state
-
-    def state_of(self, node: int) -> NodeState:
-        """Current state of a node slot."""
-        if not 0 <= node < self.max_nodes:
-            raise TrainingError(f"node {node} out of range [0, {self.max_nodes})")
-        return NodeState(self.states[node])
-
-    def active_nodes(self) -> list[int]:
-        """Scan for ACTIVE nodes in heap order (the paper's array scan)."""
-        return [int(n) for n in np.nonzero(self.states == NodeState.ACTIVE)[0]]
-
-    def activate_children(self, node: int) -> tuple[int, int]:
-        """Mark ``node`` SPLIT and its children ACTIVE; returns the children."""
-        left, right = 2 * node + 1, 2 * node + 2
-        if right >= self.max_nodes:
-            raise TrainingError(f"children of node {node} exceed the state array")
-        self.set_state(node, NodeState.SPLIT)
-        self.set_state(left, NodeState.ACTIVE)
-        self.set_state(right, NodeState.ACTIVE)
-        return left, right
 
 
 class RoundRobinScheduler:

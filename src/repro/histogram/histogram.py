@@ -117,29 +117,6 @@ class GradientHistogram:
     # wire (de)serialization
     # ------------------------------------------------------------------
 
-    def to_flat(self) -> np.ndarray:
-        """Flatten to one float32 vector ``[grad.ravel(), hess.ravel()]``."""
-        return np.concatenate(
-            [self.grad.ravel(), self.hess.ravel()]
-        ).astype(np.float32)
-
-    @classmethod
-    def from_flat(
-        cls, flat: np.ndarray, n_features: int, n_bins: int
-    ) -> "GradientHistogram":
-        """Inverse of :meth:`to_flat`."""
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = 2 * n_features * n_bins
-        if flat.size != expected:
-            raise DataError(
-                f"flat histogram has {flat.size} values, expected {expected}"
-            )
-        half = n_features * n_bins
-        return cls(
-            flat[:half].reshape(n_features, n_bins).copy(),
-            flat[half:].reshape(n_features, n_bins).copy(),
-        )
-
     def to_flat_feature_major(self) -> np.ndarray:
         """Flatten with per-feature blocks: ``[g_f, h_f]`` of ``2K`` values.
 

@@ -16,7 +16,7 @@ This package implements the server side:
 * :class:`ParameterServerGroup` — the client-facing ensemble: routes
   pushes/pulls to shards, handles low-precision decode on the server, and
   accounts wire bytes for the simulated clock.
-* :class:`Master` — phase barriers and health bookkeeping (Section 4.2).
+* :class:`Master` — phase barriers and crash membership (Section 4.2).
 * :class:`SparseSlab` / :class:`SlabLayout` — the sparse histogram wire
   format of block-distributed 2-D sharding (arXiv:1904.10522): only
   non-empty feature histograms travel, servers reconstruct the rest from
@@ -27,7 +27,7 @@ from .localagg import LocalAggregator, fold_slabs
 from .partitioner import Partition, VectorPartitioner
 from .server import PSServer, PullUDF
 from .group import ParameterServerGroup, TransferStats
-from .master import Master, WorkerHealth, WorkerPhase
+from .master import Master, WorkerPhase
 from .slab import (
     CompressedSlab,
     SlabLayout,
@@ -46,7 +46,6 @@ __all__ = [
     "ParameterServerGroup",
     "TransferStats",
     "Master",
-    "WorkerHealth",
     "WorkerPhase",
     "SlabLayout",
     "SparseSlab",

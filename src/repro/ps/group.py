@@ -57,7 +57,6 @@ class ParameterServerGroup:
 
     Args:
         n_servers: Number of shards p.
-        partition_salt: Propagated to every parameter's partitioner.
         fabric: Optional delivery fabric (``chaos.FaultyFabric``).  When
             set, every per-partition message goes through
             ``fabric.deliver`` — which may drop, duplicate, delay, or
@@ -65,15 +64,12 @@ class ParameterServerGroup:
             ``seq`` token so retried deliveries stay idempotent.
     """
 
-    def __init__(
-        self, n_servers: int, partition_salt: int = 0, fabric=None
-    ) -> None:
+    def __init__(self, n_servers: int, fabric=None) -> None:
         if n_servers < 1:
             raise PSError(f"n_servers must be >= 1, got {n_servers}")
         self.servers = [PSServer(sid) for sid in range(n_servers)]
         self._partitioners: dict[str, VectorPartitioner] = {}
         self._layouts: dict[str, SlabLayout] = {}
-        self._salt = partition_salt
         self.fabric = fabric
 
     def _deliver(self, point, send, *, server, worker, payload_bytes):
@@ -139,7 +135,7 @@ class ParameterServerGroup:
                     f"{align} is not a multiple of {layout.feature_width}"
                 )
         partitioner = VectorPartitioner(
-            row_length, self.n_servers, n_partitions, salt=self._salt, align=align
+            row_length, self.n_servers, n_partitions, align=align
         )
         self._partitioners[name] = partitioner
         if layout is not None:

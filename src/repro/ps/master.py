@@ -1,4 +1,4 @@
-"""The master role: phase synchronization and health bookkeeping.
+"""The master role: phase synchronization and crash membership.
 
 Section 4.2: "The master supervises workers and servers with periodical
 health checking.  It also controls the synchronization between workers to
@@ -14,7 +14,6 @@ immediately instead of deadlocking silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import TrainingError
@@ -50,29 +49,8 @@ _ALLOWED_NEXT: dict[WorkerPhase, frozenset[WorkerPhase]] = {
 }
 
 
-@dataclass(frozen=True)
-class WorkerHealth:
-    """One worker's entry in the master's health report.
-
-    Attributes:
-        beats: Heartbeats observed (one per barrier entry).
-        alive: False while the worker is marked departed (crashed and
-            not yet rejoined).
-        crashes: Times the worker was marked departed.
-        recoveries: Times the worker rejoined after a departure.
-    """
-
-    beats: int
-    alive: bool = True
-    crashes: int = 0
-    recoveries: int = 0
-
-
 class Master:
     """Phase-lockstep coordinator for ``n_workers`` workers.
-
-    One worker (id 0 by convention, matching the paper's "leader worker")
-    is designated leader.
 
     With ``staleness == 0`` (the default) the master enforces DimBoost's
     strict layer lockstep: a worker entering a phase while any live peer
@@ -92,22 +70,8 @@ class Master:
         self.n_workers = n_workers
         self.staleness = staleness
         self._phase: list[WorkerPhase | None] = [None] * n_workers
-        self._barriers_passed = 0
-        self._health_beats: list[int] = [0] * n_workers
         self._departed: set[int] = set()
-        self._crashes: list[int] = [0] * n_workers
-        self._recoveries: list[int] = [0] * n_workers
         self._layer_clock: list[int] = [0] * n_workers
-
-    @property
-    def leader_id(self) -> int:
-        """The leader worker's id."""
-        return 0
-
-    @property
-    def barriers_passed(self) -> int:
-        """Number of completed barriers (one per phase transition)."""
-        return self._barriers_passed
 
     def _check_worker(self, worker_id: int) -> None:
         if not 0 <= worker_id < self.n_workers:
@@ -179,13 +143,6 @@ class Master:
         self._phase[worker_id] = phase
         if phase is WorkerPhase.BUILD_HISTOGRAM:
             self._layer_clock[worker_id] += 1
-        self._health_beats[worker_id] += 1
-        if all(
-            p is phase
-            for wid, p in enumerate(self._phase)
-            if wid not in self._departed
-        ):
-            self._barriers_passed += 1
 
     def enter_all(self, phase: WorkerPhase) -> None:
         """Move every live worker through the barrier into ``phase`` in id
@@ -236,7 +193,6 @@ class Master:
         if worker_id in self._departed:
             raise TrainingError(f"worker {worker_id} is already departed")
         self._departed.add(worker_id)
-        self._crashes[worker_id] += 1
 
     def rejoin(self, worker_id: int, phase: WorkerPhase) -> None:
         """Re-admit a departed worker at the barrier where its live peers
@@ -266,8 +222,6 @@ class Master:
                 )
         self._departed.discard(worker_id)
         self._phase[worker_id] = phase
-        self._recoveries[worker_id] += 1
-        self._health_beats[worker_id] += 1
 
     def rollback_round(self) -> None:
         """Reset the phase machine to the round boundary (NEW_TREE) and
@@ -287,19 +241,3 @@ class Master:
         # rejoined laggard must not let its peers' future layer entries
         # read as unbounded drift.
         self._layer_clock = [max(self._layer_clock)] * self.n_workers
-
-    def health_report(self) -> dict[int, WorkerHealth]:
-        """Per-worker health: heartbeats, liveness, crash/recovery counts."""
-        return {
-            wid: WorkerHealth(
-                beats=self._health_beats[wid],
-                alive=wid not in self._departed,
-                crashes=self._crashes[wid],
-                recoveries=self._recoveries[wid],
-            )
-            for wid in range(self.n_workers)
-        }
-
-    def all_finished(self) -> bool:
-        """Whether every worker reached FINISH."""
-        return all(p is WorkerPhase.FINISH for p in self._phase)

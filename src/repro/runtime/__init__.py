@@ -11,19 +11,12 @@ distributed):
 * :mod:`~repro.runtime.hooks` — the :class:`TrainerCallback` spine that
   observability attaches to at stage boundaries;
 * :mod:`~repro.runtime.build` — :class:`HistogramBuildStrategy`
-  (dense / sparse / batched) replacing per-trainer
-  boolean flags.
+  (dense / sparse), the distributed engine's build seam.
 
 See ``docs/runtime.md`` for how a new execution backend plugs in.
 """
 
-from .build import (
-    BatchedBuildStrategy,
-    DenseBuildStrategy,
-    HistogramBuildStrategy,
-    SparseBuildStrategy,
-    resolve_build_strategy,
-)
+from .build import DenseBuildStrategy, HistogramBuildStrategy, SparseBuildStrategy
 from .hooks import (
     CallbackList,
     HistoryCollector,
@@ -52,6 +45,4 @@ __all__ = [
     "HistogramBuildStrategy",
     "DenseBuildStrategy",
     "SparseBuildStrategy",
-    "BatchedBuildStrategy",
-    "resolve_build_strategy",
 ]

@@ -4,11 +4,9 @@
 splitting the current layer, we set the tree nodes of the next layer to
 active and continue to split the next layer" (Section 4.4).
 
-The grower drives, per layer: histogram construction for each active
-node (sparsity-aware by default; the dense "traditional" path and the
-no-index full-scan path remain available so the Table 3 ablation can
-switch each optimization off), split finding over the histograms, and
-node splitting through the node-to-instance index.
+The grower drives, per layer: sparsity-aware histogram construction
+(Algorithm 2) for each active node, split finding over the histograms,
+and node splitting through the node-to-instance index.
 """
 
 from __future__ import annotations
@@ -20,9 +18,9 @@ import numpy as np
 from ..config import TrainConfig
 from ..errors import TrainingError
 from ..histogram.binned import BinnedShard
+from ..histogram.builder import build_node_histogram_sparse
 from ..histogram.histogram import GradientHistogram
 from ..histogram.index import NodeInstanceIndex
-from ..runtime.build import HistogramBuildStrategy, resolve_build_strategy
 from ..sketch.candidates import CandidateSet
 from .split import SplitDecision, find_best_split, leaf_weight
 from .tree import RegressionTree
@@ -51,19 +49,11 @@ class LayerwiseGrower:
         shard: Pre-bucketized training data.
         candidates: The split candidates the shard was binned with.
         config: Hyper-parameters.
-        sparse_build: Use the Algorithm 2 builder (True) or the
-            traditional dense scan (False) — the Table 3 row 1 ablation.
-        use_index: Track node membership in the node-to-instance index
-            (True) or rediscover each node's rows with a full scan of a
-            per-row node map (False) — the Table 3 row 3 ablation.
-        batched: Build each histogram in parallel batches (Section 5.2).
         subtraction: Derive each node's sibling histogram as parent
             minus child instead of building both — an extension beyond
             the paper (LightGBM's trick): only the smaller child of every
             split is built, roughly halving per-layer build work at the
             cost of keeping the parent histograms of one layer in memory.
-        build_strategy: Explicit histogram build strategy; overrides the
-            ``sparse_build`` / ``batched`` resolution when given.
     """
 
     def __init__(
@@ -71,11 +61,7 @@ class LayerwiseGrower:
         shard: BinnedShard,
         candidates: CandidateSet,
         config: TrainConfig,
-        sparse_build: bool = True,
-        use_index: bool = True,
-        batched: bool = False,
         subtraction: bool = False,
-        build_strategy: HistogramBuildStrategy | None = None,
     ) -> None:
         if shard.n_features != candidates.n_features:
             raise TrainingError(
@@ -84,26 +70,7 @@ class LayerwiseGrower:
         self.shard = shard
         self.candidates = candidates
         self.config = config
-        self.sparse_build = sparse_build
-        self.use_index = use_index
-        self.batched = batched
         self.subtraction = subtraction
-        self.build_strategy = (
-            build_strategy
-            if build_strategy is not None
-            else resolve_build_strategy(config, sparse=sparse_build, batched=batched)
-        )
-
-    # ------------------------------------------------------------------
-    # histogram construction for one node
-    # ------------------------------------------------------------------
-
-    def build_histogram(self, rows: np.ndarray) -> GradientHistogram:
-        """Build one node histogram per the configured strategy."""
-        histogram, _seconds = self.build_strategy.build(
-            self.shard, rows, self._grad, self._hess
-        )
-        return histogram
 
     # ------------------------------------------------------------------
     # growth
@@ -136,10 +103,6 @@ class LayerwiseGrower:
 
         tree = RegressionTree(config.max_depth)
         index = NodeInstanceIndex(shard.n_rows, config.max_nodes)
-        # The no-index ablation keeps a per-row node map instead and scans
-        # it for every node's membership (the dataset re-scan the paper's
-        # index avoids).
-        node_of = np.zeros(shard.n_rows, dtype=np.int64)
 
         active = [0]
         n_histograms = 0
@@ -152,7 +115,7 @@ class LayerwiseGrower:
                 break
             if depth == config.max_depth:
                 for node in active:
-                    rows = self._rows_of(index, node_of, node)
+                    rows = index.rows_of(node)
                     g, h = self._grad[rows].sum(), self._hess[rows].sum()
                     tree.set_leaf(
                         node,
@@ -162,14 +125,12 @@ class LayerwiseGrower:
                 active = []
                 break
 
-            layer_hists, n_built = self._layer_histograms(
-                index, node_of, active, parent_hists
-            )
+            layer_hists, n_built = self._layer_histograms(index, active, parent_hists)
             n_histograms += n_built
             next_active: list[int] = []
             parent_hists = {}
             for node in active:
-                rows = self._rows_of(index, node_of, node)
+                rows = index.rows_of(node)
                 histogram = layer_hists.pop(node, None)
                 if histogram is None:
                     g, h = self._grad[rows].sum(), self._hess[rows].sum()
@@ -195,9 +156,7 @@ class LayerwiseGrower:
                         cover=float(h),
                     )
                     continue
-                left, right = self._apply_split(
-                    tree, index, node_of, node, rows, decision
-                )
+                left, right = self._apply_split(tree, index, node, rows, decision)
                 if self.subtraction and depth + 1 < config.max_depth:
                     # Keep the parent histogram so one child per pair can
                     # be derived by subtraction next layer.
@@ -205,7 +164,7 @@ class LayerwiseGrower:
                 next_active.extend((left, right))
             active = next_active
 
-        leaf_of_rows = self._final_leaves(tree, index, node_of)
+        leaf_of_rows = self._final_leaves(tree, index)
         return GrownTree(tree=tree, leaf_of_rows=leaf_of_rows, n_histograms=n_histograms)
 
     # ------------------------------------------------------------------
@@ -215,7 +174,6 @@ class LayerwiseGrower:
     def _layer_histograms(
         self,
         index: NodeInstanceIndex,
-        node_of: np.ndarray,
         active: list[int],
         parent_hists: dict[int, GradientHistogram],
     ) -> tuple[dict[int, GradientHistogram], int]:
@@ -235,42 +193,36 @@ class LayerwiseGrower:
         for node in active:
             if node in done:
                 continue
-            rows = self._rows_of(index, node_of, node)
+            rows = index.rows_of(node)
             sibling = node + 1 if node % 2 == 1 else node - 1
             parent = (node - 1) // 2 if node > 0 else -1
             phist = parent_hists.get(parent) if self.subtraction else None
             if phist is not None and sibling in active_set:
-                sib_rows = self._rows_of(index, node_of, sibling)
+                sib_rows = index.rows_of(sibling)
                 small, small_rows, large = (
                     (node, rows, sibling)
                     if len(rows) <= len(sib_rows)
                     else (sibling, sib_rows, node)
                 )
-                built = self.build_histogram(small_rows)
+                built = self._build(small_rows)
                 n_built += 1
                 hists[small] = built
                 hists[large] = phist.subtract(built)
                 done.update((node, sibling))
                 continue
             if len(rows) >= 2:
-                hists[node] = self.build_histogram(rows)
+                hists[node] = self._build(rows)
                 n_built += 1
             done.add(node)
         return hists, n_built
 
-    def _rows_of(
-        self, index: NodeInstanceIndex, node_of: np.ndarray, node: int
-    ) -> np.ndarray:
-        if self.use_index:
-            return index.rows_of(node)
-        # Full scan: O(N) per node, the cost the index removes (Table 3).
-        return np.nonzero(node_of == node)[0]
+    def _build(self, rows: np.ndarray) -> GradientHistogram:
+        return build_node_histogram_sparse(self.shard, rows, self._grad, self._hess)
 
     def _apply_split(
         self,
         tree: RegressionTree,
         index: NodeInstanceIndex,
-        node_of: np.ndarray,
         node: int,
         rows: np.ndarray,
         decision: SplitDecision,
@@ -283,22 +235,14 @@ class LayerwiseGrower:
             cover=decision.total_hess,
         )
         goes_left = self.shard.split_mask(rows, decision.feature, decision.bucket)
-        if self.use_index:
-            index.split(node, goes_left)
-        node_of[rows[goes_left]] = left
-        node_of[rows[~goes_left]] = right
+        index.split(node, goes_left)
         return left, right
 
     def _final_leaves(
-        self,
-        tree: RegressionTree,
-        index: NodeInstanceIndex,
-        node_of: np.ndarray,
+        self, tree: RegressionTree, index: NodeInstanceIndex
     ) -> np.ndarray:
-        if self.use_index:
-            leaf_of_rows = np.zeros(self.shard.n_rows, dtype=np.int64)
-            for node in range(tree.max_nodes):
-                if tree.is_leaf(node) and index.has_node(node):
-                    leaf_of_rows[index.rows_of(node)] = node
-            return leaf_of_rows
-        return node_of.copy()
+        leaf_of_rows = np.zeros(self.shard.n_rows, dtype=np.int64)
+        for node in range(tree.max_nodes):
+            if tree.is_leaf(node) and index.has_node(node):
+                leaf_of_rows[index.rows_of(node)] = node
+        return leaf_of_rows

@@ -85,6 +85,13 @@ class TestTraining:
         expected = np.log(prior / (1 - prior))
         assert model.base_score == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize("flag", ["sparse_build", "use_index"])
+    def test_removed_ablation_flags_are_refused(self, flag):
+        """The single-machine trainer always builds with Algorithm 2
+        through the node-to-instance index."""
+        with pytest.raises(TypeError):
+            GBDT(TrainConfig(), **{flag: False})
+
 
 class TestFeatureSampling:
     def test_full_ratio_all_true(self):

@@ -142,8 +142,7 @@ class TestWeightedTraining:
             "dimboost",
             data,
             ClusterConfig(n_workers=4, n_servers=4),
-            config,
-            compression_bits=0,
+            config.with_overrides(compression_bits=0),
         )
         np.testing.assert_allclose(
             dist.model.predict_raw(data.X), single.predict_raw(data.X), atol=1e-7

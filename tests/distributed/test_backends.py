@@ -48,8 +48,7 @@ class TestAllBackendsAgree:
         flats = local_flats(candidates)
         decisions = {}
         for name in BACKEND_NAMES:
-            kwargs = {"compression_bits": 0} if name == "dimboost" else {}
-            backend = make_backend(name, cluster, config, candidates, **kwargs)
+            backend = make_backend(name, cluster, config, candidates)
             backend.begin_tree(0)
             clock = SimClock()
             backend.aggregate_node(0, [f.copy() for f in flats], clock)
@@ -91,7 +90,6 @@ class TestDimBoostOptions:
                 config,
                 candidates,
                 two_phase=two_phase,
-                compression_bits=0,
             )
             backend.begin_tree(0)
             clock = SimClock()
@@ -112,7 +110,6 @@ class TestDimBoostOptions:
                 config,
                 candidates,
                 two_phase=two_phase,
-                compression_bits=0,
             )
             backend.begin_tree(0)
             clock = SimClock()
@@ -127,7 +124,10 @@ class TestDimBoostOptions:
         comm = {}
         for bits in (0, 8):
             backend = make_backend(
-                "dimboost", cluster, config, candidates, compression_bits=bits
+                "dimboost",
+                cluster,
+                config.with_overrides(compression_bits=bits),
+                candidates,
             )
             backend.begin_tree(0)
             clock = SimClock()
@@ -146,7 +146,6 @@ class TestDimBoostOptions:
                 config,
                 candidates,
                 use_scheduler=use_scheduler,
-                compression_bits=0,
             )
             backend.begin_tree(0)
             clock = SimClock()
@@ -218,7 +217,8 @@ class TestMakeBackendValidation:
         options = backend_options("dimboost")
         assert "two_phase" in options
         assert "use_scheduler" in options
-        assert "compression_bits" in options
+        # The codec width is TrainConfig.compression_bits, not an option.
+        assert "compression_bits" not in options
         assert backend_options("xgboost") == ()
 
     def test_valid_options_still_accepted(self, setup):

@@ -35,7 +35,7 @@ class TestFoldDeferral:
         cluster = ClusterConfig(n_workers=4, n_servers=4)
         config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
         backend = make_backend(
-            "dimboost", cluster, config, candidates, compression_bits=0
+            "dimboost", cluster, config.with_overrides(compression_bits=0), candidates
         )
         total_sums = [0.0, 0.0]
         unfolded_sum = np.zeros_like(flats[0])
@@ -55,7 +55,7 @@ class TestFoldDeferral:
         cluster = ClusterConfig(n_workers=4, n_servers=4)
         config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
         backend = make_backend(
-            "dimboost", cluster, config, candidates, compression_bits=0
+            "dimboost", cluster, config.with_overrides(compression_bits=0), candidates
         )
         block = 2 * candidates.max_bins
         lo, hi = 3 * block, 9 * block
@@ -72,7 +72,7 @@ class TestFoldDeferral:
         cluster = ClusterConfig(n_workers=4, n_servers=4)
         config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
         exact_backend = make_backend(
-            "dimboost", cluster, config, candidates, compression_bits=0
+            "dimboost", cluster, config.with_overrides(compression_bits=0), candidates
         )
         exact_backend.begin_tree(0)
         clock = SimClock()
@@ -80,7 +80,7 @@ class TestFoldDeferral:
         exact = exact_backend.find_splits([0], None, clock)[0]
 
         lossy_backend = make_backend(
-            "dimboost", cluster, config, candidates, compression_bits=8
+            "dimboost", cluster, config.with_overrides(compression_bits=8), candidates
         )
         lossy_backend.begin_tree(0)
         lossy_backend.aggregate_node(0, [f.copy() for f in flats], clock)
@@ -94,7 +94,7 @@ class TestFoldDeferral:
         cluster = ClusterConfig(n_workers=4, n_servers=4)
         config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
         backend = make_backend(
-            "dimboost", cluster, config, candidates, compression_bits=8
+            "dimboost", cluster, config.with_overrides(compression_bits=8), candidates
         )
         backend.begin_tree(0)
         clock = SimClock()
@@ -116,7 +116,7 @@ class TestFoldDeferral:
         cluster = ClusterConfig(n_workers=4, n_servers=4)
         config = TrainConfig(n_trees=2, max_depth=3, n_split_candidates=8)
         backend = make_backend(
-            "dimboost", cluster, config, candidates, compression_bits=8
+            "dimboost", cluster, config.with_overrides(compression_bits=8), candidates
         )
         backend.begin_tree(0)
         clock = SimClock()

@@ -51,8 +51,8 @@ class TestTreeIdentity:
             n_trees=3, max_depth=3, n_split_candidates=8, learning_rate=0.3
         )
         reference = GBDT(config).fit(train)
-        kwargs = {"compression_bits": 0} if system == "dimboost" else {}
-        result = train_distributed(system, train, cluster4, config, **kwargs)
+        exact = config.with_overrides(compression_bits=0)
+        result = train_distributed(system, train, cluster4, exact)
         assert result.model.n_trees == reference.n_trees
         for ours, ref in zip(result.model.trees, reference.trees):
             np.testing.assert_array_equal(ours.split_feature, ref.split_feature)
@@ -70,8 +70,8 @@ class TestTreeIdentity:
         train, _ = split_data
         ref_trainer = GBDT(fast_cfg)
         ref_trainer.fit(train)
-        kwargs = {"compression_bits": 0} if system == "dimboost" else {}
-        result = train_distributed(system, train, cluster4, fast_cfg, **kwargs)
+        exact = fast_cfg.with_overrides(compression_bits=0)
+        result = train_distributed(system, train, cluster4, exact)
         assert result.rounds[-1].train_loss == pytest.approx(
             ref_trainer.history[-1].train_loss, rel=5e-3
         )
@@ -83,8 +83,7 @@ class TestTreeIdentity:
                 "dimboost",
                 train,
                 ClusterConfig(n_workers=w, n_servers=w),
-                fast_cfg,
-                compression_bits=0,
+                fast_cfg.with_overrides(compression_bits=0),
             )
             for w in (1, 2, 5)
         ]
@@ -112,24 +111,17 @@ class TestAccuracy:
         )
         errs = {}
         for bits in (0, 8):
-            result = train_distributed(
-                "dimboost", train, cluster4, config, compression_bits=bits
-            )
+            packed = config.with_overrides(compression_bits=bits)
+            result = train_distributed("dimboost", train, cluster4, packed)
             errs[bits] = error_rate(test.y, result.model.predict(test.X))
         assert abs(errs[8] - errs[0]) < 0.06
 
     def test_distributed_sketch_close_to_exact(self, split_data, cluster4, fast_cfg):
         train, test = split_data
-        exact = train_distributed(
-            "dimboost", train, cluster4, fast_cfg, compression_bits=0
-        )
+        fast_exact = fast_cfg.with_overrides(compression_bits=0)
+        exact = train_distributed("dimboost", train, cluster4, fast_exact)
         sketched = train_distributed(
-            "dimboost",
-            train,
-            cluster4,
-            fast_cfg,
-            compression_bits=0,
-            sketch_mode="distributed",
+            "dimboost", train, cluster4, fast_exact, sketch_mode="distributed"
         )
         e1 = error_rate(test.y, exact.model.predict(test.X))
         e2 = error_rate(test.y, sketched.model.predict(test.X))
@@ -163,7 +155,7 @@ class TestTiming:
         train, _ = split_data
         mllib = train_distributed("mllib", train, cluster4, fast_cfg)
         dim = train_distributed(
-            "dimboost", train, cluster4, fast_cfg, compression_bits=0
+            "dimboost", train, cluster4, fast_cfg.with_overrides(compression_bits=0)
         )
         assert mllib.breakdown.communication > dim.breakdown.communication
 

@@ -22,8 +22,7 @@ class TestSingleWorker:
             "dimboost",
             tiny_dataset,
             ClusterConfig(n_workers=1, n_servers=1),
-            config,
-            compression_bits=0,
+            config.with_overrides(compression_bits=0),
         )
         # Some tiny control traffic exists, but no histogram transfer:
         # a single co-located worker/server moves zero remote bytes.
@@ -36,8 +35,7 @@ class TestSingleWorker:
             "dimboost",
             tiny_dataset,
             ClusterConfig(n_workers=1, n_servers=1),
-            config,
-            compression_bits=0,
+            config.with_overrides(compression_bits=0),
         )
         np.testing.assert_allclose(
             result.model.predict_raw(tiny_dataset.X),
@@ -61,9 +59,9 @@ class TestRegressionDistributed:
         )
         cluster = ClusterConfig(n_workers=3, n_servers=3)
         reference = GBDT(config).fit(data)
+        exact = config.with_overrides(compression_bits=0)
         for system in ("xgboost", "dimboost"):
-            kwargs = {"compression_bits": 0} if system == "dimboost" else {}
-            result = train_distributed(system, data, cluster, config, **kwargs)
+            result = train_distributed(system, data, cluster, exact)
             np.testing.assert_allclose(
                 result.model.predict_raw(data.X),
                 reference.predict_raw(data.X),
@@ -155,16 +153,10 @@ class TestDeterminism:
     def test_compression_deterministic_per_seed(self, tiny_dataset):
         """Stochastic rounding derives from the config seed: repeatable."""
         config = TrainConfig(
-            n_trees=2, max_depth=4, n_split_candidates=8, seed=4
+            n_trees=2, max_depth=4, n_split_candidates=8, seed=4, compression_bits=8
         )
-        a = train_distributed(
-            "dimboost", tiny_dataset, ClusterConfig(3, 3), config,
-            compression_bits=8,
-        )
-        b = train_distributed(
-            "dimboost", tiny_dataset, ClusterConfig(3, 3), config,
-            compression_bits=8,
-        )
+        a = train_distributed("dimboost", tiny_dataset, ClusterConfig(3, 3), config)
+        b = train_distributed("dimboost", tiny_dataset, ClusterConfig(3, 3), config)
         np.testing.assert_array_equal(
             a.model.predict_raw(tiny_dataset.X),
             b.model.predict_raw(tiny_dataset.X),

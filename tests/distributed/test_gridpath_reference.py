@@ -68,8 +68,9 @@ def grids(draw):
         ClusterConfig(
             n_workers=grid_rows * grid_cols, n_servers=2, grid=(grid_rows, grid_cols)
         ),
-        TrainConfig(n_trees=1, max_depth=3, n_split_candidates=n_bins),
-        compression_bits=0,
+        TrainConfig(
+            n_trees=1, max_depth=3, n_split_candidates=n_bins, compression_bits=0
+        ),
     )
     run = _FitRun(trainer.plan, (), Dataset(X, y, "drawn"))
     trainer._load(run)

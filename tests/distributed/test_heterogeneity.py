@@ -59,8 +59,7 @@ class TestStragglerEffect:
             "dimboost",
             small_dataset,
             ClusterConfig(n_workers=3, n_servers=3),
-            config,
-            compression_bits=0,
+            config.with_overrides(compression_bits=0),
         )
         b = train_distributed(
             "dimboost",
@@ -68,8 +67,7 @@ class TestStragglerEffect:
             ClusterConfig(
                 n_workers=3, n_servers=3, worker_speeds=(1.0, 0.1, 2.0)
             ),
-            config,
-            compression_bits=0,
+            config.with_overrides(compression_bits=0),
         )
         np.testing.assert_array_equal(
             a.model.predict_raw(small_dataset.X),
@@ -92,8 +90,7 @@ class TestStragglerEffect:
             "dimboost",
             small_dataset,
             ClusterConfig(n_workers=3, n_servers=3),
-            config,
-            compression_bits=0,
+            config.with_overrides(compression_bits=0),
         )
         reference = plain.model.predict_raw(small_dataset.X)
         for amplitude in (0.2, 0.3):
@@ -103,8 +100,7 @@ class TestStragglerEffect:
                 ClusterConfig(
                     n_workers=3, n_servers=3, speed_jitter=amplitude
                 ),
-                config,
-                compression_bits=0,
+                config.with_overrides(compression_bits=0),
             )
             np.testing.assert_array_equal(
                 reference, jittered.model.predict_raw(small_dataset.X)

@@ -40,8 +40,8 @@ class TestPSBackendsFreeRows:
     @pytest.mark.parametrize("system", ["tencentboost", "dimboost"])
     def test_rows_cleared_after_find_splits(self, setup, system):
         candidates, cluster, config = setup
-        kwargs = {"compression_bits": 0} if system == "dimboost" else {}
-        backend = make_backend(system, cluster, config, candidates, **kwargs)
+        exact = config.with_overrides(compression_bits=0)
+        backend = make_backend(system, cluster, exact, candidates)
         backend.begin_tree(0)
         clock = SimClock()
         for node in (0, 1, 2):
@@ -53,7 +53,7 @@ class TestPSBackendsFreeRows:
     def test_dimboost_compressed_rows_cleared(self, setup):
         candidates, cluster, config = setup
         backend = make_backend(
-            "dimboost", cluster, config, candidates, compression_bits=8
+            "dimboost", cluster, config.with_overrides(compression_bits=8), candidates
         )
         backend.begin_tree(0)
         clock = SimClock()

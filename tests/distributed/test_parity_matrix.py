@@ -50,7 +50,6 @@ def train(sketch_mode, grid, compressed, window):
         learning_rate=0.3,
         sketch_eps=0.05,
         compression_bits=8 if compressed else 0,
-        compression_block=8 if compressed else 0,
         agg_window=window,
     )
 

@@ -51,8 +51,6 @@ def row(system, cluster, match, overrides=None, **keywords):
     return (system, cluster, overrides or {}, keywords, match)
 
 
-K20 = {"n_split_candidates": 20}
-
 #: One row per rule of the gate (several where a rule has several arms).
 GATE_ROWS = {
     "sketch-mode-name": row(
@@ -81,19 +79,9 @@ GATE_ROWS = {
         {"n_split_candidates": 1},
         sketch_mode="distributed",
     ),
-    "block-3": row("dimboost", ROW, "must divide", {**K20, "compression_block": 3}),
-    "block-7": row("dimboost", ROW, "must divide", {**K20, "compression_block": 7}),
-    "block-16": row(
-        "dimboost",
-        ROW,
-        "block 16 must divide.*width 40",
-        {**K20, "compression_block": 16},
-    ),
+    # The codec width is TrainConfig.compression_bits only.
     "option-bits": row(
-        "dimboost",
-        ROW,
-        r"compression_bits must be one of \(0, 2, 4, 8, 16\), got 3",
-        compression_bits=3,
+        "dimboost", ROW, "unknown option.*'compression_bits'", compression_bits=8
     ),
     "speed-aware-without-scheduler": row(
         "dimboost",
@@ -164,10 +152,7 @@ class TestGate:
 
     def test_legal_neighbours_of_the_rules_resolve(self):
         """Each new rule rejects exactly its combination, not the knob."""
-        # The block rule is DimBoost's: other backends never read the field.
-        RunPlan("xgboost", ROW, FAST.with_overrides(compression_block=7))
-        RunPlan("dimboost", ROW, FAST.with_overrides(**K20, compression_block=8))
-        RunPlan("dimboost", ROW, FAST, backend_kwargs={"compression_bits": 4})
+        RunPlan("dimboost", ROW, FAST.with_overrides(compression_bits=4))
         RunPlan("dimboost", ROW, FAST, backend_kwargs={"speed_aware_scheduler": True})
         # The sketch path's PS group rides the fabric, so a message fault
         # is reachable on a collective backend with server-merged sketches.
@@ -176,16 +161,6 @@ class TestGate:
         )
         assert plan.backend_cls.parameter_server is False
         assert RunPlan("dimboost", GRID, FAST).striped
-
-    def test_make_backend_checks_the_block_against_its_candidates(self, data):
-        """The gate judges the block against K; a caller handing
-        ``make_backend`` other candidates gets the same rule on those."""
-        from repro.distributed import make_backend
-        from repro.sketch.candidates import propose_candidates
-
-        config = FAST.with_overrides(**K20, compression_block=8)
-        with pytest.raises(ConfigError, match="block 8 must divide.*width 12"):
-            make_backend("dimboost", ROW, config, propose_candidates(data.X, 6))
 
 
 class TestLoadStage:
@@ -230,6 +205,7 @@ class TestCli:
             (["--agg-window", "4"], "--agg-window require"),
             (["--staleness", "1"], "--staleness require"),
             (["--speed-jitter", "0.2"], "--speed-jitter require"),
+            (["--compression-bits", "8"], "--compression-bits require"),
             (["--grid", "2x2", "--staleness", "1"], "--grid/--staleness require"),
             (["--system", "dimboost", "--fault-plan", "PLAN"], "event 0 .* worker 9"),
             (["--system", "xgboost", "--grid", "2x2"], "grid 2x2 needs"),

@@ -1,53 +1,11 @@
-"""Tests for the task scheduler and node state array."""
+"""Tests for the task schedulers."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.distributed import (
-    NodeState,
-    RoundRobinScheduler,
-    SingleAgentScheduler,
-    StateArray,
-)
+from repro.distributed import RoundRobinScheduler, SingleAgentScheduler
 from repro.errors import TrainingError
-
-
-class TestStateArray:
-    def test_initial_inactive(self):
-        states = StateArray(7)
-        assert states.active_nodes() == []
-        assert states.state_of(0) is NodeState.INACTIVE
-
-    def test_scan_in_heap_order(self):
-        states = StateArray(7)
-        for node in (5, 1, 3):
-            states.set_state(node, NodeState.ACTIVE)
-        assert states.active_nodes() == [1, 3, 5]
-
-    def test_activate_children(self):
-        states = StateArray(7)
-        states.set_state(0, NodeState.ACTIVE)
-        left, right = states.activate_children(0)
-        assert (left, right) == (1, 2)
-        assert states.state_of(0) is NodeState.SPLIT
-        assert states.active_nodes() == [1, 2]
-
-    def test_children_beyond_array(self):
-        states = StateArray(3)
-        with pytest.raises(TrainingError):
-            states.activate_children(1)
-
-    def test_bounds(self):
-        states = StateArray(3)
-        with pytest.raises(TrainingError):
-            states.set_state(5, NodeState.LEAF)
-        with pytest.raises(TrainingError):
-            states.state_of(-1)
-
-    def test_invalid_size(self):
-        with pytest.raises(TrainingError):
-            StateArray(0)
 
 
 class TestRoundRobin:

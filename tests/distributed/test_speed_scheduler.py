@@ -85,16 +85,10 @@ class TestEndToEnd:
             n_servers=4,
             worker_speeds=(1.0, 1.0, 1.0, 0.2),
         )
-        round_robin = train_distributed(
-            "dimboost", small_dataset, cluster, config, compression_bits=0
-        )
+        exact = config.with_overrides(compression_bits=0)
+        round_robin = train_distributed("dimboost", small_dataset, cluster, exact)
         speed_aware = train_distributed(
-            "dimboost",
-            small_dataset,
-            cluster,
-            config,
-            compression_bits=0,
-            speed_aware_scheduler=True,
+            "dimboost", small_dataset, cluster, exact, speed_aware_scheduler=True
         )
         assert (
             speed_aware.phases["FIND_SPLIT"] < round_robin.phases["FIND_SPLIT"]

@@ -87,12 +87,6 @@ class TestTotals:
 
 
 class TestFlatLayouts:
-    def test_flat_roundtrip(self, rng):
-        hist = random_hist(rng, m=4, k=5)
-        flat = hist.to_flat()
-        back = GradientHistogram.from_flat(flat, 4, 5)
-        assert back.allclose(hist, atol=1e-5)  # float32 wire rounding
-
     def test_feature_major_roundtrip(self, rng):
         hist = random_hist(rng, m=4, k=5)
         flat = hist.to_flat_feature_major()
@@ -109,8 +103,6 @@ class TestFlatLayouts:
             np.testing.assert_array_equal(block[2:], hist.hess[f])
 
     def test_from_flat_size_check(self):
-        with pytest.raises(DataError):
-            GradientHistogram.from_flat(np.zeros(7), 2, 2)
         with pytest.raises(DataError):
             GradientHistogram.from_flat_feature_major(np.zeros(7), 2, 2)
 

@@ -119,3 +119,9 @@ class TestMaintenance:
     def test_invalid_server_count(self):
         with pytest.raises(PSError):
             ParameterServerGroup(0)
+
+    def test_partition_salt_is_refused(self):
+        """Nobody salted a group's partitioners; the seam stays on
+        ``VectorPartitioner(salt=)`` only."""
+        with pytest.raises(TypeError):
+            ParameterServerGroup(4, partition_salt=1)

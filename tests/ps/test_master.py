@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TrainingError
-from repro.ps import Master, WorkerHealth, WorkerPhase
+from repro.ps import Master, WorkerPhase
 
 
 def advance_all(master: Master, phase: WorkerPhase) -> None:
@@ -28,7 +28,7 @@ class TestPhases:
                 advance_all(master, WorkerPhase.FIND_SPLIT)
                 advance_all(master, WorkerPhase.SPLIT_TREE)
         advance_all(master, WorkerPhase.FINISH)
-        assert master.all_finished()
+        assert all(master.phase_of(w) is WorkerPhase.FINISH for w in range(3))
 
     def test_must_start_in_create_sketch(self):
         master = Master(2)
@@ -79,21 +79,6 @@ class TestBarrier:
         with pytest.raises(TrainingError, match="barrier violation"):
             master.enter_phase(0, WorkerPhase.NEW_TREE)
 
-    def test_barriers_counted(self):
-        master = Master(2)
-        advance_all(master, WorkerPhase.CREATE_SKETCH)
-        advance_all(master, WorkerPhase.PULL_SKETCH)
-        assert master.barriers_passed == 2
-
-    def test_health_beats(self):
-        master = Master(2)
-        advance_all(master, WorkerPhase.CREATE_SKETCH)
-        report = master.health_report()
-        assert report == {
-            0: WorkerHealth(beats=1),
-            1: WorkerHealth(beats=1),
-        }
-        assert all(h.alive for h in report.values())
 
 
 def advance_to_round(master: Master) -> None:
@@ -124,10 +109,13 @@ class TestDeparture:
         master = Master(3)
         advance_to_round(master)
         master.mark_departed(2)
-        before = master.barriers_passed
         master.enter_all(WorkerPhase.BUILD_HISTOGRAM)
         assert master.phase_of(2) is WorkerPhase.NEW_TREE  # untouched
-        assert master.barriers_passed == before + 1  # live-only barrier
+        # Live-only barrier: the survivors pass it although worker 2
+        # still stands at NEW_TREE.
+        master.enter_phase(0, WorkerPhase.FIND_SPLIT)
+        master.enter_phase(1, WorkerPhase.FIND_SPLIT)
+        assert master.phase_of(1) is WorkerPhase.FIND_SPLIT
 
     def test_double_departure_rejected(self):
         master = Master(2)
@@ -136,19 +124,14 @@ class TestDeparture:
         with pytest.raises(TrainingError, match="already departed"):
             master.mark_departed(0)
 
-    def test_health_report_reflects_crash_and_recovery(self):
+    def test_departed_set_reflects_crash_and_recovery(self):
         master = Master(2)
         advance_to_round(master)
         master.mark_departed(1)
-        report = master.health_report()
-        assert not report[1].alive
-        assert report[1].crashes == 1
-        assert report[0].alive
+        assert master.departed == frozenset({1})
         master.rollback_round()
-        report = master.health_report()
-        assert report[1].alive
-        assert report[1].recoveries == 1
-        assert report[1].crashes == 1
+        assert master.departed == frozenset()
+        assert master.phase_of(1) is WorkerPhase.NEW_TREE
 
 
 class TestBarrierReentry:
@@ -210,9 +193,6 @@ class TestValidation:
     def test_zero_workers(self):
         with pytest.raises(TrainingError):
             Master(0)
-
-    def test_leader(self):
-        assert Master(3).leader_id == 0
 
 
 class TestStalenessClocks:

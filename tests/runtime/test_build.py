@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import TrainConfig
+from repro import ClusterConfig, TrainConfig
+from repro.distributed.plan import RunPlan
+from repro.histogram import build_histogram_batched
 from repro.runtime.build import (
-    BatchedBuildStrategy,
     DenseBuildStrategy,
     HistogramBuildStrategy,
     SparseBuildStrategy,
-    resolve_build_strategy,
 )
 
 
@@ -39,15 +39,17 @@ class TestStrategiesAgree:
         assert dense_s >= 0.0 and sparse_s >= 0.0
 
     def test_batched_matches_serial(self, tiny_shard, gradients):
+        """Section 5.2's batch construction (the Table 3 bench's call)
+        sums to the serial strategy's histogram."""
         grad, hess = gradients
         rows = np.arange(tiny_shard.n_rows)
         serial, _ = SparseBuildStrategy().build(tiny_shard, rows, grad, hess)
-        batched, span = BatchedBuildStrategy(
-            batch_size=64, n_threads=4, sparse=True
-        ).build(tiny_shard, rows, grad, hess)
-        np.testing.assert_allclose(serial.grad, batched.grad)
-        np.testing.assert_allclose(serial.hess, batched.hess)
-        assert span >= 0.0
+        batched = build_histogram_batched(
+            tiny_shard, rows, grad, hess, batch_size=64, n_threads=4
+        )
+        np.testing.assert_allclose(serial.grad, batched.histogram.grad)
+        np.testing.assert_allclose(serial.hess, batched.histogram.hess)
+        assert batched.span_seconds >= 0.0
 
     def test_subset_of_rows(self, tiny_shard, gradients):
         grad, hess = gradients
@@ -61,26 +63,30 @@ class TestStrategiesAgree:
 
 class TestResolution:
     def test_resolve_serial(self):
-        config = TrainConfig()
+        """The plan picks the strategy from the backend's ``build_mode``."""
+        cluster = ClusterConfig(2, 2)
         assert isinstance(
-            resolve_build_strategy(config, sparse=True), SparseBuildStrategy
+            RunPlan("dimboost", cluster, TrainConfig()).make_build_strategy(),
+            SparseBuildStrategy,
         )
         assert isinstance(
-            resolve_build_strategy(config, sparse=False), DenseBuildStrategy
+            RunPlan("xgboost", cluster, TrainConfig()).make_build_strategy(),
+            DenseBuildStrategy,
         )
 
-    def test_resolve_batched_carries_config(self):
-        config = TrainConfig(batch_size=128, n_threads=5)
-        strategy = resolve_build_strategy(config, sparse=False, batched=True)
-        assert isinstance(strategy, BatchedBuildStrategy)
-        assert strategy.batch_size == 128
-        assert strategy.n_threads == 5
-        assert strategy.dense is True
+    def test_batched_strategy_is_gone(self):
+        """Section 5.2's batch construction is a bench measurement
+        (``build_histogram_batched``), not a training strategy."""
+        import repro.runtime
+        import repro.runtime.build as build
+
+        for name in ("BatchedBuildStrategy", "resolve_build_strategy"):
+            assert not hasattr(build, name)
+            assert not hasattr(repro.runtime, name)
 
     def test_dense_attribute_mirrors_kernel(self):
         assert DenseBuildStrategy().dense is True
         assert SparseBuildStrategy().dense is False
-        assert BatchedBuildStrategy(10, 2, sparse=True).dense is False
 
     def test_no_strategy_has_a_lifecycle(self):
         """No strategy holds a resource, so none is released or closed —
@@ -89,11 +95,7 @@ class TestResolution:
 
         import repro
 
-        for strategy in (
-            DenseBuildStrategy(),
-            SparseBuildStrategy(),
-            BatchedBuildStrategy(10, 2),
-        ):
+        for strategy in (DenseBuildStrategy(), SparseBuildStrategy()):
             assert not hasattr(strategy, "release")
             assert not hasattr(strategy, "close")
         src = Path(repro.__file__).parent
@@ -108,18 +110,13 @@ class TestResolution:
             assert "build_strategy.close()" not in text, path
 
     def test_strategies_are_the_abc(self):
-        for strategy in (
-            DenseBuildStrategy(),
-            SparseBuildStrategy(),
-            BatchedBuildStrategy(10, 2),
-        ):
+        for strategy in (DenseBuildStrategy(), SparseBuildStrategy()):
             assert isinstance(strategy, HistogramBuildStrategy)
 
 
 class TestEngineIntegration:
     def test_explicit_strategy_overrides_flags(self, tiny_dataset):
         """A custom strategy passed to the trainer is actually used."""
-        from repro import ClusterConfig
         from repro.distributed.engine import DistributedGBDT
 
         calls = []
@@ -140,22 +137,3 @@ class TestEngineIntegration:
         )
         trainer.fit(tiny_dataset)
         assert calls  # the engine routed every build through the strategy
-
-    def test_grower_uses_strategy(self, tiny_shard, tiny_candidates, gradients):
-        from repro.tree.grower import LayerwiseGrower
-
-        grad, hess = gradients
-        config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
-        dense = LayerwiseGrower(
-            tiny_shard, tiny_candidates, config, sparse_build=False
-        )
-        assert isinstance(dense.build_strategy, DenseBuildStrategy)
-        custom = LayerwiseGrower(
-            tiny_shard,
-            tiny_candidates,
-            config,
-            build_strategy=SparseBuildStrategy(),
-        )
-        grown = custom.grow(grad, hess)
-        assert grown.tree.n_leaves >= 1
-

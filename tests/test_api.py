@@ -37,8 +37,6 @@ class TestTrainConfig:
         assert config.learning_rate == 0.01
         assert config.feature_sample_ratio == 1.0
         assert config.compression_bits == 8
-        assert config.batch_size == 10_000
-        assert config.n_threads == 20
 
     def test_max_nodes(self):
         assert TrainConfig(max_depth=7).max_nodes == 127
@@ -62,7 +60,6 @@ class TestTrainConfig:
             ("reg_lambda", -1.0),
             ("loss", "hinge"),
             ("compression_bits", 7),
-            ("batch_size", 0),
             ("sketch_eps", 0.6),
         ],
     )
@@ -76,6 +73,18 @@ class TestTrainConfig:
     def test_removed_executor_fields_are_refused(self, removed):
         """The histogram executors are gone, not deprecated: their fields
         are unknown keywords, through the constructor and ``with_overrides``."""
+        with pytest.raises(TypeError):
+            TrainConfig(**removed)
+        with pytest.raises(TypeError):
+            TrainConfig().with_overrides(**removed)
+
+    @pytest.mark.parametrize(
+        "removed",
+        [{"batch_size": 500}, {"n_threads": 20}, {"compression_block": 10}],
+    )
+    def test_removed_single_value_knobs_are_refused(self, removed):
+        """The batched-build span knobs and the codec block size had one
+        value in use; they are gone from the config, not ignored."""
         with pytest.raises(TypeError):
             TrainConfig(**removed)
         with pytest.raises(TypeError):
@@ -98,6 +107,14 @@ class TestClusterConfig:
     def test_network_cost_validation(self):
         with pytest.raises(ConfigError):
             NetworkCost(alpha=-1.0)
+
+    def test_sketch_entry_bytes_is_a_constant(self):
+        """The sketch entry weight is a module constant, not a cost knob."""
+        from repro.distributed.engine import SKETCH_ENTRY_BYTES
+
+        assert SKETCH_ENTRY_BYTES == 16.0
+        with pytest.raises(TypeError):
+            NetworkCost(sketch_entry_bytes=8.0)
 
     def test_with_overrides(self):
         cluster = ClusterConfig().with_overrides(n_workers=50)

@@ -248,6 +248,14 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_compression_block_flag_exits_2(self, capsys):
+        """The codec keeps one scale per feature histogram; the block
+        size is no flag any more."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", "d.libsvm", "--model", "m", "--compression-block", "10"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_speed_jitter_requires_system(self, dataset_file, tmp_path, capsys):
         code = main(
             [

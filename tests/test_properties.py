@@ -100,10 +100,11 @@ class TestTrainingProperties:
         )
         trainer = GBDT(config)
         trainer.fit(data)
-        kwargs = {"compression_bits": 0} if system == "dimboost" else {}
         result = train_distributed(
-            system, data, ClusterConfig(n_workers=w, n_servers=w), config,
-            **kwargs,
+            system,
+            data,
+            ClusterConfig(n_workers=w, n_servers=w),
+            config.with_overrides(compression_bits=0),
         )
         assert result.rounds[-1].train_loss == pytest.approx(
             trainer.history[-1].train_loss, rel=1e-2

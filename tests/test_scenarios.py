@@ -44,8 +44,7 @@ class TestNonPowerOfTwoClusters:
             "dimboost",
             tiny_dataset,
             ClusterConfig(n_workers=w, n_servers=w),
-            config,
-            compression_bits=0,
+            config.with_overrides(compression_bits=0),
         )
         np.testing.assert_allclose(
             result.model.predict_raw(tiny_dataset.X),
@@ -70,8 +69,7 @@ class TestDiskToDistributedPipeline:
             "dimboost",
             train,
             ClusterConfig(n_workers=3, n_servers=3),
-            config,
-            compression_bits=8,
+            config.with_overrides(compression_bits=8),
         )
         err = error_rate(test.y, result.model.predict(test.X))
         assert err < 0.45

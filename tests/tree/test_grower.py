@@ -70,52 +70,24 @@ class TestGrowth:
             LayerwiseGrower(tiny_shard, small_candidates, config)
 
 
-class TestAblationsAgree:
-    """All builder/index configurations grow equally good trees.
-
-    The configurations sum gradients in different orders, so near-tied
-    gains in tiny deep nodes may resolve differently; what must hold is
-    that the root decision (well-populated, no ties) agrees exactly and
-    the achieved objective is equal up to float noise.
-    """
-
-    @staticmethod
-    def _objective(grown, g, h, lam):
-        """Second-order objective of the tree's leaf partition."""
-        total = 0.0
-        for node in range(grown.tree.max_nodes):
-            if grown.tree.is_leaf(node):
-                rows = grown.leaf_of_rows == node
-                gs, hs = g[rows].sum(), h[rows].sum()
-                total += -0.5 * gs * gs / (hs + lam)
-        return total
+class TestRemovedAblationFlags:
+    """The grower always builds with Algorithm 2 through the node index;
+    the Table 3 bench measures the ablations on the kernels directly."""
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "flag",
         [
             {"sparse_build": False},
             {"use_index": False},
             {"batched": True},
-            {"sparse_build": False, "use_index": False},
+            {"build_strategy": None},
         ],
+        ids=lambda flag: next(iter(flag)),
     )
-    def test_equivalent_tree(self, tiny_shard, tiny_candidates, rng, kwargs):
-        config = TrainConfig(
-            n_trees=1, max_depth=4, n_split_candidates=8, batch_size=64
-        )
-        g = rng.normal(size=tiny_shard.n_rows)
-        h = rng.random(tiny_shard.n_rows) + 0.1
-        base = LayerwiseGrower(tiny_shard, tiny_candidates, config).grow(g, h)
-        other = LayerwiseGrower(
-            tiny_shard, tiny_candidates, config, **kwargs
-        ).grow(g, h)
-        assert base.tree.split_feature[0] == other.tree.split_feature[0]
-        assert base.tree.split_value[0] == pytest.approx(
-            other.tree.split_value[0]
-        )
-        obj_a = self._objective(base, g, h, config.reg_lambda)
-        obj_b = self._objective(other, g, h, config.reg_lambda)
-        assert obj_a == pytest.approx(obj_b, rel=1e-6)
+    def test_flag_is_refused(self, tiny_shard, tiny_candidates, flag):
+        config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
+        with pytest.raises(TypeError):
+            LayerwiseGrower(tiny_shard, tiny_candidates, config, **flag)
 
 
 class TestFeatureSampling:
