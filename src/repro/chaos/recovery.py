@@ -13,8 +13,8 @@ checkpointed scores, and the servers' per-round sequence numbers turn
 any surviving partial pushes from the aborted attempt into no-ops.
 ``RoundRecovery`` supplies the three mechanical pieces: capture/restore
 of the boosting scores, truncation of the grown model back to the
-checkpoint, and the master-side barrier re-entry
-(:meth:`~repro.ps.master.Master.rollback_round`).
+checkpoint, and the rewind of the master's phase machine to the round
+boundary (:meth:`~repro.ps.master.Master.rollback_round`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class RoundRecovery:
     Args:
         capture: Returns a deep snapshot of the mutable boosting state.
         restore: Inverse of ``capture``.
-        master: The cluster master (departure + barrier re-entry).
+        master: The cluster master (its phase machine is rewound).
         clock: Simulated clock; recovery time is charged to it.
         injector: The fault injector (for recovery bookkeeping).
         policy: Retry policy; its backoff paces repeated rollbacks and
@@ -128,7 +128,6 @@ class RoundRecovery:
             ) from fault
         self._attempts[round_index] = attempt + 1
 
-        self.master.mark_departed(fault.worker)
         # Detect-and-restart cost: the failure detection timeout plus
         # the rollback itself, charged to simulated time.
         self.clock.advance_comm(

@@ -127,12 +127,6 @@ class SimClock:
         """Seconds charged per phase label (labelled charges only)."""
         return dict(self._by_phase)
 
-    def jitter_factor(self, worker_id: int) -> float:
-        """This layer's speed factor for one worker (1.0 without jitter)."""
-        if self.jitter is None:
-            return 1.0
-        return self.jitter.factor_of(worker_id)
-
     def jittered(self, per_worker_seconds: Sequence[float]) -> list[float]:
         """Divide per-worker seconds by this layer's speed factors.
 

@@ -22,11 +22,7 @@ compression off every system grows the same trees as the single-machine
 reference — the integration tests assert exactly that.
 """
 
-from .scheduler import (
-    RoundRobinScheduler,
-    SingleAgentScheduler,
-    SpeedWeightedScheduler,
-)
+from .scheduler import RoundRobinScheduler, SingleAgentScheduler
 from .backends import (
     AggregationBackend,
     DimBoostBackend,
@@ -42,7 +38,6 @@ from .engine import DistributedGBDT, DistributedResult, RoundRecord, train_distr
 __all__ = [
     "RoundRobinScheduler",
     "SingleAgentScheduler",
-    "SpeedWeightedScheduler",
     "AggregationBackend",
     "MLlibBackend",
     "XGBoostBackend",

@@ -39,11 +39,7 @@ from ..sketch.candidates import CandidateSet
 from ..tree.split import SplitDecision, best_split_in_range, combine_shard_decisions
 from ..utils.rng import spawn_rng
 from ..utils.timing import wall_clock
-from .scheduler import (
-    RoundRobinScheduler,
-    SingleAgentScheduler,
-    SpeedWeightedScheduler,
-)
+from .scheduler import RoundRobinScheduler, SingleAgentScheduler
 
 #: Registry of backend names in the paper's comparison order.
 BACKEND_NAMES = ("mllib", "xgboost", "lightgbm", "tencentboost", "dimboost")
@@ -316,25 +312,26 @@ class WindowedPusher:
     applied to histogram deltas: a counter, a buffer, and the
     communication call they wrap.
 
-    With a window, each worker folds its deltas into a
+    With a window, each worker buffers its deltas in a
     :class:`~repro.ps.localagg.LocalAggregator` and the cluster
     communicates once per window.  Dense per-worker flats are wrapped in
     *fully present* slabs (every feature carries its exact values) so
     the closed-form header reconstruction never fires for them and the
     stored bits match the dense push exactly; the 2-D grid path buffers
     the engine's sparse slabs as-is.  One windowed push per worker
-    carries that worker's folded entries, encoded once before the
-    partition fan-out, under the token ``(tree, window_index, worker)``.
-    All workers fill in lockstep (every node contributes one delta per
+    carries that worker's entries, encoded once before the partition
+    fan-out, under the token ``(tree, window_index, worker)``.  All
+    workers fill in lockstep (every node contributes one delta per
     worker), so a full window flushes the whole cluster together and is
     charged as one batched PS scatter — the latency term shrinks by the
-    window size while the volume terms keep the folded payload mass.
+    window size while the volume terms keep the payload mass.
 
-    The one delta that cannot fold-then-encode is the lossy *dense* row
-    (see :meth:`~repro.ps.group.ParameterServerGroup.encode_row`): it is
-    encoded at buffer time by the same call ``push_row`` makes, and the
-    window batches the pre-encoded pieces (``push_window_rows``) — the
-    S=0 bit-identity guarantee holds in every cell of the parity matrix.
+    The one delta that is not buffered as a slab is the lossy *dense*
+    row (see :meth:`~repro.ps.group.ParameterServerGroup.encode_row`):
+    it is encoded at buffer time by the same call ``push_row`` makes,
+    and the window batches the pre-encoded pieces (``push_window_rows``)
+    — the S=0 bit-identity guarantee holds in every cell of the parity
+    matrix.
 
     Every lossy encode draws its rounding stream from :meth:`_rng`,
     keyed ``(tree, node, worker)`` — the key a rollback-replay
@@ -363,7 +360,7 @@ class WindowedPusher:
         self.block = layout.n_bins
         self.window = config.agg_window
         self._aggregators = [
-            LocalAggregator(self.window, layout)
+            LocalAggregator(self.window)
             for _ in range(cluster.n_workers if self.window > 1 else 0)
         ]
         self._all_features = np.arange(layout.n_features, dtype=np.int64)
@@ -657,7 +654,6 @@ class DimBoostBackend(_PSBackend):
         candidates,
         use_scheduler: bool = True,
         two_phase: bool = True,
-        speed_aware_scheduler: bool = False,
         fabric=None,
     ) -> None:
         self.compression_bits = config.compression_bits
@@ -666,9 +662,6 @@ class DimBoostBackend(_PSBackend):
         self.two_phase = two_phase
         if not use_scheduler:
             self.scheduler = SingleAgentScheduler(cluster.n_workers)
-        elif speed_aware_scheduler:
-            speeds = [cluster.speed_of(wid) for wid in range(cluster.n_workers)]
-            self.scheduler = SpeedWeightedScheduler(cluster.n_workers, speeds)
         else:
             self.scheduler = RoundRobinScheduler(cluster.n_workers)
         # Flat slots of every feature's zero bucket (g and h halves).
@@ -744,18 +737,6 @@ class DimBoostBackend(_PSBackend):
         # Drain partial windows: a layer boundary must see every delta,
         # so windows never span layers.
         self.pusher.flush(clock)
-        if (
-            isinstance(self.scheduler, SpeedWeightedScheduler)
-            and clock.jitter is not None
-        ):
-            # Track the rotating straggler: assignment weights use this
-            # layer's effective speeds, not the static average.
-            self.scheduler.update_speeds(
-                [
-                    self.cluster.speed_of(wid) * clock.jitter_factor(wid)
-                    for wid in range(self.cluster.n_workers)
-                ]
-            )
         assignment = self.scheduler.assign(nodes)
         decisions: dict[int, SplitDecision | None] = {}
         per_worker_seconds = [0.0] * self.cluster.n_workers

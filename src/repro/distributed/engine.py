@@ -123,7 +123,7 @@ class DistributedResult:
 class _FitRun:
     """One fit's live machinery, built in one place, plus the stage hand-offs.
 
-    The :class:`RunPlan` says *what* runs; this is the clock, lockstep
+    The :class:`RunPlan` says *what* runs; this is the clock, phase
     master, chaos runtime, hook stack and phase runner one ``fit`` runs it
     *on*.  All of it dies with the fit — the plan holds none of it — which
     is what lets one trainer ``fit`` twice.
@@ -151,7 +151,7 @@ class _FitRun:
             else None
         )
         self.clock = SimClock(jitter=jitter)
-        self.master = Master(cluster.n_workers, staleness=config.staleness)
+        self.master = Master()
         self.chaos: ChaosRuntime | None = None
         self.fault_accountant: FaultAccountant | None = None
         if plan.fault_plan is not None:

@@ -111,12 +111,6 @@ class RunPlan:
             f"agg_window {config.agg_window} needs a backend with windowed "
             f"pushes; {hint}",
         )
-        _require(
-            kwargs.get("use_scheduler", True)
-            or not kwargs.get("speed_aware_scheduler", False),
-            "speed_aware_scheduler=True weights the scheduler's assignment; "
-            "it cannot be combined with use_scheduler=False",
-        )
         # A fault that can never fire would make a chaos run that tests
         # nothing.  Message faults need a PS group: a PS backend, or the
         # server-merged sketch path (whose group rides the fabric too).

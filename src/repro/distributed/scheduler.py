@@ -36,61 +36,6 @@ class RoundRobinScheduler:
         return assignment
 
 
-class SpeedWeightedScheduler:
-    """Assigns split tasks proportionally to worker speeds.
-
-    A heterogeneity-aware extension of the round-robin scheduler: each
-    node goes to the worker whose *normalized load* ``(assigned + 1) /
-    speed`` is smallest, so a half-speed machine receives roughly half
-    the split tasks and the FIND_SPLIT barrier stops paying the
-    straggler (the idea behind the authors' companion heterogeneity-
-    aware parameter-server work).
-
-    With uniform speeds this degrades gracefully to round-robin's
-    balance (each worker within one task of the others).
-    """
-
-    def __init__(self, n_workers: int, speeds: list[float] | None = None) -> None:
-        if n_workers < 1:
-            raise TrainingError(f"n_workers must be >= 1, got {n_workers}")
-        if speeds is None:
-            speeds = [1.0] * n_workers
-        if len(speeds) != n_workers:
-            raise TrainingError(
-                f"speeds must have {n_workers} entries, got {len(speeds)}"
-            )
-        if any(s <= 0 for s in speeds):
-            raise TrainingError(f"speeds must be positive, got {speeds}")
-        self.n_workers = n_workers
-        self.speeds = list(speeds)
-
-    def update_speeds(self, speeds: list[float]) -> None:
-        """Refresh the speed estimates before the next assignment.
-
-        Lets the backend feed *effective* per-layer speeds (static speed
-        × the clock's layer jitter factor) so assignment tracks the
-        rotating straggler instead of a stale average.
-        """
-        if len(speeds) != self.n_workers:
-            raise TrainingError(
-                f"speeds must have {self.n_workers} entries, got {len(speeds)}"
-            )
-        if any(s <= 0 for s in speeds):
-            raise TrainingError(f"speeds must be positive, got {speeds}")
-        self.speeds = list(speeds)
-
-    def assign(self, active_nodes: list[int]) -> dict[int, list[int]]:
-        """Greedy normalized-load assignment (deterministic)."""
-        assignment: dict[int, list[int]] = {w: [] for w in range(self.n_workers)}
-        for node in active_nodes:
-            target = min(
-                range(self.n_workers),
-                key=lambda w: ((len(assignment[w]) + 1) / self.speeds[w], w),
-            )
-            assignment[target].append(node)
-        return assignment
-
-
 class SingleAgentScheduler:
     """The naive strategy: one agent worker handles every active node.
 

@@ -16,14 +16,15 @@ This package implements the server side:
 * :class:`ParameterServerGroup` — the client-facing ensemble: routes
   pushes/pulls to shards, handles low-precision decode on the server, and
   accounts wire bytes for the simulated clock.
-* :class:`Master` — phase barriers and crash membership (Section 4.2).
+* :class:`Master` — the phase machine the worker stages follow
+  (Section 4.2).
 * :class:`SparseSlab` / :class:`SlabLayout` — the sparse histogram wire
   format of block-distributed 2-D sharding (arXiv:1904.10522): only
   non-empty feature histograms travel, servers reconstruct the rest from
   the block's gradient sums.
 """
 
-from .localagg import LocalAggregator, fold_slabs
+from .localagg import LocalAggregator
 from .partitioner import Partition, VectorPartitioner
 from .server import PSServer, PullUDF
 from .group import ParameterServerGroup, TransferStats
@@ -38,7 +39,6 @@ from .slab import (
 
 __all__ = [
     "LocalAggregator",
-    "fold_slabs",
     "Partition",
     "VectorPartitioner",
     "PSServer",

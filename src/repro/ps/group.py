@@ -327,11 +327,11 @@ class ParameterServerGroup:
     ) -> TransferStats:
         """Push one locally-aggregated window of ``(row, slab)`` deltas.
 
-        The caller has already folded the window's node deltas
-        (:class:`repro.ps.localagg.LocalAggregator`) and encoded each
-        folded slab *once* — entries may be :class:`CompressedSlab`
-        (PR 7 codec) or plain :class:`SparseSlab`; this method only
-        routes.  Every server partition receives at most one message
+        The caller has already batched the window's node deltas
+        (:class:`repro.ps.localagg.LocalAggregator`, one per row) and
+        encoded each slab *once* — entries may be :class:`CompressedSlab`
+        or plain :class:`SparseSlab`; this method only routes.  Every
+        server partition receives at most one message
         carrying its shares of all entries, so a window of ``W`` node
         deltas costs one latency term per partition instead of ``W``.
         Each entry's share is billed as 4 bytes of row id plus its slab

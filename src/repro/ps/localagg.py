@@ -5,80 +5,32 @@ layer pays the full per-message latency term ``(p - co) * alpha`` once
 per node.  Horovod's ``LocalGradientAggregationHelper`` shows the cure
 for the analogous problem in data-parallel SGD: accumulate gradients
 locally for ``k`` steps and communicate once.  This module is that
-helper for histogram slabs: a :class:`LocalAggregator` folds node deltas
-worker-side across an *aggregation window* of ``TrainConfig.agg_window``
-sub-batches and hands back one batched payload, which the group pushes
-with a single windowed message per server partition
-(:meth:`repro.ps.group.ParameterServerGroup.push_window`).
+helper for histogram slabs: a :class:`LocalAggregator` buffers node
+deltas worker-side across an *aggregation window* of
+``TrainConfig.agg_window`` deltas and hands back one batched payload,
+which the group pushes with a single windowed message per server
+partition (:meth:`repro.ps.group.ParameterServerGroup.push_window`).
 
-The fold must not change a single bit of the trained model, so it
-preserves the sparse-slab reconstruction contract (Algorithm 2 zero
-buckets, see :mod:`repro.ps.slab`): folding two slabs produces a slab
-whose server-side materialization equals materializing the two inputs
-in sequence — ``materialize(fold(a, b)) == materialize(a) +
-materialize(b)`` exactly, in that addend order, for every bucket.
+A window batches; it never folds.  Each worker contributes one delta
+per node per layer and windows never span layers, so a window holds at
+most one delta per node, and the servers add each entry exactly as they
+would have added the same delta pushed on its own.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import PSError
-from .slab import SlabLayout, SparseSlab
-
-
-def fold_slabs(a: SparseSlab, b: SparseSlab, layout: SlabLayout) -> SparseSlab:
-    """Fold two same-stripe slabs into one, bit-exact under materialization.
-
-    The folded slab carries the union of the inputs' present features.
-    A feature present in only one input still receives the *other*
-    input's closed-form contribution (its gradient sums at the zero
-    bucket), because that is exactly what the server would have added
-    had the two slabs been pushed separately.  Additions happen in
-    ``a``-then-``b`` order elementwise, matching sequential server-side
-    application, so the fold commutes with pushing bit-for-bit.
-    """
-    if (a.col_lo, a.col_hi) != (b.col_lo, b.col_hi):
-        raise PSError(
-            "cannot fold slabs over different column stripes: "
-            f"[{a.col_lo}, {a.col_hi}) vs [{b.col_lo}, {b.col_hi})"
-        )
-    width = layout.feature_width
-    n_bins = layout.n_bins
-    features = np.union1d(a.features, b.features)
-    rows = np.arange(features.size, dtype=np.int64)
-    zero_bins = layout.zero_bins[features] if features.size else features
-
-    def materialize(slab: SparseSlab) -> np.ndarray:
-        """The slab's contribution over the union features, as the
-        server's reconstruction would compute it (closed form for the
-        features this slab omits, carried values for the rest)."""
-        out = np.zeros((features.size, width), dtype=np.float64)
-        if features.size:
-            out[rows, zero_bins] = slab.sum_g
-            out[rows, n_bins + zero_bins] = slab.sum_h
-            carried = np.searchsorted(features, slab.features)
-            out[carried] = slab.values
-        return out
-
-    return SparseSlab(
-        col_lo=a.col_lo,
-        col_hi=a.col_hi,
-        features=features,
-        values=materialize(a) + materialize(b),
-        sum_g=a.sum_g + b.sum_g,
-        sum_h=a.sum_h + b.sum_h,
-    )
+from .slab import SparseSlab
 
 
 class LocalAggregator:
     """Worker-side delta accumulator with a fixed aggregation window.
 
-    ``add`` folds each ``(node, slab)`` delta into the buffer; once
-    ``window`` deltas have accumulated, the caller drains the buffer and
-    pushes the folded entries as one windowed message.  Entries drain in
-    first-insertion node order so replayed rounds regenerate identical
-    wire payloads and sequence tokens.
+    ``add`` buffers one ``(node, slab)`` delta; once ``window`` deltas
+    have accumulated, the caller drains the buffer and pushes the
+    entries as one windowed message.  Entries drain in insertion order
+    so replayed rounds regenerate identical wire payloads and sequence
+    tokens.
 
     ``drain`` also returns the zero-based *window index* — the windowed
     push's sequence tokens are ``(tree, window_index, worker)``, so a
@@ -88,34 +40,37 @@ class LocalAggregator:
     token stream identical when chaos recovery replays a round.
     """
 
-    def __init__(self, window: int, layout: SlabLayout) -> None:
+    def __init__(self, window: int) -> None:
         if window < 1:
             raise PSError(f"aggregation window must be >= 1, got {window}")
         self.window = window
-        self.layout = layout
         self.windows_flushed = 0
-        self.deltas_folded = 0
         self._entries: dict[int, SparseSlab] = {}
-        self._pending = 0
 
     @property
     def pending(self) -> int:
         """Deltas buffered since the last drain."""
-        return self._pending
+        return len(self._entries)
 
     @property
     def full(self) -> bool:
-        return self._pending >= self.window
+        return len(self._entries) >= self.window
 
     def add(self, node: int, slab: SparseSlab) -> bool:
-        """Buffer one node delta; returns True once the window is full."""
-        held = self._entries.get(node)
-        if held is None:
-            self._entries[node] = slab
-        else:
-            self._entries[node] = fold_slabs(held, slab, self.layout)
-            self.deltas_folded += 1
-        self._pending += 1
+        """Buffer one node delta; returns True once the window is full.
+
+        Raises:
+            PSError: ``node`` already has a delta in this window.  Both
+                would travel under the window's one ``(tree, window,
+                worker)`` token, and the server would drop the second as
+                a duplicate.
+        """
+        if node in self._entries:
+            raise PSError(
+                f"node {node} already has a delta in window "
+                f"{self.windows_flushed}; a window holds one delta per node"
+            )
+        self._entries[node] = slab
         return self.full
 
     def drain(self) -> tuple[int, list[tuple[int, SparseSlab]]]:
@@ -130,7 +85,6 @@ class LocalAggregator:
         window_index = self.windows_flushed
         entries = list(self._entries.items())
         self._entries = {}
-        self._pending = 0
         self.windows_flushed += 1
         return window_index, entries
 
@@ -141,6 +95,4 @@ class LocalAggregator:
         regenerates the same ``(tree, window, worker)`` token sequence.
         """
         self._entries = {}
-        self._pending = 0
         self.windows_flushed = 0
-        self.deltas_folded = 0

@@ -7,7 +7,7 @@ distributed):
   cycle, parameterized by a :class:`TreeGrowthStrategy`;
 * :mod:`~repro.runtime.phases` — :class:`PhaseRunner` /
   :class:`PhaseStage`, the Section 4.4 worker phases as stage objects
-  owning lockstep transitions and time attribution;
+  owning phase transitions and time attribution;
 * :mod:`~repro.runtime.hooks` — the :class:`TrainerCallback` spine that
   observability attaches to at stage boundaries;
 * :mod:`~repro.runtime.build` — :class:`HistogramBuildStrategy`
@@ -20,10 +20,8 @@ from .build import DenseBuildStrategy, HistogramBuildStrategy, SparseBuildStrate
 from .hooks import (
     CallbackList,
     HistoryCollector,
-    PhaseAccountant,
     RecordingCallback,
     TrainerCallback,
-    as_callback_list,
 )
 from .loop import BoostingLoop, TreeGrowthStrategy, sample_features
 from .phases import PhaseRunner, PhaseStage, WorkerTimer, scale_by_speeds
@@ -39,9 +37,7 @@ __all__ = [
     "TrainerCallback",
     "CallbackList",
     "HistoryCollector",
-    "PhaseAccountant",
     "RecordingCallback",
-    "as_callback_list",
     "HistogramBuildStrategy",
     "DenseBuildStrategy",
     "SparseBuildStrategy",

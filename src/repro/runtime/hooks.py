@@ -26,7 +26,7 @@ trainer.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from ..ps.master import WorkerPhase
 
@@ -35,7 +35,6 @@ __all__ = [
     "CallbackList",
     "FaultAccountant",
     "HistoryCollector",
-    "PhaseAccountant",
     "RecordingCallback",
 ]
 
@@ -136,19 +135,6 @@ class CallbackList(TrainerCallback):
             cb.on_fit_end(result)
 
 
-def as_callback_list(
-    callbacks: TrainerCallback | Sequence[TrainerCallback] | None,
-) -> CallbackList:
-    """Normalize a user-supplied callback argument to a CallbackList."""
-    if callbacks is None:
-        return CallbackList()
-    if isinstance(callbacks, CallbackList):
-        return callbacks
-    if isinstance(callbacks, TrainerCallback):
-        return CallbackList([callbacks])
-    return CallbackList(callbacks)
-
-
 class HistoryCollector(TrainerCallback):
     """Appends every round's telemetry record to a shared list.
 
@@ -162,30 +148,6 @@ class HistoryCollector(TrainerCallback):
 
     def on_tree_end(self, tree_index: int, record: object) -> None:
         self.records.append(record)
-
-
-class PhaseAccountant(TrainerCallback):
-    """Accumulates the Table-3 style per-phase simulated seconds.
-
-    Merges the ``charges`` dict of every completed stage, so after a fit
-    :attr:`phases` holds what the stages charged per label.  (Charges
-    made *between* stages — crash rollbacks, staleness syncs — are not
-    seen here; :class:`~repro.distributed.engine.DistributedResult`
-    reports the cluster clock's own per-label totals.)
-    """
-
-    def __init__(self) -> None:
-        self.phases: dict[str, float] = {}
-
-    def on_phase_end(
-        self,
-        phase: WorkerPhase,
-        tree_index: int,
-        charges: Mapping[str, float],
-        wall_seconds: float,
-    ) -> None:
-        for label, seconds in charges.items():
-            self.phases[label] = self.phases.get(label, 0.0) + seconds
 
 
 class FaultAccountant(TrainerCallback):

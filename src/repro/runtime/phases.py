@@ -1,13 +1,12 @@
 """Phase-stage objects: the Section 4.4 worker phases as runtime seams.
 
 The distributed engine used to interleave three concerns at every phase
-boundary: moving all workers through the master's lockstep machine
-(``for wid ...: master.enter_phase(...)``), measuring per-worker kernel
-wall-clock with ad-hoc clock-read pairs, and charging the
-simulated clock.  :class:`PhaseRunner` and :class:`PhaseStage` absorb
-all three, and additionally publish every stage through the
-:mod:`~repro.runtime.hooks` spine so observers see phase boundaries
-without the engine knowing about them.
+boundary: moving the cluster through the master's phase machine,
+measuring per-worker kernel wall-clock with ad-hoc clock-read pairs, and
+charging the simulated clock.  :class:`PhaseRunner` and
+:class:`PhaseStage` absorb all three, and additionally publish every
+stage through the :mod:`~repro.runtime.hooks` spine so observers see
+phase boundaries without the engine knowing about them.
 
 Usage::
 
@@ -152,8 +151,8 @@ class StalenessLanes:
 class PhaseStage:
     """One execution of one worker phase, used as a context manager.
 
-    On entry: every worker passes the master's lockstep barrier into the
-    phase, and ``on_phase_start`` fires.  On exit: the simulated seconds
+    On entry: the cluster enters the phase in the master's phase
+    machine, and ``on_phase_start`` fires.  On exit: the simulated seconds
     charged during the stage (grouped by cost-model label) and the real
     wall-clock duration are reported through ``on_phase_end``.
     """
@@ -173,7 +172,7 @@ class PhaseStage:
     def __enter__(self) -> "PhaseStage":
         runner = self.runner
         if runner.master is not None:
-            runner.master.enter_all(self.phase)
+            runner.master.enter(self.phase)
         if runner.clock is not None:
             self._clock_snapshot = runner.clock.by_phase()
         self._started_at = wall_clock()
@@ -245,8 +244,8 @@ class PhaseRunner:
 
     Args:
         callbacks: The hook spine events are dispatched to.
-        master: Lockstep coordinator; ``None`` for single-machine runs
-            (no phase-machine validation).
+        master: The cluster's phase machine; ``None`` for single-machine
+            runs (no phase-machine validation).
         clock: Simulated cluster clock; ``None`` for single-machine runs
             (stages then report only wall-clock).
         cluster: Cluster shape, used for worker count and speed scaling.
@@ -271,11 +270,7 @@ class PhaseRunner:
     @property
     def n_workers(self) -> int:
         """Simulated worker count (1 for single-machine runs)."""
-        if self.cluster is not None:
-            return self.cluster.n_workers
-        if self.master is not None:
-            return self.master.n_workers
-        return 1
+        return self.cluster.n_workers if self.cluster is not None else 1
 
     def stage(self, phase: WorkerPhase, tree_index: int = -1) -> PhaseStage:
         """A context manager running one ``phase`` stage."""

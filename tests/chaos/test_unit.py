@@ -444,10 +444,10 @@ class TestServerIdempotence:
 def make_recovery(
     max_retries: int = 2, checkpoint_every: int = 1, records=None
 ):
-    master = Master(2)
-    master.enter_all(WorkerPhase.CREATE_SKETCH)
-    master.enter_all(WorkerPhase.PULL_SKETCH)
-    master.enter_all(WorkerPhase.NEW_TREE)
+    master = Master()
+    master.enter(WorkerPhase.CREATE_SKETCH)
+    master.enter(WorkerPhase.PULL_SKETCH)
+    master.enter(WorkerPhase.NEW_TREE)
     clock = SimClock()
     state = {"value": 0}
     recovery = RoundRecovery(
@@ -490,7 +490,7 @@ class TestRoundRecovery:
         state["value"] = 1
         recovery.checkpoint(1, units)
         # Round 1 goes wrong mid-flight: a partial tree and record exist.
-        master.enter_all(WorkerPhase.BUILD_HISTOGRAM)
+        master.enter(WorkerPhase.BUILD_HISTOGRAM)
         units.append("t1-partial")
         records.append("r1-partial")
         state["value"] = 99
@@ -501,17 +501,14 @@ class TestRoundRecovery:
         assert records == ["r0"]
         assert state["value"] == 1
         assert clock.by_phase()[FAULT_RECOVERY_PHASE] > 0.0
-        # The master saw the departure and the barrier re-entry.
-        assert master.departed == frozenset()
-        assert all(
-            master.phase_of(wid) is WorkerPhase.NEW_TREE for wid in range(2)
-        )
+        # The master rewound to the round's NEW_TREE barrier.
+        assert master.phase is WorkerPhase.NEW_TREE
 
     def test_budget_exhaustion_raises_typed_error(self):
         recovery, master, _, _ = make_recovery(max_retries=1)
         fault = InjectedCrash(worker=0, point="barrier", round_index=0)
         recovery.recover(0, fault, [])
-        master.enter_all(WorkerPhase.BUILD_HISTOGRAM)  # replay goes again
+        master.enter(WorkerPhase.BUILD_HISTOGRAM)  # replay goes again
         with pytest.raises(ClusterFaultError, match="recovery budget"):
             recovery.recover(0, fault, [])
 

@@ -83,12 +83,12 @@ GATE_ROWS = {
     "option-bits": row(
         "dimboost", ROW, "unknown option.*'compression_bits'", compression_bits=8
     ),
-    "speed-aware-without-scheduler": row(
+    # The speed-aware scheduler is gone; round-robin is the only policy.
+    "speed-aware-scheduler-option": row(
         "dimboost",
         ROW,
-        "use_scheduler=False",
+        "unknown option.*'speed_aware_scheduler'",
         speed_aware_scheduler=True,
-        use_scheduler=False,
     ),
     "fault-worker": row(
         "dimboost",
@@ -153,7 +153,6 @@ class TestGate:
     def test_legal_neighbours_of_the_rules_resolve(self):
         """Each new rule rejects exactly its combination, not the knob."""
         RunPlan("dimboost", ROW, FAST.with_overrides(compression_bits=4))
-        RunPlan("dimboost", ROW, FAST, backend_kwargs={"speed_aware_scheduler": True})
         # The sketch path's PS group rides the fabric, so a message fault
         # is reachable on a collective backend with server-merged sketches.
         plan = RunPlan(

@@ -17,7 +17,6 @@ from repro.ps import (
     ParameterServerGroup,
     SlabLayout,
     SparseSlab,
-    fold_slabs,
 )
 
 LAYOUT = SlabLayout(4, 3, np.zeros(4, dtype=np.int64))
@@ -49,56 +48,39 @@ def make_group(n_servers=2, fabric=None):
     return group
 
 
-class TestFoldSlabs:
-    def test_rejects_stripe_mismatch(self):
-        with pytest.raises(PSError, match="different column stripes"):
-            fold_slabs(make_slab(1.0), make_slab(1.0, col_lo=2), LAYOUT)
-
-    def test_union_of_presence(self):
-        folded = fold_slabs(
-            make_slab(1.0, features=(0,)),
-            make_slab(2.0, features=(2,)),
-            LAYOUT,
-        )
-        np.testing.assert_array_equal(folded.features, [0, 2])
-        assert folded.sum_g == 3.0
-
-    def test_fold_is_associative_on_the_wire(self):
-        a, b, c = make_slab(1.5), make_slab(-0.25), make_slab(7.0)
-        left = make_group()
-        left.push_slab(
-            "grad_hist", 0, fold_slabs(fold_slabs(a, b, LAYOUT), c, LAYOUT)
-        )
-        right = make_group()
-        right.push_slab(
-            "grad_hist", 0, fold_slabs(a, fold_slabs(b, c, LAYOUT), LAYOUT)
-        )
-        np.testing.assert_array_equal(
-            left.pull_row("grad_hist", 0)[0], right.pull_row("grad_hist", 0)[0]
-        )
-
-
 class TestLocalAggregator:
     def test_rejects_bad_window(self):
         with pytest.raises(PSError, match="window"):
-            LocalAggregator(0, LAYOUT)
+            LocalAggregator(0)
 
-    def test_fills_at_window_and_folds_same_node(self):
-        aggregator = LocalAggregator(3, LAYOUT)
-        assert not aggregator.add(0, make_slab(1.0))
-        assert not aggregator.add(0, make_slab(2.0))
-        assert aggregator.add(1, make_slab(5.0))
+    def test_fills_at_window_in_insertion_order(self):
+        aggregator = LocalAggregator(3)
+        first, second, third = make_slab(1.0), make_slab(2.0), make_slab(5.0)
+        assert not aggregator.add(4, first)
+        assert not aggregator.add(0, second)
+        assert aggregator.add(1, third)
         assert aggregator.full
         index, entries = aggregator.drain()
         assert index == 0
-        assert [node for node, _slab in entries] == [0, 1]
-        folded = dict(entries)[0]
-        assert folded.sum_g == 3.0
-        assert aggregator.deltas_folded == 1
+        assert [node for node, _slab in entries] == [4, 0, 1]
+        assert [slab for _node, slab in entries] == [first, second, third]
         assert aggregator.pending == 0
 
+    def test_refuses_a_node_already_pending(self):
+        """A window holds one delta per node: a second one would share
+        the window's seq token, and the server would drop it as a
+        duplicate.  After a drain the node may come again."""
+        aggregator = LocalAggregator(4)
+        aggregator.add(0, make_slab(1.0))
+        with pytest.raises(PSError, match="node 0 already has a delta"):
+            aggregator.add(0, make_slab(2.0))
+        assert aggregator.pending == 1
+        aggregator.drain()
+        aggregator.add(0, make_slab(2.0))
+        assert aggregator.pending == 1
+
     def test_empty_drain_consumes_no_window_index(self):
-        aggregator = LocalAggregator(2, LAYOUT)
+        aggregator = LocalAggregator(2)
         index, entries = aggregator.drain()
         assert (index, entries) == (0, [])
         aggregator.add(0, make_slab(1.0))
@@ -108,7 +90,7 @@ class TestLocalAggregator:
         assert aggregator.windows_flushed == 1
 
     def test_reset_rewinds_window_numbering(self):
-        aggregator = LocalAggregator(1, LAYOUT)
+        aggregator = LocalAggregator(1)
         aggregator.add(0, make_slab(1.0))
         aggregator.drain()
         aggregator.add(0, make_slab(1.0))

@@ -1,12 +1,11 @@
-"""Property tests for local aggregation and the wire formats it folds.
+"""Property tests for local aggregation and the wire formats it batches.
 
-Hypothesis drives :func:`repro.ps.localagg.fold_slabs` and
-:class:`repro.ps.localagg.LocalAggregator` across arbitrary stripe
-grids, feature-presence patterns, window sizes, and codec bit-widths,
-asserting the PR's headline contract end to end: folding worker-side
-then pushing one window is **bit-identical** on the servers to pushing
-every delta individually — fold(deltas) → slab → (compressed) → decode
-round-trips exactly.
+Hypothesis drives :class:`repro.ps.localagg.LocalAggregator` across
+arbitrary stripe grids, feature-presence patterns, window sizes, and
+codec bit-widths, asserting the windowed-push contract end to end:
+batching deltas worker-side then pushing one window is
+**bit-identical** on the servers to pushing every delta individually —
+slab → (compressed) → decode round-trips exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.ps import (
     SlabLayout,
     SparseSlab,
     compress_slab,
-    fold_slabs,
 )
 from repro.utils.rng import spawn_rng
 
@@ -105,58 +103,6 @@ def stored_row(group, row):
 
 
 @given(data=st.data())
-@settings(max_examples=120, deadline=None)
-def test_fold_matches_sequential_pushes_bitwise(data):
-    """The fold contract: pushing fold(a, b) stores the same bits as
-    pushing a then b — for every stripe, presence pattern, and partition
-    split, including the closed-form reconstruction of absent features."""
-    layout = data.draw(layouts())
-    col_lo, col_hi = data.draw(stripes(layout))
-    a = data.draw(slabs(layout, col_lo, col_hi))
-    b = data.draw(slabs(layout, col_lo, col_hi))
-
-    sequential = make_group(layout)
-    sequential.push_slab("grad_hist", 0, a, seq=(0, 0))
-    sequential.push_slab("grad_hist", 0, b, seq=(0, 1))
-
-    folded_group = make_group(layout)
-    folded_group.push_slab("grad_hist", 0, fold_slabs(a, b, layout), seq=(0, 0))
-
-    np.testing.assert_array_equal(
-        stored_row(sequential, 0), stored_row(folded_group, 0)
-    )
-
-
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_fold_chain_matches_sequential_pushes(data):
-    """One window of k same-node deltas, folded left-to-right and pushed
-    once, stores the same bits as the k deltas pushed in sequence —
-    chained folding matches the server's left-fold association exactly."""
-    layout = data.draw(layouts())
-    col_lo, col_hi = data.draw(stripes(layout))
-    n_deltas = data.draw(st.integers(min_value=1, max_value=5))
-    deltas = [
-        data.draw(slabs(layout, col_lo, col_hi)) for _ in range(n_deltas)
-    ]
-
-    sequential = make_group(layout)
-    for token, slab in enumerate(deltas):
-        sequential.push_slab("grad_hist", 0, slab, seq=(0, token))
-
-    aggregator = LocalAggregator(n_deltas, layout)
-    for slab in deltas:
-        aggregator.add(0, slab)
-    index, entries = aggregator.drain()
-    folded_group = make_group(layout)
-    folded_group.push_window("grad_hist", entries, seq=(0, index, 0))
-
-    np.testing.assert_array_equal(
-        stored_row(sequential, 0), stored_row(folded_group, 0)
-    )
-
-
-@given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_windowed_pushes_match_per_delta_pushes(data):
     """A whole delta stream through the aggregator + push_window equals
@@ -180,7 +126,7 @@ def test_windowed_pushes_match_per_delta_pushes(data):
         direct.push_slab("grad_hist", node, slab, seq=(0, token))
 
     windowed = make_group(layout)
-    aggregator = LocalAggregator(window, layout)
+    aggregator = LocalAggregator(window)
     for node, slab in deltas:
         if aggregator.add(node, slab):
             index, entries = aggregator.drain()
@@ -198,18 +144,14 @@ def test_windowed_pushes_match_per_delta_pushes(data):
 @given(data=st.data(), bits=st.sampled_from(SUPPORTED_BITS))
 @settings(max_examples=60, deadline=None)
 def test_compressed_window_decode_is_deterministic(data, bits):
-    """fold → compress → decode is a pure function of the wire payload:
-    two servers receiving the same compressed window store identical
-    bits, whatever the bit-width."""
+    """compress → decode is a pure function of the wire payload: two
+    servers receiving the same compressed window store identical bits,
+    whatever the bit-width."""
     layout = data.draw(layouts())
     col_lo, col_hi = data.draw(stripes(layout))
-    a = data.draw(slabs(layout, col_lo, col_hi))
-    b = data.draw(slabs(layout, col_lo, col_hi))
-    folded = fold_slabs(a, b, layout)
+    slab = data.draw(slabs(layout, col_lo, col_hi))
     seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
-    wire = compress_slab(
-        folded, layout, bits, spawn_rng(seed, "lowprec", 0, 0, 0)
-    )
+    wire = compress_slab(slab, layout, bits, spawn_rng(seed, "lowprec", 0, 0, 0))
 
     first = make_group(layout)
     first.push_window("grad_hist", [(0, wire)], seq=(0, 0, 0))
@@ -221,7 +163,7 @@ def test_compressed_window_decode_is_deterministic(data, bits):
 @given(data=st.data(), bits=st.sampled_from(SUPPORTED_BITS))
 @settings(max_examples=60, deadline=None)
 def test_closed_form_mass_survives_compression_exactly(data, bits):
-    """A folded slab whose residual is zero (all mass in the zero-bucket
+    """A slab whose residual is zero (all mass in the zero-bucket
     closed form) compresses to an exactly-restoring payload: the codec
     moves only residuals, the header sums stay full-precision floats."""
     layout = data.draw(layouts())
@@ -270,7 +212,7 @@ def test_window_size_never_changes_stored_bits(data):
 
     def run(window):
         group = make_group(layout)
-        aggregator = LocalAggregator(window, layout)
+        aggregator = LocalAggregator(window)
         for node, slab in deltas:
             if aggregator.add(node, slab):
                 index, entries = aggregator.drain()
@@ -295,9 +237,9 @@ def test_window_size_never_changes_stored_bits(data):
 )
 def test_aggregator_window_accounting(window, n_deltas):
     """``add`` reports fullness exactly at multiples of the window and
-    ``drain`` numbers windows densely from zero."""
-    layout = SlabLayout(2, 3, np.zeros(2, dtype=np.int64))
-    aggregator = LocalAggregator(window, layout)
+    ``drain`` numbers windows densely from zero.  Nodes are distinct per
+    delta, the engine's shape."""
+    aggregator = LocalAggregator(window)
     empty = SparseSlab(
         col_lo=0,
         col_hi=2,
@@ -308,7 +250,7 @@ def test_aggregator_window_accounting(window, n_deltas):
     )
     drained = []
     for i in range(n_deltas):
-        full = aggregator.add(i % 3, empty)
+        full = aggregator.add(i, empty)
         assert full == (aggregator.pending >= window)
         if full:
             index, entries = aggregator.drain()

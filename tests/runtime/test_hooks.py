@@ -10,10 +10,8 @@ from repro.boosting.gbdt import GBDT
 from repro.boosting.multiclass import MulticlassGBDT
 from repro.runtime.hooks import (
     CallbackList,
-    PhaseAccountant,
     RecordingCallback,
     TrainerCallback,
-    as_callback_list,
 )
 
 N_TREES = 3
@@ -180,30 +178,7 @@ class TestSharedBoostingLoop:
         assert len(model.trees) <= len(trace.trace)
 
 
-class TestPhaseAccountant:
-    def test_matches_result_phases(self, tiny_dataset, config):
-        """An externally attached accountant reproduces the result's
-        phases dict — both are fed by the same stage charges."""
-        accountant = PhaseAccountant()
-        result = train_distributed(
-            "xgboost",
-            tiny_dataset,
-            ClusterConfig(2, 2),
-            config,
-            callbacks=[accountant],
-        )
-        assert accountant.phases == pytest.approx(result.phases)
-
-
 class TestCallbackPlumbing:
-    def test_as_callback_list_normalizes(self):
-        single = RecordingCallback()
-        assert as_callback_list(None).callbacks == []
-        assert as_callback_list(single).callbacks == [single]
-        assert as_callback_list([single]).callbacks == [single]
-        existing = CallbackList([single])
-        assert as_callback_list(existing) is existing
-
     def test_dispatch_order(self):
         order: list[str] = []
 

@@ -26,6 +26,19 @@ class TestExports:
             "dimboost",
         )
 
+    @pytest.mark.parametrize(
+        "module,name",
+        [
+            ("repro.ps", "fold_slabs"),
+            ("repro.distributed", "SpeedWeightedScheduler"),
+            ("repro.runtime", "PhaseAccountant"),
+        ],
+    )
+    def test_removed_names_are_not_importable(self, module, name):
+        """Deleted, not deprecated: no run reached them outside tests."""
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
 
 class TestTrainConfig:
     def test_paper_defaults(self):
