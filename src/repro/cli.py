@@ -399,17 +399,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--agg-window",
         type=int,
         default=1,
-        help="histogram deltas folded locally into one windowed PS push "
-        "(requires --system; 1 = push per node; any value is "
-        "bit-identical)",
+        help="histogram deltas each worker buffers and sends as one "
+        "windowed PS push (requires --system; 1 = push per node; any "
+        "value is bit-identical)",
     )
     train.add_argument(
         "--staleness",
         type=int,
         default=0,
-        help="bounded-staleness bound S: workers may run up to S tree "
-        "layers ahead (requires --system; 0 = synchronous barriers, "
-        "bit-identical to default)",
+        help="bounded-staleness bound S: barrier seconds settle every S+1 "
+        "layers and leaf scores lag S trees (requires --system; 0 = "
+        "synchronous barriers, bit-identical to default)",
     )
     train.add_argument(
         "--speed-jitter",

@@ -70,18 +70,19 @@ class TrainConfig:
         checkpoint_every: Cadence (in completed boosting rounds) of the
             recovery checkpoints a faulted run can roll back to.
         agg_window: Local-aggregation window for distributed histogram
-            pushes: workers fold this many node deltas into one batched
-            PS message before communicating (Horovod's
+            pushes: workers buffer this many encoded node deltas and
+            send them as one batched PS message (Horovod's
             ``LocalGradientAggregationHelper`` applied to histogram
-            slabs).  1 (default) pushes every node delta immediately;
-            any value leaves the trained model bit-identical.
+            deltas; a window batches, it never adds deltas together).
+            1 (default) pushes every node delta immediately; any value
+            leaves the trained model bit-identical.
         staleness: Bounded-staleness bound ``S`` for layer barriers in
-            distributed training: workers may run up to ``S`` tree
-            layers ahead of the slowest peer, and barrier costs are
-            charged once per ``S + 1`` layers instead of per layer.
-            0 (default) keeps DimBoost's fully synchronous barrier and
-            is bit-identical to it; ``S >= 1`` trades bounded score
-            staleness for less barrier time.
+            distributed training.  No worker executes ahead of a peer;
+            barrier seconds settle once per ``S + 1`` layers instead of
+            per layer, and gradients see leaf scores that lag the newest
+            ``S`` trees.  0 (default) keeps DimBoost's fully synchronous
+            barrier and is bit-identical to it; ``S >= 1`` trades
+            bounded score staleness for less barrier time.
     """
 
     n_trees: int = 20

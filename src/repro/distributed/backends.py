@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
+from typing import Any
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from ..errors import TrainingError
 from ..ps.group import ParameterServerGroup
 from ..ps.localagg import LocalAggregator
 from ..ps.partitioner import Partition
-from ..ps.slab import CompressedSlab, SlabLayout, SparseSlab, compress_slab, slab_from_flat
+from ..ps.slab import CompressedSlab, SlabLayout, SparseSlab, compress_slab
 from ..runtime.phases import scale_by_speeds
 from ..sketch.candidates import CandidateSet
 from ..tree.split import SplitDecision, best_split_in_range, combine_shard_decisions
@@ -312,34 +313,24 @@ class WindowedPusher:
     applied to histogram deltas: a counter, a buffer, and the
     communication call they wrap.
 
-    With a window, each worker buffers its deltas in a
-    :class:`~repro.ps.localagg.LocalAggregator` and the cluster
-    communicates once per window.  Dense per-worker flats are wrapped in
-    *fully present* slabs (every feature carries its exact values) so
-    the closed-form header reconstruction never fires for them and the
-    stored bits match the dense push exactly; the 2-D grid path buffers
-    the engine's sparse slabs as-is.  One windowed push per worker
-    carries that worker's entries, encoded once before the partition
-    fan-out, under the token ``(tree, window_index, worker)``.  All
-    workers fill in lockstep (every node contributes one delta per
-    worker), so a full window flushes the whole cluster together and is
-    charged as one batched PS scatter — the latency term shrinks by the
-    window size while the volume terms keep the payload mass.
-
-    The one delta that is not buffered as a slab is the lossy *dense*
-    row (see :meth:`~repro.ps.group.ParameterServerGroup.encode_row`):
-    it is encoded at buffer time by the same call ``push_row`` makes,
-    and the window batches the pre-encoded pieces (``push_window_rows``)
-    — the S=0 bit-identity guarantee holds in every cell of the parity
-    matrix.
+    Every delta is encoded once, when it is produced, by the call its
+    W=1 push makes: a dense row by
+    :meth:`~repro.ps.group.ParameterServerGroup.encode_row`, a slab by
+    :meth:`_wire_slab`.  A window only batches delivery.  Each worker
+    buffers its encoded deltas in a
+    :class:`~repro.ps.localagg.LocalAggregator`, and one windowed push
+    per worker (``push_window_rows`` for rows, ``push_window`` for
+    slabs) carries them under the token ``(tree, window_index,
+    worker)``.  All workers fill in lockstep (every node contributes one
+    delta per worker), so a full window flushes the whole cluster
+    together and is charged as one batched PS scatter — the latency term
+    shrinks by the window size while the volume terms keep the payload
+    mass.
 
     Every lossy encode draws its rounding stream from :meth:`_rng`,
     keyed ``(tree, node, worker)`` — the key a rollback-replay
     re-derives — so retries, duplicates and replays move identical
-    payloads however delivery is scheduled.  A lossy encode keeps one
-    fixed-point scale per per-feature g/h histogram (``layout.n_bins``
-    values; Section 6.1's "the maximal absolute value in the
-    histogram").
+    payloads however delivery is scheduled.
     """
 
     def __init__(
@@ -357,23 +348,17 @@ class WindowedPusher:
         self.cost = cost
         self.layout = layout
         self.bits = compression_bits
-        self.block = layout.n_bins
         self.window = config.agg_window
         self._aggregators = [
             LocalAggregator(self.window)
             for _ in range(cluster.n_workers if self.window > 1 else 0)
         ]
-        self._all_features = np.arange(layout.n_features, dtype=np.int64)
+        #: How a buffered window travels, set by the entry point that
+        #: buffered it: the group call, and the bytes of exact node sums
+        #: each delta ships beside its payload.
+        self._push_window = group.push_window
+        self._sums_bytes = 0
         self.begin_tree(-1)
-
-    def _reset_pieces(self) -> None:
-        #: Per worker, the current window's pre-encoded dense pieces
-        #: ``(node, partition_id, values, wire_bytes)``; workers fill in
-        #: lockstep, so one delta count serves them all.
-        self._pieces: list[list[tuple[int, int, np.ndarray, int]]] = [
-            [] for _ in range(self.cluster.n_workers)
-        ]
-        self._piece_deltas = 0
 
     def begin_tree(self, tree_index: int) -> None:
         """Drop buffered deltas and rewind the window counters, so a chaos
@@ -381,8 +366,6 @@ class WindowedPusher:
         self._tree_index = tree_index
         for aggregator in self._aggregators:
             aggregator.reset()
-        self._reset_pieces()
-        self._piece_windows = 0
 
     def _rng(self, node: int, worker: int) -> np.random.Generator | None:
         """The codec's stochastic-rounding stream for one delta."""
@@ -397,9 +380,7 @@ class WindowedPusher:
         the partition fan-out, when the codec is on."""
         if not self.bits:
             return slab
-        return compress_slab(
-            slab, self.layout, self.bits, self._rng(node, worker), self.block
-        )
+        return compress_slab(slab, self.layout, self.bits, self._rng(node, worker))
 
     def _charge(self, pushed: list[int], clock: SimClock) -> None:
         """One batched PS scatter at the *actual* average wire bytes, so
@@ -415,6 +396,16 @@ class WindowedPusher:
             phase="FIND_SPLIT",
         )
 
+    def _buffer(
+        self, node: int, deltas: list[tuple[int, Any]], clock: SimClock
+    ) -> None:
+        """Buffer one node's encoded ``(worker, delta)`` pairs; flush
+        when the lockstep windows are full."""
+        for worker, delta in deltas:
+            self._aggregators[worker].add(node, delta)
+        if self._aggregators[0].full:
+            self.flush(clock)
+
     def push_flats(
         self, node: int, flats: list[np.ndarray], clock: SimClock
     ) -> list[int]:
@@ -424,6 +415,8 @@ class WindowedPusher:
         while a window is still filling).  A lossy delta also ships its
         two exact node sums: 8 bytes.
         """
+        self._push_window = self.group.push_window_rows
+        self._sums_bytes = 8 if self.bits else 0
         if self.window == 1:
             pushed = [
                 self.group.push_row(
@@ -432,43 +425,27 @@ class WindowedPusher:
                     flat,
                     compression_bits=self.bits,
                     rng=self._rng(node, worker),
-                    compression_block=self.block,
                     seq=(self._tree_index, worker),
                     worker=worker,
                 ).bytes_up
-                + (8 if self.bits else 0)
+                + self._sums_bytes
                 for worker, flat in enumerate(flats)
             ]
             self._charge(pushed, clock)
             return pushed
-        if self.bits:
-            for worker, flat in enumerate(flats):
-                self._pieces[worker].extend(
-                    (node, part.partition_id, piece, piece_bytes)
-                    for part, piece, piece_bytes in self.group.encode_row(
-                        GRAD_HIST,
-                        flat,
-                        self.bits,
-                        self._rng(node, worker),
-                        self.block,
-                    )
+        self._buffer(
+            node,
+            [
+                (
+                    worker,
+                    self.group.encode_row(
+                        GRAD_HIST, flat, self.bits, self._rng(node, worker)
+                    ),
                 )
-            self._piece_deltas += 1
-        else:
-            n_bins = self.layout.n_bins
-            # Every feature is listed, so the slab wraps ``flat`` as it is.
-            for aggregator, flat in zip(self._aggregators, flats):
-                slab = slab_from_flat(
-                    flat,
-                    self._all_features,
-                    0,
-                    self.layout.n_features,
-                    n_bins,
-                    float(flat[:n_bins].sum()),
-                    float(flat[n_bins : 2 * n_bins].sum()),
-                )
-                aggregator.add(node, slab)
-        self._flush_if_full(clock)
+                for worker, flat in enumerate(flats)
+            ],
+            clock,
+        )
         return []
 
     def push_slabs(
@@ -479,28 +456,28 @@ class WindowedPusher:
         histogram with the same addends as the dense row-sharded pushes."""
         if not slabs:
             raise TrainingError(f"node {node}: no slabs to aggregate")
+        self._push_window = self.group.push_window
+        self._sums_bytes = 0
+        wire = [
+            (block_id, self._wire_slab(node, block_id, slab))
+            for block_id, slab in slabs
+        ]
         if self.window == 1:
             self._charge(
                 [
                     self.group.push_slab(
                         GRAD_HIST,
                         node,
-                        self._wire_slab(node, block_id, slab),
+                        slab,
                         seq=(self._tree_index, block_id),
                         worker=block_id,
                     ).bytes_up
-                    for block_id, slab in slabs
+                    for block_id, slab in wire
                 ],
                 clock,
             )
             return
-        for block_id, slab in slabs:
-            self._aggregators[block_id].add(node, slab)
-        self._flush_if_full(clock)
-
-    def _flush_if_full(self, clock: SimClock) -> None:
-        if self._aggregators[0].full or self._piece_deltas >= self.window:
-            self.flush(clock)
+        self._buffer(node, wire, clock)
 
     def flush(self, clock: SimClock) -> None:
         """Push every worker's buffered window and charge one scatter.
@@ -511,31 +488,17 @@ class WindowedPusher:
         Nothing buffered (always so at ``agg_window == 1``) is a no-op.
         """
         pushed: list[int] = []
-        if self._piece_deltas:
-            for worker, pieces in enumerate(self._pieces):
-                stats = self.group.push_window_rows(
-                    GRAD_HIST,
-                    pieces,
-                    seq=(self._tree_index, self._piece_windows, worker),
-                    worker=worker,
-                )
-                pushed.append(stats.bytes_up + 8 * self._piece_deltas)
-            self._piece_windows += 1
-            self._reset_pieces()
         for worker, aggregator in enumerate(self._aggregators):
             if aggregator.pending == 0:
                 continue
             window_index, entries = aggregator.drain()
-            stats = self.group.push_window(
+            stats = self._push_window(
                 GRAD_HIST,
-                [
-                    (node, self._wire_slab(node, worker, slab))
-                    for node, slab in entries
-                ],
+                entries,
                 seq=(self._tree_index, window_index, worker),
                 worker=worker,
             )
-            pushed.append(stats.bytes_up)
+            pushed.append(stats.bytes_up + self._sums_bytes * len(entries))
         if pushed:
             self._charge(pushed, clock)
 

@@ -260,8 +260,9 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
 
         Raw scores plus the bounded-staleness pending queue: a rollback
         must replay from identical score state AND identical queued
-        deltas (partial windows re-fold from scratch, so they need no
-        snapshot of their own).
+        deltas (buffered push windows are dropped at tree start and
+        re-encoded by the replay, so they need no snapshot of their
+        own).
         """
         return (
             [raw.copy() for raw in self.raws],

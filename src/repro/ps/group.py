@@ -17,17 +17,12 @@ from typing import Any
 
 import numpy as np
 
-from ..compression.lowprec import (
-    compress_blocked,
-    compress_flat,
-    decompress_blocked,
-    decompress_flat,
-)
+from ..compression.lowprec import compress_blocked, decompress_blocked
 from ..errors import PSError
 from ..sketch.quantile import SketchBatch
 from .partitioner import Partition, VectorPartitioner
 from .server import PSServer, PullUDF
-from .slab import CompressedSlab, SlabLayout, SparseSlab, compress_slab
+from .slab import CompressedSlab, SlabLayout, SparseSlab
 
 
 @dataclass
@@ -152,6 +147,15 @@ class ParameterServerGroup:
         except KeyError as exc:
             raise PSError(f"parameter {name!r} not registered") from exc
 
+    def _layout(self, name: str) -> SlabLayout:
+        """The histogram layout ``name`` was registered with."""
+        layout = self._layouts.get(name)
+        if layout is None:
+            raise PSError(
+                f"parameter {name!r} was registered without a slab layout"
+            )
+        return layout
+
     # ------------------------------------------------------------------
     # push / pull
     # ------------------------------------------------------------------
@@ -162,7 +166,6 @@ class ParameterServerGroup:
         flat: np.ndarray,
         compression_bits: int = 0,
         rng: np.random.Generator | None = None,
-        compression_block: int | None = None,
     ) -> list[tuple[Partition, np.ndarray, int]]:
         """Slice a dense row by range and run each slice through the codec.
 
@@ -171,23 +174,19 @@ class ParameterServerGroup:
         the hosting server will add (the *decoded* slice when
         ``compression_bits > 0``, so the stored parameter accumulates
         the unbiased decoded values) and the bytes that slice costs on
-        the wire.  The codec is partition-scoped — every slice is
-        quantized on its own, and the stochastic-rounding stream ``rng``
-        is consumed in partition order — so dense lossy deltas can never
-        be folded before encoding without changing the stored bits.
-        Both dense delivery paths therefore encode here, per delta:
-        :meth:`push_row` delivers the slices at once, and a windowed
-        push (``agg_window > 1``) buffers them, tagged with their row,
-        for :meth:`push_window_rows`.  Either way a DimBoost worker
-        pushes its *pre-fold* histogram and records the exact node sums
-        for the split-time refold; only uncompressed windowed deltas
-        travel as (folded, fully present) slabs.
+        the wire.  A lossy encode keeps one fixed-point scale per
+        ``n_bins`` values — one per per-feature g- or h-histogram of the
+        registered :class:`SlabLayout` (Section 6.1's "the maximal
+        absolute value in the histogram") — and consumes the
+        stochastic-rounding stream ``rng`` in partition order.  Both
+        dense deliveries encode here, once per delta: :meth:`push_row`
+        sends the slices at once, and a windowed push (``agg_window >
+        1``) buffers the returned pieces for :meth:`push_window_rows`.
 
-        ``compression_block`` selects the scale granularity: None uses one
-        scale per range slice; a positive value gives every that-many
-        values their own scale (e.g. ``n_bins`` so each per-feature
-        histogram is scaled independently, the Section 6.1 reading of
-        "the maximal absolute value in the histogram").
+        Raises:
+            PSError: wrong row length, a lossy encode without ``rng``,
+                or a lossy encode of a parameter registered without a
+                layout (it has no scale block).
         """
         partitioner = self.partitioner(name)
         flat = np.asarray(flat, dtype=np.float64)
@@ -196,24 +195,20 @@ class ParameterServerGroup:
                 f"push_row to {name!r}: expected {partitioner.length} values, "
                 f"got {flat.shape}"
             )
-        if compression_bits and rng is None:
+        if not compression_bits:
+            return [
+                (part, flat[part.lo : part.hi], part.length * 4)
+                for part in partitioner.partitions
+            ]
+        if rng is None:
             raise PSError("compression requires an rng for stochastic rounding")
+        layout = self._layout(name)
         pieces: list[tuple[Partition, np.ndarray, int]] = []
         for part in partitioner.partitions:
-            piece = flat[part.lo : part.hi]
-            if compression_bits and compression_block:
-                blocked = compress_blocked(
-                    piece, compression_block, compression_bits, rng
-                )
-                piece_bytes = blocked.wire_bytes
-                piece = decompress_blocked(blocked)
-            elif compression_bits:
-                compressed = compress_flat(piece, compression_bits, rng)
-                piece_bytes = compressed.wire_bytes
-                piece = decompress_flat(compressed)
-            else:
-                piece_bytes = piece.size * 4
-            pieces.append((part, piece, piece_bytes))
+            blocked = compress_blocked(
+                flat[part.lo : part.hi], layout.n_bins, compression_bits, rng
+            )
+            pieces.append((part, decompress_blocked(blocked), blocked.wire_bytes))
         return pieces
 
     def push_row(
@@ -223,7 +218,6 @@ class ParameterServerGroup:
         flat: np.ndarray,
         compression_bits: int = 0,
         rng: np.random.Generator | None = None,
-        compression_block: int | None = None,
         seq: object | None = None,
         worker: int | None = None,
     ) -> TransferStats:
@@ -231,8 +225,8 @@ class ParameterServerGroup:
 
         With ``compression_bits > 0`` each range slice is quantized by the
         Section 6.1 codec before "transmission" and decoded on the server
-        (:meth:`encode_row`, which also documents ``compression_block``),
-        so only the compressed bytes count on the wire.
+        (:meth:`encode_row`), so only the compressed bytes count on the
+        wire.
 
         ``seq`` is the idempotence token forwarded to
         :meth:`PSServer.handle_push`; required when a fault fabric is
@@ -243,7 +237,7 @@ class ParameterServerGroup:
         self._require_seq("push_row", seq)
         stats = TransferStats()
         for part, piece, piece_bytes in self.encode_row(
-            name, flat, compression_bits, rng, compression_block
+            name, flat, compression_bits, rng
         ):
             server = self.servers[part.server_id]
 
@@ -260,9 +254,6 @@ class ParameterServerGroup:
         name: str,
         row: int,
         slab: SparseSlab | CompressedSlab,
-        compression_bits: int = 0,
-        rng: np.random.Generator | None = None,
-        compression_block: int | None = None,
         seq: object | None = None,
         worker: int | None = None,
     ) -> TransferStats:
@@ -276,43 +267,25 @@ class ParameterServerGroup:
         range.  ``seq``/``worker`` follow the :meth:`push_row` contract
         (seq required under a fault fabric).
 
-        With ``compression_bits > 0`` the slab's value payload is
-        quantized *once* — before the fan-out to partitions, so the
-        stochastic-rounding stream does not depend on the partition
-        layout — and every overlapping range receives (and decodes) the
-        same :class:`CompressedSlab`, billed at the packed wire size.
-        ``compression_block`` follows the :meth:`encode_row` contract and
-        defaults to one scale per g- and per h-histogram.  A caller that
-        already holds the :class:`CompressedSlab` passes it as ``slab``
-        with ``compression_bits`` left at 0.
+        A lossy push hands in the :class:`CompressedSlab` that
+        :func:`~repro.ps.slab.compress_slab` made: quantized once, before
+        the fan-out, so every overlapping range receives (and decodes)
+        the same payload, billed at its packed wire size.
         """
         partitioner = self.partitioner(name)
-        layout = self._layouts.get(name)
-        if layout is None:
-            raise PSError(
-                f"parameter {name!r} was registered without a slab layout"
-            )
+        layout = self._layout(name)
         self._require_seq("push_slab", seq)
-        if compression_bits and rng is None:
-            raise PSError("compression requires an rng for stochastic rounding")
-        wire_slab: SparseSlab | CompressedSlab = slab
-        if compression_bits:
-            wire_slab = compress_slab(
-                slab, layout, compression_bits, rng, compression_block
-            )
         width = layout.feature_width
         stats = TransferStats()
         for part in partitioner.partitions_in_range(
             slab.col_lo * width, slab.col_hi * width
         ):
-            piece_bytes = wire_slab.wire_bytes_for(
-                part.lo // width, part.hi // width
-            )
+            piece_bytes = slab.wire_bytes_for(part.lo // width, part.hi // width)
             server = self.servers[part.server_id]
 
             def send(server=server, part=part):
                 return server.handle_push_slab(
-                    name, row, part.partition_id, wire_slab, seq=seq
+                    name, row, part.partition_id, slab, seq=seq
                 )
 
             self._push(stats, send, part.server_id, worker, piece_bytes)
@@ -346,11 +319,7 @@ class ParameterServerGroup:
         applies.
         """
         partitioner = self.partitioner(name)
-        layout = self._layouts.get(name)
-        if layout is None:
-            raise PSError(
-                f"parameter {name!r} was registered without a slab layout"
-            )
+        layout = self._layout(name)
         self._require_seq("push_window", seq)
         width = layout.feature_width
         stats = TransferStats()
@@ -379,43 +348,34 @@ class ParameterServerGroup:
     def push_window_rows(
         self,
         name: str,
-        entries: list[tuple[int, int, np.ndarray, int]],
+        entries: list[tuple[int, list[tuple[Partition, np.ndarray, int]]]],
         seq: object | None = None,
         worker: int | None = None,
     ) -> TransferStats:
-        """Push one window of pre-encoded dense row pieces.
+        """Push one window of encoded dense row deltas.
 
-        The lossy row codec is partition-scoped, so a windowed push of
-        compressed dense deltas cannot fold before encoding without
-        changing the stored bits (see :meth:`encode_row`).  Instead the
-        caller encodes every delta with :meth:`encode_row` — the very
-        call :meth:`push_row` makes — and hands the decoded pieces here:
-        ``entries`` is a list of ``(row, partition_id, values,
-        wire_bytes)`` tuples.  This method only batches delivery — one
-        message per server carries all of its pieces, applied in entry
-        order, so the stored floats and their addend order match the
-        per-delta pushes bit for bit while the window pays one latency
-        term per server.
+        ``entries`` is a list of ``(row, pieces)``, ``pieces`` exactly
+        what :meth:`encode_row` returned for that delta — the very call
+        :meth:`push_row` makes.  This method only batches delivery: one
+        message per server, in server-id order, carries all of its
+        pieces, applied in entry order, so the stored floats and their
+        addend order match the per-delta pushes bit for bit while the
+        window pays one latency term per server.  Each piece is billed
+        4 bytes of row id plus its wire bytes.
 
         ``seq``/``worker`` follow the :meth:`push_window` contract: the
         token must identify the window — ``(round, window, worker)`` —
         so a retried delivery deduplicates per ``(row, partition)``
         while later windows still apply.
         """
-        partitioner = self.partitioner(name)
+        self.partitioner(name)  # raises if unknown
         self._require_seq("push_window_rows", seq)
-        parts = {part.partition_id: part for part in partitioner.partitions}
         by_server: dict[int, list[tuple[int, int, np.ndarray, int]]] = {}
-        for row, partition_id, piece, piece_bytes in entries:
-            part = parts.get(partition_id)
-            if part is None:
-                raise PSError(
-                    f"push_window_rows to {name!r}: unknown partition "
-                    f"{partition_id}"
+        for row, pieces in entries:
+            for part, piece, piece_bytes in pieces:
+                by_server.setdefault(part.server_id, []).append(
+                    (row, part.partition_id, piece, piece_bytes)
                 )
-            by_server.setdefault(part.server_id, []).append(
-                (row, partition_id, piece, piece_bytes)
-            )
         stats = TransferStats()
         for server_id in sorted(by_server):
             share = by_server[server_id]

@@ -5,11 +5,13 @@ layer pays the full per-message latency term ``(p - co) * alpha`` once
 per node.  Horovod's ``LocalGradientAggregationHelper`` shows the cure
 for the analogous problem in data-parallel SGD: accumulate gradients
 locally for ``k`` steps and communicate once.  This module is that
-helper for histogram slabs: a :class:`LocalAggregator` buffers node
-deltas worker-side across an *aggregation window* of
+helper for histogram deltas: a :class:`LocalAggregator` buffers encoded
+node deltas worker-side across an *aggregation window* of
 ``TrainConfig.agg_window`` deltas and hands back one batched payload,
 which the group pushes with a single windowed message per server
-partition (:meth:`repro.ps.group.ParameterServerGroup.push_window`).
+(:meth:`repro.ps.group.ParameterServerGroup.push_window` for slabs,
+:meth:`~repro.ps.group.ParameterServerGroup.push_window_rows` for dense
+row pieces).
 
 A window batches; it never folds.  Each worker contributes one delta
 per node per layer and windows never span layers, so a window holds at
@@ -19,14 +21,16 @@ would have added the same delta pushed on its own.
 
 from __future__ import annotations
 
+from typing import Any
+
 from ..errors import PSError
-from .slab import SparseSlab
 
 
 class LocalAggregator:
     """Worker-side delta accumulator with a fixed aggregation window.
 
-    ``add`` buffers one ``(node, slab)`` delta; once ``window`` deltas
+    ``add`` buffers one encoded ``(node, delta)`` — a wire slab, or the
+    pieces ``encode_row`` returned for a dense row; once ``window`` deltas
     have accumulated, the caller drains the buffer and pushes the
     entries as one windowed message.  Entries drain in insertion order
     so replayed rounds regenerate identical wire payloads and sequence
@@ -45,7 +49,7 @@ class LocalAggregator:
             raise PSError(f"aggregation window must be >= 1, got {window}")
         self.window = window
         self.windows_flushed = 0
-        self._entries: dict[int, SparseSlab] = {}
+        self._entries: dict[int, Any] = {}
 
     @property
     def pending(self) -> int:
@@ -56,7 +60,7 @@ class LocalAggregator:
     def full(self) -> bool:
         return len(self._entries) >= self.window
 
-    def add(self, node: int, slab: SparseSlab) -> bool:
+    def add(self, node: int, delta: Any) -> bool:
         """Buffer one node delta; returns True once the window is full.
 
         Raises:
@@ -70,10 +74,10 @@ class LocalAggregator:
                 f"node {node} already has a delta in window "
                 f"{self.windows_flushed}; a window holds one delta per node"
             )
-        self._entries[node] = slab
+        self._entries[node] = delta
         return self.full
 
-    def drain(self) -> tuple[int, list[tuple[int, SparseSlab]]]:
+    def drain(self) -> tuple[int, list[tuple[int, Any]]]:
         """Hand back ``(window_index, entries)`` and start a new window.
 
         Draining an empty buffer returns no entries and does *not*

@@ -83,12 +83,12 @@ class WorkerTimer:
 class StalenessLanes:
     """Deferred per-worker barrier accounting for bounded staleness.
 
-    With ``TrainConfig.staleness == S >= 1``, workers may run up to
-    ``S`` layers ahead of the slowest peer, so a layer's compute does
-    not cost the cluster ``max(worker seconds)`` immediately — each
-    worker keeps its own *lane* of accumulated (speed-scaled) seconds,
-    and only when the staleness bound forces a synchronization does the
-    cluster wait for the slowest lane.  :meth:`PhaseStage.barrier`
+    With ``TrainConfig.staleness == S >= 1``, a layer's compute does not
+    cost the cluster ``max(worker seconds)`` immediately.  No worker
+    executes ahead of a peer (each phase stage is still a barrier);
+    what is deferred is the bill: each worker keeps its own *lane* of
+    accumulated (speed-scaled) seconds, and every ``S + 1`` layers the
+    cluster pays the slowest lane.  :meth:`PhaseStage.barrier`
     routes per-worker seconds into the lanes instead of charging the
     clock; :meth:`layer_boundary` counts layers and triggers a
     :meth:`sync` every ``S + 1`` layers; the engine issues a final

@@ -353,17 +353,24 @@ class TestCompressedSlabTransport:
                 align=2 * self.K,
                 layout=layout,
             )
-            rng = np.random.default_rng(1) if compression_bits else None
-            stats = group.push_slab(
-                "grad",
-                0,
-                slab,
-                compression_bits=compression_bits,
-                rng=rng,
-            )
-            return stats.bytes_up
+            wire = slab
+            if compression_bits:
+                wire = compress_slab(
+                    slab, layout, compression_bits, np.random.default_rng(1)
+                )
+            return group.push_slab("grad", 0, wire).bytes_up
 
         assert billed(0) / billed(bits) >= floor
+
+    def test_push_slab_takes_no_codec_options(self):
+        """A lossy slab push hands in the compress_slab output; the push
+        itself only routes and bills."""
+        group = ParameterServerGroup(2)
+        group.register(
+            "grad", self.M * 2 * self.K, align=2 * self.K, layout=self.layout()
+        )
+        with pytest.raises(TypeError):
+            group.push_slab("grad", 0, self.make_slab(), compression_bits=8)
 
     def test_compressed_push_reconstructs_zero_folds_exactly(self):
         """Absent features and zero buckets carry the block's exact sums

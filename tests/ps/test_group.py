@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PSError
-from repro.ps import ParameterServerGroup
+from repro.ps import ParameterServerGroup, SlabLayout
 
 
 @pytest.fixture()
@@ -51,6 +51,15 @@ class TestPushPull:
 
 
 class TestCompression:
+    @pytest.fixture()
+    def group(self) -> ParameterServerGroup:
+        """``"hist"`` as 8 per-feature histograms of 4 bins: a lossy push
+        takes its scale block (one per 4 values) from the layout."""
+        g = ParameterServerGroup(n_servers=4)
+        layout = SlabLayout(8, 4, np.zeros(8, dtype=np.int64))
+        g.register("hist", row_length=64, align=8, layout=layout)
+        return g
+
     def test_compressed_push_approximates(self, group, rng):
         flat = rng.normal(size=64)
         group.push_row("hist", 0, flat, compression_bits=8, rng=rng)
@@ -75,6 +84,97 @@ class TestCompression:
         e8, _ = group.pull_row("hist", 4)
         e16, _ = group.pull_row("hist", 5)
         assert np.abs(e16 - flat).max() < np.abs(e8 - flat).max()
+
+    def test_lossy_encode_needs_a_layout(self, rng):
+        bare = ParameterServerGroup(n_servers=2)
+        bare.register("plain", row_length=64, align=8)
+        with pytest.raises(PSError, match="'plain'"):
+            bare.encode_row("plain", np.ones(64), compression_bits=8, rng=rng)
+        # Without the codec a layout is not needed.
+        pieces = bare.encode_row("plain", np.ones(64))
+        assert sum(piece_bytes for *_rest, piece_bytes in pieces) == 64 * 4
+
+    def test_one_scale_per_feature_histogram(self, group, rng):
+        flat = np.repeat([1.0, 1000.0], 32)
+        pieces = group.encode_row("hist", flat, compression_bits=8, rng=rng)
+        # 16 histograms of 4 values: 4 one-byte codes + one float32 scale.
+        assert sum(piece_bytes for *_rest, piece_bytes in pieces) == 16 * (4 + 4)
+        decoded = np.concatenate([piece for _part, piece, _bytes in pieces])
+        # Small histograms keep their own scale, not the row maximum's.
+        assert np.abs(decoded[:32] - 1.0).max() <= 1.0 / 127
+
+    def test_removed_codec_options_are_refused(self, group, rng):
+        with pytest.raises(TypeError):
+            group.push_row("hist", 0, np.ones(64), compression_block=20)
+        with pytest.raises(TypeError):
+            group.encode_row("hist", np.ones(64), 8, rng, 4)
+
+
+class TestPushWindowRows:
+    """The dense window seam: ``(row, pieces)`` entries, ``pieces``
+    exactly what ``encode_row`` returned."""
+
+    def test_one_message_per_server_in_server_order(self, group, rng):
+        entries = [
+            (row, group.encode_row("hist", rng.normal(size=64))) for row in (3, 1)
+        ]
+        delivered = []
+        for server in group.servers:
+            original = server.handle_push
+
+            def spy(name, row, partition_id, values, seq=None, _s=server, _o=original):
+                delivered.append((_s.server_id, row, partition_id))
+                return _o(name, row, partition_id, values, seq=seq)
+
+            server.handle_push = spy
+        stats = group.push_window_rows("hist", entries, seq=(0, 0, 0))
+        hosting = sorted(
+            {part.server_id for part in group.partitioner("hist").partitions}
+        )
+        assert stats.messages == len(hosting)
+        servers = [server_id for server_id, _row, _pid in delivered]
+        assert servers == sorted(servers)
+        # Each server applies its pieces in entry order: row 3, then row 1.
+        for server_id in hosting:
+            rows = [row for sid, row, _pid in delivered if sid == server_id]
+            assert rows == sorted(rows, reverse=True)
+
+    def test_billing_is_row_id_plus_piece_bytes(self, group, rng):
+        entries = [
+            (row, group.encode_row("hist", rng.normal(size=64))) for row in range(3)
+        ]
+        stats = group.push_window_rows("hist", entries, seq=(0, 0, 0))
+        n_pieces = sum(len(pieces) for _row, pieces in entries)
+        piece_bytes = sum(b for _row, pieces in entries for *_rest, b in pieces)
+        assert stats.bytes_up == 4 * n_pieces + piece_bytes
+        direct = ParameterServerGroup(n_servers=4)
+        direct.register("hist", row_length=64, align=8)
+        per_delta = sum(
+            direct.push_row(
+                "hist", row, np.concatenate([v for _p, v, _b in pieces])
+            ).bytes_up
+            for row, pieces in entries
+        )
+        assert stats.bytes_up == per_delta + 4 * n_pieces
+
+    def test_duplicate_delivery_is_deduplicated(self, group, rng):
+        flat = rng.normal(size=64)
+        entries = [(0, group.encode_row("hist", flat))]
+        group.push_window_rows("hist", entries, seq=(0, 0, 0))
+        group.push_window_rows("hist", entries, seq=(0, 0, 0))
+        pulled, _ = group.pull_row("hist", 0)
+        np.testing.assert_array_equal(pulled, flat)
+        # The next window's token applies.
+        group.push_window_rows("hist", entries, seq=(0, 1, 0))
+        pulled, _ = group.pull_row("hist", 0)
+        np.testing.assert_array_equal(pulled, flat + flat)
+
+    def test_fabric_requires_seq(self, rng):
+        faulty = ParameterServerGroup(n_servers=2, fabric=object())
+        faulty.register("hist", row_length=64, align=8)
+        entries = [(0, faulty.encode_row("hist", rng.normal(size=64)))]
+        with pytest.raises(PSError, match="seq"):
+            faulty.push_window_rows("hist", entries)
 
 
 class TestPullUDF:

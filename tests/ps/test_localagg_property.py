@@ -15,7 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.costmodel import CostParams
+from repro.cluster.simclock import SimClock
 from repro.compression.lowprec import SUPPORTED_BITS
+from repro.config import ClusterConfig, TrainConfig
+from repro.distributed.backends import WindowedPusher
 from repro.ps import (
     LocalAggregator,
     ParameterServerGroup,
@@ -229,6 +233,62 @@ def test_window_size_never_changes_stored_bits(data):
     assert first.keys() == second.keys()
     for node, flat in first.items():
         np.testing.assert_array_equal(flat, second[node])
+
+
+@given(
+    data=st.data(),
+    bits=st.sampled_from((0, *SUPPORTED_BITS)),
+    window=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_dense_windows_match_per_delta_row_pushes(data, bits, window):
+    """A windowed ``WindowedPusher`` stores the bits its per-delta
+    ``push_row`` deliveries (W=1) store, and bills their bytes plus 4
+    bytes of row id per piece — at every codec width, uncompressed
+    included."""
+    layout = data.draw(layouts())
+    n_servers = data.draw(st.integers(min_value=1, max_value=3))
+    n_workers = data.draw(st.integers(min_value=1, max_value=3))
+    n_nodes = data.draw(st.integers(min_value=1, max_value=6))
+    values = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    scale = 10.0 ** data.draw(st.integers(min_value=-6, max_value=6))
+    flats = [
+        [values.normal(size=layout.row_length) * scale for _w in range(n_workers)]
+        for _node in range(n_nodes)
+    ]
+
+    def run(agg_window):
+        group = make_group(layout, n_servers)
+        billed = {"push_row": 0, "push_window_rows": 0}
+        for name in billed:
+            push = getattr(group, name)
+
+            def counted(*args, _name=name, _push=push, **kwargs):
+                stats = _push(*args, **kwargs)
+                billed[_name] += stats.bytes_up
+                return stats
+
+            setattr(group, name, counted)
+        config = TrainConfig(compression_bits=bits, agg_window=agg_window)
+        cluster = ClusterConfig(n_workers=n_workers, n_servers=n_servers)
+        pusher = WindowedPusher(group, cluster, config, CostParams(), layout, bits)
+        pusher.begin_tree(0)
+        clock = SimClock()
+        for node, per_worker in enumerate(flats):
+            pusher.push_flats(node, per_worker, clock)
+        pusher.flush(clock)
+        return group, billed
+
+    direct, direct_billed = run(1)
+    windowed, windowed_billed = run(window)
+    n_pieces = n_nodes * n_workers * direct.partitioner("grad_hist").n_partitions
+    row_ids = 4 * n_pieces if window > 1 else 0
+    assert sum(windowed_billed.values()) == direct_billed["push_row"] + row_ids
+    assert direct_billed["push_window_rows"] == 0
+    for node in range(n_nodes):
+        np.testing.assert_array_equal(
+            stored_row(direct, node), stored_row(windowed, node)
+        )
 
 
 @given(
