@@ -113,9 +113,20 @@ class AggregationBackend(ABC):
 
     @abstractmethod
     def aggregate_node(
-        self, node: int, local_flats: list[np.ndarray], clock: SimClock
+        self,
+        node: int,
+        local_flats: list[np.ndarray],
+        clock: SimClock,
+        sums: list[tuple[float, float]] | None = None,
     ) -> None:
-        """Merge one node's per-worker flat histograms."""
+        """Merge one node's per-worker flat histograms.
+
+        ``sums`` holds each worker's exact node gradient sums ``(sum_g,
+        sum_h)`` in worker order — the floats the builder folded into
+        the zero buckets; a backend that pushes pre-fold histograms
+        needs them.  The flats are handed over: a backend may overwrite
+        them.
+        """
 
     def aggregate_node_slabs(
         self,
@@ -193,7 +204,7 @@ class _RootScanBackend(AggregationBackend):
         super().__init__(cluster, config, candidates)
         self._merged: dict[int, np.ndarray] = {}
 
-    def aggregate_node(self, node, local_flats, clock) -> None:
+    def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
         merged, stats = self._reduce(local_flats)
         clock.advance_comm(stats.sim_seconds, phase="FIND_SPLIT")
         self._merged[node] = merged
@@ -264,7 +275,7 @@ class LightGBMBackend(AggregationBackend):
                 f"(features={n_features}, workers={cluster.n_workers})"
             )
 
-    def aggregate_node(self, node, local_flats, clock) -> None:
+    def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
         owned, stats = reduce_scatter_halving(
             local_flats, self.cost, align=2 * self.n_bins
         )
@@ -556,7 +567,7 @@ class TencentBoostBackend(_PSBackend):
     name = "tencentboost"
     build_mode = "dense"
 
-    def aggregate_node(self, node, local_flats, clock) -> None:
+    def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
         self.pusher.push_flats(node, local_flats, clock)
 
     def find_splits(self, nodes, feature_valid, clock):
@@ -594,6 +605,8 @@ class DimBoostBackend(_PSBackend):
     when compression is on, workers push the *pre-fold* histogram (all
     buckets small, high SNR) plus the two exact sums, and the zero
     buckets are re-folded from the aggregated node totals at split time.
+    The sums are the builder's own, so a feature the node never touched
+    unfolds to exact zeros and the push ships only its presence bit.
     With compression off the folded histogram is pushed directly, which
     keeps bit-identical parity with the other backends.
 
@@ -641,18 +654,20 @@ class DimBoostBackend(_PSBackend):
         super().begin_tree(tree_index)
         self._node_sums.clear()
 
-    def _unfold_zero_buckets(self, flat: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """Remove the Algorithm 2 zero-bucket fold from a local histogram.
+    def _unfold_zero_buckets(
+        self, flat: np.ndarray, sum_g: float, sum_h: float
+    ) -> None:
+        """Remove the Algorithm 2 zero-bucket fold from a local histogram,
+        in place.
 
-        Returns (pre-fold flat copy, sum_g, sum_h); the sums travel as two
-        exact floats alongside the compressed payload.
+        ``sum_g`` / ``sum_h`` are the builder's exact node sums — the very
+        floats it folded in — so a feature with no nonzero in the node
+        unfolds to exact zeros, which the push then leaves off the wire
+        (:meth:`~repro.ps.group.ParameterServerGroup.encode_row`).  The
+        sums travel as two exact floats alongside the compressed payload.
         """
-        sum_g = float(flat[: self.n_bins].sum())  # any feature row's total
-        sum_h = float(flat[self.n_bins : 2 * self.n_bins].sum())
-        unfolded = np.array(flat, dtype=np.float64, copy=True)
-        unfolded[self._zero_slots_g] -= sum_g
-        unfolded[self._zero_slots_h] -= sum_h
-        return unfolded, sum_g, sum_h
+        flat[self._zero_slots_g] -= sum_g
+        flat[self._zero_slots_h] -= sum_h
 
     def _fold_zero_buckets(
         self, flat: np.ndarray, lo: int, hi: int, sum_g: float, sum_h: float
@@ -667,16 +682,22 @@ class DimBoostBackend(_PSBackend):
         folded[self._zero_slots_h[f_lo:f_hi] - lo] += sum_h
         return folded
 
-    def aggregate_node(self, node, local_flats, clock) -> None:
+    def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
         if self.compression_bits:
             # Lossy pushes carry the pre-fold histogram plus two exact
             # sums (class docstring); the refold happens at split time.
-            parts = [self._unfold_zero_buckets(flat) for flat in local_flats]
-            local_flats = [flat for flat, _, _ in parts]
+            if sums is None or len(sums) != len(local_flats):
+                raise TrainingError(
+                    f"node {node}: a lossy push needs the exact node sums of "
+                    f"all {len(local_flats)} workers, got "
+                    f"{0 if sums is None else len(sums)}"
+                )
+            for flat, (sum_g, sum_h) in zip(local_flats, sums):
+                self._unfold_zero_buckets(flat, sum_g, sum_h)
             # Worker-order left folds from 0.0: the refold's exact addends.
             self._node_sums[node] = (
-                sum((sum_g for _, sum_g, _ in parts), 0.0),
-                sum((sum_h for _, _, sum_h in parts), 0.0),
+                sum((sum_g for sum_g, _ in sums), 0.0),
+                sum((sum_h for _, sum_h in sums), 0.0),
             )
         self.pusher.push_flats(node, local_flats, clock)
 

@@ -345,10 +345,13 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                         )
                         self.backend.aggregate_node_slabs(node, slabs, self.clock)
                     else:
-                        flats = self._build_node_histograms(
+                        flats, sums = self._build_node_histograms(
                             indexes, grads, hesses, node, timer
                         )
-                        self.backend.aggregate_node(node, flats, self.clock)
+                        self.backend.aggregate_node(node, flats, self.clock, sums)
+                        # Handed over: one node's 2KM floats per worker
+                        # must not live on through the next node's build.
+                        del flats
                 self._barrier_faults(timer)
                 stage.barrier(timer)
             with self.runner.stage(WorkerPhase.FIND_SPLIT, tree_index):
@@ -493,9 +496,11 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         hesses: list[np.ndarray],
         node: int,
         timer,
-    ) -> list[np.ndarray]:
-        """One node's local histograms, feature-major flat, per worker."""
-        flats = []
+    ) -> tuple[list[np.ndarray], list[tuple[float, float]]]:
+        """One node's local histograms, feature-major flat, per worker,
+        and each worker's exact node sums (:func:`_node_sums`)."""
+        flats: list[np.ndarray] = []
+        sums: list[tuple[float, float]] = []
         for wid, shard in enumerate(self.shards):
             self._site("histogram_build", wid, timer)
             rows = indexes[wid].rows_of(node)
@@ -504,7 +509,8 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
             )
             timer.add(wid, seconds)
             flats.append(histogram.to_flat_feature_major())
-        return flats
+            sums.append(_node_sums(rows, grads[wid], hesses[wid]))
+        return flats, sums
 
     def _build_node_slabs(
         self,
@@ -519,8 +525,8 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         Each block builds only its stripe's histogram and ships only the
         stripe features that have nonzeros among the node's rows — counted,
         not sorted: one unweighted ``bincount`` over the node's nonzeros,
-        O(nnz + M) like the build itself.  The gradient sums are
-        recomputed with the builder's exact expression so the server-side
+        O(nnz + M) like the build itself.  The gradient sums are the
+        builder's own (:func:`_node_sums`), so the server-side
         reconstruction of absent features is bitwise identical to the
         dense push.
         """
@@ -529,8 +535,7 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         for r in range(grid_rows):
             rows = indexes[r].rows_of(node)
             grad, hess = grads[r], hesses[r]
-            sum_g = float(grad[rows].sum())
-            sum_h = float(hess[rows].sum())
+            sum_g, sum_h = _node_sums(rows, grad, hess)
             for c in range(grid_cols):
                 wid = r * grid_cols + c
                 self._site("histogram_build", wid, timer)
@@ -560,6 +565,19 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                 )
                 slabs.append((wid, slab))
         return slabs
+
+
+def _node_sums(
+    rows: np.ndarray, grad: np.ndarray, hess: np.ndarray
+) -> tuple[float, float]:
+    """A node's exact gradient sums ``(sum_g, sum_h)`` over ``rows``.
+
+    The expression the sparse builder folds into every zero bucket
+    (Algorithm 2 lines 2-3), so its floats are bit for bit the ones the
+    histogram holds: both build paths ship them beside their deltas — a
+    slab in its header, a lossy dense row to subtract before encoding.
+    """
+    return float(grad[rows].sum()), float(hess[rows].sum())
 
 
 class DistributedGBDT:

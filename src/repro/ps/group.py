@@ -174,14 +174,22 @@ class ParameterServerGroup:
         the hosting server will add (the *decoded* slice when
         ``compression_bits > 0``, so the stored parameter accumulates
         the unbiased decoded values) and the bytes that slice costs on
-        the wire.  A lossy encode keeps one fixed-point scale per
-        ``n_bins`` values — one per per-feature g- or h-histogram of the
-        registered :class:`SlabLayout` (Section 6.1's "the maximal
-        absolute value in the histogram") — and consumes the
-        stochastic-rounding stream ``rng`` in partition order.  Both
-        dense deliveries encode here, once per delta: :meth:`push_row`
-        sends the slices at once, and a windowed push (``agg_window >
-        1``) buffers the returned pieces for :meth:`push_window_rows`.
+        the wire.  Both dense deliveries encode here, once per delta:
+        :meth:`push_row` sends the slices at once, and a windowed push
+        (``agg_window > 1``) buffers the returned pieces for
+        :meth:`push_window_rows`.
+
+        A lossy slice carries a presence bitmap, one bit per feature of
+        the registered :class:`SlabLayout`: a feature is present when
+        any of its ``2K`` values is nonzero.  Only the present features
+        are encoded — by ``compress_blocked`` over them, compacted in
+        feature order, with one fixed-point scale per ``n_bins`` values
+        (one per g- or h-histogram: Section 6.1's "the maximal absolute
+        value in the histogram") — so the stochastic-rounding stream
+        ``rng`` is drawn for present features only, in partition order.
+        An absent feature decodes to ``+0.0`` and costs its bit alone:
+        a slice is billed payload + present scales + ``ceil(F / 8)``
+        bitmap bytes for its ``F`` features.
 
         Raises:
             PSError: wrong row length, a lossy encode without ``rng``,
@@ -205,10 +213,17 @@ class ParameterServerGroup:
         layout = self._layout(name)
         pieces: list[tuple[Partition, np.ndarray, int]] = []
         for part in partitioner.partitions:
+            features = flat[part.lo : part.hi].reshape(-1, layout.feature_width)
+            present = np.flatnonzero((features != 0.0).any(axis=1))
             blocked = compress_blocked(
-                flat[part.lo : part.hi], layout.n_bins, compression_bits, rng
+                features[present].ravel(), layout.n_bins, compression_bits, rng
             )
-            pieces.append((part, decompress_blocked(blocked), blocked.wire_bytes))
+            decoded = np.zeros_like(features)
+            decoded[present] = decompress_blocked(blocked).reshape(
+                len(present), layout.feature_width
+            )
+            bitmap_bytes = -(-len(features) // 8)
+            pieces.append((part, decoded.ravel(), blocked.wire_bytes + bitmap_bytes))
         return pieces
 
     def push_row(

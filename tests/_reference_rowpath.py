@@ -23,6 +23,12 @@ frozen ``split_mask`` above uses that frozen ``concat_ranges``, and the
 frozen builder reaches its positions through it (``indptr`` gathers
 inlined) instead of ``shard.positions_of_rows``, so neither shares a loop
 with the rewrite.
+
+Appended last: the dense lossy loop of ``ParameterServerGroup.encode_row``
+(``repro.ps.group``) as it stood at ``c89872d``, before the per-feature
+presence bitmap — every feature of every partition slice encoded, absent
+or not.  It runs on the frozen codec above and takes the partition
+bounds as ``(lo, hi)`` pairs instead of the registered partitioner.
 """
 
 from __future__ import annotations
@@ -295,3 +301,25 @@ def sorted_columns(
     order = np.lexsort((data, indices))
     bounds = np.searchsorted(indices[order], np.arange(n_cols + 1))
     return order, data[order].astype(np.float64), bounds
+
+
+# ----------------------------------------------------------------------
+# ps/group.py
+# ----------------------------------------------------------------------
+
+
+def encode_row_lossy(
+    flat: np.ndarray,
+    bounds: list[tuple[int, int]],
+    n_bins: int,
+    bits: int,
+    rng: np.random.Generator,
+) -> list[tuple[np.ndarray, int]]:
+    """``(decoded slice, wire bytes)`` per partition ``(lo, hi)``, in order."""
+    flat = np.asarray(flat, dtype=np.float64)
+    pieces: list[tuple[np.ndarray, int]] = []
+    for lo, hi in bounds:
+        payload, scales = compress_blocked(flat[lo:hi], n_bins, bits, rng)
+        decoded = decompress_blocked(payload, scales, bits, hi - lo, n_bins)
+        pieces.append((decoded, payload.nbytes + scales.nbytes))
+    return pieces

@@ -41,6 +41,15 @@ def local_flats(candidates, w=4, seed=0):
     return flats
 
 
+def node_sums(flats, n_bins):
+    """Each flat's exact node sums ``(sum_g, sum_h)``: by the node
+    invariant, feature 0's g- and h-histogram totals."""
+    return [
+        (float(flat[:n_bins].sum()), float(flat[n_bins : 2 * n_bins].sum()))
+        for flat in flats
+    ]
+
+
 class TestAllBackendsAgree:
     def test_same_split_decisions(self, setup):
         """With exact aggregation, every system finds the same split."""
@@ -131,7 +140,12 @@ class TestDimBoostOptions:
             )
             backend.begin_tree(0)
             clock = SimClock()
-            backend.aggregate_node(0, [f.copy() for f in flats], clock)
+            backend.aggregate_node(
+                0,
+                [f.copy() for f in flats],
+                clock,
+                node_sums(flats, candidates.max_bins),
+            )
             comm[bits] = clock.communication
         assert comm[8] < comm[0]
 

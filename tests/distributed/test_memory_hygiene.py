@@ -57,7 +57,10 @@ class TestPSBackendsFreeRows:
         )
         backend.begin_tree(0)
         clock = SimClock()
-        backend.aggregate_node(0, make_flats(candidates), clock)
+        flats = make_flats(candidates)
+        k = candidates.max_bins
+        sums = [(float(f[:k].sum()), float(f[k : 2 * k].sum())) for f in flats]
+        backend.aggregate_node(0, flats, clock, sums)
         backend.find_splits([0], None, clock)
         assert backend.group.memory_bytes() == 0
 

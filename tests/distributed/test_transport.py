@@ -237,16 +237,19 @@ PIN_LAYOUTS = {
     "grid2x2": dict(n_workers=4, n_servers=2, grid=(2, 2)),
 }
 #: (layout, sketch_mode) -> (model sha256, breakdown.communication,
-#: sha256 of offsets + cuts + zero_bins)
+#: sha256 of offsets + cuts + zero_bins).  The row4x1 models and seconds
+#: were re-pinned when lossy dense pushes started subtracting the
+#: builder's exact node sums and leaving features with no nonzero off
+#: the wire (a deliberate model change); the candidate sets did not move.
 ENGINE_PINS = {
     ("row4x1", "distributed"): (
-        "8cf0075a500857176cee1d6a9f46f94ed7604ebbfa4ebfe4e15d38165f8bd1d2",
-        0.017867096,
+        "0ae2a664daae70bb2dad49746d5aeb4f0f6381b8f3dde736ec82b2d85da70340",
+        0.016839272,
         "44bc63b3f4e6cc67c7f1806c27d0f79f2f8e2a3e854074bc9652dc4ea0fbb7e3",
     ),
     ("row4x1", "weighted"): (
-        "8bc241414cca6bbe07c7126be6311bd736371439fdec2e14b6cea628951adab0",
-        0.019875031999999994,
+        "d933cccd424f89ca4169027e3797a4603becdf9c43edec34b618b669020a0856",
+        0.018850231999999998,
         "196916011a8d177c200a2f53fd362a13730e4e0f47743689b748e44af542bc4a",
     ),
     ("grid2x2", "distributed"): (

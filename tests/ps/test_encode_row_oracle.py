@@ -1,0 +1,121 @@
+"""``ParameterServerGroup.encode_row``'s lossy branch against its oracles.
+
+A lossy dense slice carries a per-feature presence bitmap and encodes
+only the features with a nonzero value, so two frozen references bound
+it (``tests/_reference_rowpath.py``):
+
+* ``compress_blocked`` run over the *compacted* present features of the
+  whole row, with the same generator — the present features must decode
+  to those floats bit for bit, and the generator must end where that one
+  draw leaves it;
+* the dense loop that encoded every feature — a row whose features are
+  all present must reproduce its decoded pieces bit for bit, and its
+  payload + scale bytes plus the bitmap.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ps import ParameterServerGroup, SlabLayout
+
+from .. import _reference_rowpath as ref
+
+VALUE_KINDS = ["sparse", "dense", "residue", "subnormal", "pm_max", "negzero"]
+
+
+@st.composite
+def lossy_rows(draw, all_present=False):
+    """``(group, flat, present mask, n_bins)``: a registered ``"hist"``
+    row of per-feature ``[g, h]`` histograms over 1-4 servers, each
+    feature absent (all ``2K`` values zero, ``-0.0`` included) or filled
+    with one of the value kinds a pre-fold histogram holds."""
+    n_bins = draw(st.sampled_from([1, 2, 3, 4, 10, 21]))
+    n_features = draw(st.integers(min_value=1, max_value=40))
+    n_servers = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    width = 2 * n_bins
+    rows = np.zeros((n_features, width))
+    present = np.zeros(n_features, dtype=bool)
+    for f in range(n_features):
+        if not all_present and draw(st.booleans()):
+            if draw(st.booleans()):
+                rows[f, rng.integers(width)] = -0.0
+            continue
+        kind = draw(st.sampled_from(VALUE_KINDS))
+        if kind == "sparse":
+            rows[f] = rng.normal(size=width) * (rng.random(width) < 0.3)
+        elif kind == "dense":
+            rows[f] = rng.normal(size=width) * 10.0 ** rng.integers(-8, 9)
+        elif kind == "residue":
+            pass  # the lone zero-bucket residue below
+        elif kind == "subnormal":
+            rows[f] = rng.integers(-3, 4, size=width) * 5e-324
+        elif kind == "pm_max":
+            top = float(rng.random() + 0.5)
+            rows[f] = rng.choice([top, -top, 0.0, top / 3], size=width)
+        elif kind == "negzero":
+            rows[f] = rng.choice([-0.0, 0.0], size=width)
+        if not rows[f].any():
+            rows[f, rng.integers(width)] = rng.choice([1e-17, -1e-17])
+        present[f] = True
+    group = ParameterServerGroup(n_servers)
+    layout = SlabLayout(n_features, n_bins, np.zeros(n_features, dtype=np.int64))
+    group.register("hist", n_features * width, align=width, layout=layout)
+    return group, rows.ravel(), present, n_bins
+
+
+@settings(max_examples=150, deadline=None)
+@given(lossy_rows(), st.sampled_from([2, 4, 8, 16]), st.integers(0, 2**31 - 1))
+def test_present_features_match_the_compacted_reference(drawn, bits, seed):
+    group, flat, present, n_bins = drawn
+    width = 2 * n_bins
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    pieces = group.encode_row("hist", flat, bits, rng)
+
+    decoded = np.concatenate([values for _part, values, _bytes in pieces])
+    by_feature = decoded.reshape(-1, width)
+    compacted = flat.reshape(-1, width)[present].ravel()
+    payload, scales = ref.compress_blocked(compacted, n_bins, bits, rng_ref)
+    expected = ref.decompress_blocked(payload, scales, bits, compacted.size, n_bins)
+    # Present features: the compacted reference, bit for bit (sign of
+    # zeros included).
+    assert by_feature[present].ravel().tobytes() == expected.tobytes()
+    # Absent features: +0.0, never -0.0.
+    absent = by_feature[~present]
+    assert not absent.any() and not np.signbit(absent).any()
+    # Dither is drawn for the present features only.
+    drawn_once = np.random.default_rng(seed)
+    drawn_once.random(int(present.sum()) * width)
+    assert rng.bit_generator.state == drawn_once.bit_generator.state
+    # Billed: packed payload + one float32 scale per block + the bitmap.
+    for part, values, piece_bytes in pieces:
+        n_part = part.length // width
+        n_present = int(present[part.lo // width : part.hi // width].sum())
+        assert values.shape == (part.length,)
+        assert piece_bytes == (
+            -(-n_present * width * bits // 8) + 2 * n_present * 4 + -(-n_part // 8)
+        )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lossy_rows(all_present=True),
+    st.sampled_from([2, 4, 8, 16]),
+    st.integers(0, 2**31 - 1),
+)
+def test_all_present_row_reproduces_the_dense_loop(drawn, bits, seed):
+    group, flat, present, n_bins = drawn
+    assert present.all()
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    pieces = group.encode_row("hist", flat, bits, rng)
+    bounds = [(part.lo, part.hi) for part, _values, _bytes in pieces]
+    reference = ref.encode_row_lossy(flat, bounds, n_bins, bits, rng_ref)
+    assert len(pieces) == len(reference)
+    for (part, values, piece_bytes), (ref_values, ref_bytes) in zip(pieces, reference):
+        assert values.tobytes() == ref_values.tobytes()
+        # The parent's payload + scale bytes, plus the presence bitmap.
+        assert piece_bytes == ref_bytes + -(-(part.length // (2 * n_bins)) // 8)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state

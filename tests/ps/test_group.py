@@ -97,8 +97,9 @@ class TestCompression:
     def test_one_scale_per_feature_histogram(self, group, rng):
         flat = np.repeat([1.0, 1000.0], 32)
         pieces = group.encode_row("hist", flat, compression_bits=8, rng=rng)
-        # 16 histograms of 4 values: 4 one-byte codes + one float32 scale.
-        assert sum(piece_bytes for *_rest, piece_bytes in pieces) == 16 * (4 + 4)
+        # 16 histograms of 4 values: 4 one-byte codes + one float32 scale;
+        # each of the 4 partitions adds one presence-bitmap byte (2 features).
+        assert sum(piece_bytes for *_rest, piece_bytes in pieces) == 16 * (4 + 4) + 4
         decoded = np.concatenate([piece for _part, piece, _bytes in pieces])
         # Small histograms keep their own scale, not the row maximum's.
         assert np.abs(decoded[:32] - 1.0).max() <= 1.0 / 127
