@@ -14,8 +14,8 @@ from the graph itself, RP007–RP010, live in
   bit-identity across runs and backends.
 * RP002 ``wall-clock-outside-seam`` — real-time reads live in the one
   clock seam, ``utils/timing.py``; everything else (phase accounting,
-  build strategies, the serving runtime) goes through its
-  ``wall_clock`` / ``Stopwatch``; stray ``time.*`` pairs produce
+  the engine, the serving runtime) goes through its ``wall_clock`` /
+  ``wall_clock_ns``; stray ``time.*`` pairs produce
   unphased seconds no report can attribute.  The seam modules come from
   the declared ``[tool.reprolint]`` contract, and a clock read is also
   permitted in any function transitively called only from seam modules.
@@ -205,7 +205,7 @@ class WallClockOutsideSeam(Rule):
                     ctx,
                     call,
                     f"{qualname}() outside the clock seam; "
-                    "use repro.utils.timing.wall_clock/Stopwatch so the "
+                    "use repro.utils.timing.wall_clock so the "
                     "read stays auditable and phase-attributable",
                 )
 

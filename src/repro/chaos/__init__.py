@@ -25,6 +25,7 @@ recovers produces a model **bit-identical** to the fault-free run.
 from __future__ import annotations
 
 from ..config import NetworkCost
+from ..runtime.phases import WorkerTimer
 from .fabric import FAULT_RECOVERY_PHASE, FaultyFabric, RetryPolicy
 from .injector import (
     COUNTER_KEYS,
@@ -69,7 +70,8 @@ class ChaosRuntime:
 
     Args:
         plan: The declarative fault plan.
-        clock: The run's ``SimClock``; all fault costs are charged here.
+        clock: The run's ``SimClock``; the fabric charges failed
+            deliveries here (straggler delays ride the stage timers).
         cost: Network cost model (wasted wire time of failed attempts).
         max_retries: Delivery retry budget (``RetryPolicy.max_retries``).
     """
@@ -83,7 +85,6 @@ class ChaosRuntime:
         max_retries: int = 3,
     ) -> None:
         self.plan = plan
-        self.clock = clock
         self.injector = FaultInjector(plan)
         self.policy = RetryPolicy(max_retries=max_retries)
         self.fabric = FaultyFabric(
@@ -99,22 +100,19 @@ class ChaosRuntime:
         """Arm the injector for a boosting round (or its replay)."""
         self.injector.begin_round(round_index)
 
-    def site_fault(self, point: str, *, worker: int, timer=None) -> SiteFault:
+    def site_fault(
+        self, point: str, *, worker: int, timer: WorkerTimer
+    ) -> SiteFault:
         """Fire an execution-site fault point for one worker occasion.
 
-        Straggler delays are added to the worker's lane on ``timer``
-        (so the phase barrier charges them like any slow worker) or, with
-        no timer, directly to the clock.  Crashes raise
-        :class:`InjectedCrash` for the recovery layer to catch.
+        Straggler delays are added to the worker's lane on ``timer``, so
+        the phase barrier charges them like any slow worker, under the
+        delayed phase's label.  Crashes raise :class:`InjectedCrash` for
+        the recovery layer to catch.
         """
         fault = self.injector.site_fault(point, worker=worker)
         if fault.delay_seconds > 0.0:
-            if timer is not None:
-                timer.add(worker, fault.delay_seconds)
-            else:
-                self.clock.advance_compute(
-                    fault.delay_seconds, phase=FAULT_RECOVERY_PHASE
-                )
+            timer.add(worker, fault.delay_seconds)
         if fault.crash_worker is not None:
             raise InjectedCrash(
                 fault.crash_worker, point, self.injector.round_index

@@ -4,9 +4,9 @@ A backend receives, node by node, the per-worker local gradient
 histograms in feature-major flat form, performs its system's aggregation
 (real data movement through :mod:`repro.cluster.collectives` or the
 parameter server), and later answers split queries for a whole layer —
-charging the simulated clock for every byte moved and every second of
-(measured) split-scan compute, attributed to the worker/server that would
-have performed it.
+charging the simulated clock for every byte moved, and recording every
+second of (measured) split-scan compute on the FIND_SPLIT stage's
+worker timer, attributed to the worker that would have performed it.
 
 With compression off, every backend produces bit-equal merged histograms
 (up to float summation order), so all five systems grow identical trees;
@@ -35,7 +35,7 @@ from ..ps.group import ParameterServerGroup
 from ..ps.localagg import LocalAggregator
 from ..ps.partitioner import Partition
 from ..ps.slab import CompressedSlab, SlabLayout, SparseSlab, compress_slab
-from ..runtime.phases import scale_by_speeds
+from ..runtime.phases import WorkerTimer
 from ..sketch.candidates import CandidateSet
 from ..tree.split import SplitDecision, best_split_in_range, combine_shard_decisions
 from ..utils.rng import spawn_rng
@@ -58,7 +58,7 @@ class AggregationBackend(ABC):
     Subclasses implement :meth:`aggregate_node` (merge one node's local
     histograms, charging communication) and :meth:`find_splits` (decide
     the splits of a whole layer, charging split-finding communication and
-    compute).
+    recording split-finding compute).
     """
 
     name: str = "abstract"
@@ -152,8 +152,14 @@ class AggregationBackend(ABC):
         nodes: list[int],
         feature_valid: np.ndarray | None,
         clock: SimClock,
+        timer: WorkerTimer,
     ) -> dict[int, SplitDecision | None]:
-        """Best split per node for an aggregated layer."""
+        """Best split per node for an aggregated layer.
+
+        Communication is charged on ``clock``; each worker's scan seconds
+        are recorded on ``timer``, the FIND_SPLIT stage's, whose barrier
+        charges them.
+        """
 
     def end_tree(self, clock: SimClock) -> None:
         """Release per-tree storage (default: nothing)."""
@@ -209,13 +215,14 @@ class _RootScanBackend(AggregationBackend):
         clock.advance_comm(stats.sim_seconds, phase="FIND_SPLIT")
         self._merged[node] = merged
 
-    def find_splits(self, nodes, feature_valid, clock):
+    def find_splits(self, nodes, feature_valid, clock, timer):
         decisions: dict[int, SplitDecision | None] = {}
-        started = wall_clock()
-        for node in nodes:
-            decisions[node] = self._scan_flat(self._merged.pop(node), feature_valid)
-        # One worker scans every node serially: no parallelism.
-        clock.advance_compute(wall_clock() - started, phase="FIND_SPLIT")
+        # The root (worker 0) scans every node serially: no parallelism.
+        with timer.measure(0):
+            for node in nodes:
+                decisions[node] = self._scan_flat(
+                    self._merged.pop(node), feature_valid
+                )
         self._charge_decision_broadcast(clock, len(nodes))
         return decisions
 
@@ -282,26 +289,21 @@ class LightGBMBackend(AggregationBackend):
         clock.advance_comm(stats.sim_seconds, phase="FIND_SPLIT")
         self._owned[node] = (owned, stats.segments)
 
-    def find_splits(self, nodes, feature_valid, clock):
-        per_worker_seconds = [0.0] * self.cluster.n_workers
+    def find_splits(self, nodes, feature_valid, clock, timer):
         decisions: dict[int, SplitDecision | None] = {}
         block = 2 * self.n_bins
         for node in nodes:
             owned, segments = self._owned.pop(node)
             shard_decisions: list[SplitDecision | None] = []
+            # Workers scan their ranges in parallel.
             for worker_id, (lo, hi) in segments.items():
-                started = wall_clock()
-                shard_decisions.append(
-                    self._scan_range(
-                        owned[worker_id], lo // block, hi // block, feature_valid
+                with timer.measure(worker_id):
+                    shard_decisions.append(
+                        self._scan_range(
+                            owned[worker_id], lo // block, hi // block, feature_valid
+                        )
                     )
-                )
-                per_worker_seconds[worker_id] += wall_clock() - started
             decisions[node] = combine_shard_decisions(shard_decisions)
-        # Workers scan their ranges in parallel; barrier on the slowest.
-        clock.barrier(
-            scale_by_speeds(per_worker_seconds, self.cluster), phase="FIND_SPLIT"
-        )
         # Allgather of the per-range optima: log w exchange steps of tiny
         # messages, as in the halving topology run backwards.
         clock.advance_comm(
@@ -570,12 +572,11 @@ class TencentBoostBackend(_PSBackend):
     def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
         self.pusher.push_flats(node, local_flats, clock)
 
-    def find_splits(self, nodes, feature_valid, clock):
+    def find_splits(self, nodes, feature_valid, clock, timer):
         # Drain partial windows: a layer boundary must see every delta.
         self.pusher.flush(clock)
         decisions: dict[int, SplitDecision | None] = {}
         p = self.cluster.n_servers
-        leader_seconds = 0.0
         leader = 0  # the paper's "leader worker" pulls and scans everything
         for node in nodes:
             flat, _stats = self.group.pull_row(GRAD_HIST, node, worker=leader)
@@ -584,11 +585,9 @@ class TencentBoostBackend(_PSBackend):
                 p * self.cost.alpha + self.flat_bytes * self.cost.beta,
                 phase="FIND_SPLIT",
             )
-            started = wall_clock()
-            decisions[node] = self._scan_flat(flat, feature_valid)
-            leader_seconds += wall_clock() - started
+            with timer.measure(leader):
+                decisions[node] = self._scan_flat(flat, feature_valid)
             self.group.clear_row(GRAD_HIST, node)
-        clock.advance_compute(leader_seconds, phase="FIND_SPLIT")
         self._charge_decision_broadcast(clock, len(nodes))
         return decisions
 
@@ -717,13 +716,12 @@ class DimBoostBackend(_PSBackend):
 
         return udf
 
-    def find_splits(self, nodes, feature_valid, clock):
+    def find_splits(self, nodes, feature_valid, clock, timer):
         # Drain partial windows: a layer boundary must see every delta,
         # so windows never span layers.
         self.pusher.flush(clock)
         assignment = self.scheduler.assign(nodes)
         decisions: dict[int, SplitDecision | None] = {}
-        per_worker_seconds = [0.0] * self.cluster.n_workers
         p = self.cluster.n_servers
 
         for worker_id, its_nodes in assignment.items():
@@ -739,14 +737,13 @@ class DimBoostBackend(_PSBackend):
                         result_bytes=DECISION_BYTES,
                         worker=worker_id,
                     )
-                    scan_wall = wall_clock() - started
-                    decisions[node] = combine_shard_decisions(
-                        [decision for _part, decision in results]
-                    )
                     # The p servers scan their ranges concurrently; the
                     # in-process wall time covers all of them, so one
                     # server's share is wall / p.
-                    per_worker_seconds[worker_id] += scan_wall / p
+                    timer.add(worker_id, (wall_clock() - started) / p)
+                    decisions[node] = combine_shard_decisions(
+                        [decision for _part, decision in results]
+                    )
                     comm_seconds += p * point_to_point_time(DECISION_BYTES, self.cost)
                 else:
                     flat, _stats = self.group.pull_row(
@@ -760,17 +757,13 @@ class DimBoostBackend(_PSBackend):
                         flat = self._fold_zero_buckets(
                             flat, 0, self.flat_len, sums[0], sums[1]
                         )
-                    started = wall_clock()
-                    decisions[node] = self._scan_flat(flat, feature_valid)
-                    per_worker_seconds[worker_id] += wall_clock() - started
+                    with timer.measure(worker_id):
+                        decisions[node] = self._scan_flat(flat, feature_valid)
                 self.group.clear_row(GRAD_HIST, node)
             # Each worker's pulls serialize at its own NIC but run in
             # parallel across workers — fold into its compute lane so the
-            # barrier below models the round-robin balancing.
-            per_worker_seconds[worker_id] += comm_seconds
-        clock.barrier(
-            scale_by_speeds(per_worker_seconds, self.cluster), phase="FIND_SPLIT"
-        )
+            # stage barrier models the round-robin balancing.
+            timer.add(worker_id, comm_seconds)
         # Responsible workers push results to the PS; everyone pulls them.
         w = self.cluster.n_workers
         clock.advance_comm(

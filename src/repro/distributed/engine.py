@@ -57,7 +57,7 @@ from ..runtime.hooks import (
     TrainerCallback,
 )
 from ..runtime.loop import BoostingLoop, TreeGrowthStrategy
-from ..runtime.phases import PhaseRunner, StalenessLanes, scale_by_speeds
+from ..runtime.phases import PhaseRunner, StalenessLanes, WorkerTimer
 from ..sketch.candidates import (
     CandidateSet,
     propose_candidates,
@@ -66,7 +66,7 @@ from ..sketch.candidates import (
 from ..sketch.quantile import sketch_columns, sketch_columns_weighted
 from ..tree.split import SplitDecision, leaf_weight
 from ..tree.tree import RegressionTree
-from ..utils.timing import Stopwatch, TimeBreakdown
+from ..utils.timing import TimeBreakdown, wall_clock
 from .plan import RunPlan
 
 #: Approximate wire weight of one quantile-sketch entry (value + rank
@@ -216,17 +216,17 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         self.col_boundaries = np.asarray(run.col_boundaries, dtype=np.int64)
         # Pre-bucketize every block (part of loading/ETL; measured).  A
         # block bins against its stripe's candidate slice, so stripe-local
-        # bucket ids equal the global ones feature for feature.
-        etl = Stopwatch()
-        with etl:
-            if run.blocks is not None:
-                self.shards = [
-                    BinnedShard(b.data.X, candidates.feature_range(b.col_lo, b.col_hi))
-                    for b in run.blocks
-                ]
-            else:
-                self.shards = [BinnedShard(s.X, candidates) for s in run.shards_data]
-        self.loading = run.loading + etl.total / self.cluster.n_workers
+        # bucket ids equal the global ones feature for feature.  Loading
+        # is not a barrier: the ETL seconds are spread over the workers.
+        started = wall_clock()
+        if run.blocks is not None:
+            self.shards = [
+                BinnedShard(b.data.X, candidates.feature_range(b.col_lo, b.col_hi))
+                for b in run.blocks
+            ]
+        else:
+            self.shards = [BinnedShard(s.X, candidates) for s in run.shards_data]
+        self.loading = run.loading + (wall_clock() - started) / self.cluster.n_workers
         # Per-grid-row training state: the C blocks of a row band share it.
         self.base_score = self.loss.base_score(train.y, train.weights)
         self.labels = [np.asarray(s.y, dtype=np.float64) for s in run.shards_data]
@@ -243,12 +243,12 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         #: ``staleness`` trees; S=0 applies immediately (synchronous).
         self._pending_updates: list[tuple[int, list[np.ndarray]]] = []
 
-    def _site(self, point: str, worker: int, timer=None) -> None:
+    def _site(self, point: str, worker: int, timer: WorkerTimer) -> None:
         """Fire an execution-site fault point (no-op without chaos)."""
         if self.chaos is not None:
             self.chaos.site_fault(point, worker=worker, timer=timer)
 
-    def _barrier_faults(self, timer=None) -> None:
+    def _barrier_faults(self, timer: WorkerTimer) -> None:
         """Every worker arrives at a stage barrier, in id order."""
         if self.chaos is not None:
             for wid in range(self.cluster.n_workers):
@@ -297,14 +297,11 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
             for r, (y, raw, w) in enumerate(
                 zip(self.labels, self.raws, self.weights)
             ):
-                sw = Stopwatch()
-                with sw:
-                    g, h = self.loss.gradients(y, raw, w)
                 # Every block of the grid row recomputes the row band's
                 # gradients from its replicated labels/scores, so each is
                 # charged the measured seconds.
-                for c in range(grid_cols):
-                    timer.add(r * grid_cols + c, sw.total)
+                with timer.measure(*range(r * grid_cols, (r + 1) * grid_cols)):
+                    g, h = self.loss.gradients(y, raw, w)
                 grads.append(g)
                 hesses.append(h)
             self._barrier_faults(timer)
@@ -354,9 +351,13 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                         del flats
                 self._barrier_faults(timer)
                 stage.barrier(timer)
-            with self.runner.stage(WorkerPhase.FIND_SPLIT, tree_index):
-                decisions = self.backend.find_splits(active, feature_valid, self.clock)
-                self._barrier_faults()
+            with self.runner.stage(WorkerPhase.FIND_SPLIT, tree_index) as stage:
+                timer = stage.worker_timer()
+                decisions = self.backend.find_splits(
+                    active, feature_valid, self.clock, timer
+                )
+                self._barrier_faults(timer)
+                stage.barrier(timer)
             active = self._split_layer(
                 tree_index, tree, active, decisions, node_totals, indexes
             )
@@ -504,10 +505,10 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         for wid, shard in enumerate(self.shards):
             self._site("histogram_build", wid, timer)
             rows = indexes[wid].rows_of(node)
-            histogram, seconds = self.build_strategy.build(
-                shard, rows, grads[wid], hesses[wid]
-            )
-            timer.add(wid, seconds)
+            with timer.measure(wid):
+                histogram = self.build_strategy.build(
+                    shard, rows, grads[wid], hesses[wid]
+                )
             flats.append(histogram.to_flat_feature_major())
             sums.append(_node_sums(rows, grads[wid], hesses[wid]))
         return flats, sums
@@ -540,10 +541,8 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                 wid = r * grid_cols + c
                 self._site("histogram_build", wid, timer)
                 shard = self.shards[wid]
-                histogram, seconds = self.build_strategy.build(
-                    shard, rows, grad, hess
-                )
-                timer.add(wid, seconds)
+                with timer.measure(wid):
+                    histogram = self.build_strategy.build(shard, rows, grad, hess)
                 present = np.flatnonzero(
                     np.bincount(
                         shard.features[shard.positions_of_rows(rows)],
@@ -690,8 +689,10 @@ class DistributedGBDT:
 
     def _sketch(self, run: _FitRun) -> None:
         """CREATE_SKETCH + PULL_SKETCH: the candidates workers bin against."""
-        with run.runner.stage(WorkerPhase.CREATE_SKETCH):
-            run.candidates, sketch_bytes = self._propose_candidates(run)
+        with run.runner.stage(WorkerPhase.CREATE_SKETCH) as stage:
+            timer = stage.worker_timer()
+            run.candidates, sketch_bytes = self._propose_candidates(run, timer)
+            stage.barrier(timer)
         with run.runner.stage(WorkerPhase.PULL_SKETCH) as stage:
             # Pull of the merged sketches by every worker.
             stage.charge_comm(
@@ -763,7 +764,9 @@ class DistributedGBDT:
     # setup
     # ------------------------------------------------------------------
 
-    def _propose_candidates(self, run: _FitRun) -> tuple[CandidateSet, float]:
+    def _propose_candidates(
+        self, run: _FitRun, timer: WorkerTimer
+    ) -> tuple[CandidateSet, float]:
         """Candidate proposal with the sketch *push* charged.
 
         Returns the candidates plus the sketch wire bytes the PULL_SKETCH
@@ -771,11 +774,12 @@ class DistributedGBDT:
         quantiles in the driver and charges the modelled summary size for
         the widest per-worker feature range (the whole row when C == 1,
         the widest stripe otherwise); the other modes merge real
-        per-worker summaries on the servers.
+        per-worker summaries on the servers, recording each worker's
+        sketching seconds on ``timer``.
         """
         config, train = self.config, run.train
         if self.plan.sketch_mode != "exact":
-            return self._merge_worker_sketches(run)
+            return self._merge_worker_sketches(run, timer)
         entries_per_sketch = int(1.0 / (2.0 * config.sketch_eps)) + 2
         per_push_features = (
             max(b.n_cols for b in run.blocks)
@@ -788,7 +792,9 @@ class DistributedGBDT:
         )
         return propose_candidates(train.X, config.n_split_candidates), sketch_bytes
 
-    def _merge_worker_sketches(self, run: _FitRun) -> tuple[CandidateSet, float]:
+    def _merge_worker_sketches(
+        self, run: _FitRun, timer: WorkerTimer
+    ) -> tuple[CandidateSet, float]:
         """The ``"distributed"`` / ``"weighted"`` CREATE_SKETCH path.
 
         Every worker summarizes the features it holds into one ragged
@@ -810,11 +816,9 @@ class DistributedGBDT:
             units = [(s.X, 0, s.n_features, s.weights) for s in run.shards_data]
         else:
             units = [(b.data.X, b.col_lo, b.n_cols, b.data.weights) for b in run.blocks]
-        per_worker_seconds = [0.0] * len(units)
         per_worker_bytes = [0] * len(units)
         for wid, (X, col_lo, n_cols, row_weights) in enumerate(units):
-            sw = Stopwatch()
-            with sw:
+            with timer.measure(wid):
                 if weighted:
                     weights_arr = (
                         np.asarray(row_weights, dtype=np.float64)
@@ -828,7 +832,6 @@ class DistributedGBDT:
                     local = sketch_columns(
                         X.indptr, X.indices, X.data, n_cols, eps=eps_local
                     )
-            per_worker_seconds[wid] = sw.total
             stats = group.push_sketch(
                 "sketch", local.shifted(col_lo), seq=("sketch", wid), worker=wid
             )
@@ -836,9 +839,6 @@ class DistributedGBDT:
         # Real wire accounting: what a worker's serialized sketches weigh.
         run.clock.advance_comm(
             self.plan.push_seconds(max(per_worker_bytes)), phase="CREATE_SKETCH"
-        )
-        run.clock.barrier(
-            scale_by_speeds(per_worker_seconds, cluster), phase="CREATE_SKETCH"
         )
         # Every stripe pushed every one of its columns (empty summaries
         # included), so the pull lists each feature exactly once.

@@ -7,11 +7,10 @@ One strategy object, chosen once per fit:
 * :class:`SparseBuildStrategy` — Algorithm 2's sparsity-aware build,
   O(zN + M) (DimBoost's C3 optimization).
 
-Every strategy returns ``(histogram, seconds)`` where ``seconds`` is
-the measured wall-clock a simulated worker is charged for the build, so
-the engine's phase barrier code does not branch on how the histogram
-was built.  Section 5.2's parallel batch construction is measured
-apart, by the Table 3 bench calling
+Every strategy returns the histogram; the engine times the call on
+the BUILD_HISTOGRAM stage's worker timer, so its barrier code does not
+branch on how the histogram was built.  Section 5.2's parallel batch
+construction is measured apart, by the Table 3 bench calling
 :func:`~repro.histogram.parallel.build_histogram_batched`.
 """
 
@@ -27,7 +26,6 @@ from ..histogram.builder import (
     build_node_histogram_sparse,
 )
 from ..histogram.histogram import GradientHistogram
-from ..utils.timing import wall_clock
 
 __all__ = [
     "HistogramBuildStrategy",
@@ -51,13 +49,8 @@ class HistogramBuildStrategy(ABC):
         rows: np.ndarray,
         grad: np.ndarray,
         hess: np.ndarray,
-    ) -> tuple[GradientHistogram, float]:
-        """Build one node histogram.
-
-        Returns:
-            ``(histogram, seconds)`` — the histogram plus the seconds a
-            simulated worker is charged for building it.
-        """
+    ) -> GradientHistogram:
+        """Build one node histogram."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -75,10 +68,8 @@ class DenseBuildStrategy(HistogramBuildStrategy):
         rows: np.ndarray,
         grad: np.ndarray,
         hess: np.ndarray,
-    ) -> tuple[GradientHistogram, float]:
-        started = wall_clock()
-        histogram = build_node_histogram_dense(shard, rows, grad, hess)
-        return histogram, wall_clock() - started
+    ) -> GradientHistogram:
+        return build_node_histogram_dense(shard, rows, grad, hess)
 
 
 class SparseBuildStrategy(HistogramBuildStrategy):
@@ -93,7 +84,5 @@ class SparseBuildStrategy(HistogramBuildStrategy):
         rows: np.ndarray,
         grad: np.ndarray,
         hess: np.ndarray,
-    ) -> tuple[GradientHistogram, float]:
-        started = wall_clock()
-        histogram = build_node_histogram_sparse(shard, rows, grad, hess)
-        return histogram, wall_clock() - started
+    ) -> GradientHistogram:
+        return build_node_histogram_sparse(shard, rows, grad, hess)

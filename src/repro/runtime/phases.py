@@ -8,6 +8,13 @@ charging the simulated clock.  :class:`PhaseRunner` and
 stage through the :mod:`~repro.runtime.hooks` spine so observers see
 phase boundaries without the engine knowing about them.
 
+:meth:`PhaseStage.barrier` is the one path by which measured compute
+reaches the simulated clock: the engine, the aggregation backends and
+straggler faults record per-worker seconds on the stage's
+:class:`WorkerTimer` and never charge compute themselves, so speed
+scaling, per-layer jitter and bounded-staleness deferral apply to every
+phase alike.
+
 Usage::
 
     runner = PhaseRunner(callbacks, master=master, clock=clock,
@@ -67,13 +74,20 @@ class WorkerTimer:
         self.seconds = [0.0] * n_workers
 
     @contextmanager
-    def measure(self, worker_id: int) -> Iterator[None]:
-        """Time a block of real kernel work on behalf of one worker."""
+    def measure(self, *worker_ids: int) -> Iterator[None]:
+        """Time a block of real kernel work on behalf of ``worker_ids``.
+
+        Several ids charge the one interval to each of them: work every
+        one of those workers repeats on replicated data (a grid row's
+        gradients).
+        """
         started = wall_clock()
         try:
             yield
         finally:
-            self.seconds[worker_id] += wall_clock() - started
+            elapsed = wall_clock() - started
+            for worker_id in worker_ids:
+                self.seconds[worker_id] += elapsed
 
     def add(self, worker_id: int, seconds: float) -> None:
         """Charge pre-measured (or simulated-span) seconds to a worker."""

@@ -112,8 +112,10 @@ def best_split_in_range(
         return None
     blocks = np.asarray(flat_slice, dtype=np.float64).reshape(n_features, 2, n_bins)
 
-    # Node totals: every feature row sums to the node totals; use the
-    # first feature that actually has candidates to avoid all-empty rows.
+    # Node totals: every feature row sums to the node totals; they are
+    # read off the slice's first feature (global feature ``f_lo``), so
+    # each partition of a split scan re-derives them from its own first
+    # row, equal to the exact totals up to summation rounding.
     total_grad = float(blocks[0, 0].sum())
     total_hess = float(blocks[0, 1].sum())
 

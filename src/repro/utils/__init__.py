@@ -1,6 +1,6 @@
 """Small shared utilities: seeded RNG helpers and wall-clock timers."""
 
 from .rng import spawn_rng
-from .timing import Stopwatch, TimeBreakdown, wall_clock
+from .timing import TimeBreakdown, wall_clock
 
-__all__ = ["spawn_rng", "Stopwatch", "TimeBreakdown", "wall_clock"]
+__all__ = ["spawn_rng", "TimeBreakdown", "wall_clock"]

@@ -2,7 +2,7 @@
 
 import time
 
-from repro.utils.timing import Stopwatch, wall_clock
+from repro.utils.timing import wall_clock
 
 
 def measure() -> float:
@@ -11,8 +11,9 @@ def measure() -> float:
     return wall_clock() - started
 
 
-def accumulate() -> float:
-    stopwatch = Stopwatch()
-    with stopwatch:
-        pass
-    return stopwatch.total
+def accumulate(steps: int) -> float:
+    total = 0.0
+    for _ in range(steps):
+        started = wall_clock()
+        total += wall_clock() - started
+    return total

@@ -11,6 +11,7 @@ from repro.distributed import BACKEND_NAMES, make_backend
 from repro.distributed.backends import DimBoostBackend
 from repro.errors import CommunicationError, TrainingError
 from repro.cluster.costmodel import CostParams, general_ps_push_time
+from tests.distributed import find_splits
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ class TestAllBackendsAgree:
             backend.begin_tree(0)
             clock = SimClock()
             backend.aggregate_node(0, [f.copy() for f in flats], clock)
-            result = backend.find_splits([0], None, clock)
+            result = find_splits(backend, [0], clock)
             decisions[name] = result[0]
         features = {d.feature for d in decisions.values() if d is not None}
         buckets = {d.bucket for d in decisions.values() if d is not None}
@@ -78,7 +79,7 @@ class TestAllBackendsAgree:
             backend.begin_tree(0)
             clock = SimClock()
             backend.aggregate_node(0, [f.copy() for f in flats], clock)
-            backend.find_splits([0], None, clock)
+            find_splits(backend, [0], clock)
             assert clock.time > 0, name
 
     def test_unknown_backend(self, setup):
@@ -103,7 +104,7 @@ class TestDimBoostOptions:
             backend.begin_tree(0)
             clock = SimClock()
             backend.aggregate_node(0, [f.copy() for f in flats], clock)
-            decisions.append(backend.find_splits([0], None, clock)[0])
+            decisions.append(find_splits(backend, [0], clock)[0])
         assert decisions[0].feature == decisions[1].feature
         assert decisions[0].bucket == decisions[1].bucket
         assert decisions[0].gain == pytest.approx(decisions[1].gain, rel=1e-12)
@@ -123,7 +124,7 @@ class TestDimBoostOptions:
             backend.begin_tree(0)
             clock = SimClock()
             backend.aggregate_node(0, [f.copy() for f in flats], clock)
-            backend.find_splits([0], None, clock)
+            find_splits(backend, [0], clock)
             times[two_phase] = clock.time
         assert times[True] < times[False]
 
@@ -168,7 +169,7 @@ class TestDimBoostOptions:
                     node, local_flats(candidates, seed=10 + node), clock
                 )
             before = clock.time
-            backend.find_splits(list(range(8)), None, clock)
+            find_splits(backend, list(range(8)), clock)
             times[use_scheduler] = clock.time - before
         assert times[True] < times[False]
 

@@ -15,6 +15,7 @@ from repro.distributed.engine import _node_sums
 from repro.errors import TrainingError
 from repro.histogram import BinnedShard, build_node_histogram_sparse
 from repro.sketch import propose_candidates
+from tests.distributed import find_splits
 
 
 @pytest.fixture(scope="module")
@@ -90,14 +91,14 @@ class TestFoldDeferral:
         exact_backend.begin_tree(0)
         clock = SimClock()
         exact_backend.aggregate_node(0, [f.copy() for f in flats], clock, sums)
-        exact = exact_backend.find_splits([0], None, clock)[0]
+        exact = find_splits(exact_backend, [0], clock)[0]
 
         lossy_backend = make_backend(
             "dimboost", cluster, config.with_overrides(compression_bits=8), candidates
         )
         lossy_backend.begin_tree(0)
         lossy_backend.aggregate_node(0, [f.copy() for f in flats], clock, sums)
-        lossy = lossy_backend.find_splits([0], None, clock)[0]
+        lossy = find_splits(lossy_backend, [0], clock)[0]
         assert exact is not None and lossy is not None
         assert lossy.feature == exact.feature
         assert lossy.gain == pytest.approx(exact.gain, rel=0.1)

@@ -14,6 +14,7 @@ from repro import ClusterConfig, TrainConfig
 from repro.cluster import SimClock
 from repro.distributed import make_backend
 from repro.sketch import propose_candidates
+from tests.distributed import find_splits
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ class TestPSBackendsFreeRows:
         for node in (0, 1, 2):
             backend.aggregate_node(node, make_flats(candidates, seed=node), clock)
         assert backend.group.memory_bytes() > 0
-        backend.find_splits([0, 1, 2], None, clock)
+        find_splits(backend, [0, 1, 2], clock)
         assert backend.group.memory_bytes() == 0
 
     def test_dimboost_compressed_rows_cleared(self, setup):
@@ -61,7 +62,7 @@ class TestPSBackendsFreeRows:
         k = candidates.max_bins
         sums = [(float(f[:k].sum()), float(f[k : 2 * k].sum())) for f in flats]
         backend.aggregate_node(0, flats, clock, sums)
-        backend.find_splits([0], None, clock)
+        find_splits(backend, [0], clock)
         assert backend.group.memory_bytes() == 0
 
 
@@ -75,7 +76,7 @@ class TestCollectiveBackendsFreeBuffers:
         for node in (0, 1):
             backend.aggregate_node(node, make_flats(candidates, seed=node), clock)
         assert len(backend._merged) == 2
-        backend.find_splits([0, 1], None, clock)
+        find_splits(backend, [0, 1], clock)
         assert len(backend._merged) == 0
 
     def test_lightgbm_owned_emptied(self, setup):
@@ -85,5 +86,5 @@ class TestCollectiveBackendsFreeBuffers:
         clock = SimClock()
         backend.aggregate_node(0, make_flats(candidates), clock)
         assert len(backend._owned) == 1
-        backend.find_splits([0], None, clock)
+        find_splits(backend, [0], clock)
         assert len(backend._owned) == 0

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.utils import Stopwatch, TimeBreakdown, spawn_rng
+from repro.utils import TimeBreakdown, spawn_rng
 
 
 class TestSpawnRng:
@@ -36,51 +36,35 @@ class TestSpawnRng:
         assert 0.0 <= rng.random() < 1.0
 
 
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            time.sleep(0.01)
-        first = sw.total
-        with sw:
-            time.sleep(0.01)
-        assert sw.total > first >= 0.01
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.total == 0.0
-
-    def test_exception_still_records(self):
-        sw = Stopwatch()
-        with pytest.raises(ValueError):
-            with sw:
-                time.sleep(0.005)
-                raise ValueError("boom")
-        assert sw.total >= 0.005
-
-
 class TestTimeBreakdown:
     def test_total(self):
         b = TimeBreakdown(loading=1.0, computation=2.0, communication=3.0)
         assert b.total == 6.0
-
-    def test_extra_counts_in_total(self):
-        b = TimeBreakdown(extra={"warmup": 0.5})
-        assert b.total == 0.5
-
-    def test_add_accumulates(self):
-        a = TimeBreakdown(loading=1.0, extra={"x": 1.0})
-        b = TimeBreakdown(loading=2.0, communication=1.0, extra={"x": 2.0, "y": 1.0})
-        a.add(b)
-        assert a.loading == 3.0
-        assert a.communication == 1.0
-        assert a.extra == {"x": 3.0, "y": 1.0}
 
     def test_as_dict(self):
         b = TimeBreakdown(loading=1.0, computation=2.0)
         d = b.as_dict()
         assert d["loading"] == 1.0
         assert d["total"] == 3.0
+        assert list(d) == ["loading", "computation", "communication", "total"]
+
+    def test_three_fields_only(self):
+        """Appendix A.2's three times and nothing else: no ``extra`` bag,
+        no in-place ``add``."""
+        assert [f.name for f in fields(TimeBreakdown)] == [
+            "loading",
+            "computation",
+            "communication",
+        ]
+        assert not hasattr(TimeBreakdown, "add")
+        with pytest.raises(TypeError):
+            TimeBreakdown(extra={"warmup": 0.5})
+
+
+def test_stopwatch_is_gone():
+    """Measured compute is timed by the phase stages' worker timers."""
+    import repro.utils
+    import repro.utils.timing
+
+    assert not hasattr(repro.utils, "Stopwatch")
+    assert not hasattr(repro.utils.timing, "Stopwatch")
