@@ -17,7 +17,7 @@ Quickstart::
     proba = model.predict(test.X)
 """
 
-from .config import ClusterConfig, NetworkCost, TrainConfig
+from .config import ClusterConfig, TrainConfig
 from .errors import (
     CommunicationError,
     ConfigError,
@@ -42,7 +42,6 @@ __version__ = "1.0.0"
 __all__ = [
     "TrainConfig",
     "ClusterConfig",
-    "NetworkCost",
     "ReproError",
     "ConfigError",
     "DataError",

@@ -24,7 +24,7 @@ recovers produces a model **bit-identical** to the fault-free run.
 
 from __future__ import annotations
 
-from ..config import NetworkCost
+from ..cluster.costmodel import CostParams
 from ..runtime.phases import WorkerTimer
 from .fabric import FAULT_RECOVERY_PHASE, FaultyFabric, RetryPolicy
 from .injector import (
@@ -81,14 +81,14 @@ class ChaosRuntime:
         plan: FaultPlan,
         *,
         clock,
-        cost: NetworkCost | None = None,
+        cost: CostParams | None = None,
         max_retries: int = 3,
     ) -> None:
         self.plan = plan
         self.injector = FaultInjector(plan)
         self.policy = RetryPolicy(max_retries=max_retries)
         self.fabric = FaultyFabric(
-            self.injector, clock, self.policy, cost or NetworkCost()
+            self.injector, clock, self.policy, cost or CostParams()
         )
 
     @property

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from ..config import NetworkCost
+from ..cluster.costmodel import CostParams
 from ..errors import ClusterFaultError, ConfigError
 from .injector import FaultInjector, InjectedCrash
 
@@ -72,7 +72,7 @@ class FaultyFabric:
         injector: FaultInjector,
         clock,
         policy: RetryPolicy,
-        cost: NetworkCost,
+        cost: CostParams,
     ) -> None:
         self.injector = injector
         self.clock = clock

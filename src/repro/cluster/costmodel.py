@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..errors import CommunicationError
+from ..errors import CommunicationError, ConfigError
 
 #: Names of the modelled systems in the paper's Table 1 order.
 SYSTEM_NAMES = ("mllib", "xgboost", "lightgbm", "dimboost")
@@ -31,12 +31,19 @@ SYSTEM_NAMES = ("mllib", "xgboost", "lightgbm", "dimboost")
 
 @dataclass(frozen=True)
 class CostParams:
-    """Cost constants; see :class:`repro.config.NetworkCost` for defaults.
+    """Per-message network cost constants of the Section 3 model
+    (``ClusterConfig.network``).
+
+    The time for one node to send or receive a package of ``n`` bytes is
+    ``alpha + n * beta``; merging ``n`` bytes of histograms costs
+    ``n * gamma``.  The defaults approximate the paper's 1 GbE cluster:
+    0.1 ms latency, ~8 ns/byte transfer (≈1 Gbit/s), 1 ns/byte merge.
 
     Attributes:
         alpha: Latency per package (seconds).
         beta: Transfer time per byte (seconds).
-        gamma: Merge time per byte (seconds).
+        gamma: Merge time per byte (seconds); a negative constant is a
+            ``ConfigError``, as in every ``ClusterConfig`` field.
     """
 
     alpha: float = 1e-4
@@ -44,11 +51,9 @@ class CostParams:
     gamma: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise CommunicationError(
-                f"cost constants must be >= 0, got "
-                f"alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}"
-            )
+        for name in ("alpha", "beta", "gamma"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def _check(w: int, h: float) -> None:

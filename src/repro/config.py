@@ -6,7 +6,8 @@ Two dataclasses are exposed:
   lists the defaults used in the evaluation; we keep the same names).
 * :class:`ClusterConfig` — shape of the simulated cluster: number of
   workers, number of parameter servers, and the alpha/beta/gamma network
-  cost constants of the Section 3 cost model.
+  cost constants of the Section 3 cost model (a
+  :class:`~repro.cluster.costmodel.CostParams`).
 
 Both validate eagerly in ``__post_init__`` and raise :class:`ConfigError`
 with a message naming the offending field.
@@ -17,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from .cluster.costmodel import CostParams
 from .errors import ConfigError
+
+__all__ = ["TrainConfig", "ClusterConfig"]
 
 #: Loss names accepted by :class:`TrainConfig`.
 SUPPORTED_LOSSES = ("logistic", "squared")
@@ -169,26 +173,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class NetworkCost:
-    """Per-message network cost constants of the Section 3 model.
-
-    The time for one node to send or receive a package of ``n`` bytes is
-    ``alpha + n * beta``; merging ``n`` bytes of histograms costs
-    ``n * gamma``.  The defaults approximate the paper's 1 GbE cluster:
-    0.1 ms latency, ~8 ns/byte transfer (≈1 Gbit/s), 1 ns/byte merge.
-    """
-
-    alpha: float = 1e-4
-    beta: float = 8e-9
-    gamma: float = 1e-9
-
-    def __post_init__(self) -> None:
-        _require(self.alpha >= 0.0, f"alpha must be >= 0, got {self.alpha}")
-        _require(self.beta >= 0.0, f"beta must be >= 0, got {self.beta}")
-        _require(self.gamma >= 0.0, f"gamma must be >= 0, got {self.gamma}")
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     """Shape of the simulated cluster.
 
@@ -225,7 +209,7 @@ class ClusterConfig:
 
     n_workers: int = 4
     n_servers: int = 4
-    network: NetworkCost = field(default_factory=NetworkCost)
+    network: CostParams = field(default_factory=CostParams)
     colocated: bool = True
     loading_bytes_per_second: float = 200e6
     worker_speeds: tuple[float, ...] | None = None

@@ -88,9 +88,7 @@ class AggregationBackend(ABC):
         self.cluster = cluster
         self.config = config
         self.candidates = candidates
-        self.cost = CostParams(
-            cluster.network.alpha, cluster.network.beta, cluster.network.gamma
-        )
+        self.cost = cluster.network
         self.n_bins = candidates.max_bins
         self.n_features = candidates.n_features
         self.flat_len = 2 * self.n_features * self.n_bins
@@ -796,10 +794,11 @@ def backend_class(system: str) -> type[AggregationBackend]:
 
 
 def backend_options(system: str) -> tuple[str, ...]:
-    """Keyword options a backend accepts beyond (cluster, config, candidates)."""
+    """Keyword options a backend accepts beyond (cluster, config, candidates)
+    and the chaos ``fabric``, which only ``RunPlan.make_backend`` wires in."""
     parameters = inspect.signature(backend_class(system).__init__).parameters
     return tuple(
         name
         for name in parameters
-        if name not in ("self", "cluster", "config", "candidates")
+        if name not in ("self", "cluster", "config", "candidates", "fabric")
     )

@@ -13,7 +13,9 @@ One engine drives all five systems through the per-layer core operation:
 
 The per-tree cycle itself lives in the shared
 :class:`~repro.runtime.loop.BoostingLoop`; this module contributes the
-cluster-specific :class:`~repro.runtime.loop.TreeGrowthStrategy`.  All
+cluster-specific :class:`~repro.runtime.loop.TreeGrowthStrategy`, one
+object per fit that runs every stage over the plan's R×C grid of
+row×feature blocks (row sharding is its C = 1 column).  All
 phase transitions, lockstep checks, and time attribution flow through
 :class:`~repro.runtime.phases.PhaseRunner` stages, and observability
 (per-phase seconds, per-round telemetry) is populated by callbacks on
@@ -30,7 +32,7 @@ See DESIGN.md for the substitution rationale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from ..cluster.collectives import point_to_point_time
 from ..cluster.simclock import LayerSpeedJitter, SimClock
 from ..config import ClusterConfig, TrainConfig
 from ..datasets.dataset import Dataset
-from ..datasets.partition import BlockPartitioner, DataBlock, GridSpec
+from ..datasets.partition import BlockPartitioner, GridSpec
 from ..histogram.binned import BinnedShard
 from ..histogram.histogram import GradientHistogram
 from ..histogram.index import NodeInstanceIndex
@@ -67,6 +69,7 @@ from ..sketch.quantile import sketch_columns, sketch_columns_weighted
 from ..tree.split import SplitDecision, leaf_weight
 from ..tree.tree import RegressionTree
 from ..utils.timing import TimeBreakdown, wall_clock
+from .backends import AggregationBackend
 from .plan import RunPlan
 
 #: Approximate wire weight of one quantile-sketch entry (value + rank
@@ -120,27 +123,77 @@ class DistributedResult:
         return self.breakdown.total
 
 
-class _FitRun:
-    """One fit's live machinery, built in one place, plus the stage hand-offs.
+class _GridFit(TreeGrowthStrategy):
+    """One fit, from loading to the model, over the plan's R×C grid.
 
-    The :class:`RunPlan` says *what* runs; this is the clock, phase
-    master, chaos runtime, hook stack and phase runner one ``fit`` runs it
-    *on*.  All of it dies with the fit — the plan holds none of it — which
-    is what lets one trainer ``fit`` twice.
+    Section 4.4's worker loop as stages on one object: construction is
+    *load* (DATA PARTITIONING), then :meth:`sketch` (CREATE_SKETCH,
+    PULL_SKETCH), :meth:`bin` (backend, build strategy, pre-bucketized
+    blocks), :meth:`boost` (NEW_TREE, BUILD_HISTOGRAM, FIND_SPLIT,
+    SPLIT_TREE per tree, through the shared loop and this object's
+    :class:`~repro.runtime.loop.TreeGrowthStrategy` methods) and
+    :meth:`finish` (FINISH).  The :class:`RunPlan` says *what* runs; the
+    clock, phase master, chaos runtime, hook stack and phase runner it
+    runs *on* live here and die with the fit, which is what lets one
+    trainer ``fit`` twice.
+
+    Worker ``r * C + c`` holds row band ``r`` × feature stripe ``c``.
+    Row sharding is the ``C == 1`` column: a full-range column slice
+    returns its input, so each block *is* its row band and bins against
+    the run's own :class:`CandidateSet`.  The C blocks of a grid row
+    share the band's labels, gradients and node index (replicated
+    compute, charged to every block).  Each block's node histogram goes
+    to the backend dense (:meth:`AggregationBackend.aggregate_node`)
+    when ``C == 1`` and as a sparse slab
+    (:meth:`AggregationBackend.aggregate_node_slabs`) when ``C > 1``.
     """
 
-    #: From the load stage: per-grid-row shards, the grid's blocks in
-    #: worker-id order (None when row-sharded: workers then hold whole
-    #: shards), stripe boundaries, loading seconds.  From sketch: candidates.
-    shards_data: list[Dataset]
-    blocks: list[DataBlock] | None
-    col_boundaries: np.ndarray
-    loading: float
-    candidates: CandidateSet
+    #: Set by :meth:`bin`.
+    backend: AggregationBackend
+    build_strategy: HistogramBuildStrategy
+    shards: list[BinnedShard]
 
     def __init__(self, plan: RunPlan, callbacks: Sequence, train: Dataset) -> None:
+        """The *load* stage: DATA PARTITIONING, loading, and every
+        data-dependent check — all before any callback fires.
+
+        Loading is charged as block bytes over the ingest rate, workers
+        loading in parallel (max block).
+
+        Raises:
+            DataError: The dataset cannot be cut into the plan's grid.
+            TrainingError: The backend cannot train on this shape.
+        """
         cluster, config = plan.cluster, plan.config
-        self.train = train
+        plan.backend_cls.check_data(cluster, train.n_features)
+        partitioner = BlockPartitioner(train, GridSpec(*plan.grid))
+        self.plan, self.cluster, self.config = plan, cluster, config
+        self.cost, self.grid, self.striped = plan.cost, plan.grid, plan.striped
+        self.train, self.n_features = train, train.n_features
+        #: The grid's blocks in worker-id order, and the stripe boundaries.
+        self.blocks = partitioner.blocks
+        self.col_boundaries = partitioner.col_boundaries
+        self.loading = (
+            max(b.data.X.nbytes for b in self.blocks) / cluster.loading_bytes_per_second
+        )
+        # Per-grid-row training state, read off the column-0 blocks: the
+        # C blocks of a row band share its label and weight views.
+        bands = [b.data for b in self.blocks[:: self.grid[1]]]
+        self.loss = get_loss(config.loss)
+        self.base_score = self.loss.base_score(train.y, train.weights)
+        self.labels = [np.asarray(d.y, dtype=np.float64) for d in bands]
+        self.weights = [d.weights for d in bands]
+        self.raws = [
+            np.full(d.n_instances, self.base_score, dtype=np.float64) for d in bands
+        ]
+        self._root_totals = (0.0, 0.0)
+        self._leaf_assignments: list[np.ndarray] = []
+        #: Bounded-staleness score queue: ``(tree_index, per-grid-row
+        #: deltas)`` waiting to be applied.  Round ``t`` applies entries
+        #: through ``t - staleness``, so gradients may lag the newest
+        #: ``staleness`` trees; S=0 applies immediately (synchronous).
+        self._pending_updates: list[tuple[int, list[np.ndarray]]] = []
+
         # Per-layer speed jitter (rotating stragglers) rides on the
         # clock so every parallel region — synchronous barriers and
         # deferred staleness lanes alike — prices compute with the same
@@ -184,64 +237,162 @@ class _FitRun:
             self.hooks, self.master, self.clock, cluster=cluster, lanes=self.lanes
         )
 
+    # ------------------------------------------------------------------
+    # stages
+    # ------------------------------------------------------------------
 
-class _ShardedGrowthStrategy(TreeGrowthStrategy):
-    """The distributed per-round operations behind the shared loop.
+    def sketch(self) -> CandidateSet:
+        """CREATE_SKETCH + PULL_SKETCH: the candidates workers bin against."""
+        with self.runner.stage(WorkerPhase.CREATE_SKETCH) as stage:
+            timer = stage.worker_timer()
+            candidates, sketch_bytes = self._propose_candidates(timer)
+            stage.barrier(timer)
+        with self.runner.stage(WorkerPhase.PULL_SKETCH) as stage:
+            # Pull of the merged sketches by every worker.
+            stage.charge_comm(
+                self.cluster.n_servers * self.cost.alpha + sketch_bytes * self.cost.beta
+            )
+        return candidates
 
-    Holds the per-block shard state (binned rows) and the per-grid-row
-    training state (labels, raw scores, node indexes) and executes each
-    phase of the Section 4.4 cycle inside a
-    :class:`~repro.runtime.phases.PhaseStage`, delegating histogram
-    aggregation and split finding to the system's backend.
+    def bin(self, candidates: CandidateSet) -> None:
+        """The backend, the build strategy and the pre-bucketized blocks.
 
-    The worker layout is the plan's R×C grid: worker ``r * C + c`` holds
-    row band ``r`` × feature stripe ``c``.  With ``C == 1`` — the plain
-    row sharding every pre-existing configuration uses — blocks and
-    grid rows coincide and the dense aggregation path runs unchanged.
-    With ``C > 1`` the C blocks of a grid row share the row band's
-    labels/gradients (replicated compute, charged to every block) and
-    aggregation goes through sparse slabs
-    (:meth:`AggregationBackend.aggregate_node_slabs`).
-    """
-
-    def __init__(self, plan: RunPlan, run: _FitRun) -> None:
-        train, candidates = run.train, run.candidates
-        self.plan, self.cluster, self.config = plan, plan.cluster, plan.config
-        self.cost, self.grid, self.striped = plan.cost, plan.grid, plan.striped
-        self.clock, self.runner, self.chaos = run.clock, run.runner, run.chaos
-        self.loss = get_loss(self.config.loss)
-        self.backend = plan.make_backend(candidates, fabric=run.fabric)
-        self.build_strategy = plan.make_build_strategy()
-        self.n_features = train.n_features
-        self.col_boundaries = np.asarray(run.col_boundaries, dtype=np.int64)
-        # Pre-bucketize every block (part of loading/ETL; measured).  A
-        # block bins against its stripe's candidate slice, so stripe-local
-        # bucket ids equal the global ones feature for feature.  Loading
-        # is not a barrier: the ETL seconds are spread over the workers.
+        Binning is part of loading/ETL and measured.  A block bins
+        against its stripe's candidate slice, so stripe-local bucket ids
+        equal the global ones feature for feature.  Loading is not a
+        barrier: the ETL seconds are spread over the workers.
+        """
+        self.backend = self.plan.make_backend(candidates, fabric=self.fabric)
+        self.build_strategy = self.plan.make_build_strategy()
         started = wall_clock()
-        if run.blocks is not None:
-            self.shards = [
-                BinnedShard(b.data.X, candidates.feature_range(b.col_lo, b.col_hi))
-                for b in run.blocks
-            ]
-        else:
-            self.shards = [BinnedShard(s.X, candidates) for s in run.shards_data]
-        self.loading = run.loading + (wall_clock() - started) / self.cluster.n_workers
-        # Per-grid-row training state: the C blocks of a row band share it.
-        self.base_score = self.loss.base_score(train.y, train.weights)
-        self.labels = [np.asarray(s.y, dtype=np.float64) for s in run.shards_data]
-        self.weights = [s.weights for s in run.shards_data]
-        self.raws = [
-            np.full(s.n_instances, self.base_score, dtype=np.float64)
-            for s in run.shards_data
+        self.shards = [
+            BinnedShard(b.data.X, candidates.feature_range(b.col_lo, b.col_hi))
+            for b in self.blocks
         ]
-        self._root_totals = (0.0, 0.0)
-        self._leaf_assignments: list[np.ndarray] = []
-        #: Bounded-staleness score queue: ``(tree_index, per-grid-row
-        #: deltas)`` waiting to be applied.  Round ``t`` applies entries
-        #: through ``t - staleness``, so gradients may lag the newest
-        #: ``staleness`` trees; S=0 applies immediately (synchronous).
-        self._pending_updates: list[tuple[int, list[np.ndarray]]] = []
+        self.loading += (wall_clock() - started) / self.cluster.n_workers
+
+    def boost(self) -> list:
+        """The boosting rounds (rollback-replay recovery under a fault plan)."""
+        recovery = None
+        if self.chaos is not None:
+            recovery = RoundRecovery(
+                capture=self.snapshot,
+                restore=self.restore,
+                master=self.master,
+                clock=self.clock,
+                injector=self.chaos.injector,
+                policy=self.chaos.policy,
+                checkpoint_every=self.config.checkpoint_every,
+                records=self.rounds,
+            )
+        return BoostingLoop(self, self.config, self.hooks, recovery=recovery).run()
+
+    def finish(self, trees: list) -> DistributedResult:
+        """Close the books and assemble the deliverable (FINISH)."""
+        clock = self.clock
+        if self.lanes is not None:
+            # Final staleness sync: whatever lane time the last (< S + 1)
+            # layers accumulated is paid before the fit's books close.
+            self.lanes.sync(clock)
+        with self.runner.stage(WorkerPhase.FINISH):
+            # FINISH assembles the deliverable: the model object plus its
+            # compiled flat form, so downstream evaluation (cmd_compare,
+            # tests) scores on the batched inference path immediately.
+            model = GBDTModel(
+                trees=trees,
+                base_score=self.base_score,
+                loss_name=self.config.loss,
+                n_features=self.n_features,
+            )
+            if trees:
+                model.compiled()
+        result = DistributedResult(
+            model=model,
+            system=self.plan.system,
+            breakdown=TimeBreakdown(
+                loading=self.loading,
+                computation=clock.computation,
+                communication=clock.communication,
+            ),
+            rounds=self.rounds,
+            # Rollbacks and lane syncs charge the clock between stages, so
+            # its per-label totals — not a sum of per-stage deltas — are
+            # the books.
+            phases=clock.by_phase(),
+            faults=self.fault_accountant.report() if self.fault_accountant else None,
+        )
+        self.hooks.on_fit_end(result)
+        return result
+
+    def _propose_candidates(self, timer: WorkerTimer) -> tuple[CandidateSet, float]:
+        """Candidate proposal with the sketch *push* charged.
+
+        Returns the candidates plus the sketch wire bytes the PULL_SKETCH
+        stage charges per worker.  The ``"exact"`` path computes global
+        quantiles centrally and charges the modelled summary size for
+        the widest block (the whole row when C == 1); the other modes
+        merge real per-worker summaries on the servers, recording each
+        worker's sketching seconds on ``timer``.
+        """
+        config = self.config
+        if self.plan.sketch_mode != "exact":
+            return self._merge_worker_sketches(timer)
+        entries_per_sketch = int(1.0 / (2.0 * config.sketch_eps)) + 2
+        per_push_features = max(b.n_cols for b in self.blocks)
+        sketch_bytes = per_push_features * entries_per_sketch * SKETCH_ENTRY_BYTES
+        self.clock.advance_comm(
+            self.plan.push_seconds(sketch_bytes), phase="CREATE_SKETCH"
+        )
+        return propose_candidates(self.train.X, config.n_split_candidates), sketch_bytes
+
+    def _merge_worker_sketches(self, timer: WorkerTimer) -> tuple[CandidateSet, float]:
+        """The ``"distributed"`` / ``"weighted"`` CREATE_SKETCH path.
+
+        Every block summarizes its stripe's columns into one ragged batch
+        and pushes it through a real :class:`ParameterServerGroup` (and
+        the fault fabric, when chaos is active) as one frame per
+        partition; the servers merge arrivals in delivery order.  Blocks
+        push in worker-id order, so every feature is merged down its
+        grid rows in increasing row order whatever C is, and candidates
+        are bit-identical across layouts.
+        """
+        config = self.config
+        weighted = self.plan.sketch_mode == "weighted"
+        eps_local = config.sketch_eps / 2.0
+        group = ParameterServerGroup(self.cluster.n_servers, fabric=self.fabric)
+        group.register("sketch", self.n_features)
+        per_worker_bytes = [0] * len(self.blocks)
+        for wid, block in enumerate(self.blocks):
+            X, n_cols, row_weights = block.data.X, block.n_cols, block.data.weights
+            with timer.measure(wid):
+                if weighted:
+                    weights_arr = (
+                        np.asarray(row_weights, dtype=np.float64)
+                        if row_weights is not None
+                        else np.ones(X.shape[0], dtype=np.float64)
+                    )
+                    local = sketch_columns_weighted(
+                        X.indptr, X.indices, X.data, n_cols, weights_arr, eps=eps_local
+                    )
+                else:
+                    local = sketch_columns(
+                        X.indptr, X.indices, X.data, n_cols, eps=eps_local
+                    )
+            stats = group.push_sketch(
+                "sketch", local.shifted(block.col_lo), seq=("sketch", wid), worker=wid
+            )
+            per_worker_bytes[wid] = stats.bytes_up
+        # Real wire accounting: what a worker's serialized sketches weigh.
+        self.clock.advance_comm(
+            self.plan.push_seconds(max(per_worker_bytes)), phase="CREATE_SKETCH"
+        )
+        # Every stripe pushed every one of its columns (empty summaries
+        # included), so the pull lists each feature exactly once.
+        merged, pull_stats = group.pull_sketches("sketch", worker=0)
+        return (
+            propose_candidates_from_sketches(merged, config.n_split_candidates),
+            float(pull_stats.bytes_down),
+        )
 
     def _site(self, point: str, worker: int, timer: WorkerTimer) -> None:
         """Fire an execution-site fault point (no-op without chaos)."""
@@ -341,14 +492,18 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                             indexes, grads, hesses, node, timer
                         )
                         self.backend.aggregate_node_slabs(node, slabs, self.clock)
-                    else:
-                        flats, sums = self._build_node_histograms(
-                            indexes, grads, hesses, node, timer
-                        )
-                        self.backend.aggregate_node(node, flats, self.clock, sums)
-                        # Handed over: one node's 2KM floats per worker
-                        # must not live on through the next node's build.
-                        del flats
+                        continue
+                    flats, sums = [], []
+                    for _, _, histogram, node_sums in self._build_blocks(
+                        indexes, grads, hesses, node, timer
+                    ):
+                        flats.append(histogram.to_flat_feature_major())
+                        sums.append(node_sums)
+                    # Only the flats are handed over, and one node's 2KM
+                    # floats per worker must not outlive their aggregation.
+                    del histogram
+                    self.backend.aggregate_node(node, flats, self.clock, sums)
+                    del flats
                 self._barrier_faults(timer)
                 stage.barrier(timer)
             with self.runner.stage(WorkerPhase.FIND_SPLIT, tree_index) as stage:
@@ -455,20 +610,14 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                 node_totals[left] = (decision.left_grad, decision.left_hess)
                 node_totals[right] = (decision.right_grad, decision.right_hess)
                 # Only the stripe owning the split feature can evaluate
-                # the predicate; with C > 1 its blocks broadcast the
-                # go-left bitmaps to their row peers (grid rows move in
-                # parallel, so the slowest row's bitmap is charged).
+                # the predicate; its blocks broadcast the go-left bitmaps
+                # to their C - 1 row peers (grid rows move in parallel, so
+                # the slowest row's bitmap is charged; nothing when C == 1).
                 owner_col = (
-                    int(
-                        np.searchsorted(
-                            self.col_boundaries, decision.feature, side="right"
-                        )
-                    )
+                    int(np.searchsorted(self.col_boundaries, decision.feature, "right"))
                     - 1
                 )
-                local_feature = decision.feature - int(
-                    self.col_boundaries[owner_col]
-                )
+                local_feature = decision.feature - int(self.col_boundaries[owner_col])
                 max_rows = 0
                 for r in range(grid_rows):
                     wid = r * grid_cols + owner_col
@@ -479,10 +628,9 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                             rows, local_feature, decision.bucket
                         )
                         indexes[r].split(node, goes_left)
-                if self.striped:
-                    broadcast_seconds += (
-                        grid_cols - 1
-                    ) * point_to_point_time((max_rows + 7) // 8, self.cost)
+                broadcast_seconds += (grid_cols - 1) * point_to_point_time(
+                    (max_rows + 7) // 8, self.cost
+                )
                 next_active.extend((left, right))
             self._barrier_faults(timer)
             stage.barrier(timer)
@@ -490,28 +638,33 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
                 stage.charge_comm(broadcast_seconds)
         return next_active
 
-    def _build_node_histograms(
+    def _build_blocks(
         self,
         indexes: list[NodeInstanceIndex],
         grads: list[np.ndarray],
         hesses: list[np.ndarray],
         node: int,
-        timer,
-    ) -> tuple[list[np.ndarray], list[tuple[float, float]]]:
-        """One node's local histograms, feature-major flat, per worker,
-        and each worker's exact node sums (:func:`_node_sums`)."""
-        flats: list[np.ndarray] = []
-        sums: list[tuple[float, float]] = []
-        for wid, shard in enumerate(self.shards):
-            self._site("histogram_build", wid, timer)
-            rows = indexes[wid].rows_of(node)
-            with timer.measure(wid):
-                histogram = self.build_strategy.build(
-                    shard, rows, grads[wid], hesses[wid]
-                )
-            flats.append(histogram.to_flat_feature_major())
-            sums.append(_node_sums(rows, grads[wid], hesses[wid]))
-        return flats, sums
+        timer: WorkerTimer,
+    ) -> Iterator[tuple[int, np.ndarray, GradientHistogram, tuple[float, float]]]:
+        """One node's local histogram per block, in worker-id order.
+
+        Yields ``(wid, rows, histogram, sums)``.  Each block fires its
+        ``histogram_build`` site fault, has its build timed on ``timer``,
+        and gets its grid row's node rows and exact node sums
+        (:func:`_node_sums`), which the C blocks of a row band share.
+        """
+        grid_rows, grid_cols = self.grid
+        for r in range(grid_rows):
+            rows = indexes[r].rows_of(node)
+            grad, hess = grads[r], hesses[r]
+            sums = _node_sums(rows, grad, hess)
+            for wid in range(r * grid_cols, (r + 1) * grid_cols):
+                self._site("histogram_build", wid, timer)
+                with timer.measure(wid):
+                    histogram = self.build_strategy.build(
+                        self.shards[wid], rows, grad, hess
+                    )
+                yield wid, rows, histogram, sums
 
     def _build_node_slabs(
         self,
@@ -519,50 +672,43 @@ class _ShardedGrowthStrategy(TreeGrowthStrategy):
         grads: list[np.ndarray],
         hesses: list[np.ndarray],
         node: int,
-        timer,
+        timer: WorkerTimer,
     ) -> list[tuple[int, SparseSlab]]:
         """One node's sparse slabs, per block in worker-id order.
 
-        Each block builds only its stripe's histogram and ships only the
-        stripe features that have nonzeros among the node's rows — counted,
-        not sorted: one unweighted ``bincount`` over the node's nonzeros,
-        O(nnz + M) like the build itself.  The gradient sums are the
-        builder's own (:func:`_node_sums`), so the server-side
-        reconstruction of absent features is bitwise identical to the
-        dense push.
+        Each block ships only the stripe features that have nonzeros
+        among the node's rows — counted, not sorted: one unweighted
+        ``bincount`` over the node's nonzeros, O(nnz + M) like the build
+        itself.  The gradient sums are the builder's own
+        (:func:`_node_sums`), so the server-side reconstruction of absent
+        features is bitwise identical to the dense push.
         """
-        grid_rows, grid_cols = self.grid
+        grid_cols = self.grid[1]
         slabs: list[tuple[int, SparseSlab]] = []
-        for r in range(grid_rows):
-            rows = indexes[r].rows_of(node)
-            grad, hess = grads[r], hesses[r]
-            sum_g, sum_h = _node_sums(rows, grad, hess)
-            for c in range(grid_cols):
-                wid = r * grid_cols + c
-                self._site("histogram_build", wid, timer)
-                shard = self.shards[wid]
-                with timer.measure(wid):
-                    histogram = self.build_strategy.build(shard, rows, grad, hess)
-                present = np.flatnonzero(
-                    np.bincount(
-                        shard.features[shard.positions_of_rows(rows)],
-                        minlength=shard.n_features,
-                    )
+        for wid, rows, histogram, (sum_g, sum_h) in self._build_blocks(
+            indexes, grads, hesses, node, timer
+        ):
+            shard, c = self.shards[wid], wid % grid_cols
+            present = np.flatnonzero(
+                np.bincount(
+                    shard.features[shard.positions_of_rows(rows)],
+                    minlength=shard.n_features,
                 )
-                # Only the present rows are interleaved for the wire.
-                carried = GradientHistogram(
-                    histogram.grad[present], histogram.hess[present]
-                )
-                slab = slab_from_flat(
-                    carried.to_flat_feature_major(),
-                    present,
-                    int(self.col_boundaries[c]),
-                    int(self.col_boundaries[c + 1]),
-                    shard.n_bins,
-                    sum_g,
-                    sum_h,
-                )
-                slabs.append((wid, slab))
+            )
+            # Only the present rows are interleaved for the wire.
+            carried = GradientHistogram(
+                histogram.grad[present], histogram.hess[present]
+            )
+            slab = slab_from_flat(
+                carried.to_flat_feature_major(),
+                present,
+                int(self.col_boundaries[c]),
+                int(self.col_boundaries[c + 1]),
+                shard.n_bins,
+                sum_g,
+                sum_h,
+            )
+            slabs.append((wid, slab))
         return slabs
 
 
@@ -644,209 +790,17 @@ class DistributedGBDT:
         self.cluster, self.config = self.plan.cluster, self.plan.config
         self.callbacks = list(callbacks)
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-
     def fit(self, train: Dataset) -> DistributedResult:
         """Train on ``train`` and return the model plus time accounting.
 
-        Section 4.4's worker loop as five stages over the plan: *load*
-        (DATA PARTITIONING), *sketch* (CREATE_SKETCH, PULL_SKETCH), *bin*
-        (backend, build strategy, pre-bucketized blocks), *boost*
-        (NEW_TREE, BUILD_HISTOGRAM, FIND_SPLIT, SPLIT_TREE per tree) and
-        *finish* (FINISH).  What the data itself rules out raises in
-        *load*, before any callback has fired.
+        One :class:`_GridFit` runs Section 4.4's worker loop as its
+        stages: *load*, *sketch*, *bin*, *boost* and *finish*.  What the
+        data itself rules out raises in *load*, before any callback fires.
         """
-        run = _FitRun(self.plan, self.callbacks, train)
-        self._load(run)
-        run.hooks.on_fit_start(self.config.n_trees)
-        self._sketch(run)
-        strategy = self._bin(run)
-        trees = self._boost(run, strategy)
-        return self._finish(run, strategy, trees)
-
-    def _load(self, run: _FitRun) -> None:
-        """DATA PARTITIONING + loading, and every data-dependent check.
-
-        Loading is charged as block bytes over the ingest rate, workers
-        loading in parallel (max block).
-
-        Raises:
-            DataError: The dataset cannot be cut into the plan's grid.
-            TrainingError: The backend cannot train on this shape.
-        """
-        plan, train = self.plan, run.train
-        plan.backend_cls.check_data(plan.cluster, train.n_features)
-        partitioner = BlockPartitioner(train, GridSpec(*plan.grid))
-        run.shards_data = [partitioner.row_shard(r) for r in range(plan.grid[0])]
-        run.blocks = partitioner.blocks if plan.striped else None
-        run.col_boundaries = partitioner.col_boundaries
-        units = run.shards_data if run.blocks is None else [b.data for b in run.blocks]
-        run.loading = (
-            max(unit.X.nbytes for unit in units) / plan.cluster.loading_bytes_per_second
-        )
-
-    def _sketch(self, run: _FitRun) -> None:
-        """CREATE_SKETCH + PULL_SKETCH: the candidates workers bin against."""
-        with run.runner.stage(WorkerPhase.CREATE_SKETCH) as stage:
-            timer = stage.worker_timer()
-            run.candidates, sketch_bytes = self._propose_candidates(run, timer)
-            stage.barrier(timer)
-        with run.runner.stage(WorkerPhase.PULL_SKETCH) as stage:
-            # Pull of the merged sketches by every worker.
-            stage.charge_comm(
-                self.cluster.n_servers * self.plan.cost.alpha
-                + sketch_bytes * self.plan.cost.beta
-            )
-
-    def _bin(self, run: _FitRun) -> _ShardedGrowthStrategy:
-        """The growth strategy: backend, build strategy, pre-bucketized blocks."""
-        return _ShardedGrowthStrategy(self.plan, run)
-
-    def _boost(self, run: _FitRun, strategy: _ShardedGrowthStrategy) -> list:
-        """The boosting rounds (rollback-replay recovery under a fault plan)."""
-        recovery = None
-        if run.chaos is not None:
-            recovery = RoundRecovery(
-                capture=strategy.snapshot,
-                restore=strategy.restore,
-                master=run.master,
-                clock=run.clock,
-                injector=run.chaos.injector,
-                policy=run.chaos.policy,
-                checkpoint_every=self.config.checkpoint_every,
-                records=run.rounds,
-            )
-        loop = BoostingLoop(strategy, self.config, run.hooks, recovery=recovery)
-        return loop.run()
-
-    def _finish(
-        self, run: _FitRun, strategy: _ShardedGrowthStrategy, trees: list
-    ) -> DistributedResult:
-        """Close the books and assemble the deliverable (FINISH)."""
-        clock = run.clock
-        if run.lanes is not None:
-            # Final staleness sync: whatever lane time the last (< S + 1)
-            # layers accumulated is paid before the fit's books close.
-            run.lanes.sync(clock)
-        with run.runner.stage(WorkerPhase.FINISH):
-            # FINISH assembles the deliverable: the model object plus its
-            # compiled flat form, so downstream evaluation (cmd_compare,
-            # tests) scores on the batched inference path immediately.
-            model = GBDTModel(
-                trees=trees,
-                base_score=strategy.base_score,
-                loss_name=self.config.loss,
-                n_features=run.train.n_features,
-            )
-            if trees:
-                model.compiled()
-        result = DistributedResult(
-            model=model,
-            system=self.system,
-            breakdown=TimeBreakdown(
-                loading=strategy.loading,
-                computation=clock.computation,
-                communication=clock.communication,
-            ),
-            rounds=run.rounds,
-            # Rollbacks and lane syncs charge the clock between stages, so
-            # its per-label totals — not a sum of per-stage deltas — are
-            # the books.
-            phases=clock.by_phase(),
-            faults=run.fault_accountant.report() if run.fault_accountant else None,
-        )
-        run.hooks.on_fit_end(result)
-        return result
-
-    # ------------------------------------------------------------------
-    # setup
-    # ------------------------------------------------------------------
-
-    def _propose_candidates(
-        self, run: _FitRun, timer: WorkerTimer
-    ) -> tuple[CandidateSet, float]:
-        """Candidate proposal with the sketch *push* charged.
-
-        Returns the candidates plus the sketch wire bytes the PULL_SKETCH
-        stage charges per worker.  The ``"exact"`` path computes global
-        quantiles in the driver and charges the modelled summary size for
-        the widest per-worker feature range (the whole row when C == 1,
-        the widest stripe otherwise); the other modes merge real
-        per-worker summaries on the servers, recording each worker's
-        sketching seconds on ``timer``.
-        """
-        config, train = self.config, run.train
-        if self.plan.sketch_mode != "exact":
-            return self._merge_worker_sketches(run, timer)
-        entries_per_sketch = int(1.0 / (2.0 * config.sketch_eps)) + 2
-        per_push_features = (
-            max(b.n_cols for b in run.blocks)
-            if run.blocks is not None
-            else train.n_features
-        )
-        sketch_bytes = per_push_features * entries_per_sketch * SKETCH_ENTRY_BYTES
-        run.clock.advance_comm(
-            self.plan.push_seconds(sketch_bytes), phase="CREATE_SKETCH"
-        )
-        return propose_candidates(train.X, config.n_split_candidates), sketch_bytes
-
-    def _merge_worker_sketches(
-        self, run: _FitRun, timer: WorkerTimer
-    ) -> tuple[CandidateSet, float]:
-        """The ``"distributed"`` / ``"weighted"`` CREATE_SKETCH path.
-
-        Every worker summarizes the features it holds into one ragged
-        batch and pushes it through a real :class:`ParameterServerGroup`
-        (and the fault fabric, when chaos is active) as one frame per
-        partition; the servers merge arrivals in delivery order.  With a feature-striped grid
-        (``run.blocks``), each block sketches only its stripe's columns
-        and workers push in worker-id order, so every stripe's feature is
-        merged down its grid rows in increasing row order — the same
-        left-fold the row-sharded layout performs — and candidates are
-        bit-identical across layouts.
-        """
-        config, cluster, train = self.config, self.cluster, run.train
-        weighted = self.plan.sketch_mode == "weighted"
-        eps_local = config.sketch_eps / 2.0
-        group = ParameterServerGroup(cluster.n_servers, fabric=run.fabric)
-        group.register("sketch", train.n_features)
-        if run.blocks is None:
-            units = [(s.X, 0, s.n_features, s.weights) for s in run.shards_data]
-        else:
-            units = [(b.data.X, b.col_lo, b.n_cols, b.data.weights) for b in run.blocks]
-        per_worker_bytes = [0] * len(units)
-        for wid, (X, col_lo, n_cols, row_weights) in enumerate(units):
-            with timer.measure(wid):
-                if weighted:
-                    weights_arr = (
-                        np.asarray(row_weights, dtype=np.float64)
-                        if row_weights is not None
-                        else np.ones(X.shape[0], dtype=np.float64)
-                    )
-                    local = sketch_columns_weighted(
-                        X.indptr, X.indices, X.data, n_cols, weights_arr, eps=eps_local
-                    )
-                else:
-                    local = sketch_columns(
-                        X.indptr, X.indices, X.data, n_cols, eps=eps_local
-                    )
-            stats = group.push_sketch(
-                "sketch", local.shifted(col_lo), seq=("sketch", wid), worker=wid
-            )
-            per_worker_bytes[wid] = stats.bytes_up
-        # Real wire accounting: what a worker's serialized sketches weigh.
-        run.clock.advance_comm(
-            self.plan.push_seconds(max(per_worker_bytes)), phase="CREATE_SKETCH"
-        )
-        # Every stripe pushed every one of its columns (empty summaries
-        # included), so the pull lists each feature exactly once.
-        merged, pull_stats = group.pull_sketches("sketch", worker=0)
-        return (
-            propose_candidates_from_sketches(merged, config.n_split_candidates),
-            float(pull_stats.bytes_down),
-        )
+        fit = _GridFit(self.plan, self.callbacks, train)
+        fit.hooks.on_fit_start(self.config.n_trees)
+        fit.bin(fit.sketch())
+        return fit.finish(fit.boost())
 
 
 def train_distributed(

@@ -53,7 +53,7 @@ class RunPlan:
         backend_cls: The aggregation backend class ``system`` names.
         grid: Worker grid ``(rows, cols)``; ``(n_workers, 1)`` when row
             sharded.
-        cost: The alpha/beta/gamma triple of ``cluster.network``.
+        cost: ``cluster.network``, the alpha/beta/gamma triple.
 
     Raises:
         TrainingError: For an unknown system name.
@@ -73,12 +73,12 @@ class RunPlan:
 
     def __post_init__(self) -> None:
         system, cluster, config = self.system, self.cluster, self.config
-        kwargs, net = self.backend_kwargs, cluster.network
+        kwargs = self.backend_kwargs
         backend_cls = backend_class(system)
         rows, cols = cluster.grid_shape
         object.__setattr__(self, "backend_cls", backend_cls)
         object.__setattr__(self, "grid", (rows, cols))
-        object.__setattr__(self, "cost", CostParams(net.alpha, net.beta, net.gamma))
+        object.__setattr__(self, "cost", cluster.network)
         _require(
             self.sketch_mode in SKETCH_MODES,
             f"sketch_mode must be 'exact', 'distributed', or 'weighted', "
@@ -150,7 +150,7 @@ class RunPlan:
         fabric of a faulted fit) is routed into a PS backend's group."""
         kwargs = dict(self.backend_kwargs)
         if fabric is not None and self.backend_cls.parameter_server:
-            kwargs.setdefault("fabric", fabric)
+            kwargs["fabric"] = fabric
         return self.backend_cls(self.cluster, self.config, candidates, **kwargs)
 
     def make_build_strategy(self) -> HistogramBuildStrategy:

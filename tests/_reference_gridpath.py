@@ -2,8 +2,8 @@
 
 Verbatim copies, as they stood at ``a9eaa3f``, of
 
-* the present-set line of ``_ShardedGrowthStrategy._build_node_slabs``
-  (``repro.distributed.engine``) and ``slab_from_flat``
+* the present-set line of ``_build_node_slabs`` (``repro.distributed.engine``,
+  now a method of ``_GridFit``) and ``slab_from_flat``
   (``repro.ps.slab``) — sort the node's feature ids, gather the present
   segments out of the whole stripe's flat;
 * ``CompressedSlab.to_sparse`` / ``wire_bytes_for`` (``repro.ps.slab``)

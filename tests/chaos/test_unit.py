@@ -24,8 +24,8 @@ from repro.chaos import (
     RetryPolicy,
     RoundRecovery,
 )
+from repro.cluster.costmodel import CostParams
 from repro.cluster.simclock import SimClock
-from repro.config import NetworkCost
 from repro.errors import ClusterFaultError, ConfigError, ReproError
 from repro.ps import Master, WorkerPhase
 from repro.ps.partitioner import Partition
@@ -281,7 +281,7 @@ def make_fabric(plan: FaultPlan, max_retries: int = 3):
         max_retries=max_retries, base_backoff=0.1, multiplier=2.0
     )
     fabric = FaultyFabric(
-        injector, clock, policy, NetworkCost(alpha=0.001, beta=0.0)
+        injector, clock, policy, CostParams(alpha=0.001, beta=0.0)
     )
     return fabric, clock, injector
 

@@ -16,7 +16,7 @@ from repro.cluster import (
     xgboost_aggregation_time,
 )
 from repro.cluster.costmodel import comm_steps, is_power_of_two, log2_steps
-from repro.errors import CommunicationError
+from repro.errors import CommunicationError, ConfigError
 
 COST = CostParams(alpha=1e-4, beta=8e-9, gamma=1e-9)
 
@@ -139,5 +139,5 @@ class TestHelpers:
             mllib_aggregation_time(0, 100, COST)
         with pytest.raises(CommunicationError):
             mllib_aggregation_time(4, -1, COST)
-        with pytest.raises(CommunicationError):
+        with pytest.raises(ConfigError):
             CostParams(alpha=-1)

@@ -234,6 +234,9 @@ class TestMakeBackendValidation:
         assert "use_scheduler" in options
         # The codec width is TrainConfig.compression_bits, not an option.
         assert "compression_bits" not in options
+        # The chaos fabric is the run's wiring (RunPlan.make_backend).
+        assert "fabric" not in options
+        assert backend_options("tencentboost") == ()
         assert backend_options("xgboost") == ()
 
     def test_valid_options_still_accepted(self, setup):

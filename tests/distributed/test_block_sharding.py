@@ -12,8 +12,9 @@ import pytest
 from repro.chaos import FaultEvent, FaultPlan
 from repro.config import ClusterConfig, TrainConfig
 from repro.datasets import SyntheticSpec, make_sparse_classification
-from repro.distributed import DistributedGBDT, train_distributed
+from repro.distributed import DistributedGBDT, engine, train_distributed
 from repro.errors import ConfigError
+from repro.histogram.binned import BinnedShard
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,31 @@ class TestBitIdentity:
             "dimboost", cluster_blk, config, sketch_mode="distributed"
         ).fit(data)
         assert trees_of(row) == trees_of(blk)
+
+
+class TestRowShardingIsTheOneColumnGrid:
+    def test_row_sharded_blocks_are_zero_copy_bands(self, data, config, monkeypatch):
+        """Row sharding runs as the C = 1 grid: one full-width block per
+        worker, viewing the input's column ids, binned against the
+        run's own candidate set (no per-block stripe copy)."""
+        binned_against = []
+
+        def recording(X, candidates):
+            binned_against.append(candidates)
+            return BinnedShard(X, candidates)
+
+        monkeypatch.setattr(engine, "BinnedShard", recording)
+        trainer = DistributedGBDT("dimboost", ClusterConfig(n_workers=3), config)
+        fit = engine._GridFit(trainer.plan, (), data)
+        candidates = fit.sketch()
+        fit.bin(candidates)
+        assert len(fit.blocks) == 3
+        for block in fit.blocks:
+            assert (block.col_lo, block.col_hi) == (0, data.n_features)
+            assert np.shares_memory(block.data.X.indices, data.X.indices)
+        assert len(binned_against) == 3
+        assert all(c is candidates for c in binned_against)
+        assert fit.backend.candidates is candidates
 
 
 class TestChaosRecovery:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.config import ClusterConfig, TrainConfig
 from repro.datasets import Dataset
 from repro.datasets.sparse import CSRMatrix
-from repro.distributed.engine import DistributedGBDT, _FitRun
+from repro.distributed.engine import DistributedGBDT, _GridFit
 from repro.histogram.builder import build_node_histogram_sparse
 from repro.histogram.index import NodeInstanceIndex
 from repro.ps import ParameterServerGroup
@@ -72,10 +72,8 @@ def grids(draw):
             n_trees=1, max_depth=3, n_split_candidates=n_bins, compression_bits=0
         ),
     )
-    run = _FitRun(trainer.plan, (), Dataset(X, y, "drawn"))
-    trainer._load(run)
-    trainer._sketch(run)
-    strategy = trainer._bin(run)
+    strategy = _GridFit(trainer.plan, (), Dataset(X, y, "drawn"))
+    strategy.bin(strategy.sketch())
     grads, hesses, indexes = [], [], []
     split = draw(st.sampled_from(["random", "all_left", "all_right"]))
     for raw in strategy.raws:

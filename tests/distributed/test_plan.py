@@ -122,6 +122,15 @@ GATE_ROWS = {
         r"event 0 \(drop@push\) is a message fault",
         fault_plan=DROP_PUSH,
     ),
+    # The chaos fabric is wiring, not an option: passing one would let
+    # a caller switch the fault plan off.
+    "fabric-option": row(
+        "dimboost",
+        ROW,
+        "unknown option.*'fabric'",
+        fault_plan=plan_of(kind="drop", point="push", every=2, times=3),
+        fabric=None,
+    ),
     "pull-udf-fault-without-ps": row(
         "lightgbm",
         ROW,

@@ -21,11 +21,16 @@ import numpy as np
 import pytest
 
 from repro.chaos import FaultEvent, FaultInjector, FaultPlan, FaultyFabric, RetryPolicy
-from repro.cluster.costmodel import compressed_slab_bytes, sparse_slab_bytes
+from repro.cluster.costmodel import (
+    CostParams,
+    compressed_slab_bytes,
+    sparse_slab_bytes,
+)
 from repro.cluster.simclock import SimClock
-from repro.config import ClusterConfig, NetworkCost, TrainConfig
+from repro.config import ClusterConfig, TrainConfig
 from repro.datasets import Dataset, SyntheticSpec, gender_like, make_sparse_classification
 from repro.distributed import DistributedGBDT
+from repro.distributed.engine import _GridFit
 from repro.ps import ParameterServerGroup
 from repro.ps.slab import SlabLayout, SparseSlab, compress_slab
 from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
@@ -132,7 +137,7 @@ class TestChaoticFabric:
         injector = FaultInjector(plan)
         injector.begin_round(-1)  # CREATE_SKETCH runs before round 0
         fabric = FaultyFabric(
-            injector, SimClock(), RetryPolicy(max_retries=3), NetworkCost()
+            injector, SimClock(), RetryPolicy(max_retries=3), CostParams()
         )
         group = ParameterServerGroup(2, fabric=fabric)
         group.register("sketch", N_FEATURES)
@@ -265,13 +270,17 @@ ENGINE_PINS = {
 }
 
 
-class _CapturingGBDT(DistributedGBDT):
-    """Keeps the candidate set CREATE_SKETCH produced."""
+def _capture_candidates(monkeypatch) -> list:
+    """Collects every candidate set a fit's CREATE_SKETCH stage produces."""
+    found = []
+    sketch = _GridFit.sketch
 
-    def _propose_candidates(self, *args, **kwargs):
-        out = super()._propose_candidates(*args, **kwargs)
-        self.candidates = out[0]
-        return out
+    def capturing(fit):
+        found.append(sketch(fit))
+        return found[-1]
+
+    monkeypatch.setattr(_GridFit, "sketch", capturing)
+    return found
 
 
 class TestEngineSketchPins:
@@ -287,15 +296,16 @@ class TestEngineSketchPins:
         return Dataset(base.X, base.y, base.name, weights)
 
     @pytest.mark.parametrize("layout, mode", sorted(ENGINE_PINS))
-    def test_model_bytes_and_candidates_pinned(self, data, layout, mode):
-        trainer = _CapturingGBDT(
+    def test_model_bytes_and_candidates_pinned(self, data, layout, mode, monkeypatch):
+        captured = _capture_candidates(monkeypatch)
+        trainer = DistributedGBDT(
             "dimboost",
             ClusterConfig(**PIN_LAYOUTS[layout]),
             TrainConfig(n_trees=2, max_depth=4, sketch_eps=0.05),
             sketch_mode=mode,
         )
         result = trainer.fit(data)
-        found = trainer.candidates
+        (found,) = captured
         model = json.dumps(result.model.to_dict(), sort_keys=True).encode("utf-8")
         cuts = found.offsets.tobytes() + found.cuts.tobytes() + found.zero_bins.tobytes()
         assert (

@@ -223,6 +223,6 @@ class TestOneSeam:
         assert sorted(reads) == [
             ("backends.py", "DimBoostBackend.find_splits"),
             ("backends.py", "DimBoostBackend.find_splits"),
-            ("engine.py", "_ShardedGrowthStrategy.__init__"),
-            ("engine.py", "_ShardedGrowthStrategy.__init__"),
+            ("engine.py", "_GridFit.bin"),
+            ("engine.py", "_GridFit.bin"),
         ]

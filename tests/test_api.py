@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro import ClusterConfig, NetworkCost, TrainConfig
+from repro import ClusterConfig, TrainConfig
+from repro.cluster import CostParams
 from repro.errors import ConfigError
 
 
@@ -119,7 +120,7 @@ class TestClusterConfig:
 
     def test_network_cost_validation(self):
         with pytest.raises(ConfigError):
-            NetworkCost(alpha=-1.0)
+            CostParams(alpha=-1.0)
 
     def test_sketch_entry_bytes_is_a_constant(self):
         """The sketch entry weight is a module constant, not a cost knob."""
@@ -127,7 +128,7 @@ class TestClusterConfig:
 
         assert SKETCH_ENTRY_BYTES == 16.0
         with pytest.raises(TypeError):
-            NetworkCost(sketch_entry_bytes=8.0)
+            CostParams(sketch_entry_bytes=8.0)
 
     def test_with_overrides(self):
         cluster = ClusterConfig().with_overrides(n_workers=50)
