@@ -121,8 +121,8 @@ class AggregationBackend(ABC):
 
         ``sums`` holds each worker's exact node gradient sums ``(sum_g,
         sum_h)`` in worker order — the floats the builder folded into
-        the zero buckets; a backend that pushes pre-fold histograms
-        needs them.  The flats are handed over: a backend may overwrite
+        the zero buckets; a lossy parameter-server push ships them as
+        its header.  The flats are handed over: a backend may overwrite
         them.
         """
 
@@ -364,11 +364,9 @@ class WindowedPusher:
             LocalAggregator(self.window)
             for _ in range(cluster.n_workers if self.window > 1 else 0)
         ]
-        #: How a buffered window travels, set by the entry point that
-        #: buffered it: the group call, and the bytes of exact node sums
-        #: each delta ships beside its payload.
+        #: How a buffered window travels: the group call of the entry
+        #: point that buffered it.
         self._push_window = group.push_window
-        self._sums_bytes = 0
         self.begin_tree(-1)
 
     def begin_tree(self, tree_index: int) -> None:
@@ -418,16 +416,25 @@ class WindowedPusher:
             self.flush(clock)
 
     def push_flats(
-        self, node: int, flats: list[np.ndarray], clock: SimClock
+        self,
+        node: int,
+        flats: list[np.ndarray],
+        clock: SimClock,
+        sums: list[tuple[float, float]] | None = None,
     ) -> list[int]:
         """One node's dense per-worker deltas, in worker-id order.
 
-        Returns the per-worker wire bytes delivered by this call (empty
-        while a window is still filling).  A lossy delta also ships its
-        two exact node sums: 8 bytes.
+        ``sums`` holds each worker's exact node sums, the header of a
+        lossy delta (required when the codec is on).  Returns the
+        per-worker wire bytes delivered by this call (empty while a
+        window is still filling).
         """
         self._push_window = self.group.push_window_rows
-        self._sums_bytes = 8 if self.bits else 0
+        if sums is not None and len(sums) != len(flats):
+            raise TrainingError(
+                f"node {node}: {len(flats)} deltas but {len(sums)} node sums"
+            )
+        headers = sums if sums is not None else [None] * len(flats)
         if self.window == 1:
             pushed = [
                 self.group.push_row(
@@ -436,11 +443,11 @@ class WindowedPusher:
                     flat,
                     compression_bits=self.bits,
                     rng=self._rng(node, worker),
+                    sums=worker_sums,
                     seq=(self._tree_index, worker),
                     worker=worker,
                 ).bytes_up
-                + self._sums_bytes
-                for worker, flat in enumerate(flats)
+                for worker, (flat, worker_sums) in enumerate(zip(flats, headers))
             ]
             self._charge(pushed, clock)
             return pushed
@@ -450,10 +457,14 @@ class WindowedPusher:
                 (
                     worker,
                     self.group.encode_row(
-                        GRAD_HIST, flat, self.bits, self._rng(node, worker)
+                        GRAD_HIST,
+                        flat,
+                        self.bits,
+                        self._rng(node, worker),
+                        sums=worker_sums,
                     ),
                 )
-                for worker, flat in enumerate(flats)
+                for worker, (flat, worker_sums) in enumerate(zip(flats, headers))
             ],
             clock,
         )
@@ -468,7 +479,6 @@ class WindowedPusher:
         if not slabs:
             raise TrainingError(f"node {node}: no slabs to aggregate")
         self._push_window = self.group.push_window
-        self._sums_bytes = 0
         wire = [
             (block_id, self._wire_slab(node, block_id, slab))
             for block_id, slab in slabs
@@ -509,7 +519,7 @@ class WindowedPusher:
                 seq=(self._tree_index, window_index, worker),
                 worker=worker,
             )
-            pushed.append(stats.bytes_up + self._sums_bytes * len(entries))
+            pushed.append(stats.bytes_up)
         if pushed:
             self._charge(pushed, clock)
 
@@ -547,11 +557,27 @@ class _PSBackend(AggregationBackend):
         super().begin_tree(tree_index)
         self.pusher.begin_tree(tree_index)
 
+    def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
+        self.pusher.push_flats(node, local_flats, clock, sums)
+
     def aggregate_node_slabs(self, node, slabs, clock) -> None:
-        # The exact header sums reconstruct absent features with no
-        # quantization at all and the servers store the *folded*
-        # histogram directly, so slabs need no _node_sums refold entry.
         self.pusher.push_slabs(node, slabs, clock)
+
+    def _pull_and_scan(
+        self,
+        node: int,
+        worker: int,
+        feature_valid: np.ndarray | None,
+        timer: WorkerTimer,
+    ) -> SplitDecision | None:
+        """Pull ``node``'s whole merged histogram to ``worker``, scan it on
+        that worker's lane and free the row (the caller charges the
+        pull)."""
+        flat, _stats = self.group.pull_row(GRAD_HIST, node, worker=worker)
+        with timer.measure(worker):
+            decision = self._scan_flat(flat, feature_valid)
+        self.group.clear_row(GRAD_HIST, node)
+        return decision
 
 
 class TencentBoostBackend(_PSBackend):
@@ -567,9 +593,6 @@ class TencentBoostBackend(_PSBackend):
     name = "tencentboost"
     build_mode = "dense"
 
-    def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
-        self.pusher.push_flats(node, local_flats, clock)
-
     def find_splits(self, nodes, feature_valid, clock, timer):
         # Drain partial windows: a layer boundary must see every delta.
         self.pusher.flush(clock)
@@ -577,15 +600,12 @@ class TencentBoostBackend(_PSBackend):
         p = self.cluster.n_servers
         leader = 0  # the paper's "leader worker" pulls and scans everything
         for node in nodes:
-            flat, _stats = self.group.pull_row(GRAD_HIST, node, worker=leader)
+            decisions[node] = self._pull_and_scan(node, leader, feature_valid, timer)
             # Full-histogram pull serialized at the leader's NIC.
             clock.advance_comm(
                 p * self.cost.alpha + self.flat_bytes * self.cost.beta,
                 phase="FIND_SPLIT",
             )
-            with timer.measure(leader):
-                decisions[node] = self._scan_flat(flat, feature_valid)
-            self.group.clear_row(GRAD_HIST, node)
         self._charge_decision_broadcast(clock, len(nodes))
         return decisions
 
@@ -593,19 +613,14 @@ class TencentBoostBackend(_PSBackend):
 class DimBoostBackend(_PSBackend):
     """The full DimBoost FIND_SPLIT pipeline (Sections 6.1-6.3).
 
-    Compression detail: Algorithm 2 accumulates the exact gradient sums
-    ``sum_g, sum_h`` and only folds them into the zero buckets at the
-    end.  Every feature's hessian zero bucket therefore carries O(N)
-    mass while ordinary buckets carry O(N * z / (M * K)) — quantizing
-    the folded histogram would set the fixed-point scale ``|c|`` from
-    the giant zero buckets and drown every other bucket in noise.  So
-    when compression is on, workers push the *pre-fold* histogram (all
-    buckets small, high SNR) plus the two exact sums, and the zero
-    buckets are re-folded from the aggregated node totals at split time.
-    The sums are the builder's own, so a feature the node never touched
-    unfolds to exact zeros and the push ships only its presence bit.
-    With compression off the folded histogram is pushed directly, which
-    keeps bit-identical parity with the other backends.
+    Compression keeps Algorithm 2's O(N) zero-bucket mass out of the
+    codec: a lossy push ships each worker's exact node sums as a header
+    and quantizes only the residual histogram, and the servers add the
+    sums back on decode, so they store the folded histogram and split
+    finding scans it as pulled
+    (:meth:`~repro.ps.group.ParameterServerGroup.encode_row`).  With
+    compression off the folded histogram is pushed as is, which keeps
+    bit-identical parity with the other backends.
 
     Args:
         use_scheduler: Round-robin node assignment (True) or the naive
@@ -637,82 +652,6 @@ class DimBoostBackend(_PSBackend):
             self.scheduler = SingleAgentScheduler(cluster.n_workers)
         else:
             self.scheduler = RoundRobinScheduler(cluster.n_workers)
-        # Flat slots of every feature's zero bucket (g and h halves).
-        block = 2 * self.n_bins
-        self._zero_slots_g = (
-            np.arange(self.n_features, dtype=np.int64) * block
-            + candidates.zero_bins.astype(np.int64)
-        )
-        self._zero_slots_h = self._zero_slots_g + self.n_bins
-        #: Aggregated exact (sum_g, sum_h) per node, refolded at split time.
-        self._node_sums: dict[int, tuple[float, float]] = {}
-
-    def begin_tree(self, tree_index: int) -> None:
-        super().begin_tree(tree_index)
-        self._node_sums.clear()
-
-    def _unfold_zero_buckets(
-        self, flat: np.ndarray, sum_g: float, sum_h: float
-    ) -> None:
-        """Remove the Algorithm 2 zero-bucket fold from a local histogram,
-        in place.
-
-        ``sum_g`` / ``sum_h`` are the builder's exact node sums — the very
-        floats it folded in — so a feature with no nonzero in the node
-        unfolds to exact zeros, which the push then leaves off the wire
-        (:meth:`~repro.ps.group.ParameterServerGroup.encode_row`).  The
-        sums travel as two exact floats alongside the compressed payload.
-        """
-        flat[self._zero_slots_g] -= sum_g
-        flat[self._zero_slots_h] -= sum_h
-
-    def _fold_zero_buckets(
-        self, flat: np.ndarray, lo: int, hi: int, sum_g: float, sum_h: float
-    ) -> np.ndarray:
-        """Re-apply the zero-bucket fold over feature range ``[lo, hi)``
-        elements of the stored (pre-fold) histogram."""
-        block = 2 * self.n_bins
-        f_lo = lo // block
-        f_hi = hi // block
-        folded = np.array(flat, dtype=np.float64, copy=True)
-        folded[self._zero_slots_g[f_lo:f_hi] - lo] += sum_g
-        folded[self._zero_slots_h[f_lo:f_hi] - lo] += sum_h
-        return folded
-
-    def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
-        if self.compression_bits:
-            # Lossy pushes carry the pre-fold histogram plus two exact
-            # sums (class docstring); the refold happens at split time.
-            if sums is None or len(sums) != len(local_flats):
-                raise TrainingError(
-                    f"node {node}: a lossy push needs the exact node sums of "
-                    f"all {len(local_flats)} workers, got "
-                    f"{0 if sums is None else len(sums)}"
-                )
-            for flat, (sum_g, sum_h) in zip(local_flats, sums):
-                self._unfold_zero_buckets(flat, sum_g, sum_h)
-            # Worker-order left folds from 0.0: the refold's exact addends.
-            self._node_sums[node] = (
-                sum((sum_g for sum_g, _ in sums), 0.0),
-                sum((sum_h for _, sum_h in sums), 0.0),
-            )
-        self.pusher.push_flats(node, local_flats, clock)
-
-    def _make_udf(self, feature_valid: np.ndarray | None, node: int):
-        """Server-side split UDF over one stored feature range of ``node``."""
-        block = 2 * self.n_bins
-        sums = self._node_sums.get(node)
-
-        def udf(values: np.ndarray, partition: Partition) -> SplitDecision | None:
-            if sums is not None:
-                values = self._fold_zero_buckets(
-                    values, partition.lo, partition.hi, sums[0], sums[1]
-                )
-            return self._scan_range(
-                values, partition.lo // block, partition.hi // block, feature_valid
-            )
-
-        return udf
 
     def find_splits(self, nodes, feature_valid, clock, timer):
         # Drain partial windows: a layer boundary must see every delta,
@@ -721,12 +660,18 @@ class DimBoostBackend(_PSBackend):
         assignment = self.scheduler.assign(nodes)
         decisions: dict[int, SplitDecision | None] = {}
         p = self.cluster.n_servers
+        block = 2 * self.n_bins
+
+        def udf(values: np.ndarray, partition: Partition) -> SplitDecision | None:
+            """Server-side split scan over one stored feature range."""
+            return self._scan_range(
+                values, partition.lo // block, partition.hi // block, feature_valid
+            )
 
         for worker_id, its_nodes in assignment.items():
             comm_seconds = 0.0
             for node in its_nodes:
                 if self.two_phase:
-                    udf = self._make_udf(feature_valid, node)
                     started = wall_clock()
                     results, _stats = self.group.pull_row_udf(
                         GRAD_HIST,
@@ -742,22 +687,15 @@ class DimBoostBackend(_PSBackend):
                     decisions[node] = combine_shard_decisions(
                         [decision for _part, decision in results]
                     )
+                    self.group.clear_row(GRAD_HIST, node)
                     comm_seconds += p * point_to_point_time(DECISION_BYTES, self.cost)
                 else:
-                    flat, _stats = self.group.pull_row(
-                        GRAD_HIST, node, worker=worker_id
+                    decisions[node] = self._pull_and_scan(
+                        node, worker_id, feature_valid, timer
                     )
                     comm_seconds += p * self.cost.alpha + (
                         self.flat_bytes * self.cost.beta
                     )
-                    sums = self._node_sums.get(node)
-                    if sums is not None:
-                        flat = self._fold_zero_buckets(
-                            flat, 0, self.flat_len, sums[0], sums[1]
-                        )
-                    with timer.measure(worker_id):
-                        decisions[node] = self._scan_flat(flat, feature_valid)
-                self.group.clear_row(GRAD_HIST, node)
             # Each worker's pulls serialize at its own NIC but run in
             # parallel across workers — fold into its compute lane so the
             # stage barrier models the round-robin balancing.

@@ -719,8 +719,8 @@ def _node_sums(
 
     The expression the sparse builder folds into every zero bucket
     (Algorithm 2 lines 2-3), so its floats are bit for bit the ones the
-    histogram holds: both build paths ship them beside their deltas — a
-    slab in its header, a lossy dense row to subtract before encoding.
+    histogram holds: both build paths ship them beside their deltas as a
+    header — a slab's, and each piece of a lossy dense row.
     """
     return float(grad[rows].sum()), float(hess[rows].sum())
 

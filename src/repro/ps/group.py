@@ -24,6 +24,9 @@ from .partitioner import Partition, VectorPartitioner
 from .server import PSServer, PullUDF
 from .slab import CompressedSlab, SlabLayout, SparseSlab
 
+#: Header bytes of a lossy row slice: the delta's sum_g / sum_h.
+ROW_SUMS_BYTES = 8
+
 
 @dataclass
 class TransferStats:
@@ -166,6 +169,8 @@ class ParameterServerGroup:
         flat: np.ndarray,
         compression_bits: int = 0,
         rng: np.random.Generator | None = None,
+        *,
+        sums: tuple[float, float] | None = None,
     ) -> list[tuple[Partition, np.ndarray, int]]:
         """Slice a dense row by range and run each slice through the codec.
 
@@ -179,22 +184,27 @@ class ParameterServerGroup:
         (``agg_window > 1``) buffers the returned pieces for
         :meth:`push_window_rows`.
 
-        A lossy slice carries a presence bitmap, one bit per feature of
-        the registered :class:`SlabLayout`: a feature is present when
-        any of its ``2K`` values is nonzero.  Only the present features
-        are encoded — by ``compress_blocked`` over them, compacted in
-        feature order, with one fixed-point scale per ``n_bins`` values
-        (one per g- or h-histogram: Section 6.1's "the maximal absolute
-        value in the histogram") — so the stochastic-rounding stream
-        ``rng`` is drawn for present features only, in partition order.
-        An absent feature decodes to ``+0.0`` and costs its bit alone:
-        a slice is billed payload + present scales + ``ceil(F / 8)``
-        bitmap bytes for its ``F`` features.
+        A lossy slice travels like a slab share: a header with the
+        delta's exact node sums ``sums = (sum_g, sum_h)`` — the floats
+        the builder folded into every zero bucket, O(N) mass that would
+        set every hessian scale — and the residual with that fold
+        subtracted, behind a presence bitmap, one bit per feature of the
+        registered :class:`SlabLayout`.  Only the features with a
+        nonzero residual are encoded — by ``compress_blocked`` over
+        them, compacted in feature order, one fixed-point scale per
+        ``n_bins`` values (Section 6.1's "the maximal absolute value in
+        the histogram") — so the stochastic-rounding stream ``rng`` is
+        drawn for present features only, in partition order.  Decoding
+        adds the sums back into every feature's zero buckets, so the
+        server stores the folded histogram, and a feature the node never
+        touched decodes to exactly its closed form.  A slice of ``F``
+        features is billed payload + present scales + ``ceil(F / 8)``
+        bitmap bytes + the 8 header bytes.
 
         Raises:
-            PSError: wrong row length, a lossy encode without ``rng``,
-                or a lossy encode of a parameter registered without a
-                layout (it has no scale block).
+            PSError: wrong row length, a lossy encode without ``rng`` or
+                ``sums``, or a lossy encode of a parameter registered
+                without a layout (it has no scale block).
         """
         partitioner = self.partitioner(name)
         flat = np.asarray(flat, dtype=np.float64)
@@ -210,20 +220,30 @@ class ParameterServerGroup:
             ]
         if rng is None:
             raise PSError("compression requires an rng for stochastic rounding")
+        if sums is None:
+            raise PSError("compression requires the delta's exact node sums")
         layout = self._layout(name)
+        width = layout.feature_width
+        fold = np.array([[sums[0]], [sums[1]]], dtype=np.float64)
         pieces: list[tuple[Partition, np.ndarray, int]] = []
         for part in partitioner.partitions:
-            features = flat[part.lo : part.hi].reshape(-1, layout.feature_width)
+            # The slice's g- and h-zero-bucket slots, one column per feature.
+            slots = layout.zero_slots[:, part.lo // width : part.hi // width] - part.lo
+            residual = flat[part.lo : part.hi].copy()
+            residual.put(slots, residual.take(slots) - fold)
+            features = residual.reshape(-1, width)
             present = np.flatnonzero((features != 0.0).any(axis=1))
             blocked = compress_blocked(
                 features[present].ravel(), layout.n_bins, compression_bits, rng
             )
-            decoded = np.zeros_like(features)
-            decoded[present] = decompress_blocked(blocked).reshape(
-                len(present), layout.feature_width
+            decoded = np.zeros_like(residual)
+            decoded.reshape(-1, width)[present] = decompress_blocked(blocked).reshape(
+                len(present), width
             )
+            decoded.put(slots, decoded.take(slots) + fold)
             bitmap_bytes = -(-len(features) // 8)
-            pieces.append((part, decoded.ravel(), blocked.wire_bytes + bitmap_bytes))
+            piece_bytes = blocked.wire_bytes + bitmap_bytes + ROW_SUMS_BYTES
+            pieces.append((part, decoded, piece_bytes))
         return pieces
 
     def push_row(
@@ -233,6 +253,7 @@ class ParameterServerGroup:
         flat: np.ndarray,
         compression_bits: int = 0,
         rng: np.random.Generator | None = None,
+        sums: tuple[float, float] | None = None,
         seq: object | None = None,
         worker: int | None = None,
     ) -> TransferStats:
@@ -240,8 +261,8 @@ class ParameterServerGroup:
 
         With ``compression_bits > 0`` each range slice is quantized by the
         Section 6.1 codec before "transmission" and decoded on the server
-        (:meth:`encode_row`), so only the compressed bytes count on the
-        wire.
+        (:meth:`encode_row`, which needs ``rng`` and the row's exact node
+        ``sums``), so only the compressed bytes count on the wire.
 
         ``seq`` is the idempotence token forwarded to
         :meth:`PSServer.handle_push`; required when a fault fabric is
@@ -252,13 +273,13 @@ class ParameterServerGroup:
         self._require_seq("push_row", seq)
         stats = TransferStats()
         for part, piece, piece_bytes in self.encode_row(
-            name, flat, compression_bits, rng
+            name, flat, compression_bits, rng, sums=sums
         ):
             server = self.servers[part.server_id]
 
-            def send(server=server, part=part, piece=piece):
+            def send(server=server, part=part, piece=piece, piece_bytes=piece_bytes):
                 return server.handle_push(
-                    name, row, part.partition_id, piece, seq=seq
+                    name, row, part.partition_id, piece, piece_bytes, seq=seq
                 )
 
             self._push(stats, send, part.server_id, worker, piece_bytes)
@@ -398,8 +419,10 @@ class ParameterServerGroup:
             server = self.servers[server_id]
 
             def send(server=server, share=share):
-                for row, partition_id, piece, _piece_bytes in share:
-                    server.handle_push(name, row, partition_id, piece, seq=seq)
+                for row, partition_id, piece, piece_bytes in share:
+                    server.handle_push(
+                        name, row, partition_id, piece, 4 + piece_bytes, seq=seq
+                    )
                 return None
 
             self._push(stats, send, server_id, worker, payload_bytes)

@@ -105,9 +105,14 @@ class PSServer:
         row: int,
         partition_id: int,
         values: np.ndarray,
+        wire_bytes: int | None = None,
         seq: object | None = None,
     ) -> None:
         """Apply the default additive push to one hosted range of ``row``.
+
+        ``wire_bytes`` is what the sender billed for this range — a lossy
+        piece's encoded size, a windowed piece's row id included; the
+        default is the range as float32 values.
 
         ``seq`` makes the push idempotent: a hashable token identifying
         the logical message (the engine uses ``(tree_index, worker_id)``
@@ -125,21 +130,8 @@ class PSServer:
                 f"push to {name!r} partition {partition_id}: expected "
                 f"{part.length} values, got {values.shape}"
             )
-        self.bytes_received += values.size * 4
-        if seq is not None:
-            applied = self._applied[name].setdefault(row, {}).setdefault(
-                partition_id, set()
-            )
-            if seq in applied:
-                self.duplicate_pushes += 1
-                return
-            applied.add(seq)
-        rows = self._rows[name].setdefault(row, {})
-        stored = rows.get(partition_id)
-        if stored is None:
-            rows[partition_id] = values.copy()
-        else:
-            stored += values
+        self.bytes_received += values.size * 4 if wire_bytes is None else wire_bytes
+        self._apply(name, row, partition_id, seq, values, owned=False)
 
     def handle_push_slab(
         self,
@@ -175,7 +167,8 @@ class PSServer:
         layout, f_lo, f_hi = self._slab_range(name, partition_id)
         layout.check_slab(slab)
         self.bytes_received += slab.wire_bytes_for(f_lo, f_hi)
-        self._apply_slab(name, row, partition_id, slab, seq, layout, f_lo, f_hi)
+        contrib = self._materialize_slab(layout, slab, f_lo, f_hi)
+        self._apply(name, row, partition_id, seq, contrib, owned=True)
 
     def _slab_range(
         self, name: str, partition_id: int
@@ -196,18 +189,19 @@ class PSServer:
             )
         return layout, part.lo // width, part.hi // width
 
-    def _apply_slab(
+    def _apply(
         self,
         name: str,
         row: int,
         partition_id: int,
-        slab: SparseSlab | CompressedSlab,
         seq: object | None,
-        layout: SlabLayout,
-        f_lo: int,
-        f_hi: int,
+        values: np.ndarray,
+        owned: bool,
     ) -> None:
-        """Add one billed, layout-checked slab unless ``seq`` was applied."""
+        """Add ``values`` to one stored range unless ``seq`` was already
+        applied there (a duplicate is counted and dropped).  The range's
+        first push stores ``values`` itself when it is ``owned`` (made by
+        the server), a copy otherwise."""
         if seq is not None:
             applied = self._applied[name].setdefault(row, {}).setdefault(
                 partition_id, set()
@@ -216,13 +210,12 @@ class PSServer:
                 self.duplicate_pushes += 1
                 return
             applied.add(seq)
-        contrib = self._materialize_slab(layout, slab, f_lo, f_hi)
         rows = self._rows[name].setdefault(row, {})
         stored = rows.get(partition_id)
         if stored is None:
-            rows[partition_id] = contrib
+            rows[partition_id] = values if owned else values.copy()
         else:
-            stored += contrib
+            stored += values
 
     @staticmethod
     def _materialize_slab(
@@ -284,7 +277,8 @@ class PSServer:
             layout.check_slab(slab)
         for row, slab in entries:
             self.bytes_received += 4 + slab.wire_bytes_for(f_lo, f_hi)
-            self._apply_slab(name, row, partition_id, slab, seq, layout, f_lo, f_hi)
+            contrib = self._materialize_slab(layout, slab, f_lo, f_hi)
+            self._apply(name, row, partition_id, seq, contrib, owned=True)
 
     def handle_push_sketch(
         self,

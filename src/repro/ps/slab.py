@@ -24,7 +24,7 @@ Wire format (charged to the cost model, never actually serialized here)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,11 +64,15 @@ class SlabLayout:
         n_bins: Bucket budget K per feature.
         zero_bins: int32 array; ``zero_bins[f]`` is feature ``f``'s zero
             bucket (where absent features' gradient sums fold).
+        zero_slots: Derived ``(2, M)`` int64 table: row 0 holds the flat
+            slot of every feature's gradient zero bucket, row 1 of its
+            hessian zero bucket — where Algorithm 2 folds the node sums.
     """
 
     n_features: int
     n_bins: int
     zero_bins: np.ndarray
+    zero_slots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_features < 1 or self.n_bins < 1:
@@ -85,6 +89,13 @@ class SlabLayout:
             )
         if np.any(zero_bins < 0) or np.any(zero_bins >= self.n_bins):
             raise PSError("zero_bins entries must lie in [0, n_bins)")
+        g_slots = (
+            np.arange(self.n_features, dtype=np.int64) * self.feature_width
+            + zero_bins
+        )
+        object.__setattr__(
+            self, "zero_slots", np.stack((g_slots, g_slots + self.n_bins))
+        )
 
     @property
     def feature_width(self) -> int:

@@ -323,3 +323,38 @@ def encode_row_lossy(
         decoded = decompress_blocked(payload, scales, bits, hi - lo, n_bins)
         pieces.append((decoded, payload.nbytes + scales.nbytes))
     return pieces
+
+
+# ----------------------------------------------------------------------
+# ps/group.py, again
+# ----------------------------------------------------------------------
+# The bitmap lossy loop of ``ParameterServerGroup.encode_row`` as it stood
+# at ``b7326fc``, before the row slice carried its node sums as a header:
+# the caller unfolded the zero buckets, only the features with a nonzero
+# value were encoded, and an absent feature decoded to ``+0.0``.  It runs
+# on the frozen codec above and takes the partition bounds as
+# ``(lo, hi)`` pairs instead of the registered partitioner.
+
+
+def encode_row_bitmap(
+    flat: np.ndarray,
+    bounds: list[tuple[int, int]],
+    n_bins: int,
+    bits: int,
+    rng: np.random.Generator,
+) -> list[tuple[np.ndarray, int]]:
+    """``(decoded slice, wire bytes)`` per partition ``(lo, hi)``, in order."""
+    flat = np.asarray(flat, dtype=np.float64)
+    width = 2 * n_bins
+    pieces: list[tuple[np.ndarray, int]] = []
+    for lo, hi in bounds:
+        features = flat[lo:hi].reshape(-1, width)
+        present = np.flatnonzero((features != 0.0).any(axis=1))
+        payload, scales = compress_blocked(features[present].ravel(), n_bins, bits, rng)
+        decoded = np.zeros_like(features)
+        decoded[present] = decompress_blocked(
+            payload, scales, bits, len(present) * width, n_bins
+        ).reshape(len(present), width)
+        bitmap_bytes = -(-len(features) // 8)
+        pieces.append((decoded.ravel(), payload.nbytes + scales.nbytes + bitmap_bytes))
+    return pieces

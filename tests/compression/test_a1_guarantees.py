@@ -11,6 +11,13 @@ with maximum magnitude ``c`` and integer scale ``S = 2**(d-1) - 1``:
   ``6 * c / (2 * S * sqrt(N))`` of the input (six standard errors of a
   stochastic rounding, whose variance is at most ``(c / S)**2 / 4``).
 
+``encode_row`` runs the codec on the residual left once the node sums
+are subtracted from the zero buckets; the guarantees above are checked
+at zero sums, where the residual is the input.  One more guarantee is
+its own: **exact absent features** — a feature whose residual is all
+zeros (the builder's closed form: zeros but the sums in its zero
+buckets) is stored bit for bit as the lossless push stores it.
+
 Each bound carries a relative ``2**-20`` of ``c`` for the float32 wire
 scale and float64 arithmetic.  Magnitudes stay inside float32's normal
 range: a block whose maximum is below it ships a zero scale.
@@ -108,7 +115,7 @@ def feature_row(values: np.ndarray, n_bins: int):
 
 
 def encode_decode(group, flat: np.ndarray, bits: int, rng) -> np.ndarray:
-    pieces = group.encode_row("hist", flat, bits, rng)
+    pieces = group.encode_row("hist", flat, bits, rng, sums=(0.0, 0.0))
     return np.concatenate([values for _part, values, _bytes in pieces])
 
 
@@ -138,3 +145,53 @@ class TestEncodeRow:
         for _ in range(n):
             total += encode_decode(group, values.ravel(), bits, rng)
         assert_unbiased((total / n).reshape(values.shape), values, bits, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.data(),
+        BITS,
+        st.sampled_from([1, 3, 21]),
+        st.integers(1, 4),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_absent_features_store_the_lossless_bits(
+        self, data, bits, n_bins, n_workers, seed
+    ):
+        n_features = data.draw(st.integers(min_value=1, max_value=30))
+        rng = np.random.default_rng(seed)
+        width = 2 * n_bins
+        zero_bins = rng.integers(0, n_bins, size=n_features)
+        layout = SlabLayout(n_features, n_bins, zero_bins)
+        groups = {}
+        for bits_or_zero in (bits, 0):
+            groups[bits_or_zero] = ParameterServerGroup(3)
+            groups[bits_or_zero].register(
+                "hist", n_features * width, align=width, layout=layout
+            )
+        touched = np.zeros(n_features, dtype=bool)
+        features = np.arange(n_features)
+        for worker in range(n_workers):
+            present = rng.random(n_features) < 0.5
+            touched |= present
+            residual = np.zeros((n_features, width))
+            residual[present] = rng.normal(size=(int(present.sum()), width))
+            sums = (float(rng.normal() * 1e3), float(rng.random() * 1e3))
+            flat = residual.copy()
+            flat[features, zero_bins] += sums[0]
+            flat[features, n_bins + zero_bins] += sums[1]
+            for push_bits, group in groups.items():
+                group.push_row(
+                    "hist",
+                    0,
+                    flat.ravel(),
+                    push_bits,
+                    np.random.default_rng(worker),
+                    sums=sums,
+                )
+        lossy, _ = groups[bits].pull_row("hist", 0)
+        lossless, _ = groups[0].pull_row("hist", 0)
+        absent = ~touched
+        assert (
+            lossy.reshape(n_features, width)[absent].tobytes()
+            == lossless.reshape(n_features, width)[absent].tobytes()
+        )

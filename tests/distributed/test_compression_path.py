@@ -1,4 +1,4 @@
-"""Tests for the DimBoost compression path: fold deferral and accuracy."""
+"""Tests for the DimBoost compression path: the zero-bucket fold and accuracy."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.datasets.partition import BlockPartitioner, GridSpec
 from repro.distributed import make_backend
 from repro.distributed.backends import WindowedPusher
 from repro.distributed.engine import _node_sums
-from repro.errors import TrainingError
+from repro.errors import PSError, TrainingError
 from repro.histogram import BinnedShard, build_node_histogram_sparse
 from repro.sketch import propose_candidates
 from tests.distributed import find_splits
@@ -35,50 +35,62 @@ def setup(small_dataset):
     return candidates, flats, sums
 
 
-def unfolded(backend, flat, sums):
-    """``flat`` with the zero-bucket fold removed (the backend unfolds
-    the flat it is handed in place, so work on a copy)."""
+def lossy_group(candidates):
+    """A lossy DimBoost backend's server group (4 servers) and layout."""
+    cluster = ClusterConfig(n_workers=4, n_servers=4)
+    config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
+    backend = make_backend(
+        "dimboost", cluster, config.with_overrides(compression_bits=8), candidates
+    )
+    return backend.group, backend.pusher.layout
+
+
+def fold(flat, layout, sum_g, sum_h):
+    """``flat`` with ``sum_g`` / ``sum_h`` added to every zero bucket
+    (negated sums take the builder's fold off)."""
     out = flat.copy()
-    backend._unfold_zero_buckets(out, *sums)
+    out[layout.zero_slots[0]] += sum_g
+    out[layout.zero_slots[1]] += sum_h
     return out
 
 
 class TestFoldDeferral:
-    def test_unfold_refold_is_identity(self, setup, small_dataset):
-        """unfold on workers + refold from totals reproduces the folded sum."""
+    """The Algorithm 2 fold rides the lossy encode: removed from the
+    zero buckets before the codec, restored from the header sums on
+    decode, so the servers hold the folded histogram."""
+
+    def test_unfold_refold_is_identity(self, setup):
+        """Unfold on workers + refold on decode stores the folded sum: up
+        to the codec's error on the residuals alone, since the O(N)
+        zero-bucket mass never meets the codec."""
         candidates, flats, sums = setup
-        cluster = ClusterConfig(n_workers=4, n_servers=4)
-        config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
-        backend = make_backend(
-            "dimboost", cluster, config.with_overrides(compression_bits=0), candidates
+        group, layout = lossy_group(candidates)
+        for worker, (flat, node_sums) in enumerate(zip(flats, sums)):
+            rng = np.random.default_rng(worker)
+            group.push_row("grad_hist", 0, flat, 16, rng, sums=node_sums)
+        stored, _ = group.pull_row("grad_hist", 0)
+        residual = max(
+            np.abs(fold(flat, layout, -sum_g, -sum_h)).max()
+            for flat, (sum_g, sum_h) in zip(flats, sums)
         )
-        total_sums = [0.0, 0.0]
-        unfolded_sum = np.zeros_like(flats[0])
-        for flat, (sum_g, sum_h) in zip(flats, sums):
-            unfolded_sum += unfolded(backend, flat, (sum_g, sum_h))
-            total_sums[0] += sum_g
-            total_sums[1] += sum_h
-        refolded = backend._fold_zero_buckets(
-            unfolded_sum, 0, backend.flat_len, total_sums[0], total_sums[1]
-        )
-        np.testing.assert_allclose(refolded, np.sum(flats, axis=0), atol=1e-8)
+        atol = len(flats) * residual * (1 / 32767 + 2.0**-20)
+        np.testing.assert_allclose(stored, np.sum(flats, axis=0), rtol=0, atol=atol)
 
     def test_fold_on_subrange(self, setup):
-        """Folding a feature subrange touches only that range's zero slots."""
-        candidates, flats, sums = setup
-        cluster = ClusterConfig(n_workers=4, n_servers=4)
-        config = TrainConfig(n_trees=1, max_depth=3, n_split_candidates=8)
-        backend = make_backend(
-            "dimboost", cluster, config.with_overrides(compression_bits=0), candidates
+        """Every partition's piece carries the fold of its own features:
+        a node no feature of which has a nonzero encodes nothing but its
+        header and decodes, piece by piece, to its exact closed form."""
+        candidates, _flats, sums = setup
+        group, layout = lossy_group(candidates)
+        closed_form = fold(np.zeros(layout.row_length), layout, *sums[0])
+        pieces = group.encode_row(
+            "grad_hist", closed_form, 8, np.random.default_rng(0), sums=sums[0]
         )
-        block = 2 * candidates.max_bins
-        lo, hi = 3 * block, 9 * block
-        flat = flats[0]
-        sum_g, sum_h = sums[0]
-        refolded = backend._fold_zero_buckets(
-            unfolded(backend, flat, sums[0])[lo:hi], lo, hi, sum_g, sum_h
-        )
-        np.testing.assert_allclose(refolded, flat[lo:hi], atol=1e-8)
+        assert len(pieces) == 4
+        for part, values, piece_bytes in pieces:
+            assert values.tobytes() == closed_form[part.lo : part.hi].tobytes()
+            n_features = part.length // layout.feature_width
+            assert piece_bytes == -(-n_features // 8) + 8
 
     def test_compressed_decisions_close_to_exact(self, setup):
         """8-bit compression preserves the chosen split on real histograms."""
@@ -134,32 +146,38 @@ class TestFoldDeferral:
         )
         backend.begin_tree(0)
         for partial in (None, sums[:3]):
-            with pytest.raises(TrainingError, match="exact node sums"):
+            with pytest.raises((PSError, TrainingError), match="node sums"):
                 backend.aggregate_node(
                     0, [f.copy() for f in flats], SimClock(), partial
                 )
-        assert backend._node_sums == {}
+        assert backend.group.memory_bytes() == 0
 
     def test_node_sums_reset_per_tree(self, setup):
+        """A lossy push keeps no state across trees: after tree 0, tree 1
+        stores what a fresh backend stores there."""
         candidates, flats, sums = setup
         cluster = ClusterConfig(n_workers=4, n_servers=4)
         config = TrainConfig(n_trees=2, max_depth=3, n_split_candidates=8)
-        backend = make_backend(
-            "dimboost", cluster, config.with_overrides(compression_bits=8), candidates
-        )
-        backend.begin_tree(0)
-        clock = SimClock()
-        backend.aggregate_node(0, [f.copy() for f in flats], clock, sums)
-        assert 0 in backend._node_sums
-        backend.begin_tree(1)
-        assert backend._node_sums == {}
+        lossy = config.with_overrides(compression_bits=8)
+        used = make_backend("dimboost", cluster, lossy, candidates)
+        used.begin_tree(0)
+        used.aggregate_node(0, [f.copy() for f in flats], SimClock(), sums)
+        find_splits(used, [0], SimClock())
+        fresh = make_backend("dimboost", cluster, lossy, candidates)
+        for backend in (used, fresh):
+            backend.begin_tree(1)
+            backend.aggregate_node(0, [f.copy() for f in flats], SimClock(), sums)
+        used_row, _ = used.group.pull_row("grad_hist", 0)
+        fresh_row, _ = fresh.group.pull_row("grad_hist", 0)
+        assert used_row.tobytes() == fresh_row.tobytes()
 
 
 class TestExactZeroBucketSums:
-    """The engine hands the lossy backend the builder's own node sums, so
+    """The engine hands the lossy push the builder's own node sums, so
     a feature without a nonzero among a worker's node rows unfolds to
     exact zeros — not the ~1e-16 residue of a sum re-derived from the
-    histogram — and the push leaves it off the wire."""
+    histogram — which the push leaves off the wire and decodes back to
+    the lossless bits."""
 
     @pytest.fixture(scope="class")
     def wide(self):
@@ -169,13 +187,15 @@ class TestExactZeroBucketSums:
         return make_sparse_classification(spec, seed=3)
 
     def test_untouched_feature_unfolds_to_exact_zero(self, wide, monkeypatch):
-        root_flats: list[np.ndarray] = []
+        root: list[tuple[np.ndarray, tuple[float, float]]] = []
         push = WindowedPusher.push_flats
+        pushers: list[WindowedPusher] = []
 
-        def record(pusher, node, flats, clock):
-            if node == 0 and not root_flats:
-                root_flats.extend(flat.copy() for flat in flats)
-            return push(pusher, node, flats, clock)
+        def record(pusher, node, flats, clock, sums=None):
+            if node == 0 and not root:
+                pushers.append(pusher)
+                root.extend((flat.copy(), s) for flat, s in zip(flats, sums))
+            return push(pusher, node, flats, clock, sums)
 
         monkeypatch.setattr(WindowedPusher, "push_flats", record)
         workers = 4
@@ -186,14 +206,23 @@ class TestExactZeroBucketSums:
                 n_trees=1, max_depth=2, n_split_candidates=8, compression_bits=8
             ),
         ).fit(wide)
-        assert len(root_flats) == workers
+        assert len(root) == workers
+        (pusher,) = pushers
         partitioner = BlockPartitioner(wide, GridSpec(workers, 1))
-        for worker, flat in enumerate(root_flats):
+        for worker, (flat, (sum_g, sum_h)) in enumerate(root):
             X = partitioner.row_shard(worker).X
             touched = np.unique(X.indices[X.data != 0])
             untouched = np.setdiff1d(np.arange(wide.n_features), touched)
             assert len(untouched) > 100  # the fit really has untouched features
-            rows = flat.reshape(wide.n_features, -1)[untouched]
+            residual = fold(flat, pusher.layout, -sum_g, -sum_h)
+            rows = residual.reshape(wide.n_features, -1)[untouched]
             # Both halves — the g- and the h-histogram — exactly +0.0.
             assert not rows.any()
             assert not np.signbit(rows).any()
+            pieces = pusher.group.encode_row(
+                "grad_hist", flat, 8, np.random.default_rng(0), sums=(sum_g, sum_h)
+            )
+            decoded = np.concatenate([values for _part, values, _bytes in pieces])
+            by_feature = decoded.reshape(wide.n_features, -1)
+            lossless = flat.reshape(wide.n_features, -1)
+            assert by_feature[untouched].tobytes() == lossless[untouched].tobytes()

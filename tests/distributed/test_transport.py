@@ -246,15 +246,20 @@ PIN_LAYOUTS = {
 #: were re-pinned when lossy dense pushes started subtracting the
 #: builder's exact node sums and leaving features with no nonzero off
 #: the wire (a deliberate model change); the candidate sets did not move.
+#: They were re-pinned again when lossy dense pieces started carrying the
+#: node sums as a header and the servers storing the folded histogram:
+#: each zero bucket sums its workers' decoded-plus-sums floats instead of
+#: getting the summed sums added at split time, and every piece bills
+#: 8 header bytes (a deliberate model change; candidates did not move).
 ENGINE_PINS = {
     ("row4x1", "distributed"): (
-        "0ae2a664daae70bb2dad49746d5aeb4f0f6381b8f3dde736ec82b2d85da70340",
-        0.016839272,
+        "76248cac965930d5ccc13829a1220256c240ef2b195fa6b239d51aed8a5f22f9",
+        0.01684084,
         "44bc63b3f4e6cc67c7f1806c27d0f79f2f8e2a3e854074bc9652dc4ea0fbb7e3",
     ),
     ("row4x1", "weighted"): (
-        "d933cccd424f89ca4169027e3797a4603becdf9c43edec34b618b669020a0856",
-        0.018850231999999998,
+        "b2757213d80c347027771390150e85fc0cb5d177a15f705ebbbdf9adf88da430",
+        0.0188518,
         "196916011a8d177c200a2f53fd362a13730e4e0f47743689b748e44af542bc4a",
     ),
     ("grid2x2", "distributed"): (

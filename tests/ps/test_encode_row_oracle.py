@@ -1,8 +1,15 @@
 """``ParameterServerGroup.encode_row``'s lossy branch against its oracles.
 
-A lossy dense slice carries a per-feature presence bitmap and encodes
-only the features with a nonzero value, so two frozen references bound
-it (``tests/_reference_rowpath.py``):
+A lossy dense slice carries the delta's node sums as a header, subtracts
+them from every zero bucket, and encodes only the features whose
+residual has a nonzero value behind a per-feature presence bitmap;
+decoding adds the sums back.  Three frozen references bound it
+(``tests/_reference_rowpath.py``):
+
+* the bitmap loop that encoded an already unfolded row — the encode of
+  ``flat`` must equal that loop run on ``flat`` minus the fold, plus the
+  fold, piece by piece and bit for bit, with the same dither draws and
+  eight more bytes per piece (the two sums);
 
 * ``compress_blocked`` run over the *compacted* present features of the
   whole row, with the same generator — the present features must decode
@@ -10,7 +17,10 @@ it (``tests/_reference_rowpath.py``):
   draw leaves it;
 * the dense loop that encoded every feature — a row whose features are
   all present must reproduce its decoded pieces bit for bit, and its
-  payload + scale bytes plus the bitmap.
+  payload + scale bytes plus the bitmap and the sums.
+
+The last two run with zero node sums, whose fold subtracts nothing and
+only adds ``+0.0`` back (a ``-0.0`` zero bucket decodes to ``+0.0``).
 """
 
 from __future__ import annotations
@@ -24,6 +34,19 @@ from repro.ps import ParameterServerGroup, SlabLayout
 from .. import _reference_rowpath as ref
 
 VALUE_KINDS = ["sparse", "dense", "residue", "subnormal", "pm_max", "negzero"]
+
+#: Header bytes of a lossy piece: the two node sums.
+SUMS_BYTES = 8
+
+
+def fold(row, zero_bins, n_bins, sum_g, sum_h):
+    """``row`` with ``sum_g`` / ``sum_h`` added to the zero buckets of its
+    features (``zero_bins`` lists them, one per feature of ``row``)."""
+    out = np.array(row, dtype=np.float64).reshape(len(zero_bins), 2 * n_bins)
+    features = np.arange(len(zero_bins))
+    out[features, zero_bins] += sum_g
+    out[features, n_bins + zero_bins] += sum_h
+    return out.ravel()
 
 
 @st.composite
@@ -67,21 +90,65 @@ def lossy_rows(draw, all_present=False):
     return group, rows.ravel(), present, n_bins
 
 
+@st.composite
+def folded_rows(draw):
+    """``(group, flat, zero_bins, n_bins, sums)``: a :func:`lossy_rows`
+    row read as a node's residual, zero buckets at drawn bins, with the
+    node sums ``(sum_g, sum_h)`` folded in — zero, histogram-sized, or
+    the O(N) mass that dwarfs every bucket."""
+    template, residual, _present, n_bins = draw(lossy_rows())
+    width = 2 * n_bins
+    n_features = residual.size // width
+    bins = st.integers(0, n_bins - 1)
+    zero_bins = np.array(
+        draw(st.lists(bins, min_size=n_features, max_size=n_features)),
+        dtype=np.int64,
+    )
+    group = ParameterServerGroup(template.n_servers)
+    layout = SlabLayout(n_features, n_bins, zero_bins)
+    group.register("hist", residual.size, align=width, layout=layout)
+    magnitude = draw(st.sampled_from([0.0, 1.0, 1e4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    sums = (float(rng.normal() * magnitude), float(rng.random() * magnitude))
+    return group, fold(residual, zero_bins, n_bins, *sums), zero_bins, n_bins, sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(folded_rows(), st.sampled_from([2, 4, 8, 16]), st.integers(0, 2**31 - 1))
+def test_encode_folds_around_the_frozen_bitmap_loop(drawn, bits, seed):
+    group, flat, zero_bins, n_bins, (sum_g, sum_h) = drawn
+    width = 2 * n_bins
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    pieces = group.encode_row("hist", flat, bits, rng, sums=(sum_g, sum_h))
+    bounds = [(part.lo, part.hi) for part, _values, _bytes in pieces]
+    unfolded = fold(flat, zero_bins, n_bins, -sum_g, -sum_h)
+    reference = ref.encode_row_bitmap(unfolded, bounds, n_bins, bits, rng_ref)
+    assert len(pieces) == len(reference)
+    for (part, values, piece_bytes), (ref_values, ref_bytes) in zip(pieces, reference):
+        piece_bins = zero_bins[part.lo // width : part.hi // width]
+        expected = fold(ref_values, piece_bins, n_bins, sum_g, sum_h)
+        assert values.tobytes() == expected.tobytes()
+        assert piece_bytes == ref_bytes + SUMS_BYTES
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 @settings(max_examples=150, deadline=None)
 @given(lossy_rows(), st.sampled_from([2, 4, 8, 16]), st.integers(0, 2**31 - 1))
 def test_present_features_match_the_compacted_reference(drawn, bits, seed):
     group, flat, present, n_bins = drawn
     width = 2 * n_bins
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    pieces = group.encode_row("hist", flat, bits, rng)
+    pieces = group.encode_row("hist", flat, bits, rng, sums=(0.0, 0.0))
 
     decoded = np.concatenate([values for _part, values, _bytes in pieces])
     by_feature = decoded.reshape(-1, width)
     compacted = flat.reshape(-1, width)[present].ravel()
     payload, scales = ref.compress_blocked(compacted, n_bins, bits, rng_ref)
     expected = ref.decompress_blocked(payload, scales, bits, compacted.size, n_bins)
-    # Present features: the compacted reference, bit for bit (sign of
-    # zeros included).
+    zero_bins = np.zeros(int(present.sum()), dtype=np.int64)
+    expected = fold(expected, zero_bins, n_bins, 0.0, 0.0)
+    # Present features: the compacted reference plus the (zero) fold, bit
+    # for bit (sign of zeros included).
     assert by_feature[present].ravel().tobytes() == expected.tobytes()
     # Absent features: +0.0, never -0.0.
     absent = by_feature[~present]
@@ -90,13 +157,17 @@ def test_present_features_match_the_compacted_reference(drawn, bits, seed):
     drawn_once = np.random.default_rng(seed)
     drawn_once.random(int(present.sum()) * width)
     assert rng.bit_generator.state == drawn_once.bit_generator.state
-    # Billed: packed payload + one float32 scale per block + the bitmap.
+    # Billed: packed payload + one float32 scale per block + the bitmap
+    # + the two sums.
     for part, values, piece_bytes in pieces:
         n_part = part.length // width
         n_present = int(present[part.lo // width : part.hi // width].sum())
         assert values.shape == (part.length,)
         assert piece_bytes == (
-            -(-n_present * width * bits // 8) + 2 * n_present * 4 + -(-n_part // 8)
+            -(-n_present * width * bits // 8)
+            + 2 * n_present * 4
+            + -(-n_part // 8)
+            + SUMS_BYTES
         )
 
 
@@ -110,12 +181,16 @@ def test_all_present_row_reproduces_the_dense_loop(drawn, bits, seed):
     group, flat, present, n_bins = drawn
     assert present.all()
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    pieces = group.encode_row("hist", flat, bits, rng)
+    pieces = group.encode_row("hist", flat, bits, rng, sums=(0.0, 0.0))
     bounds = [(part.lo, part.hi) for part, _values, _bytes in pieces]
     reference = ref.encode_row_lossy(flat, bounds, n_bins, bits, rng_ref)
     assert len(pieces) == len(reference)
     for (part, values, piece_bytes), (ref_values, ref_bytes) in zip(pieces, reference):
-        assert values.tobytes() == ref_values.tobytes()
-        # The parent's payload + scale bytes, plus the presence bitmap.
-        assert piece_bytes == ref_bytes + -(-(part.length // (2 * n_bins)) // 8)
+        n_part = part.length // (2 * n_bins)
+        zero_bins = np.zeros(n_part, dtype=np.int64)
+        expected = fold(ref_values, zero_bins, n_bins, 0.0, 0.0)
+        assert values.tobytes() == expected.tobytes()
+        # The dense loop's payload + scale bytes, plus the presence bitmap
+        # and the sums.
+        assert piece_bytes == ref_bytes + -(-n_part // 8) + SUMS_BYTES
     assert rng.bit_generator.state == rng_ref.bit_generator.state

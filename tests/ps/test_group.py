@@ -8,6 +8,9 @@ import pytest
 from repro.errors import PSError
 from repro.ps import ParameterServerGroup, SlabLayout
 
+#: Node sums that fold nothing into the zero buckets.
+ZERO = (0.0, 0.0)
+
 
 @pytest.fixture()
 def group() -> ParameterServerGroup:
@@ -62,7 +65,7 @@ class TestCompression:
 
     def test_compressed_push_approximates(self, group, rng):
         flat = rng.normal(size=64)
-        group.push_row("hist", 0, flat, compression_bits=8, rng=rng)
+        group.push_row("hist", 0, flat, compression_bits=8, rng=rng, sums=ZERO)
         pulled, _ = group.pull_row("hist", 0)
         scale = np.abs(flat).max() / 127
         assert np.max(np.abs(pulled - flat)) <= 2 * scale
@@ -70,17 +73,24 @@ class TestCompression:
     def test_compressed_wire_bytes_smaller(self, group, rng):
         flat = rng.normal(size=64)
         full = group.push_row("hist", 1, flat)
-        comp = group.push_row("hist", 2, flat, compression_bits=8, rng=rng)
+        comp = group.push_row(
+            "hist", 2, flat, compression_bits=8, rng=rng, sums=ZERO
+        )
         assert comp.bytes_up < full.bytes_up
 
     def test_compression_requires_rng(self, group):
         with pytest.raises(PSError, match="rng"):
             group.push_row("hist", 0, np.ones(64), compression_bits=8)
 
+    def test_compression_requires_node_sums(self, group, rng):
+        with pytest.raises(PSError, match="node sums"):
+            group.push_row("hist", 0, np.ones(64), compression_bits=8, rng=rng)
+        assert group.memory_bytes() == 0
+
     def test_sixteen_bit_tighter_than_eight(self, group, rng):
         flat = rng.normal(size=64)
-        group.push_row("hist", 4, flat, compression_bits=8, rng=rng)
-        group.push_row("hist", 5, flat, compression_bits=16, rng=rng)
+        group.push_row("hist", 4, flat, compression_bits=8, rng=rng, sums=ZERO)
+        group.push_row("hist", 5, flat, compression_bits=16, rng=rng, sums=ZERO)
         e8, _ = group.pull_row("hist", 4)
         e16, _ = group.pull_row("hist", 5)
         assert np.abs(e16 - flat).max() < np.abs(e8 - flat).max()
@@ -89,17 +99,22 @@ class TestCompression:
         bare = ParameterServerGroup(n_servers=2)
         bare.register("plain", row_length=64, align=8)
         with pytest.raises(PSError, match="'plain'"):
-            bare.encode_row("plain", np.ones(64), compression_bits=8, rng=rng)
+            bare.encode_row(
+                "plain", np.ones(64), compression_bits=8, rng=rng, sums=ZERO
+            )
         # Without the codec a layout is not needed.
         pieces = bare.encode_row("plain", np.ones(64))
         assert sum(piece_bytes for *_rest, piece_bytes in pieces) == 64 * 4
 
     def test_one_scale_per_feature_histogram(self, group, rng):
         flat = np.repeat([1.0, 1000.0], 32)
-        pieces = group.encode_row("hist", flat, compression_bits=8, rng=rng)
+        pieces = group.encode_row("hist", flat, compression_bits=8, rng=rng, sums=ZERO)
         # 16 histograms of 4 values: 4 one-byte codes + one float32 scale;
-        # each of the 4 partitions adds one presence-bitmap byte (2 features).
-        assert sum(piece_bytes for *_rest, piece_bytes in pieces) == 16 * (4 + 4) + 4
+        # each of the 4 partitions adds one presence-bitmap byte (2
+        # features) and the 8 bytes of the two node sums.
+        assert sum(
+            piece_bytes for *_rest, piece_bytes in pieces
+        ) == 16 * (4 + 4) + 4 * (1 + 8)
         decoded = np.concatenate([piece for _part, piece, _bytes in pieces])
         # Small histograms keep their own scale, not the row maximum's.
         assert np.abs(decoded[:32] - 1.0).max() <= 1.0 / 127
@@ -123,9 +138,9 @@ class TestPushWindowRows:
         for server in group.servers:
             original = server.handle_push
 
-            def spy(name, row, partition_id, values, seq=None, _s=server, _o=original):
+            def spy(name, row, partition_id, *args, _s=server, _o=original, **kw):
                 delivered.append((_s.server_id, row, partition_id))
-                return _o(name, row, partition_id, values, seq=seq)
+                return _o(name, row, partition_id, *args, **kw)
 
             server.handle_push = spy
         stats = group.push_window_rows("hist", entries, seq=(0, 0, 0))
@@ -176,6 +191,40 @@ class TestPushWindowRows:
         entries = [(0, faulty.encode_row("hist", rng.normal(size=64)))]
         with pytest.raises(PSError, match="seq"):
             faulty.push_window_rows("hist", entries)
+
+
+class TestServerByteCounters:
+    """The servers count exactly the bytes the group bills for dense
+    rows — a lossy piece at its encoded size, a windowed piece with its
+    row id — as they do for slabs."""
+
+    @pytest.fixture()
+    def group(self) -> ParameterServerGroup:
+        """16 per-feature histograms of 4 bins on 2 servers."""
+        g = ParameterServerGroup(n_servers=2)
+        layout = SlabLayout(16, 4, np.arange(16, dtype=np.int64) % 4)
+        g.register("hist", row_length=128, align=8, layout=layout)
+        return g
+
+    @staticmethod
+    def counted(group) -> int:
+        return sum(server.bytes_received for server in group.servers)
+
+    @pytest.mark.parametrize("bits", [0, 8])
+    def test_push_row(self, group, rng, bits):
+        stats = group.push_row(
+            "hist", 0, rng.normal(size=128), bits, rng, sums=(1.5, 2.5)
+        )
+        assert self.counted(group) == stats.bytes_up
+
+    @pytest.mark.parametrize("bits", [0, 8])
+    def test_push_window_rows(self, group, rng, bits):
+        entries = [
+            (row, group.encode_row("hist", rng.normal(size=128), bits, rng, sums=ZERO))
+            for row in range(3)
+        ]
+        stats = group.push_window_rows("hist", entries, seq=(0, 0, 0))
+        assert self.counted(group) == stats.bytes_up
 
 
 class TestPullUDF:

@@ -256,6 +256,14 @@ def test_dense_windows_match_per_delta_row_pushes(data, bits, window):
         [values.normal(size=layout.row_length) * scale for _w in range(n_workers)]
         for _node in range(n_nodes)
     ]
+    # Each delta's exact node sums, the header of a lossy piece.
+    sums = [
+        [
+            (float(values.normal() * scale), float(values.random() * scale))
+            for _w in range(n_workers)
+        ]
+        for _node in range(n_nodes)
+    ]
 
     def run(agg_window):
         group = make_group(layout, n_servers)
@@ -275,7 +283,7 @@ def test_dense_windows_match_per_delta_row_pushes(data, bits, window):
         pusher.begin_tree(0)
         clock = SimClock()
         for node, per_worker in enumerate(flats):
-            pusher.push_flats(node, per_worker, clock)
+            pusher.push_flats(node, per_worker, clock, sums[node])
         pusher.flush(clock)
         return group, billed
 
