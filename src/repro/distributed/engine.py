@@ -48,8 +48,9 @@ from ..datasets.partition import BlockPartitioner, GridSpec
 from ..histogram.binned import BinnedShard
 from ..histogram.histogram import GradientHistogram
 from ..histogram.index import NodeInstanceIndex
-from ..ps.group import ParameterServerGroup
+from ..ps.group import ParameterServerGroup, TransferStats
 from ..ps.master import Master, WorkerPhase
+from ..ps.partitioner import VectorPartitioner
 from ..ps.slab import SparseSlab, slab_from_flat
 from ..runtime.build import HistogramBuildStrategy
 from ..runtime.hooks import (
@@ -62,8 +63,8 @@ from ..runtime.loop import BoostingLoop, TreeGrowthStrategy
 from ..runtime.phases import PhaseRunner, StalenessLanes, WorkerTimer
 from ..sketch.candidates import (
     CandidateSet,
+    candidate_frame_bytes,
     propose_candidates,
-    propose_candidates_from_sketches,
 )
 from ..sketch.quantile import sketch_columns, sketch_columns_weighted
 from ..tree.split import SplitDecision, leaf_weight
@@ -73,7 +74,7 @@ from .backends import AggregationBackend
 from .plan import RunPlan
 
 #: Approximate wire weight of one quantile-sketch entry (value + rank
-#: bounds), charged for the modelled CREATE_SKETCH / PULL_SKETCH exchange.
+#: bounds), charged for the modelled CREATE_SKETCH push of ``"exact"`` mode.
 SKETCH_ENTRY_BYTES = 16.0
 
 
@@ -139,8 +140,8 @@ class _GridFit(TreeGrowthStrategy):
 
     Worker ``r * C + c`` holds row band ``r`` × feature stripe ``c``.
     Row sharding is the ``C == 1`` column: a full-range column slice
-    returns its input, so each block *is* its row band and bins against
-    the run's own :class:`CandidateSet`.  The C blocks of a grid row
+    returns its input, so each block *is* its row band and its stripe
+    is every feature.  The C blocks of a grid row
     share the band's labels, gradients and node index (replicated
     compute, charged to every block).  Each block's node histogram goes
     to the backend dense (:meth:`AggregationBackend.aggregate_node`)
@@ -148,6 +149,9 @@ class _GridFit(TreeGrowthStrategy):
     (:meth:`AggregationBackend.aggregate_node_slabs`) when ``C > 1``.
     """
 
+    #: Set by :meth:`sketch`: per worker, the candidates of its stripe
+    #: (rebased to 0), as the worker pulled them.
+    stripes: list[CandidateSet]
     #: Set by :meth:`bin`.
     backend: AggregationBackend
     build_strategy: HistogramBuildStrategy
@@ -242,17 +246,30 @@ class _GridFit(TreeGrowthStrategy):
     # ------------------------------------------------------------------
 
     def sketch(self) -> CandidateSet:
-        """CREATE_SKETCH + PULL_SKETCH: the candidates workers bin against."""
+        """CREATE_SKETCH + PULL_SKETCH: the candidates the backends
+        resolve splits against.
+
+        Every worker pulls only the cuts of its own stripe, kept in
+        :attr:`stripes` for :meth:`bin`; the PULL_SKETCH stage charges
+        the slowest worker's pull, ``messages * alpha + bytes * beta``.
+        The global set is the first grid row's stripes joined.
+        """
         with self.runner.stage(WorkerPhase.CREATE_SKETCH) as stage:
             timer = stage.worker_timer()
-            candidates, sketch_bytes = self._propose_candidates(timer)
+            source = self._create_sketch(timer)
             stage.barrier(timer)
         with self.runner.stage(WorkerPhase.PULL_SKETCH) as stage:
-            # Pull of the merged sketches by every worker.
+            pulls = [self._pull_stripe(source, wid) for wid in range(len(self.blocks))]
+            self.stripes = [stripe for stripe, _ in pulls]
             stage.charge_comm(
-                self.cluster.n_servers * self.cost.alpha + sketch_bytes * self.cost.beta
+                max(
+                    stats.messages * self.cost.alpha + stats.bytes_down * self.cost.beta
+                    for _, stats in pulls
+                )
             )
-        return candidates
+        return CandidateSet.concat(
+            self.stripes[: self.grid[1]], self.config.n_split_candidates
+        )
 
     def bin(self, candidates: CandidateSet) -> None:
         """The backend, the build strategy and the pre-bucketized blocks.
@@ -324,15 +341,17 @@ class _GridFit(TreeGrowthStrategy):
         self.hooks.on_fit_end(result)
         return result
 
-    def _propose_candidates(self, timer: WorkerTimer) -> tuple[CandidateSet, float]:
-        """Candidate proposal with the sketch *push* charged.
+    def _create_sketch(
+        self, timer: WorkerTimer
+    ) -> CandidateSet | ParameterServerGroup:
+        """CREATE_SKETCH, with the sketch *push* charged.
 
-        Returns the candidates plus the sketch wire bytes the PULL_SKETCH
-        stage charges per worker.  The ``"exact"`` path computes global
-        quantiles centrally and charges the modelled summary size for
-        the widest block (the whole row when C == 1); the other modes
-        merge real per-worker summaries on the servers, recording each
-        worker's sketching seconds on ``timer``.
+        The ``"exact"`` path computes global quantiles centrally and
+        charges the modelled summary size for the widest block (the
+        whole row when C == 1), returning the candidates; the other
+        modes merge real per-worker summaries on the servers, recording
+        each worker's sketching seconds on ``timer``, and return the PS
+        group the stripes are pulled from.
         """
         config = self.config
         if self.plan.sketch_mode != "exact":
@@ -343,9 +362,9 @@ class _GridFit(TreeGrowthStrategy):
         self.clock.advance_comm(
             self.plan.push_seconds(sketch_bytes), phase="CREATE_SKETCH"
         )
-        return propose_candidates(self.train.X, config.n_split_candidates), sketch_bytes
+        return propose_candidates(self.train.X, config.n_split_candidates)
 
-    def _merge_worker_sketches(self, timer: WorkerTimer) -> tuple[CandidateSet, float]:
+    def _merge_worker_sketches(self, timer: WorkerTimer) -> ParameterServerGroup:
         """The ``"distributed"`` / ``"weighted"`` CREATE_SKETCH path.
 
         Every block summarizes its stripe's columns into one ragged batch
@@ -386,13 +405,34 @@ class _GridFit(TreeGrowthStrategy):
         self.clock.advance_comm(
             self.plan.push_seconds(max(per_worker_bytes)), phase="CREATE_SKETCH"
         )
-        # Every stripe pushed every one of its columns (empty summaries
-        # included), so the pull lists each feature exactly once.
-        merged, pull_stats = group.pull_sketches("sketch", worker=0)
-        return (
-            propose_candidates_from_sketches(merged, config.n_split_candidates),
-            float(pull_stats.bytes_down),
-        )
+        return group
+
+    def _pull_stripe(
+        self, source: CandidateSet | ParameterServerGroup, wid: int
+    ) -> tuple[CandidateSet, TransferStats]:
+        """Worker ``wid``'s PULL_SKETCH: its stripe's cuts and the bill.
+
+        From the servers, a real pull: every stripe pushed every one of
+        its columns (empty summaries included), so each partition holds
+        a summary of every feature it hosts.  In ``"exact"`` mode the
+        candidates are already global, so the same pull — one candidate
+        frame per partition of the sketch parameter overlapping the
+        stripe — is billed from their cuts.
+        """
+        block = self.blocks[wid]
+        lo, hi = block.col_lo, block.col_hi
+        if isinstance(source, ParameterServerGroup):
+            return source.pull_sketches(
+                "sketch", lo, hi, self.config.n_split_candidates, worker=wid
+            )
+        stats = TransferStats()
+        cut_ends = source.offsets.tolist()
+        parts = VectorPartitioner(self.n_features, self.cluster.n_servers)
+        for part in parts.partitions_in_range(lo, hi):
+            a, b = max(lo, part.lo), min(hi, part.hi)
+            stats.bytes_down += candidate_frame_bytes(b - a, cut_ends[b] - cut_ends[a])
+            stats.messages += 1
+        return source.feature_range(lo, hi), stats
 
     def _site(self, point: str, worker: int, timer: WorkerTimer) -> None:
         """Fire an execution-site fault point (no-op without chaos)."""

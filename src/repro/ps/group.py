@@ -19,6 +19,7 @@ import numpy as np
 
 from ..compression.lowprec import compress_blocked, decompress_blocked
 from ..errors import PSError
+from ..sketch.candidates import CandidateSet
 from ..sketch.quantile import SketchBatch
 from .partitioner import Partition, VectorPartitioner
 from .server import PSServer, PullUDF
@@ -469,22 +470,38 @@ class ParameterServerGroup:
         return stats
 
     def pull_sketches(
-        self, name: str, worker: int | None = None
-    ) -> tuple[SketchBatch, TransferStats]:
-        """Pull every merged summary, reassembled across partitions.
+        self,
+        name: str,
+        lo: int,
+        hi: int,
+        max_bins: int,
+        worker: int | None = None,
+    ) -> tuple[CandidateSet, TransferStats]:
+        """Pull the split candidates of features ``[lo, hi)`` — one
+        worker's stripe — proposed by the servers from their merged
+        summaries.
 
-        Returns one batch over the features somebody pushed (the others
-        are absent), in feature order, plus the transfer accounting — the
-        PULL_SKETCH bytes the engine charges.
+        Every partition overlapping the stripe answers one message: the
+        candidate frame of its share
+        (:meth:`PSServer.handle_pull_candidates`), billed at its length,
+        :func:`~repro.sketch.candidates.candidate_frame_bytes`.  Returns
+        the stripe's cuts rebased to 0 (global feature ``lo + f`` is
+        stripe feature ``f``, as
+        :meth:`~repro.sketch.CandidateSet.feature_range` cuts them) plus
+        the transfer accounting — the PULL_SKETCH bytes the engine
+        charges this worker.
         """
         partitioner = self.partitioner(name)
-        shares: list[SketchBatch] = []
+        shares: list[CandidateSet] = []
         stats = TransferStats()
-        for part in partitioner.partitions:
+        for part in partitioner.partitions_in_range(lo, hi):
+            a, b = max(lo, part.lo), min(hi, part.hi)
             server = self.servers[part.server_id]
 
-            def send(server=server, part=part):
-                return server.handle_pull_sketch(name, part.partition_id)
+            def send(server=server, part=part, a=a, b=b):
+                return server.handle_pull_candidates(
+                    name, part.partition_id, a, b, max_bins
+                )
 
             frame = self._deliver(
                 "pull",
@@ -493,10 +510,10 @@ class ParameterServerGroup:
                 worker=worker,
                 payload_bytes=0,
             )
-            shares.append(SketchBatch.from_frame(frame))
-            stats.bytes_down += shares[-1].wire_bytes
+            shares.append(CandidateSet.from_frame(frame, max_bins, a, b))
+            stats.bytes_down += len(frame)
             stats.messages += 1
-        return SketchBatch.concat(shares), stats
+        return CandidateSet.concat(shares, max_bins), stats
 
     def pull_row(
         self, name: str, row: int, worker: int | None = None

@@ -20,6 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import PSError
+from ..sketch.candidates import CandidateSet, propose_candidates_from_sketches
 from ..sketch.quantile import SketchBatch
 from .partitioner import Partition
 from .slab import CompressedSlab, SlabLayout, SparseSlab
@@ -50,6 +51,10 @@ class PSServer:
         self._sketches: dict[str, dict[int, SketchBatch]] = {}
         # name -> partition_id -> applied sketch-push sequence tokens
         self._sketch_applied: dict[str, dict[int, set]] = {}
+        # name -> partition_id -> (max_bins, cuts proposed from the merged
+        # summaries): proposed at the first candidate pull, dropped by the
+        # next push into the partition.
+        self._proposals: dict[str, dict[int, tuple[int, CandidateSet]]] = {}
         self.bytes_received = 0
         self.bytes_sent = 0
         self.duplicate_pushes = 0
@@ -77,6 +82,7 @@ class PSServer:
         self._applied[name] = {}
         self._sketches[name] = {}
         self._sketch_applied[name] = {}
+        self._proposals[name] = {}
         if layout is not None:
             self._layouts[name] = layout
 
@@ -326,19 +332,47 @@ class PSServer:
         if seq is not None:
             applied.add(seq)
         self._sketches[name][partition_id] = merged
+        self._proposals[name].pop(partition_id, None)
 
-    def handle_pull_sketch(self, name: str, partition_id: int) -> bytes:
-        """Return the merged summaries of one hosted range, as one frame.
+    def handle_pull_candidates(
+        self, name: str, partition_id: int, lo: int, hi: int, max_bins: int
+    ) -> bytes:
+        """Return the split candidates of features ``[lo, hi)``, as one frame.
 
-        Features no worker pushed a sketch for are simply absent from it
-        (an untouched partition answers with an empty frame).
+        The pull function of PULL_SKETCH: the server turns the merged
+        summaries of the whole partition into cuts
+        (:func:`~repro.sketch.candidates.propose_candidates_from_sketches`)
+        at the partition's first pull and keeps them, so however many
+        workers pull, each partition is proposed once; only the
+        :meth:`~repro.sketch.CandidateSet.to_frame` of the requested
+        features crosses the wire.
+
+        Raises:
+            PSError: ``[lo, hi)`` is not inside the partition, or some
+                feature of the partition has no summary.
         """
-        self._partition(name, partition_id)
-        stored = self._sketches[name].get(partition_id)
-        if stored is None:
-            stored = SketchBatch.from_sketches(())
-        self.bytes_sent += stored.wire_bytes
-        return stored.to_frame()
+        part = self._partition(name, partition_id)
+        if not part.lo <= lo <= hi <= part.hi:
+            raise PSError(
+                f"candidate pull of features [{lo}, {hi}) from partition "
+                f"{partition_id} of {name!r} ([{part.lo}, {part.hi}))"
+            )
+        cached = self._proposals[name].get(partition_id)
+        if cached is None or cached[0] != max_bins:
+            stored = self._sketches[name].get(partition_id)
+            if stored is None or len(stored) != part.length:
+                raise PSError(
+                    f"partition {partition_id} of {name!r} holds summaries of "
+                    f"{0 if stored is None else len(stored)} of its "
+                    f"{part.length} features; candidates need all of them"
+                )
+            cached = max_bins, propose_candidates_from_sketches(
+                stored.shifted(-part.lo), max_bins
+            )
+            self._proposals[name][partition_id] = cached
+        frame = cached[1].feature_range(lo - part.lo, hi - part.lo).to_frame(lo)
+        self.bytes_sent += len(frame)
+        return frame
 
     def handle_pull(self, name: str, row: int, partition_id: int) -> np.ndarray:
         """Return the stored values of one hosted range of ``row``."""
@@ -387,6 +421,7 @@ class PSServer:
         self._applied[name] = {}
         self._sketches[name] = {}
         self._sketch_applied[name] = {}
+        self._proposals[name] = {}
 
     def stored_rows(self, name: str) -> list[int]:
         """Row ids currently materialized for ``name`` (sorted)."""

@@ -9,13 +9,16 @@ to generate quantile sketches").  This package provides:
   quantile summary per feature in ragged flat storage: what
   :func:`sketch_columns` returns, one wire frame per (worker, partition)
   — the only sketch format — merged and queried without a loop over
-  features (the CREATE_SKETCH / PULL_SKETCH phases push local sketches
-  to the PS and pull merged ones).
+  features (CREATE_SKETCH pushes local sketches to the PS, which merges
+  them per partition).
 * :class:`GKSketch` / :class:`WeightedGKSketch` — one summary, a
   read-only view of a one-summary batch: batch construction from sorted
   data, merging and queries.
 * :class:`CandidateSet` — per-feature split-candidate cut points with the
   bucketization used by the histogram builders (Algorithm 1 line 2).
+  In PULL_SKETCH the servers propose them from their merged summaries
+  (:func:`propose_candidates_from_sketches`, once per partition) and a
+  worker pulls the candidate frame of its own stripe only.
 """
 
 from .quantile import (

@@ -17,10 +17,15 @@ size is the paper's ``2 * K * M`` (Section 4.3).
 The *zero bucket* of a feature — the bucket containing value 0.0, central
 to the sparsity-aware builder of Algorithm 2 — is precomputed for all
 features.
+
+A run of consecutive features' cuts travels as one *candidate frame*
+(:meth:`CandidateSet.to_frame`): what a server answers a PULL_SKETCH
+request with.  Zero buckets stay off the wire; they follow from the cuts.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +34,17 @@ from ..errors import DataError, SketchError
 from ..datasets.sparse import CSRMatrix
 from .quantile import AnySketch, SketchBatch
 from .ragged import segment_searchsorted, sorted_column_values
+
+#: Leads every candidate frame: the first global feature id and the
+#: number of features; an int32 cut count per feature and the float64
+#: cuts follow.
+_FRAME_HEAD = struct.Struct("=ii")
+
+
+def candidate_frame_bytes(n_features: int, n_cuts: int) -> int:
+    """Length of the candidate frame of ``n_features`` features holding
+    ``n_cuts`` cuts in all — also what a PULL_SKETCH reply is billed."""
+    return _FRAME_HEAD.size + 4 * n_features + 8 * n_cuts
 
 
 class CandidateSet:
@@ -136,6 +152,83 @@ class CandidateSet:
             )
         return float(cuts[bucket])
 
+    @classmethod
+    def concat(cls, parts: Sequence["CandidateSet"], max_bins: int) -> "CandidateSet":
+        """The features of ``parts`` back to back (stripes or partition
+        shares in feature order); a single part is returned as is."""
+        if len(parts) == 1:
+            return parts[0]
+        counts = (np.diff(part.offsets) for part in parts)
+        offsets = np.cumsum(np.concatenate([np.zeros(1, dtype=np.int64), *counts]))
+        cuts = np.concatenate([np.empty(0, dtype=np.float64), *(p.cuts for p in parts)])
+        return cls(offsets, cuts, max_bins)
+
+    # ------------------------------------------------------------------
+    # wire frame (what pull_sketches moves, one per partition share)
+    # ------------------------------------------------------------------
+
+    def to_frame(self, first: int) -> bytes:
+        """Serialize these cuts as global features ``first, first + 1, ...``:
+        header (first feature, feature count), int32 cut counts, float64
+        cuts — :func:`candidate_frame_bytes` long."""
+        return b"".join(
+            (
+                _FRAME_HEAD.pack(first, self.n_features),
+                np.diff(self.offsets).astype(np.int32),
+                self.cuts,
+            )
+        )
+
+    @classmethod
+    def from_frame(
+        cls, payload: bytes, max_bins: int, lo: int, hi: int
+    ) -> "CandidateSet":
+        """Inverse of :meth:`to_frame` for the frame of features
+        ``[lo, hi)``, validated once for the whole frame; the features
+        come back rebased to 0.
+
+        Raises:
+            SketchError: A frame that speaks for other features, a length
+                that is not exactly what the header and cut counts imply,
+                a count below 0 or above ``max_bins - 1``, a NaN cut, or
+                cuts not strictly increasing within a feature.
+        """
+        if len(payload) < _FRAME_HEAD.size:
+            raise SketchError(f"candidate frame too short ({len(payload)} bytes)")
+        first, n = _FRAME_HEAD.unpack_from(payload)
+        if (first, n) != (lo, hi - lo):
+            raise SketchError(
+                f"candidate frame for features [{first}, {first + n}) answers "
+                f"a pull of [{lo}, {hi})"
+            )
+        at = _FRAME_HEAD.size
+        if len(payload) < at + 4 * n:
+            raise SketchError(
+                f"candidate frame of {len(payload)} bytes cannot hold {n} cut counts"
+            )
+        counts = np.frombuffer(payload, np.int32, n, at).astype(np.int64)
+        if np.any(counts < 0) or np.any(counts > max_bins - 1):
+            raise SketchError(
+                f"candidate frame lists a cut count outside [0, {max_bins - 1}]"
+            )
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        at += 4 * n
+        if len(payload) != at + 8 * int(offsets[-1]):
+            raise SketchError(
+                f"candidate frame has {len(payload)} bytes, expected "
+                f"{at + 8 * int(offsets[-1])}"
+            )
+        cuts = np.frombuffer(payload, np.float64, int(offsets[-1]), at)
+        if np.isnan(cuts).any():
+            raise SketchError("candidate frame carries a NaN cut")
+        owner = np.repeat(np.arange(n), counts)
+        if np.any((cuts[1:] <= cuts[:-1]) & (owner[1:] == owner[:-1])):
+            raise SketchError(
+                "candidate frame cuts must be strictly increasing within a feature"
+            )
+        return cls(offsets, cuts, max_bins)
+
     def __repr__(self) -> str:
         return (
             f"CandidateSet(n_features={self.n_features}, max_bins={self.max_bins}, "
@@ -229,12 +322,16 @@ def propose_candidates_from_sketches(
 ) -> CandidateSet:
     """Propose cuts from (merged) GK sketches — the distributed path.
 
-    This is the PULL_SKETCH phase: workers pull the merged per-feature
-    sketches from the PS and turn each into at most ``max_bins - 1`` cuts.
-    ``sketches`` holds one summary per feature ``0 .. M - 1`` — the
-    pulled :class:`~repro.sketch.quantile.SketchBatch`, or a plain
-    sequence of summaries, packed into one here — and every feature's
-    quantiles are answered in one ragged pass.
+    The PULL_SKETCH phase runs it on the parameter servers: each server
+    turns the merged summaries of every partition it hosts into at most
+    ``max_bins - 1`` cuts per feature, once, and a worker pulls only the
+    cuts of its own stripe — never the summaries.  ``sketches`` holds one
+    summary per feature ``0 .. M - 1`` — a
+    :class:`~repro.sketch.quantile.SketchBatch`, or a plain sequence of
+    summaries, packed into one here — and every feature's quantiles are
+    answered in one ragged pass.  Cuts are per feature, so proposing
+    over partitions and joining the results (:meth:`CandidateSet.concat`)
+    gives the whole batch's cuts bit for bit.
     """
     _check_max_bins(max_bins)
     if not isinstance(sketches, SketchBatch):

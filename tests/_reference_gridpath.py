@@ -250,3 +250,23 @@ class PerFeatureSketchServers:
                 merged[feature] = sketch_from_wire(wire)
                 bytes_down += 4 + len(wire)
         return merged, bytes_down
+
+
+# ----------------------------------------------------------------------
+# Extension, not a frozen copy: what a PULL_SKETCH candidate pull of the
+# stripe [lo, hi) bills, spelled out partition by partition and feature
+# by feature — one frame per partition overlapping the stripe, 8 header
+# bytes, then per feature a 4-byte cut count and 8 bytes a cut.
+# ----------------------------------------------------------------------
+
+
+def candidate_pull_bytes(partitioner, cut_counts, lo: int, hi: int) -> tuple[int, int]:
+    """``(bytes_down, messages)`` of one stripe's candidate pull."""
+    bytes_down = messages = 0
+    for part in partitioner.partitions:
+        features = [f for f in range(lo, hi) if part.lo <= f < part.hi]
+        if not features:
+            continue
+        bytes_down += 8 + sum(4 + 8 * int(cut_counts[f]) for f in features)
+        messages += 1
+    return bytes_down, messages

@@ -27,12 +27,14 @@ from repro.ps import ParameterServerGroup
 from repro.ps.slab import CompressedSlab, SlabLayout, compress_slab
 from repro.runtime.phases import WorkerTimer
 from repro.sketch import (
+    CandidateSet,
     propose_candidates_from_sketches,
     sketch_columns,
     sketch_columns_weighted,
 )
 
 from .. import _reference_gridpath as ref
+from ..ps import stored_summaries
 from ..sketch import _reference_gk as ref_gk
 from ..sketch import summary_fields
 
@@ -265,9 +267,11 @@ def sketch_grids(draw):
     n_partitions=st.integers(1, 4),
     max_bins=st.sampled_from([2, 5, 21]),
     replay=st.booleans(),
+    stripe_cuts=st.sets(st.integers(1, 9), max_size=3),
+    halve=st.booleans(),
 )
 def test_sketch_chain_matches_reference(
-    drawn, weighted, eps, n_partitions, max_bins, replay
+    drawn, weighted, eps, n_partitions, max_bins, replay, stripe_cuts, halve
 ):
     n_features, workers = drawn
     group = ParameterServerGroup(2)
@@ -296,9 +300,10 @@ def test_sketch_chain_matches_reference(
         sum(s.duplicate_pushes for s in group.servers) == old_servers.duplicate_pushes
     )
 
-    merged, pull_stats = group.pull_sketches("sketch", worker=0)
+    # Summary level, read off the servers' stored batches.
+    merged = stored_summaries(group)
     old_merged, old_bytes_down = old_servers.pull_sketches()
-    assert pull_stats.bytes_down == old_bytes_down
+    assert merged.wire_bytes == old_bytes_down
     assert merged.features.tolist() == sorted(old_merged)
     assert [summary_fields(s) for s in merged] == [
         summary_fields(old_merged[f]) for f in sorted(old_merged)
@@ -310,3 +315,23 @@ def test_sketch_chain_matches_reference(
         [old_merged[f] for f in range(n_features)], max_bins
     )
     assert same_bits(new_cuts.offsets, offsets) and same_bits(new_cuts.cuts, cuts)
+
+    # Candidate level: the servers propose per partition, workers pull
+    # drawn stripes — some cutting a partition in half — and the joined
+    # stripes are the frozen proposal over the per-feature merge.
+    bounds = {0, n_features} | {c for c in stripe_cuts if c < n_features}
+    wide = [p for p in partitioner.partitions if p.length >= 2]
+    if halve and wide:
+        bounds.add((wide[0].lo + wide[0].hi) // 2)
+    bounds = sorted(bounds)
+    stripes = []
+    for wid, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        stripe, pull_stats = group.pull_sketches(
+            "sketch", lo, hi, max_bins, worker=wid
+        )
+        stripes.append(stripe)
+        assert (pull_stats.bytes_down, pull_stats.messages) == (
+            ref.candidate_pull_bytes(partitioner, np.diff(offsets), lo, hi)
+        )
+    joined = CandidateSet.concat(stripes, max_bins)
+    assert same_bits(joined.offsets, offsets) and same_bits(joined.cuts, cuts)

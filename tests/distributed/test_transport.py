@@ -6,7 +6,9 @@ pin the contract that made the move safe: the servers' arrival-order
 left fold — one ragged batch merge per partition since PR 21 — is
 *bit-identical* (equal frames of one, feature by feature) to the
 driver-side per-feature fold, fault-free and under a chaotic fabric, for both
-plain and hessian-weighted summaries.  The second half pins the
+plain and hessian-weighted summaries; and the candidates a worker pulls
+for its stripe (proposed on the servers, PULL_SKETCH) are bit-identical
+to proposing from the driver fold.  The second half pins the
 compressed slab push: the packed wire size matches the cost model, wins
 >= 3x over the float32 slab at 8 bits, and composes with chaos-plan
 recovery on a feature-striped grid.
@@ -32,14 +34,25 @@ from repro.datasets import Dataset, SyntheticSpec, gender_like, make_sparse_clas
 from repro.distributed import DistributedGBDT
 from repro.distributed.engine import _GridFit
 from repro.ps import ParameterServerGroup
+from repro.ps.partitioner import VectorPartitioner
 from repro.ps.slab import SlabLayout, SparseSlab, compress_slab
-from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
+from repro.sketch import (
+    CandidateSet,
+    GKSketch,
+    SketchBatch,
+    WeightedGKSketch,
+    propose_candidates_from_sketches,
+)
+from repro.sketch.candidates import candidate_frame_bytes
 
+from .. import _reference_gridpath as ref
+from ..ps import stored_summaries
 from ..sketch import frame_of
 
 N_FEATURES = 12
 N_WORKERS = 4
 EPS = 0.05
+MAX_BINS = 6
 
 
 def make_worker_sketches(weighted: bool, seed: int = 7):
@@ -87,6 +100,29 @@ def assert_bit_identical(merged, reference):
         assert frame_of(summary) == frame_of(reference[f])
 
 
+def candidate_bytes(candidates: CandidateSet) -> bytes:
+    return (
+        candidates.offsets.tobytes()
+        + candidates.cuts.tobytes()
+        + candidates.zero_bins.tobytes()
+    )
+
+
+def assert_candidates_identical(group, reference, worker=None):
+    """Stripe pulls — the whole range and a cut through its middle —
+    equal proposing from the driver fold, and bill their frames."""
+    expected = propose_candidates_from_sketches(
+        [reference[f] for f in range(N_FEATURES)], MAX_BINS
+    )
+    for lo, hi in ((0, N_FEATURES), (0, 5), (5, N_FEATURES)):
+        stripe, stats = group.pull_sketches("sketch", lo, hi, MAX_BINS, worker=worker)
+        assert candidate_bytes(stripe) == candidate_bytes(expected.feature_range(lo, hi))
+        n_cuts = int(expected.offsets[hi] - expected.offsets[lo])
+        assert stats.bytes_down == candidate_frame_bytes(
+            hi - lo, n_cuts
+        ) + candidate_frame_bytes(0, 0) * (stats.messages - 1)
+
+
 class TestServerMergeBitIdentity:
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("n_servers", [1, 3])
@@ -96,9 +132,8 @@ class TestServerMergeBitIdentity:
         group = ParameterServerGroup(n_servers)
         group.register("sketch", N_FEATURES)
         push_all(group, workers)
-        merged_map, stats = group.pull_sketches("sketch")
-        assert_bit_identical(merged_map, driver_fold(workers))
-        assert stats.bytes_down > 0
+        assert_bit_identical(stored_summaries(group), driver_fold(workers))
+        assert_candidates_identical(group, driver_fold(workers))
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_serialization_round_trip_through_wire(self, weighted):
@@ -109,13 +144,17 @@ class TestServerMergeBitIdentity:
         group = ParameterServerGroup(2)
         group.register("sketch", N_FEATURES)
         push_all(group, workers)
-        merged, _ = group.pull_sketches("sketch")
+        merged = stored_summaries(group)
         cls = WeightedGKSketch if weighted else GKSketch
         assert merged.kind is cls and len(merged) == N_FEATURES
         for sk in merged:
             (back,) = SketchBatch.from_frame(frame_of(sk))
             assert frame_of(back) == frame_of(sk)
         assert SketchBatch.from_frame(merged.to_frame()).to_frame() == merged.to_frame()
+        pulled, _ = group.pull_sketches("sketch", 0, N_FEATURES, MAX_BINS)
+        frame = pulled.to_frame(0)
+        back = CandidateSet.from_frame(frame, MAX_BINS, 0, N_FEATURES)
+        assert back.to_frame(0) == frame and candidate_bytes(back) == candidate_bytes(pulled)
 
     def test_duplicate_push_is_idempotent(self):
         """Re-delivering a worker's sketch push with the same seq token
@@ -126,8 +165,8 @@ class TestServerMergeBitIdentity:
         push_all(group, workers)
         # Replay worker 1's push verbatim — same seq, same payloads.
         group.push_sketch("sketch", as_batch(workers[1]), seq=("sketch", 1), worker=1)
-        merged_map, _ = group.pull_sketches("sketch")
-        assert_bit_identical(merged_map, driver_fold(workers))
+        assert_bit_identical(stored_summaries(group), driver_fold(workers))
+        assert_candidates_identical(group, driver_fold(workers))
         assert any(s.duplicate_pushes > 0 for s in group.servers)
 
 
@@ -157,8 +196,8 @@ class TestChaoticFabric:
             ]
         )
         push_all(group, workers)
-        merged_map, _ = group.pull_sketches("sketch", worker=0)
-        assert_bit_identical(merged_map, driver_fold(workers))
+        assert_bit_identical(stored_summaries(group), driver_fold(workers))
+        assert_candidates_identical(group, driver_fold(workers), worker=0)
 
     def test_push_without_seq_rejected_under_fabric(self):
         from repro.errors import PSError
@@ -225,6 +264,36 @@ class TestEngineSketchModes:
         ).fit(data)
         assert self.trees_of(clean) == self.trees_of(faulted)
 
+    @pytest.mark.parametrize("kind", ["drop", "duplicate", "server_down"])
+    def test_candidate_pulls_survive_pull_faults(self, data, kind):
+        """Stripe candidate pulls ride the fault fabric: pull faults firing
+        in PULL_SKETCH — on worker 3's pulls and on the first pulls of
+        any worker, failures retried within ``max_retries`` — leave the
+        fault-free fit's trees."""
+        config = TrainConfig(
+            n_trees=2, max_depth=4, compression_bits=0, sketch_eps=0.05
+        )
+        cluster = ClusterConfig(n_workers=4, n_servers=2, grid=(2, 2))
+        clean = DistributedGBDT(
+            "dimboost", cluster, config, sketch_mode="distributed"
+        ).fit(data)
+        attempts = config.max_retries if kind != "duplicate" else 1
+        plan = FaultPlan(
+            events=(
+                FaultEvent(kind=kind, point="pull", times=2, attempts=attempts),
+                FaultEvent(
+                    kind=kind, point="pull", worker=3, times=1, attempts=attempts
+                ),
+            ),
+            name=f"candidate-pull-{kind}",
+        )
+        faulted = DistributedGBDT(
+            "dimboost", cluster, config, sketch_mode="distributed", fault_plan=plan
+        ).fit(data)
+        assert self.trees_of(clean) == self.trees_of(faulted)
+        assert faulted.faults["totals"]["injected"] == 3
+        assert faulted.phases["FAULT_RECOVERY"] > 0.0
+
     def test_invalid_sketch_mode_rejected(self, data):
         from repro.errors import ConfigError
 
@@ -251,25 +320,30 @@ PIN_LAYOUTS = {
 #: each zero bucket sums its workers' decoded-plus-sums floats instead of
 #: getting the summed sums added at split time, and every piece bills
 #: 8 header bytes (a deliberate model change; candidates did not move).
+#: The four communication floats were re-pinned once more when
+#: PULL_SKETCH stopped pulling the merged summaries: each worker pulls
+#: the servers' candidate frames of its own stripe, billed at their
+#: length, so only the PULL_SKETCH charge moved — models and candidate
+#: sets are byte for byte the same.
 ENGINE_PINS = {
     ("row4x1", "distributed"): (
         "76248cac965930d5ccc13829a1220256c240ef2b195fa6b239d51aed8a5f22f9",
-        0.01684084,
+        0.0127146,
         "44bc63b3f4e6cc67c7f1806c27d0f79f2f8e2a3e854074bc9652dc4ea0fbb7e3",
     ),
     ("row4x1", "weighted"): (
         "b2757213d80c347027771390150e85fc0cb5d177a15f705ebbbdf9adf88da430",
-        0.0188518,
+        0.013345528000000004,
         "196916011a8d177c200a2f53fd362a13730e4e0f47743689b748e44af542bc4a",
     ),
     ("grid2x2", "distributed"): (
         "d4be0c693b0a430be02afaed19ecefdcd249ce3a7d75bf942fb04bb2de5d5aa3",
-        0.014505430000000003,
+        0.011053334000000003,
         "a86ee7e4eda1e3c2da1ed8185dac13a7e27e8f27a6e7df182e8f1ae391c2df25",
     ),
     ("grid2x2", "weighted"): (
         "817328ee365a8f7f1b5f52f4ffc9201736cf3c0af04e4809509296a3fca4df2a",
-        0.015533580000000005,
+        0.011365644000000005,
         "3cee05d07126f3cefea753881e2a05e251b2d75d917a5f407449aaab6dd033ef",
     ),
 }
@@ -318,6 +392,32 @@ class TestEngineSketchPins:
             result.breakdown.communication,
             hashlib.sha256(cuts).hexdigest(),
         ) == ENGINE_PINS[layout, mode]
+
+
+    @pytest.mark.parametrize("layout", sorted(PIN_LAYOUTS))
+    @pytest.mark.parametrize("mode", ["exact", "distributed"])
+    def test_pull_sketch_bills_each_stripe_its_candidate_frames(
+        self, data, layout, mode
+    ):
+        """PULL_SKETCH charges the slowest worker's pull of its own
+        stripe's candidate frames — in ``"exact"`` mode too, billed from
+        its own cuts — by the frozen per-feature closed form."""
+        cluster = ClusterConfig(**PIN_LAYOUTS[layout])
+        trainer = DistributedGBDT(
+            "dimboost", cluster, TrainConfig(n_trees=1, sketch_eps=0.05), sketch_mode=mode
+        )
+        fit = _GridFit(trainer.plan, (), data)
+        counts = np.diff(fit.sketch().offsets)
+        partitioner = VectorPartitioner(data.n_features, cluster.n_servers)
+        bills = []
+        for block in fit.blocks:
+            bytes_down, messages = ref.candidate_pull_bytes(
+                partitioner, counts, block.col_lo, block.col_hi
+            )
+            bills.append(
+                messages * cluster.network.alpha + bytes_down * cluster.network.beta
+            )
+        assert fit.clock.by_phase()["PULL_SKETCH"] == max(bills)
 
 
 class TestCompressedSlabTransport:

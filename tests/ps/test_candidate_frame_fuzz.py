@@ -1,0 +1,195 @@
+"""Hostile candidate frames through ``CandidateSet.from_frame``, and hostile
+candidate pulls through ``PSServer.handle_pull_candidates``.
+
+A PULL_SKETCH reply is parsed once, by one validating parser: whatever
+the bytes, nothing but a ``SketchError`` may escape it, and whatever it
+accepts is a candidate set every lookup answers.  A pull asking for
+features outside the partition is a ``PSError`` on the server.
+"""
+
+from __future__ import annotations
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import PSError, SketchError
+from repro.ps import PSServer
+from repro.ps.partitioner import Partition
+from repro.sketch import CandidateSet, GKSketch, SketchBatch
+from repro.sketch.candidates import candidate_frame_bytes
+
+N_FEATURES = 12
+MAX_BINS = 6
+#: The partition's features are global ids [PART_LO, PART_LO + N_FEATURES).
+PART_LO = 40
+
+
+def make_server(seed: int) -> PSServer:
+    """One server hosting one partition whose features hold summaries:
+    some empty, some signed (a zero cut), some constant (one cut)."""
+    rng = np.random.default_rng(seed)
+    sketches = []
+    for f in range(N_FEATURES):
+        n = 0 if f % 5 == 2 else int(rng.integers(1, 60))
+        values = rng.normal(loc=0.5 * (f % 3), size=n)
+        if f % 7 == 4:
+            values[:] = 1.5
+        sketches.append(GKSketch.from_values(values, 0.05))
+    batch = SketchBatch.from_sketches(sketches, range(PART_LO, PART_LO + N_FEATURES))
+    server = PSServer(0)
+    server.register("sketch", [Partition(0, PART_LO, PART_LO + N_FEATURES, 0)])
+    server.handle_push_sketch("sketch", 0, batch.to_frame())
+    return server
+
+
+def pull(server: PSServer, lo: int = PART_LO, hi: int = PART_LO + N_FEATURES) -> bytes:
+    return server.handle_pull_candidates("sketch", 0, lo, hi, MAX_BINS)
+
+
+def parse(frame: bytes, lo: int = PART_LO, hi: int = PART_LO + N_FEATURES):
+    return CandidateSet.from_frame(frame, MAX_BINS, lo, hi)
+
+
+def framed(
+    per_feature, first: int = PART_LO, n: int | None = None, counts=None
+) -> bytes:
+    """A frame of the given per-feature cuts (under other ``counts``, if
+    given) — no check on the way out."""
+    if counts is None:
+        counts = [len(c) for c in per_feature]
+    counts = np.array(counts, dtype=np.int32)
+    cuts = np.concatenate([np.asarray(c, dtype=np.float64) for c in per_feature])
+    n = len(per_feature) if n is None else n
+    return struct.pack("=ii", first, n) + counts.tobytes() + cuts.tobytes()
+
+
+def field_mutations(good: CandidateSet) -> dict[str, bytes]:
+    """One frame per rule of the parser, each breaking exactly that rule."""
+    features = [good.feature_cuts(f).copy() for f in range(good.n_features)]
+    full = next(f for f, c in enumerate(features) if len(c) >= 3)
+
+    def changed(f: int, cuts) -> list:
+        out = list(features)
+        out[f] = np.asarray(cuts, dtype=np.float64)
+        return out
+
+    cuts = features[full]
+    # One cut more for ``full``, -1 for an empty feature: the total, and
+    # so the frame's length, still adds up.
+    balanced = [len(c) for c in features]
+    balanced[full] += 1
+    balanced[next(f for f, c in enumerate(features) if len(c) == 0)] = -1
+    frame = good.to_frame(PART_LO)
+    at = 8 + 4 * full  # the cut count of feature ``full``
+    return {
+        "truncated": frame[:-5],
+        "trailing-bytes": frame + b"\x00" * 8,
+        "header-only": frame[:8],
+        "shorter-than-header": frame[:5],
+        "cut-count-negative": frame[:at] + struct.pack("=i", -1) + frame[at + 4 :],
+        "cut-count-negative-same-total": framed(features, counts=balanced),
+        "cut-count-over-budget": framed(
+            changed(full, np.arange(MAX_BINS, dtype=np.float64))
+        ),
+        "cut-nan": framed(changed(full, [cuts[0], float("nan"), *cuts[2:]])),
+        "cuts-descend": framed(changed(full, [cuts[1], cuts[0], *cuts[2:]])),
+        "cut-repeated": framed(changed(full, [cuts[0], cuts[0], *cuts[2:]])),
+        "feature-count-negative": framed(features, n=-3),
+        "feature-count-too-large": framed(features, n=10**9),
+        "other-first-feature": framed(features, first=PART_LO + 1),
+        "range-past-the-partition": framed([*features, np.empty(0)]),
+        "range-short-of-the-partition": framed(features[:-1]),
+    }
+
+
+def test_frame_round_trip_and_billed_length():
+    server = make_server(seed=1)
+    frame = pull(server)
+    got = parse(frame)
+    assert got.to_frame(PART_LO) == frame
+    assert len(frame) == candidate_frame_bytes(N_FEATURES, len(got.cuts))
+    assert server.bytes_sent == len(frame)
+    # Zero buckets do not travel: they follow from the cuts.
+    zeros = got.bins_for(np.arange(N_FEATURES), np.zeros(N_FEATURES))
+    assert np.array_equal(got.zero_bins, zeros)
+
+
+def test_every_rule_of_the_parser_rejects():
+    good = parse(pull(make_server(seed=2)))
+    for name, frame in field_mutations(good).items():
+        with pytest.raises(SketchError):
+            parse(frame)
+            pytest.fail(f"{name}: accepted")
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (PART_LO - 1, PART_LO + 3),
+        (PART_LO + 3, PART_LO + N_FEATURES + 1),
+        (0, 5),
+        (PART_LO + 5, PART_LO + 4),
+    ],
+    ids=["before", "past", "elsewhere", "reversed"],
+)
+def test_pull_outside_the_partition_rejected(lo, hi):
+    server = make_server(seed=3)
+    with pytest.raises(PSError, match="candidate pull"):
+        pull(server, lo, hi)
+    assert server.bytes_sent == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    cut=st.one_of(st.none(), st.integers(0, 400)),
+    pad=st.binary(max_size=12),
+    flips=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4
+    ),
+)
+def test_mutated_frames_never_leak_a_foreign_exception(seed, cut, pad, flips):
+    """Truncation, padding and byte flips anywhere in a valid frame: the
+    parser either accepts a candidate set every lookup answers, or raises
+    ``SketchError``."""
+    frame = bytearray(pull(make_server(seed)))
+    for where, byte in flips:
+        frame[where % len(frame)] = byte
+    frame = bytes(frame[:cut] if cut is not None else frame) + pad
+    try:
+        got = parse(frame)
+    except SketchError:
+        return
+    assert got.n_features == N_FEATURES
+    assert np.all(np.diff(got.offsets) <= MAX_BINS - 1)
+    values = np.linspace(-3.0, 3.0, 7)
+    for f in range(N_FEATURES):
+        bins = got.bins_for(np.full(len(values), f), values)
+        assert np.all((0 <= bins) & (bins <= got.n_cuts(f)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 20),
+    lo=st.integers(PART_LO - 4, PART_LO + N_FEATURES + 4),
+    hi=st.integers(PART_LO - 4, PART_LO + N_FEATURES + 4),
+)
+def test_drawn_pull_ranges_answer_or_refuse(seed, lo, hi):
+    """Any requested range: a ``PSError`` when it leaves the partition,
+    else the frame of exactly those features, which parses back to the
+    partition proposal's slice."""
+    server = make_server(seed)
+    try:
+        frame = pull(server, lo, hi)
+    except PSError:
+        assert not PART_LO <= lo <= hi <= PART_LO + N_FEATURES
+        return
+    whole = parse(pull(server))
+    got = parse(frame, lo, hi)
+    sliced = whole.feature_range(lo - PART_LO, hi - PART_LO)
+    assert got.offsets.tobytes() == sliced.offsets.tobytes()
+    assert got.cuts.tobytes() == sliced.cuts.tobytes()

@@ -8,7 +8,13 @@ import pytest
 from repro.errors import PSError, SketchError
 from repro.ps import PSServer
 from repro.ps.partitioner import Partition
-from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
+from repro.sketch import (
+    GKSketch,
+    SketchBatch,
+    WeightedGKSketch,
+    propose_candidates_from_sketches,
+)
+from repro.sketch.candidates import candidate_frame_bytes
 
 from ..sketch import frame_of
 
@@ -152,7 +158,7 @@ class TestSketchPushAllOrNothing:
         return hostile.to_frame()
 
     def state(self, server):
-        return server.handle_pull_sketch("hist", 0), server.duplicate_pushes
+        return server._sketches["hist"][0].to_frame(), server.duplicate_pushes
 
     @pytest.mark.parametrize(
         "spoil, error",
@@ -206,7 +212,63 @@ class TestSketchPushAllOrNothing:
         first, second = self.batch([4], seed=5), self.batch([4], seed=6)
         server.handle_push_sketch("hist", 0, first.to_frame())
         server.handle_push_sketch("hist", 0, second.to_frame())
-        merged = SketchBatch.from_frame(server.handle_pull_sketch("hist", 0))
+        merged = server._sketches["hist"][0]
         folded = first[0].merge(second[0])
         assert merged.features.tolist() == [4]
         assert frame_of(merged[0]) == frame_of(folded)
+
+
+class TestCandidatePull:
+    """PULL_SKETCH's server side: cuts proposed from a partition's merged
+    summaries, once, and only the requested features' frame sent."""
+
+    def push(self, server, pid, lo, hi, seed, seq=None):
+        rng = np.random.default_rng(seed)
+        batch = SketchBatch.from_sketches(
+            [GKSketch.from_values(rng.normal(size=30), 0.05) for _ in range(lo, hi)],
+            range(lo, hi),
+        )
+        server.handle_push_sketch("hist", pid, batch.to_frame(), seq=seq)
+        return batch
+
+    def test_stripe_frame_is_the_partition_proposal_sliced(self, server):
+        batch = self.push(server, 2, 20, 30, seed=1)
+        whole = propose_candidates_from_sketches(batch.shifted(-20), 5)
+        frame = server.handle_pull_candidates("hist", 2, 23, 27, 5)
+        assert frame == whole.feature_range(3, 7).to_frame(23)
+        n_cuts = int(whole.offsets[7] - whole.offsets[3])
+        assert server.bytes_sent == len(frame) == candidate_frame_bytes(4, n_cuts)
+
+    def test_proposed_once_per_partition_until_the_next_push(self, server, monkeypatch):
+        import repro.ps.server as server_module
+
+        calls = []
+        propose = server_module.propose_candidates_from_sketches
+
+        def counting(*args):
+            calls.append(args)
+            return propose(*args)
+
+        monkeypatch.setattr(server_module, "propose_candidates_from_sketches", counting)
+        self.push(server, 0, 0, 10, seed=1)
+        first = server.handle_pull_candidates("hist", 0, 0, 4, 5)
+        server.handle_pull_candidates("hist", 0, 4, 10, 5)
+        assert len(calls) == 1
+        self.push(server, 0, 0, 10, seed=2)
+        assert server.handle_pull_candidates("hist", 0, 0, 4, 5) != first
+        assert len(calls) == 2
+        server.handle_pull_candidates("hist", 0, 0, 4, 7)  # another budget
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("lo, hi", [(5, 12), (-1, 3), (7, 6), (10, 11)])
+    def test_range_outside_the_partition_rejected(self, server, lo, hi):
+        self.push(server, 0, 0, 10, seed=1)
+        with pytest.raises(PSError, match="candidate pull"):
+            server.handle_pull_candidates("hist", 0, lo, hi, 5)
+
+    def test_partition_missing_summaries_rejected(self, server):
+        with pytest.raises(PSError, match="0 of its 10 features"):
+            server.handle_pull_candidates("hist", 0, 0, 10, 5)
+        self.push(server, 0, 0, 6, seed=1)
+        with pytest.raises(PSError, match="6 of its 10 features"):
+            server.handle_pull_candidates("hist", 0, 0, 3, 5)

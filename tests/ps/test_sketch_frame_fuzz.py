@@ -99,7 +99,7 @@ def field_mutations(batch: SketchBatch) -> dict[str, bytes]:
 
 def state(server: PSServer):
     return (
-        server.handle_pull_sketch("sketch", 0),
+        server._sketches["sketch"][0].to_frame(),
         {pid: set(tokens) for pid, tokens in server._sketch_applied["sketch"].items()},
         server.duplicate_pushes,
     )
@@ -151,7 +151,7 @@ def test_mutated_frames_never_leak_a_foreign_exception(weighted, seed, cut, pad,
     except ReproError:
         assert state(server) == before
     else:
-        merged = SketchBatch.from_frame(server.handle_pull_sketch("sketch", 0))
+        merged = SketchBatch.from_frame(server._sketches["sketch"][0].to_frame())
         assert ("sketch", 1) in server._sketch_applied["sketch"][0]
         # Whatever was accepted can be queried without an exception.
         assert merged.quantiles(4).shape == (int(np.count_nonzero(merged.counts)), 4)
