@@ -86,7 +86,7 @@ class FaultyFabric:
         *,
         server: int,
         worker: int | None = None,
-        payload_bytes: int = 0,
+        payload_bytes: int | Callable[[T], int] = 0,
     ) -> T:
         """Deliver one logical PS message, surviving its injected faults.
 
@@ -97,7 +97,11 @@ class FaultyFabric:
             worker: Originating worker id, if any.
             payload_bytes: Wire size of the message; failed attempts
                 charge ``alpha + payload_bytes * beta`` of wasted wire
-                time each, on top of the backoff.
+                time each, on top of the backoff.  A pull whose size
+                only its reply knows passes a function of the reply
+                (``len`` for a frame): the reply is fetched first — a
+                pull changes nothing on the server that a repeat would
+                not — and every lost copy is billed at its size.
 
         Returns:
             Whatever ``send`` returns, once delivery succeeds.
@@ -123,6 +127,10 @@ class FaultyFabric:
                 f"persists for {plan.fail_attempts} attempts, exceeding "
                 f"max_retries={self.policy.max_retries}"
             )
+        sized_by_reply = callable(payload_bytes)
+        if sized_by_reply:
+            result = send()
+            payload_bytes = payload_bytes(result)
         attempt = 0
         wasted_wire = self.cost.alpha + payload_bytes * self.cost.beta
         while plan.fail_attempts > 0:
@@ -133,7 +141,8 @@ class FaultyFabric:
             )
             self.injector.note_retry()
             attempt += 1
-        result = send()
+        if not sized_by_reply:
+            result = send()
         if plan.duplicate:
             # A duplicate delivery of the same message; the servers'
             # sequence numbers make it a no-op, but it still burns wire.

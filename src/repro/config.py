@@ -179,10 +179,9 @@ class ClusterConfig:
     Attributes:
         n_workers: Number of workers ``w``; each holds one data shard.
         n_servers: Number of parameter servers ``p``.  The paper co-locates
-            one worker and one server per machine by default.
+            one worker and one server per machine, and the PS push
+            accounting assumes it: the local slice skips the wire.
         network: Alpha/beta/gamma constants used by the simulated fabric.
-        colocated: Whether servers are co-located with workers (affects
-            the PS push accounting: the local slice skips the wire).
         loading_bytes_per_second: Simulated HDFS ingest rate used to
             charge the data-loading phase (bytes/second).  Benches sweep
             this to model faster or slower storage tiers.
@@ -210,7 +209,6 @@ class ClusterConfig:
     n_workers: int = 4
     n_servers: int = 4
     network: CostParams = field(default_factory=CostParams)
-    colocated: bool = True
     loading_bytes_per_second: float = 200e6
     worker_speeds: tuple[float, ...] | None = None
     grid: tuple[int, int] | None = None

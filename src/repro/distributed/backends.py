@@ -27,7 +27,7 @@ from ..cluster.collectives import (
     reduce_scatter_halving,
     reduce_to_coordinator,
 )
-from ..cluster.costmodel import CostParams, general_ps_push_time, log2_steps
+from ..cluster.costmodel import general_ps_push_time, log2_steps
 from ..cluster.simclock import SimClock
 from ..config import ClusterConfig, TrainConfig
 from ..errors import TrainingError
@@ -312,73 +312,68 @@ class LightGBMBackend(AggregationBackend):
         return decisions
 
 
-class WindowedPusher:
-    """Delivers one PS backend's node deltas — at once, or a window at a time.
+class _PSBackend(AggregationBackend):
+    """What the two parameter-server backends share: a server group
+    holding the ``grad_hist`` parameter, and the delivery of each node's
+    deltas to it — at once, or a window at a time.
 
-    The backend owns one and calls :meth:`push_flats` /
-    :meth:`push_slabs` per node and :meth:`flush` at layer ends; the
-    helper decides between immediate delivery (``agg_window == 1``: one
+    At ``agg_window == 1`` a node's deltas go out immediately: one
     ``push_row`` / ``push_slab`` per worker under the ``(tree, worker)``
-    token, one batched scatter charged per node) and local aggregation
-    (``agg_window > 1``) — Horovod's ``LocalGradientAggregationHelper``
-    applied to histogram deltas: a counter, a buffer, and the
-    communication call they wrap.
+    token, one batched scatter charged per node.  At ``agg_window > 1``
+    each worker buffers them in a
+    :class:`~repro.ps.localagg.LocalAggregator` — Horovod's
+    ``LocalGradientAggregationHelper`` applied to histogram deltas: a
+    counter, a buffer, and the communication call they wrap — and one
+    windowed push per worker (``push_window_rows`` for rows,
+    ``push_window`` for slabs) carries them under the token ``(tree,
+    window_index, worker)``.  All workers fill in lockstep (every node
+    contributes one delta per worker), so a full window flushes the
+    whole cluster together and is charged as one batched PS scatter —
+    the latency term shrinks by the window size while the volume terms
+    keep the payload mass.
 
     Every delta is encoded once, when it is produced, by the call its
     W=1 push makes: a dense row by
     :meth:`~repro.ps.group.ParameterServerGroup.encode_row`, a slab by
-    :meth:`_wire_slab`.  A window only batches delivery.  Each worker
-    buffers its encoded deltas in a
-    :class:`~repro.ps.localagg.LocalAggregator`, and one windowed push
-    per worker (``push_window_rows`` for rows, ``push_window`` for
-    slabs) carries them under the token ``(tree, window_index,
-    worker)``.  All workers fill in lockstep (every node contributes one
-    delta per worker), so a full window flushes the whole cluster
-    together and is charged as one batched PS scatter — the latency term
-    shrinks by the window size while the volume terms keep the payload
-    mass.
+    :meth:`_wire_slab`; a window only batches delivery.  Every lossy
+    encode draws its rounding stream from :meth:`_rng`, keyed ``(tree,
+    node, worker)`` — the key a rollback-replay re-derives — so retries,
+    duplicates and replays move identical payloads however delivery is
+    scheduled.
 
-    Every lossy encode draws its rounding stream from :meth:`_rng`,
-    keyed ``(tree, node, worker)`` — the key a rollback-replay
-    re-derives — so retries, duplicates and replays move identical
-    payloads however delivery is scheduled.
+    ``fabric``: optional ``chaos.FaultyFabric`` the server group routes
+    every message through; pushes then carry a sequence token so retried
+    or duplicated deliveries never double-count a histogram.
     """
 
-    def __init__(
-        self,
-        group: ParameterServerGroup,
-        cluster: ClusterConfig,
-        config: TrainConfig,
-        cost: CostParams,
-        layout: SlabLayout,
-        compression_bits: int = 0,
-    ) -> None:
-        self.group = group
-        self.cluster = cluster
-        self.config = config
-        self.cost = cost
-        self.layout = layout
-        self.bits = compression_bits
-        self.window = config.agg_window
+    parameter_server = True
+
+    def __init__(self, cluster, config, candidates, fabric=None) -> None:
+        super().__init__(cluster, config, candidates)
+        self.group = ParameterServerGroup(cluster.n_servers, fabric=fabric)
+        self.layout = SlabLayout(self.n_features, self.n_bins, candidates.zero_bins)
+        self.group.register(
+            GRAD_HIST, self.flat_len, align=2 * self.n_bins, layout=self.layout
+        )
+        window = config.agg_window
         self._aggregators = [
-            LocalAggregator(self.window)
-            for _ in range(cluster.n_workers if self.window > 1 else 0)
+            LocalAggregator(window)
+            for _ in range(cluster.n_workers if window > 1 else 0)
         ]
         #: How a buffered window travels: the group call of the entry
         #: point that buffered it.
-        self._push_window = group.push_window
-        self.begin_tree(-1)
+        self._push_window = self.group.push_window
 
     def begin_tree(self, tree_index: int) -> None:
         """Drop buffered deltas and rewind the window counters, so a chaos
         rollback-replay regenerates the identical token sequence."""
-        self._tree_index = tree_index
+        super().begin_tree(tree_index)
         for aggregator in self._aggregators:
             aggregator.reset()
 
     def _rng(self, node: int, worker: int) -> np.random.Generator | None:
         """The codec's stochastic-rounding stream for one delta."""
-        if not self.bits:
+        if not self.compression_bits:
             return None
         return spawn_rng(self.config.seed, "lowprec", self._tree_index, node, worker)
 
@@ -387,9 +382,11 @@ class WindowedPusher:
     ) -> SparseSlab | CompressedSlab:
         """``slab`` as it travels: value payload quantized once, before
         the partition fan-out, when the codec is on."""
-        if not self.bits:
+        if not self.compression_bits:
             return slab
-        return compress_slab(slab, self.layout, self.bits, self._rng(node, worker))
+        return compress_slab(
+            slab, self.layout, self.compression_bits, self._rng(node, worker)
+        )
 
     def _charge(self, pushed: list[int], clock: SimClock) -> None:
         """One batched PS scatter at the *actual* average wire bytes, so
@@ -400,7 +397,6 @@ class WindowedPusher:
                 self.cluster.n_servers,
                 sum(pushed) / len(pushed),
                 self.cost,
-                self.cluster.colocated,
             ),
             phase="FIND_SPLIT",
         )
@@ -415,42 +411,31 @@ class WindowedPusher:
         if self._aggregators[0].full:
             self.flush(clock)
 
-    def push_flats(
-        self,
-        node: int,
-        flats: list[np.ndarray],
-        clock: SimClock,
-        sums: list[tuple[float, float]] | None = None,
-    ) -> list[int]:
-        """One node's dense per-worker deltas, in worker-id order.
-
-        ``sums`` holds each worker's exact node sums, the header of a
-        lossy delta (required when the codec is on).  Returns the
-        per-worker wire bytes delivered by this call (empty while a
-        window is still filling).
-        """
+    def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
+        """One node's dense per-worker deltas, in worker-id order; a lossy
+        delta ships its worker's ``sums`` as its header."""
         self._push_window = self.group.push_window_rows
-        if sums is not None and len(sums) != len(flats):
+        if sums is not None and len(sums) != len(local_flats):
             raise TrainingError(
-                f"node {node}: {len(flats)} deltas but {len(sums)} node sums"
+                f"node {node}: {len(local_flats)} deltas but {len(sums)} node sums"
             )
-        headers = sums if sums is not None else [None] * len(flats)
-        if self.window == 1:
+        deltas = list(zip(local_flats, sums or [None] * len(local_flats)))
+        if self.config.agg_window == 1:
             pushed = [
                 self.group.push_row(
                     GRAD_HIST,
                     node,
                     flat,
-                    compression_bits=self.bits,
+                    compression_bits=self.compression_bits,
                     rng=self._rng(node, worker),
                     sums=worker_sums,
                     seq=(self._tree_index, worker),
                     worker=worker,
                 ).bytes_up
-                for worker, (flat, worker_sums) in enumerate(zip(flats, headers))
+                for worker, (flat, worker_sums) in enumerate(deltas)
             ]
             self._charge(pushed, clock)
-            return pushed
+            return
         self._buffer(
             node,
             [
@@ -459,20 +444,17 @@ class WindowedPusher:
                     self.group.encode_row(
                         GRAD_HIST,
                         flat,
-                        self.bits,
+                        self.compression_bits,
                         self._rng(node, worker),
                         sums=worker_sums,
                     ),
                 )
-                for worker, (flat, worker_sums) in enumerate(zip(flats, headers))
+                for worker, (flat, worker_sums) in enumerate(deltas)
             ],
             clock,
         )
-        return []
 
-    def push_slabs(
-        self, node: int, slabs: list[tuple[int, SparseSlab]], clock: SimClock
-    ) -> None:
+    def aggregate_node_slabs(self, node, slabs, clock) -> None:
         """One node's per-block sparse slabs, in block (worker-id) order —
         the order that makes the servers accumulate each feature's
         histogram with the same addends as the dense row-sharded pushes."""
@@ -483,7 +465,7 @@ class WindowedPusher:
             (block_id, self._wire_slab(node, block_id, slab))
             for block_id, slab in slabs
         ]
-        if self.window == 1:
+        if self.config.agg_window == 1:
             self._charge(
                 [
                     self.group.push_slab(
@@ -523,46 +505,6 @@ class WindowedPusher:
         if pushed:
             self._charge(pushed, clock)
 
-
-class _PSBackend(AggregationBackend):
-    """What the two parameter-server backends share: a server group
-    holding the ``grad_hist`` parameter and the :class:`WindowedPusher`
-    that delivers node deltas to it.
-
-    ``fabric``: optional ``chaos.FaultyFabric`` the server group routes
-    every message through; pushes then carry a sequence token so retried
-    or duplicated deliveries never double-count a histogram.
-    """
-
-    parameter_server = True
-
-    def __init__(self, cluster, config, candidates, fabric=None) -> None:
-        super().__init__(cluster, config, candidates)
-        self.group = ParameterServerGroup(cluster.n_servers, fabric=fabric)
-        layout = SlabLayout(self.n_features, self.n_bins, candidates.zero_bins)
-        self.group.register(
-            GRAD_HIST, self.flat_len, align=2 * self.n_bins, layout=layout
-        )
-        # A subclass with a lossy codec sets its width before calling up.
-        self.pusher = WindowedPusher(
-            self.group,
-            cluster,
-            config,
-            self.cost,
-            layout,
-            self.compression_bits,
-        )
-
-    def begin_tree(self, tree_index: int) -> None:
-        super().begin_tree(tree_index)
-        self.pusher.begin_tree(tree_index)
-
-    def aggregate_node(self, node, local_flats, clock, sums=None) -> None:
-        self.pusher.push_flats(node, local_flats, clock, sums)
-
-    def aggregate_node_slabs(self, node, slabs, clock) -> None:
-        self.pusher.push_slabs(node, slabs, clock)
-
     def _pull_and_scan(
         self,
         node: int,
@@ -595,7 +537,7 @@ class TencentBoostBackend(_PSBackend):
 
     def find_splits(self, nodes, feature_valid, clock, timer):
         # Drain partial windows: a layer boundary must see every delta.
-        self.pusher.flush(clock)
+        self.flush(clock)
         decisions: dict[int, SplitDecision | None] = {}
         p = self.cluster.n_servers
         leader = 0  # the paper's "leader worker" pulls and scans everything
@@ -644,8 +586,8 @@ class DimBoostBackend(_PSBackend):
         two_phase: bool = True,
         fabric=None,
     ) -> None:
-        self.compression_bits = config.compression_bits
         super().__init__(cluster, config, candidates, fabric=fabric)
+        self.compression_bits = config.compression_bits
         self.use_scheduler = use_scheduler
         self.two_phase = two_phase
         if not use_scheduler:
@@ -656,7 +598,7 @@ class DimBoostBackend(_PSBackend):
     def find_splits(self, nodes, feature_valid, clock, timer):
         # Drain partial windows: a layer boundary must see every delta,
         # so windows never span layers.
-        self.pusher.flush(clock)
+        self.flush(clock)
         assignment = self.scheduler.assign(nodes)
         decisions: dict[int, SplitDecision | None] = {}
         p = self.cluster.n_servers

@@ -785,10 +785,6 @@ class DistributedGBDT:
             / PULL_SKETCH path).  ``"weighted"`` does the same with
             hessian/instance-weighted summaries (Huang & Yi), so cut
             points equalize weight mass per bucket.
-        build_strategy: Explicit histogram build strategy (e.g.
-            ``SparseBuildStrategy()`` to give a baseline DimBoost's
-            kernel).  Default: the backend's declared build mode (the
-            paper's baselines scan densely; DimBoost uses Algorithm 2).
         callbacks: Trainer hooks observing every fit (see
             :mod:`repro.runtime.hooks`).
         fault_plan: Optional :class:`~repro.chaos.FaultPlan`; when given,
@@ -812,7 +808,6 @@ class DistributedGBDT:
         config: TrainConfig | None = None,
         *,
         sketch_mode: str = "exact",
-        build_strategy: HistogramBuildStrategy | None = None,
         callbacks: Sequence[TrainerCallback] = (),
         fault_plan: FaultPlan | None = None,
         **backend_kwargs,
@@ -822,7 +817,6 @@ class DistributedGBDT:
             cluster or ClusterConfig(),
             config or TrainConfig(),
             sketch_mode=sketch_mode,
-            build_strategy=build_strategy,
             fault_plan=fault_plan,
             backend_kwargs=backend_kwargs,
         )

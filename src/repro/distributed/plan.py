@@ -64,7 +64,6 @@ class RunPlan:
     cluster: ClusterConfig
     config: TrainConfig
     sketch_mode: str = "exact"
-    build_strategy: HistogramBuildStrategy | None = None
     fault_plan: FaultPlan | None = None
     backend_kwargs: Mapping[str, Any] = field(default_factory=dict)
     backend_cls: type[AggregationBackend] = field(init=False)
@@ -141,9 +140,7 @@ class RunPlan:
     def push_seconds(self, n_bytes: float) -> float:
         """PS aggregation time of every worker pushing ``n_bytes``."""
         c = self.cluster
-        return general_ps_push_time(
-            c.n_workers, c.n_servers, n_bytes, self.cost, c.colocated
-        )
+        return general_ps_push_time(c.n_workers, c.n_servers, n_bytes, self.cost)
 
     def make_backend(self, candidates: CandidateSet, fabric=None) -> AggregationBackend:
         """This run's backend over ``candidates``; ``fabric`` (the chaos
@@ -154,10 +151,8 @@ class RunPlan:
         return self.backend_cls(self.cluster, self.config, candidates, **kwargs)
 
     def make_build_strategy(self) -> HistogramBuildStrategy:
-        """The histogram build strategy for one fit: the caller's
-        explicit instance, else the backend's ``build_mode``."""
-        if self.build_strategy is not None:
-            return self.build_strategy
+        """The histogram build strategy for one fit, picked by the
+        backend's ``build_mode``."""
         if self.backend_cls.build_mode == "sparse":
             return SparseBuildStrategy()
         return DenseBuildStrategy()

@@ -225,26 +225,21 @@ class ParameterServerGroup:
             raise PSError("compression requires the delta's exact node sums")
         layout = self._layout(name)
         width = layout.feature_width
-        fold = np.array([[sums[0]], [sums[1]]], dtype=np.float64)
         pieces: list[tuple[Partition, np.ndarray, int]] = []
         for part in partitioner.partitions:
-            # The slice's g- and h-zero-bucket slots, one column per feature.
-            slots = layout.zero_slots[:, part.lo // width : part.hi // width] - part.lo
-            residual = flat[part.lo : part.hi].copy()
-            residual.put(slots, residual.take(slots) - fold)
-            features = residual.reshape(-1, width)
-            present = np.flatnonzero((features != 0.0).any(axis=1))
+            features = slice(part.lo // width, part.hi // width)
+            residual = flat[part.lo : part.hi].reshape(-1, width).copy()
+            layout.fold_sums(residual, features, *sums, sign=-1.0)
+            present = np.flatnonzero((residual != 0.0).any(axis=1))
             blocked = compress_blocked(
-                features[present].ravel(), layout.n_bins, compression_bits, rng
+                residual[present].ravel(), layout.n_bins, compression_bits, rng
             )
             decoded = np.zeros_like(residual)
-            decoded.reshape(-1, width)[present] = decompress_blocked(blocked).reshape(
-                len(present), width
-            )
-            decoded.put(slots, decoded.take(slots) + fold)
-            bitmap_bytes = -(-len(features) // 8)
+            decoded[present] = decompress_blocked(blocked).reshape(len(present), width)
+            layout.fold_sums(decoded, features, *sums)
+            bitmap_bytes = -(-len(residual) // 8)
             piece_bytes = blocked.wire_bytes + bitmap_bytes + ROW_SUMS_BYTES
-            pieces.append((part, decoded, piece_bytes))
+            pieces.append((part, decoded.ravel(), piece_bytes))
         return pieces
 
     def push_row(
@@ -484,7 +479,8 @@ class ParameterServerGroup:
         Every partition overlapping the stripe answers one message: the
         candidate frame of its share
         (:meth:`PSServer.handle_pull_candidates`), billed at its length,
-        :func:`~repro.sketch.candidates.candidate_frame_bytes`.  Returns
+        :func:`~repro.sketch.candidates.candidate_frame_bytes` — a lost
+        or duplicated frame too, under a fault fabric.  Returns
         the stripe's cuts rebased to 0 (global feature ``lo + f`` is
         stripe feature ``f``, as
         :meth:`~repro.sketch.CandidateSet.feature_range` cuts them) plus
@@ -504,11 +500,7 @@ class ParameterServerGroup:
                 )
 
             frame = self._deliver(
-                "pull",
-                send,
-                server=part.server_id,
-                worker=worker,
-                payload_bytes=0,
+                "pull", send, server=part.server_id, worker=worker, payload_bytes=len
             )
             shares.append(CandidateSet.from_frame(frame, max_bins, a, b))
             stats.bytes_down += len(frame)

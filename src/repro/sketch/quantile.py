@@ -426,7 +426,8 @@ class SketchBatch(Sequence):
         return self._answer(live, self.masses[live][:, None] * qs)
 
     # ------------------------------------------------------------------
-    # wire frame (what push_sketch / pull_sketches move, one per partition)
+    # wire frame (what push_sketch moves, one per partition; pull_sketches
+    # moves candidate frames)
     # ------------------------------------------------------------------
 
     @property

@@ -10,7 +10,7 @@ from repro.cluster import SimClock
 from repro.datasets import SyntheticSpec, make_sparse_classification
 from repro.datasets.partition import BlockPartitioner, GridSpec
 from repro.distributed import make_backend
-from repro.distributed.backends import WindowedPusher
+from repro.distributed.backends import _PSBackend
 from repro.distributed.engine import _node_sums
 from repro.errors import PSError, TrainingError
 from repro.histogram import BinnedShard, build_node_histogram_sparse
@@ -42,15 +42,16 @@ def lossy_group(candidates):
     backend = make_backend(
         "dimboost", cluster, config.with_overrides(compression_bits=8), candidates
     )
-    return backend.group, backend.pusher.layout
+    return backend.group, backend.layout
 
 
 def fold(flat, layout, sum_g, sum_h):
     """``flat`` with ``sum_g`` / ``sum_h`` added to every zero bucket
     (negated sums take the builder's fold off)."""
     out = flat.copy()
-    out[layout.zero_slots[0]] += sum_g
-    out[layout.zero_slots[1]] += sum_h
+    g_slots = np.arange(layout.n_features) * layout.feature_width + layout.zero_bins
+    out[g_slots] += sum_g
+    out[g_slots + layout.n_bins] += sum_h
     return out
 
 
@@ -124,15 +125,17 @@ class TestFoldDeferral:
         )
         backend.begin_tree(0)
         clock = SimClock()
-        returned = []
-        push = backend.pusher.push_flats
-        monkeypatch.setattr(
-            backend.pusher,
-            "push_flats",
-            lambda *args: returned.append(push(*args)) or returned[-1],
-        )
+        pushed = []
+        push = backend.group.push_row
+
+        def record(*args, **kwargs):
+            stats = push(*args, **kwargs)
+            pushed.append(stats.bytes_up)
+            return stats
+
+        monkeypatch.setattr(backend.group, "push_row", record)
         backend.aggregate_node(0, [f.copy() for f in flats], clock, sums)
-        (pushed,) = returned
+        assert len(pushed) == len(flats)
         # ~1 byte per value + per-feature scales + the 8-byte sums: far
         # below the 4-bytes-per-value uncompressed push.
         assert all(b < backend.flat_bytes / 2 for b in pushed)
@@ -188,16 +191,16 @@ class TestExactZeroBucketSums:
 
     def test_untouched_feature_unfolds_to_exact_zero(self, wide, monkeypatch):
         root: list[tuple[np.ndarray, tuple[float, float]]] = []
-        push = WindowedPusher.push_flats
-        pushers: list[WindowedPusher] = []
+        aggregate = _PSBackend.aggregate_node
+        backends: list[_PSBackend] = []
 
-        def record(pusher, node, flats, clock, sums=None):
+        def record(backend, node, flats, clock, sums=None):
             if node == 0 and not root:
-                pushers.append(pusher)
+                backends.append(backend)
                 root.extend((flat.copy(), s) for flat, s in zip(flats, sums))
-            return push(pusher, node, flats, clock, sums)
+            return aggregate(backend, node, flats, clock, sums)
 
-        monkeypatch.setattr(WindowedPusher, "push_flats", record)
+        monkeypatch.setattr(_PSBackend, "aggregate_node", record)
         workers = 4
         DistributedGBDT(
             "dimboost",
@@ -207,19 +210,19 @@ class TestExactZeroBucketSums:
             ),
         ).fit(wide)
         assert len(root) == workers
-        (pusher,) = pushers
+        (backend,) = backends
         partitioner = BlockPartitioner(wide, GridSpec(workers, 1))
         for worker, (flat, (sum_g, sum_h)) in enumerate(root):
             X = partitioner.row_shard(worker).X
             touched = np.unique(X.indices[X.data != 0])
             untouched = np.setdiff1d(np.arange(wide.n_features), touched)
             assert len(untouched) > 100  # the fit really has untouched features
-            residual = fold(flat, pusher.layout, -sum_g, -sum_h)
+            residual = fold(flat, backend.layout, -sum_g, -sum_h)
             rows = residual.reshape(wide.n_features, -1)[untouched]
             # Both halves — the g- and the h-histogram — exactly +0.0.
             assert not rows.any()
             assert not np.signbit(rows).any()
-            pieces = pusher.group.encode_row(
+            pieces = backend.group.encode_row(
                 "grad_hist", flat, 8, np.random.default_rng(0), sums=(sum_g, sum_h)
             )
             decoded = np.concatenate([values for _part, values, _bytes in pieces])

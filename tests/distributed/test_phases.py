@@ -7,8 +7,8 @@ import pytest
 from repro import ClusterConfig, TrainConfig, train_distributed
 from repro.cluster import SimClock
 from repro.distributed import BACKEND_NAMES
+from repro.distributed.backends import MLlibBackend
 from repro.ps.master import WorkerPhase
-from repro.runtime.build import SparseBuildStrategy
 
 
 class TestSimClockPhases:
@@ -78,18 +78,15 @@ class TestEnginePhases:
         charged = result.breakdown.computation + result.breakdown.communication
         assert sum(result.phases.values()) == pytest.approx(charged, rel=1e-9)
 
-    def test_find_split_dominated_by_comm_for_mllib(self, small_dataset):
+    def test_find_split_dominated_by_comm_for_mllib(self, small_dataset, monkeypatch):
         """MLlib's bottleneck is FIND_SPLIT (statistics aggregation).
 
         The dense-build compute is overridden to the sparse path so the
         comparison isolates the aggregation cost the claim is about.
         """
+        monkeypatch.setattr(MLlibBackend, "build_mode", "sparse")
         config = TrainConfig(n_trees=2, max_depth=4, n_split_candidates=8)
         result = train_distributed(
-            "mllib",
-            small_dataset,
-            ClusterConfig(4, 4),
-            config,
-            build_strategy=SparseBuildStrategy(),
+            "mllib", small_dataset, ClusterConfig(4, 4), config
         )
         assert result.phases["FIND_SPLIT"] == max(result.phases.values())

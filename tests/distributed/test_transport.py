@@ -33,7 +33,7 @@ from repro.config import ClusterConfig, TrainConfig
 from repro.datasets import Dataset, SyntheticSpec, gender_like, make_sparse_classification
 from repro.distributed import DistributedGBDT
 from repro.distributed.engine import _GridFit
-from repro.ps import ParameterServerGroup
+from repro.ps import ParameterServerGroup, PSServer
 from repro.ps.partitioner import VectorPartitioner
 from repro.ps.slab import SlabLayout, SparseSlab, compress_slab
 from repro.sketch import (
@@ -293,6 +293,37 @@ class TestEngineSketchModes:
         assert self.trees_of(clean) == self.trees_of(faulted)
         assert faulted.faults["totals"]["injected"] == 3
         assert faulted.phases["FAULT_RECOVERY"] > 0.0
+
+    def test_duplicated_candidate_pull_bills_its_frame(self, data, monkeypatch):
+        """A lost or duplicated candidate frame wasted its length on the
+        wire, as a lost range pull does: one duplicated PULL_SKETCH pull
+        on a 2x2 grid charges ``FAULT_RECOVERY`` exactly ``alpha +
+        frame_bytes * beta``, the frame being that pull's reply."""
+        frames: list[int] = []
+        pull = PSServer.handle_pull_candidates
+
+        def record(server, *args):
+            frame = pull(server, *args)
+            frames.append(len(frame))
+            return frame
+
+        monkeypatch.setattr(PSServer, "handle_pull_candidates", record)
+        config = TrainConfig(
+            n_trees=2, max_depth=4, compression_bits=0, sketch_eps=0.05
+        )
+        cluster = ClusterConfig(n_workers=4, n_servers=2, grid=(2, 2))
+        plan = FaultPlan(
+            events=(FaultEvent(kind="duplicate", point="pull", times=1),),
+            name="candidate-pull-duplicate-once",
+        )
+        faulted = DistributedGBDT(
+            "dimboost", cluster, config, sketch_mode="distributed", fault_plan=plan
+        ).fit(data)
+        assert faulted.faults["totals"]["injected"] == 1
+        first, again = frames[:2]  # the duplicated pull, delivered twice
+        assert first == again > 0
+        cost = cluster.network
+        assert faulted.phases["FAULT_RECOVERY"] == cost.alpha + first * cost.beta
 
     def test_invalid_sketch_mode_rejected(self, data):
         from repro.errors import ConfigError

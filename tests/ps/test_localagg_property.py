@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.costmodel import CostParams
 from repro.cluster.simclock import SimClock
 from repro.compression.lowprec import SUPPORTED_BITS
 from repro.config import ClusterConfig, TrainConfig
-from repro.distributed.backends import WindowedPusher
+from repro.distributed import make_backend
+from repro.distributed.backends import GRAD_HIST
 from repro.ps import (
     LocalAggregator,
     ParameterServerGroup,
@@ -27,6 +27,7 @@ from repro.ps import (
     SparseSlab,
     compress_slab,
 )
+from repro.sketch import CandidateSet
 from repro.utils.rng import spawn_rng
 
 finite_values = st.floats(
@@ -50,6 +51,25 @@ def layouts(draw):
         dtype=np.int64,
     )
     return SlabLayout(n_features, n_bins, zero_bins)
+
+
+@st.composite
+def candidate_sets(draw):
+    """Cuts for M features, K bins: per-feature cut lists around 0, so
+    the zero buckets (a parameter-server backend's slab layout) vary."""
+    n_features = draw(st.integers(min_value=1, max_value=6))
+    max_bins = draw(st.integers(min_value=2, max_value=8))
+    cuts = [
+        sorted(
+            set(draw(st.lists(st.integers(-4, 4), max_size=max_bins - 1)))
+        )
+        for _ in range(n_features)
+    ]
+    offsets = np.cumsum([0] + [len(feature) for feature in cuts])
+    flat = np.asarray(
+        [c + 0.5 for feature in cuts for c in feature], dtype=np.float64
+    )
+    return CandidateSet(offsets, flat, max_bins)
 
 
 @st.composite
@@ -235,6 +255,36 @@ def test_window_size_never_changes_stored_bits(data):
         np.testing.assert_array_equal(flat, second[node])
 
 
+def billed_backend(candidates, system, bits, agg_window, n_workers, n_servers):
+    """A parameter-server backend at ``agg_window``, opened on tree 0, and
+    the bytes its group's push calls bill, by call name."""
+    config = TrainConfig(compression_bits=bits, agg_window=agg_window)
+    cluster = ClusterConfig(n_workers=n_workers, n_servers=n_servers)
+    backend = make_backend(system, cluster, config, candidates)
+    group = backend.group
+    billed = dict.fromkeys(
+        ("push_row", "push_window_rows", "push_slab", "push_window"), 0
+    )
+    for name in billed:
+        push = getattr(group, name)
+
+        def counted(*args, _name=name, _push=push, **kwargs):
+            stats = _push(*args, **kwargs)
+            billed[_name] += stats.bytes_up
+            return stats
+
+        setattr(group, name, counted)
+    backend.begin_tree(0)
+    return backend, billed
+
+
+def draw_ps_system(data, bits):
+    """DimBoost when the codec is on (only it quantizes), else either."""
+    if bits:
+        return "dimboost"
+    return data.draw(st.sampled_from(("dimboost", "tencentboost")))
+
+
 @given(
     data=st.data(),
     bits=st.sampled_from((0, *SUPPORTED_BITS)),
@@ -242,18 +292,20 @@ def test_window_size_never_changes_stored_bits(data):
 )
 @settings(max_examples=60, deadline=None)
 def test_dense_windows_match_per_delta_row_pushes(data, bits, window):
-    """A windowed ``WindowedPusher`` stores the bits its per-delta
-    ``push_row`` deliveries (W=1) store, and bills their bytes plus 4
-    bytes of row id per piece — at every codec width, uncompressed
-    included."""
-    layout = data.draw(layouts())
+    """A windowed PS backend's ``aggregate_node`` stores the bits its
+    per-delta ``push_row`` deliveries (W=1) store, and bills their bytes
+    plus 4 bytes of row id per piece — at every codec width,
+    uncompressed included."""
+    candidates = data.draw(candidate_sets())
+    system = draw_ps_system(data, bits)
     n_servers = data.draw(st.integers(min_value=1, max_value=3))
     n_workers = data.draw(st.integers(min_value=1, max_value=3))
     n_nodes = data.draw(st.integers(min_value=1, max_value=6))
     values = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
     scale = 10.0 ** data.draw(st.integers(min_value=-6, max_value=6))
+    row_length = 2 * candidates.n_features * candidates.max_bins
     flats = [
-        [values.normal(size=layout.row_length) * scale for _w in range(n_workers)]
+        [values.normal(size=row_length) * scale for _w in range(n_workers)]
         for _node in range(n_nodes)
     ]
     # Each delta's exact node sums, the header of a lossy piece.
@@ -266,37 +318,80 @@ def test_dense_windows_match_per_delta_row_pushes(data, bits, window):
     ]
 
     def run(agg_window):
-        group = make_group(layout, n_servers)
-        billed = {"push_row": 0, "push_window_rows": 0}
-        for name in billed:
-            push = getattr(group, name)
-
-            def counted(*args, _name=name, _push=push, **kwargs):
-                stats = _push(*args, **kwargs)
-                billed[_name] += stats.bytes_up
-                return stats
-
-            setattr(group, name, counted)
-        config = TrainConfig(compression_bits=bits, agg_window=agg_window)
-        cluster = ClusterConfig(n_workers=n_workers, n_servers=n_servers)
-        pusher = WindowedPusher(group, cluster, config, CostParams(), layout, bits)
-        pusher.begin_tree(0)
+        backend, billed = billed_backend(
+            candidates, system, bits, agg_window, n_workers, n_servers
+        )
         clock = SimClock()
         for node, per_worker in enumerate(flats):
-            pusher.push_flats(node, per_worker, clock, sums[node])
-        pusher.flush(clock)
-        return group, billed
+            backend.aggregate_node(
+                node, [flat.copy() for flat in per_worker], clock, sums[node]
+            )
+        backend.flush(clock)
+        return backend.group, billed
 
     direct, direct_billed = run(1)
     windowed, windowed_billed = run(window)
-    n_pieces = n_nodes * n_workers * direct.partitioner("grad_hist").n_partitions
+    n_pieces = n_nodes * n_workers * direct.partitioner(GRAD_HIST).n_partitions
     row_ids = 4 * n_pieces if window > 1 else 0
     assert sum(windowed_billed.values()) == direct_billed["push_row"] + row_ids
-    assert direct_billed["push_window_rows"] == 0
+    assert sum(direct_billed.values()) == direct_billed["push_row"]
     for node in range(n_nodes):
-        np.testing.assert_array_equal(
-            stored_row(direct, node), stored_row(windowed, node)
+        stored = stored_row(windowed, node)
+        assert stored_row(direct, node).tobytes() == stored.tobytes()
+
+
+@given(
+    data=st.data(),
+    bits=st.sampled_from((0, *SUPPORTED_BITS)),
+    window=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_slab_windows_match_per_delta_slab_pushes(data, bits, window):
+    """The grid twin: a windowed PS backend's ``aggregate_node_slabs``
+    stores the bits of its per-delta ``push_slab`` deliveries (W=1), and
+    bills their bytes plus 4 bytes of row id per windowed entry — one
+    entry per (slab, partition its stripe overlaps)."""
+    candidates = data.draw(candidate_sets())
+    system = draw_ps_system(data, bits)
+    layout = SlabLayout(
+        candidates.n_features, candidates.max_bins, candidates.zero_bins
+    )
+    n_servers = data.draw(st.integers(min_value=1, max_value=3))
+    n_workers = data.draw(st.integers(min_value=1, max_value=3))
+    n_nodes = data.draw(st.integers(min_value=1, max_value=6))
+    stripe_of = [data.draw(stripes(layout)) for _w in range(n_workers)]
+    deltas = [
+        [
+            (worker, data.draw(slabs(layout, *stripe)))
+            for worker, stripe in enumerate(stripe_of)
+        ]
+        for _node in range(n_nodes)
+    ]
+
+    def run(agg_window):
+        backend, billed = billed_backend(
+            candidates, system, bits, agg_window, n_workers, n_servers
         )
+        clock = SimClock()
+        for node, per_worker in enumerate(deltas):
+            backend.aggregate_node_slabs(node, per_worker, clock)
+        backend.flush(clock)
+        return backend.group, billed
+
+    direct, direct_billed = run(1)
+    windowed, windowed_billed = run(window)
+    width = layout.feature_width
+    partitioner = direct.partitioner(GRAD_HIST)
+    n_entries = n_nodes * sum(
+        len(partitioner.partitions_in_range(lo * width, hi * width))
+        for lo, hi in stripe_of
+    )
+    row_ids = 4 * n_entries if window > 1 else 0
+    assert sum(windowed_billed.values()) == direct_billed["push_slab"] + row_ids
+    assert sum(direct_billed.values()) == direct_billed["push_slab"]
+    for node in range(n_nodes):
+        stored = stored_row(windowed, node)
+        assert stored_row(direct, node).tobytes() == stored.tobytes()
 
 
 @given(

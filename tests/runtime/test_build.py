@@ -105,28 +105,3 @@ class TestResolution:
     def test_strategies_are_the_abc(self):
         for strategy in (DenseBuildStrategy(), SparseBuildStrategy()):
             assert isinstance(strategy, HistogramBuildStrategy)
-
-
-class TestEngineIntegration:
-    def test_explicit_strategy_overrides_flags(self, tiny_dataset):
-        """A custom strategy passed to the trainer is actually used."""
-        from repro.distributed.engine import DistributedGBDT
-
-        calls = []
-
-        class Counting(SparseBuildStrategy):
-            def build(self, shard, rows, grad, hess):
-                calls.append(len(rows))
-                return super().build(shard, rows, grad, hess)
-
-        config = TrainConfig(
-            n_trees=1, max_depth=3, n_split_candidates=8, compression_bits=0
-        )
-        trainer = DistributedGBDT(
-            "dimboost",
-            ClusterConfig(2, 2),
-            config,
-            build_strategy=Counting(),
-        )
-        trainer.fit(tiny_dataset)
-        assert calls  # the engine routed every build through the strategy

@@ -110,7 +110,6 @@ class TestClusterConfig:
         cluster = ClusterConfig()
         assert cluster.n_workers == 4
         assert cluster.n_servers == 4
-        assert cluster.colocated
 
     def test_validation(self):
         with pytest.raises(ConfigError):
