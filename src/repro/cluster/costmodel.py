@@ -205,7 +205,12 @@ def compressed_slab_bytes(
     float32 scale per ``block_size`` values (default ``n_bins``: one
     scale per g- and one per h-histogram).  The header — stripe range and
     exact gradient sums — stays uncompressed, as do the 4-byte feature
-    ids.  Matches :meth:`repro.ps.CompressedSlab.wire_bytes_for` exactly.
+    ids.  This is the dense upper bound of
+    :meth:`repro.ps.CompressedSlab.wire_bytes_for`, which bills a share's
+    levels as one message in the smaller of the dense form and a
+    zero-level bitmap plus the nonzero levels; the two agree when no
+    level is 0 (and, at 2 bits with odd ``n_bins``, no feature ends
+    mid-byte).
     """
     if n_present < 0 or n_bins < 1 or header_bytes < 0:
         raise CommunicationError(

@@ -14,6 +14,12 @@ The absolute error is bounded by ``|c| / S``.
 Wire layout: a 4-byte float carrying ``|c|`` followed by the ``d``-bit
 payload.  For ``d`` in {2, 4} the integers are genuinely bit-packed (two
 or four per byte); ``d`` = 8 and 16 use native int8/int16 arrays.
+
+A block frame (:class:`BlockCompressedHistogram`, the one the parameter
+servers carry) is billed per message at the smaller of its dense packed
+levels and a zero-level bitmap plus the packed nonzero levels
+(:meth:`BlockCompressedHistogram.payload_bytes`); the single-scale frame
+of :func:`compress_flat` keeps the dense bill.
 """
 
 from __future__ import annotations
@@ -206,10 +212,52 @@ class BlockCompressedHistogram:
         if n_blocks and not (self.scales.min() >= 0.0 and self.scales.max() < np.inf):
             raise DataError("block scales must be finite and >= 0")
 
+    def payload_bytes(self, start: int = 0, stop: int | None = None) -> int:
+        """Billed bytes of the levels ``[start, stop)`` (block-aligned;
+        default: all), as one message: the smaller of two forms.
+
+        * dense: the packed levels, ``ceil(n * d / 8)`` bytes;
+        * masked: a bitmap with one bit per value, set where the level is
+          nonzero, then the packed nonzero levels —
+          ``ceil(n / 8) + ceil(nnz * d / 8)`` bytes.
+
+        A zero input always quantizes to level 0 (``floor(0 + u) = 0``),
+        so the masked form wins wherever the histogram is mostly empty
+        buckets.  Ties go to the dense form, so a message's length alone
+        tells the receiver which form it carries.  The frame keeps the
+        dense levels either way: only the bill depends on the form.
+        """
+        start, stop = self._check_range(start, stop)
+        n = stop - start
+        dense = -(-n * self.bits // 8)
+        zero = _int_scale(self.bits)  # signed level 0, stored shifted
+        if self.bits == 8:
+            levels = self.payload[start:stop]
+        elif self.bits == 16:
+            levels = self.payload.view(np.uint16)[start:stop]
+        else:
+            levels = _unpack(self.payload, self.bits, stop, start)
+        nonzero = n - int(np.count_nonzero(levels == zero))
+        return min(dense, -(-n // 8) + -(-nonzero * self.bits // 8))
+
+    def _check_range(self, start: int, stop: int | None) -> tuple[int, int]:
+        """``(start, stop)`` with ``stop`` defaulted, or a ``DataError`` if
+        the range is not block-aligned within the frame."""
+        block = self.block_size
+        if stop is None:
+            stop = self.n_values
+        if not 0 <= start <= stop <= self.n_values or start % block or stop % block:
+            raise DataError(
+                f"range [{start}, {stop}) must be block-aligned (block "
+                f"{block}) within {self.n_values} values"
+            )
+        return start, stop
+
     @property
     def wire_bytes(self) -> int:
-        """Payload plus one 4-byte scale per block."""
-        return int(self.payload.nbytes) + int(self.scales.nbytes)
+        """Billed payload (:meth:`payload_bytes`) plus one 4-byte scale per
+        block."""
+        return self.payload_bytes() + int(self.scales.nbytes)
 
     @property
     def compression_ratio(self) -> float:
@@ -289,13 +337,7 @@ def decompress_blocked(
     block's scale alone.
     """
     block = compressed.block_size
-    if stop is None:
-        stop = compressed.n_values
-    if not 0 <= start <= stop <= compressed.n_values or start % block or stop % block:
-        raise DataError(
-            f"decode range [{start}, {stop}) must be block-aligned (block "
-            f"{block}) within {compressed.n_values} values"
-        )
+    start, stop = compressed._check_range(start, stop)
     scale = _int_scale(compressed.bits)
     decoded = _unpack(compressed.payload, compressed.bits, stop, start)
     decoded -= scale

@@ -12,7 +12,6 @@ RCV1 distribution).
 
 from __future__ import annotations
 
-import math
 import os
 from typing import IO, Iterable
 
@@ -25,15 +24,30 @@ from .sparse import CSRMatrix
 #: Largest 0-based feature index a CSR block's int32 indices can hold.
 _INDEX_MAX = int(np.iinfo(np.int32).max)
 
+#: Labels and values are stored as float32: a float64 of this magnitude or
+#: more (float32's largest plus half an ulp, where rounding goes up) would
+#: become ``inf``.  NaN fails the ``<`` test too.
+_FLOAT32_LIMIT = 2.0**128 - 2.0**103
+
+
+def _number(text: str) -> float:
+    """``float(text)`` for plain ASCII spellings only; Python's ``float``
+    also takes digit-group underscores (``1_0``) and non-ASCII digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return float(text)
+
 
 def _parse_line(line: str, line_no: int, one_based: bool) -> tuple[float, list[int], list[float]]:
     parts = line.split()
     try:
-        label = float(parts[0])
+        label = _number(parts[0])
     except ValueError as exc:
         raise DataError(f"line {line_no}: bad label {parts[0]!r}") from exc
-    if not math.isfinite(label):
-        raise DataError(f"line {line_no}: label {parts[0]!r} is not finite")
+    if not abs(label) < _FLOAT32_LIMIT:
+        raise DataError(
+            f"line {line_no}: label {parts[0]!r} is not finite in float32"
+        )
     idxs: list[int] = []
     vals: list[float] = []
     for token in parts[1:]:
@@ -41,10 +55,16 @@ def _parse_line(line: str, line_no: int, one_based: bool) -> tuple[float, list[i
             break  # trailing comment
         try:
             idx_str, val_str = token.split(":", 1)
+            if not (idx_str.isascii() and idx_str.isdigit()):
+                raise ValueError(idx_str)
             idx = int(idx_str)
-            val = float(val_str)
+            val = _number(val_str)
         except ValueError as exc:
             raise DataError(f"line {line_no}: bad feature token {token!r}") from exc
+        if not abs(val) < _FLOAT32_LIMIT:
+            raise DataError(
+                f"line {line_no}: value {val_str!r} is not finite in float32"
+            )
         if one_based:
             idx -= 1
         if idx < 0:
@@ -72,16 +92,25 @@ def load_libsvm(
         name: Dataset name; defaults to the file's basename.
 
     Raises:
-        DataError: On malformed lines (a non-finite label, an index past
-            int32 included) or indices beyond ``n_features``.
+        DataError: Naming the line, on malformed lines: bytes that are not
+            UTF-8, a label or value that is NaN, infinite or past float32's
+            range, an index that is not plain digits or is past int32.
+            Also on indices beyond ``n_features``.
     """
     labels: list[float] = []
     indptr: list[int] = [0]
     indices: list[int] = []
     data: list[float] = []
     max_index = -1
-    with open(path, "r", encoding="utf-8") as handle:
+    # Undecodable bytes come through as lone surrogates, so the line that
+    # holds them can be named.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DataError(f"line {line_no}: not valid UTF-8") from exc
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -199,8 +199,11 @@ class ParameterServerGroup:
         adds the sums back into every feature's zero buckets, so the
         server stores the folded histogram, and a feature the node never
         touched decodes to exactly its closed form.  A slice of ``F``
-        features is billed payload + present scales + ``ceil(F / 8)``
-        bitmap bytes + the 8 header bytes.
+        features is billed the frame's payload (dense or zero-level
+        bitmap form, whichever is smaller:
+        :meth:`~repro.compression.lowprec.BlockCompressedHistogram.payload_bytes`)
+        + present scales + ``ceil(F / 8)`` bitmap bytes + the 8 header
+        bytes.
 
         Raises:
             PSError: wrong row length, a lossy encode without ``rng`` or
@@ -315,9 +318,9 @@ class ParameterServerGroup:
             piece_bytes = slab.wire_bytes_for(part.lo // width, part.hi // width)
             server = self.servers[part.server_id]
 
-            def send(server=server, part=part):
+            def send(server=server, part=part, piece_bytes=piece_bytes):
                 return server.handle_push_slab(
-                    name, row, part.partition_id, slab, seq=seq
+                    name, row, part.partition_id, slab, piece_bytes, seq=seq
                 )
 
             self._push(stats, send, part.server_id, worker, piece_bytes)
@@ -357,21 +360,18 @@ class ParameterServerGroup:
         stats = TransferStats()
         for part in partitioner.partitions:
             f_lo, f_hi = part.lo // width, part.hi // width
-            share = [
-                (row, slab)
-                for row, slab in entries
-                if slab.wire_bytes_for(f_lo, f_hi) > 0
+            billed = [
+                (row, slab, slab.wire_bytes_for(f_lo, f_hi)) for row, slab in entries
             ]
+            share = [(row, slab) for row, slab, nbytes in billed if nbytes]
             if not share:
                 continue
-            piece_bytes = sum(
-                4 + slab.wire_bytes_for(f_lo, f_hi) for _, slab in share
-            )
+            piece_bytes = sum(4 + nbytes for *_entry, nbytes in billed if nbytes)
             server = self.servers[part.server_id]
 
-            def send(server=server, part=part, share=share):
+            def send(server=server, part=part, share=share, piece_bytes=piece_bytes):
                 return server.handle_push_window(
-                    name, part.partition_id, share, seq=seq
+                    name, part.partition_id, share, piece_bytes, seq=seq
                 )
 
             self._push(stats, send, part.server_id, worker, piece_bytes)

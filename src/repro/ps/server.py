@@ -145,6 +145,7 @@ class PSServer:
         row: int,
         partition_id: int,
         slab: SparseSlab | CompressedSlab,
+        wire_bytes: int | None = None,
         seq: object | None = None,
     ) -> None:
         """Apply a sparse slab push to one hosted range of ``row``.
@@ -158,9 +159,11 @@ class PSServer:
         additively, so a row-sharded dense push equals the element-wise
         sum of its stripes' slab pushes, addend for addend.
 
-        A :class:`CompressedSlab` is billed at its (smaller) packed wire
-        size, and this partition decodes the share it was billed for —
-        the carried features it hosts — never the whole slab; decoding is
+        ``wire_bytes`` is what the sender billed for this partition's
+        share; the default is the share's own bill,
+        ``slab.wire_bytes_for`` over this range.  A :class:`CompressedSlab`
+        partition decodes the share it was billed for — the carried
+        features it hosts — never the whole slab; decoding is
         deterministic, so duplicate deliveries of the same compressed
         slab would reconstruct identical values even without the seq
         guard.
@@ -172,7 +175,9 @@ class PSServer:
         """
         layout, f_lo, f_hi = self._slab_range(name, partition_id)
         layout.check_slab(slab)
-        self.bytes_received += slab.wire_bytes_for(f_lo, f_hi)
+        if wire_bytes is None:
+            wire_bytes = slab.wire_bytes_for(f_lo, f_hi)
+        self.bytes_received += wire_bytes
         contrib = self._materialize_slab(layout, slab, f_lo, f_hi)
         self._apply(name, row, partition_id, seq, contrib, owned=True)
 
@@ -256,6 +261,7 @@ class PSServer:
         name: str,
         partition_id: int,
         entries: list[tuple[int, SparseSlab | CompressedSlab]],
+        wire_bytes: int | None = None,
         seq: object | None = None,
     ) -> None:
         """Apply one locally-aggregated window of slab pushes.
@@ -263,10 +269,10 @@ class PSServer:
         ``entries`` is an ordered batch of ``(row, slab)`` deltas a
         worker folded across an aggregation window — the whole batch
         travelled as one message, so one call bills one windowed
-        payload: 4 bytes of row id plus the slab's wire share per
-        entry.  Each entry merges exactly like an individual
-        :meth:`handle_push_slab` would, so windowing never changes
-        stored bits.
+        payload, ``wire_bytes`` as the sender billed it; the default is
+        4 bytes of row id plus the slab's wire share per entry.  Each
+        entry merges exactly like an individual :meth:`handle_push_slab`
+        would, so windowing never changes stored bits.
 
         ``seq`` must extend the per-round token with the window index —
         ``(round, window, worker)`` — because consecutive windows of one
@@ -281,8 +287,10 @@ class PSServer:
         layout, f_lo, f_hi = self._slab_range(name, partition_id)
         for _, slab in entries:
             layout.check_slab(slab)
+        if wire_bytes is None:
+            wire_bytes = sum(4 + slab.wire_bytes_for(f_lo, f_hi) for _, slab in entries)
+        self.bytes_received += wire_bytes
         for row, slab in entries:
-            self.bytes_received += 4 + slab.wire_bytes_for(f_lo, f_hi)
             contrib = self._materialize_slab(layout, slab, f_lo, f_hi)
             self._apply(name, row, partition_id, seq, contrib, owned=True)
 

@@ -20,6 +20,9 @@ Wire format (charged to the cost model, never actually serialized here)::
     header: col_lo, col_hi, sum_g, sum_h          -> 16 bytes
     per present feature: feature id (4 bytes)
                          2 * K float32 values     -> 4 + 8 * K bytes
+
+A :class:`CompressedSlab` ships packed low-precision levels instead of the
+float32 values; its docstring gives that format.
 """
 
 from __future__ import annotations
@@ -250,13 +253,24 @@ class CompressedSlab:
     subtracted before encoding and re-added exactly on the server, so the
     codec only sees the small per-bucket residuals.
 
-    Wire format (charged to the cost model)::
+    Wire format of one partition's share (charged to the cost model,
+    never serialized here)::
 
         header: col_lo, col_hi, sum_g, sum_h            -> 16 bytes
         per present feature: feature id (4 bytes)
-                             2 * K packed d-bit values  -> ceil(2K*d/8)
                              one float32 scale per scale
                              block of ``block_size``    -> (2K/bs) * 4
+        the share's n = present * 2K levels, in whichever form is
+        smaller (ties: dense; the length says which):
+          dense:  n packed d-bit levels                 -> ceil(n*d/8)
+          masked: bitmap, one bit per level, set where
+                  the level is nonzero                  -> ceil(n/8)
+                  then the nnz nonzero levels, packed   -> + ceil(nnz*d/8)
+
+    :func:`repro.cluster.costmodel.compressed_slab_bytes` bills every
+    feature's levels densely: the upper bound of this bill, reached when
+    no level is 0 (and, at 2 bits with odd ``K``, no feature ends
+    mid-byte).
 
     Attributes:
         col_lo, col_hi: The stripe, as in :class:`SparseSlab`.
@@ -302,27 +316,25 @@ class CompressedSlab:
         """Number of features actually carried."""
         return len(self.features)
 
-    def _per_feature_bytes(self) -> int:
-        width = 2 * self.n_bins
-        payload = -(-width * self.blocked.bits // 8)
-        scales = (width // self.blocked.block_size) * 4
-        return 4 + payload + scales
-
     def wire_bytes_for(self, f_lo: int, f_hi: int) -> int:
         """Wire size of this slab's share for features ``[f_lo, f_hi)``.
 
         Mirrors :meth:`SparseSlab.wire_bytes_for` with the float32 value
-        segment replaced by the packed payload plus its scales.
+        segment replaced by the share's levels — one message, billed in
+        the dense or the zero-level bitmap form, whichever is smaller
+        (:meth:`~repro.compression.lowprec.BlockCompressedHistogram.payload_bytes`)
+        — plus their scales.
         """
         lo = max(f_lo, self.col_lo)
         hi = min(f_hi, self.col_hi)
         if lo >= hi:
             return 0
-        present = int(
-            np.searchsorted(self.features, hi, side="left")
-            - np.searchsorted(self.features, lo, side="left")
-        )
-        return SLAB_HEADER_BYTES + present * self._per_feature_bytes()
+        first, last = (int(i) for i in np.searchsorted(self.features, [lo, hi]))
+        width = 2 * self.n_bins
+        present = last - first
+        payload = self.blocked.payload_bytes(first * width, last * width)
+        scales = present * (width // self.blocked.block_size) * 4
+        return SLAB_HEADER_BYTES + present * 4 + payload + scales
 
     @property
     def wire_bytes(self) -> int:

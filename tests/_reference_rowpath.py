@@ -358,3 +358,43 @@ def encode_row_bitmap(
         bitmap_bytes = -(-len(features) // 8)
         pieces.append((decoded.ravel(), payload.nbytes + scales.nbytes + bitmap_bytes))
     return pieces
+
+
+# ----------------------------------------------------------------------
+# compression/lowprec.py, the billed message
+# ----------------------------------------------------------------------
+# Not a frozen copy: a real serializer and parser for the two forms
+# ``BlockCompressedHistogram.payload_bytes`` bills a run of levels at —
+# the dense packed levels, or a zero-level bitmap (``np.packbits``, one
+# bit per level, little bit order, set where the signed level is nonzero)
+# followed by the packed nonzero levels.  The smaller form travels; a tie
+# goes to the dense one, so the parser tells the forms apart by length.
+# Both run on the frozen pack / unpack above.
+
+
+def serialize_levels(payload: np.ndarray, bits: int, start: int, stop: int) -> bytes:
+    """Levels ``[start, stop)`` of a packed payload as the smaller message."""
+    levels = _unpack(payload, bits, stop)[start:stop]
+    dense = _pack(levels, bits).tobytes()
+    nonzero = levels != _int_scale(bits)
+    bitmap = np.packbits(nonzero, bitorder="little")
+    masked = bitmap.tobytes() + _pack(levels[nonzero], bits).tobytes()
+    return masked if len(masked) < len(dense) else dense
+
+
+def parse_levels(message: bytes, bits: int, n_values: int) -> np.ndarray:
+    """Inverse of :func:`serialize_levels`: the ``n_values`` unsigned
+    levels as int64."""
+    buffer = np.frombuffer(message, dtype=np.uint8).copy()
+    if len(buffer) == -(-n_values * bits // 8):
+        return _unpack(buffer, bits, n_values)
+    n_bitmap = -(-n_values // 8)
+    nonzero = np.unpackbits(
+        buffer[:n_bitmap], count=n_values, bitorder="little"
+    ).astype(bool)
+    packed = buffer[n_bitmap:]
+    if len(packed) != -(-int(nonzero.sum()) * bits // 8):
+        raise DataError(f"a {len(buffer)}-byte message is neither form")
+    levels = np.full(n_values, _int_scale(bits), dtype=np.int64)
+    levels[nonzero] = _unpack(packed, bits, int(nonzero.sum()))
+    return levels

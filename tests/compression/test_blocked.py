@@ -176,7 +176,9 @@ class TestMatchesFrozenReference:
         assert frame.payload.tobytes() == payload.tobytes()
         assert frame.scales.dtype == scales.dtype
         assert frame.scales.tobytes() == scales.tobytes()
-        assert frame.wire_bytes == payload.nbytes + scales.nbytes
+        # Billed: the smaller real message of the levels, plus the scales.
+        message = ref.serialize_levels(payload, bits, 0, flat.size)
+        assert frame.wire_bytes == len(message) + scales.nbytes
         assert (frame.n_values, frame.block_size) == (flat.size, block_size)
         # The dither stream is part of the model bits: the kernel must
         # leave the generator exactly where the old one did.

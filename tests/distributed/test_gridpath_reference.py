@@ -5,7 +5,9 @@
 the whole-slab decode and the dense server add, the per-feature sketch
 chain.  Hypothesis drives both through the same blocks, slabs and
 summaries and demands the same *bytes* — ``tobytes()`` equality, which is
-``array_equal`` plus equal sign bits — and the same billed wire bytes.
+``array_equal`` plus equal sign bits — and the same billed wire bytes (a
+compressed share's levels at the length of the smaller real message
+``tests/_reference_rowpath.py::serialize_levels`` builds).
 
 Gradients mix a continuous draw with exact zeros of both signs, so a node
 sum of ``-0.0`` and zero-valued buckets are inside the equality too.
@@ -34,6 +36,7 @@ from repro.sketch import (
 )
 
 from .. import _reference_gridpath as ref
+from .. import _reference_rowpath as ref_rowpath
 from ..ps import stored_summaries
 from ..sketch import _reference_gk as ref_gk
 from ..sketch import summary_fields
@@ -190,7 +193,9 @@ def test_slabs_and_server_fold_match_reference(
     stored: dict[tuple[int, int], np.ndarray] = {}
     old_billed = 0
     if bits:
-        per_feature = 4 + -(-width * bits // 8) + (width // block) * 4
+        # Id and scales per feature; the share's levels are one message,
+        # billed at the length of the smaller real serialization below.
+        per_feature = 4 + (width // block) * 4
     else:
         per_feature = 4 + width * 4
     for node, slab in pushes:
@@ -205,6 +210,15 @@ def test_slabs_and_server_fold_match_reference(
             )
             if share == 0:
                 continue
+            if bits:
+                first, last = np.searchsorted(
+                    features, [max(f_lo, slab.col_lo), min(f_hi, slab.col_hi)]
+                )
+                share += len(
+                    ref_rowpath.serialize_levels(
+                        slab.blocked.payload, bits, first * width, last * width
+                    )
+                )
             old_billed += share + (4 if windowed else 0)
             contrib = ref.materialize_slab(
                 layout, slab.col_lo, slab.col_hi, features, values,

@@ -19,6 +19,11 @@ decoding adds the sums back.  Three frozen references bound it
   all present must reproduce its decoded pieces bit for bit, and its
   payload + scale bytes plus the bitmap and the sums.
 
+Every piece's levels are billed as one message in the smaller of the
+dense and the zero-level bitmap form, so each byte check swaps a
+reference's dense payload bytes for the length of the real message
+``_reference_rowpath.serialize_levels`` builds from the same levels.
+
 The last two run with zero node sums, whose fold subtracts nothing and
 only adds ``+0.0`` back (a ``-0.0`` zero bucket decodes to ``+0.0``).
 """
@@ -37,6 +42,19 @@ VALUE_KINDS = ["sparse", "dense", "residue", "subnormal", "pm_max", "negzero"]
 
 #: Header bytes of a lossy piece: the two node sums.
 SUMS_BYTES = 8
+
+
+def level_messages(slices, n_bins, bits, seed):
+    """Per slice, ``(dense payload bytes, message bytes)`` of the levels
+    the frozen codec draws for it — the slices encoded in order from one
+    generator seeded ``seed``, as the encode draws them."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for values in slices:
+        payload, _scales = ref.compress_blocked(values, n_bins, bits, rng)
+        message = ref.serialize_levels(payload, bits, 0, values.size)
+        out.append((payload.nbytes, len(message)))
+    return out
 
 
 def fold(row, zero_bins, n_bins, sum_g, sum_h):
@@ -123,12 +141,19 @@ def test_encode_folds_around_the_frozen_bitmap_loop(drawn, bits, seed):
     bounds = [(part.lo, part.hi) for part, _values, _bytes in pieces]
     unfolded = fold(flat, zero_bins, n_bins, -sum_g, -sum_h)
     reference = ref.encode_row_bitmap(unfolded, bounds, n_bins, bits, rng_ref)
+    present_slices = []
+    for lo, hi in bounds:
+        features = unfolded[lo:hi].reshape(-1, width)
+        present_slices.append(features[(features != 0.0).any(axis=1)].ravel())
+    messages = level_messages(present_slices, n_bins, bits, seed)
     assert len(pieces) == len(reference)
-    for (part, values, piece_bytes), (ref_values, ref_bytes) in zip(pieces, reference):
+    for (part, values, piece_bytes), (ref_values, ref_bytes), (dense, message) in zip(
+        pieces, reference, messages
+    ):
         piece_bins = zero_bins[part.lo // width : part.hi // width]
         expected = fold(ref_values, piece_bins, n_bins, sum_g, sum_h)
         assert values.tobytes() == expected.tobytes()
-        assert piece_bytes == ref_bytes + SUMS_BYTES
+        assert piece_bytes == ref_bytes - dense + message + SUMS_BYTES
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -157,14 +182,19 @@ def test_present_features_match_the_compacted_reference(drawn, bits, seed):
     drawn_once = np.random.default_rng(seed)
     drawn_once.random(int(present.sum()) * width)
     assert rng.bit_generator.state == drawn_once.bit_generator.state
-    # Billed: packed payload + one float32 scale per block + the bitmap
+    # Billed: the smaller real message of the piece's levels (its run of
+    # the compacted payload) + one float32 scale per block + the bitmap
     # + the two sums.
     for part, values, piece_bytes in pieces:
         n_part = part.length // width
         n_present = int(present[part.lo // width : part.hi // width].sum())
+        start = int(present[: part.lo // width].sum()) * width
+        message = ref.serialize_levels(
+            payload, bits, start, start + n_present * width
+        )
         assert values.shape == (part.length,)
         assert piece_bytes == (
-            -(-n_present * width * bits // 8)
+            len(message)
             + 2 * n_present * 4
             + -(-n_part // 8)
             + SUMS_BYTES
@@ -184,13 +214,16 @@ def test_all_present_row_reproduces_the_dense_loop(drawn, bits, seed):
     pieces = group.encode_row("hist", flat, bits, rng, sums=(0.0, 0.0))
     bounds = [(part.lo, part.hi) for part, _values, _bytes in pieces]
     reference = ref.encode_row_lossy(flat, bounds, n_bins, bits, rng_ref)
+    messages = level_messages([flat[lo:hi] for lo, hi in bounds], n_bins, bits, seed)
     assert len(pieces) == len(reference)
-    for (part, values, piece_bytes), (ref_values, ref_bytes) in zip(pieces, reference):
+    for (part, values, piece_bytes), (ref_values, ref_bytes), (dense, message) in zip(
+        pieces, reference, messages
+    ):
         n_part = part.length // (2 * n_bins)
         zero_bins = np.zeros(n_part, dtype=np.int64)
         expected = fold(ref_values, zero_bins, n_bins, 0.0, 0.0)
         assert values.tobytes() == expected.tobytes()
-        # The dense loop's payload + scale bytes, plus the presence bitmap
-        # and the sums.
-        assert piece_bytes == ref_bytes + -(-n_part // 8) + SUMS_BYTES
+        # The dense loop's scale bytes and its levels' smaller message,
+        # plus the presence bitmap and the sums.
+        assert piece_bytes == ref_bytes - dense + message + -(-n_part // 8) + SUMS_BYTES
     assert rng.bit_generator.state == rng_ref.bit_generator.state
