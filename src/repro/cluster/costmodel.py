@@ -178,17 +178,20 @@ def sparse_slab_bytes(
     """Wire bytes of one sparse histogram slab (block-distributed push).
 
     A slab ships a small header (stripe range + the block's exact
-    gradient sums) plus, per feature that actually has nonzeros in the
-    node, a 4-byte feature id and its ``2 * K`` float32 values.  Compare
-    with :func:`dense_histogram_bytes` over the stripe to see the
-    sparsity win.
+    gradient sums), a presence tag byte, and per feature that actually
+    has nonzeros in the node a 4-byte feature id and its ``2 * K``
+    float32 values.  Compare with :func:`dense_histogram_bytes` over the
+    stripe to see the sparsity win.  This is the id-list form: the upper
+    bound of :meth:`repro.ps.SparseSlab.wire_bytes_for`, which names the
+    present features by a bitmap of the share's range where that is
+    smaller.
     """
     if n_present < 0 or n_bins < 1 or header_bytes < 0:
         raise CommunicationError(
             f"invalid slab shape: present={n_present}, K={n_bins}, "
             f"header={header_bytes}"
         )
-    return header_bytes + n_present * (4 + 2 * n_bins * 4)
+    return header_bytes + 1 + n_present * (4 + 2 * n_bins * 4)
 
 
 def compressed_slab_bytes(
@@ -204,13 +207,14 @@ def compressed_slab_bytes(
     float32 values with ``ceil(2 * K * bits / 8)`` packed bytes plus one
     float32 scale per ``block_size`` values (default ``n_bins``: one
     scale per g- and one per h-histogram).  The header — stripe range and
-    exact gradient sums — stays uncompressed, as do the 4-byte feature
-    ids.  This is the dense upper bound of
-    :meth:`repro.ps.CompressedSlab.wire_bytes_for`, which bills a share's
-    levels as one message in the smaller of the dense form and a
-    zero-level bitmap plus the nonzero levels; the two agree when no
-    level is 0 (and, at 2 bits with odd ``n_bins``, no feature ends
-    mid-byte).
+    exact gradient sums — stays uncompressed, as do the presence tag byte
+    and the 4-byte feature ids.  This is the upper bound of
+    :meth:`repro.ps.CompressedSlab.wire_bytes_for`, which names a share's
+    present features by a bitmap of its range where that is smaller than
+    the ids, and bills its levels as one message in the smaller of the
+    dense form and a zero-level bitmap plus the nonzero levels; the two
+    agree when the ids are the smaller presence form and no level is 0
+    (and, at 2 bits with odd ``n_bins``, no feature ends mid-byte).
     """
     if n_present < 0 or n_bins < 1 or header_bytes < 0:
         raise CommunicationError(
@@ -227,7 +231,7 @@ def compressed_slab_bytes(
         )
     payload = -(-width * bits // 8)
     scales = (width // block) * 4
-    return header_bytes + n_present * (4 + payload + scales)
+    return header_bytes + 1 + n_present * (4 + payload + scales)
 
 
 def crossover_workers(

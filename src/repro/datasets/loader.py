@@ -143,17 +143,29 @@ def load_libsvm(
 def save_libsvm(
     dataset: Dataset, path: str | os.PathLike[str], one_based: bool = True
 ) -> None:
-    """Write ``dataset`` to ``path`` in LibSVM text format."""
+    """Write ``dataset`` to ``path`` in LibSVM text format.
+
+    Labels and values are written so that :func:`load_libsvm` gives back
+    the float32 values it would have made of the in-memory ones, bit for
+    bit: a generated dataset trains the same from its file.
+    """
     offset = 1 if one_based else 0
     with open(path, "w", encoding="utf-8") as handle:
         _write_rows(handle, dataset, offset)
 
 
+def _exact(value: float) -> str:
+    """The shortest text :func:`load_libsvm` reads back as ``value``, bit
+    for bit: Python's ``repr`` of its float64 (exact for a float32, and
+    never rounded twice on the way back), an integral value without
+    ``.0``."""
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _write_rows(handle: IO[str], dataset: Dataset, offset: int) -> None:
     for i, (idxs, vals) in enumerate(dataset.X.iter_rows()):
         tokens: Iterable[str] = (
-            f"{int(idx) + offset}:{float(val):g}" for idx, val in zip(idxs, vals)
+            f"{int(idx) + offset}:{_exact(val)}" for idx, val in zip(idxs, vals)
         )
-        label = dataset.y[i]
-        label_str = f"{int(label)}" if float(label).is_integer() else f"{label:g}"
-        handle.write(" ".join([label_str, *tokens]) + "\n")
+        handle.write(" ".join([_exact(dataset.y[i]), *tokens]) + "\n")

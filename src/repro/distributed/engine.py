@@ -430,7 +430,8 @@ class _GridFit(TreeGrowthStrategy):
         parts = VectorPartitioner(self.n_features, self.cluster.n_servers)
         for part in parts.partitions_in_range(lo, hi):
             a, b = max(lo, part.lo), min(hi, part.hi)
-            stats.bytes_down += candidate_frame_bytes(b - a, cut_ends[b] - cut_ends[a])
+            cuts = source.cuts[cut_ends[a] : cut_ends[b]]
+            stats.bytes_down += candidate_frame_bytes(b - a, cuts, source.max_bins)
             stats.messages += 1
         return source.feature_range(lo, hi), stats
 

@@ -436,8 +436,9 @@ class ParameterServerGroup:
         ``sketches`` lists global feature ids (elements of the registered
         parameter, one element per feature).  Every partition hosting
         some of them receives one message: the frame of its share, cut
-        from the batch by feature range and billed by entry counts
-        (:attr:`~repro.sketch.SketchBatch.wire_bytes`).  The servers merge
+        from the batch by feature range
+        (:meth:`~repro.sketch.SketchBatch.to_frame`) and billed at its
+        length.  The servers merge
         arrivals in delivery order, so a fixed push order across workers
         yields a deterministic merged summary.  ``seq``/``worker`` follow
         the :meth:`push_row` contract (seq required under a fault fabric;
@@ -461,7 +462,7 @@ class ParameterServerGroup:
                     name, part.partition_id, frame, seq=seq
                 )
 
-            self._push(stats, send, part.server_id, worker, share.wire_bytes)
+            self._push(stats, send, part.server_id, worker, len(frame))
         return stats
 
     def pull_sketches(

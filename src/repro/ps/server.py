@@ -330,7 +330,7 @@ class PSServer:
                 f"{incoming.features[-1]}] pushed to partition {partition_id} "
                 f"of {name!r} ([{part.lo}, {part.hi}))"
             )
-        self.bytes_received += incoming.wire_bytes
+        self.bytes_received += len(frame)
         applied = self._sketch_applied[name].setdefault(partition_id, set())
         if seq in applied:
             self.duplicate_pushes += 1

@@ -15,11 +15,14 @@ computes ``bincount - zsub + sum`` and both ``bincount`` and ``zsub`` are
 empty sums for an absent feature).  :class:`SlabLayout` carries the
 per-feature zero-bucket table the reconstruction needs.
 
-Wire format (charged to the cost model, never actually serialized here)::
+Wire format of one partition's share of ``F`` stripe features, ``P`` of
+them present (charged to the cost model, never actually serialized
+here)::
 
     header: col_lo, col_hi, sum_g, sum_h          -> 16 bytes
-    per present feature: feature id (4 bytes)
-                         2 * K float32 values     -> 4 + 8 * K bytes
+    presence: a tag byte, then the smaller of     -> 1 + min(4P, ceil(F/8))
+              P 4-byte ids and a bitmap of F bits
+    per present feature: 2 * K float32 values     -> 8 * K bytes
 
 A :class:`CompressedSlab` ships packed low-precision levels instead of the
 float32 values; its docstring gives that format.
@@ -45,11 +48,19 @@ __all__ = [
     "CompressedSlab",
     "slab_from_flat",
     "compress_slab",
+    "presence_bytes",
     "SLAB_HEADER_BYTES",
 ]
 
 #: Bytes of the slab header: stripe range (2 ints) + sum_g/sum_h (2 floats).
 SLAB_HEADER_BYTES = 16
+
+
+def presence_bytes(n_present: int, n_features: int) -> int:
+    """Bytes naming the ``n_present`` present features of a share of
+    ``n_features``: a tag byte, then the smaller of their 4-byte ids and
+    a ``ceil(n_features / 8)``-byte bitmap of the share's range."""
+    return 1 + min(4 * n_present, -(-n_features // 8))
 
 
 @dataclass(frozen=True)
@@ -217,10 +228,10 @@ class SparseSlab:
     def wire_bytes_for(self, f_lo: int, f_hi: int) -> int:
         """Wire size of this slab's share for features ``[f_lo, f_hi)``.
 
-        One header plus, per present feature in the range, a 4-byte id
-        and its ``2 * K`` float32 values — the sparse-slab line of the
-        cost model.  Zero when the range misses the stripe entirely
-        (no message is sent there).
+        One header, the present features of the share's part of the
+        stripe as ids or a bitmap (:func:`presence_bytes`), and each
+        present feature's ``2 * K`` float32 values.  Zero when the range
+        misses the stripe entirely (no message is sent there).
         """
         lo = max(f_lo, self.col_lo)
         hi = min(f_hi, self.col_hi)
@@ -230,8 +241,8 @@ class SparseSlab:
             np.searchsorted(self.features, hi, side="left")
             - np.searchsorted(self.features, lo, side="left")
         )
-        per_feature = 4 + self.values.shape[1] * 4
-        return SLAB_HEADER_BYTES + present * per_feature
+        values = present * self.values.shape[1] * 4
+        return SLAB_HEADER_BYTES + presence_bytes(present, hi - lo) + values
 
     @property
     def wire_bytes(self) -> int:
@@ -253,12 +264,12 @@ class CompressedSlab:
     subtracted before encoding and re-added exactly on the server, so the
     codec only sees the small per-bucket residuals.
 
-    Wire format of one partition's share (charged to the cost model,
-    never serialized here)::
+    Wire format of one partition's share of ``F`` stripe features, ``P``
+    of them present (charged to the cost model, never serialized here)::
 
         header: col_lo, col_hi, sum_g, sum_h            -> 16 bytes
-        per present feature: feature id (4 bytes)
-                             one float32 scale per scale
+        presence: as in :class:`SparseSlab`             -> 1 + min(4P, ceil(F/8))
+        per present feature: one float32 scale per
                              block of ``block_size``    -> (2K/bs) * 4
         the share's n = present * 2K levels, in whichever form is
         smaller (ties: dense; the length says which):
@@ -268,8 +279,9 @@ class CompressedSlab:
                   then the nnz nonzero levels, packed   -> + ceil(nnz*d/8)
 
     :func:`repro.cluster.costmodel.compressed_slab_bytes` bills every
-    feature's levels densely: the upper bound of this bill, reached when
-    no level is 0 (and, at 2 bits with odd ``K``, no feature ends
+    present feature an id and its levels densely: the upper bound of
+    this bill, reached when ids are the smaller presence form and no
+    level is 0 (and, at 2 bits with odd ``K``, no feature ends
     mid-byte).
 
     Attributes:
@@ -334,7 +346,7 @@ class CompressedSlab:
         present = last - first
         payload = self.blocked.payload_bytes(first * width, last * width)
         scales = present * (width // self.blocked.block_size) * 4
-        return SLAB_HEADER_BYTES + present * 4 + payload + scales
+        return SLAB_HEADER_BYTES + presence_bytes(present, hi - lo) + payload + scales
 
     @property
     def wire_bytes(self) -> int:

@@ -34,17 +34,20 @@ from ..errors import DataError, SketchError
 from ..datasets.sparse import CSRMatrix
 from .quantile import AnySketch, SketchBatch
 from .ragged import segment_searchsorted, sorted_column_values
+from .wire import FLOATS, FrameReader, pack, unsigned_dtype
 
 #: Leads every candidate frame: the first global feature id and the
-#: number of features; an int32 cut count per feature and the float64
-#: cuts follow.
+#: number of features.  A cut count per feature and the cuts follow.
 _FRAME_HEAD = struct.Struct("=ii")
 
 
-def candidate_frame_bytes(n_features: int, n_cuts: int) -> int:
+def candidate_frame_bytes(n_features: int, cuts: np.ndarray, max_bins: int) -> int:
     """Length of the candidate frame of ``n_features`` features holding
-    ``n_cuts`` cuts in all — also what a PULL_SKETCH reply is billed."""
-    return _FRAME_HEAD.size + 4 * n_features + 8 * n_cuts
+    ``cuts`` (all of them, back to back) under the bucket budget
+    ``max_bins`` — also what a PULL_SKETCH reply is billed."""
+    count_width = unsigned_dtype(max_bins - 1).itemsize
+    _, payload = pack(np.asarray(cuts, dtype=np.float64), FLOATS)
+    return _FRAME_HEAD.size + count_width * n_features + 1 + payload.nbytes
 
 
 class CandidateSet:
@@ -169,13 +172,17 @@ class CandidateSet:
 
     def to_frame(self, first: int) -> bytes:
         """Serialize these cuts as global features ``first, first + 1, ...``:
-        header (first feature, feature count), int32 cut counts, float64
-        cuts — :func:`candidate_frame_bytes` long."""
+        header (first feature, feature count); the cut counts, unsigned
+        in the narrowest width holding ``max_bins - 1`` (both sides know
+        ``max_bins``, so no flag says which); then the cuts as one
+        :mod:`~repro.sketch.wire` column, float32 when every cut is exact
+        there — :func:`candidate_frame_bytes` long."""
+        counts = np.diff(self.offsets).astype(unsigned_dtype(self.max_bins - 1))
         return b"".join(
             (
                 _FRAME_HEAD.pack(first, self.n_features),
-                np.diff(self.offsets).astype(np.int32),
-                self.cuts,
+                counts,
+                *pack(self.cuts, FLOATS),
             )
         )
 
@@ -189,37 +196,27 @@ class CandidateSet:
 
         Raises:
             SketchError: A frame that speaks for other features, a length
-                that is not exactly what the header and cut counts imply,
-                a count below 0 or above ``max_bins - 1``, a NaN cut, or
-                cuts not strictly increasing within a feature.
+                that is not exactly what the header, cut counts and cut
+                form imply, an unknown cut form, a count above
+                ``max_bins - 1``, a NaN cut, or cuts not strictly
+                increasing within a feature.
         """
-        if len(payload) < _FRAME_HEAD.size:
-            raise SketchError(f"candidate frame too short ({len(payload)} bytes)")
-        first, n = _FRAME_HEAD.unpack_from(payload)
+        reader = FrameReader(payload, "candidate frame")
+        first, n = reader.struct(_FRAME_HEAD)
         if (first, n) != (lo, hi - lo):
             raise SketchError(
                 f"candidate frame for features [{first}, {first + n}) answers "
                 f"a pull of [{lo}, {hi})"
             )
-        at = _FRAME_HEAD.size
-        if len(payload) < at + 4 * n:
-            raise SketchError(
-                f"candidate frame of {len(payload)} bytes cannot hold {n} cut counts"
-            )
-        counts = np.frombuffer(payload, np.int32, n, at).astype(np.int64)
-        if np.any(counts < 0) or np.any(counts > max_bins - 1):
+        counts = reader.raw(unsigned_dtype(max_bins - 1), n).astype(np.int64)
+        if np.any((counts < 0) | (counts > max_bins - 1)):
             raise SketchError(
                 f"candidate frame lists a cut count outside [0, {max_bins - 1}]"
             )
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        at += 4 * n
-        if len(payload) != at + 8 * int(offsets[-1]):
-            raise SketchError(
-                f"candidate frame has {len(payload)} bytes, expected "
-                f"{at + 8 * int(offsets[-1])}"
-            )
-        cuts = np.frombuffer(payload, np.float64, int(offsets[-1]), at)
+        cuts = reader.column(int(offsets[-1]), FLOATS)
+        reader.end()
         if np.isnan(cuts).any():
             raise SketchError("candidate frame carries a NaN cut")
         owner = np.repeat(np.arange(n), counts)

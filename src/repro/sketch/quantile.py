@@ -48,6 +48,16 @@ from .ragged import (
     sorted_column_values,
     sorted_columns,
 )
+from .wire import (
+    COUNTS,
+    FLOAT_RANKS,
+    FLOATS,
+    IDS,
+    RANKS,
+    UNIFORM_FLOATS,
+    FrameReader,
+    pack,
+)
 
 
 def _checked_eps(eps: float) -> float:
@@ -65,27 +75,25 @@ def _check_summaries(
     values: np.ndarray,
     g: np.ndarray,
     delta: np.ndarray,
-) -> np.ndarray:
+) -> None:
     """Vouch for parsed summaries before anything merges or queries them.
 
     Summary ``i`` owns entries ``[bounds[i], bounds[i + 1])`` of the
-    shared ``values`` / ``g`` / ``delta``; ``counts`` may still be the
-    float64 the GK wire carries.  One vectorized pass for a whole frame.
-    Returns the counts as int64.
+    shared ``values`` / ``g`` / ``delta``.  One vectorized pass for a
+    whole frame.
 
     Raises:
-        SketchError: An ``eps`` outside (0, 0.5); a count that is not a
-            finite non-negative integer, or a mass that is not finite
-            and non-negative; entries without a count or a count without
-            entries; NaN or descending values inside a summary; a
-            negative (or NaN) ``g`` / ``delta``; gaps that do not sum to
-            the summary's mass.
+        SketchError: An ``eps`` outside (0, 0.5); a negative count, or a
+            mass that is not finite and non-negative; entries without a
+            count or a count without entries; NaN or descending values
+            inside a summary; a negative (or NaN) ``g`` / ``delta``; gaps
+            that do not sum to the summary's mass.
     """
     if not np.all((eps > 0.0) & (eps < 0.5)):
         raise SketchError("sketch eps must be in (0, 0.5)")
     # Comparisons with NaN are false, so NaN fails every test below.
-    if not np.all((counts >= 0) & (counts < 2**62) & (counts == np.floor(counts))):
-        raise SketchError("sketch counts must be finite non-negative integers")
+    if not np.all(counts >= 0):
+        raise SketchError("sketch counts must be non-negative")
     if not np.all((masses >= 0.0) & (masses < np.inf)):
         raise SketchError("sketch masses must be finite and non-negative")
     sizes = np.diff(bounds)
@@ -106,7 +114,6 @@ def _check_summaries(
     slack = 0.0 if kind._RANK is np.int64 else 1e-9 * masses
     if np.any(np.abs(gaps - masses) > slack):
         raise SketchError("sketch gaps must sum to the summary's mass")
-    return counts.astype(np.int64)
 
 
 class _Summary:
@@ -114,11 +121,10 @@ class _Summary:
 
     Every method runs through the batch code, so a summary answers bit
     for bit what the batch it came from answers.  Subclasses name the
-    rank dtype (in memory and on the wire), the per-summary header the
-    cost model bills (:attr:`SketchBatch.wire_bytes`), and the two
-    expressions that differ between counted and weighted rank space: the
-    merge error of one operand and the per-group budget of the
-    post-merge compression.
+    rank dtype (in memory and on the wire), their frame's kind tag, and
+    the two expressions that differ between counted and weighted rank
+    space: the merge error of one operand and the per-group budget of
+    the post-merge compression.
     """
 
     __slots__ = ("_one",)
@@ -212,9 +218,9 @@ class _Summary:
 class GKSketch(_Summary):
     """Greenwald-Khanna quantile summary.
 
-    Billed per summary as the frame of one it once had: float64 eps,
-    float64 count, int32 n_entries, then float64 values, int32 g, int32
-    delta.
+    On the wire ``g`` and ``delta`` travel as unsigned integers of the
+    narrowest width their column needs (``delta`` not at all when it is
+    all zero, as in every locally built summary).
 
     Attributes:
         eps: Target rank-error fraction.
@@ -223,9 +229,8 @@ class GKSketch(_Summary):
 
     __slots__ = ()
     _RANK = np.int64
-    _WIRE_RANK = np.dtype(np.int32)
+    _WIRE_RANK = RANKS
     _WIRE_TAG = b"\x00"
-    _HEAD = struct.Struct("=ddi")
 
     @staticmethod
     def _group_budget(total_g, groups: int) -> int:
@@ -263,9 +268,8 @@ class WeightedGKSketch(_Summary):
     unweighted case, so distributed use builds local summaries at
     ``eps / 2`` to end below ``eps`` after one merge level.
 
-    Billed per summary as the frame of one it once had: float64 eps,
-    float64 total_weight, int64 count, int32 n_entries, then three
-    parallel float64 arrays (values, g, delta).
+    On the wire the total weight, ``g`` and ``delta`` keep float64
+    (float32 where that is exact, nothing for an all-zero ``delta``).
 
     Attributes:
         eps: Target weighted-rank-error fraction.
@@ -275,9 +279,8 @@ class WeightedGKSketch(_Summary):
 
     __slots__ = ()
     _RANK = np.float64
-    _WIRE_RANK = np.dtype(np.float64)
+    _WIRE_RANK = FLOAT_RANKS
     _WIRE_TAG = b"\x01"
-    _HEAD = struct.Struct("=ddqi")
 
     @property
     def total_weight(self) -> float:
@@ -314,9 +317,8 @@ class WeightedGKSketch(_Summary):
         return _sample_sorted_weighted(arr[order], wts[order], bounds, eps)[0]
 
 
-#: Leads every :class:`SketchBatch` frame: kind tag, three pad bytes (the
-#: columns behind it stay 8-byte aligned), number of summaries.
-_FRAME_HEAD = struct.Struct("=B3xi")
+#: Leads every :class:`SketchBatch` frame: kind tag, number of summaries.
+_FRAME_HEAD = struct.Struct("=Bi")
 
 
 @dataclass(eq=False, slots=True)
@@ -430,41 +432,40 @@ class SketchBatch(Sequence):
     # moves candidate frames)
     # ------------------------------------------------------------------
 
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes the cost model bills for these summaries.
-
-        Per summary a 4-byte feature id, a kind tag and the kind's
-        ``_HEAD``, plus 16 (24 weighted) bytes an entry, whether or not
-        it has entries: what the per-feature frames this one replaced
-        weighed, a function of entry counts alone.
-        """
-        rank = self.kind._WIRE_RANK.itemsize
-        entries = int(self.bounds[-1] - self.bounds[0])
-        return len(self) * (5 + self.kind._HEAD.size) + entries * (8 + 2 * rank)
-
     def to_frame(self) -> bytes:
-        """Serialize: header (kind tag, summary count), then per-summary
-        columns — int32 feature id, int32 entry count, float64 eps, the
-        kind's count / weight columns — then the entry columns (float64
-        values; g and delta in the kind's wire rank)."""
+        """Serialize, in the smallest form that parses back bit for bit.
+
+        A 5-byte header (kind tag, summary count), then the columns, each
+        in the shortest :mod:`~repro.sketch.wire` form it admits: feature
+        ids (one first id when contiguous), entry counts, eps (one value
+        when uniform), item counts, total weights (weighted only), then
+        the entries — values (float32 when every value is exact there),
+        ``g`` and ``delta`` (integer ranks in the narrowest unsigned
+        width holding the column, float ranks as floats; an all-zero
+        ``delta`` costs nothing).  Billed at its length.
+
+        Raises:
+            SketchError: A column no wire form holds (float counts).
+        """
         kind, (lo, hi) = self.kind, self.bounds[[0, -1]]
         rank = kind._WIRE_RANK
-        heads = (
-            (self.counts.astype(np.float64),)
-            if kind is GKSketch
-            else (self.masses, self.counts)
-        )
+        columns = [
+            (self.features, IDS),
+            (np.diff(self.bounds), COUNTS),
+            (self.eps, UNIFORM_FLOATS),
+            (self.counts, COUNTS),
+        ]
+        if kind is not GKSketch:
+            columns.append((self.masses, FLOATS))
+        columns += [
+            (self.values[lo:hi], FLOATS),
+            (self.g[lo:hi], rank),
+            (self.delta[lo:hi], rank),
+        ]
         return b"".join(
             (
                 _FRAME_HEAD.pack(kind._WIRE_TAG[0], len(self)),
-                self.features.astype(np.int32),
-                np.diff(self.bounds).astype(np.int32),
-                self.eps,
-                *heads,
-                self.values[lo:hi],
-                self.g[lo:hi].astype(rank, copy=False),
-                self.delta[lo:hi].astype(rank, copy=False),
+                *(piece for column, spec in columns for piece in pack(column, spec)),
             )
         )
 
@@ -472,59 +473,42 @@ class SketchBatch(Sequence):
     def from_frame(cls, payload: bytes) -> "SketchBatch":
         """Inverse of :meth:`to_frame`, validated once for the whole frame.
 
-        The arrays are read-only views of ``payload`` (g/delta widened
-        once when the wire rank is narrower).
+        Columns that travelled in their in-memory dtype are read-only
+        views of ``payload``; narrower ones are widened once.
 
         Raises:
-            SketchError: Unknown kind tag, a length that is not exactly
-                what the header and entry counts imply, feature ids that
-                are negative or not strictly increasing, or summaries
-                :func:`_check_summaries` rejects.
+            SketchError: Unknown kind tag or column form, a length that
+                is not exactly what the header, forms and entry counts
+                imply, feature ids that are negative or not strictly
+                increasing, or summaries :func:`_check_summaries` rejects.
         """
-        if len(payload) < _FRAME_HEAD.size:
-            raise SketchError(f"sketch frame too short ({len(payload)} bytes)")
-        tag, n = _FRAME_HEAD.unpack_from(payload)
+        reader = FrameReader(payload, "sketch frame")
+        tag, n = reader.struct(_FRAME_HEAD)
         kind = _WIRE_KINDS.get(tag)
         if kind is None:
             raise SketchError(f"unknown sketch wire tag {tag}")
-        rank = kind._WIRE_RANK
-        at = _FRAME_HEAD.size
-        per_summary = 4 + kind._HEAD.size
-        if n < 0 or len(payload) < at + n * per_summary:
+        # Every summary pays at least a byte of entry count, and every
+        # entry four bytes of value: no length outgrows the payload.
+        if not 0 <= n <= reader.remaining():
             raise SketchError(
                 f"sketch frame of {len(payload)} bytes cannot hold {n} summaries"
             )
-
-        def column(dtype, count: int) -> np.ndarray:
-            nonlocal at
-            out = np.frombuffer(payload, dtype, count, at)
-            at += out.nbytes
-            return out
-
-        features = column(np.int32, n).astype(np.int64)
-        sizes = column(np.int32, n).astype(np.int64)
-        if np.any(sizes < 0):
-            raise SketchError("sketch frame lists a negative entry count")
-        eps = column(np.float64, n)
-        if kind is GKSketch:
-            masses = counts = column(np.float64, n)
-        else:
-            masses, counts = column(np.float64, n), column(np.int64, n)
+        features = reader.column(n, IDS)
+        sizes = reader.column(n, COUNTS)
+        if np.any(sizes < 0) or np.any(sizes > reader.remaining()):
+            raise SketchError("sketch frame lists an entry count it cannot hold")
+        eps = reader.column(n, UNIFORM_FLOATS)
+        counts = reader.column(n, COUNTS)
+        masses = counts if kind is GKSketch else reader.column(n, FLOATS)
         bounds = np.concatenate(((0,), np.cumsum(sizes)))
         entries = int(bounds[-1])
-        expected = at + entries * (8 + 2 * rank.itemsize)
-        if len(payload) != expected:
-            raise SketchError(
-                f"sketch frame has {len(payload)} bytes, expected {expected}"
-            )
+        values = reader.column(entries, FLOATS)
+        g = reader.column(entries, kind._WIRE_RANK)
+        delta = reader.column(entries, kind._WIRE_RANK)
+        reader.end()
         if np.any(features[:1] < 0) or np.any(np.diff(features) <= 0):
             raise SketchError("sketch frame features must be strictly increasing")
-        values = column(np.float64, entries)
-        g = column(rank, entries).astype(kind._RANK, copy=False)
-        delta = column(rank, entries).astype(kind._RANK, copy=False)
-        counts = _check_summaries(kind, eps, counts, masses, bounds, values, g, delta)
-        if kind is GKSketch:
-            masses = counts
+        _check_summaries(kind, eps, counts, masses, bounds, values, g, delta)
         return cls(kind, features, eps, counts, masses, bounds, values, g, delta)
 
     @classmethod

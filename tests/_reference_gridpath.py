@@ -270,3 +270,108 @@ def candidate_pull_bytes(partitioner, cut_counts, lo: int, hi: int) -> tuple[int
         bytes_down += 8 + sum(4 + 8 * int(cut_counts[f]) for f in features)
         messages += 1
     return bytes_down, messages
+
+
+# ----------------------------------------------------------------------
+# Extension, not a frozen copy: what the grid-path frames bill once each
+# travels in its smallest lossless form, spelled out element by element
+# in plain Python.  A sketch or candidate column costs a form byte plus
+# the shortest of the payloads its column admits (``repro.sketch.wire``):
+# nothing for all zeros, 8 bytes for one repeated float or a run of
+# consecutive ids, else n elements of the narrowest width that holds
+# them.  A slab share names its present features by 4-byte ids or by a
+# bitmap of its range, whichever is smaller, after a tag byte.
+# ----------------------------------------------------------------------
+
+
+def _int_column_bytes(xs, ids: bool = False, zero: bool = False) -> int:
+    xs = [int(x) for x in xs]
+    options = [8 * len(xs)]
+    if all(x >= 0 for x in xs):
+        top = max(xs, default=0)
+        options += [w * len(xs) for w in (1, 2, 4) if top < 2 ** (8 * w)]
+    if ids and xs and all(b - a == 1 for a, b in zip(xs, xs[1:])):
+        options.append(8)
+    if zero and not any(xs):
+        options.append(0)
+    return 1 + min(options)
+
+
+def _float_column_bytes(xs, uniform: bool = False, zero: bool = False) -> int:
+    xs = [float(x) for x in xs]
+    bits = [np.float64(x).tobytes() for x in xs]
+    options = [8 * len(xs)]
+    with np.errstate(over="ignore"):
+        if all(np.float32(x).astype(np.float64).tobytes() == b for x, b in zip(xs, bits)):
+            options.append(4 * len(xs))
+    if uniform and xs and len(set(bits)) == 1:
+        options.append(8)
+    if zero and all(b == bytes(8) for b in bits):
+        options.append(0)
+    return 1 + min(options)
+
+
+def sketch_frame_bytes(features, summaries, weighted: bool) -> int:
+    """Length of the sketch frame of ``summaries`` (frozen reference
+    summaries) for the increasing ids ``features``."""
+    total = 5 + _int_column_bytes(features, ids=True)
+    total += _int_column_bytes([len(s) for s in summaries])
+    total += _float_column_bytes([s.eps for s in summaries], uniform=True)
+    total += _int_column_bytes([s.count for s in summaries])
+    if weighted:
+        total += _float_column_bytes([s.total_weight for s in summaries])
+    total += _float_column_bytes([v for s in summaries for v in s._values])
+    for ranks in ([g for s in summaries for g in s._g], [d for s in summaries for d in s._delta]):
+        if weighted:
+            total += _float_column_bytes(ranks, zero=True)
+        else:
+            total += _int_column_bytes(ranks, zero=True)
+    return total
+
+
+def sketch_push_bytes(partitioner, sketches: dict, weighted: bool) -> int:
+    """``bytes_up`` of one worker's push of ``{feature: summary}``: one
+    frame per partition holding some of its features."""
+    bytes_up = 0
+    for part in partitioner.partitions:
+        features = [f for f in sorted(sketches) if part.lo <= f < part.hi]
+        if features:
+            summaries = [sketches[f] for f in features]
+            bytes_up += sketch_frame_bytes(features, summaries, weighted)
+    return bytes_up
+
+
+def candidate_frame_pull_bytes(
+    partitioner, offsets, cuts, max_bins: int, lo: int, hi: int
+) -> tuple[int, int]:
+    """``(bytes_down, messages)`` of one stripe's candidate pull: per
+    partition overlapping the stripe 8 header bytes, per feature a cut
+    count in the narrowest unsigned width holding ``max_bins - 1``, then
+    a form byte and every cut at 4 bytes when all of the frame's cuts
+    survive a float32 round trip, at 8 otherwise."""
+    count_width = next(w for w in (1, 2, 4, 8) if max_bins - 1 < 2 ** (8 * w))
+    bytes_down = messages = 0
+    for part in partitioner.partitions:
+        features = [f for f in range(lo, hi) if part.lo <= f < part.hi]
+        if not features:
+            continue
+        share = [c for f in features for c in cuts[offsets[f] : offsets[f + 1]]]
+        bytes_down += 8 + count_width * len(features) + _float_column_bytes(share)
+        messages += 1
+    return bytes_down, messages
+
+
+def presence_wire_bytes_for(
+    col_lo: int, col_hi: int, features: np.ndarray, value_bytes: int,
+    f_lo: int, f_hi: int,
+) -> int:
+    """:func:`wire_bytes_for` with the present features named by ids or
+    by a bitmap of the share's range, whichever is smaller, after a tag
+    byte; ``value_bytes`` is what one present feature's values weigh."""
+    lo = max(f_lo, col_lo)
+    hi = min(f_hi, col_hi)
+    if lo >= hi:
+        return 0
+    present = sum(1 for f in features if lo <= f < hi)
+    presence = 1 + min(4 * present, (hi - lo + 7) // 8)
+    return SLAB_HEADER_BYTES + presence + present * value_bytes

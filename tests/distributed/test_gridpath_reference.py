@@ -193,11 +193,11 @@ def test_slabs_and_server_fold_match_reference(
     stored: dict[tuple[int, int], np.ndarray] = {}
     old_billed = 0
     if bits:
-        # Id and scales per feature; the share's levels are one message,
-        # billed at the length of the smaller real serialization below.
-        per_feature = 4 + (width // block) * 4
+        # Scales per feature; the share's levels are one message, billed
+        # at the length of the smaller real serialization below.
+        per_feature = (width // block) * 4
     else:
-        per_feature = 4 + width * 4
+        per_feature = width * 4
     for node, slab in pushes:
         if isinstance(slab, CompressedSlab):
             features, values = ref.to_sparse(slab, layout)
@@ -205,7 +205,7 @@ def test_slabs_and_server_fold_match_reference(
             features, values = slab.features, slab.values
         for part in partitioner.partitions:
             f_lo, f_hi = part.lo // width, part.hi // width
-            share = ref.wire_bytes_for(
+            share = ref.presence_wire_bytes_for(
                 slab.col_lo, slab.col_hi, features, per_feature, f_lo, f_hi
             )
             if share == 0:
@@ -306,19 +306,23 @@ def test_sketch_chain_matches_reference(
             stats = group.push_sketch(
                 "sketch", new.shifted(col_lo), seq=("sketch", wid), worker=wid
             )
-            old_stats = old_servers.push_sketch(
-                {col_lo + f: sk for f, sk in enumerate(old)}, seq=("sketch", wid)
+            pushed = {col_lo + f: sk for f, sk in enumerate(old)}
+            _, old_messages = old_servers.push_sketch(pushed, seq=("sketch", wid))
+            assert (stats.bytes_up, stats.messages) == (
+                ref.sketch_push_bytes(partitioner, pushed, weighted),
+                old_messages,
             )
-            assert (stats.bytes_up, stats.messages) == old_stats
     assert (
         sum(s.duplicate_pushes for s in group.servers) == old_servers.duplicate_pushes
     )
 
     # Summary level, read off the servers' stored batches.
     merged = stored_summaries(group)
-    old_merged, old_bytes_down = old_servers.pull_sketches()
-    assert merged.wire_bytes == old_bytes_down
+    old_merged, _ = old_servers.pull_sketches()
     assert merged.features.tolist() == sorted(old_merged)
+    assert len(merged.to_frame()) == ref.sketch_frame_bytes(
+        sorted(old_merged), [old_merged[f] for f in sorted(old_merged)], weighted
+    )
     assert [summary_fields(s) for s in merged] == [
         summary_fields(old_merged[f]) for f in sorted(old_merged)
     ]
@@ -345,7 +349,7 @@ def test_sketch_chain_matches_reference(
         )
         stripes.append(stripe)
         assert (pull_stats.bytes_down, pull_stats.messages) == (
-            ref.candidate_pull_bytes(partitioner, np.diff(offsets), lo, hi)
+            ref.candidate_frame_pull_bytes(partitioner, offsets, cuts, max_bins, lo, hi)
         )
     joined = CandidateSet.concat(stripes, max_bins)
     assert same_bits(joined.offsets, offsets) and same_bits(joined.cuts, cuts)

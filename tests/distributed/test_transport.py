@@ -117,10 +117,12 @@ def assert_candidates_identical(group, reference, worker=None):
     for lo, hi in ((0, N_FEATURES), (0, 5), (5, N_FEATURES)):
         stripe, stats = group.pull_sketches("sketch", lo, hi, MAX_BINS, worker=worker)
         assert candidate_bytes(stripe) == candidate_bytes(expected.feature_range(lo, hi))
-        n_cuts = int(expected.offsets[hi] - expected.offsets[lo])
+        # Every partition's cuts are float64: the frames add up to one
+        # frame of the stripe plus a header for each further message.
+        cuts = expected.cuts[expected.offsets[lo] : expected.offsets[hi]]
         assert stats.bytes_down == candidate_frame_bytes(
-            hi - lo, n_cuts
-        ) + candidate_frame_bytes(0, 0) * (stats.messages - 1)
+            hi - lo, cuts, MAX_BINS
+        ) + candidate_frame_bytes(0, cuts[:0], MAX_BINS) * (stats.messages - 1)
 
 
 class TestServerMergeBitIdentity:
@@ -361,25 +363,32 @@ PIN_LAYOUTS = {
 #: smaller (before, in this order: 0.0127146, 0.013345528000000004,
 #: 0.011053334000000003, 0.011365644000000005); the model and cut hashes
 #: did not move, since the bill changes no level.
+#: And again when the sketch and candidate frames began to travel in
+#: their smallest lossless form (float32 values and cuts where exact,
+#: narrow g / delta / counts, no all-zero delta, one eps and one first
+#: id) and slab shares to name their present features by a bitmap where
+#: that beats the ids (before, in this order: 0.0105580645,
+#: 0.0111585425, 0.0102412395, 0.010522417000000001): the frames carry
+#: the same columns bit for bit, so the model and cut hashes stay.
 ENGINE_PINS = {
     ("row4x1", "distributed"): (
         "76248cac965930d5ccc13829a1220256c240ef2b195fa6b239d51aed8a5f22f9",
-        0.0105580645,
+        0.008442442500000001,
         "44bc63b3f4e6cc67c7f1806c27d0f79f2f8e2a3e854074bc9652dc4ea0fbb7e3",
     ),
     ("row4x1", "weighted"): (
         "b2757213d80c347027771390150e85fc0cb5d177a15f705ebbbdf9adf88da430",
-        0.0111585425,
+        0.0091716345,
         "196916011a8d177c200a2f53fd362a13730e4e0f47743689b748e44af542bc4a",
     ),
     ("grid2x2", "distributed"): (
         "d4be0c693b0a430be02afaed19ecefdcd249ce3a7d75bf942fb04bb2de5d5aa3",
-        0.0102412395,
+        0.008375087500000001,
         "a86ee7e4eda1e3c2da1ed8185dac13a7e27e8f27a6e7df182e8f1ae391c2df25",
     ),
     ("grid2x2", "weighted"): (
         "817328ee365a8f7f1b5f52f4ffc9201736cf3c0af04e4809509296a3fca4df2a",
-        0.010522417000000001,
+        0.008879587000000003,
         "3cee05d07126f3cefea753881e2a05e251b2d75d917a5f407449aaab6dd033ef",
     ),
 }
@@ -437,18 +446,19 @@ class TestEngineSketchPins:
     ):
         """PULL_SKETCH charges the slowest worker's pull of its own
         stripe's candidate frames — in ``"exact"`` mode too, billed from
-        its own cuts — by the frozen per-feature closed form."""
+        its own cuts — by the per-feature closed form of the smallest frame."""
         cluster = ClusterConfig(**PIN_LAYOUTS[layout])
         trainer = DistributedGBDT(
             "dimboost", cluster, TrainConfig(n_trees=1, sketch_eps=0.05), sketch_mode=mode
         )
         fit = _GridFit(trainer.plan, (), data)
-        counts = np.diff(fit.sketch().offsets)
+        found = fit.sketch()
         partitioner = VectorPartitioner(data.n_features, cluster.n_servers)
         bills = []
         for block in fit.blocks:
-            bytes_down, messages = ref.candidate_pull_bytes(
-                partitioner, counts, block.col_lo, block.col_hi
+            bytes_down, messages = ref.candidate_frame_pull_bytes(
+                partitioner, found.offsets, found.cuts, found.max_bins,
+                block.col_lo, block.col_hi,
             )
             bills.append(
                 messages * cluster.network.alpha + bytes_down * cluster.network.beta
@@ -482,16 +492,19 @@ class TestCompressedSlabTransport:
         )
 
     def test_wire_bytes_match_cost_model(self):
+        """The slab names its 12 present features of 16 by a 2-byte
+        bitmap; the cost model's closed forms bill the 48 bytes of ids,
+        their upper bound, so they read exactly 46 bytes more."""
         slab = self.make_slab()
         comp = compress_slab(
             slab, self.layout(), bits=8, rng=np.random.default_rng(0)
         )
-        assert comp.wire_bytes_for(0, self.M) == compressed_slab_bytes(
-            slab.n_present, self.K, bits=8
-        )
-        assert slab.wire_bytes_for(0, self.M) == sparse_slab_bytes(
-            slab.n_present, self.K
-        )
+        # 16 header + 1 tag + 2 bitmap + 504 levels (no level is 0) + 96 scales.
+        assert comp.wire_bytes_for(0, self.M) == 619
+        assert compressed_slab_bytes(slab.n_present, self.K, bits=8) == 665
+        # 16 header + 1 tag + 2 bitmap + 12 * 42 float32 values.
+        assert slab.wire_bytes_for(0, self.M) == 2035
+        assert sparse_slab_bytes(slab.n_present, self.K) == 2081
 
     @pytest.mark.parametrize("bits,floor", [(8, 3.0), (4, 4.5), (2, 6.0)])
     def test_compression_ratio_on_group_push(self, bits, floor):

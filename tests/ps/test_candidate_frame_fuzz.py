@@ -21,6 +21,7 @@ from repro.ps import PSServer
 from repro.ps.partitioner import Partition
 from repro.sketch import CandidateSet, GKSketch, SketchBatch
 from repro.sketch.candidates import candidate_frame_bytes
+from repro.sketch.wire import F32, F64
 
 N_FEATURES = 12
 MAX_BINS = 6
@@ -58,13 +59,15 @@ def framed(
     per_feature, first: int = PART_LO, n: int | None = None, counts=None
 ) -> bytes:
     """A frame of the given per-feature cuts (under other ``counts``, if
-    given) — no check on the way out."""
+    given), the cuts in float64 — no check on the way out.  ``MAX_BINS``
+    is 6, so a cut count travels in one byte."""
     if counts is None:
         counts = [len(c) for c in per_feature]
-    counts = np.array(counts, dtype=np.int32)
+    counts = np.array(counts, dtype=np.uint8)
     cuts = np.concatenate([np.asarray(c, dtype=np.float64) for c in per_feature])
     n = len(per_feature) if n is None else n
-    return struct.pack("=ii", first, n) + counts.tobytes() + cuts.tobytes()
+    head = struct.pack("=ii", first, n)
+    return head + counts.tobytes() + bytes((F64,)) + cuts.tobytes()
 
 
 def field_mutations(good: CandidateSet) -> dict[str, bytes]:
@@ -78,20 +81,21 @@ def field_mutations(good: CandidateSet) -> dict[str, bytes]:
         return out
 
     cuts = features[full]
-    # One cut more for ``full``, -1 for an empty feature: the total, and
-    # so the frame's length, still adds up.
-    balanced = [len(c) for c in features]
-    balanced[full] += 1
-    balanced[next(f for f, c in enumerate(features) if len(c) == 0)] = -1
+    # Cut counts travel unsigned: a negative count has no frame.
     frame = good.to_frame(PART_LO)
-    at = 8 + 4 * full  # the cut count of feature ``full``
+    at = 8 + full  # the cut count of feature ``full``
+    form = 8 + good.n_features  # the form byte of the cuts
     return {
         "truncated": frame[:-5],
         "trailing-bytes": frame + b"\x00" * 8,
         "header-only": frame[:8],
         "shorter-than-header": frame[:5],
-        "cut-count-negative": frame[:at] + struct.pack("=i", -1) + frame[at + 4 :],
-        "cut-count-negative-same-total": framed(features, counts=balanced),
+        "cut-count-byte-over-budget": frame[:at] + bytes((MAX_BINS,)) + frame[at + 1 :],
+        "cut-form-not-admitted": frame[:form] + b"\x00" + frame[form + 1 :],
+        "cut-form-unknown": frame[:form] + b"\xff" + frame[form + 1 :],
+        "cut-form-other-width": (
+            frame[:form] + bytes((F32 + F64 - frame[form],)) + frame[form + 1 :]
+        ),
         "cut-count-over-budget": framed(
             changed(full, np.arange(MAX_BINS, dtype=np.float64))
         ),
@@ -111,7 +115,7 @@ def test_frame_round_trip_and_billed_length():
     frame = pull(server)
     got = parse(frame)
     assert got.to_frame(PART_LO) == frame
-    assert len(frame) == candidate_frame_bytes(N_FEATURES, len(got.cuts))
+    assert len(frame) == candidate_frame_bytes(N_FEATURES, got.cuts, MAX_BINS)
     assert server.bytes_sent == len(frame)
     # Zero buckets do not travel: they follow from the cuts.
     zeros = got.bins_for(np.arange(N_FEATURES), np.zeros(N_FEATURES))
@@ -193,3 +197,71 @@ def test_drawn_pull_ranges_answer_or_refuse(seed, lo, hi):
     sliced = whole.feature_range(lo - PART_LO, hi - PART_LO)
     assert got.offsets.tobytes() == sliced.offsets.tobytes()
     assert got.cuts.tobytes() == sliced.cuts.tobytes()
+
+
+@st.composite
+def candidate_sets(draw):
+    """Cuts of up to 6 features under a drawn bucket budget whose count
+    width is 1, 2 or 4 bytes, all exact at float32 or not."""
+    max_bins = draw(st.sampled_from([2, 6, 256, 257, 65536, 65537]))
+    exact = draw(st.booleans())
+    per_feature = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(0, min(max_bins - 1, 8)))
+        floats = st.floats(-1e6, 1e6, width=32 if exact else 64)
+        cuts = np.unique(draw(st.lists(floats, min_size=n, max_size=n)))
+        per_feature.append(cuts.astype(np.float64))
+    counts = [len(c) for c in per_feature]
+    offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    cuts = np.concatenate([np.empty(0), *per_feature])
+    return CandidateSet(offsets, cuts, max_bins)
+
+
+def _same(a: CandidateSet, b: CandidateSet) -> bool:
+    return a.offsets.tobytes() == b.offsets.tobytes() and a.cuts.tobytes() == b.cuts.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(candidates=candidate_sets(), first=st.integers(0, 2**31 - 64))
+def test_drawn_frames_round_trip_in_their_smallest_form(candidates, first):
+    """Offsets and cuts come back bit for bit; the frame is 8 header
+    bytes, a count of the narrowest width holding ``max_bins - 1`` per
+    feature, a form byte and 4 bytes a cut when every cut is exact at
+    float32, else 8.  A form byte the cuts do not admit, a truncated and
+    an extended frame are a ``SketchError``; the other width of the
+    cuts parses to the very same cuts (no cut) or is refused, and counts
+    read at another width raise nothing but a ``SketchError``."""
+    n, max_bins = candidates.n_features, candidates.max_bins
+    frame = candidates.to_frame(first)
+    back = CandidateSet.from_frame(frame, max_bins, first, first + n)
+    assert _same(back, candidates)
+    width = 1 if max_bins <= 256 else 2 if max_bins <= 65536 else 4
+    exact = np.array_equal(candidates.cuts.astype(np.float32), candidates.cuts)
+    cut_bytes = (4 if exact else 8) * len(candidates.cuts)
+    assert len(frame) == 8 + width * n + 1 + cut_bytes
+    assert len(frame) == candidate_frame_bytes(n, candidates.cuts, max_bins)
+    form = 8 + width * n
+    assert frame[form] == (F32 if exact else F64)
+
+    def refused_or_same(mutated: bytes) -> None:
+        try:
+            got = CandidateSet.from_frame(mutated, max_bins, first, first + n)
+        except SketchError:
+            return
+        assert _same(got, candidates)
+
+    for code in range(256):
+        mutated = frame[:form] + bytes((code,)) + frame[form + 1 :]
+        if code not in (F32, F64):
+            with pytest.raises(SketchError):
+                CandidateSet.from_frame(mutated, max_bins, first, first + n)
+        elif code != frame[form]:
+            refused_or_same(mutated)
+    for bins in (2, 256, 257, 65536, 65537):  # counts read at another width
+        try:
+            CandidateSet.from_frame(frame, bins, first, first + n)
+        except SketchError:
+            pass
+    for mutated in (frame[:-1], frame + b"\x00", frame[:8], frame[:form]):
+        with pytest.raises(SketchError):
+            CandidateSet.from_frame(mutated, max_bins, first, first + n)

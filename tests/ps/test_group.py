@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import PSError
 from repro.ps import ParameterServerGroup, SlabLayout
+from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
 
 #: Node sums that fold nothing into the zero buckets.
 ZERO = (0.0, 0.0)
@@ -225,6 +226,41 @@ class TestServerByteCounters:
         ]
         stats = group.push_window_rows("hist", entries, seq=(0, 0, 0))
         assert self.counted(group) == stats.bytes_up
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["gk", "weighted"])
+    def test_push_sketch(self, group, rng, weighted):
+        """Every sketch frame is billed at its length, on both sides: a
+        contiguous stripe, a gapped one, and a duplicated delivery."""
+        group.register("sketch", 16, n_partitions=4)
+        frames = []
+        real_to_frame = SketchBatch.to_frame
+
+        def recording(batch):
+            frames.append(real_to_frame(batch))
+            return frames[-1]
+
+        def batch(features):
+            sketches = []
+            for _ in features:
+                values = rng.normal(size=int(rng.integers(0, 40)))
+                sketches.append(
+                    WeightedGKSketch.from_values(values, rng.uniform(size=len(values)))
+                    if weighted
+                    else GKSketch.from_values(values)
+                )
+            return SketchBatch.from_sketches(sketches, features)
+
+        bytes_up = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SketchBatch, "to_frame", recording)
+            for wid, features in enumerate((range(2, 14), [0, 3, 4, 9, 15])):
+                for _ in range(2):  # the second delivery is a duplicate
+                    stats = group.push_sketch(
+                        "sketch", batch(features), seq=("sketch", wid), worker=wid
+                    )
+                    bytes_up += stats.bytes_up
+        assert sum(s.duplicate_pushes for s in group.servers) == 4 + 4  # partitions
+        assert self.counted(group) == bytes_up == sum(len(f) for f in frames)
 
 
 class TestPullUDF:

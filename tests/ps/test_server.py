@@ -236,8 +236,8 @@ class TestCandidatePull:
         whole = propose_candidates_from_sketches(batch.shifted(-20), 5)
         frame = server.handle_pull_candidates("hist", 2, 23, 27, 5)
         assert frame == whole.feature_range(3, 7).to_frame(23)
-        n_cuts = int(whole.offsets[7] - whole.offsets[3])
-        assert server.bytes_sent == len(frame) == candidate_frame_bytes(4, n_cuts)
+        cuts = whole.cuts[whole.offsets[3] : whole.offsets[7]]
+        assert server.bytes_sent == len(frame) == candidate_frame_bytes(4, cuts, 5)
 
     def test_proposed_once_per_partition_until_the_next_push(self, server, monkeypatch):
         import repro.ps.server as server_module

@@ -7,11 +7,19 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.cluster.costmodel import compressed_slab_bytes, sparse_slab_bytes
 from repro.compression.lowprec import compress_blocked
 from repro.errors import PSError
-from repro.ps import ParameterServerGroup, PSServer, SlabLayout, SparseSlab, slab_from_flat
+from repro.ps import (
+    ParameterServerGroup,
+    PSServer,
+    SlabLayout,
+    SparseSlab,
+    compress_slab,
+    slab_from_flat,
+)
 from repro.ps.partitioner import Partition
-from repro.ps.slab import SLAB_HEADER_BYTES, CompressedSlab
+from repro.ps.slab import SLAB_HEADER_BYTES, CompressedSlab, presence_bytes
 
 M, K = 8, 4  # features, bins
 WIDTH = 2 * K
@@ -89,15 +97,37 @@ class TestSparseSlab:
         slab = SparseSlab(
             0, M, np.array([1, 4, 6]), np.zeros((3, WIDTH)), 0.0, 0.0
         )
-        per_feature = 4 + WIDTH * 4
-        assert slab.wire_bytes == SLAB_HEADER_BYTES + 3 * per_feature
-        # Range covering one listed feature: header + one payload.
-        assert slab.wire_bytes_for(4, 6) == SLAB_HEADER_BYTES + per_feature
+        # Header, a tag byte, a 1-byte bitmap of the 8 features (smaller
+        # than 3 ids), three features' 32 bytes of float32 values.
+        assert slab.wire_bytes == 16 + 1 + 1 + 3 * 32 == 114
+        # Range covering one listed feature of two: the bitmap still wins.
+        assert slab.wire_bytes_for(4, 6) == 16 + 1 + 1 + 32 == 50
         # Range inside the stripe but missing every listed feature still
-        # costs a header: the sums must still travel there.
-        assert slab.wire_bytes_for(2, 4) == SLAB_HEADER_BYTES
+        # costs a header and the tag: the sums must still travel there.
+        assert slab.wire_bytes_for(2, 4) == SLAB_HEADER_BYTES + 1 == 17
         # Range entirely outside the stripe: no message at all.
         assert slab.wire_bytes_for(M, M + 4) == 0
+
+    def test_presence_takes_the_smaller_of_ids_and_bitmap(self):
+        """A share of F features with P present names them in
+        ``min(4P, ceil(F/8))`` bytes after a tag byte; the cost model's
+        closed forms bill the ids, so they bound the bill from above,
+        the P = 0 share included."""
+        n_features, n_bins = 100, 3
+        for present, presence in ((0, 1), (1, 5), (3, 13), (4, 14), (60, 14)):
+            features = np.linspace(0, n_features - 1, present).astype(np.int64)
+            slab = SparseSlab(
+                0, n_features, features, np.ones((present, 2 * n_bins)), 0.0, 0.0
+            )
+            assert presence_bytes(present, n_features) == presence
+            assert slab.wire_bytes == 16 + presence + present * 2 * n_bins * 4
+            assert slab.wire_bytes <= sparse_slab_bytes(present, n_bins)
+            layout = SlabLayout(
+                n_features, n_bins, np.zeros(n_features, dtype=np.int64)
+            )
+            for bits in (2, 4, 8):
+                comp = compress_slab(slab, layout, bits, np.random.default_rng(0))
+                assert comp.wire_bytes <= compressed_slab_bytes(present, n_bins, bits)
 
     def test_slab_from_flat(self):
         """``flat`` holds exactly the listed features' segments, in order,

@@ -42,7 +42,7 @@ from repro.sketch import (
 )
 
 from . import _reference_gk as ref
-from . import summary_fields
+from . import frame_of, summary_fields
 
 EPS = st.sampled_from([0.004, 0.01, 0.05, 0.2, 0.45])
 #: Few distinct values, both signs, both zeros: duplicate-heavy and signed.
@@ -114,8 +114,9 @@ def as_live(old, kind):
 
 def assert_same_queries(old, new, ks):
     assert summary_fields(new) == summary_fields(old)
-    # Billed: a feature id and a kind tag on top of the old frame of one.
-    assert SketchBatch.from_sketches([new]).wire_bytes == 5 + old.wire_bytes
+    # Its frame carries every field back, whatever forms it picks.
+    (back,) = SketchBatch.from_frame(frame_of(new))
+    assert summary_fields(back) == summary_fields(old)
     assert len(new) == len(old)
     if old.count == 0:
         return

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import SketchError
 from repro.sketch import GKSketch, SketchBatch, WeightedGKSketch
+from repro.sketch.wire import F64, I64
 
 from . import frame_of
 
@@ -45,21 +46,22 @@ class TestWireFormat:
         assert len(clone) == 0
 
     def test_wire_bytes_matches(self):
-        """Billed: a feature id, a kind tag, the 20-byte header and 16
-        bytes an entry; sent: the 8-byte frame head, 24 bytes of
-        per-summary columns and the same 16 bytes an entry."""
+        """Sent and billed: the 5-byte frame head, then a form byte a
+        column — feature id 0 and entry count 11 in a byte each, eps
+        once, count 400 in two bytes, 11 float64 values, 11 gaps of at
+        most 40 in a byte each, and no delta (all zero)."""
         rng = np.random.default_rng(2)
         sketch = GKSketch.from_values(rng.normal(size=400), 0.05)
-        billed = SketchBatch.from_sketches([sketch]).wire_bytes
-        assert billed == 4 + 1 + 20 + 16 * len(sketch)
-        assert len(frame_of(sketch)) == 8 + 24 + 16 * len(sketch)
+        assert len(sketch) == 11 and sketch._one.g.max() == 40
+        head = 5 + (1 + 1) + (1 + 1) + (1 + 8) + (1 + 2)
+        assert len(frame_of(sketch)) == head + (1 + 8 * 11) + (1 + 11) + 1 == 123
 
     def test_wire_size_bounded_by_eps(self):
         """The sketch size, not the data size, bounds the wire bytes."""
         rng = np.random.default_rng(3)
         small = GKSketch.from_values(rng.normal(size=1_000), 0.05)
         large = GKSketch.from_values(rng.normal(size=100_000), 0.05)
-        billed = [SketchBatch.from_sketches([s]).wire_bytes for s in (small, large)]
+        billed = [len(frame_of(s)) for s in (small, large)]
         # 100x the data, similar wire footprint.
         assert billed[1] < billed[0] * 3
 
@@ -126,7 +128,9 @@ class TestParsedSummaryIsFullCitizen:
             merged._one.g[:] = 0
             merged._one.delta[:] = 0
         empty = type(a)(0.05)
-        eps_column = slice(16, 24)  # after the frame head, feature id, entry count
+        # After the frame head, the one-byte id and entry count columns,
+        # and the eps column's form byte.
+        eps_column = slice(10, 18)
         for merged in (pa.merge(empty), empty.merge(pa)):
             frame = bytearray(frame_of(merged))
             frame[eps_column] = payload_a[eps_column]
@@ -136,32 +140,52 @@ class TestParsedSummaryIsFullCitizen:
         assert frame_of(pa) == frame_of(a) and frame_of(pb) == frame_of(b)
 
 
-def _gk_frame(eps=0.1, count=3.0, values=(1.0, 2.0, 3.0), g=(1, 1, 1), delta=(0, 0, 0)):
-    """A GK frame of one summary with every field under the caller's hand:
-    frame head, feature id and entry count, eps and count, the entries."""
+def _column(xs, form: int) -> bytes:
+    """One frame column in its general form: a form byte, then int64 or
+    float64 elements."""
+    dtype = np.float64 if form == F64 else np.int64
+    return bytes((form,)) + np.asarray(xs, dtype=dtype).tobytes()
+
+
+def _frame(tag: int, eps, count, values, g, delta, mass=None) -> bytes:
+    """A frame of one summary with every field under the caller's hand,
+    each column in its general form: frame head, feature id and entry
+    count, eps, count (float64 when the caller passes a float — a form
+    no count admits), the weight of a weighted summary, the entries."""
+    rank = F64 if mass is not None else I64
     return b"".join(
         (
-            struct.pack("=B3xi", 0, 1),
-            np.asarray([0, len(values)], dtype=np.int32),
-            np.asarray([eps, count], dtype=np.float64),
-            np.asarray(values, dtype=np.float64),
-            np.asarray(g, dtype=np.int32),
-            np.asarray(delta, dtype=np.int32),
+            struct.pack("=Bi", tag, 1),
+            _column([0], I64),
+            _column([len(values)], I64),
+            _column([eps], F64),
+            _column([count], F64 if isinstance(count, float) else I64),
+            b"" if mass is None else _column([mass], F64),
+            _column(values, F64),
+            _column(g, rank),
+            _column(delta, rank),
         )
     )
 
 
+def _gk_frame(eps=0.1, count=3, values=(1.0, 2.0, 3.0), g=(1, 1, 1), delta=(0, 0, 0)):
+    """A GK frame of one summary (see :func:`_frame`)."""
+    return _frame(0, eps, count, values, g, delta)
+
+
 #: Headers and entries the parser used to believe: NaN / inf counts leaked
 #: ValueError / OverflowError, the rest parsed — ``count=7`` with no entry
-#: became an IndexError inside a quantile query, mid-fit.
+#: became an IndexError inside a quantile query, mid-fit.  A count now
+#: travels as an integer: a float one (NaN, inf, 2.5) is a form no count
+#: admits.
 HOSTILE_FRAMES = {
     "count-nan": dict(count=float("nan")),
     "count-inf": dict(count=float("inf")),
-    "count-negative": dict(count=-5.0),
+    "count-negative": dict(count=-5),
     "count-fractional": dict(count=2.5, g=(1, 1, 0)),
-    "count-without-entries": dict(count=7.0, values=(), g=(), delta=()),
-    "entries-without-count": dict(count=0.0),
-    "count-is-not-the-gap-sum": dict(count=4.0),
+    "count-without-entries": dict(count=7, values=(), g=(), delta=()),
+    "entries-without-count": dict(count=0),
+    "count-is-not-the-gap-sum": dict(count=4),
     "descending-values": dict(values=(1.0, 3.0, 2.0)),
     "nan-value": dict(values=(1.0, float("nan"), 3.0)),
     "negative-gap": dict(g=(-3, 5, 1)),
@@ -180,21 +204,21 @@ def test_hostile_frame_is_a_sketch_error(fields):
 
 def test_hostile_weighted_frame_is_a_sketch_error():
     good = WeightedGKSketch.from_values([1.0, 2.0, 3.0], [0.5, 1.0, 1.5], 0.1)
-    payload = frame_of(good)
-    # Frame head, feature id, entry count, eps | weight f8, count i64 | entries.
-    head, body = payload[:24], payload[40:]
+    one = good._one
 
     def frame(weight, count):
-        return head + struct.pack("=dq", weight, count) + body
+        return _frame(1, good.eps, count, one.values, one.g, one.delta, mass=weight)
 
     weight, count = good.total_weight, good.count
-    assert frame(weight, count) == payload and parse(payload).count == 3
+    (back,) = SketchBatch.from_frame(frame(weight, count))
+    assert frame_of(back) == frame_of(good) and back.count == 3
     for hostile in (
         frame(float("nan"), count),
         frame(-1.0, count),
         frame(2.0 * weight, count),  # gaps no longer sum to the weight
         frame(weight, -3),
         frame(weight, 0),
+        frame(weight, 3.0),  # a float count
     ):
         with pytest.raises(SketchError):
             SketchBatch.from_frame(hostile)

@@ -163,12 +163,15 @@ class TestSerialization:
         assert back.count == sk.count
 
     def test_wire_bytes_matches(self, batch):
-        """Billed: feature id, kind tag, the 28-byte header, 24 bytes an
-        entry; sent: frame head, 32 bytes of columns, the entries."""
+        """Sent and billed: the 5-byte frame head, then a form byte a
+        column — feature id 0, entry count and count 800 in one, one and
+        two bytes, eps once, the total weight, then float64 values and
+        gaps (neither is exact at float32) and no delta (all zero)."""
         values, weights = batch
         sk = WeightedGKSketch.from_values(values, weights, eps=0.05)
-        assert SketchBatch.from_sketches([sk]).wire_bytes == 5 + 28 + 24 * len(sk)
-        assert len(frame_of(sk)) == 8 + 32 + 24 * len(sk)
+        head = 5 + (1 + 1) + (1 + 1) + (1 + 8) + (1 + 2) + (1 + 8)
+        entries = (1 + 8 * len(sk)) + (1 + 8 * len(sk)) + 1
+        assert len(frame_of(sk)) == head + entries == 209
 
     def test_truncated_payload_rejected(self, batch):
         values, weights = batch
