@@ -31,7 +31,7 @@ from ..cluster.costmodel import general_ps_push_time, log2_steps
 from ..cluster.simclock import SimClock
 from ..config import ClusterConfig, TrainConfig
 from ..errors import TrainingError
-from ..ps.group import ParameterServerGroup
+from ..ps.group import ParameterServerGroup, TransferStats
 from ..ps.localagg import LocalAggregator
 from ..ps.partitioner import Partition
 from ..ps.slab import CompressedSlab, SlabLayout, SparseSlab, compress_slab
@@ -92,7 +92,6 @@ class AggregationBackend(ABC):
         self.n_bins = candidates.max_bins
         self.n_features = candidates.n_features
         self.flat_len = 2 * self.n_features * self.n_bins
-        self.flat_bytes = self.flat_len * 4
         self._tree_index = -1
 
     @classmethod
@@ -511,15 +510,15 @@ class _PSBackend(AggregationBackend):
         worker: int,
         feature_valid: np.ndarray | None,
         timer: WorkerTimer,
-    ) -> SplitDecision | None:
+    ) -> tuple[SplitDecision | None, TransferStats]:
         """Pull ``node``'s whole merged histogram to ``worker``, scan it on
-        that worker's lane and free the row (the caller charges the
-        pull)."""
-        flat, _stats = self.group.pull_row(GRAD_HIST, node, worker=worker)
+        that worker's lane and free the row; the caller charges the pull
+        from the returned stats."""
+        flat, stats = self.group.pull_row(GRAD_HIST, node, worker=worker)
         with timer.measure(worker):
             decision = self._scan_flat(flat, feature_valid)
         self.group.clear_row(GRAD_HIST, node)
-        return decision
+        return decision, stats
 
 
 class TencentBoostBackend(_PSBackend):
@@ -539,15 +538,13 @@ class TencentBoostBackend(_PSBackend):
         # Drain partial windows: a layer boundary must see every delta.
         self.flush(clock)
         decisions: dict[int, SplitDecision | None] = {}
-        p = self.cluster.n_servers
         leader = 0  # the paper's "leader worker" pulls and scans everything
         for node in nodes:
-            decisions[node] = self._pull_and_scan(node, leader, feature_valid, timer)
-            # Full-histogram pull serialized at the leader's NIC.
-            clock.advance_comm(
-                p * self.cost.alpha + self.flat_bytes * self.cost.beta,
-                phase="FIND_SPLIT",
+            decisions[node], stats = self._pull_and_scan(
+                node, leader, feature_valid, timer
             )
+            # Full-histogram pull serialized at the leader's NIC.
+            clock.advance_comm(stats.seconds(self.cost), phase="FIND_SPLIT")
         self._charge_decision_broadcast(clock, len(nodes))
         return decisions
 
@@ -615,7 +612,7 @@ class DimBoostBackend(_PSBackend):
             for node in its_nodes:
                 if self.two_phase:
                     started = wall_clock()
-                    results, _stats = self.group.pull_row_udf(
+                    results, stats = self.group.pull_row_udf(
                         GRAD_HIST,
                         node,
                         udf,
@@ -630,14 +627,11 @@ class DimBoostBackend(_PSBackend):
                         [decision for _part, decision in results]
                     )
                     self.group.clear_row(GRAD_HIST, node)
-                    comm_seconds += p * point_to_point_time(DECISION_BYTES, self.cost)
                 else:
-                    decisions[node] = self._pull_and_scan(
+                    decisions[node], stats = self._pull_and_scan(
                         node, worker_id, feature_valid, timer
                     )
-                    comm_seconds += p * self.cost.alpha + (
-                        self.flat_bytes * self.cost.beta
-                    )
+                comm_seconds += stats.seconds(self.cost)
             # Each worker's pulls serialize at its own NIC but run in
             # parallel across workers — fold into its compute lane so the
             # stage barrier models the round-robin balancing.

@@ -251,7 +251,7 @@ class _GridFit(TreeGrowthStrategy):
 
         Every worker pulls only the cuts of its own stripe, kept in
         :attr:`stripes` for :meth:`bin`; the PULL_SKETCH stage charges
-        the slowest worker's pull, ``messages * alpha + bytes * beta``.
+        the slowest worker's pull, :meth:`TransferStats.seconds`.
         The global set is the first grid row's stripes joined.
         """
         with self.runner.stage(WorkerPhase.CREATE_SKETCH) as stage:
@@ -261,12 +261,7 @@ class _GridFit(TreeGrowthStrategy):
         with self.runner.stage(WorkerPhase.PULL_SKETCH) as stage:
             pulls = [self._pull_stripe(source, wid) for wid in range(len(self.blocks))]
             self.stripes = [stripe for stripe, _ in pulls]
-            stage.charge_comm(
-                max(
-                    stats.messages * self.cost.alpha + stats.bytes_down * self.cost.beta
-                    for _, stats in pulls
-                )
-            )
+            stage.charge_comm(max(stats.seconds(self.cost) for _, stats in pulls))
         return CandidateSet.concat(
             self.stripes[: self.grid[1]], self.config.n_split_candidates
         )

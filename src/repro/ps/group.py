@@ -6,8 +6,9 @@ only with the group: it splits a pushed row into per-range slices, routes
 them to the hosting servers (decoding low-precision payloads server-side
 before the additive merge), gathers pulls, and dispatches pull UDFs.
 
-Every call returns a :class:`TransferStats` so trainers can charge the
-simulated clock with real wire-byte counts.
+Every call returns a :class:`TransferStats`: the one count of the bytes
+and messages a PS interaction put on the wire, which trainers bill to
+the simulated clock (the servers count nothing).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Any
 
 import numpy as np
 
+from ..cluster.costmodel import CostParams
 from ..compression.lowprec import compress_blocked, decompress_blocked
 from ..errors import PSError
 from ..sketch.candidates import CandidateSet
@@ -43,12 +45,11 @@ class TransferStats:
     bytes_down: int = 0
     messages: int = 0
 
-    def merge(self, other: "TransferStats") -> "TransferStats":
-        """Accumulate ``other`` into this record (returns self)."""
-        self.bytes_up += other.bytes_up
-        self.bytes_down += other.bytes_down
-        self.messages += other.messages
-        return self
+    def seconds(self, cost: CostParams) -> float:
+        """The alpha-beta bill of the interaction: ``messages * alpha +
+        (bytes_up + bytes_down) * beta``."""
+        wire = self.bytes_up + self.bytes_down
+        return self.messages * cost.alpha + wire * cost.beta
 
 
 class ParameterServerGroup:
@@ -276,10 +277,8 @@ class ParameterServerGroup:
         ):
             server = self.servers[part.server_id]
 
-            def send(server=server, part=part, piece=piece, piece_bytes=piece_bytes):
-                return server.handle_push(
-                    name, row, part.partition_id, piece, piece_bytes, seq=seq
-                )
+            def send(server=server, part=part, piece=piece):
+                return server.handle_push(name, row, part.partition_id, piece, seq=seq)
 
             self._push(stats, send, part.server_id, worker, piece_bytes)
         return stats
@@ -318,9 +317,9 @@ class ParameterServerGroup:
             piece_bytes = slab.wire_bytes_for(part.lo // width, part.hi // width)
             server = self.servers[part.server_id]
 
-            def send(server=server, part=part, piece_bytes=piece_bytes):
+            def send(server=server, part=part):
                 return server.handle_push_slab(
-                    name, row, part.partition_id, slab, piece_bytes, seq=seq
+                    name, row, part.partition_id, slab, seq=seq
                 )
 
             self._push(stats, send, part.server_id, worker, piece_bytes)
@@ -369,9 +368,9 @@ class ParameterServerGroup:
             piece_bytes = sum(4 + nbytes for *_entry, nbytes in billed if nbytes)
             server = self.servers[part.server_id]
 
-            def send(server=server, part=part, share=share, piece_bytes=piece_bytes):
+            def send(server=server, part=part, share=share):
                 return server.handle_push_window(
-                    name, part.partition_id, share, piece_bytes, seq=seq
+                    name, part.partition_id, share, seq=seq
                 )
 
             self._push(stats, send, part.server_id, worker, piece_bytes)
@@ -415,10 +414,8 @@ class ParameterServerGroup:
             server = self.servers[server_id]
 
             def send(server=server, share=share):
-                for row, partition_id, piece, piece_bytes in share:
-                    server.handle_push(
-                        name, row, partition_id, piece, 4 + piece_bytes, seq=seq
-                    )
+                for row, partition_id, piece, _bytes in share:
+                    server.handle_push(name, row, partition_id, piece, seq=seq)
                 return None
 
             self._push(stats, send, server_id, worker, payload_bytes)

@@ -55,8 +55,6 @@ class PSServer:
         # summaries): proposed at the first candidate pull, dropped by the
         # next push into the partition.
         self._proposals: dict[str, dict[int, tuple[int, CandidateSet]]] = {}
-        self.bytes_received = 0
-        self.bytes_sent = 0
         self.duplicate_pushes = 0
 
     # ------------------------------------------------------------------
@@ -111,23 +109,18 @@ class PSServer:
         row: int,
         partition_id: int,
         values: np.ndarray,
-        wire_bytes: int | None = None,
         seq: object | None = None,
     ) -> None:
         """Apply the default additive push to one hosted range of ``row``.
 
-        ``wire_bytes`` is what the sender billed for this range — a lossy
-        piece's encoded size, a windowed piece's row id included; the
-        default is the range as float32 values.
-
         ``seq`` makes the push idempotent: a hashable token identifying
         the logical message (the engine uses ``(tree_index, worker_id)``
         — one push per worker per round per row range).  A second push
-        carrying an already-applied token is counted, billed for its
-        wire bytes, and otherwise ignored, so delivery retries and
-        injected duplicates never double-count a histogram.  Tokens are
-        freed with the rows they guard (``clear_row`` /
-        ``clear_parameter``), which is what scopes them "per round".
+        carrying an already-applied token is counted and otherwise
+        ignored, so delivery retries and injected duplicates never
+        double-count a histogram.  Tokens are freed with the rows they
+        guard (``clear_row`` / ``clear_parameter``), which is what scopes
+        them "per round".
         """
         part = self._partition(name, partition_id)
         values = np.asarray(values, dtype=np.float64)
@@ -136,7 +129,6 @@ class PSServer:
                 f"push to {name!r} partition {partition_id}: expected "
                 f"{part.length} values, got {values.shape}"
             )
-        self.bytes_received += values.size * 4 if wire_bytes is None else wire_bytes
         self._apply(name, row, partition_id, seq, values, owned=False)
 
     def handle_push_slab(
@@ -145,7 +137,6 @@ class PSServer:
         row: int,
         partition_id: int,
         slab: SparseSlab | CompressedSlab,
-        wire_bytes: int | None = None,
         seq: object | None = None,
     ) -> None:
         """Apply a sparse slab push to one hosted range of ``row``.
@@ -159,25 +150,19 @@ class PSServer:
         additively, so a row-sharded dense push equals the element-wise
         sum of its stripes' slab pushes, addend for addend.
 
-        ``wire_bytes`` is what the sender billed for this partition's
-        share; the default is the share's own bill,
-        ``slab.wire_bytes_for`` over this range.  A :class:`CompressedSlab`
-        partition decodes the share it was billed for — the carried
-        features it hosts — never the whole slab; decoding is
+        A :class:`CompressedSlab` partition decodes only its share — the
+        carried features it hosts — never the whole slab; decoding is
         deterministic, so duplicate deliveries of the same compressed
         slab would reconstruct identical values even without the seq
         guard.
 
         ``seq`` carries the same per-round idempotency contract as
         :meth:`handle_push` (token per logical message; duplicates are
-        counted, billed, and ignored; freed with the row).  A slab that
+        counted and ignored; freed with the row).  A slab that
         does not fit the layout raises before anything is recorded.
         """
         layout, f_lo, f_hi = self._slab_range(name, partition_id)
         layout.check_slab(slab)
-        if wire_bytes is None:
-            wire_bytes = slab.wire_bytes_for(f_lo, f_hi)
-        self.bytes_received += wire_bytes
         contrib = self._materialize_slab(layout, slab, f_lo, f_hi)
         self._apply(name, row, partition_id, seq, contrib, owned=True)
 
@@ -235,7 +220,7 @@ class PSServer:
         """Materialize a slab's contribution over features [f_lo, f_hi).
 
         Only the carried features this range hosts are read — and, for a
-        compressed slab, decoded: the share the partition was billed for.
+        compressed slab, decoded: the partition's share.
         """
         lo = max(f_lo, slab.col_lo)
         hi = min(f_hi, slab.col_hi)
@@ -261,18 +246,15 @@ class PSServer:
         name: str,
         partition_id: int,
         entries: list[tuple[int, SparseSlab | CompressedSlab]],
-        wire_bytes: int | None = None,
         seq: object | None = None,
     ) -> None:
         """Apply one locally-aggregated window of slab pushes.
 
         ``entries`` is an ordered batch of ``(row, slab)`` deltas a
         worker folded across an aggregation window — the whole batch
-        travelled as one message, so one call bills one windowed
-        payload, ``wire_bytes`` as the sender billed it; the default is
-        4 bytes of row id plus the slab's wire share per entry.  Each
-        entry merges exactly like an individual :meth:`handle_push_slab`
-        would, so windowing never changes stored bits.
+        travelled as one message.  Each entry merges exactly like an
+        individual :meth:`handle_push_slab` would, so windowing never
+        changes stored bits.
 
         ``seq`` must extend the per-round token with the window index —
         ``(round, window, worker)`` — because consecutive windows of one
@@ -282,14 +264,11 @@ class PSServer:
         per entry row, so :meth:`clear_row` frees them with the row and
         a post-rollback replay into a cleared row is never misread as a
         duplicate.  Every entry is checked against the layout before the
-        first one is billed, so a window that raises leaves no trace.
+        first one is applied, so a window that raises leaves no trace.
         """
         layout, f_lo, f_hi = self._slab_range(name, partition_id)
         for _, slab in entries:
             layout.check_slab(slab)
-        if wire_bytes is None:
-            wire_bytes = sum(4 + slab.wire_bytes_for(f_lo, f_hi) for _, slab in entries)
-        self.bytes_received += wire_bytes
         for row, slab in entries:
             contrib = self._materialize_slab(layout, slab, f_lo, f_hi)
             self._apply(name, row, partition_id, seq, contrib, owned=True)
@@ -313,8 +292,8 @@ class PSServer:
 
         ``seq`` follows the :meth:`handle_push` idempotency contract:
         one token per logical message (the engine uses
-        ``("sketch", worker_id)``), duplicates counted, billed, and
-        ignored.  Tokens are freed with :meth:`clear_parameter`.
+        ``("sketch", worker_id)``), duplicates counted and ignored.
+        Tokens are freed with :meth:`clear_parameter`.
         """
         part = self._partition(name, partition_id)
         # All or nothing: the frame is parsed, range-checked and merged on
@@ -330,7 +309,6 @@ class PSServer:
                 f"{incoming.features[-1]}] pushed to partition {partition_id} "
                 f"of {name!r} ([{part.lo}, {part.hi}))"
             )
-        self.bytes_received += len(frame)
         applied = self._sketch_applied[name].setdefault(partition_id, set())
         if seq in applied:
             self.duplicate_pushes += 1
@@ -378,9 +356,7 @@ class PSServer:
                 stored.shifted(-part.lo), max_bins
             )
             self._proposals[name][partition_id] = cached
-        frame = cached[1].feature_range(lo - part.lo, hi - part.lo).to_frame(lo)
-        self.bytes_sent += len(frame)
-        return frame
+        return cached[1].feature_range(lo - part.lo, hi - part.lo).to_frame(lo)
 
     def handle_pull(self, name: str, row: int, partition_id: int) -> np.ndarray:
         """Return the stored values of one hosted range of ``row``."""
@@ -388,7 +364,6 @@ class PSServer:
         stored = self._rows[name].get(row, {}).get(partition_id)
         if stored is None:
             stored = np.zeros(part.length, dtype=np.float64)
-        self.bytes_sent += stored.size * 4
         return stored.copy()
 
     def handle_pull_udf(

@@ -8,7 +8,8 @@ import pytest
 from repro import ClusterConfig, TrainConfig
 from repro.cluster import SimClock
 from repro.distributed import BACKEND_NAMES, make_backend
-from repro.distributed.backends import DimBoostBackend
+from repro.cluster.collectives import point_to_point_time
+from repro.distributed.backends import DECISION_BYTES, GRAD_HIST, DimBoostBackend
 from repro.errors import CommunicationError, TrainingError
 from repro.cluster.costmodel import CostParams, general_ps_push_time
 from tests.distributed import find_splits
@@ -24,6 +25,13 @@ def setup(small_dataset):
         n_trees=1, max_depth=3, n_split_candidates=8, compression_bits=0
     )
     return candidates, cluster, config
+
+
+def hold_wall_clock(monkeypatch):
+    """Stop the wall clock where the simulated clock reads it, so
+    measured scan seconds are zero and ``clock.time`` is billed wire."""
+    for module in ("repro.runtime.phases", "repro.distributed.backends"):
+        monkeypatch.setattr(f"{module}.wall_clock", lambda: 0.0)
 
 
 def local_flats(candidates, w=4, seed=0):
@@ -109,7 +117,10 @@ class TestDimBoostOptions:
         assert decisions[0].bucket == decisions[1].bucket
         assert decisions[0].gain == pytest.approx(decisions[1].gain, rel=1e-12)
 
-    def test_two_phase_cheaper_on_wire(self, setup):
+    def test_two_phase_cheaper_on_wire(self, setup, monkeypatch):
+        """With the wall clock held still, ``clock.time`` holds only
+        billed wire: 28-byte replies against the full histogram."""
+        hold_wall_clock(monkeypatch)
         candidates, cluster, config = setup
         flats = local_flats(candidates, seed=2)
         times = {}
@@ -178,6 +189,47 @@ class TestDimBoostOptions:
         backend = make_backend("dimboost", cluster, config, candidates)
         assert isinstance(backend, DimBoostBackend)
         assert backend.build_mode == "sparse"
+
+
+class TestPullBills:
+    """A FIND_SPLIT full pull is billed from the pull's own
+    ``TransferStats``: one alpha per ``grad_hist`` partition that exists.
+    Three features on four servers make three partitions."""
+
+    @pytest.mark.parametrize(
+        "system, options, decision_messages",
+        [("tencentboost", {}, 3), ("dimboost", {"two_phase": False}, 4)],
+        ids=["tencentboost", "dimboost-one-phase"],
+    )
+    def test_full_pull_bills_the_partitions_that_exist(
+        self, setup, monkeypatch, system, options, decision_messages
+    ):
+        hold_wall_clock(monkeypatch)
+        candidates, cluster, config = setup
+        candidates = candidates.feature_range(0, 3)
+        backend = make_backend(system, cluster, config, candidates, **options)
+        assert backend.group.partitioner(GRAD_HIST).n_partitions == 3
+        pulls = []
+        pull_row = backend.group.pull_row
+
+        def record(*args, **kwargs):
+            flat, stats = pull_row(*args, **kwargs)
+            pulls.append(stats)
+            return flat, stats
+
+        monkeypatch.setattr(backend.group, "pull_row", record)
+        backend.begin_tree(0)
+        clock = SimClock()
+        backend.aggregate_node(0, local_flats(candidates), clock)
+        before = clock.time
+        find_splits(backend, [0], clock)
+        cost = cluster.network
+        full = 2 * 3 * candidates.max_bins * 4
+        pull_seconds = 3 * cost.alpha + full * cost.beta
+        assert [(s.messages, s.bytes_down) for s in pulls] == [(3, full)]
+        assert pulls[0].seconds(cost) == pull_seconds
+        decisions = decision_messages * point_to_point_time(DECISION_BYTES, cost)
+        assert clock.time - before == pytest.approx(pull_seconds + decisions, rel=1e-12)
 
 
 class TestGeneralPSPushTime:

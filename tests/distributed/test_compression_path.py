@@ -138,7 +138,7 @@ class TestFoldDeferral:
         assert len(pushed) == len(flats)
         # ~1 byte per value + per-feature scales + the 8-byte sums: far
         # below the 4-bytes-per-value uncompressed push.
-        assert all(b < backend.flat_bytes / 2 for b in pushed)
+        assert all(b < backend.flat_len * 4 / 2 for b in pushed)
 
     def test_lossy_push_needs_every_workers_sums(self, setup):
         candidates, flats, sums = setup

@@ -227,7 +227,7 @@ def test_slabs_and_server_fold_match_reference(
             key = (node, part.partition_id)
             stored[key] = ref.fold(stored.get(key), contrib)
 
-    assert billed == old_billed == sum(s.bytes_received for s in group.servers)
+    assert billed == old_billed
     for node in nodes:
         row, _ = group.pull_row("hist", node)
         for part in partitioner.partitions:

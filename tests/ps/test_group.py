@@ -195,9 +195,10 @@ class TestPushWindowRows:
 
 
 class TestServerByteCounters:
-    """The servers count exactly the bytes the group bills for dense
-    rows — a lossy piece at its encoded size, a windowed piece with its
-    row id — as they do for slabs."""
+    """What the servers receive, as the group's ``TransferStats`` — the
+    one wire ledger — bills it: a dense range at 4 bytes a value, a lossy
+    piece at its encoded size, a windowed piece with its row id, a sketch
+    frame at its length."""
 
     @pytest.fixture()
     def group(self) -> ParameterServerGroup:
@@ -207,16 +208,19 @@ class TestServerByteCounters:
         g.register("hist", row_length=128, align=8, layout=layout)
         return g
 
-    @staticmethod
-    def counted(group) -> int:
-        return sum(server.bytes_received for server in group.servers)
-
     @pytest.mark.parametrize("bits", [0, 8])
     def test_push_row(self, group, rng, bits):
-        stats = group.push_row(
-            "hist", 0, rng.normal(size=128), bits, rng, sums=(1.5, 2.5)
+        flat = rng.normal(size=128)
+        pieces = group.encode_row(
+            "hist", flat, bits, np.random.default_rng(1), sums=(1.5, 2.5)
         )
-        assert self.counted(group) == stats.bytes_up
+        stats = group.push_row(
+            "hist", 0, flat, bits, np.random.default_rng(1), sums=(1.5, 2.5)
+        )
+        assert stats.messages == len(pieces) == group.n_servers
+        assert stats.bytes_up == sum(nbytes for *_piece, nbytes in pieces)
+        if not bits:
+            assert stats.bytes_up == 128 * 4
 
     @pytest.mark.parametrize("bits", [0, 8])
     def test_push_window_rows(self, group, rng, bits):
@@ -225,12 +229,15 @@ class TestServerByteCounters:
             for row in range(3)
         ]
         stats = group.push_window_rows("hist", entries, seq=(0, 0, 0))
-        assert self.counted(group) == stats.bytes_up
+        assert stats.messages == group.n_servers
+        assert stats.bytes_up == sum(
+            4 + nbytes for _row, pieces in entries for *_piece, nbytes in pieces
+        )
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["gk", "weighted"])
     def test_push_sketch(self, group, rng, weighted):
-        """Every sketch frame is billed at its length, on both sides: a
-        contiguous stripe, a gapped one, and a duplicated delivery."""
+        """Every sketch frame is billed at its length: a contiguous
+        stripe, a gapped one, and a duplicated delivery."""
         group.register("sketch", 16, n_partitions=4)
         frames = []
         real_to_frame = SketchBatch.to_frame
@@ -260,7 +267,7 @@ class TestServerByteCounters:
                     )
                     bytes_up += stats.bytes_up
         assert sum(s.duplicate_pushes for s in group.servers) == 4 + 4  # partitions
-        assert self.counted(group) == bytes_up == sum(len(f) for f in frames)
+        assert bytes_up == sum(len(f) for f in frames)
 
 
 class TestPullUDF:

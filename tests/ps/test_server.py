@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PSError, SketchError
-from repro.ps import PSServer
+from repro.ps import ParameterServerGroup, PSServer
 from repro.ps.partitioner import Partition
 from repro.sketch import (
     GKSketch,
@@ -62,11 +62,13 @@ class TestPush:
             server.handle_pull("hist", 0, 0), np.ones(10)
         )
 
-    def test_bytes_accounting(self, server):
-        server.handle_push("hist", 0, 0, np.ones(10))
-        assert server.bytes_received == 40
-        server.handle_pull("hist", 0, 0)
-        assert server.bytes_sent == 40
+    def test_bytes_accounting(self):
+        """The group bills a range pushed and pulled at 4 bytes a value."""
+        group = ParameterServerGroup(n_servers=1)
+        group.register("hist", 10)
+        assert group.push_row("hist", 0, np.ones(10)).bytes_up == 40
+        _, stats = group.pull_row("hist", 0)
+        assert (stats.bytes_down, stats.messages) == (40, 1)
 
 
 class TestPull:
@@ -237,7 +239,7 @@ class TestCandidatePull:
         frame = server.handle_pull_candidates("hist", 2, 23, 27, 5)
         assert frame == whole.feature_range(3, 7).to_frame(23)
         cuts = whole.cuts[whole.offsets[3] : whole.offsets[7]]
-        assert server.bytes_sent == len(frame) == candidate_frame_bytes(4, cuts, 5)
+        assert len(frame) == candidate_frame_bytes(4, cuts, 5)
 
     def test_proposed_once_per_partition_until_the_next_push(self, server, monkeypatch):
         import repro.ps.server as server_module

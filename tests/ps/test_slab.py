@@ -209,11 +209,12 @@ class TestServerSlabPush:
         with pytest.raises(PSError, match="no histogram layout"):
             s.handle_push_slab("plain", 0, 0, slab, seq=None)
 
-    def test_bytes_accounting(self, server):
+    def test_bytes_accounting(self):
+        group = ParameterServerGroup(n_servers=1)
+        group.register("hist", M * WIDTH, align=WIDTH, layout=make_layout())
         slab = SparseSlab(0, M, np.array([2]), np.zeros((1, WIDTH)), 0.0, 0.0)
-        before = server.bytes_received
-        server.handle_push_slab("hist", 0, 0, slab, seq=None)
-        assert server.bytes_received - before == slab.wire_bytes
+        stats = group.push_slab("hist", 0, slab)
+        assert (stats.bytes_up, stats.messages) == (slab.wire_bytes, 1)
 
 
 def _compressed(features, values, col_lo=0, col_hi=M, sum_g=0.5, sum_h=1.5, n_bins=K):
@@ -254,7 +255,7 @@ HOSTILE_SLABS = {
 
 class TestHostileSlabHeaders:
     """A slab the server refuses raises ``PSError`` — never a numpy error —
-    and leaves no row, no token and no byte count behind, whether it
+    and leaves no row and no token behind, whether it
     arrives alone or behind honest entries of a window."""
 
     def snapshot(self, server):
@@ -262,7 +263,6 @@ class TestHostileSlabHeaders:
             server.stored_rows("hist"),
             {row: {pid: set(tokens) for pid, tokens in parts.items()}
              for row, parts in server._applied["hist"].items()},
-            server.bytes_received,
             [server.handle_pull("hist", row, 0).tobytes() for row in server.stored_rows("hist")],
         )
 
