@@ -4,24 +4,26 @@ All workers of the simulated cluster execute inside one Python process,
 so their *parallel* compute must be accounted explicitly: a phase where
 every worker independently spends ``t_i`` seconds advances the cluster
 clock by ``max(t_i)`` (the synchronization barrier of Section 4.4 makes
-every phase end when the slowest worker finishes).  Communication time
-comes from the cost model and is added directly.
+every phase end when the slowest worker finishes).  That barrier lives in
+:class:`~repro.runtime.phases.StalenessLanes`; :class:`SimClock` is only
+the ledger it and the cost model charge: time, communication,
+computation and per-phase seconds.
 
 :class:`LayerSpeedJitter` adds *per-layer* multiplicative speed noise on
-top of the static ``ClusterConfig.worker_speeds``: real clusters do not
-have one permanently slow machine so much as a rotating straggler (GC
-pauses, co-tenant interference, network hiccups).  Under a persistent
+top of the static ``ClusterConfig.worker_speeds``, and the lanes price
+every worker's seconds with it: real clusters do not have one
+permanently slow machine so much as a rotating straggler (GC pauses,
+co-tenant interference, network hiccups).  Under a persistent
 straggler, bounded staleness ties pure windowing — both wait for the
 same machine every sync.  Under rotating stragglers the synchronous
-barrier pays ``sum over layers of max over workers`` while staleness
-lanes pay ``max over workers of sum over layers``, which is strictly
-less whenever the slowest worker changes between layers.  The jitter is
-pure clock accounting: trained model bits are provably unchanged.
+barrier (``S = 0``: the lanes settle at every barrier) pays ``sum over
+layers of max over workers`` while stale lanes pay ``max over workers
+of sum over layers``, which is strictly less whenever the slowest worker
+changes between layers.  The jitter is pure clock accounting: trained
+model bits are provably unchanged.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -90,7 +92,7 @@ class LayerSpeedJitter:
 
 
 class SimClock:
-    """Monotonic simulated clock with parallel-region support.
+    """Monotonic simulated clock: the cluster's time ledger.
 
     Besides the communication/computation split, every charge can carry
     a *phase label* ("BUILD_HISTOGRAM", "FIND_SPLIT", ...) so trainers
@@ -99,16 +101,12 @@ class SimClock:
 
     Attributes:
         time: Current simulated time in seconds.
-        jitter: Optional per-layer speed noise applied to every parallel
-            region (:meth:`barrier` and the staleness lanes' deferred
-            seconds via :meth:`jittered`).
     """
 
-    __slots__ = ("time", "jitter", "_comm", "_comp", "_by_phase")
+    __slots__ = ("time", "_comm", "_comp", "_by_phase")
 
-    def __init__(self, jitter: LayerSpeedJitter | None = None) -> None:
+    def __init__(self) -> None:
         self.time = 0.0
-        self.jitter = jitter
         self._comm = 0.0
         self._comp = 0.0
         self._by_phase: dict[str, float] = {}
@@ -127,26 +125,6 @@ class SimClock:
         """Seconds charged per phase label (labelled charges only)."""
         return dict(self._by_phase)
 
-    def jittered(self, per_worker_seconds: Sequence[float]) -> list[float]:
-        """Divide per-worker seconds by this layer's speed factors.
-
-        Identity without jitter.  Callers that route seconds *around*
-        :meth:`barrier` (the staleness lanes) apply this exactly once at
-        defer time; :meth:`barrier` applies it internally, so plain
-        barrier callers must pass un-jittered seconds.
-        """
-        if self.jitter is None:
-            return list(per_worker_seconds)
-        return [
-            seconds / self.jitter.factor_of(wid)
-            for wid, seconds in enumerate(per_worker_seconds)
-        ]
-
-    def next_layer(self) -> None:
-        """Advance the jitter to the next tree layer (no-op without)."""
-        if self.jitter is not None:
-            self.jitter.advance()
-
     def advance_comm(self, seconds: float, phase: str | None = None) -> None:
         """Charge ``seconds`` of communication time."""
         self._charge(seconds, phase)
@@ -156,24 +134,6 @@ class SimClock:
         """Charge ``seconds`` of computation time."""
         self._charge(seconds, phase)
         self._comp += seconds
-
-    def barrier(
-        self, per_worker_seconds: Iterable[float], phase: str | None = None
-    ) -> float:
-        """End a parallel compute region: advance by the slowest worker.
-
-        Args:
-            per_worker_seconds: Measured compute time of each worker,
-                already divided by static speeds but *not* by the layer
-                jitter (applied here).
-            phase: Optional phase label for the charge.
-
-        Returns:
-            The seconds charged (the maximum, 0.0 if empty).
-        """
-        worst = max(self.jittered(list(per_worker_seconds)), default=0.0)
-        self.advance_compute(worst, phase)
-        return worst
 
     def _charge(self, seconds: float, phase: str | None = None) -> None:
         if seconds < 0:

@@ -41,7 +41,7 @@ from ..boosting.metrics import error_rate
 from ..boosting.model import GBDTModel
 from ..chaos import ChaosRuntime, FaultPlan, RoundRecovery
 from ..cluster.collectives import point_to_point_time
-from ..cluster.simclock import LayerSpeedJitter, SimClock
+from ..cluster.simclock import SimClock
 from ..config import ClusterConfig, TrainConfig
 from ..datasets.dataset import Dataset
 from ..datasets.partition import BlockPartitioner, GridSpec
@@ -60,7 +60,7 @@ from ..runtime.hooks import (
     TrainerCallback,
 )
 from ..runtime.loop import BoostingLoop, TreeGrowthStrategy
-from ..runtime.phases import PhaseRunner, StalenessLanes, WorkerTimer
+from ..runtime.phases import PhaseRunner, WorkerTimer
 from ..sketch.candidates import (
     CandidateSet,
     candidate_frame_bytes,
@@ -198,16 +198,7 @@ class _GridFit(TreeGrowthStrategy):
         #: ``staleness`` trees; S=0 applies immediately (synchronous).
         self._pending_updates: list[tuple[int, list[np.ndarray]]] = []
 
-        # Per-layer speed jitter (rotating stragglers) rides on the
-        # clock so every parallel region — synchronous barriers and
-        # deferred staleness lanes alike — prices compute with the same
-        # seeded factor stream.  Accounting only: model bits unchanged.
-        jitter = (
-            LayerSpeedJitter(cluster.n_workers, cluster.speed_jitter, seed=config.seed)
-            if cluster.speed_jitter > 0.0
-            else None
-        )
-        self.clock = SimClock(jitter=jitter)
+        self.clock = SimClock()
         self.master = Master()
         self.chaos: ChaosRuntime | None = None
         self.fault_accountant: FaultAccountant | None = None
@@ -229,16 +220,12 @@ class _GridFit(TreeGrowthStrategy):
                 *callbacks,
             ]
         )
-        # Bounded staleness (S >= 1): stage barriers stop charging
-        # immediately; per-worker seconds accumulate in lanes that sync
-        # every S + 1 tree layers (and once more at fit end).
-        self.lanes = (
-            StalenessLanes(cluster.n_workers, config.staleness)
-            if config.staleness > 0
-            else None
-        )
+        # Every stage barrier charges through the runner's lanes: they
+        # price worker seconds by speed and per-layer jitter (accounting
+        # only: model bits unchanged) and settle at every barrier when
+        # S = 0, every S + 1 tree layers (and once more at fit end) else.
         self.runner = PhaseRunner(
-            self.hooks, self.master, self.clock, cluster=cluster, lanes=self.lanes
+            self.hooks, self.master, self.clock, cluster, config.staleness, config.seed
         )
 
     # ------------------------------------------------------------------
@@ -302,10 +289,9 @@ class _GridFit(TreeGrowthStrategy):
     def finish(self, trees: list) -> DistributedResult:
         """Close the books and assemble the deliverable (FINISH)."""
         clock = self.clock
-        if self.lanes is not None:
-            # Final staleness sync: whatever lane time the last (< S + 1)
-            # layers accumulated is paid before the fit's books close.
-            self.lanes.sync(clock)
+        # Final sync: whatever lane time the last (< S + 1) layers
+        # accumulated is paid before the fit's books close.
+        self.runner.lanes.sync(clock)
         with self.runner.stage(WorkerPhase.FINISH):
             # FINISH assembles the deliverable: the model object plus its
             # compiled flat form, so downstream evaluation (cmd_compare,
@@ -552,13 +538,9 @@ class _GridFit(TreeGrowthStrategy):
             active = self._split_layer(
                 tree_index, tree, active, decisions, node_totals, indexes
             )
-            if self.runner.lanes is not None:
-                # One tree layer finished: bounded staleness syncs the
-                # deferred barrier lanes every S + 1 layers.
-                self.runner.lanes.layer_boundary(self.clock)
-            # Roll the per-layer speed jitter regardless of staleness so
-            # sync and async runs draw from the same factor stream.
-            self.clock.next_layer()
+            # One tree layer finished: the lanes sync every S + 1 layers
+            # and roll the speed jitter to the next layer's factors.
+            self.runner.lanes.layer_boundary(self.clock)
 
         # Leaf assignment per grid row from its index (free predictions).
         self._leaf_assignments = []

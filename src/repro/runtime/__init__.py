@@ -24,7 +24,7 @@ from .hooks import (
     TrainerCallback,
 )
 from .loop import BoostingLoop, TreeGrowthStrategy, sample_features
-from .phases import PhaseRunner, PhaseStage, WorkerTimer, scale_by_speeds
+from .phases import PhaseRunner, PhaseStage, WorkerTimer
 
 __all__ = [
     "BoostingLoop",
@@ -33,7 +33,6 @@ __all__ = [
     "PhaseRunner",
     "PhaseStage",
     "WorkerTimer",
-    "scale_by_speeds",
     "TrainerCallback",
     "CallbackList",
     "HistoryCollector",

@@ -11,8 +11,10 @@ phase boundaries without the engine knowing about them.
 :meth:`PhaseStage.barrier` is the one path by which measured compute
 reaches the simulated clock: the engine, the aggregation backends and
 straggler faults record per-worker seconds on the stage's
-:class:`WorkerTimer` and never charge compute themselves, so speed
-scaling, per-layer jitter and bounded-staleness deferral apply to every
+:class:`WorkerTimer` and never charge compute themselves.  The barrier
+hands them to the runner's :class:`StalenessLanes`, the one place speed
+scaling, per-layer jitter and the settle rule (every barrier at
+``S == 0``, every ``S + 1`` layers otherwise) are applied, to every
 phase alike.
 
 Usage::
@@ -36,7 +38,7 @@ from contextlib import contextmanager
 from types import TracebackType
 from typing import Iterator, Sequence
 
-from ..cluster.simclock import SimClock
+from ..cluster.simclock import LayerSpeedJitter, SimClock
 from ..config import ClusterConfig
 from ..ps.master import Master, WorkerPhase
 from ..utils.timing import wall_clock
@@ -47,24 +49,7 @@ __all__ = [
     "PhaseStage",
     "StalenessLanes",
     "WorkerTimer",
-    "scale_by_speeds",
 ]
-
-
-def scale_by_speeds(
-    per_worker_seconds: Sequence[float], cluster: ClusterConfig | None
-) -> list[float]:
-    """Scale measured per-worker compute by each worker's relative speed.
-
-    Models heterogeneous clusters: a half-speed worker takes twice its
-    measured time, and the phase barrier then waits for it.
-    """
-    if cluster is None:
-        return list(per_worker_seconds)
-    return [
-        seconds / cluster.speed_of(wid)
-        for wid, seconds in enumerate(per_worker_seconds)
-    ]
 
 
 class WorkerTimer:
@@ -95,37 +80,50 @@ class WorkerTimer:
 
 
 class StalenessLanes:
-    """Deferred per-worker barrier accounting for bounded staleness.
+    """The Section 4.4 stage barrier, settled every ``S + 1`` layers.
 
-    With ``TrainConfig.staleness == S >= 1``, a layer's compute does not
-    cost the cluster ``max(worker seconds)`` immediately.  No worker
-    executes ahead of a peer (each phase stage is still a barrier);
-    what is deferred is the bill: each worker keeps its own *lane* of
-    accumulated (speed-scaled) seconds, and every ``S + 1`` layers the
-    cluster pays the slowest lane.  :meth:`PhaseStage.barrier`
-    routes per-worker seconds into the lanes instead of charging the
-    clock; :meth:`layer_boundary` counts layers and triggers a
-    :meth:`sync` every ``S + 1`` layers; the engine issues a final
-    :meth:`sync` at fit end so no lane time is ever dropped.
+    Every stage barrier prices each worker's measured seconds once:
+    divided by the worker's static speed, then by this layer's jitter
+    factor (both read off :class:`ClusterConfig` here and nowhere else).
+    The priced seconds go into the worker's *lane*, and a sync charges
+    the clock the slowest lane's per-phase breakdown.  With
+    ``staleness == 0`` every barrier syncs: the phase costs its slowest
+    worker, the synchronous barrier.  With ``staleness == S >= 1`` no
+    worker executes ahead of a peer either (each stage is still a
+    barrier); what is deferred is the bill: :meth:`layer_boundary`
+    counts layers and syncs every ``S + 1`` of them, and the engine
+    issues a final :meth:`sync` at fit end so no lane time is ever
+    dropped.  The slowest lane is exactly the lower envelope bounded
+    staleness can realize: every other worker's lane time overlaps it.
 
-    The charged time is the slowest lane's per-phase breakdown, which is
-    exactly the lower envelope bounded staleness can realize: every
-    other worker's lane time overlaps the slowest worker's.
+    Args:
+        cluster: Worker count, static speeds and per-layer jitter
+            amplitude of the simulated cluster.
+        staleness: The bound ``S >= 0``.
+        seed: Run-level seed the jitter's per-layer streams derive from.
     """
 
-    def __init__(self, n_workers: int, staleness: int) -> None:
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if staleness < 1:
-            raise ValueError(
-                f"StalenessLanes needs staleness >= 1, got {staleness}; "
-                f"S=0 is the synchronous barrier and uses no lanes"
-            )
-        self.n_workers = n_workers
+    def __init__(
+        self, cluster: ClusterConfig, staleness: int = 0, seed: int = 0
+    ) -> None:
+        if staleness < 0:
+            raise ValueError(f"staleness must be >= 0, got {staleness}")
+        self.n_workers = cluster.n_workers
         self.staleness = staleness
         self.syncs = 0
-        self._lanes = [0.0] * n_workers
-        self._by_phase: list[dict[str, float]] = [{} for _ in range(n_workers)]
+        self._speeds = [cluster.speed_of(wid) for wid in range(self.n_workers)]
+        self._jitter = (
+            LayerSpeedJitter(self.n_workers, cluster.speed_jitter, seed=seed)
+            if cluster.speed_jitter > 0.0
+            else None
+        )
+        self._factors = (
+            [1.0] * self.n_workers
+            if self._jitter is None
+            else self._jitter.factors.tolist()
+        )
+        self._lanes = [0.0] * self.n_workers
+        self._by_phase: list[dict[str, float]] = [{} for _ in range(self.n_workers)]
         self._layers_since_sync = 0
 
     @property
@@ -133,25 +131,39 @@ class StalenessLanes:
         """Accumulated unsynced seconds per worker lane."""
         return list(self._lanes)
 
-    def defer(self, per_worker_seconds: Sequence[float], phase: str) -> None:
-        """Accumulate one relaxed barrier's speed-scaled worker seconds."""
+    def defer(
+        self, per_worker_seconds: Sequence[float], phase: str, clock: SimClock
+    ) -> float:
+        """Price one stage barrier's worker seconds into the lanes.
+
+        Returns the seconds charged now: the slowest worker's when
+        ``S == 0`` (its phase label is booked even at 0 s), else 0.0.
+        """
         for wid, seconds in enumerate(per_worker_seconds):
-            self._lanes[wid] += seconds
+            priced = seconds / self._speeds[wid] / self._factors[wid]
+            self._lanes[wid] += priced
             bucket = self._by_phase[wid]
-            bucket[phase] = bucket.get(phase, 0.0) + seconds
+            bucket[phase] = bucket.get(phase, 0.0) + priced
+        return self._settle(clock) if self.staleness == 0 else 0.0
 
     def layer_boundary(self, clock: SimClock) -> float:
-        """Note one finished tree layer; sync once drift would exceed S."""
+        """Note one finished tree layer: sync once drift would exceed S,
+        then move the jitter to the next layer's factors."""
         self._layers_since_sync += 1
-        if self._layers_since_sync > self.staleness:
-            return self.sync(clock)
-        return 0.0
+        due = self._layers_since_sync > self.staleness
+        charged = self.sync(clock) if due else 0.0
+        if self._jitter is not None:
+            self._jitter.advance()
+            self._factors = self._jitter.factors.tolist()
+        return charged
 
     def sync(self, clock: SimClock) -> float:
-        """Charge the slowest lane's breakdown and empty all lanes."""
+        """Settle the lanes if any holds time; returns the seconds charged."""
         self._layers_since_sync = 0
-        if not any(self._lanes):
-            return 0.0
+        return self._settle(clock) if any(self._lanes) else 0.0
+
+    def _settle(self, clock: SimClock) -> float:
+        """Charge the slowest lane's breakdown and empty all lanes."""
         slowest = max(range(self.n_workers), key=self._lanes.__getitem__)
         charged = self._lanes[slowest]
         for phase, seconds in self._by_phase[slowest].items():
@@ -224,28 +236,18 @@ class PhaseStage:
         return WorkerTimer(self.runner.n_workers)
 
     def barrier(self, timer: WorkerTimer) -> float:
-        """End the stage's parallel region: charge the slowest worker.
+        """End the stage's parallel region at the runner's lanes.
 
-        Per-worker seconds are speed-scaled first, then the maximum is
-        charged to the simulated clock under this stage's phase label.
-        Returns the seconds charged (0.0 without a clock).
-
-        Under bounded staleness (``runner.lanes`` set) nothing is
-        charged here: the scaled seconds accumulate in the per-worker
-        lanes and the clock pays only at the next staleness sync.  The
-        clock's per-layer speed jitter is applied exactly once on either
-        path — inside ``clock.barrier`` on the synchronous one, at defer
-        time on the lanes one (the current layer's factors must price
-        the seconds, not whichever layer the sync lands on).
+        The lanes price the per-worker seconds and charge them under
+        this stage's phase label: the slowest worker at once when
+        ``S == 0``, the slowest lane at the next staleness sync
+        otherwise.  Returns the seconds charged now (0.0 without a
+        clock).
         """
         clock = self.runner.clock
         if clock is None:
             return 0.0
-        scaled = scale_by_speeds(timer.seconds, self.runner.cluster)
-        if self.runner.lanes is not None:
-            self.runner.lanes.defer(clock.jittered(scaled), self.phase.value)
-            return 0.0
-        return clock.barrier(scaled, phase=self.phase.value)
+        return self.runner.lanes.defer(timer.seconds, self.phase.value, clock)
 
     def charge_comm(self, seconds: float) -> None:
         """Charge communication time under this stage's phase label."""
@@ -262,9 +264,10 @@ class PhaseRunner:
             runs (no phase-machine validation).
         clock: Simulated cluster clock; ``None`` for single-machine runs
             (stages then report only wall-clock).
-        cluster: Cluster shape, used for worker count and speed scaling.
-        lanes: Bounded-staleness lanes; ``None`` (default) keeps every
-            stage barrier synchronous.
+        cluster: Cluster shape the stage barrier prices; one nominal
+            worker when ``None`` (single-machine runs).
+        staleness: The bounded-staleness ``S`` of the barrier's lanes.
+        seed: Run-level seed of the lanes' per-layer speed jitter.
     """
 
     def __init__(
@@ -273,18 +276,20 @@ class PhaseRunner:
         master: Master | None = None,
         clock: SimClock | None = None,
         cluster: ClusterConfig | None = None,
-        lanes: StalenessLanes | None = None,
+        staleness: int = 0,
+        seed: int = 0,
     ) -> None:
         self.callbacks = callbacks
         self.master = master
         self.clock = clock
-        self.cluster = cluster
-        self.lanes = lanes
+        self.lanes = StalenessLanes(
+            cluster or ClusterConfig(n_workers=1, n_servers=1), staleness, seed
+        )
 
     @property
     def n_workers(self) -> int:
         """Simulated worker count (1 for single-machine runs)."""
-        return self.cluster.n_workers if self.cluster is not None else 1
+        return self.lanes.n_workers
 
     def stage(self, phase: WorkerPhase, tree_index: int = -1) -> PhaseStage:
         """A context manager running one ``phase`` stage."""

@@ -1,4 +1,5 @@
-"""Tests for the simulated clock and per-layer speed jitter."""
+"""Tests for the simulated clock, per-layer speed jitter, and the stage
+barrier's lanes that charge the clock with both."""
 
 from __future__ import annotations
 
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 
 from repro.cluster import LayerSpeedJitter, SimClock
+from repro.config import ClusterConfig
 from repro.errors import CommunicationError, ConfigError
+from repro.runtime.phases import StalenessLanes
+
+
+def barrier(n_workers, staleness=0, **cluster):
+    """The stage barrier of an ``n_workers`` cluster at bound ``staleness``."""
+    return StalenessLanes(ClusterConfig(n_workers, 1, **cluster), staleness, seed=7)
 
 
 class TestSimClock:
@@ -26,14 +34,17 @@ class TestSimClock:
 
     def test_barrier_charges_max(self):
         clock = SimClock()
-        charged = clock.barrier([0.1, 0.7, 0.3])
-        assert charged == pytest.approx(0.7)
-        assert clock.computation == pytest.approx(0.7)
+        charged = barrier(3).defer([0.1, 0.7, 0.3], "B", clock)
+        assert charged == 0.7
+        assert clock.computation == 0.7
 
     def test_barrier_empty(self):
+        """A synchronous barrier whose workers all read 0 s charges
+        nothing but still books its phase label."""
         clock = SimClock()
-        assert clock.barrier([]) == 0.0
+        assert barrier(2).defer([0.0, 0.0], "B", clock) == 0.0
         assert clock.time == 0.0
+        assert clock.by_phase() == {"B": 0.0}
 
     def test_negative_rejected(self):
         clock = SimClock()
@@ -87,33 +98,41 @@ class TestLayerSpeedJitter:
 
 
 class TestSimClockJitter:
+    """The lanes price every barrier with the current layer's factors."""
+
     def test_jittered_identity_without_jitter(self):
-        clock = SimClock()
-        assert clock.jittered([0.1, 0.2]) == [0.1, 0.2]
-        clock.next_layer()  # no-op, must not raise
+        lanes = barrier(2, staleness=1)
+        lanes.defer([0.1, 0.2], "B", SimClock())
+        assert lanes.lane_seconds == [0.1, 0.2]
+        lanes.layer_boundary(SimClock())  # no jitter to roll, must not raise
 
     def test_jittered_divides_by_factors(self):
         jitter = LayerSpeedJitter(3, 0.25, seed=7)
-        clock = SimClock(jitter=jitter)
+        lanes = barrier(3, staleness=1, speed_jitter=0.25)
         seconds = [0.3, 0.3, 0.3]
+        lanes.defer(seconds, "B", SimClock())
         expected = [
             s / jitter.factor_of(w) for w, s in enumerate(seconds)
         ]
-        assert clock.jittered(seconds) == pytest.approx(expected)
+        assert lanes.lane_seconds == expected
 
     def test_barrier_charges_jittered_max(self):
         jitter = LayerSpeedJitter(3, 0.25, seed=7)
-        clock = SimClock(jitter=jitter)
+        clock = SimClock()
         seconds = [0.3, 0.3, 0.3]
         worst = max(
             s / jitter.factor_of(w) for w, s in enumerate(seconds)
         )
-        assert clock.barrier(seconds) == pytest.approx(worst)
-        assert clock.computation == pytest.approx(worst)
+        charged = barrier(3, speed_jitter=0.25).defer(seconds, "B", clock)
+        assert charged == worst
+        assert clock.computation == worst
 
     def test_next_layer_changes_factors(self):
-        clock = SimClock(jitter=LayerSpeedJitter(4, 0.3, seed=1))
-        before = clock.jittered([1.0] * 4)
-        clock.next_layer()
-        after = clock.jittered([1.0] * 4)
-        assert before != after
+        lanes = barrier(4, staleness=1, speed_jitter=0.3)
+        clock = SimClock()
+        lanes.defer([1.0] * 4, "B", clock)
+        before = lanes.lane_seconds
+        lanes.sync(clock)
+        lanes.layer_boundary(clock)
+        lanes.defer([1.0] * 4, "B", clock)
+        assert lanes.lane_seconds != before

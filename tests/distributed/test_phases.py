@@ -9,6 +9,7 @@ from repro.cluster import SimClock
 from repro.distributed import BACKEND_NAMES
 from repro.distributed.backends import MLlibBackend
 from repro.ps.master import WorkerPhase
+from repro.runtime.phases import StalenessLanes
 
 
 class TestSimClockPhases:
@@ -16,7 +17,7 @@ class TestSimClockPhases:
         clock = SimClock()
         clock.advance_comm(1.0, phase="A")
         clock.advance_compute(0.5, phase="A")
-        clock.barrier([0.2, 0.3], phase="B")
+        StalenessLanes(ClusterConfig(2, 1)).defer([0.2, 0.3], "B", clock)
         assert clock.by_phase() == pytest.approx({"A": 1.5, "B": 0.3})
 
     def test_unlabelled_charges_excluded(self):

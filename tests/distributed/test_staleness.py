@@ -16,10 +16,10 @@ import json
 import pytest
 
 from repro.chaos import FaultEvent, FaultPlan
+from repro.cluster.simclock import SimClock
 from repro.config import ClusterConfig, TrainConfig
 from repro.datasets import SyntheticSpec, make_sparse_classification
 from repro.distributed.engine import DistributedGBDT
-from repro.errors import TrainingError
 from repro.runtime.phases import StalenessLanes
 
 CLUSTER = ClusterConfig(n_workers=3, n_servers=2)
@@ -159,24 +159,24 @@ class TestAccuracyBound:
 class TestStalenessLanes:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            StalenessLanes(0, 1)
-        with pytest.raises(ValueError):
-            StalenessLanes(2, 0)
+            StalenessLanes(CLUSTER, -1)
+        # S=0 is the synchronous barrier: the lanes settle at every stage.
+        assert StalenessLanes(CLUSTER, 0).staleness == 0
 
     def test_defer_accumulates_per_worker(self):
-        lanes = StalenessLanes(3, 1)
-        lanes.defer([1.0, 3.0, 2.0], "BUILD_HISTOGRAM")
-        lanes.defer([0.5, 0.0, 1.0], "FIND_SPLIT")
+        lanes = StalenessLanes(CLUSTER, 1)
+        clock = SimClock()
+        assert lanes.defer([1.0, 3.0, 2.0], "BUILD_HISTOGRAM", clock) == 0.0
+        lanes.defer([0.5, 0.0, 1.0], "FIND_SPLIT", clock)
         assert lanes.lane_seconds == [1.5, 3.0, 3.0]
+        assert clock.time == 0.0
 
     def test_layer_boundary_syncs_after_s_plus_one_layers(self):
-        from repro.cluster.simclock import SimClock
-
-        lanes = StalenessLanes(2, 1)
+        lanes = StalenessLanes(ClusterConfig(n_workers=2, n_servers=2), 1)
         clock = SimClock()
-        lanes.defer([2.0, 5.0], "BUILD_HISTOGRAM")
+        lanes.defer([2.0, 5.0], "BUILD_HISTOGRAM", clock)
         assert lanes.layer_boundary(clock) == 0.0  # 1 layer <= S
-        lanes.defer([1.0, 1.0], "BUILD_HISTOGRAM")
+        lanes.defer([1.0, 1.0], "BUILD_HISTOGRAM", clock)
         charged = lanes.layer_boundary(clock)  # 2 layers > S: sync
         assert charged == pytest.approx(6.0)  # slowest lane: 5 + 1
         assert lanes.lane_seconds == [0.0, 0.0]
@@ -184,9 +184,7 @@ class TestStalenessLanes:
         assert clock.computation == pytest.approx(6.0)
 
     def test_sync_with_no_lane_time_charges_nothing(self):
-        from repro.cluster.simclock import SimClock
-
-        lanes = StalenessLanes(2, 2)
+        lanes = StalenessLanes(ClusterConfig(n_workers=2, n_servers=2), 2)
         clock = SimClock()
         assert lanes.sync(clock) == 0.0
         assert lanes.syncs == 0

@@ -75,9 +75,9 @@ class TestStalenessSeesEveryPhase:
         phases_seen: set[str] = set()
         defer = StalenessLanes.defer
 
-        def record(lanes, per_worker_seconds, phase):
+        def record(lanes, per_worker_seconds, phase, clock):
             phases_seen.add(phase)
-            defer(lanes, per_worker_seconds, phase)
+            return defer(lanes, per_worker_seconds, phase, clock)
 
         monkeypatch.setattr(StalenessLanes, "defer", record)
         return phases_seen
@@ -172,6 +172,15 @@ def _calls(path: Path):
     yield from walk(tree, ())
 
 
+def _names(path: Path):
+    """Every attribute and bare name ``path`` reads."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Name):
+            yield node.id
+
+
 def _sources():
     return sorted(SRC.rglob("*.py"))
 
@@ -197,12 +206,15 @@ class TestOneSeam:
         assert offenders == []
 
     def test_speed_scaling_lives_in_the_phase_runner(self):
-        users = {
+        """Worker speeds and per-layer jitter factors are read by the
+        barrier's lanes only."""
+        reads = {"speed_of", "LayerSpeedJitter", "factors", "factor_of"}
+        readers = {
             path.relative_to(SRC).as_posix()
             for path in _sources()
-            if "scale_by_speeds" in path.read_text(encoding="utf-8")
+            if reads & set(_names(path))
         }
-        assert users == {"runtime/phases.py", "runtime/__init__.py"}
+        assert readers == {"runtime/phases.py"}
 
     def test_no_stopwatch(self):
         assert [
